@@ -53,11 +53,9 @@ from .ramsey import (
     ScanResult,
     derive,
     free_flight,
-    full_ode,
     gaussian_fraction,
     protocol,
     pulse_closed_form,
-    rwa_ode,
     scan,
 )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -35,7 +36,7 @@ _EXIT_CONFIG, _EXIT_DOMAIN, _EXIT_IO = 2, 3, 4
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def bundled_config_path(name: str):
@@ -110,6 +111,16 @@ def _grid_from(doc: dict) -> np.ndarray:
     return np.linspace(float(doc["start"]), float(doc["stop"]), pts)
 
 
+def _times_from(doc: dict) -> list[float]:
+    times = doc["times"]
+    # the bound also rejects NaN, inf and integers beyond the float range
+    if not isinstance(times, list) or not all(
+        type(t) in (int, float) and abs(t) <= sys.float_info.max for t in times
+    ):
+        raise ConfigParse("times: expected a list of finite numbers", field="times")
+    return [float(t) for t in times]
+
+
 _VALIDATORS = {}
 
 
@@ -147,6 +158,7 @@ def _validate_evolve(doc):
     _check_keys(doc, "config", {"model", "rho0", "times"}, {"h", "scheme"})
     model = _model_from(doc["model"])
     _matrix_from(doc["rho0"], "rho0", model.dim)
+    _times_from(doc)
 
 
 def _validate_spectrum(doc):
@@ -188,7 +200,7 @@ _VALIDATORS.update(
 )
 
 
-def _record(command: str, args, config_doc, result, warnings_list=None) -> dict:
+def _record(command: str, args, config_doc, result) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -202,7 +214,7 @@ def _record(command: str, args, config_doc, result, warnings_list=None) -> dict:
         },
         "config": config_doc,
         "result": result,
-        "warnings": warnings_list or [],
+        "warnings": [str(w.message) for w in args.warnings],
     }
 
 
@@ -301,9 +313,8 @@ def _cmd_lindblad_evolve(args) -> int:
     rho0 = quantum.DensityMatrix.from_matrix(
         _matrix_from(doc["rho0"], "rho0", model.dim)
     )
-    times = [float(t) for t in doc["times"]]
     states = []
-    for t in times:
+    for t in _times_from(doc):
         rho = lindblad.evolve(model, rho0, t)
         states.append({
             "t": t,
@@ -398,7 +409,7 @@ def _cmd_entropy_check(args) -> int:
     eps = 1e-5
     rows = []
     ok = True
-    for t in (float(t) for t in doc["times"]):
+    for t in _times_from(doc):
         rho = lindblad.evolve(model, rho0, t)
         rate = quantum.entropy_rate(rho, model.lindblads)
         s_plus = quantum.vn_entropy(lindblad.evolve(model, rho0, t + eps))
@@ -509,7 +520,15 @@ def main(argv=None) -> int:
                 f"{args.command} emits JSON records only; csv applies to "
                 + ", ".join(sorted(csv_capable))
             )
-        return args.handler(args)
+        # every warning the handler raises goes into the record's warnings
+        # field, or to stderr for CSV output, which has no record
+        with warnings.catch_warnings(record=True) as args.warnings:
+            warnings.simplefilter("always")
+            code = args.handler(args)
+        if args.format == "csv":
+            for w in args.warnings:
+                sys.stderr.write(f"lindkit: warning: {w.message}\n")
+        return code
     except ConfigParse as exc:
         _emit_error(args, exc, _EXIT_CONFIG)
         return _EXIT_CONFIG

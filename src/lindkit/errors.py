@@ -95,6 +95,12 @@ class QuadratureFailure(LindkitError):
     """Numerical quadrature of the transit-time average failed."""
 
 
+class UnphysicalAverage(LindkitError):
+    """The full-line transit-time average is non-finite or leaves [0, 1]:
+    the damped fringe's continuation to T < 0 dominates it.  The truncated
+    (T >= 0) average is the physical one."""
+
+
 class ConfigParse(LindkitError):
     """A CLI configuration file is malformed or violates an invariant."""
 

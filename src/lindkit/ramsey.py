@@ -25,8 +25,11 @@ excited-state fraction is exactly a single damped fringe in T,
     Pb_e(T) = A + e^{-Re(lt) T} [P cos(nu T) + Q sin(nu T)],
     nu = dw - Im(lt),
 
-its Gaussian transit-time average has an exact closed form; the quadrature
-path integrates the same product numerically as a cross-check.
+every quantity here is derived from those five constants, evaluated as arrays
+over the detuning grid: the single-shot fraction is the fringe at t_free, and
+the Gaussian transit-time average has an exact closed form, over the full
+real line (a Gaussian integral) or over the physical T >= 0 window (the same
+integral minus two bounded Faddeeva-function tails).
 """
 from __future__ import annotations
 
@@ -35,12 +38,9 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
+from scipy import special
 
-from .errors import QuadratureFailure, StepTooLarge
-
-RWA_DT_MAX = 1e-2      # rwa_ode requires dt <= RWA_DT_MAX / Omega
-FULL_DT_MAX = 0.05     # full_ode requires dt <= FULL_DT_MAX / omega
+from .errors import UnphysicalAverage
 
 
 @dataclass
@@ -58,15 +58,18 @@ class RamseyConfig:
     lambda_tilde_eg: complex = 0.0
 
     def __post_init__(self):
+        self.u_eg = complex(self.u_eg)
+        self.lambda_tilde_eg = complex(self.lambda_tilde_eg)
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not self.e_e > self.e_g:
             raise ValueError("need E_e > E_g")
         for name in ("tau", "t_free", "t0", "sigma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if complex(self.lambda_tilde_eg).real < 0:
+        if self.lambda_tilde_eg.real < 0:
             raise ValueError("Re(lambda_tilde_eg) must be nonnegative")
-        self.u_eg = complex(self.u_eg)
-        self.lambda_tilde_eg = complex(self.lambda_tilde_eg)
 
     def with_detuning(self, delta_omega: float) -> "RamseyConfig":
         return replace(self, omega=self.e_e - self.e_g + delta_omega)
@@ -160,30 +163,22 @@ class CoefficientMatrix:
         return complex(self.f[0, 1])
 
 
-def _pulse_raw(f_ee, f_eg, tau, derived, u_eg, t_start):
-    """Rodrigues rotation on raw coefficient values, no physicality checks
-    (the transit-average continuation visits transiently unphysical points
-    whose Gaussian weight is negligible)."""
-    dw = derived.delta_omega
-    u = abs(u_eg)
-    big_om = derived.big_omega
-    if big_om == 0.0 or tau == 0.0:
-        return f_ee, f_eg
-    phi = np.angle(u_eg) if u > 0 else 0.0
-    g = f_eg * np.exp(1j * dw * t_start) * np.exp(-1j * phi)
-    bloch = np.array([2 * g.real, 2 * g.imag, 2 * f_ee - 1.0])
-    axis = np.array([2 * u, 0.0, dw]) / (2 * big_om)
+def _rotation(dw, big_om, u_abs, tau):
+    """Bloch-vector rotation of an RWA pulse of length tau (Rodrigues): angle
+    2 Omega tau about the unit axis (2|U|, 0, dw) / (2 Omega).  Vectorized
+    over dw and Omega, returning shape dw.shape + (3, 3); at Omega = 0 the
+    angle vanishes and the rotation is the identity."""
+    dw, big_om = np.asarray(dw, dtype=float), np.asarray(big_om, dtype=float)
+    den = np.where(big_om > 0, 2 * big_om, 1.0)
+    nx, nz = 2 * u_abs / den, dw / den
     theta = 2 * big_om * tau
     c, s = np.cos(theta), np.sin(theta)
-    rotated = (
-        bloch * c
-        + np.cross(axis, bloch) * s
-        + axis * np.dot(axis, bloch) * (1 - c)
-    )
-    g_out = (rotated[0] + 1j * rotated[1]) / 2
-    f_ee_out = (1.0 + rotated[2]) / 2
-    f_eg_out = g_out * np.exp(1j * phi) * np.exp(-1j * dw * (t_start + tau))
-    return f_ee_out, f_eg_out
+    k = 1 - c
+    return np.stack([
+        np.stack([c + k * nx * nx, -s * nz, k * nx * nz], axis=-1),
+        np.stack([s * nz, c, -s * nx], axis=-1),
+        np.stack([k * nx * nz, s * nx, c + k * nz * nz], axis=-1),
+    ], axis=-2)
 
 
 def pulse_closed_form(
@@ -201,105 +196,14 @@ def pulse_closed_form(
     composed.  Reduces to the textbook ground-state pulse formulas when
     f_init is the ground state at t_start = 0.
     """
-    if derived.big_omega == 0.0 or tau == 0.0:
-        return CoefficientMatrix(f_init.f.copy())
-    f_ee, f_eg = _pulse_raw(
-        f_init.f_ee, f_init.f_eg, tau, derived, u_eg, t_start
-    )
-    return CoefficientMatrix.from_components(f_ee, f_eg)
-
-
-def _rwa_rhs(t, fee, fgg, feg, u_eg, dw):
-    ep = np.exp(1j * dw * t)
-    fge = np.conj(feg)
-    dee = -1j * (np.conj(u_eg) * feg * ep - u_eg * fge / ep)
-    dgg = -1j * (-np.conj(u_eg) * feg * ep + u_eg * fge / ep)
-    deg = -1j * (u_eg * (fee - fgg) / ep)
-    return dee, dgg, deg
-
-
-def rwa_ode(
-    f_init: CoefficientMatrix,
-    tau: float,
-    derived: RamseyDerived,
-    u_eg: complex,
-    dt: float,
-    t_start: float = 0.0,
-) -> CoefficientMatrix:
-    """Fixed-step RK4 integration of the RWA system; the independent oracle
-    for pulse_closed_form."""
-    big_om = derived.big_omega
-    if big_om > 0 and dt > RWA_DT_MAX / big_om:
-        raise StepTooLarge(f"dt must be <= {RWA_DT_MAX / big_om:.3e}")
     dw = derived.delta_omega
-    n = max(1, int(np.ceil(tau / dt)))
-    h = tau / n
-    t = t_start
-    fee, fgg, feg = complex(f_init.f_ee), complex(f_init.f_gg), f_init.f_eg
-    for _ in range(n):
-        k1 = _rwa_rhs(t, fee, fgg, feg, u_eg, dw)
-        k2 = _rwa_rhs(
-            t + h / 2, fee + h / 2 * k1[0], fgg + h / 2 * k1[1], feg + h / 2 * k1[2],
-            u_eg, dw,
-        )
-        k3 = _rwa_rhs(
-            t + h / 2, fee + h / 2 * k2[0], fgg + h / 2 * k2[1], feg + h / 2 * k2[2],
-            u_eg, dw,
-        )
-        k4 = _rwa_rhs(
-            t + h, fee + h * k3[0], fgg + h * k3[1], feg + h * k3[2], u_eg, dw
-        )
-        fee += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        fgg += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        feg += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        t += h
-    return CoefficientMatrix.from_components(fee.real, feg)
-
-
-def full_ode(energies, u_matrix, omega: float, t_span, dt: float):
-    """Integrate the exact interaction-picture equations, counter-rotating
-    terms included: f' = -i [H_I(t), f] with
-    H_I(t) = D(t) (-U e^{-i w t} - U^dag e^{i w t}) D(t)^dag,
-    D(t) = diag(e^{i E_m t}).
-
-    ``energies`` are the stable-basis energies E_m (for the two-level case
-    use (E_e, E_g) to keep the (e, g) ordering).  Returns (times, f_stack)
-    where f_stack[k] is the coefficient matrix at times[k].
-    """
-    e = np.asarray(energies, dtype=float)
-    u = np.asarray(u_matrix, dtype=complex)
-    d = e.size
-    if u.shape != (d, d):
-        raise ValueError("drive matrix shape must match the energy count")
-    if dt > FULL_DT_MAX / abs(omega):
-        raise StepTooLarge(f"dt must be <= {FULL_DT_MAX / abs(omega):.3e}")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    n = max(1, int(np.ceil((t1 - t0) / dt)))
-    h = (t1 - t0) / n
-
-    def rhs(t, f):
-        ph = np.exp(1j * e * t)
-        hp = -u * np.exp(-1j * omega * t) - u.conj().T * np.exp(1j * omega * t)
-        hi = (ph[:, None] * hp) * ph.conj()[None, :]
-        return -1j * (hi @ f - f @ hi)
-
-    f = np.zeros((d, d), dtype=complex)
-    f[-1, -1] = 1.0  # ground state occupies the last basis slot
-    times = np.empty(n + 1)
-    traj = np.empty((n + 1, d, d), dtype=complex)
-    times[0] = t0
-    traj[0] = f
-    t = t0
-    for k in range(n):
-        k1 = rhs(t, f)
-        k2 = rhs(t + h / 2, f + h / 2 * k1)
-        k3 = rhs(t + h / 2, f + h / 2 * k2)
-        k4 = rhs(t + h, f + h * k3)
-        f = f + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        times[k + 1] = t
-        traj[k + 1] = f
-    return times, traj
+    phi = np.angle(u_eg)
+    g = f_init.f_eg * np.exp(1j * (dw * t_start - phi))
+    x, y, z = _rotation(dw, derived.big_omega, abs(u_eg), tau) @ (
+        2 * g.real, 2 * g.imag, 2 * f_init.f_ee - 1.0
+    )
+    f_eg = (x + 1j * y) / 2 * np.exp(1j * (phi - dw * (t_start + tau)))
+    return CoefficientMatrix.from_components((1.0 + z) / 2, f_eg)
 
 
 def free_flight(
@@ -323,163 +227,147 @@ def free_flight(
     )
 
 
-def _protocol_at(config: RamseyConfig, theory: str, t_flight: float) -> float:
-    """Composed fraction at an arbitrary flight time.
-
-    Accepts negative t_flight as the analytic continuation of the fringe so
-    the Gaussian transit average can follow the full-real-line integral the
-    closed form corresponds to; the public protocol() keeps the physical
-    T >= 0 gate.
-    """
-    der = derive(config)
-    f_ee, f_eg = _pulse_raw(0.0, 0.0 + 0.0j, config.tau, der, config.u_eg, 0.0)
-    if theory == "modified":
-        f_eg = f_eg * np.exp(-complex(config.lambda_tilde_eg) * t_flight)
-    elif theory != "standard":
+def _correction(config: RamseyConfig, theory: str) -> complex:
+    """The free-flight correction rate lambda_tilde_eg under ``theory``."""
+    if theory not in ("standard", "modified"):
         raise ValueError(f"unknown theory {theory!r}")
-    f_ee, _ = _pulse_raw(
-        f_ee, f_eg, config.tau, der, config.u_eg, config.tau + t_flight
-    )
-    return float(f_ee)
+    return config.lambda_tilde_eg if theory == "modified" else 0j
+
+
+def _fringe(config: RamseyConfig, theory: str, dw):
+    """Fringe constants (A, P, Q, gamma, nu) at each detuning in ``dw``.
+
+    The first pulse takes the ground state (0, 0, -1) to b = -R e_z with
+    rotating-frame coherence g1 = (b_x + i b_y) / 2.  Free flight multiplies
+    g1 by e^{(-gamma + i nu) T} and leaves b_z alone, and the second pulse
+    is the same rotation R, so f_ee = (1 + R_z . b(T)) / 2 is one damped
+    fringe whose constants come from the bottom row of R.
+    """
+    lam = _correction(config, theory)
+    u = abs(config.u_eg)
+    dw = np.asarray(dw, dtype=float)
+    r = _rotation(dw, np.sqrt(dw * dw / 4 + u**2), u, config.tau)
+    bx, by, bz = -r[..., 0, 2], -r[..., 1, 2], -r[..., 2, 2]
+    rzx, rzy, rzz = r[..., 2, 0], r[..., 2, 1], r[..., 2, 2]
+    a = (1.0 + rzz * bz) / 2
+    p = (rzx * bx + rzy * by) / 2
+    q = (rzy * bx - rzx * by) / 2
+    return a, p, q, lam.real, dw - lam.imag
+
+
+def _fringe_at(a, p, q, gamma, nu, t):
+    return a + np.exp(-gamma * t) * (p * np.cos(nu * t) + q * np.sin(nu * t))
+
+
+def _transit_average(a, p, q, gamma, nu, t0, sig, truncate):
+    """Gaussian transit-time average of the fringe; see gaussian_fraction.
+
+    With kappa = -gamma + i nu the damped term is Re[(P - iQ) e^{kappa T}],
+    whose weighted integral over the real line is
+    e^{kappa t0 + kappa^2 sigma^2 / 4}, and over [t0 + d, inf) (sign +1) or
+    (-inf, t0 + d] (sign -1) is (1/2) e^{kappa (t0 + d) - d^2 / sigma^2}
+    w(sign i z), w the Faddeeva function and z = d / sigma - kappa sigma / 2.
+    Both factors of a tail are bounded for t0 + d >= 0 when sign Re z >= 0.
+    """
+    if sig == 0.0:
+        # delta-function transit distribution, truncated or not
+        return _fringe_at(a, p, q, gamma, nu, t0)
+    kappa = -gamma + 1j * nu
+    if not truncate:
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = np.exp(kappa * t0 + (kappa * sig) ** 2 / 4)
+            avg = a + ((p - 1j * q) * full).real
+        if not np.all((avg >= -1e-9) & (avg <= 1 + 1e-9)):  # NaN fails too
+            raise UnphysicalAverage(
+                "the full-line transit average leaves [0, 1]: the fringe's "
+                f"continuation to T < 0 dominates (Re(lambda_tilde) sigma^2 / 4 = "
+                f"{gamma * sig**2 / 4:.6g} vs T0 = {t0:.6g}); use truncate=True "
+                "(CLI: --truncate-gaussian) for the physical T >= 0 average"
+            )
+        return avg
+
+    if t0 - 8 * sig < 0.0:
+        warnings.warn(
+            "transit-time window clipped at T = 0; weight renormalized", stacklevel=3
+        )
+    # window offsets from t0, so a sigma below the float grain of t0 still
+    # leaves a window of nonzero weight
+    d_lo, d_hi = -min(8 * sig, t0), 8 * sig
+
+    def tail(d, sign):
+        z = d / sig - kappa * sig / 2
+        return 0.5 * np.exp(kappa * (t0 + d) - (d / sig) ** 2) * special.wofz(
+            sign * 1j * z
+        )
+
+    if d_lo / sig + gamma * sig / 2 > 0.0:
+        # Re z_lo > 0: the full-line term overflows here, so integrate
+        # [lo, inf) minus [hi, inf) directly
+        damped = tail(d_lo, 1) - tail(d_hi, 1)
+    else:
+        damped = (np.exp(kappa * t0 + (kappa * sig) ** 2 / 4)
+                  - tail(d_lo, -1) - tail(d_hi, 1))
+    weight = (special.erf(d_hi / sig) - special.erf(d_lo / sig)) / 2
+    return a + ((p - 1j * q) * damped).real / weight
 
 
 def protocol(config: RamseyConfig, theory: str = "standard") -> float:
     """Excited-state probability after pulse -> free flight (t_free) -> pulse
     from the ground state, with equal pulse durations."""
-    return _protocol_at(config, theory, config.t_free)
+    const = _fringe(config, theory, derive(config).delta_omega)
+    return float(_fringe_at(*const, config.t_free))
 
 
 def fringe_decomposition(config: RamseyConfig, theory: str):
     """Exact constants (A, P, Q, gamma, nu) of the composed fringe
-    Pb_e(T) = A + e^{-gamma T} [P cos(nu T) + Q sin(nu T)].
-
-    The flight segment only multiplies the boundary coherence by
-    e^{(i dw - lambda_tilde) T} = e^{(-gamma + i nu) T} in the rotating frame
-    while the populations stay fixed, and the second pulse is a fixed Bloch
-    rotation, so the final f_ee is an affine function of that rotating
-    coherence: a single damped fringe.  The constants come straight from the
-    bottom row of the pulse rotation applied to the first-pulse output.
-    """
-    lam = config.lambda_tilde_eg if theory == "modified" else 0.0 + 0.0j
-    der = derive(config)
-    dw, big_om = der.delta_omega, der.big_omega
-    u = abs(config.u_eg)
-    gamma = lam.real
-    nu = dw - lam.imag
-    f1 = pulse_closed_form(CoefficientMatrix.ground(), config.tau, der, config.u_eg)
-    z_b = f1.f_ee - f1.f_gg
-    if big_om == 0.0 or config.tau == 0.0:
-        r_zx, r_zy, r_zz = 0.0, 0.0, 1.0
-    else:
-        n_x, n_z = u / big_om, dw / (2 * big_om)
-        theta = 2 * big_om * config.tau
-        c, s = np.cos(theta), np.sin(theta)
-        r_zx = (1 - c) * n_z * n_x
-        r_zy = s * n_x
-        r_zz = c + (1 - c) * n_z * n_z
-    phi = np.angle(config.u_eg) if u > 0 else 0.0
-    g1 = f1.f_eg * np.exp(1j * dw * config.tau) * np.exp(-1j * phi)
-    a_coef = (1.0 + r_zz * z_b) / 2.0
-    p_coef = r_zx * g1.real + r_zy * g1.imag
-    q_coef = -r_zx * g1.imag + r_zy * g1.real
-    return float(a_coef), float(p_coef), float(q_coef), gamma, nu
+    Pb_e(T) = A + e^{-gamma T} [P cos(nu T) + Q sin(nu T)]."""
+    return tuple(float(c) for c in _fringe(config, theory, derive(config).delta_omega))
 
 
 def gaussian_fraction(
     config: RamseyConfig,
     theory: str = "standard",
-    method: str = "analytic",
     truncate: bool = False,
 ) -> float:
     """Fraction of excited atoms averaged over the Gaussian transit-time
     distribution P(T) = exp(-(T - T0)^2 / sigma^2) / sqrt(pi sigma^2).
 
-    "analytic" evaluates the exact closed form of the fringe integral over
-    the full real line; "quadrature" integrates P(T) * Pb_e(T) numerically
-    and serves as the independent check.  ``truncate`` switches to the
-    physical variant that clips T < 0, renormalizes the weight, and warns;
-    this only applies to the quadrature path (the untruncated integral is
-    the documented default).
+    The default integrates the fringe over the full real line, which is the
+    documented closed form; it raises UnphysicalAverage when the damped
+    fringe's continuation to T < 0 pushes that value out of [0, 1].
+    ``truncate`` gives the physical variant: P(T) restricted to the window
+    [max(T0 - 8 sigma, 0), T0 + 8 sigma] and renormalized over it, with a
+    warning when the window is clipped at T = 0.  Both are exact.
     """
-    sig = config.sigma
-    if sig == 0.0:
-        # delta-function transit distribution, truncated or not
-        return _protocol_at(config, theory, config.t0)
-    if method == "analytic" and not truncate:
-        a_coef, p_coef, q_coef, gamma, nu = fringe_decomposition(config, theory)
-        env = np.exp(-gamma * (config.t0 - gamma * sig**2 / 4)) * np.exp(
-            -(nu**2) * sig**2 / 4
-        )
-        t_shift = config.t0 - gamma * sig**2 / 2
-        return float(
-            a_coef + env * (p_coef * np.cos(nu * t_shift) + q_coef * np.sin(nu * t_shift))
-        )
-    if method not in ("analytic", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-
-    gamma = config.lambda_tilde_eg.real if theory == "modified" else 0.0
-    center = config.t0 - gamma * sig**2 / 2  # effective center of the damped term
-    lo = min(config.t0, center) - 10 * sig
-    hi = max(config.t0, center) + 10 * sig
-    norm = 1.0
-    if truncate:
-        lo_phys = max(config.t0 - 8 * sig, 0.0)
-        hi_phys = config.t0 + 8 * sig
-        if config.t0 - 8 * sig < 0.0:
-            warnings.warn(
-                "transit-time window clipped at T = 0; weight renormalized",
-                stacklevel=2,
-            )
-        lo, hi = lo_phys, hi_phys
-        norm, _ = quad(
-            lambda t: np.exp(-((t - config.t0) ** 2) / sig**2)
-            / np.sqrt(np.pi * sig**2),
-            lo,
-            hi,
-        )
-
-    def integrand(t):
-        w = np.exp(-((t - config.t0) ** 2) / sig**2) / np.sqrt(np.pi * sig**2)
-        return w * _protocol_at(config, theory, t)
-
-    try:
-        val, err = quad(integrand, lo, hi, limit=500, epsabs=1e-12, epsrel=1e-12)
-    except Exception as exc:  # pragma: no cover - scipy failure path
-        raise QuadratureFailure(str(exc)) from exc
-    if not np.isfinite(val) or err > 1e-6:
-        raise QuadratureFailure(f"quadrature error estimate {err:.3e}")
-    return float(val / norm)
+    const = _fringe(config, theory, derive(config).delta_omega)
+    return float(_transit_average(*const, config.t0, config.sigma, truncate))
 
 
 # ---------------------------------------------------------------------------
 # Regime reference formulas (valid for |U_eg| >> |delta omega|)
 # ---------------------------------------------------------------------------
 
+def _strong_drive_fringe(config: RamseyConfig, theory: str):
+    """Fringe constants in the |dw| << |U| limit: A = P = 1/2 sin^2(2 Omega tau),
+    Q = 0."""
+    der = derive(config)
+    pref = 0.5 * np.sin(2 * der.big_omega * config.tau) ** 2
+    lam = _correction(config, theory)
+    return pref, pref, 0.0, lam.real, der.delta_omega - lam.imag
+
+
 def pb_e_formula(config: RamseyConfig, theory: str = "standard") -> float:
     """Single-shot fringe formula 1/2 sin^2(2 Omega tau) [1 + e^{-Re(lt) T}
     cos((dw - Im(lt)) T)]; exact only in the strong-drive regime."""
-    der = derive(config)
-    pref = 0.5 * np.sin(2 * der.big_omega * config.tau) ** 2
-    lam = config.lambda_tilde_eg if theory == "modified" else 0.0 + 0.0j
-    nu = der.delta_omega - lam.imag
-    return float(
-        pref * (1.0 + np.exp(-lam.real * config.t_free) * np.cos(nu * config.t_free))
-    )
+    return float(_fringe_at(*_strong_drive_fringe(config, theory), config.t_free))
 
 
 def pb_e_avg_formula(config: RamseyConfig, theory: str = "standard") -> float:
     """Gaussian-averaged fringe formula: the modified variant carries the
     damping e^{-Re(lt)(T0 - Re(lt) sigma^2/4)}, the fringe-center shift
     dw -> dw - Im(lt), and the effective time T0 - Re(lt) sigma^2/2."""
-    der = derive(config)
-    pref = 0.5 * np.sin(2 * der.big_omega * config.tau) ** 2
-    lam = config.lambda_tilde_eg if theory == "modified" else 0.0 + 0.0j
-    g = lam.real
-    nu = der.delta_omega - lam.imag
-    env = np.exp(-g * (config.t0 - g * config.sigma**2 / 4)) * np.exp(
-        -(nu**2) * config.sigma**2 / 4
-    )
-    return float(pref * (1.0 + env * np.cos(nu * (config.t0 - g * config.sigma**2 / 2))))
+    const = _strong_drive_fringe(config, theory)
+    return float(_transit_average(*const, config.t0, config.sigma, truncate=False))
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +420,17 @@ def scan(
     truncate: bool = False,
 ) -> ScanResult:
     """Sweep the detuning over a sorted finite grid; each point re-derives
-    omega = (E_e - E_g) + delta and is independent of the others."""
+    omega = (E_e - E_g) + delta and is independent of the others.  The whole
+    grid is evaluated as arrays, so a clipped-window warning is issued once."""
     grid = np.asarray(delta_omega_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("detuning grid must be a finite 1-d array")
     if np.any(np.diff(grid) < 0):
         raise ValueError("detuning grid must be sorted ascending")
-    pb = np.empty(grid.size)
-    avg = np.empty(grid.size)
-    for k, dw in enumerate(grid):
-        cfg = config.with_detuning(dw)
-        pb[k] = protocol(cfg, theory)
-        avg[k] = gaussian_fraction(cfg, theory, truncate=truncate)
+    # the detuning each point's config represents: omega = (E_e - E_g) + delta
+    # rounds at the float grain, exactly as with_detuning + derive would
+    w0 = config.e_e - config.e_g
+    const = _fringe(config, theory, (w0 + grid) - w0)
+    pb = _fringe_at(*const, config.t_free)
+    avg = _transit_average(*const, config.t0, config.sigma, truncate)
     return ScanResult(grid, pb, avg, config, theory)

@@ -1,0 +1,174 @@
+"""Independent numerical oracles for the Ramsey closed forms.
+
+Fixed-step RK4 integrators for the RWA pulse and for the exact driven
+dynamics, and adaptive quadrature of the Gaussian transit-time average.  The
+quadrature integrand composes the three protocol segments directly on raw
+coefficient values, so it shares no code with the library's fringe constants.
+"""
+import numpy as np
+from scipy.integrate import quad
+
+from lindkit import CoefficientMatrix, derive
+from lindkit.errors import QuadratureFailure, StepTooLarge
+
+RWA_DT_MAX = 1e-2      # rwa_ode requires dt <= RWA_DT_MAX / Omega
+FULL_DT_MAX = 0.05     # full_ode requires dt <= FULL_DT_MAX / omega
+
+
+def _rwa_rhs(t, fee, fgg, feg, u_eg, dw):
+    ep = np.exp(1j * dw * t)
+    fge = np.conj(feg)
+    dee = -1j * (np.conj(u_eg) * feg * ep - u_eg * fge / ep)
+    dgg = -1j * (-np.conj(u_eg) * feg * ep + u_eg * fge / ep)
+    deg = -1j * (u_eg * (fee - fgg) / ep)
+    return dee, dgg, deg
+
+
+def rwa_ode(f_init, tau, derived, u_eg, dt, t_start=0.0):
+    """Fixed-step RK4 integration of the RWA system; the independent oracle
+    for pulse_closed_form."""
+    big_om = derived.big_omega
+    if big_om > 0 and dt > RWA_DT_MAX / big_om:
+        raise StepTooLarge(f"dt must be <= {RWA_DT_MAX / big_om:.3e}")
+    dw = derived.delta_omega
+    n = max(1, int(np.ceil(tau / dt)))
+    h = tau / n
+    t = t_start
+    fee, fgg, feg = complex(f_init.f_ee), complex(f_init.f_gg), f_init.f_eg
+    for _ in range(n):
+        k1 = _rwa_rhs(t, fee, fgg, feg, u_eg, dw)
+        k2 = _rwa_rhs(
+            t + h / 2, fee + h / 2 * k1[0], fgg + h / 2 * k1[1], feg + h / 2 * k1[2],
+            u_eg, dw,
+        )
+        k3 = _rwa_rhs(
+            t + h / 2, fee + h / 2 * k2[0], fgg + h / 2 * k2[1], feg + h / 2 * k2[2],
+            u_eg, dw,
+        )
+        k4 = _rwa_rhs(
+            t + h, fee + h * k3[0], fgg + h * k3[1], feg + h * k3[2], u_eg, dw
+        )
+        fee += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        fgg += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        feg += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        t += h
+    return CoefficientMatrix.from_components(fee.real, feg)
+
+
+def full_ode(energies, u_matrix, omega, t_span, dt):
+    """Integrate the exact interaction-picture equations, counter-rotating
+    terms included: f' = -i [H_I(t), f] with
+    H_I(t) = D(t) (-U e^{-i w t} - U^dag e^{i w t}) D(t)^dag,
+    D(t) = diag(e^{i E_m t}).
+
+    ``energies`` are the stable-basis energies E_m (for the two-level case
+    use (E_e, E_g) to keep the (e, g) ordering).  Returns (times, f_stack)
+    where f_stack[k] is the coefficient matrix at times[k].
+    """
+    e = np.asarray(energies, dtype=float)
+    u = np.asarray(u_matrix, dtype=complex)
+    d = e.size
+    if u.shape != (d, d):
+        raise ValueError("drive matrix shape must match the energy count")
+    if dt > FULL_DT_MAX / abs(omega):
+        raise StepTooLarge(f"dt must be <= {FULL_DT_MAX / abs(omega):.3e}")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    n = max(1, int(np.ceil((t1 - t0) / dt)))
+    h = (t1 - t0) / n
+
+    def rhs(t, f):
+        ph = np.exp(1j * e * t)
+        hp = -u * np.exp(-1j * omega * t) - u.conj().T * np.exp(1j * omega * t)
+        hi = (ph[:, None] * hp) * ph.conj()[None, :]
+        return -1j * (hi @ f - f @ hi)
+
+    f = np.zeros((d, d), dtype=complex)
+    f[-1, -1] = 1.0  # ground state occupies the last basis slot
+    times = np.empty(n + 1)
+    traj = np.empty((n + 1, d, d), dtype=complex)
+    times[0] = t0
+    traj[0] = f
+    t = t0
+    for k in range(n):
+        k1 = rhs(t, f)
+        k2 = rhs(t + h / 2, f + h / 2 * k1)
+        k3 = rhs(t + h / 2, f + h / 2 * k2)
+        k4 = rhs(t + h, f + h * k3)
+        f = f + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+        times[k + 1] = t
+        traj[k + 1] = f
+    return times, traj
+
+
+def _pulse_raw(f_ee, f_eg, tau, derived, u_eg, t_start):
+    """Rodrigues rotation on raw coefficient values, no physicality checks
+    (the transit-average continuation visits transiently unphysical points
+    whose Gaussian weight is negligible)."""
+    dw = derived.delta_omega
+    u = abs(u_eg)
+    big_om = derived.big_omega
+    if big_om == 0.0 or tau == 0.0:
+        return f_ee, f_eg
+    phi = np.angle(u_eg) if u > 0 else 0.0
+    g = f_eg * np.exp(1j * dw * t_start) * np.exp(-1j * phi)
+    bloch = np.array([2 * g.real, 2 * g.imag, 2 * f_ee - 1.0])
+    axis = np.array([2 * u, 0.0, dw]) / (2 * big_om)
+    theta = 2 * big_om * tau
+    c, s = np.cos(theta), np.sin(theta)
+    rotated = (
+        bloch * c
+        + np.cross(axis, bloch) * s
+        + axis * np.dot(axis, bloch) * (1 - c)
+    )
+    g_out = (rotated[0] + 1j * rotated[1]) / 2
+    f_ee_out = (1.0 + rotated[2]) / 2
+    f_eg_out = g_out * np.exp(1j * phi) * np.exp(-1j * dw * (t_start + tau))
+    return f_ee_out, f_eg_out
+
+
+def protocol_at(config, theory, t_flight):
+    """Composed fraction pulse -> flight -> pulse at any flight time,
+    segment by segment.  Negative t_flight is the analytic continuation of
+    the fringe that the full-real-line transit average integrates over."""
+    der = derive(config)
+    f_ee, f_eg = _pulse_raw(0.0, 0.0 + 0.0j, config.tau, der, config.u_eg, 0.0)
+    if theory == "modified":
+        f_eg = f_eg * np.exp(-complex(config.lambda_tilde_eg) * t_flight)
+    elif theory != "standard":
+        raise ValueError(f"unknown theory {theory!r}")
+    f_ee, _ = _pulse_raw(
+        f_ee, f_eg, config.tau, der, config.u_eg, config.tau + t_flight
+    )
+    return float(f_ee)
+
+
+def gaussian_fraction_quadrature(config, theory="standard", truncate=False):
+    """Transit-time average of protocol_at by adaptive quadrature: over the
+    full real line, or with ``truncate`` over [max(T0 - 8 sigma, 0),
+    T0 + 8 sigma] renormalized by the weight inside that window."""
+    sig = config.sigma
+    if sig == 0.0:
+        return protocol_at(config, theory, config.t0)
+    gamma = config.lambda_tilde_eg.real if theory == "modified" else 0.0
+    center = config.t0 - gamma * sig**2 / 2  # effective center of the damped term
+    lo = min(config.t0, center) - 10 * sig
+    hi = max(config.t0, center) + 10 * sig
+    norm = 1.0
+    if truncate:
+        lo, hi = max(config.t0 - 8 * sig, 0.0), config.t0 + 8 * sig
+        norm, _ = quad(
+            lambda t: np.exp(-((t - config.t0) ** 2) / sig**2)
+            / np.sqrt(np.pi * sig**2),
+            lo,
+            hi,
+        )
+
+    def integrand(t):
+        w = np.exp(-((t - config.t0) ** 2) / sig**2) / np.sqrt(np.pi * sig**2)
+        return w * protocol_at(config, theory, t)
+
+    val, err = quad(integrand, lo, hi, limit=500, epsabs=1e-12, epsrel=1e-12)
+    if not np.isfinite(val) or err > 1e-6:
+        raise QuadratureFailure(f"quadrature error estimate {err:.3e}")
+    return float(val / norm)

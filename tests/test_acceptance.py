@@ -34,20 +34,19 @@ from lindkit import (
     entropy_rate,
     evolve,
     first_order,
-    full_ode,
     gaussian_fraction,
     gks_project,
     kernel_from_generator,
     measurement_model,
     protocol,
     pulse_closed_form,
-    rwa_ode,
     scan,
     spectrum,
     vn_entropy,
 )
 from lindkit.channels import extract_generator
 from lindkit.ramsey import pb_e_formula
+from oracles import full_ode, gaussian_fraction_quadrature, rwa_ode
 
 E_G, E_E = 0.0, 100.0
 W0 = E_E - E_G
@@ -145,8 +144,8 @@ def test_03_gaussian_fraction_analytic_vs_quadrature():
                 lam=complex(rng.uniform(0.0, 0.15), rng.normal() * 0.15),
             )
             for theory in ("standard", "modified"):
-                a = gaussian_fraction(cfg, theory, method="analytic")
-                q = gaussian_fraction(cfg, theory, method="quadrature")
+                a = gaussian_fraction(cfg, theory)
+                q = gaussian_fraction_quadrature(cfg, theory)
                 assert abs(a - q) <= 1e-8, f"{theory}: |analytic-quad|={abs(a-q):.2e}"
         # continuity: the modified theory collapses onto the standard one
         # as the correction rate vanishes

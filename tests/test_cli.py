@@ -205,3 +205,65 @@ def test_lindblad_evolve_states_are_physical(tmp_path):
     for state in doc["result"]["states"]:
         assert state["trace"] == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= state["entropy"] <= np.log(2) + 1e-9
+
+
+def _ramsey_doc(tmp_path, name="fig2", **ramsey_fields):
+    doc = json.load(open(str(cli.bundled_config_path(name))))
+    doc["ramsey"].update(ramsey_fields)
+    path = tmp_path / "ramsey.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_non_finite_ramsey_input_is_exit_2(tmp_path, capsys):
+    for value in (float("nan"), float("inf")):
+        path = _ramsey_doc(tmp_path, omega=value)
+        assert run(["ramsey-point", "--config", path]) == 2
+        assert "omega must be finite" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        cli.canonical_json({"pb_e": float("nan")})
+
+
+def test_full_line_average_out_of_range_is_exit_3(tmp_path, capsys):
+    path = _ramsey_doc(tmp_path, sigma=50.0, lambda_tilde_re=5.0)
+    assert run(["ramsey-point", "--config", path]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "UnphysicalAverage"
+    assert "--truncate-gaussian" in err["message"]
+    out = tmp_path / "point.json"
+    assert run(["ramsey-point", "--config", path, "--truncate-gaussian",
+                "--out", str(out)]) == 0
+    assert 0.0 <= json.loads(out.read_text())["result"]["pb_e_avg"] <= 1.0
+
+
+@pytest.mark.parametrize("command", ["lindblad-evolve", "entropy-check"])
+def test_non_numeric_times_are_exit_2(tmp_path, capsys, command):
+    for times in (["x"], [0.5, None], "1.0", [float("nan")]):
+        doc = json.load(open(str(cli.bundled_config_path("model-qubit"))))
+        doc["times"] = times
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run([command, "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["field"] == "times"
+
+
+@pytest.mark.parametrize("command", ["ramsey-point", "ramsey-scan"])
+def test_clipped_window_warning_is_recorded(tmp_path, command):
+    path = _ramsey_doc(tmp_path, "fig1", t0=1.0, sigma=2.0)
+    out = tmp_path / "rec.json"
+    assert run([command, "--config", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["warnings"] == []
+    assert run([command, "--config", path, "--truncate-gaussian",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["warnings"] == [
+        "transit-time window clipped at T = 0; weight renormalized"
+    ]
+
+
+def test_clipped_window_warning_goes_to_stderr_for_csv(tmp_path, capsys):
+    path = _ramsey_doc(tmp_path, "fig1", t0=1.0, sigma=2.0)
+    assert run(["ramsey-scan", "--config", path, "--truncate-gaussian",
+                "--format", "csv", "--out", str(tmp_path / "scan.csv")]) == 0
+    assert capsys.readouterr().err == (
+        "lindkit: warning: transit-time window clipped at T = 0; weight renormalized\n"
+    )

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindkit import (
     CoefficientMatrix,
@@ -11,15 +15,14 @@ from lindkit import (
     diagonal_solution,
     errors,
     free_flight,
-    full_ode,
     gaussian_fraction,
     measurement_model,
     protocol,
     pulse_closed_form,
-    rwa_ode,
     scan,
 )
 from lindkit.ramsey import fringe_decomposition, pb_e_avg_formula, pb_e_formula
+from oracles import full_ode, gaussian_fraction_quadrature, rwa_ode
 
 E_G, E_E = 0.0, 100.0
 W0 = E_E - E_G
@@ -254,8 +257,8 @@ class TestGaussianFraction:
                 lam=complex(rng.uniform(0, 0.2), rng.normal() * 0.2),
             )
             for theory in ("standard", "modified"):
-                a = gaussian_fraction(cfg, theory, method="analytic")
-                q = gaussian_fraction(cfg, theory, method="quadrature")
+                a = gaussian_fraction(cfg, theory)
+                q = gaussian_fraction_quadrature(cfg, theory)
                 assert abs(a - q) < 1e-8
 
     def test_modified_continuous_at_zero_correction(self, rng):
@@ -269,6 +272,42 @@ class TestGaussianFraction:
         with pytest.warns(UserWarning):
             truncated = gaussian_fraction(cfg, truncate=True)
         assert -1e-9 <= truncated <= 1 + 1e-9
+
+    def test_truncated_closed_form_matches_quadrature(self, rng):
+        for k in range(24):
+            sigma = rng.uniform(0.3, 6.0)
+            t0 = rng.uniform(0.0, 3.0 * sigma) if k % 3 == 0 else rng.uniform(8.0, 20.0)
+            gamma = rng.uniform(0.0, 0.3)
+            if k % 3 == 1:  # damping shift gamma sigma^2 / 2 beyond t0
+                gamma = 2 * t0 / sigma**2 * rng.uniform(1.1, 3.0)
+            cfg = make_config(
+                u=rng.uniform(0.1, 2.0) * np.exp(2j * np.pi * rng.uniform()),
+                dw=rng.normal() * 0.7,
+                tau=rng.uniform(0.1, 4.0),
+                t0=t0,
+                sigma=sigma,
+                lam=complex(gamma, rng.normal() * 0.3),
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # clipped windows warn
+                for theory in ("standard", "modified"):
+                    a = gaussian_fraction(cfg, theory, truncate=True)
+                    q = gaussian_fraction_quadrature(cfg, theory, truncate=True)
+                    assert abs(a - q) <= 1e-10
+
+    def test_full_line_average_beyond_range_raises(self):
+        # Re(lambda_tilde) sigma^2 / 4 far above T0: the continuation to
+        # T < 0 overflows the full-line value
+        cfg = make_config(u=0.4, dw=0.1, t0=50.0, sigma=50.0, lam=5.0 + 0.05j)
+        with pytest.raises(errors.UnphysicalAverage, match="truncate=True"):
+            gaussian_fraction(cfg, "modified")
+        with pytest.raises(errors.UnphysicalAverage):
+            scan(cfg, np.linspace(-0.1, 0.1, 5), "modified")
+        with pytest.warns(UserWarning):
+            truncated = gaussian_fraction(cfg, "modified", truncate=True)
+        assert 0.0 <= truncated <= 1.0
+        ref = gaussian_fraction_quadrature(cfg, "modified", truncate=True)
+        assert abs(truncated - ref) <= 1e-10
 
 
 class TestRegimeFormulas:
@@ -290,14 +329,17 @@ class TestRegimeFormulas:
             assert got == pytest.approx(ref, rel=1e-6)
 
     def test_fringe_decomposition_reproduces_protocol(self, rng):
+        # against the segment-by-segment composition of the public pieces
         cfg = make_config(u=0.7, dw=0.9, tau=1.3, lam=0.05 + 0.12j)
+        der = derive(cfg)
         for theory in ("standard", "modified"):
             a, p, q, g, nu = fringe_decomposition(cfg, theory)
             for t in (0.0, 0.9, 4.4, 17.0):
                 model = a + np.exp(-g * t) * (p * np.cos(nu * t) + q * np.sin(nu * t))
-                cfg_t = make_config(u=0.7, dw=0.9, tau=1.3, t_free=t,
-                                    lam=0.05 + 0.12j)
-                assert model == pytest.approx(protocol(cfg_t, theory), abs=1e-12)
+                f1 = pulse_closed_form(CoefficientMatrix.ground(), cfg.tau, der, cfg.u_eg)
+                f2 = free_flight(f1, t, cfg.lambda_tilde_eg, theory)
+                f3 = pulse_closed_form(f2, cfg.tau, der, cfg.u_eg, t_start=cfg.tau + t)
+                assert model == pytest.approx(f3.f_ee, abs=1e-12)
 
 
 class TestScan:
@@ -323,6 +365,32 @@ class TestScan:
             left = gaussian_fraction(cfg.with_detuning(-dw))
             right = gaussian_fraction(cfg.with_detuning(dw))
             assert abs(left - right) < 1e-12
+
+    def test_rows_equal_scalar_evaluation(self):
+        cfg = make_config(u=0.3, tau=2.1, t_free=9.0, t0=3.0, sigma=2.0,
+                          lam=0.04 + 0.1j)
+        grid = np.linspace(-0.6, 0.6, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # t0 < 8 sigma: clipped window
+            for theory in ("standard", "modified"):
+                for truncate in (False, True):
+                    res = scan(cfg, grid, theory, truncate=truncate)
+                    for dw, p, pa in zip(grid, res.pb_e, res.pb_e_avg):
+                        point = cfg.with_detuning(dw)
+                        assert p == pytest.approx(protocol(point, theory), abs=1e-15)
+                        assert pa == pytest.approx(
+                            gaussian_fraction(point, theory, truncate=truncate),
+                            abs=1e-15,
+                        )
+
+    def test_clipped_window_warns_once_per_scan(self):
+        cfg = make_config(t0=1.0, sigma=2.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scan(cfg, np.linspace(-0.2, 0.2, 11), truncate=True)
+        assert [str(w.message) for w in caught] == [
+            "transit-time window clipped at T = 0; weight renormalized"
+        ]
 
     def test_rows_and_bounds(self):
         grid = np.linspace(-0.2, 0.2, 21)
@@ -359,3 +427,25 @@ class TestCorrectionConsistency:
             via_ramsey = free_flight(f0, t, lam_eg, "modified")
             via_lindblad = diagonal_solution(dm, rho0, t)
             assert np.linalg.norm(via_ramsey.f - via_lindblad.matrix) < 1e-10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    u=st.floats(0.01, 5.0),
+    dw=st.floats(-5.0, 5.0),
+    tau=st.floats(0.0, 20.0),
+    t=st.floats(0.0, 1e4),
+    gamma=st.floats(0.0, 2.0),
+    shift=st.floats(-2.0, 2.0),
+    sigma=st.floats(0.0, 30.0),
+)
+def test_fringe_and_truncated_average_stay_in_unit_interval(
+    u, dw, tau, t, gamma, shift, sigma
+):
+    cfg = make_config(u=u, dw=dw, tau=tau, t_free=t, t0=t, sigma=sigma,
+                      lam=complex(gamma, shift))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clipped windows warn
+        for theory in ("standard", "modified"):
+            assert -1e-12 <= protocol(cfg, theory) <= 1 + 1e-12
+            assert -1e-12 <= gaussian_fraction(cfg, theory, truncate=True) <= 1 + 1e-12
