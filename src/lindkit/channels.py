@@ -239,25 +239,15 @@ def gellmann_basis(dim: int) -> tuple[np.ndarray, ...]:
     ordered symmetric / antisymmetric / diagonal as documented in the module
     docstring.
     """
-    fs: list[np.ndarray] = []
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = m[k, j] = 1 / np.sqrt(2)
-            fs.append(m)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2)
-            m[k, j] = 1j / np.sqrt(2)
-            fs.append(m)
+    j, k = np.triu_indices(dim, 1)
+    sym, anti = np.arange(len(j)), np.arange(len(j), 2 * len(j))
+    fs = np.zeros((dim * dim - 1, dim, dim), dtype=complex)
+    fs[sym, j, k] = fs[sym, k, j] = 1 / np.sqrt(2)
+    fs[anti, j, k], fs[anti, k, j] = -1j / np.sqrt(2), 1j / np.sqrt(2)
     for l in range(1, dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[np.diag_indices(l)] = 1.0
-        m[l, l] = -l
-        fs.append(m / np.sqrt(l * (l + 1)))
-    for f in fs:
-        f.flags.writeable = False
+        diag = np.r_[np.ones(l), -l, np.zeros(dim - l - 1)].astype(complex)
+        fs[2 * len(j) + l - 1] = np.diag(diag) / np.sqrt(l * (l + 1))
+    fs.flags.writeable = False
     return tuple(fs)
 
 
@@ -273,6 +263,8 @@ class GKSForm:
         n = self.dim * self.dim - 1
         if self.c_matrix.shape != (n, n):
             raise DimensionMismatch(f"c matrix must be {n} x {n}")
+        if np.shape(self.hamiltonian) != (self.dim, self.dim):
+            raise DimensionMismatch(f"GKS Hamiltonian must be {self.dim} x {self.dim}")
         if matcore.hermiticity_defect(self.c_matrix) > 1e-10 * max(
             1.0, np.linalg.norm(self.c_matrix)
         ):
@@ -312,28 +304,31 @@ class GKSForm:
         return cls(d, h, c)
 
 
+def _vec_basis(dim: int) -> np.ndarray:
+    """d^2 x d^2 unitary whose columns are vec(I/sqrt(d)) and vec(F_m)."""
+    fs = np.stack(gellmann_basis(dim)).reshape(dim * dim - 1, dim * dim)
+    return np.vstack([np.eye(dim).reshape(1, -1) / np.sqrt(dim), fs]).T
+
+
 def gks_build(gks: GKSForm) -> np.ndarray:
     """Superoperator of the GKS-form generator
 
         L(rho) = -i[H, rho] + sum_mn c_mn (F_m rho F_n^dag
                                            - 1/2 {F_n^dag F_m, rho}).
+
+    With M = W c W^dag (W: columns vec(F_m)), sum_mn c_mn F_m (x) conj(F_n) is
+    reshuffle(M) and sum_mn c_mn F_n^dag F_m is a partial trace of M.
     """
-    d = gks.dim
+    d, h = gks.dim, gks.hamiltonian
     eye = np.eye(d)
-    h = gks.hamiltonian
-    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    fs = gks.basis
-    for m_i, fm in enumerate(fs):
-        for n_i, fn in enumerate(fs):
-            c = gks.c_matrix[m_i, n_i]
-            if c == 0:
-                continue
-            anti = fn.conj().T @ fm
-            out += c * (
-                np.kron(fm, fn.conj())
-                - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
-            )
-    return out
+    w = _vec_basis(d)[:, 1:]
+    m = w @ gks.c_matrix @ w.conj().T
+    anti = np.trace(m.reshape(d, d, d, d), axis1=0, axis2=2).T
+    return (
+        reshuffle(m, d)
+        - np.kron(1j * h + 0.5 * anti, eye)
+        - np.kron(eye, (0.5 * anti - 1j * h).T)
+    )
 
 
 def gks_project(superop: np.ndarray) -> GKSForm:
@@ -342,8 +337,9 @@ def gks_project(superop: np.ndarray) -> GKSForm:
     Expands the superoperator in the orthonormal family
     {G_a (x) conj(G_b)} with G_0 = I/sqrt(d), G_m = F_m; the (m, n >= 1) block
     of the expansion is c, and the m0 column plus the 00 coefficient fits the
-    Hamiltonian.  gks_build(gks_project(L)) reproduces L exactly for valid
-    generators.
+    Hamiltonian.  Since reshuffle(A (x) conj(B)) = vec(A) vec(B)^dag, the
+    whole expansion is q = V^dag reshuffle(L) V with V the columns vec(G_a).
+    gks_build(gks_project(L)) reproduces L exactly for valid generators.
     """
     sop = matcore.as_square_matrix(superop)
     d = int(round(np.sqrt(sop.shape[0])))
@@ -353,13 +349,8 @@ def gks_project(superop: np.ndarray) -> GKSForm:
         raise NotAGenerator(
             f"trace-preservation residual {generator_trace_defect(sop, d):.3e}"
         )
-    gs = [np.eye(d, dtype=complex) / np.sqrt(d)] + list(gellmann_basis(d))
-    n = d * d
-    q = np.empty((n, n), dtype=complex)
-    for a, ga in enumerate(gs):
-        for b, gb in enumerate(gs):
-            basis_el = np.kron(ga, gb.conj())
-            q[a, b] = np.vdot(basis_el, sop)  # Tr(basis^dag sop)
+    v = _vec_basis(d)
+    q = v.conj().T @ reshuffle(sop, d) @ v
     herm_defect = np.linalg.norm(q - q.conj().T)
     if herm_defect > 1e-8 * max(1.0, np.linalg.norm(q)):
         raise NotHermitianKernel(
@@ -367,7 +358,7 @@ def gks_project(superop: np.ndarray) -> GKSForm:
         )
     q = 0.5 * (q + q.conj().T)
     c = q[1:, 1:].copy()
-    f_op = sum(q[m, 0] * gs[m] for m in range(1, n)) / np.sqrt(d)
+    f_op = (v[:, 1:] @ q[1:, 0]).reshape(d, d) / np.sqrt(d)
     f_op = f_op + q[0, 0] / (2 * d) * np.eye(d)
     h = 0.5j * (f_op - f_op.conj().T)
     return GKSForm(d, h, c)
@@ -442,17 +433,8 @@ def bfr_derivative_check(
 # Generator extraction and kernel construction
 # ---------------------------------------------------------------------------
 
-def extract_generator(samples, scheme: str = "central") -> np.ndarray:
-    """Finite-difference estimate of the generator dK/dtau at tau = 0.
-
-    ``samples`` is a list of (tau, Kernel) pairs with tau > 0.  The "central"
-    scheme (second order) needs the pair (h, 2h) for the smallest h present
-    and computes (K(2h) - I) K(h)^{-1} / (2h), i.e. the centered difference
-    of K'(h) pulled back to tau = 0; "forward" (first order) uses only the
-    smallest sample, (K(h) - I)/h.
-    """
-    if scheme not in ("central", "forward"):
-        raise ValueError(f"unknown differencing scheme {scheme!r}")
+def _samples_by_tau(samples) -> dict[float, Kernel]:
+    """{tau: kernel}; a tau repeated with a different kernel is an error."""
     by_tau: dict[float, Kernel] = {}
     for tau, ker in samples:
         tau = float(tau)
@@ -465,6 +447,21 @@ def extract_generator(samples, scheme: str = "central") -> np.ndarray:
                 )
             continue
         by_tau[tau] = ker
+    return by_tau
+
+
+def extract_generator(samples, scheme: str = "central") -> np.ndarray:
+    """Finite-difference estimate of the generator dK/dtau at tau = 0.
+
+    ``samples`` is a list of (tau, Kernel) pairs with tau > 0.  The "central"
+    scheme (second order) needs the pair (h, 2h) for the smallest h present
+    and computes (K(2h) - I) K(h)^{-1} / (2h), i.e. the centered difference
+    of K'(h) pulled back to tau = 0; "forward" (first order) uses only the
+    smallest sample, (K(h) - I)/h.
+    """
+    if scheme not in ("central", "forward"):
+        raise ValueError(f"unknown differencing scheme {scheme!r}")
+    by_tau = _samples_by_tau(samples)
     if len(by_tau) < (2 if scheme == "central" else 1):
         raise InconsistentSamples("not enough distinct sample times")
     taus = sorted(by_tau)
@@ -492,7 +489,7 @@ def extract_generator_richardson(samples) -> np.ndarray:
     Needs samples at (h, 2h, 4h); combines the central estimates at h and 2h
     as (4 L_h - L_2h)/3, cancelling the leading O(h^2) error term.
     """
-    by_tau = {float(t): k for t, k in samples}
+    by_tau = _samples_by_tau(samples)
     taus = sorted(by_tau)
     h = taus[0]
     needed = [h, 2 * h, 4 * h]

@@ -114,16 +114,6 @@ def build_superoperator(model: LindbladModel) -> np.ndarray:
     return sop
 
 
-def apply_generator(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """Direct evaluation, used as the oracle for build_superoperator."""
-    h = model.hamiltonian
-    out = -1j * (h @ rho - rho @ h)
-    for l in model.lindblads:
-        ll = l.conj().T @ l
-        out += l @ rho @ l.conj().T - 0.5 * (ll @ rho + rho @ ll)
-    return out
-
-
 @dataclass
 class SuperopSpectrum:
     """Spectral data of the generator, stored with the decay-rate sign

@@ -139,26 +139,32 @@ class ChainSpectrum:
 
 
 def _cluster_eigenvalues(vals: np.ndarray, tol: float):
-    """Group eigenvalues whose pairwise distance chains below ``tol``."""
+    """Group eigenvalues whose pairwise distance chains below ``tol``, ordered
+    by smallest index, indices ascending.  Values within ``tol`` have real
+    parts within ``tol``, so after a sort by real part only neighbours inside
+    that window are compared.
+    """
     n = len(vals)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    order = np.argsort(vals.real, kind="stable")
+    v = vals[order]
+    edges = []
+    for k in range(1, n):
+        in_window = v.real[k:] - v.real[:-k] <= tol
+        if not in_window.any():
+            break
+        hit = np.flatnonzero(in_window & (np.abs(v[k:] - v[:-k]) <= tol))
+        edges.append((order[hit], order[hit + k]))
+    # Min-label propagation: each group ends labelled by its smallest index.
+    label, prev = np.arange(n), None
+    while prev is None or not np.array_equal(label, prev):
+        prev, label = label, label.copy()
+        for i, j in edges:
+            low = np.minimum(label[i], label[j])
+            np.minimum.at(label, i, low)
+            np.minimum.at(label, j, low)
+        label = label[label]
+    idx = np.argsort(label, kind="stable")
+    return [g.tolist() for g in np.split(idx, np.flatnonzero(np.diff(label[idx])) + 1)]
 
 
 def _null_space(mat: np.ndarray, cutoff: float) -> np.ndarray:
@@ -175,7 +181,8 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     as a single cluster; if no consistent chain structure exists for a cluster
     the function raises IllConditioned naming it rather than guessing.  For a
     diagonalizable matrix every chain has length one and the vectors within
-    each eigenvalue are orthonormal.
+    each eigenvalue are orthonormal.  A one-member cluster takes its
+    eigenvector from the one ``eig`` call; only larger clusters pay for SVDs.
     """
     a = as_square_matrix(m)
     d = a.shape[0]
@@ -183,7 +190,7 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     if tol_cluster is None:
         tol_cluster = TOL_CLUSTER_REL * max(1.0, norm_a)
     try:
-        raw = np.linalg.eigvals(a)
+        raw, raw_vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergence(str(exc)) from exc
 
@@ -198,80 +205,84 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     for idx in groups:
         lam = complex(np.mean(raw[idx]))
         m_alg = len(idx)
-        b = a - lam * np.eye(d)
-        norm_b = max(float(np.linalg.norm(b, 2)), 1e-300)
-
-        # Null spaces of B^k until the dimension reaches the algebraic
-        # multiplicity.  The rank cutoff scales with ||B||^k because powering
-        # amplifies rounding noise at exactly that rate.
-        null_bases = [np.zeros((d, 0))]
-        dims = [0]
-        bk = np.eye(d, dtype=complex)
-        p = 0
-        for k in range(1, m_alg + 1):
-            bk = bk @ b
-            cutoff = max(d * 1e-10 * norm_b**k, 1e-300)
-            nb = _null_space(bk, cutoff)
-            if nb.shape[1] <= dims[-1]:
-                break
-            null_bases.append(nb)
-            dims.append(nb.shape[1])
-            p = k
-            if nb.shape[1] >= m_alg:
-                break
-        if dims[-1] != m_alg:
-            raise IllConditioned(
-                f"cluster at {lam:.6g} (multiplicity {m_alg}): generalized "
-                f"null space stalled at dimension {dims[-1]}",
-                cluster=[complex(raw[i]) for i in idx],
-            )
-
-        chains: list[list[np.ndarray]] = []
-        flags: list[list[int]] = []
-        if p == 1:
-            # Diagonalizable cluster: the orthonormal null-space basis is the
-            # chain set directly.
-            for col in range(m_alg):
-                chains.append([null_bases[1][:, col].copy()])
-                flags.append([1])
+        if m_alg == 1:
+            v = raw_vecs[:, idx[0]]
+            chains, flags = [[v / np.linalg.norm(v)]], [[1]]
         else:
-            carry: list[np.ndarray] = []  # level-k vectors of taller chains
-            tops_by_level: dict[int, list[np.ndarray]] = {}
-            for k in range(p, 0, -1):
-                have = len(carry)
-                need = (dims[k] - dims[k - 1]) - have
-                if need > 0:
-                    obstruction = [null_bases[k - 1]] if k > 1 else []
-                    if carry:
-                        obstruction.append(np.column_stack(carry))
-                    cand = null_bases[k]
-                    if obstruction:
-                        q = np.linalg.qr(np.column_stack(obstruction))[0]
-                        cand = cand - q @ (q.conj().T @ cand)
-                    u, s, _ = np.linalg.svd(cand, full_matrices=False)
-                    if np.sum(s > 0.1) < need:
-                        raise IllConditioned(
-                            f"cluster at {lam:.6g}: cannot separate chain tops "
-                            f"at level {k}",
-                            cluster=[complex(raw[i]) for i in idx],
-                        )
-                    tops_by_level[k] = [u[:, c].copy() for c in range(need)]
-                    carry = carry + tops_by_level[k]
-                carry = [b @ v for v in carry]
-            for k, tops in sorted(tops_by_level.items(), reverse=True):
-                for top in tops:
-                    chain = [top]
-                    for _ in range(k - 1):
-                        chain.append(b @ chain[-1])
-                    chain.reverse()  # chain[0] is now the eigenvector V_1
-                    nrm = np.linalg.norm(chain[0])
-                    if nrm < 1e-300:
-                        raise IllConditioned(
-                            f"cluster at {lam:.6g}: degenerate chain",
-                            cluster=[complex(raw[i]) for i in idx],
-                        )
-                    chains.append([v / nrm for v in chain])
-                    flags.append(list(range(1, k + 1)))
+            b = a - lam * np.eye(d)
+            norm_b = max(float(np.linalg.norm(b, 2)), 1e-300)
+
+            # Null spaces of B^k until the dimension reaches the algebraic
+            # multiplicity.  The rank cutoff scales with ||B||^k because powering
+            # amplifies rounding noise at exactly that rate.
+            null_bases = [np.zeros((d, 0))]
+            dims = [0]
+            bk = np.eye(d, dtype=complex)
+            p = 0
+            for k in range(1, m_alg + 1):
+                bk = bk @ b
+                cutoff = max(d * 1e-10 * norm_b**k, 1e-300)
+                nb = _null_space(bk, cutoff)
+                if nb.shape[1] <= dims[-1]:
+                    break
+                null_bases.append(nb)
+                dims.append(nb.shape[1])
+                p = k
+                if nb.shape[1] >= m_alg:
+                    break
+            if dims[-1] != m_alg:
+                raise IllConditioned(
+                    f"cluster at {lam:.6g} (multiplicity {m_alg}): generalized "
+                    f"null space stalled at dimension {dims[-1]}",
+                    cluster=[complex(raw[i]) for i in idx],
+                )
+
+            chains: list[list[np.ndarray]] = []
+            flags: list[list[int]] = []
+            if p == 1:
+                # Diagonalizable cluster: the orthonormal null-space basis is the
+                # chain set directly.
+                for col in range(m_alg):
+                    chains.append([null_bases[1][:, col].copy()])
+                    flags.append([1])
+            else:
+                carry: list[np.ndarray] = []  # level-k vectors of taller chains
+                tops_by_level: dict[int, list[np.ndarray]] = {}
+                for k in range(p, 0, -1):
+                    have = len(carry)
+                    need = (dims[k] - dims[k - 1]) - have
+                    if need > 0:
+                        obstruction = [null_bases[k - 1]] if k > 1 else []
+                        if carry:
+                            obstruction.append(np.column_stack(carry))
+                        cand = null_bases[k]
+                        if obstruction:
+                            q = np.linalg.qr(np.column_stack(obstruction))[0]
+                            cand = cand - q @ (q.conj().T @ cand)
+                        u, s, _ = np.linalg.svd(cand, full_matrices=False)
+                        if np.sum(s > 0.1) < need:
+                            raise IllConditioned(
+                                f"cluster at {lam:.6g}: cannot separate chain tops "
+                                f"at level {k}",
+                                cluster=[complex(raw[i]) for i in idx],
+                            )
+                        tops_by_level[k] = [u[:, c].copy() for c in range(need)]
+                        carry = carry + tops_by_level[k]
+                    carry = [b @ v for v in carry]
+                for k, tops in sorted(tops_by_level.items(), reverse=True):
+                    for top in tops:
+                        chain = [top]
+                        for _ in range(k - 1):
+                            chain.append(b @ chain[-1])
+                        chain.reverse()  # chain[0] is now the eigenvector V_1
+                        nrm = np.linalg.norm(chain[0])
+                        if nrm < 1e-300:
+                            raise IllConditioned(
+                                f"cluster at {lam:.6g}: degenerate chain",
+                                cluster=[complex(raw[i]) for i in idx],
+                            )
+                        chains.append([v / nrm for v in chain])
+                        flags.append(list(range(1, k + 1)))
 
         eigenvalues.append(lam)
         multiplicities.append(m_alg)

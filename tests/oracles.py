@@ -1,14 +1,19 @@
-"""Independent numerical oracles for the Ramsey closed forms.
+"""Independent numerical oracles for the library's closed forms.
 
 Fixed-step RK4 integrators for the RWA pulse and for the exact driven
 dynamics, and adaptive quadrature of the Gaussian transit-time average.  The
 quadrature integrand composes the three protocol segments directly on raw
 coefficient values, so it shares no code with the library's fringe constants.
+
+For the generator layer: direct evaluation of L(rho), the GKS maps as
+explicit loops over basis pairs of Kronecker products, and eigenvalue
+clustering by pairwise comparison of every pair.
 """
 import numpy as np
 from scipy.integrate import quad
 
 from lindkit import CoefficientMatrix, derive
+from lindkit.channels import GKSForm, gellmann_basis
 from lindkit.errors import QuadratureFailure, StepTooLarge
 
 RWA_DT_MAX = 1e-2      # rwa_ode requires dt <= RWA_DT_MAX / Omega
@@ -172,3 +177,73 @@ def gaussian_fraction_quadrature(config, theory="standard", truncate=False):
     if not np.isfinite(val) or err > 1e-6:
         raise QuadratureFailure(f"quadrature error estimate {err:.3e}")
     return float(val / norm)
+
+
+def apply_generator(model, rho):
+    """L(rho) evaluated directly from H and the jump operators."""
+    h = model.hamiltonian
+    out = -1j * (h @ rho - rho @ h)
+    for l in model.lindblads:
+        ll = l.conj().T @ l
+        out += l @ rho @ l.conj().T - 0.5 * (ll @ rho + rho @ ll)
+    return out
+
+
+def gks_build_loops(gks):
+    """Superoperator of a GKSForm, one Kronecker product per basis pair."""
+    d = gks.dim
+    eye = np.eye(d)
+    h = gks.hamiltonian
+    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    fs = gks.basis
+    for m_i, fm in enumerate(fs):
+        for n_i, fn in enumerate(fs):
+            c = gks.c_matrix[m_i, n_i]
+            if c == 0:
+                continue
+            anti = fn.conj().T @ fm
+            out += c * (
+                np.kron(fm, fn.conj())
+                - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+            )
+    return out
+
+
+def gks_project_loops(sop):
+    """(H, c) of a generator from its overlaps Tr[(G_a (x) conj G_b)^dag L],
+    one Kronecker product per basis pair (G_0 = I/sqrt(d), G_m = F_m)."""
+    d = int(round(np.sqrt(sop.shape[0])))
+    gs = [np.eye(d, dtype=complex) / np.sqrt(d)] + list(gellmann_basis(d))
+    n = d * d
+    q = np.empty((n, n), dtype=complex)
+    for a, ga in enumerate(gs):
+        for b, gb in enumerate(gs):
+            q[a, b] = np.vdot(np.kron(ga, gb.conj()), sop)
+    q = 0.5 * (q + q.conj().T)
+    f_op = sum(q[m, 0] * gs[m] for m in range(1, n)) / np.sqrt(d)
+    f_op = f_op + q[0, 0] / (2 * d) * np.eye(d)
+    return GKSForm(d, 0.5j * (f_op - f_op.conj().T), q[1:, 1:].copy())
+
+
+def cluster_pairwise(vals, tol):
+    """Eigenvalue groups by union-find over every pair with |a - b| <= tol,
+    ordered by smallest index, indices ascending within a group."""
+    n = len(vals)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(vals[i] - vals[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())

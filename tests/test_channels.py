@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SZ,
     random_density,
+    random_hermitian,
     random_lindblad_model,
     random_matrix,
     random_unitary,
@@ -29,6 +32,7 @@ from lindkit.channels import (
     kraus_operators,
     reshuffle,
 )
+from oracles import gks_build_loops, gks_project_loops
 
 TRANSPOSE_D2 = np.array(
     [
@@ -280,6 +284,49 @@ class TestGKS:
         assert np.allclose(back.c_matrix, gks.c_matrix)
         assert np.linalg.norm(gks_build(back) - sop) < 1e-9
 
+    def test_hamiltonian_must_be_d_by_d(self):
+        with pytest.raises(errors.DimensionMismatch):
+            GKSForm(2, np.zeros((3, 3)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_project_matches_loop_oracle(self, rng, d):
+        sop = build_superoperator(random_lindblad_model(rng, d))
+        got, ref = gks_project(sop), gks_project_loops(sop)
+        for a, b in ((got.hamiltonian, ref.hamiltonian), (got.c_matrix, ref.c_matrix)):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_build_matches_loop_oracle(self, rng, d):
+        gks = GKSForm(d, random_hermitian(rng, d), random_hermitian(rng, d * d - 1))
+        ref = gks_build_loops(gks)
+        assert np.linalg.norm(gks_build(gks) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), n_ops=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_gks_build_after_project_is_identity(d, n_ops, seed):
+    # CP part from jump operators plus an indefinite Hermitian c, so the
+    # generators cover the whole trace- and Hermiticity-preserving space
+    rng = np.random.default_rng(seed)
+    sop = build_superoperator(random_lindblad_model(rng, d, n_ops=n_ops))
+    sop = sop + gks_build(
+        GKSForm(d, np.zeros((d, d)), random_hermitian(rng, d * d - 1))
+    )
+    rebuilt = gks_build(gks_project(sop))
+    assert np.linalg.norm(rebuilt - sop) <= 1e-12 * np.linalg.norm(sop)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_reshuffle_is_an_involution(d, seed):
+    rng = np.random.default_rng(seed)
+    m = random_matrix(rng, d * d)
+    assert np.array_equal(reshuffle(reshuffle(m, d), d), m)
+    # the identity both GKS maps rest on: reshuffle(A (x) conj B) = vec(A) vec(B)^dag
+    a, b = random_matrix(rng, d), random_matrix(rng, d)
+    outer = np.outer(a.reshape(-1), b.reshape(-1).conj())
+    assert np.array_equal(reshuffle(np.kron(a, b.conj()), d), outer)
+
 
 class TestBfr:
     def test_identity_c_returns_probe_norm(self):
@@ -363,6 +410,19 @@ class TestExtractGenerator:
             extract_generator([(1e-4, k1), (1e-4, k_other)])
         with pytest.raises(errors.InconsistentSamples):
             extract_generator([(1e-4, k1), (3e-4, kernel_from_generator(gen, 3e-4))])
+
+    @pytest.mark.parametrize(
+        "extract", [extract_generator, extract_generator_richardson]
+    )
+    def test_tau_sampled_twice_with_different_kernels(self, rng, extract):
+        gen = build_superoperator(random_lindblad_model(rng, 2))
+        h = 1e-3
+        samples = [(t, kernel_from_generator(gen, t)) for t in (h, 2 * h, 4 * h)]
+        repeat = [(2 * h, kernel_from_generator(gen, 2 * h))]
+        assert np.array_equal(extract(samples + repeat), extract(samples))
+        other = [(2 * h, kernel_from_generator(2.0 * gen, 2 * h))]
+        with pytest.raises(errors.InconsistentSamples):
+            extract(samples + other)
 
 
 class TestUnitaryEnsemble:

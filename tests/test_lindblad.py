@@ -26,7 +26,7 @@ from lindkit import (
     measurement_model,
     spectrum,
 )
-from lindkit.lindblad import apply_generator
+from oracles import apply_generator
 
 
 class TestSuperoperator:

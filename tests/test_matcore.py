@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_matrix
-from lindkit import errors
-from lindkit.matcore import expm, general_eig, herm_eig, kron, unvec, vec
+from conftest import random_hermitian, random_matrix, random_measurement_model
+from lindkit import build_superoperator, errors
+from lindkit.matcore import (
+    _cluster_eigenvalues,
+    expm,
+    general_eig,
+    herm_eig,
+    kron,
+    unvec,
+    vec,
+)
+from oracles import cluster_pairwise
 
 
 def charpoly_roots(a):
@@ -134,6 +143,66 @@ class TestGeneralEig:
         by_val = {round(ev.real, 3): sorted(len(c) for c in per)
                   for ev, per in zip(cs.eigenvalues, cs.chains)}
         assert by_val == {1.0: [1, 2], 4.0: [1]}
+
+
+    def test_simple_clusters_give_unit_eigenvectors(self, rng):
+        a = random_matrix(rng, 36)
+        cs = general_eig(a)
+        assert cs.multiplicities == [1] * 36
+        scale = np.linalg.norm(a, 2)
+        for lam, (chain,) in zip(cs.eigenvalues, cs.chains):
+            assert len(chain) == 1
+            assert abs(np.linalg.norm(chain[0]) - 1.0) < 1e-13
+            assert np.linalg.norm(a @ chain[0] - lam * chain[0]) <= 1e-10 * scale
+
+    def test_measurement_stationary_cluster_is_orthonormal(self, rng):
+        for d in (3, 4, 6):
+            cs = general_eig(build_superoperator(random_measurement_model(rng, d)))
+            k = int(np.argmin(np.abs(cs.eigenvalues)))
+            assert cs.multiplicities[k] == d
+            assert [len(c) for c in cs.chains[k]] == [1] * d
+            vecs = np.column_stack([c[0] for c in cs.chains[k]])
+            assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(d)) < 1e-10
+
+
+class TestClusterEigenvalues:
+    """The real-part sweep must give exactly the groups of the all-pairs
+    union-find, in the same order."""
+
+    def test_random_inputs(self, rng):
+        for n in (1, 2, 7, 40, 150):
+            vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for tol in (1e-3, 0.1, 0.5):
+                assert _cluster_eigenvalues(vals, tol) == cluster_pairwise(vals, tol)
+
+    def test_clustered_inputs(self, rng):
+        tol = 1e-6
+        centres = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        centres[1] = centres[0].real + 1j * (centres[0].imag + 10 * tol)
+        vals = centres[rng.integers(0, 6, 80)]
+        vals = vals + 0.6 * tol * (rng.standard_normal(80) + 1j * rng.standard_normal(80))
+        on_axis = 1j * np.repeat(rng.standard_normal(10), 4)
+        on_axis = on_axis + 1j * 0.4 * tol * rng.standard_normal(40)
+        for v in (vals, on_axis, np.concatenate([vals, on_axis])):
+            assert _cluster_eigenvalues(v, tol) == cluster_pairwise(v, tol)
+
+    @pytest.mark.parametrize(
+        "vals, groups",
+        [
+            ([0.0, 0.9, 1.8], [[0, 1, 2]]),
+            ([1.8j, 0.0, 0.9j], [[0, 1, 2]]),
+            ([0.0, 1.2 + 1.2j, 0.6 + 0.6j], [[0, 1, 2]]),
+            ([0.0, 1.5, 0.75 + 0.5j], [[0, 1, 2]]),
+            ([0.0, 0.5 + 5j, 0.6, 0.4 + 5j], [[0, 2], [1, 3]]),
+            ([0.0, 1.0, 2.0 + 1e-12], [[0, 1], [2]]),
+            ([3.5, 0.0, 1.1, 2.2], [[0], [1], [2], [3]]),
+        ],
+    )
+    def test_chains_merge_transitively(self, vals, groups):
+        # a ~ b ~ c with |a - c| > tol is one group; exactly tol still links
+        vals = np.asarray(vals, dtype=complex)
+        assert _cluster_eigenvalues(vals, 1.0) == groups
+        assert cluster_pairwise(vals, 1.0) == groups
 
 
 class TestExpm:
