@@ -31,6 +31,7 @@ from .lindblad import (
     decay_matrix,
     diagonal_solution,
     evolve,
+    evolve_many,
     measurement_model,
     spectrum,
 )

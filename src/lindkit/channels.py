@@ -490,6 +490,8 @@ def extract_generator_richardson(samples) -> np.ndarray:
     as (4 L_h - L_2h)/3, cancelling the leading O(h^2) error term.
     """
     by_tau = _samples_by_tau(samples)
+    if not by_tau:
+        raise InconsistentSamples("not enough distinct sample times")
     taus = sorted(by_tau)
     h = taus[0]
     needed = [h, 2 * h, 4 * h]

@@ -142,9 +142,10 @@ def spectrum(model: LindbladModel, tol: float | None = None) -> SuperopSpectrum:
     at least one mu = 0 mode.
     """
     sop = build_superoperator(model)
+    scale = max(1.0, float(np.linalg.norm(sop, 2)))
     if tol is None:
-        tol = STATIONARY_TOL_REL * max(1.0, float(np.linalg.norm(sop, 2)))
-    chains = matcore.general_eig(sop)
+        tol = STATIONARY_TOL_REL * scale
+    chains = matcore.general_eig(sop, tol_cluster=matcore.TOL_CLUSTER_REL * scale)
     mus = []
     modes = []
     classes = []
@@ -163,15 +164,39 @@ def spectrum(model: LindbladModel, tol: float | None = None) -> SuperopSpectrum:
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """rho(t) = unvec(exp(t L) vec(rho0)), with the clip-and-renormalize
-    repair policy of DensityMatrix applied to the output."""
-    if t < 0:
+    """rho(t) for a single time; see :func:`evolve_many`."""
+    return evolve_many(model, rho0, [t])[0]
+
+
+def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[DensityMatrix]:
+    """rho(t) = unvec(exp(t L) vec(rho0)) for every t in ``times``, in input
+    order, with the clip-and-renormalize repair policy of DensityMatrix
+    applied to each returned state.
+
+    L and ||L||_1 are computed once.  The times are visited in sorted order
+    and each state comes from the previous raw (unrepaired) vector by one
+    step exp(dt L) v (:func:`matcore.expm_action`), so a grid costs a few
+    Taylor matrix-vector products per point instead of one dense exponential
+    per point.  t = 0 returns a copy of rho0 with its ``repaired`` flag.
+    """
+    times = [float(t) for t in times]
+    if not all(t >= 0 for t in times):
         raise ValueError("evolution time must be nonnegative")
-    if t == 0.0:
-        return DensityMatrix(rho0.matrix.copy(), rho0.repaired)
     sop = build_superoperator(model)
-    out = matcore.unvec(matcore.expm(sop, t) @ matcore.vec(rho0.matrix), model.dim)
-    return DensityMatrix.from_matrix(out)
+    norm1 = float(np.linalg.norm(sop, 1))
+    v = matcore.vec(rho0.matrix)
+    now = 0.0
+    out = [None] * len(times)
+    for k in sorted(range(len(times)), key=times.__getitem__):
+        t = times[k]
+        if t == 0.0:
+            out[k] = DensityMatrix(rho0.matrix.copy(), rho0.repaired)
+            continue
+        if t > now:
+            v = matcore.expm_action(sop, t - now, v, norm1)
+            now = t
+        out[k] = DensityMatrix.from_matrix(matcore.unvec(v, model.dim))
+    return out
 
 
 @dataclass

@@ -423,6 +423,8 @@ class TestExtractGenerator:
         other = [(2 * h, kernel_from_generator(2.0 * gen, 2 * h))]
         with pytest.raises(errors.InconsistentSamples):
             extract(samples + other)
+        with pytest.raises(errors.InconsistentSamples):
+            extract([])
 
 
 class TestUnitaryEnsemble:

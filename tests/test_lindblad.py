@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SM,
@@ -21,6 +24,7 @@ from lindkit import (
     diagonal_solution,
     errors,
     evolve,
+    evolve_many,
     kernel_from_generator,
     matcore,
     measurement_model,
@@ -156,6 +160,49 @@ class TestEvolve:
         t = 0.8
         modal = matcore.unvec(vecs @ (coeff * np.exp(vals * t)), 2)
         assert np.linalg.norm(modal - evolve(model, rho0, t).matrix) < 1e-9
+
+
+class TestEvolveMany:
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_matches_per_time_expm(self, rng, d):
+        model = random_lindblad_model(rng, d)
+        rho0 = random_density(rng, d)
+        sop = build_superoperator(model)
+        # unsorted, duplicated, zero, and t - eps, t, t + eps triples
+        times = [1.3, 0.2, 0.0, 1.3, 2.5, 0.7 - 1e-5, 0.7, 0.7 + 1e-5, 0.0,
+                 1e-5, 0.2, 3.0, 3.0 - 1e-5, 3.0 + 1e-5]
+        for t, rho in zip(times, evolve_many(model, rho0, times)):
+            want = scipy.linalg.expm(t * sop) @ matcore.vec(rho0.matrix)
+            assert np.max(np.abs(rho.matrix - matcore.unvec(want, d))) <= 1e-12
+
+    def test_negative_time_rejected(self, rng):
+        model = random_lindblad_model(rng, 2)
+        with pytest.raises(ValueError):
+            evolve_many(model, random_density(rng, 2), [0.5, -0.1, 1.0])
+
+    def test_single_long_time_still_overflows(self, rng):
+        model = random_lindblad_model(rng, 2)
+        norm1 = np.linalg.norm(build_superoperator(model), 1)
+        with pytest.raises(errors.Overflow):
+            evolve(model, random_density(rng, 2), 2e6 / norm1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    times=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=8),
+)
+def test_evolve_many_states_are_physical_and_match_evolve(d, seed, times):
+    rng = np.random.default_rng(seed)
+    model = random_lindblad_model(rng, d)
+    rho0 = random_density(rng, d)
+    states = evolve_many(model, rho0, times)
+    assert len(states) == len(times)
+    for t, rho in zip(times, states):
+        assert matcore.hermiticity_defect(rho.matrix) <= 1e-12
+        assert abs(np.trace(rho.matrix) - 1) <= 1e-12
+        assert np.max(np.abs(rho.matrix - evolve(model, rho0, t).matrix)) <= 1e-12
 
 
 class TestMeasurementModel:
