@@ -49,6 +49,11 @@ from .errors import (
 
 TOL_KERNEL = 1e-10
 TOL_GENERATOR_TRACE = 1e-8
+# the conventions above, as the kernel JSON declares them
+KERNEL_CONVENTIONS = {
+    "vec_order": "row-major",
+    "choi_convention": "sum Phi(|i><j|) x |i><j|",
+}
 
 
 def reshuffle(mat: np.ndarray, dim: int) -> np.ndarray:
@@ -123,8 +128,7 @@ class Kernel:
                 "tau": self.tau,
                 "re": flat.real.tolist(),
                 "im": flat.imag.tolist(),
-                "vec_order": "row-major",
-                "choi_convention": "sum Phi(|i><j|) x |i><j|",
+                **KERNEL_CONVENTIONS,
             },
             sort_keys=True,
         )

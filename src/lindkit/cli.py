@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Every subcommand reads a single JSON config (strictly validated: unknown keys
-are rejected and physical invariants are checked before any computation),
-runs one experiment, and emits a machine-readable record.  Outputs carry no
-timestamps and all randomness is seeded, so identical config + seed gives
-byte-identical output.
+Every subcommand reads a single JSON config, parses it once into the typed
+inputs of its experiment (strictly: unknown keys are rejected and physical
+invariants are checked before any computation), runs the experiment, and
+emits a machine-readable record.  Outputs carry no timestamps and all
+randomness is seeded, so identical config + seed gives byte-identical output.
 
 Exit codes: 0 success, 2 config error, 3 domain error (including a failed
-check, e.g. a non-CP kernel), 4 I/O error.
+check, e.g. a non-CP kernel), 4 I/O error.  Every malformed config exits 2
+with an error record on stderr whose ``field`` names the offending key.
 """
 from __future__ import annotations
 
@@ -58,10 +59,29 @@ def _read_config(path: str) -> dict:
         raise ConfigParse(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigParse("config root must be a JSON object")
+    for key, value in doc.items():
+        name = _non_finite(value, key)
+        if name is not None:
+            raise ConfigParse(f"{name} must be finite", field=key)
     return doc
 
 
-def _check_keys(doc: dict, where: str, required: set[str], optional: set[str] = frozenset()):
+def _non_finite(value, name: str):
+    """Innermost key of a NaN or infinite number in ``value``, else None."""
+    if isinstance(value, float):
+        return None if abs(value) <= sys.float_info.max else name  # NaN fails too
+    pairs = value.items() if isinstance(value, dict) else (
+        [(name, item) for item in value] if isinstance(value, list) else ())
+    for key, item in pairs:
+        found = _non_finite(item, key)
+        if found is not None:
+            return found
+    return None
+
+
+def _check_keys(doc, where: str, required: set[str], optional: set[str] = frozenset()):
+    if not isinstance(doc, dict):
+        raise ConfigParse(f"{where}: expected a JSON object", field=where)
     missing = required - doc.keys()
     if missing:
         raise ConfigParse(f"{where}: missing keys {sorted(missing)}", field=sorted(missing)[0])
@@ -70,134 +90,170 @@ def _check_keys(doc: dict, where: str, required: set[str], optional: set[str] = 
         raise ConfigParse(f"{where}: unknown keys {sorted(unknown)}", field=sorted(unknown)[0])
 
 
-def _matrix_from(doc: dict, where: str, dim: int) -> np.ndarray:
+def _field(doc: dict, key: str, parse, *args, **kwargs):
+    """``parse(doc[key], ...)``: a value of the wrong type or form becomes a
+    ConfigParse naming ``key``; a lindkit error keeps its own type."""
+    try:
+        return parse(doc[key], *args, **kwargs)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ConfigParse(f"{key}: {exc}", field=key) from exc
+
+
+def _real(value, low: float | None = None, strict: bool = False) -> float:
+    """A finite number, at least ``low`` (above it if ``strict``)."""
+    x = float(value)
+    if not np.isfinite(x) or low is not None and (x < low or strict and x == low):
+        bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+        raise ValueError(f"expected a finite number{bound}, got {value!r}")
+    return x
+
+
+def _reals(value) -> np.ndarray:
+    a = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("entries must be finite")
+    return a
+
+
+def _integer(value, low: int) -> int:
+    n = int(value)
+    if n != value or n < low:
+        raise ValueError(f"expected an integer >= {low}, got {value!r}")
+    return n
+
+
+def _one_of(value, options: tuple):
+    if value not in options:
+        raise ValueError(f"expected one of {list(options)}, got {value!r}")
+    return value
+
+
+def _matrix_from(doc, where: str, dim: int) -> np.ndarray:
     _check_keys(doc, where, {"re"}, {"im"})
-    re = np.asarray(doc["re"], dtype=float).reshape(-1)
-    im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float).reshape(-1)
+    re = _reals(doc["re"]).reshape(-1)
+    im = _reals(doc.get("im", np.zeros_like(re))).reshape(-1)
     if re.size != dim * dim or im.size != dim * dim:
         raise ConfigParse(f"{where}: expected {dim*dim} entries", field=where)
     return (re + 1j * im).reshape(dim, dim)
 
 
-def _ramsey_config(doc: dict, where: str = "ramsey") -> ramsey.RamseyConfig:
-    fields = {
-        "e_g", "e_e", "u_eg_re", "u_eg_im", "omega", "tau", "t_free",
-        "t0", "sigma", "lambda_tilde_re", "lambda_tilde_im",
-    }
-    _check_keys(doc, where, fields - {"u_eg_im", "lambda_tilde_re", "lambda_tilde_im"},
-                {"u_eg_im", "lambda_tilde_re", "lambda_tilde_im"})
-    try:
-        return ramsey.RamseyConfig.from_dict(doc)
-    except (ValueError, TypeError) as exc:
-        raise ConfigParse(f"{where}: {exc}") from exc
+def _density(doc, dim: int) -> quantum.DensityMatrix:
+    return quantum.DensityMatrix.from_matrix(_matrix_from(doc, "rho0", dim))
 
 
-def _model_from(doc: dict, where: str = "model") -> lindblad.LindbladModel:
-    _check_keys(doc, where, {"schema", "dim", "h_re", "h_im", "lindblads"})
+def _ramsey(doc) -> ramsey.RamseyConfig:
+    optional = {"u_eg_im", "lambda_tilde_re", "lambda_tilde_im"}
+    _check_keys(doc, "ramsey",
+                {"e_g", "e_e", "u_eg_re", "omega", "tau", "t_free", "t0", "sigma"}, optional)
+    return ramsey.RamseyConfig.from_dict(doc)
+
+
+def _model(doc) -> lindblad.LindbladModel:
+    _check_keys(doc, "model", {"schema", "dim", "h_re", "h_im", "lindblads"})
     try:
         return lindblad.LindbladModel.from_json(json.dumps(doc))
-    except (ValueError, LindkitError) as exc:
-        raise ConfigParse(f"{where}: {exc}") from exc
+    except LindkitError as exc:
+        raise ConfigParse(f"model: {exc}", field="model") from exc
 
 
-def _grid_from(doc: dict) -> np.ndarray:
+def _grid(doc) -> np.ndarray:
     if "values" in doc:
         _check_keys(doc, "grid", {"values"})
-        return np.asarray(doc["values"], dtype=float)
-    _check_keys(doc, "grid", {"start", "stop", "points"})
-    pts = int(doc["points"])
-    if pts < 2:
-        raise ConfigParse("grid: need at least 2 points", field="points")
-    return np.linspace(float(doc["start"]), float(doc["stop"]), pts)
+        grid = np.asarray(doc["values"], dtype=float)
+    else:
+        _check_keys(doc, "grid", {"start", "stop", "points"})
+        grid = np.linspace(_real(doc["start"]), _real(doc["stop"]),
+                           _integer(doc["points"], 2))
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) \
+            or np.any(np.diff(grid) < 0):
+        raise ValueError("expected a non-empty ascending list of finite detunings")
+    return grid
 
 
-def _times_from(doc: dict) -> list[float]:
-    times = doc["times"]
+def _times(value) -> list[float]:
     # the bound also rejects NaN, inf and integers beyond the float range
-    if not isinstance(times, list) or not all(
-        type(t) in (int, float) and abs(t) <= sys.float_info.max for t in times
+    if not isinstance(value, list) or not all(
+        type(t) in (int, float) and 0 <= t <= sys.float_info.max for t in value
     ):
-        raise ConfigParse("times: expected a list of finite numbers", field="times")
-    return [float(t) for t in times]
+        raise ValueError("expected a list of finite nonnegative numbers")
+    return [float(t) for t in value]
 
 
-_VALIDATORS = {}
+# ---------------------------------------------------------------------------
+# Config parses: the only readers of a config document.  Each checks every
+# key its command uses and returns the typed inputs of the command's handler.
+# ---------------------------------------------------------------------------
+
+_THEORIES = ("standard", "modified")
+
+
+def _parse_ramsey_point(doc):
+    _check_keys(doc, "config", {"ramsey", "theory"}, {"grid"})
+    return _field(doc, "ramsey", _ramsey), _field(doc, "theory", _one_of, _THEORIES)
+
+
+def _parse_ramsey_scan(doc):
+    _check_keys(doc, "config", {"ramsey", "theory", "grid"})
+    return (*_parse_ramsey_point(doc), _field(doc, "grid", _grid))
+
+
+def _parse_evolve(doc):
+    _check_keys(doc, "config", {"model", "rho0", "times"}, {"h", "scheme"})
+    model = _field(doc, "model", _model)
+    times = _field(doc, "times", _times)
+    return model, _field(doc, "rho0", _density, model.dim), times
+
+
+def _parse_spectrum(doc):
+    _check_keys(doc, "config", {"model"}, {"rho0", "times", "h", "scheme"})
+    return (_field(doc, "model", _model),)
+
+
+def _parse_born(doc):
+    _check_keys(doc, "config", {"dim", "l_re", "h", "horizon_over_gamma", "tol"},
+                {"l_im", "rho0"})
+    d = _field(doc, "dim", _integer, 1)
+    rho0 = _field(doc, "rho0", _density, d) if "rho0" in doc else None
+    l_re = _field(doc, "l_re", _reals)
+    l_coeffs = l_re + 1j * np.zeros_like(l_re)
+    if "l_im" in doc:
+        l_coeffs = _field(doc, "l_im", lambda l_im: l_re + 1j * _reals(l_im))
+    basis = quantum.ProjectorBasis.computational(d)
+    model = lindblad.measurement_model(basis, l_coeffs, _field(doc, "h", _reals))
+    return (model, rho0, _field(doc, "horizon_over_gamma", _real, low=0.0),
+            _field(doc, "tol", _real))
+
+
+def _parse_cp(doc):
+    _check_keys(doc, "config",
+                {"schema", "dim", "tau", "re", "im"} | channels.KERNEL_CONVENTIONS.keys())
+    for key, value in channels.KERNEL_CONVENTIONS.items():
+        _field(doc, key, _one_of, (value,))
+    try:
+        return (channels.Kernel.from_json(json.dumps(doc)),)
+    except (TypeError, ValueError, OverflowError, LindkitError) as exc:
+        raise ConfigParse(str(exc)) from exc
+
+
+def _parse_extract(doc):
+    _check_keys(doc, "config", {"model", "h", "scheme"}, {"rho0", "times"})
+    return (_field(doc, "model", _model), _field(doc, "h", _real, low=0.0, strict=True),
+            _field(doc, "scheme", _one_of, ("central", "forward")))
 
 
 def validate_config(path: str, command: str) -> dict:
     """Parse and fully validate a config file for ``command``.
 
-    Checks every physical invariant of the embedded objects before any
-    computation and rejects unknown keys; returns the parsed document.
-    Emitting the result with canonical_json, re-parsing, and emitting again
-    is byte-identical.
+    Runs the command's own parse, which checks every physical invariant of
+    the embedded objects before any computation and rejects unknown keys;
+    returns the parsed document.  Emitting the result with canonical_json,
+    re-parsing, and emitting again is byte-identical.
     """
-    if command not in _VALIDATORS:
+    if command not in _COMMANDS:
         raise ConfigParse(f"unknown command {command!r}")
     doc = _read_config(path)
-    _VALIDATORS[command](doc)
+    _COMMANDS[command][0](doc)
     return doc
-
-
-def _validate_ramsey_scan(doc):
-    _check_keys(doc, "config", {"ramsey", "theory", "grid"})
-    _ramsey_config(doc["ramsey"])
-    if doc["theory"] not in ("standard", "modified"):
-        raise ConfigParse(f"unknown theory {doc['theory']!r}", field="theory")
-    _grid_from(doc["grid"])
-
-
-def _validate_ramsey_point(doc):
-    _check_keys(doc, "config", {"ramsey", "theory"}, {"grid"})
-    _ramsey_config(doc["ramsey"])
-    if doc["theory"] not in ("standard", "modified"):
-        raise ConfigParse(f"unknown theory {doc['theory']!r}", field="theory")
-
-
-def _validate_evolve(doc):
-    _check_keys(doc, "config", {"model", "rho0", "times"}, {"h", "scheme"})
-    model = _model_from(doc["model"])
-    _matrix_from(doc["rho0"], "rho0", model.dim)
-    _times_from(doc)
-
-
-def _validate_spectrum(doc):
-    _check_keys(doc, "config", {"model"}, {"rho0", "times", "h", "scheme"})
-    _model_from(doc["model"])
-
-
-def _validate_born(doc):
-    _check_keys(doc, "config", {"dim", "l_re", "h", "horizon_over_gamma", "tol"},
-                {"l_im", "rho0"})
-    d = int(doc["dim"])
-    if "rho0" in doc:
-        _matrix_from(doc["rho0"], "rho0", d)
-
-
-def _validate_cp(doc):
-    _check_keys(doc, "config",
-                {"schema", "dim", "tau", "re", "im", "vec_order", "choi_convention"})
-
-
-def _validate_extract(doc):
-    _check_keys(doc, "config", {"model", "h", "scheme"}, {"rho0", "times"})
-    _model_from(doc["model"])
-    if doc["scheme"] not in ("central", "forward"):
-        raise ConfigParse(f"unknown scheme {doc['scheme']!r}", field="scheme")
-
-
-_VALIDATORS.update(
-    {
-        "ramsey-scan": _validate_ramsey_scan,
-        "ramsey-point": _validate_ramsey_point,
-        "lindblad-evolve": _validate_evolve,
-        "lindblad-spectrum": _validate_spectrum,
-        "born-check": _validate_born,
-        "cp-check": _validate_cp,
-        "entropy-check": _validate_evolve,
-        "extract-generator": _validate_extract,
-    }
-)
 
 
 def _record(command: str, args, config_doc, result) -> dict:
@@ -221,32 +277,18 @@ def _record(command: str, args, config_doc, result) -> dict:
 def _emit(args, text: str):
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
-        return
-    try:
+    else:
         with open(args.out, "w") as fh:
             fh.write(text)
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from exc
-
-
-class _IoFailure(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns the process exit code)
+# Subcommand handlers: each takes the parsed inputs, echoes the config
+# document into its record unchanged, and returns the process exit code
 # ---------------------------------------------------------------------------
 
-def _cmd_ramsey_scan(args) -> int:
-    if args.config == "fig-both":
-        return _ramsey_scan_side_by_side(args)
-    doc = validate_config(args.config, "ramsey-scan")
-    cfg = _ramsey_config(doc["ramsey"])
-    theory = args.theory or doc["theory"]
-    if theory not in ("standard", "modified"):
-        raise ConfigParse(f"unknown theory {theory!r}", field="theory")
-    grid = _grid_from(doc["grid"])
-    result = ramsey.scan(cfg, grid, theory, truncate=args.truncate_gaussian)
+def _cmd_ramsey_scan(args, doc, cfg, theory, grid) -> int:
+    result = ramsey.scan(cfg, grid, args.theory or theory, truncate=args.truncate_gaussian)
     if args.format == "csv":
         _emit(args, result.to_csv())
     else:
@@ -259,16 +301,11 @@ def _cmd_ramsey_scan(args) -> int:
 def _ramsey_scan_side_by_side(args) -> int:
     """Default run: the standard and modified figure curves next to each
     other on the shared detuning grid."""
-    results = {}
-    docs = {}
+    results, docs = {}, {}
     for name in ("fig1", "fig2"):
-        doc = validate_config(name, "ramsey-scan")
-        cfg = _ramsey_config(doc["ramsey"])
-        results[doc["theory"]] = ramsey.scan(
-            cfg, _grid_from(doc["grid"]), doc["theory"],
-            truncate=args.truncate_gaussian,
-        )
-        docs[name] = doc
+        docs[name] = _read_config(name)
+        cfg, theory, grid = _parse_ramsey_scan(docs[name])
+        results[theory] = ramsey.scan(cfg, grid, theory, truncate=args.truncate_gaussian)
     std, mod = results["standard"], results["modified"]
     if args.format == "csv":
         lines = [
@@ -292,10 +329,8 @@ def _ramsey_scan_side_by_side(args) -> int:
     return 0
 
 
-def _cmd_ramsey_point(args) -> int:
-    doc = validate_config(args.config, "ramsey-point")
-    cfg = _ramsey_config(doc["ramsey"])
-    theory = args.theory or doc["theory"]
+def _cmd_ramsey_point(args, doc, cfg, theory) -> int:
+    theory = args.theory or theory
     pb = ramsey.protocol(cfg, theory)
     avg = ramsey.gaussian_fraction(cfg, theory, truncate=args.truncate_gaussian)
     result = {
@@ -307,13 +342,7 @@ def _cmd_ramsey_point(args) -> int:
     return 0
 
 
-def _cmd_lindblad_evolve(args) -> int:
-    doc = validate_config(args.config, "lindblad-evolve")
-    model = _model_from(doc["model"])
-    rho0 = quantum.DensityMatrix.from_matrix(
-        _matrix_from(doc["rho0"], "rho0", model.dim)
-    )
-    times = _times_from(doc)
+def _cmd_lindblad_evolve(args, doc, model, rho0, times) -> int:
     states = [
         {
             "t": t,
@@ -331,9 +360,7 @@ def _cmd_lindblad_evolve(args) -> int:
     return 0
 
 
-def _cmd_lindblad_spectrum(args) -> int:
-    doc = validate_config(args.config, "lindblad-spectrum")
-    model = _model_from(doc["model"])
+def _cmd_lindblad_spectrum(args, doc, model) -> int:
     spec = lindblad.spectrum(model)
     rows = [
         {"re_mu": float(mu.real), "im_mu": float(mu.imag), "class": cls}
@@ -351,45 +378,30 @@ def _cmd_lindblad_spectrum(args) -> int:
     return 0
 
 
-def _cmd_born_check(args) -> int:
-    doc = validate_config(args.config, "born-check")
-    d = int(doc["dim"])
-    l_re = np.asarray(doc["l_re"], dtype=float)
-    l_im = np.asarray(doc.get("l_im", np.zeros_like(l_re)), dtype=float)
-    basis = quantum.ProjectorBasis.computational(d)
-    model = lindblad.measurement_model(basis, l_re + 1j * l_im, doc["h"])
-    if "rho0" in doc:
-        rho0 = quantum.DensityMatrix.from_matrix(_matrix_from(doc["rho0"], "rho0", d))
-    else:
+def _cmd_born_check(args, doc, model, rho0, horizon_over_gamma, tol) -> int:
+    if rho0 is None:
         rng = np.random.default_rng(args.seed)
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
         rho0 = quantum.DensityMatrix.pure(v / np.linalg.norm(v))
     dm = lindblad.decay_matrix(model)
     gamma_min = dm.gamma_min()
     if gamma_min <= 0:
         raise ConfigParse("model has no decaying coherences; Born limit is empty",
                           field="l_re")
-    horizon = float(doc["horizon_over_gamma"]) / gamma_min
-    converged, residual = lindblad.born_limit_check(
-        model, rho0, horizon, float(doc["tol"])
-    )
+    horizon = horizon_over_gamma / gamma_min
+    converged, residual = lindblad.born_limit_check(model, rho0, horizon, tol)
     result = {
         "gamma_min": gamma_min,
         "horizon": horizon,
         "residual": residual,
-        "tol": float(doc["tol"]),
+        "tol": tol,
         "converged": bool(converged),
     }
     _emit(args, canonical_json(_record("born-check", args, doc, result)))
     return 0 if converged else _EXIT_DOMAIN
 
 
-def _cmd_cp_check(args) -> int:
-    doc = validate_config(args.config, "cp-check")
-    try:
-        kernel = channels.Kernel.from_json(json.dumps(doc))
-    except (ValueError, LindkitError) as exc:
-        raise ConfigParse(str(exc)) from exc
+def _cmd_cp_check(args, doc, kernel) -> int:
     is_cp, spec = channels.choi_cp_test(kernel)
     result = {
         "is_cp": bool(is_cp),
@@ -401,14 +413,8 @@ def _cmd_cp_check(args) -> int:
     return 0 if is_cp else _EXIT_DOMAIN
 
 
-def _cmd_entropy_check(args) -> int:
-    doc = validate_config(args.config, "entropy-check")
-    model = _model_from(doc["model"])
-    rho0 = quantum.DensityMatrix.from_matrix(
-        _matrix_from(doc["rho0"], "rho0", model.dim)
-    )
+def _cmd_entropy_check(args, doc, model, rho0, times) -> int:
     eps = 1e-5
-    times = _times_from(doc)
     # one pass over the interleaved grid t, t + eps, t - eps (0 when t < eps)
     grid = [s for t in times for s in (t, t + eps, t - eps if t >= eps else 0.0)]
     states = lindblad.evolve_many(model, rho0, grid)
@@ -437,11 +443,7 @@ def _cmd_entropy_check(args) -> int:
     return 0 if ok else _EXIT_DOMAIN
 
 
-def _cmd_extract_generator(args) -> int:
-    doc = validate_config(args.config, "extract-generator")
-    model = _model_from(doc["model"])
-    h = float(doc["h"])
-    scheme = doc["scheme"]
+def _cmd_extract_generator(args, doc, model, h, scheme) -> int:
     gen = lindblad.build_superoperator(model)
     samples = [
         (tau, channels.kernel_from_generator(gen, tau))
@@ -460,26 +462,17 @@ def _cmd_extract_generator(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "ramsey-scan": _cmd_ramsey_scan,
-    "ramsey-point": _cmd_ramsey_point,
-    "lindblad-evolve": _cmd_lindblad_evolve,
-    "lindblad-spectrum": _cmd_lindblad_spectrum,
-    "born-check": _cmd_born_check,
-    "cp-check": _cmd_cp_check,
-    "entropy-check": _cmd_entropy_check,
-    "extract-generator": _cmd_extract_generator,
-}
-
-_DEFAULT_CONFIGS = {
-    "ramsey-scan": "fig-both",
-    "ramsey-point": "fig1",
-    "lindblad-evolve": "model-qubit",
-    "lindblad-spectrum": "model-qubit",
-    "born-check": "born-d3",
-    "cp-check": "kernel-transpose",
-    "entropy-check": "model-qubit",
-    "extract-generator": "model-qubit",
+# command -> (parse, handler, default config): the parse reads the config
+# document once and its result is the handler's input
+_COMMANDS = {
+    "ramsey-scan": (_parse_ramsey_scan, _cmd_ramsey_scan, "fig-both"),
+    "ramsey-point": (_parse_ramsey_point, _cmd_ramsey_point, "fig1"),
+    "lindblad-evolve": (_parse_evolve, _cmd_lindblad_evolve, "model-qubit"),
+    "lindblad-spectrum": (_parse_spectrum, _cmd_lindblad_spectrum, "model-qubit"),
+    "born-check": (_parse_born, _cmd_born_check, "born-d3"),
+    "cp-check": (_parse_cp, _cmd_cp_check, "kernel-transpose"),
+    "entropy-check": (_parse_evolve, _cmd_entropy_check, "model-qubit"),
+    "extract-generator": (_parse_extract, _cmd_extract_generator, "model-qubit"),
 }
 
 
@@ -491,11 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lindkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in _HANDLERS.items():
+    for name, (_, handler, default_config) in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument(
             "--config",
-            default=_DEFAULT_CONFIGS[name],
+            default=default_config,
             help="JSON config path, or a bundled name: "
             + ", ".join(sorted(_BUNDLED))
             + (" (default fig-both: both figure curves side by side)"
@@ -506,11 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for any stochastic step")
         if name.startswith("ramsey"):
-            p.add_argument("--theory", choices=("standard", "modified"), default=None,
+            p.add_argument("--theory", choices=_THEORIES, default=None,
                            help="override the theory named in the config")
             p.add_argument("--truncate-gaussian", action="store_true",
                            help="clip the transit-time weight at T = 0 and renormalize")
-        p.set_defaults(handler=handler)
     return parser
 
 
@@ -527,7 +519,12 @@ def main(argv=None) -> int:
         # field, or to stderr for CSV output, which has no record
         with warnings.catch_warnings(record=True) as args.warnings:
             warnings.simplefilter("always")
-            code = args.handler(args)
+            if args.command == "ramsey-scan" and args.config == "fig-both":
+                code = _ramsey_scan_side_by_side(args)
+            else:
+                parse, handler, _ = _COMMANDS[args.command]
+                doc = _read_config(args.config)
+                code = handler(args, doc, *parse(doc))
         if args.format == "csv":
             for w in args.warnings:
                 sys.stderr.write(f"lindkit: warning: {w.message}\n")
@@ -538,9 +535,6 @@ def main(argv=None) -> int:
     except LindkitError as exc:
         _emit_error(args, exc, _EXIT_DOMAIN)
         return _EXIT_DOMAIN
-    except _IoFailure as exc:
-        sys.stderr.write(f"lindkit: I/O error: {exc}\n")
-        return _EXIT_IO
     except OSError as exc:
         sys.stderr.write(f"lindkit: I/O error: {exc}\n")
         return _EXIT_IO

@@ -1,7 +1,8 @@
 """Cost guards without timing: count the kernel calls that made the spectral
-and GKS layers O(d^8) and evolution one dense exponential per time point, so
-a return to per-cluster SVDs, per-pair Kronecker products or per-time
-superoperator builds fails a test."""
+and GKS layers O(d^8) and evolution one dense exponential per time point, and
+the constructions that made each CLI command parse its config twice, so a
+return to per-cluster SVDs, per-pair Kronecker products, per-time
+superoperator builds or a second config parse fails a test."""
 import json
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from conftest import random_density, random_hermitian, random_lindblad_model, random_matrix
-from lindkit import GKSForm, cli, gks_build, lindblad, spectrum
+from lindkit import GKSForm, cli, gks_build, lindblad, ramsey, spectrum
 from lindkit.matcore import general_eig
 
 # norm and matrix_rank call svd through numpy's implementation module
@@ -86,3 +87,19 @@ def test_time_grid_builds_once(monkeypatch, rng, tmp_path, capsys, command):
     # Taylor steps between neighbouring times; at most the first step from
     # t = 0 may be long enough to need a dense exponential
     assert len(expms) <= 1
+
+
+@pytest.mark.parametrize("command, owner, name, calls", [
+    ("lindblad-evolve", lindblad.LindbladModel, "from_json", 1),
+    ("lindblad-spectrum", lindblad.LindbladModel, "from_json", 1),
+    ("entropy-check", lindblad.LindbladModel, "from_json", 1),
+    ("extract-generator", lindblad.LindbladModel, "from_json", 1),
+    ("ramsey-point", ramsey.RamseyConfig, "from_dict", 1),
+    ("ramsey-scan", ramsey.RamseyConfig, "from_dict", 2),  # fig-both: two curves
+    ("born-check", cli, "_matrix_from", 1),
+])
+def test_default_config_is_parsed_once(monkeypatch, capsys, command, owner, name, calls):
+    built = _count(monkeypatch, [owner], name)
+    assert cli.main([command]) == 0
+    capsys.readouterr()
+    assert len(built) == calls

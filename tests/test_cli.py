@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindkit import cli
 
@@ -90,7 +94,7 @@ def test_cp_check_flags_non_cp_kernel(tmp_path):
     assert doc["result"]["min_eigenvalue"] == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_cp_check_passes_cp_kernel(tmp_path):
+def _cp_kernel_doc():
     import lindkit
 
     rngmod = lindkit.LindbladModel(
@@ -99,11 +103,25 @@ def test_cp_check_passes_cp_kernel(tmp_path):
         [np.array([[0, 0.4], [0.4, 0]], dtype=complex)],
     )
     gen = lindkit.build_superoperator(rngmod)
-    kernel = lindkit.kernel_from_generator(gen, 0.8)
+    return json.loads(lindkit.kernel_from_generator(gen, 0.8).to_json())
+
+
+def test_cp_check_passes_cp_kernel(tmp_path):
     cfg = tmp_path / "kernel.json"
-    cfg.write_text(kernel.to_json())
+    cfg.write_text(json.dumps(_cp_kernel_doc()))
     assert run(["cp-check", "--config", str(cfg), "--out",
                 str(tmp_path / "o.json")]) == 0
+
+
+def test_cp_check_rejects_undeclared_vec_order(tmp_path, capsys):
+    # the kernel is stored row-major; a column-major label must not be
+    # read as row-major
+    doc = _cp_kernel_doc()
+    doc["vec_order"] = "col-major"
+    cfg = tmp_path / "kernel.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["cp-check", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == "vec_order"
 
 
 def test_born_check_bundled_model_converges(tmp_path):
@@ -238,7 +256,7 @@ def test_full_line_average_out_of_range_is_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["lindblad-evolve", "entropy-check"])
 def test_non_numeric_times_are_exit_2(tmp_path, capsys, command):
-    for times in (["x"], [0.5, None], "1.0", [float("nan")]):
+    for times in (["x"], [0.5, None], "1.0", [float("nan")], [0.5, -1.0]):
         doc = json.load(open(str(cli.bundled_config_path("model-qubit"))))
         doc["times"] = times
         path = tmp_path / "model.json"
@@ -267,3 +285,123 @@ def test_clipped_window_warning_goes_to_stderr_for_csv(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "lindkit: warning: transit-time window clipped at T = 0; weight renormalized\n"
     )
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _set(path, value):
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+def _drop_lindblad_im(doc):
+    del doc["model"]["lindblads"][0]["im"]
+
+
+def _model_as_list(doc):
+    doc["model"] = [doc["model"]]
+
+
+def _ramsey_as_list(doc):
+    doc["ramsey"] = list(doc["ramsey"].values())
+
+
+_NAN = float("nan")
+# (command, bundled config, mutation, top-level key the error must name)
+_MALFORMED = [
+    ("lindblad-evolve", "model-qubit", _set(("rho0", "re", 0), "a"), "rho0"),
+    ("lindblad-evolve", "model-qubit", _set(("rho0", "re", 0), _NAN), "rho0"),
+    ("lindblad-evolve", "model-qubit", _set(("rho0",), [0.7, 0.2, 0.2, 0.3]), "rho0"),
+    ("lindblad-evolve", "model-qubit", _drop_lindblad_im, "model"),
+    ("lindblad-evolve", "model-qubit", _model_as_list, "model"),
+    ("extract-generator", "model-qubit", _set(("h",), "x"), "h"),
+    ("extract-generator", "model-qubit", _set(("h",), 0.0), "h"),
+    ("lindblad-spectrum", "model-qubit", _set(("h",), _NAN), "h"),  # an unused key
+    ("born-check", "born-d3", _set(("dim",), "x"), "dim"),
+    ("born-check", "born-d3", _set(("h",), "x"), "h"),
+    ("born-check", "born-d3", _set(("l_re",), "x"), "l_re"),
+    ("born-check", "born-d3", _set(("l_im",), [[0.0, 0.0]]), "l_im"),
+    ("born-check", "born-d3", _set(("tol",), "x"), "tol"),
+    ("born-check", "born-d3", _set(("tol",), _NAN), "tol"),
+    ("born-check", "born-d3", _set(("horizon_over_gamma",), "x"), "horizon_over_gamma"),
+    ("born-check", "born-d3", _set(("horizon_over_gamma",), -5), "horizon_over_gamma"),
+    ("ramsey-scan", "fig1", _set(("grid", "points"), "x"), "grid"),
+    ("ramsey-scan", "fig1", _set(("grid", "points"), 2.5), "grid"),
+    ("ramsey-scan", "fig1", _set(("grid", "stop"), _NAN), "grid"),
+    ("ramsey-scan", "fig1", _set(("grid", "start"), 3.0), "grid"),  # descending
+    ("ramsey-scan", "fig1", _set(("grid",), {"values": ["x"]}), "grid"),
+    ("ramsey-scan", "fig1", _set(("grid",), {"values": []}), "grid"),
+    ("ramsey-scan", "fig1", _set(("grid",), {"values": [_NAN]}), "grid"),
+    ("ramsey-scan", "fig1", _ramsey_as_list, "ramsey"),
+    ("cp-check", "kernel-transpose", _set(("tau",), _NAN), "tau"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, mutate, key", _MALFORMED,
+    ids=[f"{c}-{k}-{i}" for i, (c, _, _, k) in enumerate(_MALFORMED)],
+)
+def test_malformed_config_is_exit_2_naming_the_key(tmp_path, capsys, command, name,
+                                                   mutate, key):
+    doc = json.loads(cli.bundled_config_path(name).read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--config", str(path)]) == 2
+    err = _strict_json(capsys.readouterr().err)["error"]
+    assert (err["type"], err["field"], err["exit_code"]) == ("ConfigParse", key, 2)
+
+
+def _paths(doc, prefix=()):
+    """Every key and list index of a config document, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+_FUZZ_CONFIGS = [
+    ("ramsey-scan", "fig1"), ("ramsey-point", "fig2"), ("lindblad-evolve", "model-qubit"),
+    ("lindblad-spectrum", "model-qubit"), ("born-check", "born-d3"),
+    ("cp-check", "kernel-transpose"), ("entropy-check", "model-qubit"),
+    ("extract-generator", "model-qubit"),
+]
+_FUZZ_DOCS = {name: json.loads(cli.bundled_config_path(name).read_text())
+              for _, name in _FUZZ_CONFIGS}
+# numbers stay within +-1000: a drawn grid `points` must not allocate
+# gigabytes, and 1e300-sized model or Ramsey entries still overflow inside the
+# computation rather than in the parse
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000),
+                     st.floats(-1000, 1000), st.text(max_size=4))
+_JSON = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                  st.dictionaries(st.text(max_size=4), _SCALARS, max_size=2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(config=st.sampled_from(_FUZZ_CONFIGS), pick=st.integers(0, 10**6), value=_JSON)
+def test_any_single_value_change_gives_a_documented_exit(tmp_path_factory, config, pick,
+                                                         value):
+    command, name = config
+    paths = list(_paths(_FUZZ_DOCS[name]))
+    doc = json.loads(json.dumps(_FUZZ_DOCS[name]))
+    _set(paths[pick % len(paths)], value)(doc)
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([command, "--config", str(path)])
+    assert code in (0, 2, 3)
+    if code == 0 or (code == 3 and not err.getvalue()):
+        # success, or a failed check (exit 3) with its record on stdout
+        assert _strict_json(out.getvalue())["command"] == command
+    else:
+        assert _strict_json(err.getvalue())["error"]["exit_code"] == code
