@@ -42,9 +42,11 @@ from .quantum import (
     ProjectorBasis,
     born_collapse,
     entropy_rate,
+    entropy_rates,
     expectation,
     mixture,
     unitary_step,
+    vn_entropies,
     vn_entropy,
 )
 from .ramsey import (

@@ -106,6 +106,35 @@ _TAYLOR_THETA = np.array([
 _TAYLOR_TOL = 2.0**-53
 
 
+def _taylor_costs(t, norm1: float) -> np.ndarray:
+    """m*ceil(t*norm1/theta_m) for every m of the table (last axis), per t."""
+    return _TAYLOR_M * np.ceil(np.asarray(t, dtype=float)[..., None] * norm1 / _TAYLOR_THETA)
+
+
+def taylor_reach(products: int) -> float:
+    """Largest ||t*a||_1 that a Taylor step of exp(t*a) @ v covers with at
+    most ``products`` matrix-vector products: the max of s*theta_m over
+    m*s <= products."""
+    m = _TAYLOR_M[_TAYLOR_M <= products]
+    return float(np.max(products // m * _TAYLOR_THETA[:len(m)]))
+
+
+def expm_action_cost(t, norm1: float, n: int):
+    """Matrix-vector products :func:`expm_action` spends on exp(t*a) @ v for
+    an n x n ``a`` with ||a||_1 = norm1: the m*s of its Taylor step, or one
+    dense :func:`expm_cost` plus its product with v.  Vectorized over t."""
+    taylor = _taylor_costs(t, norm1).min(axis=-1)
+    return np.where(taylor < n, taylor, expm_cost(t, norm1, n) + 1)
+
+
+def expm_cost(t, norm1: float, n: int):
+    """Dense :func:`expm` of t*a in n x n products, each counted as n
+    matrix-vector products: Pade-13's six products and one solve, plus one
+    squaring per halving of ||t*a||_1 down to theta_13 = 5.37."""
+    scaled = np.maximum(np.asarray(t, dtype=float) * norm1, 5.37)
+    return n * (8 + np.ceil(np.log2(scaled / 5.37)))
+
+
 def expm_action(a: np.ndarray, t: float, v: np.ndarray, norm1: float) -> np.ndarray:
     """exp(t*a) @ v for t > 0, given norm1 = ||a||_1.
 
@@ -118,7 +147,7 @@ def expm_action(a: np.ndarray, t: float, v: np.ndarray, norm1: float) -> np.ndar
     and squaring and its Overflow bound.  ``a`` is trusted as it stands:
     callers validate it once and then take many steps.
     """
-    cost = _TAYLOR_M * np.ceil(t * norm1 / _TAYLOR_THETA)
+    cost = _taylor_costs(t, norm1)
     k = int(np.argmin(cost))
     if cost[k] >= a.shape[0]:
         return expm(a, t) @ v

@@ -16,6 +16,7 @@ import numpy as np
 from . import matcore
 from .errors import (
     BadWeights,
+    DimensionMismatch,
     IncompleteBasis,
     InvalidDensityMatrix,
     NotHermitian,
@@ -53,25 +54,51 @@ class DensityMatrix:
         tol_pos: float = TOL_POS,
     ) -> "DensityMatrix":
         a = matcore.as_square_matrix(mat)
-        scale = max(1.0, float(np.linalg.norm(a)))
-        if matcore.hermiticity_defect(a) > tol_herm * scale:
-            raise NotHermitian("density matrix must be Hermitian")
-        a = 0.5 * (a + a.conj().T)
-        tr = float(np.trace(a).real)
-        if abs(tr - 1.0) > tol_trace:
-            raise InvalidDensityMatrix(f"trace is {tr}, not 1")
-        vals, vecs = np.linalg.eigh(a)
-        if vals[0] < -tol_pos:
-            raise InvalidDensityMatrix(
-                f"minimum eigenvalue {vals[0]:.3e} below -{tol_pos:.0e}"
+        return cls.from_matrices(a[None], tol_herm, tol_trace, tol_pos)[0]
+
+    @classmethod
+    def from_matrices(
+        cls,
+        mats,
+        tol_herm: float = TOL_HERM,
+        tol_trace: float = TOL_TRACE,
+        tol_pos: float = TOL_POS,
+    ) -> "list[DensityMatrix]":
+        """:meth:`from_matrix` of every matrix of an (n, d, d) stack, with one
+        Hermiticity and trace check and one ``eigh`` call for the stack.  The
+        first invalid matrix raises what :meth:`from_matrix` raises for it."""
+        a = np.asarray(mats, dtype=complex)
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+            raise DimensionMismatch(
+                f"expected a stack of square matrices, got shape {a.shape}"
             )
-        repaired = False
-        if vals[0] < 0.0:
-            vals = np.clip(vals, 0.0, None)
-            a = (vecs * vals) @ vecs.conj().T
-            a = a / float(np.trace(a).real)
-            repaired = True
-        return cls(a, repaired)
+        a_h = a.conj().transpose(0, 2, 1)
+        finite = np.isfinite(a).all(axis=(1, 2))
+        scale = np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)))
+        not_herm = np.linalg.norm(a - a_h, axis=(1, 2)) > tol_herm * scale
+        a = 0.5 * (a + a_h)
+        tr = np.trace(a, axis1=1, axis2=2).real
+        bad = ~finite | not_herm | (np.abs(tr - 1.0) > tol_trace)
+        good = int(np.argmax(bad)) if bad.any() else len(a)
+        vals, vecs = np.linalg.eigh(a[:good])
+        low = vals[:, 0] < -tol_pos
+        if low.any():
+            raise InvalidDensityMatrix(
+                f"minimum eigenvalue {vals[np.argmax(low), 0]:.3e} below -{tol_pos:.0e}"
+            )
+        if good < len(a):
+            if not finite[good]:
+                raise ValueError("matrix entries must be finite")
+            if not_herm[good]:
+                raise NotHermitian("density matrix must be Hermitian")
+            raise InvalidDensityMatrix(f"trace is {float(tr[good])}, not 1")
+        repaired = vals[:, 0] < 0.0
+        if repaired.any():
+            p = np.clip(vals[repaired], 0.0, None)
+            v = vecs[repaired]
+            fixed = (v * p[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            a[repaired] = fixed / np.trace(fixed, axis1=1, axis2=2).real[:, None, None]
+        return [cls(m, bool(r)) for m, r in zip(a, repaired)]
 
     @classmethod
     def pure(cls, state) -> "DensityMatrix":
@@ -190,10 +217,17 @@ def unitary_step(rho: DensityMatrix, h, dt: float) -> DensityMatrix:
 
 def vn_entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy -sum p ln p in nats, with 0 ln 0 := 0."""
-    p = rho.eigenvalues()
-    p = p[p > 0.0]
-    s = float(-np.sum(p * np.log(p)))
-    return max(s, 0.0)
+    return float(vn_entropies([rho])[0])
+
+
+def vn_entropies(states) -> np.ndarray:
+    """:func:`vn_entropy` of every state, from one stacked ``eigvalsh``."""
+    if not states:
+        return np.zeros(0)
+    p = np.linalg.eigvalsh(np.stack([rho.matrix for rho in states]))
+    pos = p > 0.0
+    terms = np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0)
+    return np.maximum(-np.sum(terms, axis=-1), 0.0)
 
 
 def entropy_rate(rho: DensityMatrix, lindblads) -> float:
@@ -204,16 +238,26 @@ def entropy_rate(rho: DensityMatrix, lindblads) -> float:
     the p -> 0 limit of the formula is delicate, so regularizing is the
     caller's decision, not ours.
     """
-    p, v = np.linalg.eigh(rho.matrix)
-    if p.min() <= TOL_POS_STRICT:
+    return float(entropy_rates([rho], lindblads)[0])
+
+
+def entropy_rates(states, lindblads) -> np.ndarray:
+    """:func:`entropy_rate` of every state, from one stacked ``eigh``; the
+    first state that is not strictly positive raises SingularState."""
+    if not states:
+        return np.zeros(0)
+    p, v = np.linalg.eigh(np.stack([rho.matrix for rho in states]))
+    singular = p[:, 0] <= TOL_POS_STRICT
+    if singular.any():
         raise SingularState(
             f"entropy rate needs all eigenvalues > {TOL_POS_STRICT:.0e}, "
-            f"got minimum {p.min():.3e}"
+            f"got minimum {p[np.argmax(singular), 0]:.3e}"
         )
     lnp = np.log(p)
-    rate = 0.0
+    vh = v.conj().transpose(0, 2, 1)
+    rate = np.zeros(len(p))
     for l in lindblads:
-        lt = v.conj().T @ matcore.as_square_matrix(l) @ v
-        w = np.abs(lt) ** 2
-        rate += float(np.sum(w.sum(axis=0) * p * lnp) - lnp @ w @ p)
+        w = np.abs(vh @ matcore.as_square_matrix(l) @ v) ** 2
+        cross = (lnp[:, None, :] @ w @ p[:, :, None])[:, 0, 0]
+        rate += np.sum(w.sum(axis=1) * p * lnp, axis=-1) - cross
     return rate

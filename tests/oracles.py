@@ -8,13 +8,22 @@ coefficient values, so it shares no code with the library's fringe constants.
 For the generator layer: direct evaluation of L(rho), the GKS maps as
 explicit loops over basis pairs of Kronecker products, and eigenvalue
 clustering by pairwise comparison of every pair.
+
+For states: the density-matrix checks and repair, the von Neumann entropy
+and the entropy rate of one state at a time, with their own eigh calls.
 """
 import numpy as np
 from scipy.integrate import quad
 
 from lindkit import CoefficientMatrix, derive
 from lindkit.channels import GKSForm, gellmann_basis
-from lindkit.errors import QuadratureFailure, StepTooLarge
+from lindkit.errors import (
+    InvalidDensityMatrix,
+    NotHermitian,
+    QuadratureFailure,
+    SingularState,
+    StepTooLarge,
+)
 
 RWA_DT_MAX = 1e-2      # rwa_ode requires dt <= RWA_DT_MAX / Omega
 FULL_DT_MAX = 0.05     # full_ode requires dt <= FULL_DT_MAX / omega
@@ -247,3 +256,46 @@ def cluster_pairwise(vals, tol):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def density_matrix_single(mat, tol_herm=1e-10, tol_trace=1e-10, tol_pos=1e-10):
+    """(matrix, repaired) of DensityMatrix.from_matrix for one matrix."""
+    a = np.asarray(mat, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    if np.linalg.norm(a - a.conj().T) > tol_herm * max(1.0, float(np.linalg.norm(a))):
+        raise NotHermitian("density matrix must be Hermitian")
+    a = 0.5 * (a + a.conj().T)
+    tr = float(np.trace(a).real)
+    if abs(tr - 1.0) > tol_trace:
+        raise InvalidDensityMatrix(f"trace is {tr}, not 1")
+    vals, vecs = np.linalg.eigh(a)
+    if vals[0] < -tol_pos:
+        raise InvalidDensityMatrix(
+            f"minimum eigenvalue {vals[0]:.3e} below -{tol_pos:.0e}"
+        )
+    if vals[0] >= 0.0:
+        return a, False
+    a = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    return a / float(np.trace(a).real), True
+
+
+def vn_entropy_single(mat):
+    p = np.linalg.eigvalsh(mat)
+    p = p[p > 0.0]
+    return max(float(-np.sum(p * np.log(p))), 0.0)
+
+
+def entropy_rate_single(mat, lindblads, tol_pos_strict=1e-12):
+    p, v = np.linalg.eigh(mat)
+    if p.min() <= tol_pos_strict:
+        raise SingularState(
+            f"entropy rate needs all eigenvalues > {tol_pos_strict:.0e}, "
+            f"got minimum {p.min():.3e}"
+        )
+    lnp = np.log(p)
+    rate = 0.0
+    for l in lindblads:
+        w = np.abs(v.conj().T @ l @ v) ** 2
+        rate += float(np.sum(w.sum(axis=0) * p * lnp) - lnp @ w @ p)
+    return rate

@@ -2,7 +2,9 @@
 and GKS layers O(d^8) and evolution one dense exponential per time point, and
 the constructions that made each CLI command parse its config twice, so a
 return to per-cluster SVDs, per-pair Kronecker products, per-time
-superoperator builds or a second config parse fails a test."""
+superoperator builds, per-state eigendecompositions, a second config parse or
+a parser per call fails a test."""
+import argparse
 import json
 import sys
 
@@ -68,25 +70,72 @@ def test_spectrum_svd_calls_do_not_grow_with_d(monkeypatch, rng):
     assert counts[3] == counts[6]
 
 
-@pytest.mark.parametrize("command", ["lindblad-evolve", "entropy-check"])
-def test_time_grid_builds_once(monkeypatch, rng, tmp_path, capsys, command):
-    d = 8
+def _grid_config(rng, tmp_path, d, points):
     model = random_lindblad_model(rng, d)
     rho0 = random_density(rng, d, strictly_positive=True).matrix
-    path = tmp_path / "grid.json"
+    path = tmp_path / f"grid{points}.json"
     path.write_text(json.dumps({
         "model": json.loads(model.to_json()),
         "rho0": {"re": rho0.real.reshape(-1).tolist(), "im": rho0.imag.reshape(-1).tolist()},
-        "times": np.linspace(0.05, 2.0, 50).tolist(),
+        "times": np.linspace(0.05, 2.0, points).tolist(),
     }))
+    return path
+
+
+@pytest.mark.parametrize("command", ["lindblad-evolve", "entropy-check"])
+def test_time_grid_builds_once(monkeypatch, rng, tmp_path, capsys, command):
+    path = _grid_config(rng, tmp_path, 8, 50)
     builds = _count(monkeypatch, [lindblad], "build_superoperator")
     expms = _count(monkeypatch, [scipy.linalg], "expm")
     assert cli.main([command, "--config", str(path)]) == 0
     capsys.readouterr()
     assert len(builds) == 1
-    # Taylor steps between neighbouring times; at most the first step from
-    # t = 0 may be long enough to need a dense exponential
+    # one dense propagator for the family of the grid's (rounded) uniform
+    # step; the first step from t = 0 and the +-eps steps are Taylor steps
     assert len(expms) <= 1
+
+
+@pytest.mark.parametrize("command", ["lindblad-evolve", "entropy-check"])
+def test_grid_eigendecompositions_do_not_grow_with_points(monkeypatch, rng, tmp_path,
+                                                          capsys, command):
+    # rho0's repair, one stacked repair of the evolved states, and the
+    # handler's stacked entropies (and rates)
+    eigh = _count(monkeypatch, _LINALG, "eigh")
+    eigvalsh = _count(monkeypatch, _LINALG, "eigvalsh")
+    counts = {}
+    for points in (50, 200):
+        path = _grid_config(rng, tmp_path, 4, points)
+        eigh.clear()
+        eigvalsh.clear()
+        assert cli.main([command, "--config", str(path)]) == 0
+        capsys.readouterr()
+        counts[points] = (len(eigh), len(eigvalsh))
+    assert counts[50] == counts[200]
+
+
+@pytest.mark.parametrize("command", ["lindblad-evolve", "entropy-check"])
+@pytest.mark.parametrize("d", [2, 8])
+def test_dense_exponentials_at_most_distinct_steps(monkeypatch, rng, tmp_path, capsys,
+                                                  command, d):
+    path = _grid_config(rng, tmp_path, d, 50)
+    times = json.loads(path.read_text())["times"]
+    if command == "entropy-check":
+        times = [s for t in times for s in (t, t + 1e-5, t - 1e-5)]
+    distinct_steps = np.unique(np.diff(np.unique(times), prepend=0.0))
+    expms = _count(monkeypatch, [scipy.linalg], "expm")
+    assert cli.main([command, "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert len(expms) <= len(distinct_steps)
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    builds = _count(monkeypatch, [argparse.ArgumentParser], "add_subparsers")
+    codes = [cli.main([command]) for command in
+             ("lindblad-evolve", "ramsey-point", "cp-check", "lindblad-evolve")]
+    capsys.readouterr()
+    assert codes == [0, 0, 3, 0]  # the bundled transpose kernel is not CP
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("command, owner, name, calls", [

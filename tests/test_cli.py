@@ -265,6 +265,54 @@ def test_non_numeric_times_are_exit_2(tmp_path, capsys, command):
         assert json.loads(capsys.readouterr().err)["error"]["field"] == "times"
 
 
+@pytest.mark.parametrize("command", ["lindblad-evolve", "entropy-check"])
+def test_empty_and_all_zero_time_grids(tmp_path, command):
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    path, out = tmp_path / "model.json", tmp_path / "out.json"
+    lengths = []
+    for times in ([], [0.0, 0]):
+        doc["times"] = times
+        path.write_text(json.dumps(doc))
+        assert run([command, "--config", str(path), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        lengths.append(len(result["states" if command == "lindblad-evolve" else "rows"]))
+    assert lengths == [0, 2]
+
+
+@pytest.mark.parametrize("command", ["lindblad-evolve", "entropy-check",
+                                     "extract-generator", "lindblad-spectrum"])
+def test_huge_lindblad_entry_is_overflow_exit_3(tmp_path, capsys, command):
+    # finite in the config, but L^dag L and the generator overflow to inf
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    doc["model"]["lindblads"][0]["re"][1] = 1e300
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = _strict_json(err)["error"]
+    assert (error["type"], error["exit_code"]) == ("Overflow", 3)
+
+
+def _main_output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def test_back_to_back_commands_print_what_each_prints_alone():
+    # the parser is built once per process and shared by every main call
+    first, second = ["lindblad-evolve"], ["ramsey-point", "--theory", "modified"]
+    alone = []
+    for argv in (first, second):
+        cli.build_parser.cache_clear()
+        alone.append(_main_output(argv))
+    cli.build_parser.cache_clear()
+    assert [_main_output(first), _main_output(second)] == alone
+    assert [_main_output(second), _main_output(first)] == alone[::-1]
+
+
 @pytest.mark.parametrize("command", ["ramsey-point", "ramsey-scan"])
 def test_clipped_window_warning_is_recorded(tmp_path, command):
     path = _ramsey_doc(tmp_path, "fig1", t0=1.0, sigma=2.0)

@@ -175,6 +175,24 @@ class TestEvolveMany:
             want = scipy.linalg.expm(t * sop) @ matcore.vec(rho0.matrix)
             assert np.max(np.abs(rho.matrix - matcore.unvec(want, d))) <= 1e-12
 
+    @pytest.mark.parametrize("d", [4, 8, 12])
+    def test_long_grids_match_per_time_expm(self, rng, d):
+        # 400 points, the entropy check's +-1e-5 interleave, and steps that
+        # differ by up to 1e-11, so that each needs its exp((dt - h) L) factor:
+        # long chains of reused step propagators, checked at every 50th point
+        # and the end
+        model = random_lindblad_model(rng, d)
+        rho0 = random_density(rng, d)
+        sop = build_superoperator(model)
+        v0 = matcore.vec(rho0.matrix)
+        times = np.linspace(0.05, 4.0, 400).tolist()
+        jittered = np.cumsum(0.01 + rng.uniform(0.0, 1e-11, 400)).tolist()
+        for grid in (times, [s for t in times for s in (t, t + 1e-5, t - 1e-5)], jittered):
+            states = evolve_many(model, rho0, grid)
+            for k in [*range(0, len(grid), 50), len(grid) - 1]:
+                want = matcore.unvec(scipy.linalg.expm(grid[k] * sop) @ v0, d)
+                assert np.max(np.abs(states[k].matrix - want)) <= 1e-12
+
     def test_negative_time_rejected(self, rng):
         model = random_lindblad_model(rng, 2)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SM,
@@ -14,13 +16,16 @@ from lindkit import (
     ProjectorBasis,
     born_collapse,
     entropy_rate,
+    entropy_rates,
     errors,
     evolve,
     expectation,
     mixture,
     unitary_step,
+    vn_entropies,
     vn_entropy,
 )
+from oracles import density_matrix_single, entropy_rate_single, vn_entropy_single
 
 
 class TestDensityMatrix:
@@ -231,3 +236,69 @@ class TestEntropyRate:
         rho = DensityMatrix.pure([1, 0])
         with pytest.raises(errors.SingularState):
             entropy_rate(rho, [SM])
+
+
+def _stack_member(rng, d, kind):
+    """A matrix that from_matrix accepts as it is ("valid"), repairs
+    ("repair": minimum eigenvalue in [-1e-10, 0)), or rejects."""
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    w = rng.uniform(0.05, 1.0, d)
+    if kind == "repair":
+        w[0] = -10.0 ** rng.uniform(-14, -10) * w[1:].sum()
+    if kind == "negative":
+        w[0] = -1e-3 * w[1:].sum()
+    m = (u * (w / w.sum())) @ u.conj().T
+    if kind.startswith("not_hermitian"):
+        m = m + 1e-3j * np.triu(np.ones((d, d)), 1)
+    if kind.endswith("trace"):
+        m = 1.01 * m
+    return m
+
+
+def _outcome(f, *args):
+    try:
+        return True, f(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return False, (type(exc), str(exc))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["valid", "valid", "repair", "repair", "negative",
+                                    "not_hermitian", "trace", "not_hermitian_trace"]),
+                   min_size=1, max_size=6),
+)
+def test_stacked_states_equal_per_state_results(d, seed, kinds):
+    # the stacked calls, their n = 1 cases, and the one-state-at-a-time
+    # oracles give the same matrices, flags, values and first error
+    rng = np.random.default_rng(seed)
+    mats = np.stack([_stack_member(rng, d, kind) for kind in kinds])
+    stacked = _outcome(DensityMatrix.from_matrices, mats)
+    single = [_outcome(DensityMatrix.from_matrix, m) for m in mats]
+    oracle = [_outcome(density_matrix_single, m) for m in mats]
+    assert [ok for ok, _ in single] == [ok for ok, _ in oracle]
+    first_bad = next((r for ok, r in oracle if not ok), None)
+    if first_bad is not None:
+        assert stacked == (False, first_bad)
+        assert [r for ok, r in single if not ok] == [r for ok, r in oracle if not ok]
+        return
+    states = stacked[1]
+    for rho, (_, one), (_, (matrix, repaired)) in zip(states, single, oracle):
+        assert rho.repaired == one.repaired == repaired
+        assert np.array_equal(rho.matrix, one.matrix)
+        assert np.array_equal(rho.matrix, matrix)
+    entropies = vn_entropies(states)
+    assert np.array_equal(entropies, [vn_entropy(s) for s in states])
+    assert np.array_equal(entropies, [vn_entropy_single(s.matrix) for s in states])
+    ls = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2)]
+    rates = _outcome(entropy_rates, states, ls)
+    single_rates = [_outcome(entropy_rate, s, ls) for s in states]
+    oracle_rates = [_outcome(entropy_rate_single, s.matrix, ls) for s in states]
+    assert single_rates == oracle_rates
+    first_bad = next((r for ok, r in oracle_rates if not ok), None)
+    if first_bad is not None:
+        assert rates == (False, first_bad)
+    else:
+        assert np.array_equal(rates[1], [r for _, r in oracle_rates])
