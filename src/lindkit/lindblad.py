@@ -106,8 +106,9 @@ def build_superoperator(model: LindbladModel) -> np.ndarray:
     """d^2 x d^2 matrix of L(rho) = -i[H, rho] + sum_a (L rho L^dag
     - 1/2 {L^dag L, rho}) in the row-major vec ordering.
 
-    Raises Overflow when an entry is not finite, which finite but huge
-    model entries (|x| ~ 1e300) produce through the products L^dag L.
+    Raises Overflow when an entry, or the sum of the entries, is not
+    finite, which finite but huge model entries (|x| ~ 1e300) produce
+    through the products L^dag L.
     """
     d = model.dim
     eye = np.eye(d)
@@ -117,8 +118,9 @@ def build_superoperator(model: LindbladModel) -> np.ndarray:
         for l in model.lindblads:
             ll = l.conj().T @ l
             sop += np.kron(l, l.conj()) - 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
-    if not np.all(np.isfinite(sop)):
-        raise Overflow("generator has entries that are not finite")
+        total = sop.sum()  # inf or NaN when an entry is, or when the entries' sum overflows
+    if not np.isfinite(total):
+        raise Overflow("generator entries overflow double precision")
     return sop
 
 
@@ -185,11 +187,11 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
     and each state comes from the previous raw (unrepaired) vector by one
     step exp(dt L) v.  Steps are grouped into families: dt joins the family
     of the smallest step h below it when exp((dt - h) L) is a Taylor series
-    of at most 2 matrix-vector products (:func:`matcore.taylor_reach`).
-    A family whose steps would save more products than one dense
-    P_h = exp(h L) costs (:func:`matcore.expm_cost`) takes each step as
+    of at most 2 matrix-vector products.  A family whose steps would save
+    more products than one dense P_h = exp(h L) costs takes each step as
     P_h @ exp((dt - h) L) v, which is exact since exp(hL) exp((dt - h)L) =
-    exp(dt L); every other step is one :func:`matcore.expm_action`.  So a
+    exp(dt L); every other step is one :func:`matcore.expm_action`.  The
+    cost model is expm_action's own Taylor-or-dense rule.  So a
     uniform grid costs about one matrix-vector product per point, and a
     single time keeps expm_action and its Overflow bound.  The returned
     states are repaired as one stack (:meth:`DensityMatrix.from_matrices`);
@@ -203,7 +205,7 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
     norm1 = float(np.linalg.norm(sop, 1))
     order = sorted((k for k, t in enumerate(times) if t > 0.0), key=times.__getitem__)
     steps = np.diff([0.0, *sorted({times[k] for k in order})])
-    bases = _step_families(steps, norm1, sop.shape[0])
+    bases = matcore._step_families(steps, norm1, sop.shape[0])
     propagators = {h: matcore.expm(sop, h) for h in dict.fromkeys(bases.values())}
     v = matcore.vec(rho0.matrix)
     now = 0.0
@@ -225,31 +227,6 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
     for k, rho in zip(order, states):
         out[k] = rho
     return out
-
-
-def _step_families(steps: np.ndarray, norm1: float, n: int) -> dict[float, float]:
-    """{dt: h} for the steps worth taking as P_h @ exp((dt - h) L) v.
-
-    The distinct steps, ascending, fall into families: each family starts at
-    its smallest step h and takes every following dt whose exp((dt - h) L)
-    is a Taylor step of at most 2 products (||(dt - h) L||_1 within
-    :func:`matcore.taylor_reach`).  A family is kept when the products its
-    steps save against :func:`matcore.expm_action` exceed the cost of P_h.
-    """
-    if len(steps) < 2:  # one step saves at most the dense expm it would cost
-        return {}
-    values, uses = np.unique(steps, return_counts=True)
-    scaled = values * norm1
-    ends = np.searchsorted(scaled, scaled + matcore.taylor_reach(2), side="right").tolist()
-    starts = [0]
-    while ends[starts[-1]] < len(values):
-        starts.append(ends[starts[-1]])
-    family = np.repeat(np.arange(len(starts)), np.diff(starts + [len(values)]))
-    h = values[starts][family]
-    saved = uses * (matcore.expm_action_cost(values, norm1, n) - 1
-                    - matcore.expm_action_cost(values - h, norm1, n))
-    kept = np.add.reduceat(saved, starts) > matcore.expm_cost(values[starts], norm1, n)
-    return {float(dt): float(b) for dt, b, k in zip(values, h, kept[family]) if k}
 
 
 @dataclass

@@ -106,33 +106,64 @@ _TAYLOR_THETA = np.array([
 _TAYLOR_TOL = 2.0**-53
 
 
-def _taylor_costs(t, norm1: float) -> np.ndarray:
-    """m*ceil(t*norm1/theta_m) for every m of the table (last axis), per t."""
-    return _TAYLOR_M * np.ceil(np.asarray(t, dtype=float)[..., None] * norm1 / _TAYLOR_THETA)
+def _taylor_plan(t, norm1: float, n: int):
+    """How :func:`expm_action` takes exp(t*a) @ v for an n x n ``a`` with
+    ||a||_1 = norm1, vectorized over t: (k, products, dense), where k indexes
+    the cheapest Taylor degree m of the table, products = m*s its count of
+    matrix-vector products, and dense marks the steps whose products cost at
+    least one n x n matrix product (m*s >= n), which take one dense
+    :func:`expm` instead."""
+    cost = _TAYLOR_M * np.ceil(np.asarray(t, dtype=float)[..., None] * norm1 / _TAYLOR_THETA)
+    products = cost.min(axis=-1)
+    return cost.argmin(axis=-1), products, products >= n
 
 
-def taylor_reach(products: int) -> float:
-    """Largest ||t*a||_1 that a Taylor step of exp(t*a) @ v covers with at
-    most ``products`` matrix-vector products: the max of s*theta_m over
-    m*s <= products."""
-    m = _TAYLOR_M[_TAYLOR_M <= products]
-    return float(np.max(products // m * _TAYLOR_THETA[:len(m)]))
-
-
-def expm_action_cost(t, norm1: float, n: int):
-    """Matrix-vector products :func:`expm_action` spends on exp(t*a) @ v for
-    an n x n ``a`` with ||a||_1 = norm1: the m*s of its Taylor step, or one
-    dense :func:`expm_cost` plus its product with v.  Vectorized over t."""
-    taylor = _taylor_costs(t, norm1).min(axis=-1)
-    return np.where(taylor < n, taylor, expm_cost(t, norm1, n) + 1)
-
-
-def expm_cost(t, norm1: float, n: int):
+def _expm_cost(t, norm1: float, n: int):
     """Dense :func:`expm` of t*a in n x n products, each counted as n
     matrix-vector products: Pade-13's six products and one solve, plus one
     squaring per halving of ||t*a||_1 down to theta_13 = 5.37."""
     scaled = np.maximum(np.asarray(t, dtype=float) * norm1, 5.37)
     return n * (8 + np.ceil(np.log2(scaled / 5.37)))
+
+
+def _expm_action_cost(t, norm1: float, n: int):
+    """Matrix-vector products :func:`expm_action` spends on exp(t*a) @ v, by
+    :func:`_taylor_plan`: its Taylor m*s, or a dense expm and its product
+    with v.  Vectorized over t."""
+    _, products, dense = _taylor_plan(t, norm1, n)
+    return np.where(dense, _expm_cost(t, norm1, n) + 1, products)
+
+
+# ||t*a||_1 that a Taylor step of at most 2 products covers: theta_2 (m = 2,
+# s = 1), since two degree-1 steps reach only 2 * theta_1 = 4.6e-16.
+_TWO_PRODUCT_REACH = _TAYLOR_THETA[1]
+
+
+def _step_families(steps: np.ndarray, norm1: float, n: int) -> dict[float, float]:
+    """{dt: h} for the steps of a sequence worth taking as
+    P_h @ exp((dt - h) a) @ v with one dense P_h = exp(h a) per h, for an
+    n x n ``a`` with ||a||_1 = norm1.
+
+    The distinct steps, ascending, fall into families: each family starts at
+    its smallest step h and takes every following dt whose exp((dt - h) a)
+    is a Taylor step of at most 2 products.  A family is kept when the
+    products its uses save against :func:`expm_action` exceed the cost of
+    P_h.
+    """
+    if len(steps) < 2:  # one step saves at most the dense expm it would cost
+        return {}
+    values, uses = np.unique(steps, return_counts=True)
+    scaled = values * norm1
+    ends = np.searchsorted(scaled, scaled + _TWO_PRODUCT_REACH, side="right").tolist()
+    starts = [0]
+    while ends[starts[-1]] < len(values):
+        starts.append(ends[starts[-1]])
+    family = np.repeat(np.arange(len(starts)), np.diff(starts + [len(values)]))
+    h = values[starts][family]
+    saved = uses * (_expm_action_cost(values, norm1, n) - 1
+                    - _expm_action_cost(values - h, norm1, n))
+    kept = np.add.reduceat(saved, starts) > _expm_cost(values[starts], norm1, n)
+    return {float(dt): float(b) for dt, b, k in zip(values, h, kept[family]) if k}
 
 
 def expm_action(a: np.ndarray, t: float, v: np.ndarray, norm1: float) -> np.ndarray:
@@ -147,12 +178,11 @@ def expm_action(a: np.ndarray, t: float, v: np.ndarray, norm1: float) -> np.ndar
     and squaring and its Overflow bound.  ``a`` is trusted as it stands:
     callers validate it once and then take many steps.
     """
-    cost = _taylor_costs(t, norm1)
-    k = int(np.argmin(cost))
-    if cost[k] >= a.shape[0]:
+    k, products, dense = _taylor_plan(t, norm1, a.shape[0])
+    if dense:
         return expm(a, t) @ v
     m = int(_TAYLOR_M[k])
-    s = int(cost[k]) // m
+    s = int(products) // m
     f = v
     for _ in range(s):
         term = f

@@ -225,9 +225,16 @@ def vn_entropies(states) -> np.ndarray:
     if not states:
         return np.zeros(0)
     p = np.linalg.eigvalsh(np.stack([rho.matrix for rho in states]))
-    pos = p > 0.0
-    terms = np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0)
-    return np.maximum(-np.sum(terms, axis=-1), 0.0)
+    # eigvalsh sorts ascending, so the p <= 0 dropped by 0 ln 0 := 0 are a
+    # prefix of each row: summing a row from its first positive entry adds
+    # the same terms in the same order as a sum over p[p > 0] alone
+    first = np.count_nonzero(p <= 0.0, axis=-1)
+    s = np.empty(len(p))
+    for k in np.unique(first).tolist():
+        rows = first == k
+        q = p[rows, k:]
+        s[rows] = -np.sum(q * np.log(q), axis=-1)
+    return np.where(s < 0.0, 0.0, s)  # max(s, 0.0), which keeps -0.0
 
 
 def entropy_rate(rho: DensityMatrix, lindblads) -> float:

@@ -1,12 +1,12 @@
 """Time lindblad.evolve_many over the dynamics time grids for a range of d.
 
-    python3 tools/evolve_sweep.py --src src --dims 2 4 8 12 16 24 --repeat 5
+    python3 tools/evolve_sweep.py --src src
 
 Imports lindkit from ``--src`` (so two checkouts can be compared run by run),
 pins BLAS to one thread, and prints one JSON line per (d, grid) with the best
-of ``--repeat`` wall times.  Each model is a seeded random generator with
-two Lindblad operators, scaled to ||L||_1 = d^2 as in perfbench's dynamics
-workload.  The grids are that workload's 50-point linspace(0.05, 2, 50) and
+of REPEAT wall times, for d in DIMS.  Each model is a random generator (seed
+SEED) with two Lindblad operators, scaled to ||L||_1 = d^2 as in perfbench's
+dynamics workload.  The grids are that workload's 50-point linspace(0.05, 2, 50) and
 the 150-point t, t + 1e-5, t - 1e-5 grid entropy-check evolves over it.
 """
 import argparse
@@ -17,14 +17,15 @@ import time
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
+DIMS = (2, 4, 8, 12, 16, 24)
+REPEAT = 5
+SEED = 7
+
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True,
                     help="directory that holds the lindkit package")
-    ap.add_argument("--dims", type=int, nargs="+", default=[2, 4, 8, 12, 16, 24])
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
     sys.path.insert(0, args.src)
     import json
@@ -37,8 +38,8 @@ def main() -> None:
     eps = 1e-5
     grids = {"linspace50": times,
              "entropy150": [s for t in times for s in (t, t + eps, t - eps)]}
-    rng = np.random.default_rng(args.seed)
-    for d in args.dims:
+    rng = np.random.default_rng(SEED)
+    for d in DIMS:
         g, l1, l2, w = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                         for _ in range(4))
         model = lindblad.LindbladModel(d, g + g.conj().T, [l1, l2])
@@ -49,7 +50,7 @@ def main() -> None:
         rho0 = quantum.DensityMatrix.from_matrix(w / np.trace(w).real)
         for name, grid in grids.items():
             best = float("inf")
-            for _ in range(args.repeat):
+            for _ in range(REPEAT):
                 start = time.perf_counter()
                 lindblad.evolve_many(model, rho0, grid)
                 best = min(best, time.perf_counter() - start)
