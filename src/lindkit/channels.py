@@ -135,7 +135,12 @@ class Kernel:
 
     @classmethod
     def from_json(cls, text: str) -> "Kernel":
-        doc = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Kernel":
+        """The kernel of a parsed ``lindkit.kernel/1`` document (the form
+        :meth:`to_json` writes)."""
         if doc.get("schema") != "lindkit.kernel/1":
             raise ValueError(f"unknown kernel schema {doc.get('schema')!r}")
         d = int(doc["dim"])

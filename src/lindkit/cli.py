@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import warnings
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -38,7 +40,103 @@ _EXIT_CONFIG, _EXIT_DOMAIN, _EXIT_IO = 2, 3, 4
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
+    written directly.
+
+    With ``indent`` set, ``json`` formats through its pure-Python encoder,
+    which costs an interpreter round trip per value; records here are mostly
+    long lists of floats (the evolved states), so a list of floats only is one
+    join over ``float.__repr__``, the repr ``json`` uses, checked with one
+    ``math.isfinite`` pass.  Everything else follows ``json``: keys in
+    ``sorted(doc.items())`` order, int, float, bool and None keys converted
+    the same way, int and float subclasses written as plain numbers, strings
+    through ``encode_basestring_ascii``, and the same TypeError for an object
+    it cannot serialize and ValueError for NaN, infinity or a circular
+    reference.
+    """
+    out = []
+    _encode(doc, out, "\n", set())
+    out.append("\n")
+    return "".join(out)
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True or key is False or key is None:
+        return _LITERALS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _encode(o, out: list, nl: str, path: set) -> None:
+    """Append the canonical form of ``o`` to ``out``.  ``nl`` is a newline
+    and the indentation of the line ``o`` ends on; ``path`` holds the ids of
+    the containers ``o`` is nested in."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or o is True or o is False:
+        out.append(_LITERALS[o])
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:
+            floats = ("," + inner).join(map(float.__repr__, o))
+        except TypeError:  # an item that is not a float: written one by one below
+            pass
+        else:
+            if not all(map(math.isfinite, o)):
+                for x in o:
+                    _float_text(x)  # raises at the first NaN or infinity
+            out += ("[", inner, floats, nl, "]")
+            return
+        _enter(o, path)
+        out.append("[")
+        for k, item in enumerate(o):
+            out.append("," + inner if k else inner)
+            _encode(item, out, inner, path)
+        out += (nl, "]")
+        path.remove(id(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        _enter(o, path)
+        inner = nl + "  "
+        out.append("{")
+        for k, (key, value) in enumerate(sorted(o.items())):
+            out += ("," + inner if k else inner,
+                    encode_basestring_ascii(_key_text(key)), ": ")
+            _encode(value, out, inner, path)
+        out += (nl, "}")
+        path.remove(id(o))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _enter(container, path: set) -> None:
+    if id(container) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(container))
 
 
 def bundled_config_path(name: str):
@@ -152,7 +250,7 @@ def _ramsey(doc) -> ramsey.RamseyConfig:
 def _model(doc) -> lindblad.LindbladModel:
     _check_keys(doc, "model", {"schema", "dim", "h_re", "h_im", "lindblads"})
     try:
-        return lindblad.LindbladModel.from_json(json.dumps(doc))
+        return lindblad.LindbladModel.from_dict(doc)
     except LindkitError as exc:
         raise ConfigParse(f"model: {exc}", field="model") from exc
 
@@ -231,7 +329,7 @@ def _parse_cp(doc):
     for key, value in channels.KERNEL_CONVENTIONS.items():
         _field(doc, key, _one_of, (value,))
     try:
-        return (channels.Kernel.from_json(json.dumps(doc)),)
+        return (channels.Kernel.from_dict(doc),)
     except (TypeError, ValueError, OverflowError, LindkitError) as exc:
         raise ConfigParse(str(exc)) from exc
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import special
 
-from .errors import UnphysicalAverage
+from .errors import Overflow, UnphysicalAverage
 
 
 @dataclass
@@ -117,7 +117,20 @@ def derive(config: RamseyConfig) -> RamseyDerived:
     """Detuning dw = omega - (E_e - E_g) and generalized Rabi frequency
     Omega = sqrt(dw^2/4 + |U|^2)."""
     dw = config.omega - (config.e_e - config.e_g)
-    return RamseyDerived(dw, float(np.sqrt(dw * dw / 4 + abs(config.u_eg) ** 2)))
+    return RamseyDerived(dw, float(_rabi(dw, config.u_eg)))
+
+
+def _rabi(dw, u_eg: complex):
+    """sqrt(dw^2/4 + |U|^2), vectorized over dw; raises Overflow when the sum
+    under the root leaves double precision (|dw| or |U| beyond ~1e154)."""
+    try:
+        with np.errstate(over="ignore"):
+            big_om = np.sqrt(dw * dw / 4 + abs(u_eg) ** 2)
+    except OverflowError:  # Python's float power and complex abs raise instead of giving inf
+        big_om = np.inf
+    if not np.all(np.isfinite(big_om)):
+        raise Overflow("dw^2/4 + |U_eg|^2 overflows double precision")
+    return big_om
 
 
 @dataclass
@@ -244,9 +257,8 @@ def _fringe(config: RamseyConfig, theory: str, dw):
     fringe whose constants come from the bottom row of R.
     """
     lam = _correction(config, theory)
-    u = abs(config.u_eg)
     dw = np.asarray(dw, dtype=float)
-    r = _rotation(dw, np.sqrt(dw * dw / 4 + u**2), u, config.tau)
+    r = _rotation(dw, _rabi(dw, config.u_eg), abs(config.u_eg), config.tau)
     bx, by, bz = -r[..., 0, 2], -r[..., 1, 2], -r[..., 2, 2]
     rzx, rzy, rzz = r[..., 2, 0], r[..., 2, 1], r[..., 2, 2]
     a = (1.0 + rzz * bz) / 2
@@ -256,7 +268,11 @@ def _fringe(config: RamseyConfig, theory: str, dw):
 
 
 def _fringe_at(a, p, q, gamma, nu, t):
-    return a + np.exp(-gamma * t) * (p * np.cos(nu * t) + q * np.sin(nu * t))
+    with np.errstate(over="ignore"):
+        phase = nu * t
+    if not np.all(np.isfinite(phase)):
+        raise Overflow("the fringe phase nu * t overflows double precision")
+    return a + np.exp(-gamma * t) * (p * np.cos(phase) + q * np.sin(phase))
 
 
 def _transit_average(a, p, q, gamma, nu, t0, sig, truncate):
@@ -275,13 +291,15 @@ def _transit_average(a, p, q, gamma, nu, t0, sig, truncate):
     kappa = -gamma + 1j * nu
     if not truncate:
         with np.errstate(over="ignore", invalid="ignore"):
-            full = np.exp(kappa * t0 + (kappa * sig) ** 2 / 4)
+            full = np.exp(kappa * t0 + _spread(kappa, sig))
             avg = a + ((p - 1j * q) * full).real
         if not np.all((avg >= -1e-9) & (avg <= 1 + 1e-9)):  # NaN fails too
+            with np.errstate(over="ignore"):  # inf where a Python float power raises
+                scale = gamma * np.float64(sig) ** 2 / 4
             raise UnphysicalAverage(
                 "the full-line transit average leaves [0, 1]: the fringe's "
                 f"continuation to T < 0 dominates (Re(lambda_tilde) sigma^2 / 4 = "
-                f"{gamma * sig**2 / 4:.6g} vs T0 = {t0:.6g}); use truncate=True "
+                f"{scale:.6g} vs T0 = {t0:.6g}); use truncate=True "
                 "(CLI: --truncate-gaussian) for the physical T >= 0 average"
             )
         return avg
@@ -305,10 +323,21 @@ def _transit_average(a, p, q, gamma, nu, t0, sig, truncate):
         # [lo, inf) minus [hi, inf) directly
         damped = tail(d_lo, 1) - tail(d_hi, 1)
     else:
-        damped = (np.exp(kappa * t0 + (kappa * sig) ** 2 / 4)
-                  - tail(d_lo, -1) - tail(d_hi, 1))
+        damped = np.exp(kappa * t0 + _spread(kappa, sig)) - tail(d_lo, -1) - tail(d_hi, 1)
     weight = (special.erf(d_hi / sig) - special.erf(d_lo / sig)) / 2
-    return a + ((p - 1j * q) * damped).real / weight
+    avg = a + ((p - 1j * q) * damped).real / weight
+    if not np.all(np.isfinite(avg)):
+        raise Overflow("the transit-time average overflows double precision")
+    return avg
+
+
+def _spread(kappa, sig):
+    """kappa^2 sigma^2 / 4, the Gaussian weight's share of the exponent of the
+    full-line term, with numpy's overflow to inf also at a single detuning,
+    where Python's complex power raises instead: a real part of -inf (a
+    fringe far faster than 1/sigma) damps the term to 0, as it should."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.complex128(kappa * sig) ** 2 / 4
 
 
 def protocol(config: RamseyConfig, theory: str = "standard") -> float:

@@ -294,6 +294,25 @@ def test_huge_lindblad_entry_is_overflow_exit_3(tmp_path, capsys, command):
     assert (error["type"], error["exit_code"]) == ("Overflow", 3)
 
 
+_HUGE_RAMSEY = [("ramsey-point", "fig1", {"e_e": 1e300}),  # dw^2 under the Rabi root
+                ("ramsey-point", "fig1", {"u_eg_re": 1e300}),  # |U|^2 under the root
+                ("ramsey-scan", "fig1", {"u_eg_re": 1e300}),
+                # the modified fringe's phase (dw - Im lambda) * t_free
+                ("ramsey-scan", "fig2", {"lambda_tilde_im": 1e300, "t_free": 1e10})]
+
+
+@pytest.mark.parametrize("command, name, fields", _HUGE_RAMSEY,
+                         ids=[f"{c}-{'-'.join(f)}" for c, _, f in _HUGE_RAMSEY])
+def test_huge_ramsey_entry_is_overflow_exit_3(tmp_path, capsys, command, name, fields):
+    # finite in the config, but a square or a product of them overflows
+    path = _ramsey_doc(tmp_path, name, **fields)
+    assert run([command, "--config", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = _strict_json(err)["error"]
+    assert (error["type"], error["exit_code"]) == ("Overflow", 3)
+
+
 def _main_output(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
