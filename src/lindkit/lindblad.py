@@ -195,15 +195,13 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
     of at most 2 matrix-vector products.  A family whose steps would save
     more products than one dense P_h = exp(h L) costs takes each step as
     P_h @ exp((dt - h) L) v, which is exact since exp(hL) exp((dt - h)L) =
-    exp(dt L); every other step is exp(dt L) v alone.  Each of these
-    exponential actions follows :func:`matcore.expm_action`'s rule, planned
-    for every distinct step of the grid at once: Taylor steps, or one dense
-    exp(dt L) (with its Overflow bound) when those cost more.  So a uniform
-    grid costs about one matrix-vector product per point, and a single time
-    is one expm_action.  The returned states are repaired as one stack
-    (:meth:`DensityMatrix.from_matrices`); the first invalid one in
-    sorted-time order raises.  t = 0 returns a copy of rho0 with its
-    ``repaired`` flag.
+    exp(dt L); every other step is one :func:`matcore.expm_action`.  The
+    cost model is expm_action's own Taylor-or-dense rule.  So a
+    uniform grid costs about one matrix-vector product per point, and a
+    single time keeps expm_action and its Overflow bound.  The returned
+    states are repaired as one stack (:meth:`DensityMatrix.from_matrices`);
+    the first invalid one in sorted-time order raises.  t = 0 returns a copy
+    of rho0 with its ``repaired`` flag.
     """
     times = [float(t) for t in times]
     if not all(t >= 0 for t in times):
@@ -214,25 +212,19 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
     steps = np.diff([0.0, *sorted({times[k] for k in order})])
     bases = matcore._step_families(steps, norm1, sop.shape[0])
     propagators = {h: matcore.expm(sop, h) for h in dict.fromkeys(bases.values())}
-    # the exponential action each distinct step takes before its family's
-    # propagator, if any: exp((dt - h) L), or exp(dt L) outside a family
-    rests = {dt: dt - bases.get(dt, 0.0) for dt in steps.tolist()}
-    k, products, dense = matcore._taylor_plan(list(rests.values()), norm1, sop.shape[0])
-    m = matcore._TAYLOR_M[k]
-    plans = dict(zip(rests, zip(rests.values(), m.tolist(), (products // m).tolist(),
-                                dense.tolist())))
     v = matcore.vec(rho0.matrix)
     now = 0.0
     raw = np.empty((len(order), v.size), dtype=complex)  # one row per positive time
     for row, k in enumerate(order):
         if times[k] > now:
             dt, now = times[k] - now, times[k]
-            rest, degree, s, is_dense = plans[dt]
-            if rest > 0.0:
-                v = (matcore.expm(sop, rest) @ v if is_dense
-                     else matcore._taylor(sop, rest, v, degree, int(s)))
-            if dt in bases:
-                v = propagators[bases[dt]] @ v
+            h = bases.get(dt)
+            if h is None:
+                v = matcore.expm_action(sop, dt, v, norm1)
+            else:
+                if dt > h:
+                    v = matcore.expm_action(sop, dt - h, v, norm1)
+                v = propagators[h] @ v
         raw[row] = v
     out = [DensityMatrix(rho0.matrix.copy(), rho0.repaired) if t == 0.0 else None
            for t in times]

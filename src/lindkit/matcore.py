@@ -169,47 +169,31 @@ def _step_families(steps: np.ndarray, norm1: float, n: int) -> dict[float, float
 def expm_action(a: np.ndarray, t: float, v: np.ndarray, norm1: float) -> np.ndarray:
     """exp(t*a) @ v for t > 0, given norm1 = ||a||_1.
 
-    :func:`_taylor_plan` picks the step: truncated Taylor steps in the style
-    of Al-Mohy & Higham's Algorithm 3.2 (:func:`_taylor`), with (m, s)
-    minimising the m*s products with ``a`` over the theta_m table, or, when
-    those m*s matrix-vector products cost at least one n x n matrix product
-    (m*s >= n), one dense ``expm(a, t) @ v``, so a single long step keeps
-    expm's scaling and squaring and its Overflow bound.  ``a`` is trusted as
-    it stands: callers validate it once and then take many steps.
+    Truncated Taylor steps in the style of Al-Mohy & Higham's Algorithm 3.2:
+    (m, s) minimises the m*s products with ``a`` over the theta_m table, and
+    a step's series stops once two consecutive terms fall below 2^-53 of the
+    running sum.  When those m*s matrix-vector products cost at least one
+    n x n matrix product (m*s >= n), the step is one dense
+    ``expm(a, t) @ v`` instead, so a single long step keeps expm's scaling
+    and squaring and its Overflow bound.  ``a`` is trusted as it stands:
+    callers validate it once and then take many steps.
     """
     k, products, dense = _taylor_plan(t, norm1, a.shape[0])
     if dense:
         return expm(a, t) @ v
     m = int(_TAYLOR_M[k])
-    return _taylor(a, t, v, m, int(products) // m)
-
-
-def _taylor(a: np.ndarray, t: float, v: np.ndarray, m: int, s: int) -> np.ndarray:
-    """s steps of the degree-m Taylor series of exp(t*a/s) applied to v.
-
-    A step's series stops once two consecutive terms fall below 2^-53 of the
-    running sum.  That test is not taken where it cannot end the series: at
-    the first term, whose predecessor is the step's start vector f itself, so
-    the sum of the two magnitudes is at least max|f + term| (only a zero or
-    non-finite f could pass), and at the last term, after which the series
-    ends anyway.
-    """
+    s = int(products) // m
     f = v
     for _ in range(s):
-        term = (t / s) * (a @ f)
-        f = f + term
-        if m > 2:
-            c1 = np.abs(term).max()
-        for j in range(2, m):
+        term = f
+        c1 = np.abs(term).max()
+        for j in range(1, m + 1):
             term = (t / (s * j)) * (a @ term)
-            f = f + term
             c2 = np.abs(term).max()
+            f = f + term
             if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
                 break
             c1 = c2
-        else:
-            if m > 1:
-                f = f + (t / (s * m)) * (a @ term)
     return f
 
 

@@ -12,8 +12,7 @@ clustering by pairwise comparison of every pair.
 For states: the density-matrix checks and repair, the von Neumann entropy
 and the entropy rate of one state at a time, with their own eigh calls.
 
-For the stepping and the output: the truncated Taylor loop with its
-stopping test at every term, and the standard library's JSON encoder.
+For the output: the standard library's JSON encoder.
 """
 import json
 
@@ -304,24 +303,6 @@ def entropy_rate_single(mat, lindblads, tol_pos_strict=1e-12):
         w = np.abs(v.conj().T @ l @ v) ** 2
         rate += float(np.sum(w.sum(axis=0) * p * lnp) - lnp @ w @ p)
     return rate
-
-
-def taylor_every_test(a, t, v, m, s, tol=2.0**-53):
-    """s steps of the degree-m Taylor series of exp(t*a/s) applied to v,
-    testing after every term whether two consecutive terms fell below tol
-    of the running sum."""
-    f = v
-    for _ in range(s):
-        term = f
-        c1 = np.abs(term).max()
-        for j in range(1, m + 1):
-            term = (t / (s * j)) * (a @ term)
-            c2 = np.abs(term).max()
-            f = f + term
-            if c1 + c2 <= tol * np.abs(f).max():
-                break
-            c1 = c2
-    return f
 
 
 def canonical_json_dumps(doc):

@@ -2,8 +2,8 @@
 and GKS layers O(d^8) and evolution one dense exponential per time point, and
 the constructions that made each CLI command parse its config twice, so a
 return to per-cluster SVDs, per-pair Kronecker products, per-time
-superoperator builds, per-state eigendecompositions, a second config parse,
-a Taylor plan per step or a parser per call fails a test."""
+superoperator builds, per-state eigendecompositions, a second config parse or
+a parser per call fails a test."""
 import argparse
 import json
 import sys
@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from conftest import random_density, random_hermitian, random_lindblad_model, random_matrix
-from lindkit import GKSForm, cli, gks_build, lindblad, matcore, ramsey, spectrum
+from lindkit import GKSForm, cli, gks_build, lindblad, ramsey, spectrum
 from lindkit.matcore import general_eig
 
 # norm and matrix_rank call svd through numpy's implementation module
@@ -110,19 +110,6 @@ def test_grid_eigendecompositions_do_not_grow_with_points(monkeypatch, rng, tmp_
         assert cli.main([command, "--config", str(path)]) == 0
         capsys.readouterr()
         counts[points] = (len(eigh), len(eigvalsh))
-    assert counts[50] == counts[200]
-
-
-def test_taylor_plans_do_not_grow_with_points(monkeypatch, rng, tmp_path, capsys):
-    # the family cost model's two and the grid's one, whatever its length
-    plans = _count(monkeypatch, [matcore], "_taylor_plan")
-    counts = {}
-    for points in (50, 200):
-        path = _grid_config(rng, tmp_path, 8, points)
-        plans.clear()
-        assert cli.main(["entropy-check", "--config", str(path)]) == 0
-        capsys.readouterr()
-        counts[points] = len(plans)
     assert counts[50] == counts[200]
 
 

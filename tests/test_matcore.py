@@ -1,26 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import (
-    random_hermitian,
-    random_lindblad_model,
-    random_matrix,
-    random_measurement_model,
-)
+from conftest import random_hermitian, random_matrix, random_measurement_model
 from lindkit import build_superoperator, errors
 from lindkit.matcore import (
     _cluster_eigenvalues,
-    _taylor,
     _taylor_plan,
     expm,
-    expm_action,
     general_eig,
     herm_eig,
     kron,
     unvec,
     vec,
 )
-from oracles import cluster_pairwise, taylor_every_test
+from oracles import cluster_pairwise
 
 
 def charpoly_roots(a):
@@ -247,37 +240,13 @@ class TestExpm:
             expm(np.eye(2) * 1e9, 1.0)
 
 
-class TestTaylorStepping:
+class TestTaylorPlan:
     def test_plan_over_a_vector_of_steps_is_the_scalar_plans(self):
         steps = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 50.0, 60)])
         for norm1, n in ((3.7, 16), (64.0, 64), (1e4, 144)):
             plans = _taylor_plan(steps, norm1, n)
             for j, t in enumerate(steps):
                 assert [p[j] for p in plans] == [p[()] for p in _taylor_plan(t, norm1, n)]
-
-    def test_expm_action_is_the_exponential_applied(self, rng):
-        a = build_superoperator(random_lindblad_model(rng, 3))
-        v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        norm1 = float(np.linalg.norm(a, 1))
-        dense = []
-        for t in (1e-6, 0.05, 0.4, 3.0):  # Taylor steps, then dense ones (m*s >= 9)
-            dense.append(bool(_taylor_plan(t, norm1, 9)[2]))
-            ref = expm(a, t) @ v
-            assert np.linalg.norm(expm_action(a, t, v, norm1) - ref) <= 1e-13 * np.linalg.norm(v)
-        assert dense[0] is False and dense[-1] is True
-        with pytest.raises(errors.Overflow):
-            expm_action(a, 1e7, v, norm1)
-
-    @pytest.mark.parametrize("m, s", [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (8, 1),
-                                      (18, 2), (30, 1), (55, 3)])
-    def test_taylor_is_bitwise_the_loop_that_tests_every_term(self, rng, m, s):
-        # small steps stop the series early, large ones run it to degree m
-        for n in (4, 16, 64):
-            a = random_matrix(rng, n) / np.sqrt(n)
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            for t in (1e-9, 1e-3, 0.5, 4.0):
-                assert (_taylor(a, t, v, m, s).tobytes()
-                        == taylor_every_test(a, t, v, m, s).tobytes())
 
 
 class TestKronVec:
