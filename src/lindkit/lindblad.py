@@ -11,7 +11,8 @@ balanced predicate ||sum_a (L_a^dag L_a - L_a L_a^dag)|| = 0.
 
 Evolution goes through exp(t L) on the vectorized state rather than the
 modal sum, which sidesteps non-diagonalizable generators; the modal sum is
-exercised only in tests on diagonalizable fixtures.
+exercised only in tests on diagonalizable fixtures.  A measurement model is
+solved exactly instead, at any finite time and without the generator.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import numpy as np
 from . import matcore
 from .errors import (
     DimensionMismatch,
+    NoConvergence,
     NotBalanced,
     NotDiagonalFamily,
     NotHermitianH,
@@ -157,7 +159,10 @@ def spectrum(model: LindbladModel, tol: float | None = None) -> SuperopSpectrum:
     at least one mu = 0 mode.
     """
     sop = build_superoperator(model)
-    scale = max(1.0, float(np.linalg.norm(sop, 2)))
+    try:
+        scale = max(1.0, float(np.linalg.norm(sop, 2)))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"2-norm of the generator: {exc}") from exc
     if tol is None:
         tol = STATIONARY_TOL_REL * scale
     chains = matcore.general_eig(sop, tol_cluster=matcore.TOL_CLUSTER_REL * scale)
@@ -253,16 +258,12 @@ def measurement_model(basis: ProjectorBasis, l_coeffs, h_coeffs) -> MeasurementM
     l = np.atleast_2d(np.asarray(l_coeffs, dtype=complex))
     h = np.asarray(h_coeffs, dtype=float)
     d = basis.dim
-    if l.shape[1] != len(basis.projectors) or h.shape != (len(basis.projectors),):
+    if l.shape[1] != d or h.shape != (d,):
         raise DimensionMismatch(
             "need one l coefficient per operator per projector and one real h "
             "per projector"
         )
-    ham = sum(hi * p for hi, p in zip(h, basis.projectors))
-    ops = [
-        sum(l[a, i] * p for i, p in enumerate(basis.projectors))
-        for a in range(l.shape[0])
-    ]
+    ham, *ops = basis._diagonal(np.concatenate([h[None], l]))
     return MeasurementModel(d, ham, ops, basis=basis, l_coeffs=l, h_coeffs=h)
 
 
@@ -277,78 +278,65 @@ class DecayMatrix:
     lambdas: np.ndarray        # lambda_{alpha beta}, zero on the diagonal
     lambdas_tilde: np.ndarray  # same with the h (energy) phases removed
 
+    def _labels(self, tol: float) -> np.ndarray:
+        """Label of outcome alpha: the first beta with |lambda_{beta alpha}| <= tol."""
+        return np.argmax(np.abs(self.lambdas) <= tol, axis=0)
+
     def classes(self, tol: float = 1e-10) -> list[list[int]]:
         """Partition of outcomes into groups with identical coefficients
         (|lambda_{alpha beta}| <= tol), i.e. coherence-preserving classes."""
-        n = self.lambdas.shape[0]
-        seen = [False] * n
-        out = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            grp = [i]
-            seen[i] = True
-            for j in range(i + 1, n):
-                if not seen[j] and abs(self.lambdas[i, j]) <= tol:
-                    grp.append(j)
-                    seen[j] = True
-            out.append(grp)
-        return out
+        label = self._labels(tol)
+        return [np.flatnonzero(label == k).tolist() for k in np.unique(label).tolist()]
 
     def gamma_min(self, tol: float = 1e-10) -> float:
         """Smallest nonzero decay rate Re lambda across distinct classes."""
-        classes = self.classes(tol)
-        label = {}
-        for k, grp in enumerate(classes):
-            for i in grp:
-                label[i] = k
-        n = self.lambdas.shape[0]
-        rates = [
-            self.lambdas[i, j].real
-            for i in range(n)
-            for j in range(n)
-            if label[i] != label[j]
-        ]
-        if not rates:
-            return 0.0
-        return float(min(rates))
+        label = self._labels(tol)
+        rates = self.lambdas.real[label[:, None] != label[None, :]]
+        return float(rates.min()) if rates.size else 0.0
 
 
 def decay_matrix(model: MeasurementModel) -> DecayMatrix:
     """lambda_{alpha beta} = 1/2 sum_a |l_{a alpha} - l_{a beta}|^2
-    - i Im sum_a l_{a alpha} l*_{a beta} + i (h_alpha - h_beta)."""
+    - i Im sum_a l_{a alpha} l*_{a beta} + i (h_alpha - h_beta); raises
+    Overflow when a rate leaves double precision."""
     if not isinstance(model, MeasurementModel) or model.l_coeffs is None:
         raise NotDiagonalFamily(
             "decay_matrix needs a model built by measurement_model"
         )
-    l = model.l_coeffs
+    l = model.l_coeffs.T  # (outcome, operator): the sums run over the last axis
     h = model.h_coeffs
-    n = l.shape[1]
-    lam = np.zeros((n, n), dtype=complex)
-    lam_t = np.zeros((n, n), dtype=complex)
-    for a_ in range(n):
-        for b_ in range(n):
-            if a_ == b_:
-                continue
-            diff = 0.5 * np.sum(np.abs(l[:, a_] - l[:, b_]) ** 2)
-            cross = np.sum(l[:, a_] * np.conj(l[:, b_]))
-            lam_t[a_, b_] = diff - 1j * cross.imag
-            lam[a_, b_] = lam_t[a_, b_] + 1j * (h[a_] - h[b_])
-    return DecayMatrix(model.basis, l, h, lam, lam_t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = 0.5 * np.sum(np.abs(l[:, None] - l[None, :]) ** 2, axis=-1)
+        # from real products: exactly antisymmetric, and exactly 0 between equal
+        # columns (a fused complex multiply-add leaves ~1e-17 there)
+        cross_im = np.sum(l.imag[:, None] * l.real[None, :]
+                          - l.real[:, None] * l.imag[None, :], axis=-1)
+        lam_t = diff - 1j * cross_im
+        lam = lam_t + 1j * (h[:, None] - h[None, :])
+    np.fill_diagonal(lam_t, 0.0)
+    np.fill_diagonal(lam, 0.0)
+    if not np.isfinite(lam).all():
+        raise Overflow("decay rates overflow double precision")
+    return DecayMatrix(model.basis, model.l_coeffs, h, lam, lam_t)
 
 
 def diagonal_solution(dm: DecayMatrix, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Closed form rho(t) = sum_{alpha beta} P_alpha rho0 P_beta
-    e^{-lambda_{alpha beta} t} for diagonal models."""
-    if t < 0:
+    e^{-lambda_{alpha beta} t} for diagonal models.  Re lambda >= 0, so no
+    finite t >= 0 overflows the modulus, and a coherence that has decayed to
+    0 stays 0 whatever its phase.  Raises Overflow for an infinite t and for
+    a phase Im(lambda) t beyond double precision on an undecayed coherence.
+    """
+    if not t >= 0:
         raise ValueError("time must be nonnegative")
-    projs = dm.basis.projectors
-    out = np.zeros_like(rho0.matrix)
-    decay = np.exp(-dm.lambdas * t)
-    for a_, pa in enumerate(projs):
-        for b_, pb in enumerate(projs):
-            out += decay[a_, b_] * (pa @ rho0.matrix @ pb)
-    return DensityMatrix.from_matrix(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        modulus = np.exp(-dm.lambdas.real * t)
+        phase = np.exp(-1j * (dm.lambdas.imag * t))
+        factor = np.where(modulus == 0.0, 0.0, modulus * phase)
+    if not np.isfinite(factor).all():
+        raise Overflow(f"e^(-lambda t) at t = {t!r}: the time or a phase "
+                       "Im(lambda) t leaves double precision")
+    return dm.basis._weighted(rho0, factor)
 
 
 def born_limit_check(
@@ -358,8 +346,10 @@ def born_limit_check(
     tol: float,
     class_tol: float = 1e-10,
 ):
-    """Does evolve() reach the Born-rule fixed point by ``horizon``?
+    """Has a measurement model's state reached the Born-rule fixed point by
+    ``horizon``?
 
+    The state is :func:`diagonal_solution`, exact at any finite horizon.
     Returns (converged, residual) with residual the Frobenius distance from
     the collapsed state (class projection when the coefficient pattern makes
     outcomes indistinguishable).  The theory bounds the residual by
@@ -371,15 +361,9 @@ def born_limit_check(
         raise NotBalanced(
             f"balance defect {model.balance_defect():.3e} exceeds {BALANCE_TOL}"
         )
-    if not isinstance(model, MeasurementModel) or model.l_coeffs is None:
-        raise NotDiagonalFamily("born_limit_check needs a measurement model")
     dm = decay_matrix(model)
-    classes = dm.classes(class_tol)
-    basis = ProjectorBasis(
-        [p.copy() for p in model.basis.projectors],
-        classes if any(len(c) > 1 for c in classes) else None,
-    )
-    target = born_collapse(rho0, basis)
-    reached = evolve(model, rho0, horizon)
+    reached = diagonal_solution(dm, rho0, horizon)
+    target = born_collapse(rho0, ProjectorBasis(model.basis.projectors,
+                                                dm.classes(class_tol)))
     residual = float(np.linalg.norm(reached.matrix - target.matrix))
     return residual <= tol, residual

@@ -329,7 +329,10 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
             p = 0
             for k in range(1, m_alg + 1):
                 bk = bk @ b
-                cutoff = max(d * 1e-10 * norm_b**k, 1e-300)
+                with np.errstate(over="ignore"):
+                    cutoff = max(d * 1e-10 * np.float64(norm_b)**k, 1e-300)
+                if cutoff == np.inf:
+                    raise Overflow(f"cluster at {lam:.6g}: ||A - lambda I||^{k} overflows")
                 nb = _null_space(bk, cutoff)
                 if nb.shape[1] <= dims[-1]:
                     break

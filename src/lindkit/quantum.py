@@ -119,51 +119,64 @@ class DensityMatrix:
 @dataclass
 class ProjectorBasis:
     """Rank-1 orthogonal projectors summing to the identity, optionally
-    partitioned into equivalence classes of indistinguishable outcomes."""
+    partitioned into equivalence classes of indistinguishable outcomes.  The
+    basis is kept as one unitary U with P_alpha = U[:, alpha] U[:, alpha]^dag."""
 
     projectors: list[np.ndarray]
     classes: list[list[int]] | None = None
     _tol: float = field(default=1e-10, repr=False)
+    _u: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        d = self.projectors[0].shape[0]
-        total = sum(self.projectors)
-        if np.linalg.norm(total - np.eye(d)) > self._tol * d:
-            raise IncompleteBasis("projectors do not sum to the identity")
-        for i, p in enumerate(self.projectors):
-            for j, q in enumerate(self.projectors):
-                ref = p if i == j else 0.0
-                if np.linalg.norm(p @ q - ref) > self._tol:
-                    raise IncompleteBasis(f"projectors {i},{j} not orthogonal")
+        p = np.asarray(self.projectors, dtype=complex)
+        n, d = len(p), p.shape[-1]
+        # column k of P = v v^dag is v conj(v_k): over sqrt(P_kk), v up to a phase
+        k = np.argmax(np.diagonal(p, axis1=1, axis2=2).real, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = p[range(n), :, k] / np.sqrt(p[range(n), k, k].real)[:, None]
+        defect = np.linalg.norm(p - v[:, :, None] * v[:, None, :].conj(), axis=(1, 2))
+        if not np.all(defect <= self._tol):  # also catches a NaN defect
+            raise IncompleteBasis("projectors must be rank-1 projectors")
+        self._u = v.T
+        if n != d or np.linalg.norm(v.conj() @ v.T - np.eye(n)) > self._tol * d:
+            raise IncompleteBasis("projectors are not orthogonal or do not sum to the identity")
         if self.classes is not None:
             flat = sorted(i for c in self.classes for i in c)
-            if flat != list(range(len(self.projectors))):
+            if flat != list(range(n)):
                 raise IncompleteBasis("classes are not a partition of outcomes")
 
     @classmethod
     def from_vectors(cls, vectors, classes=None) -> "ProjectorBasis":
-        projs = []
-        for v in vectors:
-            w = np.asarray(v, dtype=complex).reshape(-1)
-            nrm = np.linalg.norm(w)
-            if abs(nrm - 1.0) > 1e-12:
-                raise UnnormalizedState("basis vectors must be normalized")
-            projs.append(np.outer(w, w.conj()))
-        return cls(projs, classes)
+        w = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+        if np.any(np.abs(np.linalg.norm(w, axis=1) - 1.0) > 1e-12):
+            raise UnnormalizedState("basis vectors must be normalized")
+        return cls(list(w[:, :, None] * w[:, None, :].conj()), classes)
 
     @classmethod
     def computational(cls, dim: int, classes=None) -> "ProjectorBasis":
-        return cls.from_vectors(list(np.eye(dim)), classes)
+        return cls.from_vectors(np.eye(dim), classes)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self._u.shape[0]
 
-    def class_projectors(self) -> list[np.ndarray]:
-        """P_C = sum of the member projectors; the whole basis if no classes."""
-        if self.classes is None:
-            return [p.copy() for p in self.projectors]
-        return [sum(self.projectors[i] for i in c) for c in self.classes]
+    def _class_mask(self) -> np.ndarray:
+        """Boolean (n, n): alpha and beta share a class (identity if no classes)."""
+        label = np.arange(self.dim)
+        for k, c in enumerate(self.classes or []):
+            label[c] = k
+        return label[:, None] == label[None, :]
+
+    def _diagonal(self, coeffs) -> np.ndarray:
+        """sum_alpha c_alpha P_alpha = U diag(c) U^dag for each row c of coeffs."""
+        return (self._u * np.asarray(coeffs)[..., None, :]) @ self._u.conj().T
+
+    def _weighted(self, rho: "DensityMatrix", weights) -> "DensityMatrix":
+        """sum_{alpha beta} w_{alpha beta} P_alpha rho P_beta, taken as
+        U ((U^dag rho U) o w) U^dag with o the element-wise product."""
+        u = self._u
+        return DensityMatrix.from_matrix(u @ ((u.conj().T @ rho.matrix @ u) * weights)
+                                         @ u.conj().T)
 
 
 def mixture(weights, states) -> DensityMatrix:
@@ -195,15 +208,13 @@ def expectation(rho: DensityMatrix, obs) -> float:
 
 def born_collapse(rho: DensityMatrix, basis: ProjectorBasis) -> DensityMatrix:
     """Projective collapse: sum_m P_m rho P_m, or sum_C P_C rho P_C when the
-    basis carries outcome classes (incomplete measurement)."""
+    basis carries outcome classes (incomplete measurement): rho's coherences
+    weighted by the diagonal or class-block mask."""
     if basis.dim != rho.dim:
         raise IncompleteBasis(
             f"basis dimension {basis.dim} does not match state dimension {rho.dim}"
         )
-    out = np.zeros_like(rho.matrix)
-    for p in basis.class_projectors():
-        out += p @ rho.matrix @ p
-    return DensityMatrix.from_matrix(out)
+    return basis._weighted(rho, basis._class_mask())
 
 
 def unitary_step(rho: DensityMatrix, h, dt: float) -> DensityMatrix:

@@ -2,8 +2,9 @@
 and GKS layers O(d^8) and evolution one dense exponential per time point, and
 the constructions that made each CLI command parse its config twice, so a
 return to per-cluster SVDs, per-pair Kronecker products, per-time
-superoperator builds, per-state eigendecompositions, a second config parse or
-a parser per call fails a test."""
+superoperator builds, per-state eigendecompositions, a second config parse, a
+parser per call, per-pair projector checks or a generator built for the
+closed-form Born limit fails a test."""
 import argparse
 import json
 import sys
@@ -13,7 +14,8 @@ import pytest
 import scipy.linalg
 
 from conftest import random_density, random_hermitian, random_lindblad_model, random_matrix
-from lindkit import GKSForm, cli, gks_build, lindblad, ramsey, spectrum
+from lindkit import (GKSForm, ProjectorBasis, cli, gks_build, lindblad, matcore, ramsey,
+                     spectrum)
 from lindkit.matcore import general_eig
 
 # norm and matrix_rank call svd through numpy's implementation module
@@ -152,3 +154,37 @@ def test_default_config_is_parsed_once(monkeypatch, capsys, command, owner, name
     assert cli.main([command]) == 0
     capsys.readouterr()
     assert len(built) == calls
+
+
+def _born_config(rng, tmp_path, d):
+    l = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+    rho0 = random_density(rng, d).matrix
+    path = tmp_path / f"born{d}.json"
+    path.write_text(json.dumps({
+        "dim": d, "l_re": l.real.tolist(), "l_im": l.imag.tolist(),
+        "h": rng.standard_normal(d).tolist(), "horizon_over_gamma": 1e6, "tol": 1e-8,
+        "rho0": {"re": rho0.real.reshape(-1).tolist(), "im": rho0.imag.reshape(-1).tolist()},
+    }))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("d", [None, 12], ids=["bundled", "d12-long-horizon"])
+def test_born_check_builds_and_exponentiates_no_generator(monkeypatch, rng, tmp_path,
+                                                          capsys, d):
+    argv = ["born-check", *([] if d is None else _born_config(rng, tmp_path, d))]
+    calls = [_count(monkeypatch, [module], name) for module, name in (
+        (lindblad, "build_superoperator"), (matcore, "expm"), (matcore, "expm_action"),
+        (lindblad, "evolve_many"))]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert [len(c) for c in calls] == [0, 0, 0, 0]
+
+
+def test_projector_basis_norm_calls_do_not_grow_with_d(monkeypatch):
+    calls = _count(monkeypatch, _LINALG, "norm")
+    counts = {}
+    for d in (2, 12):
+        calls.clear()
+        ProjectorBasis.computational(d)
+        counts[d] = len(calls)
+    assert counts[2] == counts[12]

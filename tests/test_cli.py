@@ -294,6 +294,60 @@ def test_huge_lindblad_entry_is_overflow_exit_3(tmp_path, capsys, command):
     assert (error["type"], error["exit_code"]) == ("Overflow", 3)
 
 
+def test_huge_hamiltonian_entry_is_overflow_exit_3(tmp_path, capsys):
+    # ||L - lambda I||^k of a degenerate cluster leaves double precision
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    doc["model"]["h_re"][1] = 1e300
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["lindblad-spectrum", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = _strict_json(err)["error"]
+    assert (error["type"], error["exit_code"]) == ("Overflow", 3)
+
+
+def _born_doc(tmp_path, **fields):
+    doc = json.loads(cli.bundled_config_path("born-d3").read_text())
+    doc.update(fields)
+    path = tmp_path / "born.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_OVERFLOW_BORN = {
+    # 1.7e308 / gamma_min (0.5) is infinite, and inf * 0 has no value
+    "horizon": {"horizon_over_gamma": 1.7e308},
+    "l": {"l_re": [[0.0, 1e300, -1.0]]},  # |l_0 - l_1|^2 / 2 is infinite
+    "h": {"h": [1.7e308, 0.1, -1.7e308]},  # so is h_0 - h_2
+}
+
+
+@pytest.mark.parametrize("fields", _OVERFLOW_BORN.values(), ids=_OVERFLOW_BORN.keys())
+def test_born_check_beyond_double_precision_is_overflow_exit_3(tmp_path, capsys, fields):
+    assert run(["born-check", "--config", _born_doc(tmp_path, **fields)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = _strict_json(err)["error"]
+    assert (error["type"], error["exit_code"]) == ("Overflow", 3)
+
+
+_HUGE_BORN = {"horizon": {"horizon_over_gamma": 1e300},
+              "h": {"h": [1e300, 0.1, -0.2]},
+              # the phases h t overflow, on coherences that have decayed
+              "h-and-horizon": {"h": [1e300, 0.1, -0.2], "horizon_over_gamma": 1e300}}
+
+
+@pytest.mark.parametrize("fields", _HUGE_BORN.values(), ids=_HUGE_BORN.keys())
+def test_born_check_converges_at_any_finite_scale(tmp_path, capsys, fields):
+    # the closed form has no exponential to overflow, and the energy phases
+    # do not change the modulus of a decayed coherence
+    assert run(["born-check", "--config", _born_doc(tmp_path, **fields)]) == 0
+    result = _strict_json(capsys.readouterr().out)["result"]
+    assert result["converged"] is True
+    assert result["residual"] <= result["tol"]
+
+
 _HUGE_RAMSEY = [("ramsey-point", "fig1", {"e_e": 1e300}),  # dw^2 under the Rabi root
                 ("ramsey-point", "fig1", {"u_eg_re": 1e300}),  # |U|^2 under the root
                 ("ramsey-scan", "fig1", {"u_eg_re": 1e300}),

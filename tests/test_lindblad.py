@@ -11,6 +11,7 @@ from conftest import (
     random_density,
     random_lindblad_model,
     random_measurement_model,
+    random_unitary,
 )
 from lindkit import (
     DensityMatrix,
@@ -108,6 +109,15 @@ class TestSpectrum:
                 assert np.linalg.norm(l @ mode - mode @ l) < 1e-8
                 ld = l.conj().T
                 assert np.linalg.norm(ld @ mode - mode @ ld) < 1e-8
+
+    def test_norm_svd_failure_is_no_convergence(self, monkeypatch, rng):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        model = random_lindblad_model(rng, 2)
+        monkeypatch.setattr(np.linalg, "norm", failing_svd)
+        with pytest.raises(errors.NoConvergence):
+            spectrum(model)
 
 
 class TestEvolve:
@@ -395,6 +405,36 @@ class TestBornLimitCheck:
         rho0 = DensityMatrix.maximally_mixed(2)
         with pytest.raises(errors.NotDiagonalFamily):
             born_limit_check(model, rho0, 1.0, 1e-6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 12), n_ops=st.integers(1, 3), degenerate=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_is_evolve_and_reaches_the_born_limit(d, n_ops, degenerate, seed):
+    # a measurement model in a random basis; with ``degenerate`` outcomes 0
+    # and 1 share every coefficient and form one class
+    rng = np.random.default_rng(seed)
+    basis = ProjectorBasis.from_vectors(list(random_unitary(rng, d).T))
+    l = rng.standard_normal((n_ops, d)) + 1j * rng.standard_normal((n_ops, d))
+    h = rng.standard_normal(d)
+    degenerate = degenerate and d > 2
+    if degenerate:
+        l[:, 1], h[1] = l[:, 0], h[0]
+    model = measurement_model(basis, l, h)
+    dm = decay_matrix(model)
+    rho0 = random_density(rng, d)
+    norm1 = np.linalg.norm(build_superoperator(model), 1)
+    for t in np.array([1e-3, 0.1, 1.0]) * 1e3 / norm1:  # ||tL||_1 <= 1e3
+        exact = diagonal_solution(dm, rho0, t).matrix
+        assert np.linalg.norm(exact - evolve(model, rho0, t).matrix) <= 1e-12
+    classes = dm.classes()
+    assert (classes[0] == [0, 1]) == degenerate
+    target = born_collapse(rho0, ProjectorBasis(basis.projectors, classes))
+    for horizon_over_gamma in (1e6, 1e9, 1e12):
+        out = diagonal_solution(dm, rho0, horizon_over_gamma / dm.gamma_min()).matrix
+        assert np.array_equal(out, out.conj().T)
+        assert abs(np.trace(out) - 1.0) <= 1e-14
+        assert np.linalg.norm(out - target.matrix) <= 1e-15
 
 
 class TestLemma:

@@ -110,6 +110,14 @@ class TestBornCollapse:
         assert np.allclose(out[2:, 2:], rho.matrix[2:, 2:], atol=1e-14)
         assert np.allclose(out[:2, 2:], 0.0, atol=1e-14)
 
+    def test_classes_keep_non_adjacent_members(self, rng):
+        # class {0, 2} projects with P_0 + P_2, which keeps rho_02
+        basis = ProjectorBasis.computational(3, classes=[[0, 2], [1]])
+        rho = random_density(rng, 3).matrix
+        out = born_collapse(DensityMatrix.from_matrix(rho), basis).matrix
+        keep = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+        assert np.allclose(out, rho * keep, atol=1e-14)
+
     def test_idempotent(self, rng):
         basis = ProjectorBasis.computational(3, classes=[[0, 1], [2]])
         rho = random_density(rng, 3)
@@ -139,15 +147,19 @@ class TestProjectorBasis:
         with pytest.raises(errors.IncompleteBasis):
             ProjectorBasis.from_vectors([[1, 0], v])
 
+    @pytest.mark.parametrize("projectors", [
+        [np.eye(2)],
+        [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])],
+        [np.eye(2), np.zeros((2, 2))],  # as many projectors as dimensions
+    ], ids=["identity", "rank-2-member", "identity-and-zero"])
+    def test_higher_rank_projectors_rejected(self, projectors):
+        # complete and orthogonal, but coarse-graining is the job of classes
+        with pytest.raises(errors.IncompleteBasis):
+            ProjectorBasis(projectors)
+
     def test_bad_class_partition_rejected(self):
         with pytest.raises(errors.IncompleteBasis):
             ProjectorBasis.computational(3, classes=[[0, 1]])
-
-    def test_class_projectors_sum_members(self):
-        basis = ProjectorBasis.computational(3, classes=[[0, 2], [1]])
-        pc = basis.class_projectors()
-        assert np.allclose(pc[0], np.diag([1.0, 0.0, 1.0]))
-        assert np.allclose(pc[1], np.diag([0.0, 1.0, 0.0]))
 
 
 class TestUnitaryStep:
