@@ -274,13 +274,9 @@ class GKSForm:
             raise DimensionMismatch(f"c matrix must be {n} x {n}")
         if np.shape(self.hamiltonian) != (self.dim, self.dim):
             raise DimensionMismatch(f"GKS Hamiltonian must be {self.dim} x {self.dim}")
-        if matcore.hermiticity_defect(self.c_matrix) > 1e-10 * max(
-            1.0, np.linalg.norm(self.c_matrix)
-        ):
+        if not matcore._is_hermitian(self.c_matrix, 1e-10):
             raise NotHermitian("c matrix must be Hermitian")
-        if matcore.hermiticity_defect(self.hamiltonian) > 1e-10 * max(
-            1.0, np.linalg.norm(self.hamiltonian)
-        ):
+        if not matcore._is_hermitian(self.hamiltonian, 1e-10):
             raise NotHermitian("GKS Hamiltonian must be Hermitian")
 
     @property
@@ -315,7 +311,7 @@ class GKSForm:
 
 def _vec_basis(dim: int) -> np.ndarray:
     """d^2 x d^2 unitary whose columns are vec(I/sqrt(d)) and vec(F_m)."""
-    fs = np.stack(gellmann_basis(dim)).reshape(dim * dim - 1, dim * dim)
+    fs = np.array(gellmann_basis(dim), dtype=complex).reshape(dim * dim - 1, dim * dim)
     return np.vstack([np.eye(dim).reshape(1, -1) / np.sqrt(dim), fs]).T
 
 
@@ -360,10 +356,10 @@ def gks_project(superop: np.ndarray) -> GKSForm:
         )
     v = _vec_basis(d)
     q = v.conj().T @ reshuffle(sop, d) @ v
-    herm_defect = np.linalg.norm(q - q.conj().T)
-    if herm_defect > 1e-8 * max(1.0, np.linalg.norm(q)):
+    if not matcore._is_hermitian(q, 1e-8):
         raise NotHermitianKernel(
-            f"generator is not Hermiticity-preserving (defect {herm_defect:.3e})"
+            "generator is not Hermiticity-preserving "
+            f"(defect {matcore.hermiticity_defect(q):.3e})"
         )
     q = 0.5 * (q + q.conj().T)
     c = q[1:, 1:].copy()

@@ -50,7 +50,7 @@ class LindbladModel:
         h = matcore.as_square_matrix(self.hamiltonian)
         if h.shape[0] != self.dim:
             raise DimensionMismatch("Hamiltonian dimension mismatch")
-        if matcore.hermiticity_defect(h) > 1e-10 * max(1.0, np.linalg.norm(h)):
+        if not matcore._is_hermitian(h, 1e-10):
             raise NotHermitianH("model Hamiltonian must be Hermitian")
         self.hamiltonian = h
         ops = []
@@ -163,6 +163,8 @@ def spectrum(model: LindbladModel, tol: float | None = None) -> SuperopSpectrum:
         scale = max(1.0, float(np.linalg.norm(sop, 2)))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"2-norm of the generator: {exc}") from exc
+    if scale == np.inf:  # every tolerance below would be infinite
+        raise Overflow("||L||_2 overflows double precision")
     if tol is None:
         tol = STATIONARY_TOL_REL * scale
     chains = matcore.general_eig(sop, tol_cluster=matcore.TOL_CLUSTER_REL * scale)
@@ -195,18 +197,19 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
 
     L and ||L||_1 are computed once.  The times are visited in sorted order
     and each state comes from the previous raw (unrepaired) vector by one
-    step exp(dt L) v.  Steps are grouped into families: dt joins the family
-    of the smallest step h below it when exp((dt - h) L) is a Taylor series
-    of at most 2 matrix-vector products.  A family whose steps would save
-    more products than one dense P_h = exp(h L) costs takes each step as
-    P_h @ exp((dt - h) L) v, which is exact since exp(hL) exp((dt - h)L) =
-    exp(dt L); every other step is one :func:`matcore.expm_action`.  The
-    cost model is expm_action's own Taylor-or-dense rule.  So a
-    uniform grid costs about one matrix-vector product per point, and a
-    single time keeps expm_action and its Overflow bound.  The returned
-    states are repaired as one stack (:meth:`DensityMatrix.from_matrices`);
-    the first invalid one in sorted-time order raises.  t = 0 returns a copy
-    of rho0 with its ``repaired`` flag.
+    step exp(dt L) v.  The grid's distinct steps are planned once, by
+    :func:`matcore._step_actions`: dt joins the family of the smallest step
+    h below it when (dt - h) ||L||_1 <= theta_2, and a family whose steps
+    would save more matrix-vector products than one dense P_h = exp(h L)
+    costs takes each step as exp((dt - h) L) P_h v, the correction a Taylor
+    polynomial of degree at most 2.  Every other step is taken as
+    :func:`matcore.expm_action` takes it, and the cost model is its
+    Taylor-or-dense rule.  So a uniform grid costs about one matrix-vector
+    product per point, and a single time is expm_action's result, with its
+    Overflow bound.  The returned states are repaired as one stack
+    (:meth:`DensityMatrix.from_matrices`); the first invalid one in
+    sorted-time order raises.  t = 0 returns a copy of rho0 with its
+    ``repaired`` flag.
     """
     times = [float(t) for t in times]
     if not all(t >= 0 for t in times):
@@ -215,21 +218,14 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
     norm1 = float(np.linalg.norm(sop, 1))
     order = sorted((k for k, t in enumerate(times) if t > 0.0), key=times.__getitem__)
     steps = np.diff([0.0, *sorted({times[k] for k in order})])
-    bases = matcore._step_families(steps, norm1, sop.shape[0])
-    propagators = {h: matcore.expm(sop, h) for h in dict.fromkeys(bases.values())}
+    actions = matcore._step_actions(sop, steps, norm1)
     v = matcore.vec(rho0.matrix)
     now = 0.0
     raw = np.empty((len(order), v.size), dtype=complex)  # one row per positive time
     for row, k in enumerate(order):
         if times[k] > now:
             dt, now = times[k] - now, times[k]
-            h = bases.get(dt)
-            if h is None:
-                v = matcore.expm_action(sop, dt, v, norm1)
-            else:
-                if dt > h:
-                    v = matcore.expm_action(sop, dt - h, v, norm1)
-                v = propagators[h] @ v
+            v = actions[dt](v)
         raw[row] = v
     out = [DensityMatrix(rho0.matrix.copy(), rho0.repaired) if t == 0.0 else None
            for t in times]
@@ -355,12 +351,15 @@ def born_limit_check(
     outcomes indistinguishable).  The theory bounds the residual by
     ||rho0|| e^{-gamma_min * horizon}.  Raises NotBalanced when the model
     fails the balanced condition the theorem needs, NotDiagonalFamily when it
-    is balanced but not of measurement form.
+    is balanced but not of measurement form, and Overflow when L_a^dag L_a
+    or a decay rate leaves double precision.
     """
-    if not model.balanced:
-        raise NotBalanced(
-            f"balance defect {model.balance_defect():.3e} exceeds {BALANCE_TOL}"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = model.balance_defect()
+    if not np.isfinite(defect):  # before the comparison: NaN > tol is false
+        raise Overflow("L_a^dag L_a overflows double precision")
+    if defect > BALANCE_TOL:
+        raise NotBalanced(f"balance defect {defect:.3e} exceeds {BALANCE_TOL}")
     dm = decay_matrix(model)
     reached = diagonal_solution(dm, rho0, horizon)
     target = born_collapse(rho0, ProjectorBasis(model.basis.projectors,

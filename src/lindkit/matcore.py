@@ -16,7 +16,9 @@ below is a module-level default that callers may override per call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -52,6 +54,25 @@ def hermiticity_defect(m) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
+def _is_hermitian(m, tol: float) -> bool:
+    """||m - m^dag||_F <= tol * max(1, ||m||_F).
+
+    Both norms are taken of m scaled by the power of two that brings its
+    largest real or imaginary part into [0.5, 1) when that part exceeds 1.
+    The scaling is exact, so the verdict is the unscaled one wherever that
+    one's norms are finite, and entries near the end of the double range,
+    whose norms overflow, still get a verdict.
+    """
+    a = np.asarray(m)
+    top = max(float(np.abs(a.real).max(initial=0.0)),
+              float(np.abs(a.imag).max(initial=0.0)))
+    unit = 1.0
+    if top > 1.0:
+        unit = math.ldexp(1.0, -math.frexp(top)[1])
+        a = a * unit
+    return hermiticity_defect(a) <= tol * max(unit, float(np.linalg.norm(a)))
+
+
 def herm_eig(m, tol_herm: float = TOL_HERM):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -60,8 +81,7 @@ def herm_eig(m, tol_herm: float = TOL_HERM):
     ``tol_herm`` (scaled by the matrix norm), NoConvergence if LAPACK fails.
     """
     a = as_square_matrix(m)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if hermiticity_defect(a) > tol_herm * scale:
+    if not _is_hermitian(a, tol_herm):
         raise NotHermitian(
             f"matrix is not Hermitian: defect {hermiticity_defect(a):.3e}"
         )
@@ -126,33 +146,31 @@ def _expm_cost(t, norm1: float, n: int):
     return n * (8 + np.ceil(np.log2(scaled / 5.37)))
 
 
-def _expm_action_cost(t, norm1: float, n: int):
-    """Matrix-vector products :func:`expm_action` spends on exp(t*a) @ v, by
-    :func:`_taylor_plan`: its Taylor m*s, or a dense expm and its product
-    with v.  Vectorized over t."""
-    _, products, dense = _taylor_plan(t, norm1, n)
-    return np.where(dense, _expm_cost(t, norm1, n) + 1, products)
-
-
 # ||t*a||_1 that a Taylor step of at most 2 products covers: theta_2 (m = 2,
 # s = 1), since two degree-1 steps reach only 2 * theta_1 = 4.6e-16.
 _TWO_PRODUCT_REACH = _TAYLOR_THETA[1]
 
 
-def _step_families(steps: np.ndarray, norm1: float, n: int) -> dict[float, float]:
-    """{dt: h} for the steps of a sequence worth taking as
-    P_h @ exp((dt - h) a) @ v with one dense P_h = exp(h a) per h, for an
+def _correction_degree(x, norm1: float):
+    """Degree of the Taylor polynomial that takes exp(x*a) to 2^-53 for
+    0 <= x*||a||_1 <= theta_2: 0 at x = 0, 1 up to theta_1, else 2.
+    Vectorized over x."""
+    scaled = x * norm1
+    return (scaled > 0) + (scaled > _TAYLOR_THETA[0])
+
+
+def _step_families(values: np.ndarray, uses: np.ndarray, cost: np.ndarray,
+                   norm1: float, n: int) -> dict[float, float]:
+    """{dt: h} for the distinct steps ``values`` (ascending, each taken
+    ``uses`` times at ``cost`` matrix-vector products on its own) worth taking
+    as exp((dt - h) a) @ P_h @ v with one dense P_h = exp(h a) per h, for an
     n x n ``a`` with ||a||_1 = norm1.
 
-    The distinct steps, ascending, fall into families: each family starts at
-    its smallest step h and takes every following dt whose exp((dt - h) a)
-    is a Taylor step of at most 2 products.  A family is kept when the
-    products its uses save against :func:`expm_action` exceed the cost of
-    P_h.
+    The steps fall into families: each family starts at its smallest step h
+    and takes every following dt with (dt - h) ||a||_1 <= theta_2, whose
+    exp((dt - h) a) is a Taylor polynomial of degree at most 2.  A family is
+    kept when the products its uses save exceed the cost of P_h.
     """
-    if len(steps) < 2:  # one step saves at most the dense expm it would cost
-        return {}
-    values, uses = np.unique(steps, return_counts=True)
     scaled = values * norm1
     ends = np.searchsorted(scaled, scaled + _TWO_PRODUCT_REACH, side="right").tolist()
     starts = [0]
@@ -160,41 +178,120 @@ def _step_families(steps: np.ndarray, norm1: float, n: int) -> dict[float, float
         starts.append(ends[starts[-1]])
     family = np.repeat(np.arange(len(starts)), np.diff(starts + [len(values)]))
     h = values[starts][family]
-    saved = uses * (_expm_action_cost(values, norm1, n) - 1
-                    - _expm_action_cost(values - h, norm1, n))
+    saved = uses * (cost - 1 - _correction_degree(values - h, norm1))
     kept = np.add.reduceat(saved, starts) > _expm_cost(values[starts], norm1, n)
     return {float(dt): float(b) for dt, b, k in zip(values, h, kept[family]) if k}
+
+
+# The stopping test of a Taylor step compares c_{j-1} + c_j with 2^-53
+# ||f||_inf.  ||f_0||_inf + sum_{i <= j} c_i bounds ||f||_inf up to the
+# rounding of j <= 55 additions and moduli, a relative 2^-46 at most; the
+# pad covers that and the floor covers subnormal moduli, so the test is
+# evaluated whenever it can fire.
+_BOUND_PAD = 1.0 + 2.0**-40
+_BOUND_FLOOR = 2.0**-1000
+
+
+def _inf_norm(x: np.ndarray):
+    """max |x_i|: ``np.abs(x).max()`` without ndarray.max's Python wrapper."""
+    return np.maximum.reduce(np.abs(x))
+
+
+def _taylor_series(a: np.ndarray, t: float, v: np.ndarray, m: int, s: int) -> np.ndarray:
+    """s steps of the degree-m Taylor polynomial of exp(t*a/s) applied to v,
+    each stopping once two consecutive terms c_{j-1}, c_j (infinity norms)
+    fall below 2^-53 of ||f||_inf, f the running sum (Al-Mohy & Higham 2011,
+    Algorithm 3.2).  ||f||_inf is computed only when the running bound on it
+    lets the test fire, and the last term of a step has no test, since
+    stopping there changes nothing: the result is the same bits as the
+    algorithm's."""
+    f = v
+    for _ in range(s):
+        term = f
+        if m > 1:
+            c1 = bound = _inf_norm(f)
+        for j in range(1, m):
+            term = (t / (s * j)) * (a @ term)
+            c2 = _inf_norm(term)
+            f = f + term
+            bound += c2
+            c = c1 + c2
+            if (c <= _TAYLOR_TOL * (bound * _BOUND_PAD + _BOUND_FLOOR)
+                    and c <= _TAYLOR_TOL * _inf_norm(f)):
+                break
+            c1 = c2
+        else:
+            f = f + (t / (s * m)) * (a @ term)
+    return f
+
+
+def _family_step(a: np.ndarray, p_h: np.ndarray, x: float, m: int, v: np.ndarray) -> np.ndarray:
+    """exp(x*a) @ P_h @ v with exp(x*a) the degree-m Taylor polynomial of
+    :func:`_correction_degree`: no plan and no stopping test."""
+    f = term = p_h @ v
+    for j in range(1, m + 1):
+        term = (x / j) * (a @ term)
+        f = f + term
+    return f
+
+
+def _dense_action(a: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
+    return expm(a, t) @ v
+
+
+def _step_actions(a: np.ndarray, steps, norm1: float) -> dict:
+    """{dt: action} with action(v) = exp(dt*a) @ v for each distinct dt of a
+    sequence of positive ``steps`` taken in turn, given norm1 = ||a||_1.
+
+    One vectorized :func:`_taylor_plan` plans every distinct step, and a
+    step outside a family (:func:`_step_families`) is taken as
+    :func:`expm_action` takes it, with the same bits.  A family's step dt
+    is exp((dt - h) a) @ P_h @ v, exact since exp(h a) and exp((dt - h) a)
+    commute and multiply to exp(dt a); the cost model counts a step on its
+    own as expm_action's m*s products, or a dense expm and its product with
+    v.  A single step is :func:`expm_action` itself.
+    """
+    if len(steps) < 2:  # one step saves at most the dense expm it would cost
+        return {dt: partial(expm_action, a, dt, norm1=norm1)
+                for dt in np.asarray(steps, dtype=float).tolist()}
+    n = a.shape[0]
+    values, uses = np.unique(steps, return_counts=True)
+    k, products, dense = _taylor_plan(values, norm1, n)
+    cost = np.where(dense, _expm_cost(values, norm1, n) + 1, products)
+    bases = _step_families(values, uses, cost, norm1, n)
+    propagators = {h: expm(a, h) for h in dict.fromkeys(bases.values())}
+    actions = {}
+    for dt, m, p, full in zip(values.tolist(), _TAYLOR_M[k].tolist(), products.tolist(),
+                              dense.tolist()):
+        h = bases.get(dt)
+        if h is not None:
+            actions[dt] = partial(_family_step, a, propagators[h], dt - h,
+                                  int(_correction_degree(dt - h, norm1)))
+        elif full:
+            actions[dt] = partial(_dense_action, a, dt)
+        else:
+            actions[dt] = partial(_taylor_series, a, dt, m=m, s=int(p) // m)
+    return actions
 
 
 def expm_action(a: np.ndarray, t: float, v: np.ndarray, norm1: float) -> np.ndarray:
     """exp(t*a) @ v for t > 0, given norm1 = ||a||_1.
 
-    Truncated Taylor steps in the style of Al-Mohy & Higham's Algorithm 3.2:
-    (m, s) minimises the m*s products with ``a`` over the theta_m table, and
-    a step's series stops once two consecutive terms fall below 2^-53 of the
-    running sum.  When those m*s matrix-vector products cost at least one
-    n x n matrix product (m*s >= n), the step is one dense
-    ``expm(a, t) @ v`` instead, so a single long step keeps expm's scaling
-    and squaring and its Overflow bound.  ``a`` is trusted as it stands:
-    callers validate it once and then take many steps.
+    Truncated Taylor steps in the style of Al-Mohy & Higham's Algorithm 3.2
+    (:func:`_taylor_series`): (m, s) minimises the m*s products with ``a``
+    over the theta_m table, and a step's series stops once two consecutive
+    terms fall below 2^-53 of the running sum.  When those m*s
+    matrix-vector products cost at least one n x n matrix product
+    (m*s >= n), the step is one dense ``expm(a, t) @ v`` instead, so a
+    single long step keeps expm's scaling and squaring and its Overflow
+    bound.  ``a`` is trusted as it stands: callers validate it once and
+    then take many steps.
     """
     k, products, dense = _taylor_plan(t, norm1, a.shape[0])
     if dense:
-        return expm(a, t) @ v
+        return _dense_action(a, t, v)
     m = int(_TAYLOR_M[k])
-    s = int(products) // m
-    f = v
-    for _ in range(s):
-        term = f
-        c1 = np.abs(term).max()
-        for j in range(1, m + 1):
-            term = (t / (s * j)) * (a @ term)
-            c2 = np.abs(term).max()
-            f = f + term
-            if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
-                break
-            c1 = c2
-    return f
+    return _taylor_series(a, t, v, m, int(products) // m)
 
 
 def kron(a, b) -> np.ndarray:
@@ -318,7 +415,10 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
             chains, flags = [[v / np.linalg.norm(v)]], [[1]]
         else:
             b = a - lam * np.eye(d)
-            norm_b = max(float(np.linalg.norm(b, 2)), 1e-300)
+            try:
+                norm_b = max(float(np.linalg.norm(b, 2)), 1e-300)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence(f"2-norm of A - lambda I at {lam:.6g}: {exc}") from exc
 
             # Null spaces of B^k until the dimension reaches the algebraic
             # multiplicity.  The rank cutoff scales with ||B||^k because powering

@@ -59,7 +59,7 @@ def first_order(a, delta_a, degeneracy_tol: float | None = None) -> Perturbation
         raise DimensionMismatch(
             f"operator is {am.shape} but perturbation is {dm.shape}"
         )
-    if matcore.hermiticity_defect(dm) > matcore.TOL_HERM * max(1.0, np.linalg.norm(dm)):
+    if not matcore._is_hermitian(dm, matcore.TOL_HERM):
         raise NotHermitian("perturbation must be Hermitian")
     vals, vecs = matcore.herm_eig(am)
     if degeneracy_tol is None:

@@ -201,7 +201,7 @@ def expectation(rho: DensityMatrix, obs) -> float:
     """Tr(obs * rho) for a Hermitian observable; the (tiny) imaginary part of
     the trace is discarded."""
     a = matcore.as_square_matrix(obs)
-    if matcore.hermiticity_defect(a) > TOL_HERM * max(1.0, np.linalg.norm(a)):
+    if not matcore._is_hermitian(a, TOL_HERM):
         raise NotHermitian("observable must be Hermitian")
     return float(np.trace(a @ rho.matrix).real)
 
@@ -220,7 +220,7 @@ def born_collapse(rho: DensityMatrix, basis: ProjectorBasis) -> DensityMatrix:
 def unitary_step(rho: DensityMatrix, h, dt: float) -> DensityMatrix:
     """rho -> U rho U^dag with U = exp(-i h dt)."""
     a = matcore.as_square_matrix(h)
-    if matcore.hermiticity_defect(a) > TOL_HERM * max(1.0, np.linalg.norm(a)):
+    if not matcore._is_hermitian(a, TOL_HERM):
         raise NotHermitian("Hamiltonian must be Hermitian")
     u = matcore.expm(-1j * a, dt)
     return DensityMatrix.from_matrix(u @ rho.matrix @ u.conj().T)

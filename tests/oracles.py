@@ -12,6 +12,9 @@ clustering by pairwise comparison of every pair.
 For states: the density-matrix checks and repair, the von Neumann entropy
 and the entropy rate of one state at a time, with their own eigh calls.
 
+For evolution: the Taylor loop of exp(t*a) @ v that tests every term
+against the running sum.
+
 For the output: the standard library's JSON encoder.
 """
 import json
@@ -20,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from lindkit import CoefficientMatrix, derive
+from lindkit.matcore import _TAYLOR_M, _TAYLOR_TOL, _taylor_plan, expm
 from lindkit.channels import GKSForm, gellmann_basis
 from lindkit.errors import (
     InvalidDensityMatrix,
@@ -303,6 +307,30 @@ def entropy_rate_single(mat, lindblads, tol_pos_strict=1e-12):
         w = np.abs(v.conj().T @ l @ v) ** 2
         rate += float(np.sum(w.sum(axis=0) * p * lnp) - lnp @ w @ p)
     return rate
+
+
+def expm_action_loop(a, t, v, norm1):
+    """exp(t*a) @ v as Al-Mohy & Higham's Algorithm 3.2 writes the series:
+    the plan of :func:`lindkit.matcore._taylor_plan` (one dense expm when
+    the Taylor products cost more), then every term computes ||f||_inf for
+    the stopping test c_{j-1} + c_j <= 2^-53 ||f||_inf."""
+    k, products, dense = _taylor_plan(t, norm1, a.shape[0])
+    if dense:
+        return expm(a, t) @ v
+    m = int(_TAYLOR_M[k])
+    s = int(products) // m
+    f = v
+    for _ in range(s):
+        term = f
+        c1 = np.abs(term).max()
+        for j in range(1, m + 1):
+            term = (t / (s * j)) * (a @ term)
+            c2 = np.abs(term).max()
+            f = f + term
+            if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
+                break
+            c1 = c2
+    return f
 
 
 def canonical_json_dumps(doc):

@@ -2,9 +2,9 @@
 and GKS layers O(d^8) and evolution one dense exponential per time point, and
 the constructions that made each CLI command parse its config twice, so a
 return to per-cluster SVDs, per-pair Kronecker products, per-time
-superoperator builds, per-state eigendecompositions, a second config parse, a
-parser per call, per-pair projector checks or a generator built for the
-closed-form Born limit fails a test."""
+superoperator builds, per-state eigendecompositions, per-step Taylor plans, a
+second config parse, a parser per call, per-pair projector checks or a
+generator built for the closed-form Born limit fails a test."""
 import argparse
 import json
 import sys
@@ -128,6 +128,20 @@ def test_dense_exponentials_at_most_distinct_steps(monkeypatch, rng, tmp_path, c
     assert cli.main([command, "--config", str(path)]) == 0
     capsys.readouterr()
     assert len(expms) <= len(distinct_steps)
+
+
+def test_taylor_plans_do_not_grow_with_points(monkeypatch, rng, tmp_path, capsys):
+    # entropy-check evolves over t, t + 1e-5, t - 1e-5: 150 and 300 points
+    # at d = 8, all steps planned by one vectorized call
+    plans = _count(monkeypatch, [matcore], "_taylor_plan")
+    counts = {}
+    for points in (50, 100):
+        path = _grid_config(rng, tmp_path, 8, points)
+        plans.clear()
+        assert cli.main(["entropy-check", "--config", str(path)]) == 0
+        capsys.readouterr()
+        counts[points] = len(plans)
+    assert counts[50] == counts[100] == 1
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

@@ -31,6 +31,7 @@ from lindkit.channels import (
     gks_lindblad_ops,
     kraus_operators,
     reshuffle,
+    trace_defect,
 )
 from oracles import gks_build_loops, gks_project_loops
 
@@ -314,6 +315,32 @@ def test_gks_build_after_project_is_identity(d, n_ops, seed):
     )
     rebuilt = gks_build(gks_project(sop))
     assert np.linalg.norm(rebuilt - sop) <= 1e-12 * np.linalg.norm(sop)
+
+
+def test_gks_forms_of_dimension_one():
+    # d = 1 has no traceless basis: c is 0 x 0 and the only generator is 0
+    gks = GKSForm(1, np.zeros((1, 1)), np.zeros((0, 0)))
+    assert np.array_equal(gks_build(gks), np.zeros((1, 1)))
+    projected = gks_project(np.zeros((1, 1)))
+    assert projected.dim == 1 and projected.c_matrix.shape == (0, 0)
+    assert np.array_equal(projected.hamiltonian, np.zeros((1, 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 4), rank=st.integers(1, 15), seed=st.integers(0, 2**32 - 1),
+       log_tau=st.floats(-3.0, 1.0))
+def test_gks_semigroup_with_psd_c_is_cptp(d, rank, seed, log_tau):
+    # Gorini-Kossakowski-Sudarshan: exp(tau L) is CPTP when c >= 0; a
+    # low-rank c puts Choi eigenvalues at the edge of the cone
+    rng = np.random.default_rng(seed)
+    n = d * d - 1
+    b = rng.standard_normal((n, min(rank, n))) + 1j * rng.standard_normal((n, min(rank, n)))
+    c = b @ b.conj().T
+    gks = GKSForm(d, random_hermitian(rng, d), c / np.linalg.norm(c, 2))
+    kernel = kernel_from_generator(gks_build(gks), 10.0**log_tau)
+    is_cp, spec = choi_cp_test(kernel)
+    assert is_cp, spec.lambdas.min()
+    assert trace_defect(kernel.matrix, d) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

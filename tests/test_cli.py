@@ -295,9 +295,9 @@ def test_huge_lindblad_entry_is_overflow_exit_3(tmp_path, capsys, command):
 
 
 def test_huge_hamiltonian_entry_is_overflow_exit_3(tmp_path, capsys):
-    # ||L - lambda I||^k of a degenerate cluster leaves double precision
+    # a Hermitian H whose generator's 2-norm leaves double precision
     doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
-    doc["model"]["h_re"][1] = 1e300
+    doc["model"]["h_re"][1] = doc["model"]["h_re"][2] = 1.7e308
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     assert run(["lindblad-spectrum", "--config", str(path)]) == 3
@@ -463,6 +463,8 @@ _MALFORMED = [
     ("ramsey-scan", "fig1", _set(("grid",), {"values": [_NAN]}), "grid"),
     ("ramsey-scan", "fig1", _ramsey_as_list, "ramsey"),
     ("cp-check", "kernel-transpose", _set(("tau",), _NAN), "tau"),
+    # a non-Hermitian H whose norms overflow
+    ("lindblad-spectrum", "model-qubit", _set(("model", "h_re", 1), 1e300), "model"),
 ]
 
 

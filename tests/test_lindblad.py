@@ -406,6 +406,13 @@ class TestBornLimitCheck:
         with pytest.raises(errors.NotDiagonalFamily):
             born_limit_check(model, rho0, 1.0, 1e-6)
 
+    def test_coefficients_beyond_double_precision_are_overflow(self):
+        # L^dag L overflows to inf - inf before any decay rate is formed
+        model = measurement_model(ProjectorBasis.computational(3), [[0.0, 1e300, -1.0]],
+                                  [0.0, 0.0, 0.0])
+        with pytest.raises(errors.Overflow):
+            born_limit_check(model, DensityMatrix.maximally_mixed(3), 1.0, 1e-6)
+
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(2, 12), n_ops=st.integers(1, 3), degenerate=st.booleans(),

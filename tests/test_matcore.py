@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_matrix, random_measurement_model
-from lindkit import build_superoperator, errors
+from lindkit import GKSForm, LindbladModel, build_superoperator, errors, gks_project, quantum
 from lindkit.matcore import (
+    _TAYLOR_M,
     _cluster_eigenvalues,
+    _is_hermitian,
     _taylor_plan,
     expm,
+    expm_action,
     general_eig,
+    hermiticity_defect,
     herm_eig,
     kron,
     unvec,
     vec,
 )
-from oracles import cluster_pairwise
+from lindkit.perturb import first_order
+from oracles import cluster_pairwise, expm_action_loop
 
 
 def charpoly_roots(a):
@@ -70,6 +77,45 @@ class TestHermEig:
     def test_rejects_non_hermitian(self, rng):
         with pytest.raises(errors.NotHermitian):
             herm_eig(random_matrix(rng, 3))
+
+
+# A Hamiltonian-like matrix that is not Hermitian, with entries whose squares
+# overflow: ||m - m^dag||_F and ||m||_F are both infinite unless scaled.
+_HUGE_NOT_HERMITIAN = [np.array([[0.5, big], [0.0, -0.5]]) for big in (1e300, 1.7e308)]
+
+
+@pytest.mark.parametrize("m", _HUGE_NOT_HERMITIAN, ids=["1e300", "1.7e308"])
+@pytest.mark.parametrize("check, error", [
+    (lambda m: LindbladModel(2, m, []), errors.NotHermitianH),
+    (herm_eig, errors.NotHermitian),
+    (lambda m: quantum.expectation(quantum.DensityMatrix.maximally_mixed(2), m),
+     errors.NotHermitian),
+    (lambda m: quantum.unitary_step(quantum.DensityMatrix.maximally_mixed(2), m, 0.1),
+     errors.NotHermitian),
+    (lambda m: first_order(np.eye(2), m), errors.NotHermitian),
+    (lambda m: GKSForm(2, m, np.eye(3)), errors.NotHermitian),
+    # -i[m, .] preserves the trace but, m not being Hermitian, not Hermiticity
+    (lambda m: gks_project(-1j * (np.kron(m, np.eye(2)) - np.kron(np.eye(2), m.T))),
+     errors.NotHermitianKernel),
+], ids=["model", "herm_eig", "expectation", "unitary_step", "first_order", "gks",
+        "gks_project"])
+def test_hermiticity_checks_hold_where_norms_overflow(m, check, error):
+    with pytest.raises(error):
+        check(m)
+
+
+def test_hermiticity_verdict_is_the_unscaled_one_where_that_is_finite(rng):
+    # scaling by a power of two is exact, so the verdict near the threshold
+    # matches the unscaled formula; huge Hermitian matrices still pass
+    for _ in range(200):
+        d = int(rng.integers(1, 6))
+        a = random_hermitian(rng, d, scale=10.0 ** rng.uniform(-5, 150))
+        a = a + 1e-10 * rng.uniform(0.5, 2.0) * np.linalg.norm(a) * random_matrix(rng, d) / d
+        old = hermiticity_defect(a) <= 1e-10 * max(1.0, np.linalg.norm(a))
+        assert _is_hermitian(a, 1e-10) == old
+    assert _is_hermitian(np.array([[0.5, 1.7e308], [1.7e308, -0.5]]), 1e-10)
+    assert _is_hermitian(np.array([[1e308j, 0.0], [0.0, -1e308j]]), 1e-10) is False
+    assert _is_hermitian(np.zeros((0, 0)), 1e-10)
 
 
 class TestGeneralEig:
@@ -166,6 +212,22 @@ class TestGeneralEig:
             assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(d)) < 1e-10
 
 
+def test_cluster_norm_failure_is_no_convergence():
+    # a Hermitian H with entries near 1.7e308: the generator's eigenvalues
+    # are infinite, the default cluster tolerance ||A||_2 too, and the
+    # cluster's ||A - lambda I||_2 fails in LAPACK
+    h = np.array([[0.5, 1.7e308], [1.7e308, -0.5]])
+    sop = build_superoperator(LindbladModel(2, h, [np.array([[0.0, 0.3], [0.3, 0.0]])]))
+    with pytest.raises(errors.NoConvergence):
+        general_eig(sop)
+
+
+def test_cluster_power_overflow_is_overflow():
+    # a defective double eigenvalue 0 whose ||A - lambda I||^2 overflows
+    with pytest.raises(errors.Overflow):
+        general_eig(np.array([[0.0, 1e300], [0.0, 0.0]]))
+
+
 class TestClusterEigenvalues:
     """The real-part sweep must give exactly the groups of the all-pairs
     union-find, in the same order."""
@@ -238,6 +300,63 @@ class TestExpm:
     def test_overflow_guard(self):
         with pytest.raises(errors.Overflow):
             expm(np.eye(2) * 1e9, 1.0)
+
+
+def _series_case(n, seed, log_x, log_norm, nilpotent):
+    """(a, t, v, ||a||_1) with ||t*a||_1 = 10^log_x."""
+    rng = np.random.default_rng(seed)
+    a = random_matrix(rng, n)
+    if nilpotent:  # a^n v = 0: the series stops early once m > n + 1
+        a = np.triu(a, 1)
+    norm1 = float(np.linalg.norm(a, 1))
+    if norm1 > 0.0:
+        a *= 10.0**log_norm / norm1
+        norm1 = float(np.linalg.norm(a, 1))
+    t = 10.0**log_x / (norm1 if norm1 > 0.0 else 1.0)
+    return a, t, random_matrix(rng, n)[0], norm1
+
+
+class TestExpmAction:
+    # m = 1 with s = 2; s = 2 with m = 40 (80 < n products); one dense expm
+    @pytest.mark.parametrize("n, log_x, want", [
+        (6, np.log10(3e-16), (1, 2, False)),
+        (100, np.log10(11.0), (40, 2, False)),
+        (4, 0.0, (None, None, True)),
+    ])
+    def test_regimes_match_the_reference_loop_bit_for_bit(self, rng, n, log_x, want):
+        a, t, v, norm1 = _series_case(n, 1, log_x, 0.5, False)
+        k, products, dense = _taylor_plan(t, norm1, n)
+        m = int(_TAYLOR_M[k])
+        assert (want[2] if dense else (m, int(products) // m, False) == want)
+        assert expm_action(a, t, v, norm1).tobytes() == expm_action_loop(a, t, v, norm1).tobytes()
+
+    @pytest.mark.parametrize("lam, terms", [
+        (1e-6, 5),
+        (0.8 * 2.0**-53, 3),  # c_1 + c_2 is 0.8 of the threshold
+    ])
+    def test_early_stop_matches_the_reference_loop_bit_for_bit(self, lam, terms):
+        # the series (m = 18 < n) stops once the terms of the second
+        # component fall below 2^-53; the first component, which later terms
+        # would still change, shows where it stopped
+        a = np.diag([1.0] + [lam] * 23).astype(complex)
+        v = np.zeros(24, dtype=complex)
+        v[:2] = 1e-30, 1.0
+        assert not _taylor_plan(1.0, 1.0, 24)[2]
+        got = expm_action(a, 1.0, v, 1.0)
+        assert got.tobytes() == expm_action_loop(a, 1.0, v, 1.0).tobytes()
+        partial_sum = sum(1.0 / np.prod(np.arange(1, j + 1)) for j in range(terms))
+        assert got[0] == pytest.approx(1e-30 * partial_sum, rel=1e-15)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),
+           log_x=st.floats(-17.0, 1.5), log_norm=st.floats(-3.0, 3.0),
+           nilpotent=st.booleans())
+    @example(n=3, seed=0, log_x=-3.0, log_norm=0.0, nilpotent=True)
+    @example(n=96, seed=2, log_x=1.2, log_norm=2.0, nilpotent=False)
+    def test_is_the_reference_loop_bit_for_bit(self, n, seed, log_x, log_norm, nilpotent):
+        a, t, v, norm1 = _series_case(n, seed, log_x, log_norm, nilpotent)
+        got = expm_action(a, t, v, norm1)
+        assert got.tobytes() == expm_action_loop(a, t, v, norm1).tobytes()
 
 
 class TestTaylorPlan:
