@@ -309,10 +309,14 @@ class GKSForm:
         return cls(d, h, c)
 
 
+@lru_cache(maxsize=None)
 def _vec_basis(dim: int) -> np.ndarray:
-    """d^2 x d^2 unitary whose columns are vec(I/sqrt(d)) and vec(F_m)."""
+    """d^2 x d^2 unitary whose columns are vec(I/sqrt(d)) and vec(F_m)
+    (read-only, built once per d)."""
     fs = np.array(gellmann_basis(dim), dtype=complex).reshape(dim * dim - 1, dim * dim)
-    return np.vstack([np.eye(dim).reshape(1, -1) / np.sqrt(dim), fs]).T
+    v = np.vstack([np.eye(dim).reshape(1, -1) / np.sqrt(dim), fs]).T
+    v.flags.writeable = False
+    return v
 
 
 def gks_build(gks: GKSForm) -> np.ndarray:
@@ -355,13 +359,16 @@ def gks_project(superop: np.ndarray) -> GKSForm:
             f"trace-preservation residual {generator_trace_defect(sop, d):.3e}"
         )
     v = _vec_basis(d)
-    q = v.conj().T @ reshuffle(sop, d) @ v
-    if not matcore._is_hermitian(q, 1e-8):
+    # q of the exactly scaled copy: entries near 1e308 leave no inf in it
+    scaled, unit = matcore._unit_scaled(sop)
+    unit = float(unit)
+    q = v.conj().T @ reshuffle(scaled, d) @ v
+    if not matcore._is_hermitian(q, 1e-8, unit):
         raise NotHermitianKernel(
             "generator is not Hermiticity-preserving "
-            f"(defect {matcore.hermiticity_defect(q):.3e})"
+            f"({matcore._defect_text(q, unit)})"
         )
-    q = 0.5 * (q + q.conj().T)
+    q = (0.5 / unit) * (q + q.conj().T)
     c = q[1:, 1:].copy()
     f_op = (v[:, 1:] @ q[1:, 0]).reshape(d, d) / np.sqrt(d)
     f_op = f_op + q[0, 0] / (2 * d) * np.eye(d)
@@ -521,10 +528,8 @@ def kernel_from_unitary_ensemble(unitary_sampler, tau: float, n_samples: int) ->
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    u0 = np.asarray(unitary_sampler(0), dtype=complex)
-    d = u0.shape[0]
-    acc = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(n_samples):
-        u = np.asarray(unitary_sampler(k), dtype=complex) if k else u0
-        acc += np.kron(u, u.conj())
+    us = np.array([unitary_sampler(k) for k in range(n_samples)], dtype=complex)
+    d = us.shape[1]
+    # sum_k U_k (x) conj(U_k): element ((i, j), (i', j')) is U[i, i'] conj(U[j, j'])
+    acc = np.einsum("kac,kbd->abcd", us, us.conj(), optimize=True).reshape(d * d, d * d)
     return Kernel(d, tau, acc / n_samples)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import channels, matcore
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -157,17 +157,39 @@ def spectrum(model: LindbladModel, tol: float | None = None) -> SuperopSpectrum:
     bucket includes purely oscillatory coherences), Re mu < -tol forbidden.
     A balanced model must produce no forbidden modes, and every generator has
     at least one mu = 0 mode.
+
+    L preserves Hermiticity, so in the orthonormal Hermitian basis
+    V = [vec(I/sqrt(d)), vec(F_m)] it is the real matrix R = V^dag L V:
+    R is decomposed in real arithmetic (its complex eigenvalues come in exact
+    conjugate pairs) and its chains are mapped back by V, so ``chains`` and
+    ``modes`` are in L's own vec coordinates.  R's first row,
+    vec(I)^dag L / sqrt(d), vanishes for a trace-preserving L and is set to
+    exactly 0: LAPACK's balancing would scale its rounding noise up to a
+    stationary-mode residual of about 1e-7 ||L||_F.  Raises Overflow when an
+    entry of R or ||L||_2 leaves double precision.
     """
     sop = build_superoperator(model)
+    v = channels._vec_basis(model.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (v.conj().T @ sop @ v).real.copy()
+    if not np.isfinite(r).all():
+        raise Overflow("generator entries in the Hermitian basis overflow double precision")
+    r[0] = 0.0
     try:
-        scale = max(1.0, float(np.linalg.norm(sop, 2)))
+        scale = max(1.0, float(np.linalg.norm(r, 2)))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"2-norm of the generator: {exc}") from exc
     if scale == np.inf:  # every tolerance below would be infinite
         raise Overflow("||L||_2 overflows double precision")
     if tol is None:
         tol = STATIONARY_TOL_REL * scale
-    chains = matcore.general_eig(sop, tol_cluster=matcore.TOL_CLUSTER_REL * scale)
+    in_r = matcore.general_eig(r, tol_cluster=matcore.TOL_CLUSTER_REL * scale)
+    rows = iter(in_r.all_vectors().T @ v.T)  # each vector in L's vec coordinates
+    chains = ChainSpectrum(
+        in_r.eigenvalues, in_r.multiplicities,
+        [[[next(rows) for _ in chain] for chain in per_eig] for per_eig in in_r.chains],
+        in_r.rank_flags,
+    )
     mus = []
     modes = []
     classes = []

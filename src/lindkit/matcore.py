@@ -39,7 +39,11 @@ EXPM_NORM_BOUND = 1e6
 
 def as_square_matrix(m) -> np.ndarray:
     """Coerce to a complex square ndarray and check the ComplexMatrix invariants."""
-    a = np.asarray(m, dtype=complex)
+    return _checked_square(np.asarray(m, dtype=complex))
+
+
+def _checked_square(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, once it is checked square, at least 1 x 1 and finite."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
@@ -54,23 +58,43 @@ def hermiticity_defect(m) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def _is_hermitian(m, tol: float) -> bool:
-    """||m - m^dag||_F <= tol * max(1, ||m||_F).
-
-    Both norms are taken of m scaled by the power of two that brings its
-    largest real or imaginary part into [0.5, 1) when that part exceeds 1.
-    The scaling is exact, so the verdict is the unscaled one wherever that
-    one's norms are finite, and entries near the end of the double range,
-    whose norms overflow, still get a verdict.
-    """
+def _unit_scaled(m):
+    """(m * unit, unit) for a matrix or a stack (..., d, d) of them, with
+    unit, per matrix, the power of two that brings its largest real or
+    imaginary part into [0.5, 1) when that part exceeds 1, else 1.  The
+    scaling is exact, and the norms of a scaled finite matrix are finite."""
     a = np.asarray(m)
-    top = max(float(np.abs(a.real).max(initial=0.0)),
-              float(np.abs(a.imag).max(initial=0.0)))
-    unit = 1.0
-    if top > 1.0:
-        unit = math.ldexp(1.0, -math.frexp(top)[1])
-        a = a * unit
-    return hermiticity_defect(a) <= tol * max(unit, float(np.linalg.norm(a)))
+    top = np.maximum(np.abs(a.real).max(axis=(-2, -1), initial=0.0),
+                     np.abs(a.imag).max(axis=(-2, -1), initial=0.0))
+    big = top > 1.0
+    if not big.any():
+        return a, 1.0
+    unit = np.where(big, np.ldexp(1.0, -np.frexp(top)[1]), 1.0)
+    return a * unit[..., None, None], unit
+
+
+def _is_hermitian(m, tol: float, unit: float = 1.0):
+    """||m - m^dag||_F <= tol * max(1, ||m||_F), both norms taken of
+    :func:`_unit_scaled` m: the verdict is the unscaled one wherever that
+    one's norms are finite, and entries near the end of the double range,
+    whose norms overflow, still get a verdict.  A bool for a matrix, a bool
+    array for a stack (..., d, d).  A given ``unit`` (a power of two) means
+    ``m`` is the matrix of interest already scaled by it.
+    """
+    a, scale = _unit_scaled(m)
+    defect = np.linalg.norm(a - np.swapaxes(a, -1, -2).conj(), axis=(-2, -1))
+    ok = defect <= tol * np.maximum(unit * scale, np.linalg.norm(a, axis=(-2, -1)))
+    return ok if ok.ndim else bool(ok)
+
+
+def _defect_text(m, unit: float = 1.0) -> str:
+    """'defect x' for an error message: the Hermiticity defect of
+    :func:`_unit_scaled` m, with its scale when there is one, so it is finite
+    where the unscaled defect overflows; ``unit`` as in :func:`_is_hermitian`."""
+    a, scale = _unit_scaled(m)
+    scale = float(unit * scale)
+    text = f"defect {hermiticity_defect(a):.3e}"
+    return text if scale == 1.0 else f"{text} (entries scaled by 2^{math.frexp(scale)[1] - 1})"
 
 
 def herm_eig(m, tol_herm: float = TOL_HERM):
@@ -83,7 +107,7 @@ def herm_eig(m, tol_herm: float = TOL_HERM):
     a = as_square_matrix(m)
     if not _is_hermitian(a, tol_herm):
         raise NotHermitian(
-            f"matrix is not Hermitian: defect {hermiticity_defect(a):.3e}"
+            f"matrix is not Hermitian: {_defect_text(a)}"
         )
     try:
         vals, vecs = np.linalg.eigh(a)
@@ -379,6 +403,91 @@ def _null_space(mat: np.ndarray, cutoff: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray):
+    """(chains, rank flags) of a cluster of ``a`` with more than one member:
+    eigenvalue ``lam`` (the members' mean), members the cluster's raw
+    eigenvalues.  B = A - lambda I is real when both A and lambda are, so a
+    real cluster's SVDs run in real arithmetic."""
+    d = a.shape[0]
+    m_alg = len(members)
+    if lam.imag == 0.0 and not np.iscomplexobj(a):
+        b = a - lam.real * np.eye(d)
+    else:
+        b = a - lam * np.eye(d)
+    try:
+        norm_b = max(float(np.linalg.norm(b, 2)), 1e-300)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"2-norm of A - lambda I at {lam:.6g}: {exc}") from exc
+
+    def ill(reason):
+        return IllConditioned(f"cluster at {lam:.6g}{reason}",
+                              cluster=[complex(z) for z in members])
+
+    # Null spaces of B^k until the dimension reaches the algebraic
+    # multiplicity.  The rank cutoff scales with ||B||^k because powering
+    # amplifies rounding noise at exactly that rate.
+    null_bases = [np.zeros((d, 0))]
+    dims = [0]
+    bk = np.eye(d, dtype=b.dtype)
+    p = 0
+    for k in range(1, m_alg + 1):
+        bk = bk @ b
+        with np.errstate(over="ignore"):
+            cutoff = max(d * 1e-10 * np.float64(norm_b)**k, 1e-300)
+        if cutoff == np.inf:
+            raise Overflow(f"cluster at {lam:.6g}: ||A - lambda I||^{k} overflows")
+        nb = _null_space(bk, cutoff)
+        if nb.shape[1] <= dims[-1]:
+            break
+        null_bases.append(nb)
+        dims.append(nb.shape[1])
+        p = k
+        if nb.shape[1] >= m_alg:
+            break
+    if dims[-1] != m_alg:
+        raise ill(f" (multiplicity {m_alg}): generalized null space stalled at "
+                  f"dimension {dims[-1]}")
+
+    if p == 1:
+        # Diagonalizable cluster: the orthonormal null-space basis is the
+        # chain set directly.
+        return [[col] for col in null_bases[1].T.copy()], [[1] for _ in range(m_alg)]
+
+    chains: list[list[np.ndarray]] = []
+    flags: list[list[int]] = []
+    carry: list[np.ndarray] = []  # level-k vectors of taller chains
+    tops_by_level: dict[int, list[np.ndarray]] = {}
+    for k in range(p, 0, -1):
+        have = len(carry)
+        need = (dims[k] - dims[k - 1]) - have
+        if need > 0:
+            obstruction = [null_bases[k - 1]] if k > 1 else []
+            if carry:
+                obstruction.append(np.column_stack(carry))
+            cand = null_bases[k]
+            if obstruction:
+                q = np.linalg.qr(np.column_stack(obstruction))[0]
+                cand = cand - q @ (q.conj().T @ cand)
+            u, s, _ = np.linalg.svd(cand, full_matrices=False)
+            if np.sum(s > 0.1) < need:
+                raise ill(f": cannot separate chain tops at level {k}")
+            tops_by_level[k] = [u[:, c].copy() for c in range(need)]
+            carry = carry + tops_by_level[k]
+        carry = [b @ v for v in carry]
+    for k, tops in sorted(tops_by_level.items(), reverse=True):
+        for top in tops:
+            chain = [top]
+            for _ in range(k - 1):
+                chain.append(b @ chain[-1])
+            chain.reverse()  # chain[0] is now the eigenvector V_1
+            nrm = np.linalg.norm(chain[0])
+            if nrm < 1e-300:
+                raise ill(": degenerate chain")
+            chains.append([v / nrm for v in chain])
+            flags.append(list(range(1, k + 1)))
+    return chains, flags
+
+
 def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     """Full spectral data of a general square matrix, with Jordan chains.
 
@@ -386,10 +495,15 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     as a single cluster; if no consistent chain structure exists for a cluster
     the function raises IllConditioned naming it rather than guessing.  For a
     diagonalizable matrix every chain has length one and the vectors within
-    each eigenvalue are orthonormal.  A one-member cluster takes its
-    eigenvector from the one ``eig`` call; only larger clusters pay for SVDs.
+    each eigenvalue are orthonormal.  Clusters are ordered by the real, then
+    the imaginary part of their mean.  A real input stays real, so ``eig``
+    takes LAPACK's real path and its complex eigenvalues come in exact
+    conjugate pairs.  The one-member clusters take their unit eigenvectors
+    from the one ``eig`` call, normalized together; only larger clusters pay
+    for SVDs (:func:`_cluster_chains`).
     """
-    a = as_square_matrix(m)
+    a = np.asarray(m)
+    a = _checked_square(a.astype(complex if np.iscomplexobj(a) else float, copy=False))
     d = a.shape[0]
     if tol_cluster is None:
         norm_a = float(np.linalg.norm(a, 2)) if d > 1 else float(abs(a[0, 0]))
@@ -400,107 +514,28 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
         raise NoConvergence(str(exc)) from exc
 
     groups = _cluster_eigenvalues(raw, tol_cluster)
-    groups.sort(key=lambda idx: (raw[idx].real.mean(), raw[idx].imag.mean()))
+    sizes = [len(idx) for idx in groups]
+    centres = raw[[idx[0] for idx in groups]].astype(complex)
+    for k, idx in enumerate(groups):
+        if sizes[k] > 1:
+            centres[k] = np.mean(raw[idx])
+    order = np.lexsort((centres.imag, centres.real)).tolist()
+    unit_vecs = raw_vecs / np.linalg.norm(raw_vecs, axis=0)
 
-    eigenvalues: list[complex] = []
-    multiplicities: list[int] = []
     all_chains: list[list[list[np.ndarray]]] = []
     all_flags: list[list[list[int]]] = []
-
-    for idx in groups:
-        lam = complex(np.mean(raw[idx]))
-        m_alg = len(idx)
-        if m_alg == 1:
-            v = raw_vecs[:, idx[0]]
-            chains, flags = [[v / np.linalg.norm(v)]], [[1]]
+    for k in order:
+        idx = groups[k]
+        if sizes[k] == 1:
+            all_chains.append([[unit_vecs[:, idx[0]]]])
+            all_flags.append([[1]])
         else:
-            b = a - lam * np.eye(d)
-            try:
-                norm_b = max(float(np.linalg.norm(b, 2)), 1e-300)
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergence(f"2-norm of A - lambda I at {lam:.6g}: {exc}") from exc
+            chains, flags = _cluster_chains(a, complex(centres[k]), raw[idx])
+            all_chains.append(chains)
+            all_flags.append(flags)
 
-            # Null spaces of B^k until the dimension reaches the algebraic
-            # multiplicity.  The rank cutoff scales with ||B||^k because powering
-            # amplifies rounding noise at exactly that rate.
-            null_bases = [np.zeros((d, 0))]
-            dims = [0]
-            bk = np.eye(d, dtype=complex)
-            p = 0
-            for k in range(1, m_alg + 1):
-                bk = bk @ b
-                with np.errstate(over="ignore"):
-                    cutoff = max(d * 1e-10 * np.float64(norm_b)**k, 1e-300)
-                if cutoff == np.inf:
-                    raise Overflow(f"cluster at {lam:.6g}: ||A - lambda I||^{k} overflows")
-                nb = _null_space(bk, cutoff)
-                if nb.shape[1] <= dims[-1]:
-                    break
-                null_bases.append(nb)
-                dims.append(nb.shape[1])
-                p = k
-                if nb.shape[1] >= m_alg:
-                    break
-            if dims[-1] != m_alg:
-                raise IllConditioned(
-                    f"cluster at {lam:.6g} (multiplicity {m_alg}): generalized "
-                    f"null space stalled at dimension {dims[-1]}",
-                    cluster=[complex(raw[i]) for i in idx],
-                )
-
-            chains: list[list[np.ndarray]] = []
-            flags: list[list[int]] = []
-            if p == 1:
-                # Diagonalizable cluster: the orthonormal null-space basis is the
-                # chain set directly.
-                for col in range(m_alg):
-                    chains.append([null_bases[1][:, col].copy()])
-                    flags.append([1])
-            else:
-                carry: list[np.ndarray] = []  # level-k vectors of taller chains
-                tops_by_level: dict[int, list[np.ndarray]] = {}
-                for k in range(p, 0, -1):
-                    have = len(carry)
-                    need = (dims[k] - dims[k - 1]) - have
-                    if need > 0:
-                        obstruction = [null_bases[k - 1]] if k > 1 else []
-                        if carry:
-                            obstruction.append(np.column_stack(carry))
-                        cand = null_bases[k]
-                        if obstruction:
-                            q = np.linalg.qr(np.column_stack(obstruction))[0]
-                            cand = cand - q @ (q.conj().T @ cand)
-                        u, s, _ = np.linalg.svd(cand, full_matrices=False)
-                        if np.sum(s > 0.1) < need:
-                            raise IllConditioned(
-                                f"cluster at {lam:.6g}: cannot separate chain tops "
-                                f"at level {k}",
-                                cluster=[complex(raw[i]) for i in idx],
-                            )
-                        tops_by_level[k] = [u[:, c].copy() for c in range(need)]
-                        carry = carry + tops_by_level[k]
-                    carry = [b @ v for v in carry]
-                for k, tops in sorted(tops_by_level.items(), reverse=True):
-                    for top in tops:
-                        chain = [top]
-                        for _ in range(k - 1):
-                            chain.append(b @ chain[-1])
-                        chain.reverse()  # chain[0] is now the eigenvector V_1
-                        nrm = np.linalg.norm(chain[0])
-                        if nrm < 1e-300:
-                            raise IllConditioned(
-                                f"cluster at {lam:.6g}: degenerate chain",
-                                cluster=[complex(raw[i]) for i in idx],
-                            )
-                        chains.append([v / nrm for v in chain])
-                        flags.append(list(range(1, k + 1)))
-
-        eigenvalues.append(lam)
-        multiplicities.append(m_alg)
-        all_chains.append(chains)
-        all_flags.append(flags)
-
-    spectrum = ChainSpectrum(eigenvalues, multiplicities, all_chains, all_flags)
+    eigenvalues = centres[order].tolist()
+    spectrum = ChainSpectrum(eigenvalues, [sizes[k] for k in order], all_chains, all_flags)
     basis = spectrum.all_vectors()
     if np.linalg.matrix_rank(basis, tol=1e-8) < d:
         raise IllConditioned(

@@ -72,11 +72,9 @@ class DensityMatrix:
             raise DimensionMismatch(
                 f"expected a stack of square matrices, got shape {a.shape}"
             )
-        a_h = a.conj().transpose(0, 2, 1)
         finite = np.isfinite(a).all(axis=(1, 2))
-        scale = np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)))
-        not_herm = np.linalg.norm(a - a_h, axis=(1, 2)) > tol_herm * scale
-        a = 0.5 * (a + a_h)
+        not_herm = ~matcore._is_hermitian(a, tol_herm)
+        a = 0.5 * (a + a.conj().transpose(0, 2, 1))
         tr = np.trace(a, axis1=1, axis2=2).real
         bad = ~finite | not_herm | (np.abs(tr - 1.0) > tol_trace)
         good = int(np.argmax(bad)) if bad.any() else len(a)

@@ -48,6 +48,32 @@ def test_general_eig_svd_calls_do_not_grow_with_n(monkeypatch, rng):
     assert counts[12] == counts[36]
 
 
+def test_general_eig_norm_calls_do_not_grow_with_n(monkeypatch, rng):
+    # the one-member clusters' eigenvectors are normalized in one call
+    calls = _count(monkeypatch, _LINALG, "norm")
+    counts = {}
+    for n in (12, 36):
+        a = random_matrix(rng, n)
+        calls.clear()
+        cs = general_eig(a)
+        assert cs.multiplicities == [1] * n
+        counts[n] = len(calls)
+    assert counts[12] == counts[36]
+
+
+def test_spectrum_decomposes_a_real_matrix(monkeypatch, rng):
+    dtypes = []
+    real_eig = np.linalg.eig
+
+    def recording_eig(a):
+        dtypes.append(np.asarray(a).dtype)
+        return real_eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    spectrum(random_lindblad_model(rng, 3))
+    assert dtypes == [np.float64]
+
+
 def test_gks_build_kron_calls_do_not_grow_with_d(monkeypatch, rng):
     calls = _count(monkeypatch, [np], "kron")
     counts = {}

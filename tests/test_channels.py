@@ -460,6 +460,12 @@ class TestUnitaryEnsemble:
         k = kernel_from_unitary_ensemble(lambda _k: u, 0.5, 1)
         assert np.linalg.norm(k.matrix - np.kron(u, u.conj())) < 1e-13
 
+    def test_is_the_mean_of_the_per_sample_products(self, rng):
+        us = [random_unitary(rng, 3) for _ in range(20)]
+        k = kernel_from_unitary_ensemble(us.__getitem__, 0.5, len(us))
+        ref = sum(np.kron(u, u.conj()) for u in us) / len(us)
+        assert np.abs(k.matrix - ref).max() <= 1e-15
+
     def test_identity_z_ensemble_is_dephasing(self):
         ops = [np.eye(2, dtype=complex), SZ]
         k = kernel_from_unitary_ensemble(lambda i: ops[i % 2], 1.0, 2)

@@ -307,6 +307,19 @@ def test_huge_hamiltonian_entry_is_overflow_exit_3(tmp_path, capsys):
     assert (error["type"], error["exit_code"]) == ("Overflow", 3)
 
 
+def test_huge_non_hermitian_state_is_exit_3(tmp_path, capsys):
+    # rho0's Hermiticity defect and norm overflow unless taken on a scaled copy
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    doc["rho0"]["re"] = [0.5, 1e300, -1e300, 0.5]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["lindblad-evolve", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = _strict_json(err)["error"]
+    assert (error["type"], error["exit_code"]) == ("NotHermitian", 3)
+
+
 def _born_doc(tmp_path, **fields):
     doc = json.loads(cli.bundled_config_path("born-d3").read_text())
     doc.update(fields)

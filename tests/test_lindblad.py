@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,6 +119,50 @@ class TestSpectrum:
         monkeypatch.setattr(np.linalg, "norm", failing_svd)
         with pytest.raises(errors.NoConvergence):
             spectrum(model)
+
+
+def _hermitian_up_to_phase_defect(m):
+    """min over phases c of ||m^dag - c m|| / ||m||: 0 exactly when
+    e^{i theta} m is Hermitian for some theta."""
+    c = np.vdot(m, m.conj().T) / np.vdot(m, m)
+    return float(np.linalg.norm(m.conj().T - c * m) / np.linalg.norm(m))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 8), measurement=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_spectrum_is_the_generators_eigensystem(d, measurement, seed):
+    rng = np.random.default_rng(seed)
+    model = (random_measurement_model(rng, d) if measurement
+             else random_lindblad_model(rng, d))
+    sop = build_superoperator(model)
+    spec = spectrum(model)
+    # the mus are eig(L)'s eigenvalues, matched one to one
+    want = -np.linalg.eigvals(sop)
+    rows, cols = scipy.optimize.linear_sum_assignment(np.abs(spec.mus[:, None] - want))
+    assert np.abs(spec.mus[rows] - want[cols]).max() <= 1e-10 * np.linalg.norm(sop, 2)
+    # closed under exact conjugation: the real basis pairs them exactly
+    assert np.array_equal(np.sort_complex(spec.mus), np.sort_complex(spec.mus.conj()))
+    scale = np.linalg.norm(sop)
+    for mu, mode in zip(spec.mus, spec.modes):
+        v = mode.reshape(-1) / np.linalg.norm(mode)
+        assert np.linalg.norm(sop @ v + mu * v) <= 1e-12 * scale
+        if abs(mu) <= spec.tol:  # a stationary state, up to normalization
+            assert _hermitian_up_to_phase_defect(mode) <= 1e-12
+
+
+def test_stationary_residual_of_generic_models():
+    # R's first row, vec(I)^dag L, is rounding noise for a trace-preserving
+    # L; left in, LAPACK's balancing scaled it up to a stationary-mode
+    # residual of about 1e-7 ||L||_F
+    rng = np.random.default_rng(11)
+    for d in range(4, 11):
+        for _ in range(3):
+            model = random_lindblad_model(rng, d)
+            sop = build_superoperator(model)
+            spec = spectrum(model)
+            k = int(np.argmin(np.abs(spec.mus)))
+            v = spec.modes[k].reshape(-1) / np.linalg.norm(spec.modes[k])
+            assert np.linalg.norm(sop @ v + spec.mus[k] * v) <= 1e-12 * np.linalg.norm(sop)
 
 
 class TestEvolve:

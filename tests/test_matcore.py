@@ -1,3 +1,7 @@
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -85,23 +89,29 @@ _HUGE_NOT_HERMITIAN = [np.array([[0.5, big], [0.0, -0.5]]) for big in (1e300, 1.
 
 
 @pytest.mark.parametrize("m", _HUGE_NOT_HERMITIAN, ids=["1e300", "1.7e308"])
-@pytest.mark.parametrize("check, error", [
-    (lambda m: LindbladModel(2, m, []), errors.NotHermitianH),
-    (herm_eig, errors.NotHermitian),
+@pytest.mark.parametrize("check, error, reports_defect", [
+    (lambda m: LindbladModel(2, m, []), errors.NotHermitianH, False),
+    (herm_eig, errors.NotHermitian, True),
     (lambda m: quantum.expectation(quantum.DensityMatrix.maximally_mixed(2), m),
-     errors.NotHermitian),
+     errors.NotHermitian, False),
     (lambda m: quantum.unitary_step(quantum.DensityMatrix.maximally_mixed(2), m, 0.1),
-     errors.NotHermitian),
-    (lambda m: first_order(np.eye(2), m), errors.NotHermitian),
-    (lambda m: GKSForm(2, m, np.eye(3)), errors.NotHermitian),
+     errors.NotHermitian, False),
+    (lambda m: first_order(np.eye(2), m), errors.NotHermitian, False),
+    (lambda m: GKSForm(2, m, np.eye(3)), errors.NotHermitian, False),
     # -i[m, .] preserves the trace but, m not being Hermitian, not Hermiticity
     (lambda m: gks_project(-1j * (np.kron(m, np.eye(2)) - np.kron(np.eye(2), m.T))),
-     errors.NotHermitianKernel),
+     errors.NotHermitianKernel, True),
 ], ids=["model", "herm_eig", "expectation", "unitary_step", "first_order", "gks",
         "gks_project"])
-def test_hermiticity_checks_hold_where_norms_overflow(m, check, error):
-    with pytest.raises(error):
-        check(m)
+def test_hermiticity_checks_hold_where_norms_overflow(m, check, error, reports_defect):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error) as exc:
+            check(m)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    defect = re.search(r"defect ([^\s)]+)", str(exc.value))
+    assert (defect is not None) == reports_defect
+    assert defect is None or math.isfinite(float(defect.group(1)))
 
 
 def test_hermiticity_verdict_is_the_unscaled_one_where_that_is_finite(rng):
