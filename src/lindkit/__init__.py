@@ -11,7 +11,6 @@ from .channels import (
     ChoiSpectrum,
     GKSForm,
     Kernel,
-    KernelSpectrum,
     bfr_derivative_check,
     choi_cp_test,
     extract_generator,

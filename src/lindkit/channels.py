@@ -20,12 +20,16 @@ of the superoperator and coincides with the Choi matrix in the convention
 Hermiticity preservation of the map is Hermiticity of this reshuffled matrix,
 its eigenvalues are the Choi spectrum (summing to d for a trace-preserving
 map), and its reshaped eigenvectors are the orthonormal operator family of
-the kernel's spectral decomposition.  The stored eigen-matrices depend on
-this convention; the CP verdict does not.
+the kernel's spectral decomposition.  One type, :class:`ChoiSpectrum`, holds
+that decomposition: the eigenvalues and the eigen-matrices as one
+(d^2, d, d) stack.  The stored eigen-matrices depend on this convention;
+the CP verdict does not.
 
 The fixed traceless operator basis {F_m} is the generalized Gell-Mann set,
 ordered: symmetric pairs (j < k, lexicographic), then antisymmetric pairs,
-then diagonal, all normalized to Tr(F_m F_n^dag) = delta_mn.
+then diagonal, all normalized to Tr(F_m F_n^dag) = delta_mn.  It is one
+read-only (d^2 - 1, d, d) array, so a sum over it is one tensor product,
+and Tr(X F_m) for every m is one product with the columns vec(F_m).
 """
 from __future__ import annotations
 
@@ -99,16 +103,13 @@ class Kernel:
                 f"kernel matrix must be {d*d} x {d*d}, got {self.matrix.shape}"
             )
         c = reshuffle(self.matrix, d)
-        scale = max(1.0, float(np.linalg.norm(c)))
-        if np.linalg.norm(c - c.conj().T) > self._tol * scale:
+        defect = np.linalg.norm(c - c.conj().T)
+        if defect > self._tol * max(1.0, float(np.linalg.norm(c))):
             raise NotHermitianKernel(
-                "kernel does not preserve Hermiticity "
-                f"(defect {np.linalg.norm(c - c.conj().T):.3e})"
-            )
-        if trace_defect(self.matrix, d) > self._tol * d:
-            raise NotTracePreserving(
-                f"trace defect {trace_defect(self.matrix, d):.3e}"
-            )
+                f"kernel does not preserve Hermiticity (defect {defect:.3e})")
+        defect = trace_defect(self.matrix, d)
+        if defect > self._tol * d:
+            raise NotTracePreserving(f"trace defect {defect:.3e}")
         if self.tau == 0.0:
             if np.linalg.norm(self.matrix - np.eye(d * d)) > self._tol * d:
                 raise NotTracePreserving("K(0) must be the identity")
@@ -158,60 +159,38 @@ def kernel_from_generator(generator: np.ndarray, tau: float) -> Kernel:
 
 
 @dataclass
-class KernelSpectrum:
-    """Real eigenvalues alpha_N with orthonormal eigen-matrices u^N,
-    ordered by descending alpha."""
-
-    alphas: np.ndarray
-    u_mats: list[np.ndarray]
-
-    def reassemble(self) -> np.ndarray:
-        """Rebuild the kernel matrix sum_N alpha_N vec(u^N) vec(u^N)^dag
-        (in the superoperator ordering)."""
-        d = self.u_mats[0].shape[0]
-        c = np.zeros((d * d, d * d), dtype=complex)
-        for a, u in zip(self.alphas, self.u_mats):
-            v = matcore.vec(u)
-            c += a * np.outer(v, v.conj())
-        return reshuffle(c, d)
-
-
-def _fix_phase(u: np.ndarray) -> np.ndarray:
-    flat = u.reshape(-1)
-    k = int(np.argmax(np.abs(flat)))
-    piv = flat[k]
-    if abs(piv) < 1e-300:
-        return u
-    return u * (np.conj(piv) / abs(piv))
-
-
-def _choi_eig(k: Kernel):
-    c = k.choi()
-    vals, vecs = np.linalg.eigh(c)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    mats = [_fix_phase(matcore.unvec(vecs[:, i], k.dim)) for i in order]
-    return vals, mats
-
-
-def kernel_spectrum(k: Kernel) -> KernelSpectrum:
-    """Diagonalize the kernel in its Hermitian index pairing.
-
-    The eigen-matrices satisfy sum_{ii'} u^N_{ii'} (u^M_{ii'})^* = delta_NM
-    and, at tau = 0, the top eigenvalue is d with eigen-matrix I/sqrt(d) and
-    the remaining d^2 - 1 eigenvalues vanish with traceless eigen-matrices.
-    """
-    vals, mats = _choi_eig(k)
-    return KernelSpectrum(vals, mats)
-
-
-@dataclass
 class ChoiSpectrum:
-    """Choi eigenvalues (summing to d for trace-preserving kernels) with the
-    orthonormal Kraus-like operator family."""
+    """Choi eigenvalues lambda_N, descending (summing to d for a trace-
+    preserving kernel), with their orthonormal Kraus-like eigen-matrices E^N
+    as one (d^2, d, d) stack: sum_{ii'} E^N_{ii'} (E^M_{ii'})^* = delta_NM.
+    Each E^N's phase makes its first entry of largest modulus real positive.
+    """
 
     lambdas: np.ndarray
-    kraus_like: list[np.ndarray]
+    kraus_like: np.ndarray
+
+    def reassemble(self) -> np.ndarray:
+        """Rebuild the kernel matrix sum_N lambda_N vec(E^N) vec(E^N)^dag
+        (in the superoperator ordering)."""
+        d = self.kraus_like.shape[-1]
+        rows = self.kraus_like.reshape(d * d, d * d)
+        return reshuffle((rows.T * self.lambdas) @ rows.conj(), d)
+
+
+def kernel_spectrum(k: Kernel) -> ChoiSpectrum:
+    """Diagonalize the kernel in its Hermitian index pairing.
+
+    At tau = 0 the top eigenvalue is d with eigen-matrix I/sqrt(d) and the
+    remaining d^2 - 1 eigenvalues vanish with traceless eigen-matrices.
+    """
+    vals, vecs = np.linalg.eigh(k.choi())
+    order = np.argsort(vals)[::-1]
+    rows = vecs.T[order]
+    # unit rows, so each pivot is nonzero; hypot is the modulus abs() takes
+    # of a complex scalar
+    piv = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+    rows *= (np.conj(piv) / np.hypot(piv.real, piv.imag))[:, None]
+    return ChoiSpectrum(vals[order], rows.reshape(-1, k.dim, k.dim))
 
 
 def choi_cp_test(k: Kernel, tol: float | None = None):
@@ -222,18 +201,15 @@ def choi_cp_test(k: Kernel, tol: float | None = None):
     """
     if tol is None:
         tol = 1e-10 * k.dim
-    vals, mats = _choi_eig(k)
-    return bool(vals.min() >= -tol), ChoiSpectrum(vals, mats)
+    spec = kernel_spectrum(k)
+    return bool(spec.lambdas.min() >= -tol), spec
 
 
-def kraus_operators(spectrum: ChoiSpectrum, tol: float = 1e-12) -> list[np.ndarray]:
-    """{sqrt(lambda) E} for the nonnegligible Choi eigenvalues; reproduces the
-    channel action when the map is CP."""
-    return [
-        np.sqrt(lam) * e
-        for lam, e in zip(spectrum.lambdas, spectrum.kraus_like)
-        if lam > tol
-    ]
+def kraus_operators(spectrum: ChoiSpectrum, tol: float = 1e-12) -> np.ndarray:
+    """{sqrt(lambda) E}, stacked, for the nonnegligible Choi eigenvalues;
+    reproduces the channel action when the map is CP."""
+    keep = spectrum.lambdas > tol
+    return np.sqrt(spectrum.lambdas[keep])[:, None, None] * spectrum.kraus_like[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +217,9 @@ def kraus_operators(spectrum: ChoiSpectrum, tol: float = 1e-12) -> list[np.ndarr
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def gellmann_basis(dim: int) -> tuple[np.ndarray, ...]:
-    """Generalized Gell-Mann matrices for dimension ``dim``.
+def gellmann_basis(dim: int) -> np.ndarray:
+    """Generalized Gell-Mann matrices for dimension ``dim``, as one read-only
+    (d^2 - 1, d, d) stack built once per d.
 
     d^2 - 1 Hermitian traceless matrices with Tr(F_m F_n^dag) = delta_mn,
     ordered symmetric / antisymmetric / diagonal as documented in the module
@@ -253,11 +230,12 @@ def gellmann_basis(dim: int) -> tuple[np.ndarray, ...]:
     fs = np.zeros((dim * dim - 1, dim, dim), dtype=complex)
     fs[sym, j, k] = fs[sym, k, j] = 1 / np.sqrt(2)
     fs[anti, j, k], fs[anti, k, j] = -1j / np.sqrt(2), 1j / np.sqrt(2)
-    for l in range(1, dim):
-        diag = np.r_[np.ones(l), -l, np.zeros(dim - l - 1)].astype(complex)
-        fs[2 * len(j) + l - 1] = np.diag(diag) / np.sqrt(l * (l + 1))
+    # diagonal l = 1 .. d-1: (1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1))
+    l, i = np.arange(1, dim)[:, None], np.arange(dim)
+    diag = (i < l) - l * (i == l)
+    fs[2 * len(j) + l - 1, i, i] = diag.astype(complex) / np.sqrt(l * (l + 1))
     fs.flags.writeable = False
-    return tuple(fs)
+    return fs
 
 
 @dataclass
@@ -280,7 +258,7 @@ class GKSForm:
             raise NotHermitian("GKS Hamiltonian must be Hermitian")
 
     @property
-    def basis(self) -> tuple[np.ndarray, ...]:
+    def basis(self) -> np.ndarray:
         return gellmann_basis(self.dim)
 
     def to_json(self) -> str:
@@ -313,7 +291,7 @@ class GKSForm:
 def _vec_basis(dim: int) -> np.ndarray:
     """d^2 x d^2 unitary whose columns are vec(I/sqrt(d)) and vec(F_m)
     (read-only, built once per d)."""
-    fs = np.array(gellmann_basis(dim), dtype=complex).reshape(dim * dim - 1, dim * dim)
+    fs = gellmann_basis(dim).reshape(dim * dim - 1, dim * dim)
     v = np.vstack([np.eye(dim).reshape(1, -1) / np.sqrt(dim), fs]).T
     v.flags.writeable = False
     return v
@@ -354,10 +332,9 @@ def gks_project(superop: np.ndarray) -> GKSForm:
     d = int(round(np.sqrt(sop.shape[0])))
     if d * d != sop.shape[0]:
         raise DimensionMismatch("superoperator side must be a perfect square")
-    if generator_trace_defect(sop, d) > TOL_GENERATOR_TRACE:
-        raise NotAGenerator(
-            f"trace-preservation residual {generator_trace_defect(sop, d):.3e}"
-        )
+    residual = generator_trace_defect(sop, d)
+    if residual > TOL_GENERATOR_TRACE:
+        raise NotAGenerator(f"trace-preservation residual {residual:.3e}")
     v = _vec_basis(d)
     # q of the exactly scaled copy: entries near 1e308 leave no inf in it
     scaled, unit = matcore._unit_scaled(sop)
@@ -376,18 +353,16 @@ def gks_project(superop: np.ndarray) -> GKSForm:
     return GKSForm(d, h, c)
 
 
-def gks_lindblad_ops(gks: GKSForm, tol: float = 1e-12) -> list[np.ndarray]:
-    """Lindblad operators from the eigendecomposition of a PSD c matrix."""
+def gks_lindblad_ops(gks: GKSForm, tol: float = 1e-12) -> np.ndarray:
+    """Lindblad operators sqrt(eta) sum_m w_m F_m, stacked, for the
+    eigenpairs (eta, w) of a PSD c matrix with eta > tol."""
     vals, vecs = np.linalg.eigh(gks.c_matrix)
     if vals.min() < -tol * max(1.0, abs(vals).max()):
         raise NotAGenerator(
             f"c matrix has negative eigenvalue {vals.min():.3e}; not a CP generator"
         )
-    ops = []
-    for eta, w in zip(vals, vecs.T):
-        if eta > tol:
-            ops.append(np.sqrt(eta) * sum(wi * f for wi, f in zip(w, gks.basis)))
-    return ops
+    keep = vals > tol
+    return np.sqrt(vals[keep])[:, None, None] * np.tensordot(vecs[:, keep].T, gks.basis, 1)
 
 
 def bfr_derivative_check(
@@ -407,17 +382,21 @@ def bfr_derivative_check(
     PSD c the minimum stays above -1e-10; a negative c direction shows up as
     a negative minimum.  Raises SingularSimilarity if no well-conditioned
     similarity can be found after ``max_resample`` redraws.
+
+    F_m is Hermitian, so Tr(X F_m) = Tr(X F_m^dag) = vec(F_m)^dag vec(X):
+    the four trace vectors are one product with the basis columns.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     fs = gks.basis
     n = len(fs)
+    cols = _vec_basis(gks.dim)[:, 1:].conj()
     best = np.inf
     for _ in range(trials):
         for attempt in range(max_resample + 1):
             w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            big_w = 0.5 * sum(np.conj(wi) * f for wi, f in zip(w, fs))
+            big_w = 0.5 * np.tensordot(w.conj(), fs, 1)
             try:
                 _, s_mat = np.linalg.eig(big_w)
             except np.linalg.LinAlgError:
@@ -432,10 +411,9 @@ def bfr_derivative_check(
         phi = u
         psi_dag = np.linalg.solve(u, big_w)
         psi = psi_dag.conj().T
-        a_vec = np.array([np.trace(psi @ phi.conj().T @ f) for f in fs])
-        b_vec = np.array([np.trace(phi @ psi_dag @ f.conj().T) for f in fs])
-        e_vec = np.array([np.trace((phi.conj().T @ psi).T @ f) for f in fs])
-        g_vec = np.array([np.trace((psi_dag @ phi).T @ f.conj().T) for f in fs])
+        xs = np.stack([psi @ phi.conj().T, phi @ psi_dag,
+                       (phi.conj().T @ psi).T, (psi_dag @ phi).T])
+        a_vec, b_vec, e_vec, g_vec = xs.reshape(4, -1) @ cols
         val = a_vec @ gks.c_matrix @ b_vec + e_vec @ gks.c_matrix @ g_vec
         best = min(best, 2.0 * float(val.real))
     return best
@@ -462,6 +440,15 @@ def _samples_by_tau(samples) -> dict[float, Kernel]:
     return by_tau
 
 
+def _sample_near(taus, target: float, h: float, missing: str) -> float:
+    """The first of the sorted sample times ``taus`` within 1e-9 h of
+    ``target``; InconsistentSamples(``missing``) when there is none."""
+    for t in taus:
+        if abs(t - target) <= 1e-9 * h:
+            return t
+    raise InconsistentSamples(missing)
+
+
 def extract_generator(samples, scheme: str = "central") -> np.ndarray:
     """Finite-difference estimate of the generator dK/dtau at tau = 0.
 
@@ -486,12 +473,8 @@ def extract_generator(samples, scheme: str = "central") -> np.ndarray:
         )
     if scheme == "forward":
         return (by_tau[h].matrix - np.eye(d2)) / h
-    matches = [t for t in taus[1:] if abs(t - 2 * h) <= 1e-9 * h]
-    if not matches:
-        raise InconsistentSamples(
-            f"central differencing needs a sample at 2h = {2*h}"
-        )
-    k2h = by_tau[matches[0]].matrix
+    t2h = _sample_near(taus, 2 * h, h, f"central differencing needs a sample at 2h = {2*h}")
+    k2h = by_tau[t2h].matrix
     return (k2h - np.eye(d2)) @ np.linalg.inv(by_tau[h].matrix) / (2 * h)
 
 
@@ -506,15 +489,8 @@ def extract_generator_richardson(samples) -> np.ndarray:
         raise InconsistentSamples("not enough distinct sample times")
     taus = sorted(by_tau)
     h = taus[0]
-    needed = [h, 2 * h, 4 * h]
-    sel = []
-    for target in needed:
-        found = [t for t in taus if abs(t - target) <= 1e-9 * h]
-        if not found:
-            raise InconsistentSamples(
-                f"Richardson extrapolation needs samples at h, 2h, 4h (missing {target})"
-            )
-        sel.append(found[0])
+    sel = [_sample_near(taus, target, h, "Richardson extrapolation needs samples at "
+                        f"h, 2h, 4h (missing {target})") for target in (h, 2 * h, 4 * h)]
     l_h = extract_generator([(t, by_tau[t]) for t in sel[:2]], "central")
     l_2h = extract_generator([(t, by_tau[t]) for t in sel[1:]], "central")
     return (4.0 * l_h - l_2h) / 3.0

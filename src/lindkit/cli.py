@@ -373,6 +373,15 @@ def _record(command: str, args, config_doc, result) -> dict:
     }
 
 
+def _csv(header, rows) -> str:
+    """CSV text: the ``header`` names, then one line per row, floats written
+    with ``float.__repr__`` and anything else (class labels) with ``str``."""
+    lines = [",".join(header)]
+    lines += [",".join(float.__repr__(x) if isinstance(x, float) else str(x) for x in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _emit(args, text: str):
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
@@ -389,11 +398,10 @@ def _emit(args, text: str):
 def _cmd_ramsey_scan(args, doc, cfg, theory, grid) -> int:
     result = ramsey.scan(cfg, grid, args.theory or theory, truncate=args.truncate_gaussian)
     if args.format == "csv":
-        _emit(args, result.to_csv())
+        _emit(args, _csv(("delta_omega", "pb_e", "pb_e_avg"), zip(
+            result.delta_omegas.tolist(), result.pb_e.tolist(), result.pb_e_avg.tolist())))
     else:
-        _emit(args, canonical_json(
-            _record("ramsey-scan", args, doc, json.loads(result.to_json()))
-        ))
+        _emit(args, canonical_json(_record("ramsey-scan", args, doc, result.to_dict())))
     return 0
 
 
@@ -407,23 +415,14 @@ def _ramsey_scan_side_by_side(args) -> int:
         results[theory] = ramsey.scan(cfg, grid, theory, truncate=args.truncate_gaussian)
     std, mod = results["standard"], results["modified"]
     if args.format == "csv":
-        lines = [
-            "delta_omega,pb_e_standard,pb_e_avg_standard,"
-            "pb_e_modified,pb_e_avg_modified"
-        ]
-        for k, dw in enumerate(std.delta_omegas):
-            lines.append(
-                f"{float(dw)!r},{float(std.pb_e[k])!r},{float(std.pb_e_avg[k])!r},"
-                f"{float(mod.pb_e[k])!r},{float(mod.pb_e_avg[k])!r}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        columns = (std.delta_omegas, std.pb_e, std.pb_e_avg, mod.pb_e, mod.pb_e_avg)
+        _emit(args, _csv(("delta_omega", "pb_e_standard", "pb_e_avg_standard",
+                          "pb_e_modified", "pb_e_avg_modified"),
+                         zip(*(c.tolist() for c in columns))))
     else:
         _emit(args, canonical_json(_record(
             "ramsey-scan", args, docs,
-            {
-                "standard": json.loads(std.to_json()),
-                "modified": json.loads(mod.to_json()),
-            },
+            {"standard": std.to_dict(), "modified": mod.to_dict()},
         )))
     return 0
 
@@ -462,15 +461,11 @@ def _cmd_lindblad_evolve(args, doc, model, rho0, times) -> int:
 
 def _cmd_lindblad_spectrum(args, doc, model) -> int:
     spec = lindblad.spectrum(model)
-    rows = [
-        {"re_mu": float(mu.real), "im_mu": float(mu.imag), "class": cls}
-        for mu, cls in zip(spec.mus, spec.classifications)
-    ]
+    columns = (spec.mus.real.tolist(), spec.mus.imag.tolist(), spec.classifications)
     if args.format == "csv":
-        lines = ["re_mu,im_mu,class"]
-        lines += [f"{r['re_mu']!r},{r['im_mu']!r},{r['class']}" for r in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _csv(("re_mu", "im_mu", "class"), zip(*columns)))
     else:
+        rows = [{"re_mu": re, "im_mu": im, "class": cls} for re, im, cls in zip(*columns)]
         _emit(args, canonical_json(_record(
             "lindblad-spectrum", args, doc,
             {"modes": rows, "balanced": model.balanced},
@@ -522,20 +517,13 @@ def _cmd_entropy_check(args, doc, model, rho0, times) -> int:
     s_plus = quantum.vn_entropies(states[1::3])
     s_minus = quantum.vn_entropies(states[2::3])
     balanced = model.balanced
-    rows = []
-    ok = True
-    for t, rate, sp, sm in zip(times, rates.tolist(), s_plus, s_minus):
-        fd = float(sp - sm) / (2 * eps if t >= eps else eps)
-        rows.append({"t": t, "rate": rate, "central_difference": fd})
-        if balanced and rate < -1e-12:
-            ok = False
-        if abs(rate - fd) > 1e-6:
-            ok = False
+    fd = (s_plus - s_minus) / np.where(np.array(times) >= eps, 2 * eps, eps)
+    ok = not (balanced and (rates < -1e-12).any()) and not (np.abs(rates - fd) > 1e-6).any()
+    columns = (times, rates.tolist(), fd.tolist())
     if args.format == "csv":
-        lines = ["t,rate,central_difference"]
-        lines += [f"{r['t']!r},{r['rate']!r},{r['central_difference']!r}" for r in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _csv(("t", "rate", "central_difference"), zip(*columns)))
     else:
+        rows = [{"t": t, "rate": r, "central_difference": c} for t, r, c in zip(*columns)]
         _emit(args, canonical_json(_record(
             "entropy-check", args, doc,
             {"rows": rows, "balanced": balanced, "passed": ok},

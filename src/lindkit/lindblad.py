@@ -63,10 +63,9 @@ class LindbladModel:
 
     def balance_defect(self) -> float:
         """||sum_a (L_a^dag L_a - L_a L_a^dag)|| (Frobenius)."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for l in self.lindblads:
-            acc += l.conj().T @ l - l @ l.conj().T
-        return float(np.linalg.norm(acc))
+        l = np.reshape(self.lindblads, (-1, self.dim, self.dim))
+        l_dag = l.conj().transpose(0, 2, 1)
+        return float(np.linalg.norm(np.sum(l_dag @ l - l @ l_dag, axis=0)))
 
     @property
     def balanced(self) -> bool:
@@ -190,21 +189,12 @@ def spectrum(model: LindbladModel, tol: float | None = None) -> SuperopSpectrum:
         [[[next(rows) for _ in chain] for chain in per_eig] for per_eig in in_r.chains],
         in_r.rank_flags,
     )
-    mus = []
-    modes = []
-    classes = []
-    for lam, per_eig in zip(chains.eigenvalues, chains.chains):
-        mu = -lam
-        for chain in per_eig:
-            mus.append(mu)
-            modes.append(matcore.unvec(chain[0], model.dim))
-            if mu.real > tol:
-                classes.append("decaying")
-            elif mu.real >= -tol:
-                classes.append("stationary")
-            else:
-                classes.append("forbidden")
-    return SuperopSpectrum(np.asarray(mus), modes, classes, chains, tol)
+    mus = -np.repeat(chains.eigenvalues, [len(per_eig) for per_eig in chains.chains])
+    modes = [matcore.unvec(chain[0], model.dim)
+             for per_eig in chains.chains for chain in per_eig]
+    classes = np.select([mus.real > tol, mus.real >= -tol], ["decaying", "stationary"],
+                        "forbidden")
+    return SuperopSpectrum(mus, modes, classes.tolist(), chains, tol)
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatrix:

@@ -38,12 +38,8 @@ EXPM_NORM_BOUND = 1e6
 
 
 def as_square_matrix(m) -> np.ndarray:
-    """Coerce to a complex square ndarray and check the ComplexMatrix invariants."""
-    return _checked_square(np.asarray(m, dtype=complex))
-
-
-def _checked_square(a: np.ndarray) -> np.ndarray:
-    """``a`` itself, once it is checked square, at least 1 x 1 and finite."""
+    """Coerce to a complex ndarray, checked square, at least 1 x 1 and finite."""
+    a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
@@ -53,9 +49,11 @@ def _checked_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
+def hermiticity_defect(m):
+    """||m - m^dag||_F: a float for a matrix, an array for a stack (..., d, d)."""
     a = np.asarray(m)
-    return float(np.linalg.norm(a - a.conj().T))
+    defect = np.linalg.norm(a - np.swapaxes(a, -1, -2).conj(), axis=(-2, -1))
+    return defect if defect.ndim else float(defect)
 
 
 def _unit_scaled(m):
@@ -82,8 +80,8 @@ def _is_hermitian(m, tol: float, unit: float = 1.0):
     ``m`` is the matrix of interest already scaled by it.
     """
     a, scale = _unit_scaled(m)
-    defect = np.linalg.norm(a - np.swapaxes(a, -1, -2).conj(), axis=(-2, -1))
-    ok = defect <= tol * np.maximum(unit * scale, np.linalg.norm(a, axis=(-2, -1)))
+    ok = hermiticity_defect(a) <= tol * np.maximum(unit * scale,
+                                                   np.linalg.norm(a, axis=(-2, -1)))
     return ok if ok.ndim else bool(ok)
 
 
@@ -502,8 +500,9 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     from the one ``eig`` call, normalized together; only larger clusters pay
     for SVDs (:func:`_cluster_chains`).
     """
-    a = np.asarray(m)
-    a = _checked_square(a.astype(complex if np.iscomplexobj(a) else float, copy=False))
+    a = as_square_matrix(m)
+    if not np.iscomplexobj(m):
+        a = a.real
     d = a.shape[0]
     if tol_cluster is None:
         norm_a = float(np.linalg.norm(a, 2)) if d > 1 else float(abs(a[0, 0]))
@@ -512,6 +511,8 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
         raw, raw_vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergence(str(exc)) from exc
+    if not np.isfinite(raw).all():
+        raise NoConvergence("eig returned non-finite eigenvalues")
 
     groups = _cluster_eigenvalues(raw, tol_cluster)
     sizes = [len(idx) for idx in groups]

@@ -32,16 +32,12 @@ def _fix_phases(basis: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Make the first non-negligible component of each column real-positive.
 
     Reproducibility convention only; any global phase is physically
-    equivalent.
+    equivalent.  The columns are unit vectors, so each has a component above
+    ``tol``; hypot is the modulus abs() takes of a complex scalar.
     """
-    out = basis.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.flatnonzero(np.abs(col) > tol)
-        if nz.size:
-            pivot = col[nz[0]]
-            out[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return out
+    first = np.argmax(np.abs(basis) > tol, axis=0)
+    pivot = basis[first, np.arange(basis.shape[1])]
+    return basis * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
 def first_order(a, delta_a, degeneracy_tol: float | None = None) -> PerturbationResult:
@@ -66,12 +62,8 @@ def first_order(a, delta_a, degeneracy_tol: float | None = None) -> Perturbation
         degeneracy_tol = 1e-9 * max(1.0, float(np.linalg.norm(am, 2)))
 
     # vals are sorted, so groups are contiguous runs with small gaps
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][-1]] <= degeneracy_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    breaks = (np.flatnonzero(np.diff(vals) > degeneracy_tol) + 1).tolist()
+    groups = [list(range(a, b)) for a, b in zip([0, *breaks], [*breaks, len(vals)])]
 
     shifts = np.empty_like(vals)
     rotated = vecs.copy()

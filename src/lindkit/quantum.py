@@ -185,14 +185,12 @@ def mixture(weights, states) -> DensityMatrix:
         raise BadWeights(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
     if len(w) != len(states):
         raise BadWeights("one weight per state required")
-    d = np.asarray(states[0]).size
-    rho = np.zeros((d, d), dtype=complex)
-    for wi, s in zip(w, states):
-        v = np.asarray(s, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise UnnormalizedState("mixture states must be normalized")
-        rho += wi * np.outer(v, v.conj())
-    return DensityMatrix.from_matrix(rho)
+    v = np.asarray(states, dtype=complex).reshape(len(w), -1)
+    if np.any(np.abs(np.linalg.norm(v, axis=1) - 1.0) > 1e-12):
+        raise UnnormalizedState("mixture states must be normalized")
+    # added in order from 0, so an entry that is -0.0 in every term sums to +0.0
+    terms = w[:, None, None] * (v[:, :, None] * v[:, None, :].conj())
+    return DensityMatrix.from_matrix(np.sum(terms, axis=0, initial=0.0))
 
 
 def expectation(rho: DensityMatrix, obs) -> float:

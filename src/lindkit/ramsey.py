@@ -417,29 +417,23 @@ class ScanResult:
     def argmax_avg(self) -> float:
         return float(self.delta_omegas[int(np.argmax(self.pb_e_avg))])
 
-    def to_csv(self) -> str:
-        lines = ["delta_omega,pb_e,pb_e_avg"]
-        for dw, p, pa in zip(self.delta_omegas, self.pb_e, self.pb_e_avg):
-            lines.append(f"{float(dw)!r},{float(p)!r},{float(pa)!r}")
-        return "\n".join(lines) + "\n"
+    def to_dict(self) -> dict:
+        """The ``lindkit.scan/1`` document: theory, config and one row per
+        detuning."""
+        return {
+            "schema": "lindkit.scan/1",
+            "theory": self.theory,
+            "config": self.config.to_dict(),
+            "rows": [
+                {"delta_omega": dw, "pb_e": p, "pb_e_avg": pa}
+                for dw, p, pa in zip(
+                    self.delta_omegas.tolist(), self.pb_e.tolist(), self.pb_e_avg.tolist()
+                )
+            ],
+        }
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": "lindkit.scan/1",
-                "theory": self.theory,
-                "config": self.config.to_dict(),
-                "rows": [
-                    {"delta_omega": dw, "pb_e": p, "pb_e_avg": pa}
-                    for dw, p, pa in zip(
-                        self.delta_omegas.tolist(),
-                        self.pb_e.tolist(),
-                        self.pb_e_avg.tolist(),
-                    )
-                ],
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def scan(

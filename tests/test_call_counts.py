@@ -3,19 +3,23 @@ and GKS layers O(d^8) and evolution one dense exponential per time point, and
 the constructions that made each CLI command parse its config twice, so a
 return to per-cluster SVDs, per-pair Kronecker products, per-time
 superoperator builds, per-state eigendecompositions, per-step Taylor plans, a
-second config parse, a parser per call, per-pair projector checks or a
-generator built for the closed-form Born limit fails a test."""
+second config parse, a parser per call, per-pair projector checks, a
+generator built for the closed-form Born limit, or a per-member loop over an
+operator family (the Gell-Mann basis, the Choi eigen-matrices) fails a test."""
 import argparse
 import json
 import sys
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import random_density, random_hermitian, random_lindblad_model, random_matrix
-from lindkit import (GKSForm, ProjectorBasis, cli, gks_build, lindblad, matcore, ramsey,
-                     spectrum)
+from lindkit import (GKSForm, ProjectorBasis, bfr_derivative_check, build_superoperator,
+                     channels, choi_cp_test, cli, gks_build, kernel_from_generator, lindblad,
+                     matcore, ramsey, spectrum)
+from lindkit.channels import gks_lindblad_ops
 from lindkit.matcore import general_eig
 
 # norm and matrix_rank call svd through numpy's implementation module
@@ -228,3 +232,70 @@ def test_projector_basis_norm_calls_do_not_grow_with_d(monkeypatch):
         ProjectorBasis.computational(d)
         counts[d] = len(calls)
     assert counts[2] == counts[12]
+
+
+class _CountingNumpy:
+    """Stands in for ``np`` in a lindkit module: every call of a numpy
+    function through it, also through a submodule such as ``np.linalg``, is
+    recorded by its dotted name.  Classes and constants pass through."""
+
+    def __init__(self, module, calls, prefix=""):
+        self._module, self._calls, self._prefix = module, calls, prefix
+
+    def __getattr__(self, name):
+        attr = getattr(self._module, name)
+        if isinstance(attr, types.ModuleType):
+            return _CountingNumpy(attr, self._calls, f"{self._prefix}{name}.")
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counting(*args, **kwargs):
+            self._calls.append(self._prefix + name)
+            return attr(*args, **kwargs)
+        return counting
+
+
+def _numpy_calls(monkeypatch, module):
+    calls = []
+    monkeypatch.setattr(module, "np", _CountingNumpy(np, calls))
+    return calls
+
+
+def _gks(rng, d):
+    a = random_matrix(rng, d * d - 1)
+    return GKSForm(d, random_hermitian(rng, d), a @ a.conj().T)
+
+
+def test_derivative_check_takes_no_traces(monkeypatch, rng):
+    # W is one tensordot with the stacked basis and its four trace vectors
+    # one product with the basis columns
+    calls = _numpy_calls(monkeypatch, channels)
+    for d in (2, 4):
+        bfr_derivative_check(_gks(rng, d), trials=3)
+    assert calls and "trace" not in calls
+
+
+def test_gks_lindblad_ops_numpy_calls_do_not_grow_with_d(monkeypatch, rng):
+    # one tensordot of the kept c eigenvectors with the stacked basis
+    calls = _numpy_calls(monkeypatch, channels)
+    counts = {}
+    for d in (2, 4):
+        gks = _gks(rng, d)
+        calls.clear()
+        assert len(gks_lindblad_ops(gks)) == d * d - 1
+        counts[d] = len(calls)
+    assert "trace" not in calls
+    assert counts[2] == counts[4]
+
+
+def test_choi_cp_test_numpy_calls_do_not_grow_with_d(monkeypatch, rng):
+    # one eigh and one phase gather for all d^2 eigen-matrices
+    calls = _numpy_calls(monkeypatch, channels)
+    counts = {}
+    for d in (2, 6):
+        kernel = kernel_from_generator(build_superoperator(random_lindblad_model(rng, d)), 0.5)
+        calls.clear()
+        is_cp, spec = choi_cp_test(kernel)
+        assert is_cp and np.shape(spec.kraus_like) == (d * d, d, d)
+        counts[d] = len(calls)
+    assert counts[2] == counts[6]

@@ -82,9 +82,9 @@ class TestKernelSpectrum:
     def test_tau_zero_structure(self):
         k = Kernel(2, 0.0, np.eye(4, dtype=complex))
         spec = kernel_spectrum(k)
-        assert np.allclose(spec.alphas, [2, 0, 0, 0], atol=1e-12)
-        assert np.allclose(spec.u_mats[0], np.eye(2) / np.sqrt(2), atol=1e-12)
-        for u in spec.u_mats[1:]:
+        assert np.allclose(spec.lambdas, [2, 0, 0, 0], atol=1e-12)
+        assert np.allclose(spec.kraus_like[0], np.eye(2) / np.sqrt(2), atol=1e-12)
+        for u in spec.kraus_like[1:]:
             assert abs(np.trace(u)) < 1e-10
 
     def test_unitary_conjugation_reassembles(self):
@@ -98,13 +98,13 @@ class TestKernelSpectrum:
         spec = kernel_spectrum(k)
         gram = np.array(
             [
-                [np.sum(u * v.conj()) for v in spec.u_mats]
-                for u in spec.u_mats
+                [np.sum(u * v.conj()) for v in spec.kraus_like]
+                for u in spec.kraus_like
             ]
         )
         assert np.linalg.norm(gram - np.eye(9)) < 1e-10
         total = sum(
-            a * (u.conj().T @ u) for a, u in zip(spec.alphas, spec.u_mats)
+            a * (u.conj().T @ u) for a, u in zip(spec.lambdas, spec.kraus_like)
         )
         assert np.linalg.norm(total - np.eye(3)) < 1e-9
 

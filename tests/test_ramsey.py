@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from lindkit import (
     DensityMatrix,
     ProjectorBasis,
     RamseyConfig,
+    cli,
     decay_matrix,
     derive,
     diagonal_solution,
@@ -399,15 +401,20 @@ class TestScan:
         assert np.all(res.pb_e >= -1e-9) and np.all(res.pb_e <= 1 + 1e-9)
         assert np.all(res.pb_e_avg >= -1e-9) and np.all(res.pb_e_avg <= 1 + 1e-9)
 
-    def test_csv_and_json_serialization(self):
+    def test_csv_and_json_serialization(self, tmp_path):
+        # the CSV form of a scan is the CLI's
         grid = np.linspace(-0.1, 0.1, 5)
         res = scan(make_config(), grid)
-        csv = res.to_csv()
+        config, out = tmp_path / "scan.json", tmp_path / "scan.csv"
+        config.write_text(json.dumps({"ramsey": res.config.to_dict(), "theory": "standard",
+                                      "grid": {"values": grid.tolist()}}))
+        assert cli.main(["ramsey-scan", "--config", str(config), "--format", "csv",
+                         "--out", str(out)]) == 0
+        csv = out.read_text()
         assert csv.splitlines()[0] == "delta_omega,pb_e,pb_e_avg"
         assert len(csv.splitlines()) == 6
-        import json
-
         doc = json.loads(res.to_json())
+        assert doc == res.to_dict()
         assert doc["theory"] == "standard"
         assert len(doc["rows"]) == 5
 
