@@ -47,6 +47,7 @@ from .errors import (
     NotHermitian,
     NotHermitianKernel,
     NotTracePreserving,
+    Overflow,
     SingularSimilarity,
     StepTooLarge,
 )
@@ -102,6 +103,9 @@ class Kernel:
             raise DimensionMismatch(
                 f"kernel matrix must be {d*d} x {d*d}, got {self.matrix.shape}"
             )
+        # before the checks below: a NaN defect compares False against any tolerance
+        if not np.isfinite(self.matrix).all():
+            raise Overflow("kernel matrix entries must be finite")
         c = reshuffle(self.matrix, d)
         defect = np.linalg.norm(c - c.conj().T)
         if defect > self._tol * max(1.0, float(np.linalg.norm(c))):

@@ -26,7 +26,9 @@ class IllConditioned(LindkitError):
 
 
 class Overflow(LindkitError):
-    """The scaled matrix-exponential argument exceeds the safety bound."""
+    """A number leaves double precision (an input or result entry is
+    infinite or NaN), or a matrix-exponential argument exceeds its safety
+    bound."""
 
 
 class DimensionMismatch(LindkitError):

@@ -112,18 +112,43 @@ def build_superoperator(model: LindbladModel) -> np.ndarray:
     """d^2 x d^2 matrix of L(rho) = -i[H, rho] + sum_a (L rho L^dag
     - 1/2 {L^dag L, rho}) in the row-major vec ordering.
 
+    Entry ((i, j), (k, l)) is -i (H_ik delta_jl - delta_ik H_lj) plus, per
+    operator a, (L_a)_ik conj(L_a)_jl - 1/2 (G_ik delta_jl + delta_ik G_lj)
+    with G = L_a^dag L_a.  The operators' products are one broadcast over
+    their stack; the identity-factor terms are added on the delta_jl and
+    delta_ik diagonals only, with the operations of
+    kron(G, I) + kron(I, G^T) in the same order, and the operators' terms
+    are summed in order, the Hamiltonian's first.  So every nonzero entry
+    has the bits of the Kronecker-product form; an entry that is zero may
+    differ from it in the sign of the zero.
+
     Raises Overflow when an entry, or the sum of the entries, is not
     finite, which finite but huge model entries (|x| ~ 1e300) produce
     through the products L^dag L.
     """
-    d = model.dim
-    eye = np.eye(d)
-    h = model.hamiltonian
+    d, h = model.dim, model.hamiltonian
+    # without operators, one zero operator carries the Hamiltonian's term
+    ops = (np.reshape(model.lindblads, (-1, d, d)) if model.lindblads
+           else np.zeros((1, d, d), complex))
     with np.errstate(over="ignore", invalid="ignore"):
-        sop = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for l in model.lindblads:
-            ll = l.conj().T @ l
-            sop += np.kron(l, l.conj()) - 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
+        g = ops.conj().transpose(0, 2, 1) @ ops
+        terms = ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]  # (a, i, j, k, l)
+        # at j == l: G_ik, plus G_jj where also i == k
+        g_jl = np.repeat(g[:, :, None, :], d, axis=2)
+        np.einsum("aiji->aij", g_jl)[...] += np.einsum("ajj->aj", g)[:, None, :]
+        np.einsum("aijkj->aijk", terms)[...] -= 0.5 * g_jl
+        # at i == k, j != l: G_lj (the j == l entries took it above)
+        g_ik = g.transpose(0, 2, 1).copy()
+        np.einsum("ajj->aj", g_ik)[...] = 0.0
+        np.einsum("aijil->aijl", terms)[...] -= 0.5 * g_ik[:, None]
+        # -i (H_ik - H_jj delta_ik) at j == l, and -i (-H_lj) at i == k, j != l
+        h_jl = np.repeat(h[:, None, :], d, axis=1)
+        np.einsum("iji->ij", h_jl)[...] -= np.diagonal(h)[None, :]
+        np.einsum("ijkj->ijk", terms[0])[...] += -1j * h_jl
+        h_ik = -h.T
+        np.fill_diagonal(h_ik, 0.0)
+        np.einsum("ijil->ijl", terms[0])[...] += -1j * h_ik[None]
+        sop = (terms.sum(axis=0) if len(terms) > 1 else terms[0]).reshape(d * d, d * d)
         total = sop.sum()  # inf or NaN when an entry is, or when the entries' sum overflows
     if not np.isfinite(total):
         raise Overflow("generator entries overflow double precision")
@@ -136,7 +161,7 @@ class SuperopSpectrum:
     convention L rho_n = -mu_n rho_n: decaying modes have Re mu > 0."""
 
     mus: np.ndarray                 # one entry per chain (per mode)
-    modes: list[np.ndarray]         # reshaped eigenvectors (chain heads)
+    modes: np.ndarray               # (chains, d, d): the chain heads as matrices
     classifications: list[str]      # decaying | stationary | forbidden
     chains: ChainSpectrum
     tol: float
@@ -183,18 +208,20 @@ def spectrum(model: LindbladModel, tol: float | None = None) -> SuperopSpectrum:
     if tol is None:
         tol = STATIONARY_TOL_REL * scale
     in_r = matcore.general_eig(r, tol_cluster=matcore.TOL_CLUSTER_REL * scale)
-    rows = iter(in_r.all_vectors().T @ v.T)  # each vector in L's vec coordinates
+    rows = in_r.vectors.T @ v.T  # row k: vector k in L's vec coordinates
+    next_row = iter(rows)
     chains = ChainSpectrum(
         in_r.eigenvalues, in_r.multiplicities,
-        [[[next(rows) for _ in chain] for chain in per_eig] for per_eig in in_r.chains],
-        in_r.rank_flags,
+        [[[next(next_row) for _ in chain] for chain in per_eig] for per_eig in in_r.chains],
+        in_r.rank_flags, rows.T,
     )
-    mus = -np.repeat(chains.eigenvalues, [len(per_eig) for per_eig in chains.chains])
-    modes = [matcore.unvec(chain[0], model.dim)
-             for per_eig in chains.chains for chain in per_eig]
+    lengths = [len(chain) for per_eig in in_r.chains for chain in per_eig]
+    mus = -np.repeat(chains.eigenvalues, [len(per_eig) for per_eig in in_r.chains])
+    heads = rows if len(lengths) == len(rows) else rows[np.cumsum([0, *lengths[:-1]])]
     classes = np.select([mus.real > tol, mus.real >= -tol], ["decaying", "stationary"],
                         "forbidden")
-    return SuperopSpectrum(mus, modes, classes.tolist(), chains, tol)
+    return SuperopSpectrum(mus, heads.reshape(-1, model.dim, model.dim), classes.tolist(),
+                           chains, tol)
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatrix:

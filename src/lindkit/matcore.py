@@ -343,26 +343,19 @@ class ChainSpectrum:
     is an ordered list [V_1, ..., V_p] with (A - lambda I) V_i = V_{i-1} and
     (A - lambda I) V_1 = 0.  ``rank_flags[k]`` holds, chain by chain, the
     generalized rank of every vector (1-based position in its chain).
+    ``vectors`` holds all generalized eigenvectors as columns, grouped by
+    eigenvalue in the order of ``chains``; each chain vector is one of them.
     """
 
     eigenvalues: list[complex]
     multiplicities: list[int]
     chains: list[list[list[np.ndarray]]]
     rank_flags: list[list[list[int]]]
+    vectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.chains[0][0][0].shape[0]
-
-    def all_vectors(self) -> np.ndarray:
-        """All generalized eigenvectors as columns, grouped by eigenvalue."""
-        cols = [
-            v
-            for per_eig in self.chains
-            for chain in per_eig
-            for v in chain
-        ]
-        return np.column_stack(cols)
+        return self.vectors.shape[0]
 
 
 def _cluster_eigenvalues(vals: np.ndarray, tol: float):
@@ -380,7 +373,10 @@ def _cluster_eigenvalues(vals: np.ndarray, tol: float):
         if not in_window.any():
             break
         hit = np.flatnonzero(in_window & (np.abs(v[k:] - v[:-k]) <= tol))
-        edges.append((order[hit], order[hit + k]))
+        if hit.size:
+            edges.append((order[hit], order[hit + k]))
+    if not edges:
+        return [[k] for k in range(n)]
     # Min-label propagation: each group ends labelled by its smallest index.
     label, prev = np.arange(n), None
     while prev is None or not np.array_equal(label, prev):
@@ -391,7 +387,9 @@ def _cluster_eigenvalues(vals: np.ndarray, tol: float):
             np.minimum.at(label, j, low)
         label = label[label]
     idx = np.argsort(label, kind="stable")
-    return [g.tolist() for g in np.split(idx, np.flatnonzero(np.diff(label[idx])) + 1)]
+    cuts = [0, *(np.flatnonzero(np.diff(label[idx])) + 1).tolist(), n]
+    idx = idx.tolist()
+    return [idx[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _null_space(mat: np.ndarray, cutoff: float) -> np.ndarray:
@@ -498,7 +496,8 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     takes LAPACK's real path and its complex eigenvalues come in exact
     conjugate pairs.  The one-member clusters take their unit eigenvectors
     from the one ``eig`` call, normalized together; only larger clusters pay
-    for SVDs (:func:`_cluster_chains`).
+    for SVDs (:func:`_cluster_chains`).  The final check that the vectors
+    span the space is one SVD, real for a real input (:func:`_real_span`).
     """
     a = as_square_matrix(m)
     if not np.iscomplexobj(m):
@@ -523,24 +522,60 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     order = np.lexsort((centres.imag, centres.real)).tolist()
     unit_vecs = raw_vecs / np.linalg.norm(raw_vecs, axis=0)
 
+    # the vectors fill one matrix, cluster by cluster in order; the
+    # one-member clusters' columns in one gather
+    clusters = [groups[k] for k in order]
+    start = np.cumsum([0, *map(len, clusters)]).tolist()
+    singles = [j for j, idx in enumerate(clusters) if len(idx) == 1]
+    vectors = np.empty((d, d), unit_vecs.dtype)
+    vectors[:, [start[j] for j in singles]] = unit_vecs[:, [clusters[j][0] for j in singles]]
     all_chains: list[list[list[np.ndarray]]] = []
     all_flags: list[list[list[int]]] = []
-    for k in order:
-        idx = groups[k]
-        if sizes[k] == 1:
-            all_chains.append([[unit_vecs[:, idx[0]]]])
+    for j, idx in enumerate(clusters):
+        if len(idx) == 1:
+            all_chains.append([[vectors[:, start[j]]]])
             all_flags.append([[1]])
-        else:
-            chains, flags = _cluster_chains(a, complex(centres[k]), raw[idx])
-            all_chains.append(chains)
-            all_flags.append(flags)
+            continue
+        chains, flags = _cluster_chains(a, complex(centres[order[j]]), raw[idx])
+        vectors[:, start[j]:start[j + 1]] = np.column_stack([v for c in chains for v in c])
+        cols = iter(range(start[j], start[j + 1]))
+        all_chains.append([[vectors[:, next(cols)] for _ in chain] for chain in chains])
+        all_flags.append(flags)
 
     eigenvalues = centres[order].tolist()
-    spectrum = ChainSpectrum(eigenvalues, [sizes[k] for k in order], all_chains, all_flags)
-    basis = spectrum.all_vectors()
+    basis = vectors if np.iscomplexobj(a) else _real_span(vectors, raw, clusters)
     if np.linalg.matrix_rank(basis, tol=1e-8) < d:
         raise IllConditioned(
             "generalized eigenvectors do not span the space",
             cluster=eigenvalues,
         )
-    return spectrum
+    return ChainSpectrum(eigenvalues, [sizes[k] for k in order], all_chains, all_flags,
+                         vectors)
+
+
+def _real_span(vectors, raw, clusters):
+    """A real matrix with the rank of ``vectors``, the generalized
+    eigenvectors of a real matrix as :func:`general_eig` orders them, with
+    ``clusters`` the raw eigenvalue indices of each cluster in that order.
+
+    The raw eigenvalues of a real matrix come in conjugate pairs at
+    adjacent indices, the positive imaginary part first, and the clusters
+    in conjugate pairs too (the clustering reads only real parts and
+    distances).  Of a pair of clusters the one whose first index holds the
+    positive imaginary part is kept, and each of its vectors x stands in
+    for x and its partner's conj(x): [x, conj(x)] M = sqrt(2) [Re x, Im x]
+    with M the unitary [[1, -i], [1, i]] / sqrt(2).  numpy returns the
+    vectors of a pair of one-member clusters as exact conjugates, so for
+    them the 1e-8 rank threshold reads the singular values of the complex
+    matrix.  A cluster that is its own conjugate starts with a real
+    eigenvalue or with the positive member of a pair, so it is kept too;
+    its vectors span a conjugate-closed space, and they are real when its
+    centre is, or else their real and imaginary parts span it, which adds
+    columns but no rank.
+    """
+    if not np.iscomplexobj(vectors):
+        return vectors
+    side = np.repeat(np.sign(raw.imag[[idx[0] for idx in clusters]]),
+                     [len(idx) for idx in clusters])
+    x = vectors[:, side >= 0] * np.where(side[side >= 0] > 0, np.sqrt(2), 1.0)
+    return np.hstack([x.real, x.imag[:, x.imag.any(axis=0)]])

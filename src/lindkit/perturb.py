@@ -58,21 +58,22 @@ def first_order(a, delta_a, degeneracy_tol: float | None = None) -> Perturbation
     if not matcore._is_hermitian(dm, matcore.TOL_HERM):
         raise NotHermitian("perturbation must be Hermitian")
     vals, vecs = matcore.herm_eig(am)
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-9 * max(1.0, float(np.linalg.norm(am, 2)))
+    if degeneracy_tol is None:  # ||a||_2 is the largest |eigenvalue|
+        degeneracy_tol = 1e-9 * max(1.0, float(max(-vals[0], vals[-1])))
 
     # vals are sorted, so groups are contiguous runs with small gaps
     breaks = (np.flatnonzero(np.diff(vals) > degeneracy_tol) + 1).tolist()
     groups = [list(range(a, b)) for a, b in zip([0, *breaks], [*breaks, len(vals)])]
 
-    shifts = np.empty_like(vals)
+    # a one-member group's shift is Re <u|delta|u>; larger groups are rotated
+    shifts = np.einsum("ij,ij->j", vecs.conj(), dm @ vecs).real
     rotated = vecs.copy()
     for grp in groups:
-        sub = vecs[:, grp]
-        block = sub.conj().T @ dm @ sub
-        block = 0.5 * (block + block.conj().T)
-        dvals, w = np.linalg.eigh(block)
-        shifts[grp] = dvals
-        rotated[:, grp] = sub @ w
+        if len(grp) > 1:
+            sub = vecs[:, grp]
+            block = sub.conj().T @ dm @ sub
+            block = 0.5 * (block + block.conj().T)
+            shifts[grp], w = np.linalg.eigh(block)
+            rotated[:, grp] = sub @ w
     rotated = _fix_phases(rotated)
     return PerturbationResult(vals, shifts, rotated, groups)

@@ -181,7 +181,7 @@ def mixture(weights, states) -> DensityMatrix:
     """rho = sum_i w_i |psi_i><psi_i| for classical weights over (possibly
     non-orthogonal) normalized states."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):  # also False for NaN
         raise BadWeights(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
     if len(w) != len(states):
         raise BadWeights("one weight per state required")

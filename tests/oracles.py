@@ -5,8 +5,8 @@ dynamics, and adaptive quadrature of the Gaussian transit-time average.  The
 quadrature integrand composes the three protocol segments directly on raw
 coefficient values, so it shares no code with the library's fringe constants.
 
-For the generator layer: direct evaluation of L(rho), the GKS maps as
-explicit loops over basis pairs of Kronecker products, and eigenvalue
+For the generator layer: direct evaluation of L(rho), the generator and
+the GKS maps as explicit loops of Kronecker products, and eigenvalue
 clustering by pairwise comparison of every pair.
 
 For states: the density-matrix checks and repair, the von Neumann entropy
@@ -204,6 +204,19 @@ def apply_generator(model, rho):
         ll = l.conj().T @ l
         out += l @ rho @ l.conj().T - 0.5 * (ll @ rho + rho @ ll)
     return out
+
+
+def superoperator_kron(model):
+    """The generator as nine Kronecker products per operator, summed one
+    operator at a time after the Hamiltonian's term."""
+    d, h = model.dim, model.hamiltonian
+    eye = np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sop = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for l in model.lindblads:
+            ll = l.conj().T @ l
+            sop += np.kron(l, l.conj()) - 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
+    return sop
 
 
 def gks_build_loops(gks):

@@ -4,8 +4,10 @@ the constructions that made each CLI command parse its config twice, so a
 return to per-cluster SVDs, per-pair Kronecker products, per-time
 superoperator builds, per-state eigendecompositions, per-step Taylor plans, a
 second config parse, a parser per call, per-pair projector checks, a
-generator built for the closed-form Born limit, or a per-member loop over an
-operator family (the Gell-Mann basis, the Choi eigen-matrices) fails a test."""
+generator built for the closed-form Born limit, a per-member loop over an
+operator family (the Gell-Mann basis, the Choi eigen-matrices, the Lindblad
+operators of a generator), per-mode reshapes of the spectrum, or an eigh per
+nondegenerate perturbation group fails a test."""
 import argparse
 import json
 import sys
@@ -17,8 +19,8 @@ import scipy.linalg
 
 from conftest import random_density, random_hermitian, random_lindblad_model, random_matrix
 from lindkit import (GKSForm, ProjectorBasis, bfr_derivative_check, build_superoperator,
-                     channels, choi_cp_test, cli, gks_build, kernel_from_generator, lindblad,
-                     matcore, ramsey, spectrum)
+                     channels, choi_cp_test, cli, first_order, gks_build, kernel_from_generator,
+                     lindblad, matcore, perturb, ramsey, spectrum)
 from lindkit.channels import gks_lindblad_ops
 from lindkit.matcore import general_eig
 
@@ -299,3 +301,46 @@ def test_choi_cp_test_numpy_calls_do_not_grow_with_d(monkeypatch, rng):
         assert is_cp and np.shape(spec.kraus_like) == (d * d, d, d)
         counts[d] = len(calls)
     assert counts[2] == counts[6]
+
+
+def test_build_superoperator_numpy_calls_do_not_grow_with_operators(monkeypatch, rng):
+    # one broadcast over the operator stack, one ordered sum over it
+    calls = _numpy_calls(monkeypatch, lindblad)
+    counts = {}
+    for n_ops in (0, 1, 2, 5):
+        model = random_lindblad_model(rng, 3, n_ops)
+        calls.clear()
+        build_superoperator(model)
+        counts[n_ops] = len(calls)
+    assert "kron" not in calls
+    assert counts[0] <= counts[1] == counts[2] == counts[5]
+
+
+def test_spectrum_numpy_calls_do_not_grow_with_d(monkeypatch, rng):
+    # with one-member clusters only: the chains map back in one product,
+    # the modes are one reshape of it, and the span test is one matrix
+    calls = _numpy_calls(monkeypatch, lindblad)
+    calls_matcore = _numpy_calls(monkeypatch, matcore)
+    counts = {}
+    for d in (3, 6):
+        model = random_lindblad_model(rng, d)
+        calls.clear()
+        calls_matcore.clear()
+        spec = spectrum(model)
+        assert spec.chains.multiplicities == [1] * d * d
+        counts[d] = (len(calls), len(calls_matcore))
+    assert counts[3] == counts[6]
+
+
+def test_first_order_rotates_only_degenerate_groups(monkeypatch, rng):
+    # one-member groups take Re diag(V^dag delta V) in one product, and
+    # ||a||_2 comes from the eigenvalues: no eigh per group, no norm
+    calls = _numpy_calls(monkeypatch, perturb)
+    counts = {}
+    for d in (3, 8):
+        calls.clear()
+        res = first_order(np.diag(np.arange(d, dtype=float)), random_hermitian(rng, d))
+        assert res.degeneracy_groups == [[k] for k in range(d)]
+        counts[d] = len(calls)
+    assert "linalg.eigh" not in calls and "linalg.norm" not in calls
+    assert counts[3] == counts[8]

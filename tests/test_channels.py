@@ -71,6 +71,15 @@ class TestKernelBasics:
         with pytest.raises((errors.NotTracePreserving, errors.NotHermitianKernel)):
             Kernel(2, 1.0, bad)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_entries(self, entry):
+        # a NaN defect passes every "defect > tol" check, and choi_cp_test
+        # then called the kernel CP
+        bad = np.eye(4, dtype=complex)
+        bad[0, 1] = entry
+        with pytest.raises(errors.Overflow, match="finite"):
+            Kernel(2, 1.0, bad)
+
     def test_json_roundtrip(self, rng):
         k = random_cp_kernel(rng, 2)
         k2 = Kernel.from_json(k.to_json())

@@ -10,6 +10,7 @@ from conftest import (
     SX,
     SZ,
     random_density,
+    random_hermitian,
     random_lindblad_model,
     random_measurement_model,
     random_unitary,
@@ -32,7 +33,7 @@ from lindkit import (
     measurement_model,
     spectrum,
 )
-from oracles import apply_generator
+from oracles import apply_generator, superoperator_kron
 
 
 class TestSuperoperator:
@@ -70,6 +71,27 @@ class TestSuperoperator:
     def test_rejects_non_hermitian_h(self):
         with pytest.raises(errors.NotHermitianH):
             LindbladModel(2, np.array([[0, 1], [0, 0]]), [])
+
+
+@pytest.mark.parametrize("structured", [False, True])
+@pytest.mark.parametrize("n_ops", [0, 1, 3])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_superoperator_is_the_kronecker_form(d, n_ops, structured):
+    # equal values, so every nonzero entry has the oracle's bits (only a
+    # zero has two); structured models (real H, sparse real operators, an
+    # all-zero one) put exact zeros in every term
+    rng = np.random.default_rng([d, n_ops, structured])
+    if structured:
+        h = random_hermitian(rng, d).real
+        ops = [np.where(rng.random((d, d)) < 0.4, rng.standard_normal((d, d)), 0.0)
+               for _ in range(n_ops)]
+        if ops:
+            ops[0] = np.zeros((d, d))
+    else:
+        model = random_lindblad_model(rng, d, n_ops)
+        h, ops = model.hamiltonian, model.lindblads
+    model = LindbladModel(d, h, ops)
+    assert np.array_equal(build_superoperator(model), superoperator_kron(model))
 
 
 class TestSpectrum:

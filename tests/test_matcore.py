@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_matrix, random_measurement_model
-from lindkit import GKSForm, LindbladModel, build_superoperator, errors, gks_project, quantum
+from lindkit import (GKSForm, LindbladModel, build_superoperator, errors, gks_project, matcore,
+                     quantum)
 from lindkit.matcore import (
     _TAYLOR_M,
     _cluster_eigenvalues,
     _is_hermitian,
+    _real_span,
     _taylor_plan,
     expm,
     expm_action,
@@ -161,14 +163,14 @@ class TestGeneralEig:
     def test_chain_orthonormality_on_canonical_fixtures(self):
         n = np.diag([1.0, 1.0, 1.0], k=1)
         cs = general_eig(n)
-        vecs = cs.all_vectors()
+        vecs = cs.vectors
         assert np.allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-10)
 
     def test_completeness_random(self, rng):
         for d in (3, 6, 10):
             a = random_matrix(rng, d)
             cs = general_eig(a)
-            assert np.linalg.matrix_rank(cs.all_vectors()) == d
+            assert np.linalg.matrix_rank(cs.vectors) == d
             assert sum(cs.multiplicities) == d
 
     def test_chain_relations_random(self, rng):
@@ -188,6 +190,59 @@ class TestGeneralEig:
         with pytest.raises(errors.IllConditioned) as exc:
             general_eig(np.diag([1.0, 1.5]), tol_cluster=1.0)
         assert exc.value.cluster is not None
+
+    @pytest.mark.parametrize("a, tol", [
+        (np.array([[1.0, 1.0], [0.0, 1.0 + 1e-9]]), 1e-12),
+        (np.array([[1.0, 1.0], [0.0, 1.0 + 1e-9]], dtype=complex), 1e-12),
+        (np.array([[0.0, 1.0], [-1e-20, 0.0]]), 1e-14),
+    ], ids=["real", "complex", "real-conjugate-pair"])
+    def test_nearly_parallel_eigenvectors_fail_the_span_test(self, a, tol):
+        # one-member clusters whose unit eigenvectors are about 1e-9 apart
+        # (1e-10 for the pair +-1e-10 i): the rank test, not the clustering,
+        # must refuse them
+        with pytest.raises(errors.IllConditioned, match="do not span"):
+            general_eig(a, tol_cluster=tol)
+
+    def test_real_span_test_reads_the_complex_singular_values(self, monkeypatch, rng):
+        # a real input's span test runs on a real matrix; with one-member
+        # clusters it has the complex eigenvector matrix's singular values,
+        # and with a defective conjugate pair of clusters its rank
+        seen = []
+
+        def spy(vectors, *args):
+            seen.append((vectors, _real_span(vectors, *args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(matcore, "_real_span", spy)
+        for n in (5, 12):
+            general_eig(rng.standard_normal((n, n)))
+        c = np.array([[0.3, -1.2], [1.2, 0.3]])
+        j = np.zeros((6, 6))
+        j[:4, :4] = np.block([[c, np.eye(2)], [np.zeros((2, 2)), c]])
+        j[4:, 4:] = np.diag([2.0, -1.0])
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        # the double pair splits by about sqrt(eps): a cluster tolerance above that
+        cs = general_eig(q @ j @ q.T, tol_cluster=1e-6)
+        assert cs.multiplicities == [1, 2, 2, 1]
+        assert len(seen) == 3
+        for k, (vectors, basis) in enumerate(seen):
+            assert np.iscomplexobj(vectors) and not np.iscomplexobj(basis)
+            assert basis.shape == vectors.shape
+            sv = np.linalg.svd(basis, compute_uv=False)
+            if k < 2:
+                assert np.allclose(sv, np.linalg.svd(vectors, compute_uv=False),
+                                   rtol=1e-12, atol=0)
+            assert sv[-1] > 1e-3
+
+    def test_real_span_of_a_self_conjugate_complex_cluster(self, rng):
+        # a cluster holding a conjugate pair whose mean came out a hair off
+        # the real axis has complex vectors over a conjugate-closed space:
+        # their real and imaginary parts add columns but no rank
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        vectors = q * np.exp(1j * np.array([0.3, -1.1, 0.0]))
+        basis = _real_span(vectors, np.array([0.5 + 1e-12j, 0.5 - 1e-12j, 2.0]), [[0, 1], [2]])
+        assert basis.shape == (3, 5) and not np.iscomplexobj(basis)
+        assert np.linalg.matrix_rank(basis, tol=1e-8) == 3
 
     def test_mixed_jordan_structure(self):
         # blocks: 2-chain at 1, 1-chain at 1, 1-chain at 4 (via similarity)

@@ -69,6 +69,11 @@ class TestMixture:
         with pytest.raises(errors.UnnormalizedState):
             mixture([1.0], [[1, 1]])
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [0.5, np.nan]])
+    def test_non_finite_weights_are_bad_weights(self, weights):
+        with pytest.raises(errors.BadWeights):
+            mixture(weights, [[1, 0], [0, 1]])
+
 
 class TestExpectation:
     def test_maximally_mixed(self, rng):

@@ -1,5 +1,5 @@
-"""Time lindblad.evolve_many and lindblad.spectrum of several lindkit
-checkouts in one process.
+"""Time lindblad.evolve_many, spectrum and build_superoperator of several
+lindkit checkouts in one process.
 
     python3 tools/evolve_sweep.py --src ../parent/src --src src
 
@@ -10,14 +10,15 @@ For d in DIMS a random generator (seed SEED, two Lindblad operators) is
 scaled to ||L||_1 = d^2 as in perfbench's dynamics workload, evolved over
 three grids: that workload's 50-point linspace(0.05, 2, 50), the 150-point
 t, t + 1e-5, t - 1e-5 grid entropy-check evolves over it, and the single
-time 1.0; and its spectrum is taken (case "spectrum").  A round times, for
-every (d, case), REPEAT calls of each checkout in turn and keeps each one's
-best; the checkouts take turns going first from round to round.  After
-ROUNDS rounds the tool prints one JSON line per (d, case): each checkout's
-median and quartiles over the rounds, and in how many rounds it was faster
-than the first ``--src``.  Timing separate runs of one checkout after
-another drifted by about +-30 % on a 2-core host; rounds that interleave
-the checkouts share that drift.
+time 1.0; its spectrum is taken (case "spectrum"), and its generator built
+(case "build", lindblad.build_superoperator).  A round times, for every
+(d, case), REPEAT calls of each checkout in turn and keeps each one's best;
+the checkouts take turns going first from round to round.  After ROUNDS
+rounds the tool prints one JSON line per (d, case): each checkout's median
+and quartiles over the rounds, and in how many rounds it was faster than
+the first ``--src``.  Timing separate runs of one checkout after another
+drifted by about +-30 % on a 2-core host; rounds that interleave the
+checkouts share that drift.
 """
 import argparse
 import importlib.util
@@ -85,6 +86,8 @@ def main() -> None:
                                    for lk, model, rho0 in models]))
         work.append((d, "spectrum", [partial(lk.lindblad.spectrum, model)
                                      for lk, model, _ in models]))
+        work.append((d, "build", [partial(lk.lindblad.build_superoperator, model)
+                                  for lk, model, _ in models]))
 
     best = {(d, name): [[] for _ in packages] for d, name, _ in work}
     for r in range(ROUNDS):
