@@ -34,7 +34,7 @@ and Tr(X F_m) for every m is one product with the columns vec(F_m).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,6 +54,8 @@ from .errors import (
 
 TOL_KERNEL = 1e-10
 TOL_GENERATOR_TRACE = 1e-8
+TOL_OPERATOR = 1e-12  # Choi and c-matrix eigenvalues at or below it give no operator
+MAX_RESAMPLE = 50
 # the conventions above, as the kernel JSON declares them
 KERNEL_CONVENTIONS = {
     "vec_order": "row-major",
@@ -94,7 +96,6 @@ class Kernel:
     dim: int
     tau: float
     matrix: np.ndarray
-    _tol: float = field(default=TOL_KERNEL, repr=False)
 
     def __post_init__(self):
         d = self.dim
@@ -107,15 +108,14 @@ class Kernel:
         if not np.isfinite(self.matrix).all():
             raise Overflow("kernel matrix entries must be finite")
         c = reshuffle(self.matrix, d)
-        defect = np.linalg.norm(c - c.conj().T)
-        if defect > self._tol * max(1.0, float(np.linalg.norm(c))):
+        if not matcore._is_hermitian(c, TOL_KERNEL):
             raise NotHermitianKernel(
-                f"kernel does not preserve Hermiticity (defect {defect:.3e})")
+                f"kernel does not preserve Hermiticity ({matcore._defect_text(c)})")
         defect = trace_defect(self.matrix, d)
-        if defect > self._tol * d:
+        if defect > TOL_KERNEL * d:
             raise NotTracePreserving(f"trace defect {defect:.3e}")
         if self.tau == 0.0:
-            if np.linalg.norm(self.matrix - np.eye(d * d)) > self._tol * d:
+            if np.linalg.norm(self.matrix - np.eye(d * d)) > TOL_KERNEL * d:
                 raise NotTracePreserving("K(0) must be the identity")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -197,22 +197,20 @@ def kernel_spectrum(k: Kernel) -> ChoiSpectrum:
     return ChoiSpectrum(vals[order], rows.reshape(-1, k.dim, k.dim))
 
 
-def choi_cp_test(k: Kernel, tol: float | None = None):
+def choi_cp_test(k: Kernel):
     """Complete positivity via the Choi spectrum.
 
-    Returns (is_cp, ChoiSpectrum); ``is_cp`` is min(lambda) >= -tol with the
-    default tol = 1e-10 * d (the eigensolver noise floor of exactly-CP maps).
+    Returns (is_cp, ChoiSpectrum); ``is_cp`` is min(lambda) >= -TOL_KERNEL * d
+    (the eigensolver noise floor of exactly-CP maps).
     """
-    if tol is None:
-        tol = 1e-10 * k.dim
     spec = kernel_spectrum(k)
-    return bool(spec.lambdas.min() >= -tol), spec
+    return bool(spec.lambdas.min() >= -(TOL_KERNEL * k.dim)), spec
 
 
-def kraus_operators(spectrum: ChoiSpectrum, tol: float = 1e-12) -> np.ndarray:
-    """{sqrt(lambda) E}, stacked, for the nonnegligible Choi eigenvalues;
+def kraus_operators(spectrum: ChoiSpectrum) -> np.ndarray:
+    """{sqrt(lambda) E}, stacked, for the Choi eigenvalues above TOL_OPERATOR;
     reproduces the channel action when the map is CP."""
-    keep = spectrum.lambdas > tol
+    keep = spectrum.lambdas > TOL_OPERATOR
     return np.sqrt(spectrum.lambdas[keep])[:, None, None] * spectrum.kraus_like[keep]
 
 
@@ -256,9 +254,9 @@ class GKSForm:
             raise DimensionMismatch(f"c matrix must be {n} x {n}")
         if np.shape(self.hamiltonian) != (self.dim, self.dim):
             raise DimensionMismatch(f"GKS Hamiltonian must be {self.dim} x {self.dim}")
-        if not matcore._is_hermitian(self.c_matrix, 1e-10):
+        if not matcore._is_hermitian(self.c_matrix, matcore.TOL_HERM):
             raise NotHermitian("c matrix must be Hermitian")
-        if not matcore._is_hermitian(self.hamiltonian, 1e-10):
+        if not matcore._is_hermitian(self.hamiltonian, matcore.TOL_HERM):
             raise NotHermitian("GKS Hamiltonian must be Hermitian")
 
     @property
@@ -308,18 +306,18 @@ def gks_build(gks: GKSForm) -> np.ndarray:
                                            - 1/2 {F_n^dag F_m, rho}).
 
     With M = W c W^dag (W: columns vec(F_m)), sum_mn c_mn F_m (x) conj(F_n) is
-    reshuffle(M) and sum_mn c_mn F_n^dag F_m is a partial trace of M.
+    reshuffle(M) and sum_mn c_mn F_n^dag F_m is a partial trace of M, anti.
+    The rest, K (x) I + I (x) (iH - anti/2)^T with K = -iH - anti/2, is
+    added on the delta_jl and delta_ik diagonals of entry ((i, j), (k, l)).
     """
     d, h = gks.dim, gks.hamiltonian
-    eye = np.eye(d)
     w = _vec_basis(d)[:, 1:]
     m = w @ gks.c_matrix @ w.conj().T
     anti = np.trace(m.reshape(d, d, d, d), axis1=0, axis2=2).T
-    return (
-        reshuffle(m, d)
-        - np.kron(1j * h + 0.5 * anti, eye)
-        - np.kron(eye, (0.5 * anti - 1j * h).T)
-    )
+    sop = reshuffle(m, d).reshape(d, d, d, d)
+    np.einsum("ijkj->ijk", sop)[...] += (-1j * h - 0.5 * anti)[:, None, :]
+    np.einsum("ijil->ijl", sop)[...] += (1j * h - 0.5 * anti).T[None]
+    return sop.reshape(d * d, d * d)
 
 
 def gks_project(superop: np.ndarray) -> GKSForm:
@@ -357,21 +355,19 @@ def gks_project(superop: np.ndarray) -> GKSForm:
     return GKSForm(d, h, c)
 
 
-def gks_lindblad_ops(gks: GKSForm, tol: float = 1e-12) -> np.ndarray:
+def gks_lindblad_ops(gks: GKSForm) -> np.ndarray:
     """Lindblad operators sqrt(eta) sum_m w_m F_m, stacked, for the
-    eigenpairs (eta, w) of a PSD c matrix with eta > tol."""
+    eigenpairs (eta, w) of a PSD c matrix with eta > TOL_OPERATOR."""
     vals, vecs = np.linalg.eigh(gks.c_matrix)
-    if vals.min() < -tol * max(1.0, abs(vals).max()):
+    if vals.min() < -TOL_OPERATOR * max(1.0, abs(vals).max()):
         raise NotAGenerator(
             f"c matrix has negative eigenvalue {vals.min():.3e}; not a CP generator"
         )
-    keep = vals > tol
+    keep = vals > TOL_OPERATOR
     return np.sqrt(vals[keep])[:, None, None] * np.tensordot(vecs[:, keep].T, gks.basis, 1)
 
 
-def bfr_derivative_check(
-    gks: GKSForm, trials: int, seed: int = 0, max_resample: int = 50
-) -> float:
+def bfr_derivative_check(gks: GKSForm, trials: int, seed: int = 0) -> float:
     """Minimum of the derivative-positivity quadratic form over random probes.
 
     For each trial draws coefficients w, forms W = 1/2 sum conj(w_m) F_m,
@@ -385,7 +381,7 @@ def bfr_derivative_check(
     the (doubled) values, so c = identity yields ||w||^2 per trial.  For a
     PSD c the minimum stays above -1e-10; a negative c direction shows up as
     a negative minimum.  Raises SingularSimilarity if no well-conditioned
-    similarity can be found after ``max_resample`` redraws.
+    similarity can be found after MAX_RESAMPLE redraws.
 
     F_m is Hermitian, so Tr(X F_m) = Tr(X F_m^dag) = vec(F_m)^dag vec(X):
     the four trace vectors are one product with the basis columns.
@@ -398,7 +394,7 @@ def bfr_derivative_check(
     cols = _vec_basis(gks.dim)[:, 1:].conj()
     best = np.inf
     for _ in range(trials):
-        for attempt in range(max_resample + 1):
+        for attempt in range(MAX_RESAMPLE + 1):
             w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             big_w = 0.5 * np.tensordot(w.conj(), fs, 1)
             try:
@@ -410,7 +406,7 @@ def bfr_derivative_check(
                 break
         else:
             raise SingularSimilarity(
-                f"no well-conditioned similarity after {max_resample} redraws"
+                f"no well-conditioned similarity after {MAX_RESAMPLE} redraws"
             )
         phi = u
         psi_dag = np.linalg.solve(u, big_w)

@@ -539,7 +539,8 @@ def _cmd_extract_generator(args, doc, model, h, scheme) -> int:
     ]
     est = channels.extract_generator(samples, scheme)
     rich = channels.extract_generator_richardson(samples)
-    scale = float(np.linalg.norm(gen))
+    # a zero generator's estimates are exactly 0, and so are their errors
+    scale = float(np.linalg.norm(gen)) or 1.0
     result = {
         "h": h,
         "scheme": scheme,

@@ -35,6 +35,7 @@ from .quantum import DensityMatrix, ProjectorBasis, born_collapse
 
 BALANCE_TOL = 1e-10
 STATIONARY_TOL_REL = 1e-9
+CLASS_TOL = 1e-10
 
 
 @dataclass
@@ -50,7 +51,7 @@ class LindbladModel:
         h = matcore.as_square_matrix(self.hamiltonian)
         if h.shape[0] != self.dim:
             raise DimensionMismatch("Hamiltonian dimension mismatch")
-        if not matcore._is_hermitian(h, 1e-10):
+        if not matcore._is_hermitian(h, matcore.TOL_HERM):
             raise NotHermitianH("model Hamiltonian must be Hermitian")
         self.hamiltonian = h
         ops = []
@@ -174,11 +175,12 @@ class SuperopSpectrum:
         ]
 
 
-def spectrum(model: LindbladModel, tol: float | None = None) -> SuperopSpectrum:
+def spectrum(model: LindbladModel) -> SuperopSpectrum:
     """Eigenvalues and modes of the generator.
 
-    Classification: Re mu > tol decaying, |Re mu| <= tol stationary (this
-    bucket includes purely oscillatory coherences), Re mu < -tol forbidden.
+    Classification, with tol = STATIONARY_TOL_REL * max(1, ||L||_2): Re mu >
+    tol decaying, |Re mu| <= tol stationary (this bucket includes purely
+    oscillatory coherences), Re mu < -tol forbidden.
     A balanced model must produce no forbidden modes, and every generator has
     at least one mu = 0 mode.
 
@@ -205,18 +207,12 @@ def spectrum(model: LindbladModel, tol: float | None = None) -> SuperopSpectrum:
         raise NoConvergence(f"2-norm of the generator: {exc}") from exc
     if scale == np.inf:  # every tolerance below would be infinite
         raise Overflow("||L||_2 overflows double precision")
-    if tol is None:
-        tol = STATIONARY_TOL_REL * scale
+    tol = STATIONARY_TOL_REL * scale
     in_r = matcore.general_eig(r, tol_cluster=matcore.TOL_CLUSTER_REL * scale)
     rows = in_r.vectors.T @ v.T  # row k: vector k in L's vec coordinates
-    next_row = iter(rows)
-    chains = ChainSpectrum(
-        in_r.eigenvalues, in_r.multiplicities,
-        [[[next(next_row) for _ in chain] for chain in per_eig] for per_eig in in_r.chains],
-        in_r.rank_flags, rows.T,
-    )
-    lengths = [len(chain) for per_eig in in_r.chains for chain in per_eig]
-    mus = -np.repeat(chains.eigenvalues, [len(per_eig) for per_eig in in_r.chains])
+    chains = ChainSpectrum(in_r.eigenvalues, in_r.lengths, rows.T)
+    lengths = [p for per_eig in in_r.lengths for p in per_eig]
+    mus = -np.repeat(chains.eigenvalues, [len(per_eig) for per_eig in in_r.lengths])
     heads = rows if len(lengths) == len(rows) else rows[np.cumsum([0, *lengths[:-1]])]
     classes = np.select([mus.real > tol, mus.real >= -tol], ["decaying", "stationary"],
                         "forbidden")
@@ -308,24 +304,22 @@ class DecayMatrix:
     energy-phase-free variant lambda-tilde used by the Ramsey analysis."""
 
     basis: ProjectorBasis
-    l_coeffs: np.ndarray
-    h_coeffs: np.ndarray
     lambdas: np.ndarray        # lambda_{alpha beta}, zero on the diagonal
     lambdas_tilde: np.ndarray  # same with the h (energy) phases removed
 
-    def _labels(self, tol: float) -> np.ndarray:
-        """Label of outcome alpha: the first beta with |lambda_{beta alpha}| <= tol."""
-        return np.argmax(np.abs(self.lambdas) <= tol, axis=0)
+    def _labels(self) -> np.ndarray:
+        """Label of outcome alpha: the first beta with |lambda_{beta alpha}| <= CLASS_TOL."""
+        return np.argmax(np.abs(self.lambdas) <= CLASS_TOL, axis=0)
 
-    def classes(self, tol: float = 1e-10) -> list[list[int]]:
+    def classes(self) -> list[list[int]]:
         """Partition of outcomes into groups with identical coefficients
-        (|lambda_{alpha beta}| <= tol), i.e. coherence-preserving classes."""
-        label = self._labels(tol)
+        (|lambda_{alpha beta}| <= CLASS_TOL), i.e. coherence-preserving classes."""
+        label = self._labels()
         return [np.flatnonzero(label == k).tolist() for k in np.unique(label).tolist()]
 
-    def gamma_min(self, tol: float = 1e-10) -> float:
+    def gamma_min(self) -> float:
         """Smallest nonzero decay rate Re lambda across distinct classes."""
-        label = self._labels(tol)
+        label = self._labels()
         rates = self.lambdas.real[label[:, None] != label[None, :]]
         return float(rates.min()) if rates.size else 0.0
 
@@ -352,7 +346,7 @@ def decay_matrix(model: MeasurementModel) -> DecayMatrix:
     np.fill_diagonal(lam, 0.0)
     if not np.isfinite(lam).all():
         raise Overflow("decay rates overflow double precision")
-    return DecayMatrix(model.basis, model.l_coeffs, h, lam, lam_t)
+    return DecayMatrix(model.basis, lam, lam_t)
 
 
 def diagonal_solution(dm: DecayMatrix, rho0: DensityMatrix, t: float) -> DensityMatrix:
@@ -374,13 +368,7 @@ def diagonal_solution(dm: DecayMatrix, rho0: DensityMatrix, t: float) -> Density
     return dm.basis._weighted(rho0, factor)
 
 
-def born_limit_check(
-    model: LindbladModel,
-    rho0: DensityMatrix,
-    horizon: float,
-    tol: float,
-    class_tol: float = 1e-10,
-):
+def born_limit_check(model: LindbladModel, rho0: DensityMatrix, horizon: float, tol: float):
     """Has a measurement model's state reached the Born-rule fixed point by
     ``horizon``?
 
@@ -401,7 +389,6 @@ def born_limit_check(
         raise NotBalanced(f"balance defect {defect:.3e} exceeds {BALANCE_TOL}")
     dm = decay_matrix(model)
     reached = diagonal_solution(dm, rho0, horizon)
-    target = born_collapse(rho0, ProjectorBasis(model.basis.projectors,
-                                                dm.classes(class_tol)))
+    target = born_collapse(rho0, ProjectorBasis(model.basis.projectors, dm.classes()))
     residual = float(np.linalg.norm(reached.matrix - target.matrix))
     return residual <= tol, residual

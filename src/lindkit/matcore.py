@@ -11,8 +11,7 @@ vector.  With this ordering,
     vec(A @ X @ B) == kron(A, B.T) @ vec(X)
 
 which is the identity every superoperator construction in the package relies
-on.  All operations are pure functions on immutable inputs; every tolerance
-below is a module-level default that callers may override per call.
+on.  All operations are pure functions on immutable inputs.
 """
 from __future__ import annotations
 
@@ -32,7 +31,6 @@ from .errors import (
 )
 
 TOL_HERM = 1e-10
-TOL_EIG = 1e-10
 TOL_CLUSTER_REL = 1e-8
 EXPM_NORM_BOUND = 1e6
 
@@ -95,15 +93,15 @@ def _defect_text(m, unit: float = 1.0) -> str:
     return text if scale == 1.0 else f"{text} (entries scaled by 2^{math.frexp(scale)[1] - 1})"
 
 
-def herm_eig(m, tol_herm: float = TOL_HERM):
+def herm_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector matrix with orthonormal
     columns).  Raises NotHermitian if the input is not Hermitian within
-    ``tol_herm`` (scaled by the matrix norm), NoConvergence if LAPACK fails.
+    TOL_HERM (scaled by the matrix norm), NoConvergence if LAPACK fails.
     """
     a = as_square_matrix(m)
-    if not _is_hermitian(a, tol_herm):
+    if not _is_hermitian(a, TOL_HERM):
         raise NotHermitian(
             f"matrix is not Hermitian: {_defect_text(a)}"
         )
@@ -114,11 +112,11 @@ def herm_eig(m, tol_herm: float = TOL_HERM):
     return vals, vecs
 
 
-def expm(m, t: float = 1.0, norm_bound: float = EXPM_NORM_BOUND) -> np.ndarray:
+def expm(m, t: float = 1.0) -> np.ndarray:
     """exp(t*m) by scaling-and-squaring (scipy Pade core).
 
     exp(0*m) is the identity exactly.  Raises Overflow if ||t*m||_1 exceeds
-    ``norm_bound``; beyond that scale the double-precision result is garbage
+    EXPM_NORM_BOUND; beyond that scale the double-precision result is garbage
     anyway.
     """
     a = as_square_matrix(m)
@@ -126,8 +124,8 @@ def expm(m, t: float = 1.0, norm_bound: float = EXPM_NORM_BOUND) -> np.ndarray:
         return np.eye(a.shape[0], dtype=complex)
     scaled = t * a
     nrm = float(np.linalg.norm(scaled, 1))
-    if nrm > norm_bound:
-        raise Overflow(f"||t*m||_1 = {nrm:.3e} exceeds bound {norm_bound:.3e}")
+    if nrm > EXPM_NORM_BOUND:
+        raise Overflow(f"||t*m||_1 = {nrm:.3e} exceeds bound {EXPM_NORM_BOUND:.3e}")
     return scipy.linalg.expm(scaled)
 
 
@@ -339,23 +337,31 @@ def unvec(v, dim: int | None = None) -> np.ndarray:
 class ChainSpectrum:
     """Eigenvalues with their generalized-eigenvector chains.
 
-    ``chains[k]`` lists the chains belonging to ``eigenvalues[k]``; each chain
-    is an ordered list [V_1, ..., V_p] with (A - lambda I) V_i = V_{i-1} and
-    (A - lambda I) V_1 = 0.  ``rank_flags[k]`` holds, chain by chain, the
-    generalized rank of every vector (1-based position in its chain).
-    ``vectors`` holds all generalized eigenvectors as columns, grouped by
-    eigenvalue in the order of ``chains``; each chain vector is one of them.
+    ``lengths[k]`` lists the lengths of the chains belonging to
+    ``eigenvalues[k]``.  ``vectors`` holds every generalized eigenvector as a
+    column, eigenvalue by eigenvalue and chain by chain, each chain
+    [V_1, ..., V_p] in order: (A - lambda I) V_i = V_{i-1} and
+    (A - lambda I) V_1 = 0.
     """
 
     eigenvalues: list[complex]
-    multiplicities: list[int]
-    chains: list[list[list[np.ndarray]]]
-    rank_flags: list[list[list[int]]]
+    lengths: list[list[int]]
     vectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def multiplicities(self) -> list[int]:
+        return [sum(per_eig) for per_eig in self.lengths]
+
+    @property
+    def chains(self) -> list[list[list[np.ndarray]]]:
+        """``chains[k][c]``: chain c of ``eigenvalues[k]`` as column views of
+        ``vectors``."""
+        cols = iter(self.vectors.T)
+        return [[[next(cols) for _ in range(p)] for p in per_eig] for per_eig in self.lengths]
 
 
 def _cluster_eigenvalues(vals: np.ndarray, tol: float):
@@ -400,7 +406,7 @@ def _null_space(mat: np.ndarray, cutoff: float) -> np.ndarray:
 
 
 def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray):
-    """(chains, rank flags) of a cluster of ``a`` with more than one member:
+    """The chains of a cluster of ``a`` with more than one member:
     eigenvalue ``lam`` (the members' mean), members the cluster's raw
     eigenvalues.  B = A - lambda I is real when both A and lambda are, so a
     real cluster's SVDs run in real arithmetic."""
@@ -447,10 +453,9 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray):
     if p == 1:
         # Diagonalizable cluster: the orthonormal null-space basis is the
         # chain set directly.
-        return [[col] for col in null_bases[1].T.copy()], [[1] for _ in range(m_alg)]
+        return [[col] for col in null_bases[1].T]
 
     chains: list[list[np.ndarray]] = []
-    flags: list[list[int]] = []
     carry: list[np.ndarray] = []  # level-k vectors of taller chains
     tops_by_level: dict[int, list[np.ndarray]] = {}
     for k in range(p, 0, -1):
@@ -480,8 +485,7 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray):
             if nrm < 1e-300:
                 raise ill(": degenerate chain")
             chains.append([v / nrm for v in chain])
-            flags.append(list(range(1, k + 1)))
-    return chains, flags
+    return chains
 
 
 def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
@@ -494,10 +498,13 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     each eigenvalue are orthonormal.  Clusters are ordered by the real, then
     the imaginary part of their mean.  A real input stays real, so ``eig``
     takes LAPACK's real path and its complex eigenvalues come in exact
-    conjugate pairs.  The one-member clusters take their unit eigenvectors
-    from the one ``eig`` call, normalized together; only larger clusters pay
-    for SVDs (:func:`_cluster_chains`).  The final check that the vectors
-    span the space is one SVD, real for a real input (:func:`_real_span`).
+    conjugate pairs.  A self-conjugate cluster, whose sorted imaginary parts
+    are their own negatives reversed, gets an exactly real centre, which
+    ``np.mean``'s pairwise sum does not guarantee, and so real vectors.  The
+    one-member clusters take their unit eigenvectors from the one ``eig``
+    call, normalized together; only larger clusters pay for SVDs
+    (:func:`_cluster_chains`).  The final check that the vectors span the
+    space is one SVD, real for a real input (:func:`_real_span`).
     """
     a = as_square_matrix(m)
     if not np.iscomplexobj(m):
@@ -514,11 +521,13 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
         raise NoConvergence("eig returned non-finite eigenvalues")
 
     groups = _cluster_eigenvalues(raw, tol_cluster)
-    sizes = [len(idx) for idx in groups]
     centres = raw[[idx[0] for idx in groups]].astype(complex)
     for k, idx in enumerate(groups):
-        if sizes[k] > 1:
+        if len(idx) > 1:
             centres[k] = np.mean(raw[idx])
+            im = np.sort(raw[idx].imag)
+            if not np.iscomplexobj(a) and np.array_equal(im, -im[::-1]):
+                centres[k] = centres[k].real
     order = np.lexsort((centres.imag, centres.real)).tolist()
     unit_vecs = raw_vecs / np.linalg.norm(raw_vecs, axis=0)
 
@@ -529,18 +538,12 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     singles = [j for j, idx in enumerate(clusters) if len(idx) == 1]
     vectors = np.empty((d, d), unit_vecs.dtype)
     vectors[:, [start[j] for j in singles]] = unit_vecs[:, [clusters[j][0] for j in singles]]
-    all_chains: list[list[list[np.ndarray]]] = []
-    all_flags: list[list[list[int]]] = []
+    lengths = [[1] for _ in clusters]
     for j, idx in enumerate(clusters):
-        if len(idx) == 1:
-            all_chains.append([[vectors[:, start[j]]]])
-            all_flags.append([[1]])
-            continue
-        chains, flags = _cluster_chains(a, complex(centres[order[j]]), raw[idx])
-        vectors[:, start[j]:start[j + 1]] = np.column_stack([v for c in chains for v in c])
-        cols = iter(range(start[j], start[j + 1]))
-        all_chains.append([[vectors[:, next(cols)] for _ in chain] for chain in chains])
-        all_flags.append(flags)
+        if len(idx) > 1:
+            chains = _cluster_chains(a, complex(centres[order[j]]), raw[idx])
+            vectors[:, start[j]:start[j + 1]] = np.column_stack([v for c in chains for v in c])
+            lengths[j] = [len(c) for c in chains]
 
     eigenvalues = centres[order].tolist()
     basis = vectors if np.iscomplexobj(a) else _real_span(vectors, raw, clusters)
@@ -549,8 +552,7 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
             "generalized eigenvectors do not span the space",
             cluster=eigenvalues,
         )
-    return ChainSpectrum(eigenvalues, [sizes[k] for k in order], all_chains, all_flags,
-                         vectors)
+    return ChainSpectrum(eigenvalues, lengths, vectors)
 
 
 def _real_span(vectors, raw, clusters):

@@ -2,7 +2,7 @@
 von Neumann entropy with its dissipative rate formula.
 
 Entropy is in nats throughout (natural log); converting to bits is a display
-concern.  Density-matrix constructors repair eigenvalues in [-tol_pos, 0) by
+concern.  Density-matrix constructors repair eigenvalues in [-TOL_POS, 0) by
 clipping to zero and renormalizing the trace, recording that the repair
 happened -- long evolutions accumulate negativity at the 1e-13 scale and a
 silent hard failure there would be useless.
@@ -24,10 +24,10 @@ from .errors import (
     UnnormalizedState,
 )
 
-TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_POS = 1e-10
 TOL_POS_STRICT = 1e-12
+TOL_PROJECTOR = 1e-10
 
 
 @dataclass
@@ -46,24 +46,11 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(
-        cls,
-        mat,
-        tol_herm: float = TOL_HERM,
-        tol_trace: float = TOL_TRACE,
-        tol_pos: float = TOL_POS,
-    ) -> "DensityMatrix":
-        a = matcore.as_square_matrix(mat)
-        return cls.from_matrices(a[None], tol_herm, tol_trace, tol_pos)[0]
+    def from_matrix(cls, mat) -> "DensityMatrix":
+        return cls.from_matrices(matcore.as_square_matrix(mat)[None])[0]
 
     @classmethod
-    def from_matrices(
-        cls,
-        mats,
-        tol_herm: float = TOL_HERM,
-        tol_trace: float = TOL_TRACE,
-        tol_pos: float = TOL_POS,
-    ) -> "list[DensityMatrix]":
+    def from_matrices(cls, mats) -> "list[DensityMatrix]":
         """:meth:`from_matrix` of every matrix of an (n, d, d) stack, with one
         Hermiticity and trace check and one ``eigh`` call for the stack.  The
         first invalid matrix raises what :meth:`from_matrix` raises for it."""
@@ -73,16 +60,16 @@ class DensityMatrix:
                 f"expected a stack of square matrices, got shape {a.shape}"
             )
         finite = np.isfinite(a).all(axis=(1, 2))
-        not_herm = ~matcore._is_hermitian(a, tol_herm)
+        not_herm = ~matcore._is_hermitian(a, matcore.TOL_HERM)
         a = 0.5 * (a + a.conj().transpose(0, 2, 1))
         tr = np.trace(a, axis1=1, axis2=2).real
-        bad = ~finite | not_herm | (np.abs(tr - 1.0) > tol_trace)
+        bad = ~finite | not_herm | (np.abs(tr - 1.0) > TOL_TRACE)
         good = int(np.argmax(bad)) if bad.any() else len(a)
         vals, vecs = np.linalg.eigh(a[:good])
-        low = vals[:, 0] < -tol_pos
+        low = vals[:, 0] < -TOL_POS
         if low.any():
             raise InvalidDensityMatrix(
-                f"minimum eigenvalue {vals[np.argmax(low), 0]:.3e} below -{tol_pos:.0e}"
+                f"minimum eigenvalue {vals[np.argmax(low), 0]:.3e} below -{TOL_POS:.0e}"
             )
         if good < len(a):
             if not finite[good]:
@@ -122,7 +109,6 @@ class ProjectorBasis:
 
     projectors: list[np.ndarray]
     classes: list[list[int]] | None = None
-    _tol: float = field(default=1e-10, repr=False)
     _u: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -133,10 +119,10 @@ class ProjectorBasis:
         with np.errstate(divide="ignore", invalid="ignore"):
             v = p[range(n), :, k] / np.sqrt(p[range(n), k, k].real)[:, None]
         defect = np.linalg.norm(p - v[:, :, None] * v[:, None, :].conj(), axis=(1, 2))
-        if not np.all(defect <= self._tol):  # also catches a NaN defect
+        if not np.all(defect <= TOL_PROJECTOR):  # also catches a NaN defect
             raise IncompleteBasis("projectors must be rank-1 projectors")
         self._u = v.T
-        if n != d or np.linalg.norm(v.conj() @ v.T - np.eye(n)) > self._tol * d:
+        if n != d or np.linalg.norm(v.conj() @ v.T - np.eye(n)) > TOL_PROJECTOR * d:
             raise IncompleteBasis("projectors are not orthogonal or do not sum to the identity")
         if self.classes is not None:
             flat = sorted(i for c in self.classes for i in c)
@@ -197,7 +183,7 @@ def expectation(rho: DensityMatrix, obs) -> float:
     """Tr(obs * rho) for a Hermitian observable; the (tiny) imaginary part of
     the trace is discarded."""
     a = matcore.as_square_matrix(obs)
-    if not matcore._is_hermitian(a, TOL_HERM):
+    if not matcore._is_hermitian(a, matcore.TOL_HERM):
         raise NotHermitian("observable must be Hermitian")
     return float(np.trace(a @ rho.matrix).real)
 
@@ -216,7 +202,7 @@ def born_collapse(rho: DensityMatrix, basis: ProjectorBasis) -> DensityMatrix:
 def unitary_step(rho: DensityMatrix, h, dt: float) -> DensityMatrix:
     """rho -> U rho U^dag with U = exp(-i h dt)."""
     a = matcore.as_square_matrix(h)
-    if not matcore._is_hermitian(a, TOL_HERM):
+    if not matcore._is_hermitian(a, matcore.TOL_HERM):
         raise NotHermitian("Hamiltonian must be Hermitian")
     u = matcore.expm(-1j * a, dt)
     return DensityMatrix.from_matrix(u @ rho.matrix @ u.conj().T)

@@ -35,12 +35,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
 from .errors import Overflow, UnphysicalAverage
+
+TOL_COEFF = 1e-9  # Hermiticity defect of f, and imaginary part of a population
 
 
 @dataclass
@@ -138,18 +140,17 @@ class CoefficientMatrix:
     """Hermitian 2x2 slowly-varying coefficient matrix over (e, g)."""
 
     f: np.ndarray
-    _tol: float = field(default=1e-9, repr=False)
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=complex)
         if f.shape != (2, 2):
             raise ValueError("coefficient matrix must be 2x2")
-        if abs(f[0, 1] - np.conj(f[1, 0])) > self._tol:
+        if abs(f[0, 1] - np.conj(f[1, 0])) > TOL_COEFF:
             raise ValueError("coefficient matrix must be Hermitian")
         if abs(f[0, 0].real + f[1, 1].real - 1.0) > 1e-10:
             raise ValueError("coefficient matrix must have unit trace")
         for p in (f[0, 0], f[1, 1]):
-            if abs(p.imag) > self._tol or p.real < -1e-10 or p.real > 1 + 1e-10:
+            if abs(p.imag) > TOL_COEFF or p.real < -1e-10 or p.real > 1 + 1e-10:
                 raise ValueError("populations must be real in [0, 1]")
         self.f = f
 

@@ -320,6 +320,37 @@ def test_huge_non_hermitian_state_is_exit_3(tmp_path, capsys):
     assert (error["type"], error["exit_code"]) == ("NotHermitian", 3)
 
 
+@pytest.mark.parametrize("entry", [0.5, 1e300])
+def test_non_hermiticity_preserving_kernel_is_exit_2(tmp_path, capsys, entry):
+    # at 1e300 the reshuffled kernel's defect and norm overflow unless taken
+    # on a scaled copy; the kernel is config input, so its error is ConfigParse
+    m = np.eye(4)
+    m[1, 0] = entry
+    doc = {**_cp_kernel_doc(), "re": m.reshape(-1).tolist(), "im": [0.0] * 16}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(doc))
+    assert run(["cp-check", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = _strict_json(err)["error"]
+    assert (error["type"], error["exit_code"]) == ("ConfigParse", 2)
+    assert error["message"].startswith("kernel does not preserve Hermiticity")
+
+
+@pytest.mark.parametrize("model", [
+    {"dim": 1, "h_re": [0.7], "h_im": [0.0], "lindblads": [{"re": [0.3], "im": [0.0]}]},
+    {"dim": 2, "h_re": [0.0] * 4, "h_im": [0.0] * 4, "lindblads": []},
+], ids=["d1", "d2-no-dynamics"])
+def test_extract_generator_of_a_zero_generator(tmp_path, capsys, model):
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    doc["model"] = {"schema": "lindkit.model/1", **model}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["extract-generator", "--config", str(path)]) == 0
+    result = _strict_json(capsys.readouterr().out)["result"]
+    assert result["relative_error"] == result["richardson_relative_error"] == 0.0
+
+
 def _born_doc(tmp_path, **fields):
     doc = json.loads(cli.bundled_config_path("born-d3").read_text())
     doc.update(fields)

@@ -142,7 +142,7 @@ class TestGeneralEig:
         b = a - cs.eigenvalues[0] * np.eye(2)
         assert np.linalg.norm(b @ v1) < 1e-8
         assert np.linalg.norm(b @ v2 - v1) < 1e-8
-        assert cs.rank_flags[0][0] == [1, 2]
+        assert cs.lengths == [[2]]
 
     def test_diagonal(self):
         cs = general_eig(np.diag([1.0, 2.0, 3.0]))
@@ -275,6 +275,24 @@ class TestGeneralEig:
             assert [len(c) for c in cs.chains[k]] == [1] * d
             vecs = np.column_stack([c[0] for c in cs.chains[k]])
             assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(d)) < 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_self_conjugate_cluster_is_real(self, seed):
+        # a real matrix with a 15-member cluster near 0: six conjugate pairs
+        # and three real eigenvalues, on which np.mean's pairwise sum leaves
+        # an imaginary part of about 1e-30
+        rng = np.random.default_rng(seed)
+        blocks = np.zeros((16, 16))
+        for k, (b, c) in enumerate(1e-13 * rng.standard_normal((6, 2))):
+            blocks[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, b], [-b, c]]
+        blocks[[12, 13, 14, 15], [12, 13, 14, 15]] = [*1e-13 * rng.standard_normal(3), 3.0]
+        q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+        cs = general_eig(q @ blocks @ q.T)
+        assert cs.multiplicities == [15, 1]
+        assert cs.eigenvalues[0].imag == 0.0
+        assert not cs.vectors[:, :15].imag.any()
+        vecs = cs.vectors[:, :15].real
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(15)) < 1e-10
 
 
 def test_cluster_norm_failure_is_no_convergence():
