@@ -56,7 +56,8 @@ TOL_KERNEL = 1e-10
 TOL_GENERATOR_TRACE = 1e-8
 TOL_OPERATOR = 1e-12  # Choi and c-matrix eigenvalues at or below it give no operator
 MAX_RESAMPLE = 50
-# the conventions above, as the kernel JSON declares them
+# the kernel JSON's schema, and the conventions above as it declares them
+KERNEL_SCHEMA = "lindkit.kernel/1"
 KERNEL_CONVENTIONS = {
     "vec_order": "row-major",
     "choi_convention": "sum Phi(|i><j|) x |i><j|",
@@ -128,7 +129,7 @@ class Kernel:
         flat = self.matrix.reshape(-1)
         return json.dumps(
             {
-                "schema": "lindkit.kernel/1",
+                "schema": KERNEL_SCHEMA,
                 "dim": self.dim,
                 "tau": self.tau,
                 "re": flat.real.tolist(),
@@ -146,7 +147,7 @@ class Kernel:
     def from_dict(cls, doc: dict) -> "Kernel":
         """The kernel of a parsed ``lindkit.kernel/1`` document (the form
         :meth:`to_json` writes)."""
-        if doc.get("schema") != "lindkit.kernel/1":
+        if doc.get("schema") != KERNEL_SCHEMA:
             raise ValueError(f"unknown kernel schema {doc.get('schema')!r}")
         d = int(doc["dim"])
         mat = (np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])).reshape(

@@ -19,12 +19,12 @@ import math
 import sys
 import warnings
 from importlib import resources
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__, channels, lindblad, quantum, ramsey
 from .errors import ConfigParse, LindkitError
+from .records import canonical_json, state_arrays
 
 SCHEMA_VERSION = 1
 
@@ -37,106 +37,6 @@ _BUNDLED = {
 }
 
 _EXIT_CONFIG, _EXIT_DOMAIN, _EXIT_IO = 2, 3, 4
-
-
-def canonical_json(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
-    written directly.
-
-    With ``indent`` set, ``json`` formats through its pure-Python encoder,
-    which costs an interpreter round trip per value; records here are mostly
-    long lists of floats (the evolved states), so a list of floats only is one
-    join over ``float.__repr__``, the repr ``json`` uses, checked with one
-    ``math.isfinite`` pass.  Everything else follows ``json``: keys in
-    ``sorted(doc.items())`` order, int, float, bool and None keys converted
-    the same way, int and float subclasses written as plain numbers, strings
-    through ``encode_basestring_ascii``, and the same TypeError for an object
-    it cannot serialize and ValueError for NaN, infinity or a circular
-    reference.
-    """
-    out = []
-    _encode(doc, out, "\n", set())
-    out.append("\n")
-    return "".join(out)
-
-
-_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True or key is False or key is None:
-        return _LITERALS[key]
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _encode(o, out: list, nl: str, path: set) -> None:
-    """Append the canonical form of ``o`` to ``out``.  ``nl`` is a newline
-    and the indentation of the line ``o`` ends on; ``path`` holds the ids of
-    the containers ``o`` is nested in."""
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None or o is True or o is False:
-        out.append(_LITERALS[o])
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        try:
-            floats = ("," + inner).join(map(float.__repr__, o))
-        except TypeError:  # an item that is not a float: written one by one below
-            pass
-        else:
-            if not all(map(math.isfinite, o)):
-                for x in o:
-                    _float_text(x)  # raises at the first NaN or infinity
-            out += ("[", inner, floats, nl, "]")
-            return
-        _enter(o, path)
-        out.append("[")
-        for k, item in enumerate(o):
-            out.append("," + inner if k else inner)
-            _encode(item, out, inner, path)
-        out += (nl, "]")
-        path.remove(id(o))
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        _enter(o, path)
-        inner = nl + "  "
-        out.append("{")
-        for k, (key, value) in enumerate(sorted(o.items())):
-            out += ("," + inner if k else inner,
-                    encode_basestring_ascii(_key_text(key)), ": ")
-            _encode(value, out, inner, path)
-        out += (nl, "}")
-        path.remove(id(o))
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _enter(container, path: set) -> None:
-    if id(container) in path:
-        raise ValueError("Circular reference detected")
-    path.add(id(container))
 
 
 def bundled_config_path(name: str):
@@ -169,8 +69,15 @@ def _non_finite(value, name: str):
     """Innermost key of a NaN or infinite number in ``value``, else None."""
     if isinstance(value, float):
         return None if abs(value) <= sys.float_info.max else name  # NaN fails too
-    pairs = value.items() if isinstance(value, dict) else (
-        [(name, item) for item in value] if isinstance(value, list) else ())
+    if isinstance(value, list):
+        try:  # a flat list of numbers in one C-speed pass
+            if all(map(math.isfinite, value)):
+                return None
+        except (TypeError, OverflowError):  # a string, list or int beyond the floats
+            pass
+        pairs = [(name, item) for item in value]
+    else:
+        pairs = value.items() if isinstance(value, dict) else ()
     for key, item in pairs:
         found = _non_finite(item, key)
         if found is not None:
@@ -326,12 +233,20 @@ def _parse_born(doc):
 def _parse_cp(doc):
     _check_keys(doc, "config",
                 {"schema", "dim", "tau", "re", "im"} | channels.KERNEL_CONVENTIONS.keys())
-    for key, value in channels.KERNEL_CONVENTIONS.items():
+    for key, value in {"schema": channels.KERNEL_SCHEMA,
+                       **channels.KERNEL_CONVENTIONS}.items():
         _field(doc, key, _one_of, (value,))
+    d, tau = _field(doc, "dim", _integer, 1), _field(doc, "tau", _real)
+    parts = {key: _field(doc, key, _reals).reshape(-1) for key in ("re", "im")}
+    for key, part in parts.items():
+        if part.size != d ** 4:
+            raise ConfigParse(f"{key}: expected {d ** 4} entries, got {part.size}",
+                              field=key)
+    matrix = (parts["re"] + 1j * parts["im"]).reshape(d * d, d * d)
     try:
-        return (channels.Kernel.from_dict(doc),)
-    except (TypeError, ValueError, OverflowError, LindkitError) as exc:
-        raise ConfigParse(str(exc)) from exc
+        return (channels.Kernel(d, tau, matrix),)
+    except LindkitError as exc:  # the kernel's own checks, reported under its entries
+        raise ConfigParse(str(exc), field="re") from exc
 
 
 def _parse_extract(doc):
@@ -442,16 +357,15 @@ def _cmd_ramsey_point(args, doc, cfg, theory) -> int:
 
 def _cmd_lindblad_evolve(args, doc, model, rho0, times) -> int:
     rhos = lindblad.evolve_many(model, rho0, times)
+    stack = np.array([rho.matrix for rho in rhos], dtype=complex).reshape(
+        len(rhos), model.dim, model.dim)
+    columns = (times, state_arrays(stack.real, False), state_arrays(stack.imag, True),
+               np.trace(stack, axis1=1, axis2=2).real.tolist(),
+               quantum.vn_entropies(rhos).tolist(), [rho.repaired for rho in rhos])
     states = [
-        {
-            "t": t,
-            "re": rho.matrix.real.reshape(-1).tolist(),
-            "im": rho.matrix.imag.reshape(-1).tolist(),
-            "trace": float(np.trace(rho.matrix).real),
-            "entropy": float(entropy),
-            "repaired": rho.repaired,
-        }
-        for t, rho, entropy in zip(times, rhos, quantum.vn_entropies(rhos))
+        {"t": t, "re": re, "im": im, "trace": trace, "entropy": entropy,
+         "repaired": repaired}
+        for t, re, im, trace, entropy, repaired in zip(*columns)
     ]
     _emit(args, canonical_json(
         _record("lindblad-evolve", args, doc, {"states": states})

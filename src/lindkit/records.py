@@ -1,0 +1,186 @@
+"""Canonical JSON text of the command-line records.
+
+A record is written as ``json.dumps(record, sort_keys=True, indent=2,
+allow_nan=False)`` plus a newline would write it, byte for byte, but without
+``json``'s pure-Python indenting encoder; an evolved state's Hermitian
+mirror entries are formatted once (:func:`state_arrays`).
+"""
+from __future__ import annotations
+
+import functools
+import math
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+
+import numpy as np
+
+
+def canonical_json(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
+    written directly.
+
+    With ``indent`` set, ``json`` formats through its pure-Python encoder,
+    which costs an interpreter round trip per value; records here are mostly
+    long lists of floats (the evolved states), so a list of floats only is one
+    join over ``float.__repr__``, the repr ``json`` uses, checked with one
+    ``math.isfinite`` pass.  A :class:`Mirrored` matrix is written as the list
+    of its entries would be, formatting only its upper triangle and diagonal.
+    Everything else follows ``json``: keys in
+    ``sorted(doc.items())`` order, int, float, bool and None keys converted
+    the same way, int and float subclasses written as plain numbers, strings
+    through ``encode_basestring_ascii``, and the same TypeError for an object
+    it cannot serialize and ValueError for NaN, infinity or a circular
+    reference.
+    """
+    out = []
+    _encode(doc, out, "\n", set())
+    out.append("\n")
+    return "".join(out)
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True or key is False or key is None:
+        return _LITERALS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _encode(o, out: list, nl: str, path: set) -> None:
+    """Append the canonical form of ``o`` to ``out``.  ``nl`` is a newline
+    and the indentation of the line ``o`` ends on; ``path`` holds the ids of
+    the containers ``o`` is nested in."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or o is True or o is False:
+        out.append(_LITERALS[o])
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:
+            floats = ("," + inner).join(map(float.__repr__, o))
+        except TypeError:  # an item that is not a float: written one by one below
+            pass
+        else:
+            if not all(map(math.isfinite, o)):
+                for x in o:
+                    _float_text(x)  # raises at the first NaN or infinity
+            out += ("[", inner, floats, nl, "]")
+            return
+        _enter(o, path)
+        out.append("[")
+        for k, item in enumerate(o):
+            out.append("," + inner if k else inner)
+            _encode(item, out, inner, path)
+        out += (nl, "]")
+        path.remove(id(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        _enter(o, path)
+        inner = nl + "  "
+        out.append("{")
+        for k, (key, value) in enumerate(sorted(o.items())):
+            out += ("," + inner if k else inner,
+                    encode_basestring_ascii(_key_text(key)), ": ")
+            _encode(value, out, inner, path)
+        out += (nl, "}")
+        path.remove(id(o))
+    elif isinstance(o, Mirrored):
+        inner = nl + "  "
+        out += ("[", inner, ("," + inner).join(o.texts()), nl, "]")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _enter(container, path: set) -> None:
+    if id(container) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(container))
+
+
+class Mirrored:
+    """The row-major entries of a d x d float matrix whose entries below the
+    diagonal repeat those above it, for canonical_json to write.  ``upper``
+    holds the finite upper triangle with the diagonal, row by row; an entry
+    below the diagonal is written with the text of its mirror, its sign
+    flipped when ``flip`` (the imaginary part of a Hermitian matrix).
+    ``place`` maps those texts, flipped ones appended, to the row-major order.
+    """
+
+    __slots__ = ("upper", "place", "flip")
+
+    def __init__(self, upper: list, place: itemgetter, flip: bool):
+        self.upper, self.place, self.flip = upper, place, flip
+
+    def texts(self) -> tuple:
+        texts = list(map(float.__repr__, self.upper))
+        if self.flip:  # the text of -x: float.__repr__ writes the sign, then |x|
+            texts += [t[1:] if t[0] == "-" else "-" + t for t in texts]
+        return self.place(texts)
+
+
+# State matrices of lower dimension are written entry by entry: a 2 x 2 part
+# has one mirror entry, which saves less than finding it costs (a 50-state
+# d = 2 lindblad-evolve ran about 3 % slower with mirrors, one at d = 3 faster)
+MIRROR_MIN_DIM = 3
+
+
+@functools.cache
+def _mirror_layout(d: int):
+    """Index maps of a d x d matrix, built once per d: the rows and columns
+    of the upper triangle with the diagonal and of the strict upper triangle,
+    row by row, as read-only arrays, and the ``place`` getters of
+    :class:`Mirrored` for the real and the imaginary part."""
+    (rows, cols), (strict_rows, strict_cols) = np.triu_indices(d), np.triu_indices(d, 1)
+    for index in (rows, cols, strict_rows, strict_cols):
+        index.flags.writeable = False
+    upper = np.zeros((d, d), dtype=int)
+    upper[rows, cols] = np.arange(rows.size)
+    below = np.tri(d, k=-1, dtype=bool)
+    place_re = np.where(below, upper.T, upper).reshape(-1).tolist()
+    place_im = np.where(below, rows.size + upper.T, upper).reshape(-1).tolist()
+    return (rows, cols, strict_rows, strict_cols, itemgetter(*place_re),
+            itemgetter(*place_im))
+
+
+def state_arrays(a: np.ndarray, flip: bool) -> list:
+    """The entries of each matrix of the (n, d, d) float stack ``a`` as
+    canonical_json writes them: a :class:`Mirrored` for each matrix whose
+    entries below the diagonal have the bits of their mirrors (negated when
+    ``flip``), the list of its entries for any other.  Bits, not values:
+    0.0 == -0.0, but their texts differ."""
+    n, d, _ = a.shape
+    if d < MIRROR_MIN_DIM or not np.isfinite(a).all():
+        return a.reshape(n, d * d).tolist()
+    rows, cols, strict_rows, strict_cols, place_re, place_im = _mirror_layout(d)
+    mirror = a[:, strict_cols, strict_rows]
+    if flip:
+        mirror = -mirror
+    proven = (a[:, strict_rows, strict_cols].view(np.int64)
+              == mirror.view(np.int64)).all(axis=1).tolist()
+    place = place_im if flip else place_re
+    return [Mirrored(upper, place, flip) if ok
+            else a[k].reshape(-1).tolist()
+            for k, (ok, upper) in enumerate(zip(proven, a[:, rows, cols].tolist()))]

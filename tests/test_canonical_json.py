@@ -1,6 +1,8 @@
 """canonical_json writes what json.dumps(sort_keys=True, indent=2,
-allow_nan=False) writes, byte for byte, and fails where it fails; and every
-record the CLI emits is that form of its own content."""
+allow_nan=False) writes, byte for byte, and fails where it fails; every
+record the CLI emits is that form of its own content; and a state matrix
+written from its mirror entries' texts has the texts, and so the bits, of
+its own entries."""
 import contextlib
 import io
 import json
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_density, random_lindblad_model
-from lindkit import cli
+from lindkit import cli, lindblad, records
 from oracles import canonical_json_dumps
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
@@ -141,3 +144,80 @@ def test_every_record_is_the_json_dumps_form_of_its_content(tmp_path):
             code_csv, csv, _ = _run(argv + ["--format", "csv"])
             assert code_csv == code
             assert csv == _csv_from_record(argv[0], json.loads(out)), argv
+
+
+@st.composite
+def _part_stacks(draw):
+    """(re, im) of an (n, d, d) stack: exactly Hermitian, real (im all +0.0),
+    Hermitian but for one entry off by one unit in the last place or by the
+    sign of a zero (as a repaired state can be), or unstructured."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    re, im = (draw(arrays(np.float64, (n, d, d), elements=_FLOATS)) for _ in range(2))
+    kind = draw(st.sampled_from(["hermitian", "real", "nudged", "general"]))
+    if kind != "general":
+        rows, cols = np.triu_indices(d, 1)
+        re[:, cols, rows] = re[:, rows, cols]
+        im[:, cols, rows] = -im[:, rows, cols]
+    if kind == "real":
+        im[:] = 0.0
+    if kind == "nudged" and d > 1:
+        part = draw(st.sampled_from([re, im]))
+        k, i = draw(st.integers(0, n - 1)), draw(st.integers(1, d - 1))
+        j = draw(st.integers(0, i - 1))
+        x = part[k, i, j]
+        part[k, i, j] = np.nextafter(x, 0.0) if x != 0.0 else -x
+    return re, im
+
+
+def _mirrors_proven(m, flip):
+    """Whether every entry of the square float matrix m below the diagonal has
+    the bits of its mirror (negated when flip), by float.hex, which writes a
+    zero's sign."""
+    d = len(m)
+    return d >= records.MIRROR_MIN_DIM and all(
+        float(m[j, i]).hex() == float(-m[i, j] if flip else m[i, j]).hex()
+        for i in range(d) for j in range(i + 1, d))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stack=_part_stacks())
+def test_state_arrays_write_every_entry_as_its_repr(stack):
+    for part, flip in zip(stack, (False, True)):
+        written = records.state_arrays(part, flip)
+        texts = [list(w.texts()) if isinstance(w, records.Mirrored) else list(map(repr, w))
+                 for w in written]
+        assert texts == [list(map(float.__repr__, m.reshape(-1).tolist())) for m in part]
+        assert [isinstance(w, records.Mirrored) for w in written] == [
+            _mirrors_proven(m, flip) for m in part]
+        assert records.canonical_json({"states": written}) == canonical_json_dumps(
+            {"states": part.reshape(len(part), -1).tolist()})
+
+
+def _real_model_config(tmp_path, d):
+    rng = np.random.default_rng(5)
+    h, l1, l2, w = (rng.standard_normal((d, d)) for _ in range(4))
+    rho0 = w @ w.T + 0.2 * np.eye(d)
+    rho0 /= np.trace(rho0)
+    path = tmp_path / f"real-d{d}.json"
+    path.write_text(json.dumps({
+        "model": json.loads(lindblad.LindbladModel(d, h + h.T, [l1, l2]).to_json()),
+        "rho0": {"re": rho0.reshape(-1).tolist(), "im": [0.0] * (d * d)},
+        "times": [0.0, 0.05, 0.4, 2.0, 1e4],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("config", [_real_model_config, _generated_config],
+                         ids=["real-model", "complex-model"])
+def test_evolve_record_holds_the_bits_of_the_states(tmp_path, config):
+    path = config(tmp_path, 5)
+    code, out, _ = _run(["lindblad-evolve", "--config", path])
+    assert code == 0
+    model, rho0, times = cli._parse_evolve(json.loads(open(path).read()))
+    states = json.loads(out)["result"]["states"]
+    rhos = lindblad.evolve_many(model, rho0, times)
+    assert len(states) == len(rhos)
+    for state, rho in zip(states, rhos):
+        for key, part in (("re", rho.matrix.real), ("im", rho.matrix.imag)):
+            np.testing.assert_array_equal(np.array(state[key]).view(np.int64),
+                                          part.reshape(-1).view(np.int64))

@@ -335,6 +335,34 @@ def test_non_hermiticity_preserving_kernel_is_exit_2(tmp_path, capsys, entry):
     error = _strict_json(err)["error"]
     assert (error["type"], error["exit_code"]) == ("ConfigParse", 2)
     assert error["message"].startswith("kernel does not preserve Hermiticity")
+    assert error["field"] == "re"
+
+
+def test_non_trace_preserving_kernel_is_exit_2_naming_its_entries(tmp_path, capsys):
+    m = np.eye(4)
+    m[0, 0] = 2.0
+    doc = {**_cp_kernel_doc(), "re": m.reshape(-1).tolist(), "im": [0.0] * 16}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(doc))
+    assert run(["cp-check", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = _strict_json(err)["error"]
+    assert (error["type"], error["field"], error["exit_code"]) == ("ConfigParse", "re", 2)
+    assert error["message"] == "trace defect 1.000e+00"
+
+
+@pytest.mark.parametrize("value, found", [
+    ([1.0, "x", float("nan")], "v"),
+    ([float("nan"), "x"], "v"),
+    ({"a": [[0.5, -float("inf")]]}, "a"),
+    ([10**400, 1.0], None),
+    ([True, 1e308], None),
+    ([[1.0], {"b": 2.0}, None, "inf"], None),
+    ([], None),
+])
+def test_non_finite_walk_verdicts(value, found):
+    assert cli._non_finite(value, "v") == found
 
 
 @pytest.mark.parametrize("model", [
@@ -479,7 +507,7 @@ def _ramsey_as_list(doc):
     doc["ramsey"] = list(doc["ramsey"].values())
 
 
-_NAN = float("nan")
+_NAN, _INF = float("nan"), float("inf")
 # (command, bundled config, mutation, top-level key the error must name)
 _MALFORMED = [
     ("lindblad-evolve", "model-qubit", _set(("rho0", "re", 0), "a"), "rho0"),
@@ -509,6 +537,11 @@ _MALFORMED = [
     ("cp-check", "kernel-transpose", _set(("tau",), _NAN), "tau"),
     # a non-Hermitian H whose norms overflow
     ("lindblad-spectrum", "model-qubit", _set(("model", "h_re", 1), 1e300), "model"),
+    # a non-finite number deep in a list names the top-level key
+    ("lindblad-evolve", "model-qubit", _set(("rho0", "im", 2), -_INF), "rho0"),
+    ("lindblad-evolve", "model-qubit", _set(("model", "lindblads", 0, "re", 1), _NAN),
+     "model"),
+    ("lindblad-evolve", "model-qubit", _set(("times", 1), _INF), "times"),
 ]
 
 

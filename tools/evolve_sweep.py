@@ -1,5 +1,5 @@
-"""Time lindblad.evolve_many, spectrum and build_superoperator of several
-lindkit checkouts in one process.
+"""Time lindblad.evolve_many, spectrum, build_superoperator and the
+lindblad-evolve command of several lindkit checkouts in one process.
 
     python3 tools/evolve_sweep.py --src ../parent/src --src src
 
@@ -10,10 +10,13 @@ For d in DIMS a random generator (seed SEED, two Lindblad operators) is
 scaled to ||L||_1 = d^2 as in perfbench's dynamics workload, evolved over
 three grids: that workload's 50-point linspace(0.05, 2, 50), the 150-point
 t, t + 1e-5, t - 1e-5 grid entropy-check evolves over it, and the single
-time 1.0; its spectrum is taken (case "spectrum"), and its generator built
-(case "build", lindblad.build_superoperator).  A round times, for every
-(d, case), REPEAT calls of each checkout in turn and keeps each one's best;
-the checkouts take turns going first from round to round.  After ROUNDS
+time 1.0; its spectrum is taken (case "spectrum"), its generator built
+(case "build", lindblad.build_superoperator), and a config with the 50-point
+grid run through the command line in-process (case "evolve-cli":
+``cli.main(["lindblad-evolve", "--config", path])``, its record written to
+memory).  A round times, for every (d, case), REPEAT calls of each
+checkout in turn and keeps each one's best; the checkouts take turns going
+first from round to round.  After ROUNDS
 rounds the tool prints one JSON line per (d, case): each checkout's median
 and quartiles over the rounds, and in how many rounds it was faster than
 the first ``--src``.  Timing separate runs of one checkout after another
@@ -21,11 +24,15 @@ drifted by about +-30 % on a 2-core host; rounds that interleave the
 checkouts share that drift.
 """
 import argparse
+import contextlib
+import importlib
 import importlib.util
+import io
 import json
 import os
 import statistics
 import sys
+import tempfile
 import time
 from functools import partial
 
@@ -65,41 +72,58 @@ def cases(d: int):
     return (g + g.conj().T, [l1, l2]), w / np.trace(w).real, grids
 
 
+def run_cli(cli, argv: list) -> int:
+    """``cli.main(argv)`` with its stdout written to memory."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", required=True,
                     help="directory that holds a lindkit package (repeat to compare)")
     args = ap.parse_args()
     packages = [load(src, f"lindkit_{i}") for i, src in enumerate(args.src)]
+    clis = [importlib.import_module(f"lindkit_{i}.cli") for i in range(len(packages))]
+    with tempfile.TemporaryDirectory() as configs:
+        work = []  # (d, case, [call per package])
+        for d in DIMS:
+            (h, ops), rho, grids = cases(d)
+            models = []
+            for lk in packages:
+                model = lk.lindblad.LindbladModel(d, h, ops)
+                s = d * d / float(np.linalg.norm(lk.lindblad.build_superoperator(model), 1))
+                model = lk.lindblad.LindbladModel(d, s * h, [np.sqrt(s) * op for op in ops])
+                models.append((lk, model, lk.quantum.DensityMatrix.from_matrix(rho)))
+            for name, grid in grids.items():
+                work.append((d, name, [partial(lk.lindblad.evolve_many, model, rho0, grid)
+                                       for lk, model, rho0 in models]))
+            work.append((d, "spectrum", [partial(lk.lindblad.spectrum, model)
+                                         for lk, model, _ in models]))
+            work.append((d, "build", [partial(lk.lindblad.build_superoperator, model)
+                                      for lk, model, _ in models]))
+            path = os.path.join(configs, f"evolve-d{d}.json")
+            with open(path, "w") as fh:
+                json.dump({"model": json.loads(models[0][1].to_json()),
+                           "rho0": {"re": rho.real.reshape(-1).tolist(),
+                                    "im": rho.imag.reshape(-1).tolist()},
+                           "times": grids["linspace50"]}, fh)
+            argv = ["lindblad-evolve", "--config", path]
+            if any(run_cli(cli, argv) for cli in clis):
+                sys.exit(f"lindblad-evolve failed on {path}")
+            work.append((d, "evolve-cli", [partial(run_cli, cli, argv) for cli in clis]))
 
-    work = []  # (d, case, [call per package])
-    for d in DIMS:
-        (h, ops), rho, grids = cases(d)
-        models = []
-        for lk in packages:
-            model = lk.lindblad.LindbladModel(d, h, ops)
-            s = d * d / float(np.linalg.norm(lk.lindblad.build_superoperator(model), 1))
-            model = lk.lindblad.LindbladModel(d, s * h, [np.sqrt(s) * op for op in ops])
-            models.append((lk, model, lk.quantum.DensityMatrix.from_matrix(rho)))
-        for name, grid in grids.items():
-            work.append((d, name, [partial(lk.lindblad.evolve_many, model, rho0, grid)
-                                   for lk, model, rho0 in models]))
-        work.append((d, "spectrum", [partial(lk.lindblad.spectrum, model)
-                                     for lk, model, _ in models]))
-        work.append((d, "build", [partial(lk.lindblad.build_superoperator, model)
-                                  for lk, model, _ in models]))
-
-    best = {(d, name): [[] for _ in packages] for d, name, _ in work}
-    for r in range(ROUNDS):
-        turn = [(r + i) % len(packages) for i in range(len(packages))]
-        for d, name, calls in work:
-            for i in turn:
-                fastest = float("inf")
-                for _ in range(REPEAT):
-                    start = time.perf_counter()
-                    calls[i]()
-                    fastest = min(fastest, time.perf_counter() - start)
-                best[d, name][i].append(fastest)
+        best = {(d, name): [[] for _ in packages] for d, name, _ in work}
+        for r in range(ROUNDS):
+            turn = [(r + i) % len(packages) for i in range(len(packages))]
+            for d, name, calls in work:
+                for i in turn:
+                    fastest = float("inf")
+                    for _ in range(REPEAT):
+                        start = time.perf_counter()
+                        calls[i]()
+                        fastest = min(fastest, time.perf_counter() - start)
+                    best[d, name][i].append(fastest)
 
     for (d, name), per_package in best.items():
         print(json.dumps({
