@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import matcore
+from . import matcore, records
 from .errors import (
     DimensionMismatch,
     InconsistentSamples,
@@ -56,12 +56,14 @@ TOL_KERNEL = 1e-10
 TOL_GENERATOR_TRACE = 1e-8
 TOL_OPERATOR = 1e-12  # Choi and c-matrix eigenvalues at or below it give no operator
 MAX_RESAMPLE = 50
-# the kernel JSON's schema, and the conventions above as it declares them
-KERNEL_SCHEMA = "lindkit.kernel/1"
-KERNEL_CONVENTIONS = {
+# the constant entries of the kernel and GKS JSON: the schema, and the
+# conventions above as each document declares them
+KERNEL_CONSTANTS = {
+    "schema": "lindkit.kernel/1",
     "vec_order": "row-major",
     "choi_convention": "sum Phi(|i><j|) x |i><j|",
 }
+GKS_CONSTANTS = {"schema": "lindkit.gks/1", "basis": "gellmann:sym-antisym-diag"}
 
 
 def reshuffle(mat: np.ndarray, dim: int) -> np.ndarray:
@@ -126,18 +128,8 @@ class Kernel:
         return reshuffle(self.matrix, self.dim)
 
     def to_json(self) -> str:
-        flat = self.matrix.reshape(-1)
-        return json.dumps(
-            {
-                "schema": KERNEL_SCHEMA,
-                "dim": self.dim,
-                "tau": self.tau,
-                "re": flat.real.tolist(),
-                "im": flat.imag.tolist(),
-                **KERNEL_CONVENTIONS,
-            },
-            sort_keys=True,
-        )
+        return json.dumps({"dim": self.dim, "tau": self.tau, **KERNEL_CONSTANTS,
+                           **records.complex_parts("re", "im", self.matrix)}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Kernel":
@@ -146,14 +138,16 @@ class Kernel:
     @classmethod
     def from_dict(cls, doc: dict) -> "Kernel":
         """The kernel of a parsed ``lindkit.kernel/1`` document (the form
-        :meth:`to_json` writes)."""
-        if doc.get("schema") != KERNEL_SCHEMA:
-            raise ValueError(f"unknown kernel schema {doc.get('schema')!r}")
-        d = int(doc["dim"])
-        mat = (np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])).reshape(
-            d * d, d * d
-        )
-        return cls(d, float(doc["tau"]), mat)
+        :meth:`to_json` writes): a fault raises ConfigParse naming its key,
+        and a failed check of this class one naming ``re``."""
+        records.check_keys(doc, "kernel", {"dim", "tau", "re", "im"} | KERNEL_CONSTANTS.keys())
+        for key, value in KERNEL_CONSTANTS.items():
+            records.field(doc, key, records.one_of, (value,))
+        d = records.field(doc, "dim", records.integer, 1)
+        tau = records.field(doc, "tau", records.real)
+        matrix = records.complex_matrix(doc, "re", "im", (d * d, d * d))
+        with records.within("re"):
+            return cls(d, tau, matrix)
 
 
 def kernel_from_generator(generator: np.ndarray, tau: float) -> Kernel:
@@ -265,29 +259,22 @@ class GKSForm:
         return gellmann_basis(self.dim)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": "lindkit.gks/1",
-                "dim": self.dim,
-                "basis": "gellmann:sym-antisym-diag",
-                "h_re": self.hamiltonian.real.reshape(-1).tolist(),
-                "h_im": self.hamiltonian.imag.reshape(-1).tolist(),
-                "c_re": self.c_matrix.real.reshape(-1).tolist(),
-                "c_im": self.c_matrix.imag.reshape(-1).tolist(),
-            },
-            sort_keys=True,
-        )
+        return json.dumps({"dim": self.dim, **GKS_CONSTANTS,
+                           **records.complex_parts("h_re", "h_im", self.hamiltonian),
+                           **records.complex_parts("c_re", "c_im", self.c_matrix)}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "GKSForm":
-        doc = json.loads(text)
-        if doc.get("schema") != "lindkit.gks/1":
-            raise ValueError(f"unknown GKS schema {doc.get('schema')!r}")
-        d = int(doc["dim"])
+        """The form of a ``lindkit.gks/1`` document (the text :meth:`to_json`
+        writes): a fault raises ConfigParse naming its key, a failed check its error."""
+        doc = records.check_keys(json.loads(text), "gks",
+                                 {"dim", "h_re", "h_im", "c_re", "c_im"} | GKS_CONSTANTS.keys())
+        for key, value in GKS_CONSTANTS.items():
+            records.field(doc, key, records.one_of, (value,))
+        d = records.field(doc, "dim", records.integer, 1)
         n = d * d - 1
-        h = (np.asarray(doc["h_re"]) + 1j * np.asarray(doc["h_im"])).reshape(d, d)
-        c = (np.asarray(doc["c_re"]) + 1j * np.asarray(doc["c_im"])).reshape(n, n)
-        return cls(d, h, c)
+        return cls(d, records.complex_matrix(doc, "h_re", "h_im", (d, d)),
+                   records.complex_matrix(doc, "c_re", "c_im", (n, n)))
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__, channels, lindblad, quantum, ramsey
 from .errors import ConfigParse, LindkitError
-from .records import canonical_json, state_arrays
+from .records import (canonical_json, check_keys, complex_matrix, field, integer,
+                      one_of, real, reals, state_arrays, within)
 
 SCHEMA_VERSION = 1
 
@@ -85,95 +86,19 @@ def _non_finite(value, name: str):
     return None
 
 
-def _check_keys(doc, where: str, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(doc, dict):
-        raise ConfigParse(f"{where}: expected a JSON object", field=where)
-    missing = required - doc.keys()
-    if missing:
-        raise ConfigParse(f"{where}: missing keys {sorted(missing)}", field=sorted(missing)[0])
-    unknown = doc.keys() - required - optional
-    if unknown:
-        raise ConfigParse(f"{where}: unknown keys {sorted(unknown)}", field=sorted(unknown)[0])
-
-
-def _field(doc: dict, key: str, parse, *args, **kwargs):
-    """``parse(doc[key], ...)``: a value of the wrong type or form becomes a
-    ConfigParse naming ``key``; a lindkit error keeps its own type."""
-    try:
-        return parse(doc[key], *args, **kwargs)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ConfigParse(f"{key}: {exc}", field=key) from exc
-
-
-def _real(value, low: float | None = None, strict: bool = False) -> float:
-    """A finite number, at least ``low`` (above it if ``strict``)."""
-    x = float(value)
-    if not np.isfinite(x) or low is not None and (x < low or strict and x == low):
-        bound = "" if low is None else f" {'>' if strict else '>='} {low}"
-        raise ValueError(f"expected a finite number{bound}, got {value!r}")
-    return x
-
-
-def _reals(value) -> np.ndarray:
-    a = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("entries must be finite")
-    return a
-
-
-def _integer(value, low: int) -> int:
-    n = int(value)
-    if n != value or n < low:
-        raise ValueError(f"expected an integer >= {low}, got {value!r}")
-    return n
-
-
-def _one_of(value, options: tuple):
-    if value not in options:
-        raise ValueError(f"expected one of {list(options)}, got {value!r}")
-    return value
-
-
-def _matrix_from(doc, where: str, dim: int) -> np.ndarray:
-    _check_keys(doc, where, {"re"}, {"im"})
-    re = _reals(doc["re"]).reshape(-1)
-    im = _reals(doc.get("im", np.zeros_like(re))).reshape(-1)
-    if re.size != dim * dim or im.size != dim * dim:
-        raise ConfigParse(f"{where}: expected {dim*dim} entries", field=where)
-    return (re + 1j * im).reshape(dim, dim)
-
-
 def _density(doc, dim: int) -> quantum.DensityMatrix:
-    return quantum.DensityMatrix.from_matrix(_matrix_from(doc, "rho0", dim))
-
-
-def _ramsey(doc) -> ramsey.RamseyConfig:
-    optional = {"u_eg_im", "lambda_tilde_re", "lambda_tilde_im"}
-    _check_keys(doc, "ramsey",
-                {"e_g", "e_e", "u_eg_re", "omega", "tau", "t_free", "t0", "sigma"}, optional)
-    return ramsey.RamseyConfig.from_dict(doc)
-
-
-def _model(doc) -> lindblad.LindbladModel:
-    _check_keys(doc, "model", {"schema", "dim", "h_re", "h_im", "lindblads"})
-    try:
-        return lindblad.LindbladModel.from_dict(doc)
-    except LindkitError as exc:
-        raise ConfigParse(f"model: {exc}", field="model") from exc
+    check_keys(doc, "rho0", {"re"}, {"im"})
+    with within("rho0"):
+        matrix = complex_matrix(doc, "re", "im", (dim, dim))
+    return quantum.DensityMatrix.from_matrix(matrix)
 
 
 def _grid(doc) -> np.ndarray:
     if "values" in doc:
-        _check_keys(doc, "grid", {"values"})
-        grid = np.asarray(doc["values"], dtype=float)
-    else:
-        _check_keys(doc, "grid", {"start", "stop", "points"})
-        grid = np.linspace(_real(doc["start"]), _real(doc["stop"]),
-                           _integer(doc["points"], 2))
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) \
-            or np.any(np.diff(grid) < 0):
-        raise ValueError("expected a non-empty ascending list of finite detunings")
-    return grid
+        return ramsey.detuning_grid(check_keys(doc, "grid", {"values"})["values"])
+    check_keys(doc, "grid", {"start", "stop", "points"})
+    return ramsey.detuning_grid(np.linspace(real(doc["start"]), real(doc["stop"]),
+                                            integer(doc["points"], 2)))
 
 
 def _times(value) -> list[float]:
@@ -194,65 +119,46 @@ _THEORIES = ("standard", "modified")
 
 
 def _parse_ramsey_point(doc):
-    _check_keys(doc, "config", {"ramsey", "theory"}, {"grid"})
-    return _field(doc, "ramsey", _ramsey), _field(doc, "theory", _one_of, _THEORIES)
+    check_keys(doc, "config", {"ramsey", "theory"}, {"grid"})
+    return ramsey.RamseyConfig.from_dict(doc["ramsey"]), field(doc, "theory", one_of, _THEORIES)
 
 
 def _parse_ramsey_scan(doc):
-    _check_keys(doc, "config", {"ramsey", "theory", "grid"})
-    return (*_parse_ramsey_point(doc), _field(doc, "grid", _grid))
+    check_keys(doc, "config", {"ramsey", "theory", "grid"})
+    return (*_parse_ramsey_point(doc), field(doc, "grid", _grid))
 
 
 def _parse_evolve(doc):
-    _check_keys(doc, "config", {"model", "rho0", "times"}, {"h", "scheme"})
-    model = _field(doc, "model", _model)
-    times = _field(doc, "times", _times)
-    return model, _field(doc, "rho0", _density, model.dim), times
+    check_keys(doc, "config", {"model", "rho0", "times"}, {"h", "scheme"})
+    model = lindblad.LindbladModel.from_dict(doc["model"])
+    times = field(doc, "times", _times)
+    return model, _density(doc["rho0"], model.dim), times
 
 
 def _parse_spectrum(doc):
-    _check_keys(doc, "config", {"model"}, {"rho0", "times", "h", "scheme"})
-    return (_field(doc, "model", _model),)
+    check_keys(doc, "config", {"model"}, {"rho0", "times", "h", "scheme"})
+    return (lindblad.LindbladModel.from_dict(doc["model"]),)
 
 
 def _parse_born(doc):
-    _check_keys(doc, "config", {"dim", "l_re", "h", "horizon_over_gamma", "tol"},
-                {"l_im", "rho0"})
-    d = _field(doc, "dim", _integer, 1)
-    rho0 = _field(doc, "rho0", _density, d) if "rho0" in doc else None
-    l_re = _field(doc, "l_re", _reals)
-    l_coeffs = l_re + 1j * np.zeros_like(l_re)
-    if "l_im" in doc:
-        l_coeffs = _field(doc, "l_im", lambda l_im: l_re + 1j * _reals(l_im))
-    basis = quantum.ProjectorBasis.computational(d)
-    model = lindblad.measurement_model(basis, l_coeffs, _field(doc, "h", _reals))
-    return (model, rho0, _field(doc, "horizon_over_gamma", _real, low=0.0),
-            _field(doc, "tol", _real))
-
-
-def _parse_cp(doc):
-    _check_keys(doc, "config",
-                {"schema", "dim", "tau", "re", "im"} | channels.KERNEL_CONVENTIONS.keys())
-    for key, value in {"schema": channels.KERNEL_SCHEMA,
-                       **channels.KERNEL_CONVENTIONS}.items():
-        _field(doc, key, _one_of, (value,))
-    d, tau = _field(doc, "dim", _integer, 1), _field(doc, "tau", _real)
-    parts = {key: _field(doc, key, _reals).reshape(-1) for key in ("re", "im")}
-    for key, part in parts.items():
-        if part.size != d ** 4:
-            raise ConfigParse(f"{key}: expected {d ** 4} entries, got {part.size}",
-                              field=key)
-    matrix = (parts["re"] + 1j * parts["im"]).reshape(d * d, d * d)
-    try:
-        return (channels.Kernel(d, tau, matrix),)
-    except LindkitError as exc:  # the kernel's own checks, reported under its entries
-        raise ConfigParse(str(exc), field="re") from exc
+    check_keys(doc, "config", {"dim", "l_re", "h", "horizon_over_gamma", "tol"},
+               {"l_im", "rho0"})
+    d = field(doc, "dim", integer, 1)
+    rho0 = _density(doc["rho0"], d) if "rho0" in doc else None
+    # one row of d coefficients per operator; a flat l_re is one operator's row
+    rows = len(doc["l_re"]) if field(doc, "l_re", np.ndim) == 2 else 1
+    l_coeffs = complex_matrix(doc, "l_re", "l_im", (rows, d))
+    h = field(doc, "h", reals, (d,))
+    model = lindblad.measurement_model(quantum.ProjectorBasis.computational(d), l_coeffs, h)
+    return (model, rho0, field(doc, "horizon_over_gamma", real, low=0.0),
+            field(doc, "tol", real))
 
 
 def _parse_extract(doc):
-    _check_keys(doc, "config", {"model", "h", "scheme"}, {"rho0", "times"})
-    return (_field(doc, "model", _model), _field(doc, "h", _real, low=0.0, strict=True),
-            _field(doc, "scheme", _one_of, ("central", "forward")))
+    check_keys(doc, "config", {"model", "h", "scheme"}, {"rho0", "times"})
+    return (lindblad.LindbladModel.from_dict(doc["model"]),
+            field(doc, "h", real, low=0.0, strict=True),
+            field(doc, "scheme", one_of, ("central", "forward")))
 
 
 def validate_config(path: str, command: str) -> dict:
@@ -473,7 +379,8 @@ _COMMANDS = {
     "lindblad-evolve": (_parse_evolve, _cmd_lindblad_evolve, "model-qubit"),
     "lindblad-spectrum": (_parse_spectrum, _cmd_lindblad_spectrum, "model-qubit"),
     "born-check": (_parse_born, _cmd_born_check, "born-d3"),
-    "cp-check": (_parse_cp, _cmd_cp_check, "kernel-transpose"),
+    "cp-check": (lambda doc: (channels.Kernel.from_dict(doc),), _cmd_cp_check,
+                 "kernel-transpose"),
     "entropy-check": (_parse_evolve, _cmd_entropy_check, "model-qubit"),
     "extract-generator": (_parse_extract, _cmd_extract_generator, "model-qubit"),
 }

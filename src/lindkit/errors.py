@@ -104,7 +104,8 @@ class UnphysicalAverage(LindkitError):
 
 
 class ConfigParse(LindkitError):
-    """A CLI configuration file is malformed or violates an invariant."""
+    """A JSON document (a CLI config or a stored object) is malformed or
+    violates an invariant."""
 
     def __init__(self, message, field=None):
         super().__init__(message)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, matcore
+from . import channels, matcore, records
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -33,6 +33,7 @@ from .errors import (
 from .matcore import ChainSpectrum
 from .quantum import DensityMatrix, ProjectorBasis, born_collapse
 
+MODEL_SCHEMA = "lindkit.model/1"
 BALANCE_TOL = 1e-10
 STATIONARY_TOL_REL = 1e-9
 CLASS_TOL = 1e-10
@@ -73,22 +74,10 @@ class LindbladModel:
         return self.balance_defect() <= BALANCE_TOL
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": "lindkit.model/1",
-                "dim": self.dim,
-                "h_re": self.hamiltonian.real.reshape(-1).tolist(),
-                "h_im": self.hamiltonian.imag.reshape(-1).tolist(),
-                "lindblads": [
-                    {
-                        "re": l.real.reshape(-1).tolist(),
-                        "im": l.imag.reshape(-1).tolist(),
-                    }
-                    for l in self.lindblads
-                ],
-            },
-            sort_keys=True,
-        )
+        ops = [records.complex_parts("re", "im", l) for l in self.lindblads]
+        return json.dumps({"schema": MODEL_SCHEMA, "dim": self.dim, "lindblads": ops,
+                           **records.complex_parts("h_re", "h_im", self.hamiltonian)},
+                          sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "LindbladModel":
@@ -97,16 +86,18 @@ class LindbladModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "LindbladModel":
         """The model of a parsed ``lindkit.model/1`` document (the form
-        :meth:`to_json` writes)."""
-        if doc.get("schema") != "lindkit.model/1":
-            raise ValueError(f"unknown model schema {doc.get('schema')!r}")
-        d = int(doc["dim"])
-        h = (np.asarray(doc["h_re"]) + 1j * np.asarray(doc["h_im"])).reshape(d, d)
-        ls = [
-            (np.asarray(entry["re"]) + 1j * np.asarray(entry["im"])).reshape(d, d)
-            for entry in doc["lindblads"]
-        ]
-        return cls(d, h, ls)
+        :meth:`to_json` writes): a missing or unknown key raises ConfigParse
+        naming it, any other fault one naming ``model``."""
+        records.check_keys(doc, "model", {"schema", "dim", "h_re", "h_im", "lindblads"})
+        with records.within("model"):
+            records.field(doc, "schema", records.one_of, (MODEL_SCHEMA,))
+            d = records.field(doc, "dim", records.integer, 1)
+            h = records.complex_matrix(doc, "h_re", "h_im", (d, d))
+            if not isinstance(doc["lindblads"], list):
+                raise ValueError("lindblads: expected a list")
+            ops = [records.complex_matrix(records.check_keys(op, "lindblads", {"re", "im"}),
+                                          "re", "im", (d, d)) for op in doc["lindblads"]]
+            return cls(d, h, ops)
 
 
 def build_superoperator(model: LindbladModel) -> np.ndarray:

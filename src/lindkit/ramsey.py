@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
+from . import records
 from .errors import Overflow, UnphysicalAverage
 
 TOL_COEFF = 1e-9  # Hermiticity defect of f, and imaginary part of a population
@@ -93,20 +94,19 @@ class RamseyConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RamseyConfig":
-        return cls(
-            e_g=float(doc["e_g"]),
-            e_e=float(doc["e_e"]),
-            u_eg=complex(float(doc["u_eg_re"]), float(doc.get("u_eg_im", 0.0))),
-            omega=float(doc["omega"]),
-            tau=float(doc["tau"]),
-            t_free=float(doc["t_free"]),
-            t0=float(doc["t0"]),
-            sigma=float(doc["sigma"]),
-            lambda_tilde_eg=complex(
-                float(doc.get("lambda_tilde_re", 0.0)),
-                float(doc.get("lambda_tilde_im", 0.0)),
-            ),
-        )
+        """The config of a Ramsey document (the form :meth:`to_dict` writes,
+        where ``u_eg_im`` and ``lambda_tilde_*`` default to 0): a missing or
+        unknown key raises ConfigParse naming it, any other fault one naming
+        ``ramsey``."""
+        records.check_keys(doc, "ramsey",
+                           {"e_g", "e_e", "u_eg_re", "omega", "tau", "t_free", "t0", "sigma"},
+                           {"u_eg_im", "lambda_tilde_re", "lambda_tilde_im"})
+        with records.within("ramsey"):
+            x = {"u_eg_im": 0.0, "lambda_tilde_re": 0.0, "lambda_tilde_im": 0.0}
+            x.update((key, records.field(doc, key, records.real)) for key in doc)
+            return cls(x["e_g"], x["e_e"], complex(x["u_eg_re"], x["u_eg_im"]), x["omega"],
+                       x["tau"], x["t_free"], x["t0"], x["sigma"],
+                       complex(x["lambda_tilde_re"], x["lambda_tilde_im"]))
 
 
 @dataclass
@@ -437,6 +437,16 @@ class ScanResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def detuning_grid(values) -> np.ndarray:
+    """``values`` as a detuning grid, a float array; raises ValueError unless
+    it is 1-d, non-empty, finite and ascending."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) \
+            or np.any(np.diff(grid) < 0):
+        raise ValueError("expected a non-empty ascending list of finite detunings")
+    return grid
+
+
 def scan(
     config: RamseyConfig,
     delta_omega_grid,
@@ -446,11 +456,7 @@ def scan(
     """Sweep the detuning over a sorted finite grid; each point re-derives
     omega = (E_e - E_g) + delta and is independent of the others.  The whole
     grid is evaluated as arrays, so a clipped-window warning is issued once."""
-    grid = np.asarray(delta_omega_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ValueError("detuning grid must be a finite 1-d array")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("detuning grid must be sorted ascending")
+    grid = detuning_grid(delta_omega_grid)
     # the detuning each point's config represents: omega = (E_e - E_g) + delta
     # rounds at the float grain, exactly as with_detuning + derive would
     w0 = config.e_e - config.e_g

@@ -1,18 +1,120 @@
-"""Canonical JSON text of the command-line records.
+"""The JSON forms of lindkit's documents and command-line records.
 
-A record is written as ``json.dumps(record, sort_keys=True, indent=2,
+Each document's one strict reader is built from the field readers here,
+which report every fault as a ConfigParse naming the key at fault.  A record
+is written as ``json.dumps(record, sort_keys=True, indent=2,
 allow_nan=False)`` plus a newline would write it, byte for byte, but without
 ``json``'s pure-Python indenting encoder; an evolved state's Hermitian
 mirror entries are formatted once (:func:`state_arrays`).
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
+
+from .errors import ConfigParse, LindkitError
+
+# the errors a value of the wrong type or form raises on its way to a number
+_VALUE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+
+def check_keys(doc, where: str, required: set[str], optional: set[str] = frozenset()):
+    """``doc``, checked to be an object with the ``required`` keys and no
+    others but ``optional`` ones; a missing or unknown key is named."""
+    if not isinstance(doc, dict):
+        raise ConfigParse(f"{where}: expected a JSON object", field=where)
+    missing = required - doc.keys()
+    if missing:
+        raise ConfigParse(f"{where}: missing keys {sorted(missing)}", field=sorted(missing)[0])
+    unknown = doc.keys() - required - optional
+    if unknown:
+        raise ConfigParse(f"{where}: unknown keys {sorted(unknown)}", field=sorted(unknown)[0])
+    return doc
+
+
+def field(doc: dict, key: str, parse, *args, **kwargs):
+    """``parse(doc[key], ...)``: a value of the wrong type or form becomes a
+    ConfigParse naming ``key``; a lindkit error keeps its own type."""
+    try:
+        return parse(doc[key], *args, **kwargs)
+    except _VALUE_ERRORS as exc:
+        raise ConfigParse(f"{key}: {exc}", field=key) from exc
+
+
+@contextlib.contextmanager
+def within(key: str):
+    """Report every error of the block, a ConfigParse naming another key
+    included, as a ConfigParse with its message naming ``key``."""
+    try:
+        yield
+    except (LindkitError, *_VALUE_ERRORS) as exc:
+        raise ConfigParse(str(exc), field=key) from exc
+
+
+def real(value, low: float | None = None, strict: bool = False) -> float:
+    """A finite number, at least ``low`` (above it if ``strict``)."""
+    if isinstance(value, str):
+        raise TypeError(f"expected a number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x) or low is not None and (x < low or strict and x == low):
+        bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+        raise ValueError(f"expected a finite number{bound}, got {value!r}")
+    return x
+
+
+def reals(value, shape: tuple | None = None) -> np.ndarray:
+    """A list of finite numbers as a float array; given ``shape``, a flat
+    list of as many numbers as it holds, or lists nested in that shape."""
+    a = np.asarray(value)
+    numbers = a.dtype.kind in "biuf" or a.dtype.kind == "O" and all(
+        isinstance(x, (int, float)) for x in a.flat)  # "O": integers beyond int64
+    if a.ndim == 0 or not numbers:
+        raise TypeError("expected a list of numbers")
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("entries must be finite")
+    if shape is not None and a.shape not in ((math.prod(shape),), shape):
+        raise ValueError(f"expected {math.prod(shape)} entries in shape {shape} or flat, "
+                         f"got shape {a.shape}")
+    return a
+
+
+def integer(value, low: int) -> int:
+    n = int(value)
+    if n != value or n < low:
+        raise ValueError(f"expected an integer >= {low}, got {value!r}")
+    return n
+
+
+def one_of(value, options: tuple):
+    if value not in options:
+        raise ValueError(f"expected one of {list(options)}, got {value!r}")
+    return value
+
+
+def complex_matrix(doc: dict, re_key: str, im_key: str, shape: tuple) -> np.ndarray:
+    """The complex array of ``shape`` whose real and imaginary parts are the
+    lists ``doc[re_key]`` and ``doc[im_key]`` (zero when absent), both flat
+    and row-major or both nested; placed, not added, so every bit survives,
+    a zero imaginary part's sign included."""
+    m = field(doc, re_key, reals, shape).astype(complex)
+    if im_key in doc:
+        im = field(doc, im_key, reals, shape)
+        if im.shape != m.shape:
+            raise ConfigParse(f"{im_key}: expected the shape of {re_key}", field=im_key)
+        m.imag = im
+    return m.reshape(shape)
+
+
+def complex_parts(re_key: str, im_key: str, m) -> dict:
+    """The parts of ``m`` in the form :func:`complex_matrix` reads."""
+    flat = np.asarray(m).reshape(-1)
+    return {re_key: flat.real.tolist(), im_key: flat.imag.tolist()}
 
 
 def canonical_json(doc) -> str:

@@ -189,7 +189,7 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     ("extract-generator", lindblad.LindbladModel, "from_dict", 1),
     ("ramsey-point", ramsey.RamseyConfig, "from_dict", 1),
     ("ramsey-scan", ramsey.RamseyConfig, "from_dict", 2),  # fig-both: two curves
-    ("born-check", cli, "_matrix_from", 1),
+    ("born-check", cli, "_density", 1),
 ])
 def test_default_config_is_parsed_once(monkeypatch, capsys, command, owner, name, calls):
     built = _count(monkeypatch, [owner], name)

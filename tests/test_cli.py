@@ -542,6 +542,13 @@ _MALFORMED = [
     ("lindblad-evolve", "model-qubit", _set(("model", "lindblads", 0, "re", 1), _NAN),
      "model"),
     ("lindblad-evolve", "model-qubit", _set(("times", 1), _INF), "times"),
+    # a model's dim must be an integer, and a Lindblad operator holds re and im only
+    ("lindblad-spectrum", "model-qubit", _set(("model", "dim"), 2.5), "model"),
+    ("lindblad-spectrum", "model-qubit", _set(("model", "lindblads", 0, "junk"), 1.0),
+     "model"),
+    # born-check's h and l_re rows hold one entry per dimension
+    ("born-check", "born-d3", _set(("h",), [0.3, 0.1]), "h"),
+    ("born-check", "born-d3", _set(("l_re",), [[0.0, 1.0]]), "l_re"),
 ]
 
 
@@ -577,11 +584,12 @@ _FUZZ_CONFIGS = [
 ]
 _FUZZ_DOCS = {name: json.loads(cli.bundled_config_path(name).read_text())
               for _, name in _FUZZ_CONFIGS}
-# numbers stay within +-1000: a drawn grid `points` must not allocate
-# gigabytes, and 1e300-sized model or Ramsey entries still overflow inside the
-# computation rather than in the parse
-_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000),
-                     st.floats(-1000, 1000), st.text(max_size=4))
+# numbers range over every finite double and integers far beyond them; only a
+# value for a key that sizes an allocation (a grid's `points`, a top-level
+# `dim`) is capped at +-1000, so that it cannot ask for gigabytes
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**400, 10**400),
+                     st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4))
+_ALLOCATING = {("grid", "points"), ("dim",)}
 _JSON = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
                   st.dictionaries(st.text(max_size=4), _SCALARS, max_size=2))
 
@@ -593,7 +601,10 @@ def test_any_single_value_change_gives_a_documented_exit(tmp_path_factory, confi
     command, name = config
     paths = list(_paths(_FUZZ_DOCS[name]))
     doc = json.loads(json.dumps(_FUZZ_DOCS[name]))
-    _set(paths[pick % len(paths)], value)(doc)
+    changed = paths[pick % len(paths)]
+    if changed in _ALLOCATING and isinstance(value, (int, float)):
+        value = max(-1000, min(1000, value))
+    _set(changed, value)(doc)
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()

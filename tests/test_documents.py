@@ -1,0 +1,137 @@
+"""Each JSON document has one strict reader, on the type that writes it:
+a malformed document raises ConfigParse naming its key, and a document
+written by ``to_json`` (``to_dict`` for a Ramsey config) reads back with
+every bit of its arrays, the sign of a zero included."""
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import SM, SX
+from lindkit import (GKSForm, Kernel, LindbladModel, RamseyConfig, build_superoperator,
+                     gks_project, kernel_from_generator)
+from lindkit.errors import ConfigParse
+
+_MODEL = LindbladModel(2, np.diag([0.5, -0.5]).astype(complex), [0.3 * SX, 0.2 * SM])
+_GEN = build_superoperator(_MODEL)
+_RAMSEY = RamseyConfig(0.0, 100.0, 0.25, 100.0, np.pi, 50.0, 50.0, 5.0, 0.02 + 0.05j)
+
+# reader name -> (reader of a parsed document, a well-formed document)
+_READERS = {
+    "model": (LindbladModel.from_dict, json.loads(_MODEL.to_json())),
+    "kernel": (Kernel.from_dict, json.loads(kernel_from_generator(_GEN, 0.8).to_json())),
+    "gks": (lambda doc: GKSForm.from_json(json.dumps(doc)),
+            json.loads(gks_project(_GEN).to_json())),
+    "ramsey": (RamseyConfig.from_dict, _RAMSEY.to_dict()),
+}
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+_NAN = float("nan")
+# (reader, mutation, the field the ConfigParse names)
+_MALFORMED = [
+    ("kernel", _set("dim", 2.5), "dim"),
+    ("kernel", _set("tau", "inf"), "tau"),
+    ("kernel", _set("tau", _NAN), "tau"),
+    ("kernel", _set("junk", 1.0), "junk"),
+    ("kernel", _set("re", 0, _NAN), "re"),
+    ("kernel", _set("im", [0.0] * 15), "im"),
+    ("kernel", _set("vec_order", "col-major"), "vec_order"),
+    ("gks", _set("dim", 2.9), "dim"),
+    ("gks", _set("c_re", 0, _NAN), "c_re"),
+    ("gks", _set("h_im", [0.0]), "h_im"),
+    ("gks", _set("junk", 1.0), "junk"),
+    ("gks", _set("basis", "pauli"), "basis"),
+    ("model", _set("dim", 2.5), "model"),
+    ("model", _set("dim", "2"), "model"),
+    ("model", _set("lindblads", 0, "junk", 1.0), "model"),
+    ("model", _set("lindblads", {}), "model"),
+    ("model", _set("h_re", 0, _NAN), "model"),
+    ("model", _set("h_im", 0.0), "model"),
+    ("model", _set("schema", "lindkit.model/2"), "model"),
+    ("model", _set("junk", 1.0), "junk"),
+    ("ramsey", _set("tau", "inf"), "ramsey"),
+    ("ramsey", _set("sigma", _NAN), "ramsey"),
+    ("ramsey", _set("e_g", "0.5"), "ramsey"),
+    ("ramsey", _set("junk", 1.0), "junk"),
+]
+
+
+@pytest.mark.parametrize("reader, mutate, key", _MALFORMED,
+                         ids=[f"{r}-{k}-{i}" for i, (r, _, k) in enumerate(_MALFORMED)])
+def test_malformed_document_raises_naming_its_key(reader, mutate, key):
+    read, doc = _READERS[reader]
+    doc = json.loads(json.dumps(doc))
+    mutate(doc)
+    with pytest.raises(ConfigParse) as info:
+        read(doc)
+    assert info.value.field == key
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=complex).view(np.int64).tolist() for a in arrays]
+
+
+def _with_signed_zeros(rng, m):
+    """``m`` with about a third of its real and imaginary parts set to 0.0 or
+    -0.0 at random."""
+    parts = [m.real.copy(), m.imag.copy()]
+    for part in parts:
+        zero = rng.random(part.shape) < 1 / 3
+        part[zero] = np.where(rng.random(part.shape) < 0.5, 0.0, -0.0)[zero]
+    out = parts[0].astype(complex)
+    out.imag = parts[1]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 5), n_ops=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       tau=st.floats(0.0, 2.0))
+def test_documents_round_trip_every_bit(d, n_ops, seed, tau):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = a + a.conj().T
+    h.imag[np.diag_indices(d)] = np.where(rng.random(d) < 0.5, 0.0, -0.0)
+    ops = [_with_signed_zeros(rng, rng.standard_normal((d, d))
+                              + 1j * rng.standard_normal((d, d))) for _ in range(n_ops)]
+    model = LindbladModel(d, h, ops)
+    back = LindbladModel.from_dict(json.loads(model.to_json()))
+    assert back.dim == d
+    assert _bits(back.hamiltonian, *back.lindblads) == _bits(h, *ops)
+
+    gen = build_superoperator(model)
+    kernel = kernel_from_generator(gen / max(1.0, np.abs(gen).sum(axis=0).max()), tau)
+    back = Kernel.from_dict(json.loads(kernel.to_json()))
+    assert (back.dim, back.tau) == (d, tau)
+    assert _bits(back.matrix) == _bits(kernel.matrix)
+
+    gks = gks_project(gen)
+    back = GKSForm.from_json(gks.to_json())
+    assert _bits(back.hamiltonian, back.c_matrix) == _bits(gks.hamiltonian, gks.c_matrix)
+
+
+_SIGNED = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+_NONNEGATIVE = st.floats(0.0, 1e3) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(e_g=_SIGNED, gap=st.floats(1e-3, 1e3), u=st.tuples(_SIGNED, _SIGNED),
+       omega=_SIGNED, times=st.tuples(*[_NONNEGATIVE] * 4),
+       lam=st.tuples(_NONNEGATIVE, _SIGNED))
+def test_ramsey_config_round_trips_every_bit(e_g, gap, u, omega, times, lam):
+    cfg = RamseyConfig(e_g, e_g + gap, complex(*u), omega, *times, complex(*lam))
+    doc = cfg.to_dict()
+    back = RamseyConfig.from_dict(json.loads(json.dumps(doc))).to_dict()
+    assert back.keys() == doc.keys()
+    assert _bits(list(back.values())) == _bits(list(doc.values()))

@@ -1,0 +1,163 @@
+"""Compare the command-line output of lindkit checkouts, case by case.
+
+    python3 tools/cli_digest.py --src ../parent/src --src src
+
+Each ``--src`` directory holds a lindkit package.  For each, a child process
+runs every case in-process (``cli.main``) and records its exit code and the
+sha256 of its stdout and of its stderr.  The cases are:
+
+- the 8 subcommands on their default configs as JSON, and the 3 CSV-capable
+  ones (ramsey-scan, lindblad-spectrum, entropy-check) as CSV;
+- single-key mutations of each bundled config, run by the subcommand that
+  reads it: every object key and the first entry of every list set to each
+  of VALUES in turn, every object key removed, and an unknown key added to
+  every object.
+
+A mutated config is written to the same path for every checkout, since the
+record echoes the path.  The tool prints each case whose result differs from
+the first checkout's, with each side's exit code and, for an error record,
+its error type and field; then the number of differing cases.  It exits 1
+when any case differs.
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+# (subcommand, bundled config it mutates)
+CONFIGS = [
+    ("ramsey-scan", "fig1"), ("ramsey-point", "fig2"), ("lindblad-evolve", "model-qubit"),
+    ("lindblad-spectrum", "model-qubit"), ("born-check", "born-d3"),
+    ("cp-check", "kernel-transpose"), ("entropy-check", "model-qubit"),
+    ("extract-generator", "model-qubit"),
+]
+VALUES = [None, True, "x", "1", 2.5, 0, -1, 1e300, float("nan"), 10**400, [], [1.0], {}]
+CSV_COMMANDS = ("ramsey-scan", "lindblad-spectrum", "entropy-check")
+
+
+def _paths(doc, prefix=()):
+    """Every key of every object, and the first entry of every list."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list) and doc:
+        items = [(0, doc[0])]
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _objects(doc, prefix=()):
+    """The path of every object in ``doc``, the root first."""
+    if isinstance(doc, dict):
+        yield prefix
+        for key, value in doc.items():
+            yield from _objects(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from _objects(value, prefix + (k,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _cases(cli):
+    """(case name, argv, config document or None) of every case."""
+    for command in cli._COMMANDS:
+        yield f"default {command} json", [command], None
+    for command in CSV_COMMANDS:
+        yield f"default {command} csv", [command, "--format", "csv"], None
+    for command, name in CONFIGS:
+        base = json.loads(cli.bundled_config_path(name).read_text())
+        for path in _paths(base):
+            for value in VALUES:
+                doc = json.loads(json.dumps(base))
+                _at(doc, path[:-1])[path[-1]] = value
+                yield f"{command} {name} {list(path)} = {value!r}", [command], doc
+            if isinstance(path[-1], str):
+                doc = json.loads(json.dumps(base))
+                del _at(doc, path[:-1])[path[-1]]
+                yield f"{command} {name} {list(path)} removed", [command], doc
+        for path in _objects(base):
+            doc = json.loads(json.dumps(base))
+            _at(doc, path)["unknown_key"] = 1.0
+            yield f"{command} {name} {list(path)} + unknown_key", [command], doc
+
+
+def _error(text: str):
+    """(type, field) of an error record, else None."""
+    try:
+        error = json.loads(text)["error"]
+        return [error["type"], error["field"]]
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def child(workdir: str) -> None:
+    """Run every case with the lindkit on sys.path; print one JSON object."""
+    from lindkit import cli
+
+    config = os.path.join(workdir, "config.json")
+    results = {}
+    for name, argv, doc in _cases(cli):
+        if doc is not None:
+            with open(config, "w") as fh:
+                json.dump(doc, fh)
+            argv = argv + ["--config", config]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # a traceback escaping the CLI
+                code = f"raised {type(exc).__name__}"
+        results[name] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                         hashlib.sha256(err.getvalue().encode()).hexdigest(),
+                         _error(err.getvalue())]
+    json.dump(results, sys.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", action="append", required=True,
+                    help="directory holding a lindkit package (repeat for each checkout)")
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        child(args.child)
+        return 0
+    runs = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for src in args.src:
+            env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+            proc = subprocess.run([sys.executable, __file__, "--src", src, "--child", workdir],
+                                  env=env, capture_output=True, text=True, check=True)
+            runs.append(json.loads(proc.stdout))
+    first, differing, outcomes = runs[0], 0, 0
+    for src, run in zip(args.src[1:], runs[1:]):
+        for name in sorted(first.keys() | run.keys()):
+            a, b = first.get(name), run.get(name)
+            if a == b:
+                continue
+            differing += 1
+            # exit code and error (type, field); then which streams differ
+            ends = [None if r is None else [r[0], r[3]] for r in (a, b)]
+            outcomes += ends[0] != ends[1]
+            streams = [] if None in (a, b) else [
+                label for label, k in (("stdout", 1), ("stderr", 2)) if a[k] != b[k]]
+            print(f"{src}: {name}: {ends[0]} -> {ends[1]}; differs in {streams or 'presence'}")
+    print(f"{differing} of {len(first)} cases differ, {outcomes} in exit code or error "
+          f"type and field")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
