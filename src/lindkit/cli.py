@@ -1,10 +1,17 @@
 """Command-line front end.
 
-Every subcommand reads a single JSON config, parses it once into the typed
-inputs of its experiment (strictly: unknown keys are rejected and physical
-invariants are checked before any computation), runs the experiment, and
-emits a machine-readable record.  Outputs carry no timestamps and all
-randomness is seeded, so identical config + seed gives byte-identical output.
+Every subcommand runs in three steps.  Its parse reads the JSON config once
+into the typed inputs of its experiment: every key present goes through its
+one strict reader, so an unknown key, a value of the wrong type (a number is
+a JSON number, never ``true``, ``false`` or a string), a non-finite number or
+a broken physical invariant is rejected before any computation.  The four
+model commands share one parse and the two Ramsey commands another; the
+commands of a kind differ only in the keys they require.  The handler then
+runs the experiment and returns its exit code, its result and, for a tabular
+command, a CSV header and rows.  Last, :func:`main` alone writes the output:
+the JSON record of the config and result, or the CSV table.  Outputs carry no
+timestamps and all randomness is seeded, so identical config + seed gives
+byte-identical output.
 
 Exit codes: 0 success, 2 config error, 3 domain error (including a failed
 check, e.g. a non-CP kernel), 4 I/O error.  Every malformed config exits 2
@@ -15,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import warnings
 from importlib import resources
@@ -59,31 +65,7 @@ def _read_config(path: str) -> dict:
         raise ConfigParse(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigParse("config root must be a JSON object")
-    for key, value in doc.items():
-        name = _non_finite(value, key)
-        if name is not None:
-            raise ConfigParse(f"{name} must be finite", field=key)
     return doc
-
-
-def _non_finite(value, name: str):
-    """Innermost key of a NaN or infinite number in ``value``, else None."""
-    if isinstance(value, float):
-        return None if abs(value) <= sys.float_info.max else name  # NaN fails too
-    if isinstance(value, list):
-        try:  # a flat list of numbers in one C-speed pass
-            if all(map(math.isfinite, value)):
-                return None
-        except (TypeError, OverflowError):  # a string, list or int beyond the floats
-            pass
-        pairs = [(name, item) for item in value]
-    else:
-        pairs = value.items() if isinstance(value, dict) else ()
-    for key, item in pairs:
-        found = _non_finite(item, key)
-        if found is not None:
-            return found
-    return None
 
 
 def _density(doc, dim: int) -> quantum.DensityMatrix:
@@ -95,49 +77,47 @@ def _density(doc, dim: int) -> quantum.DensityMatrix:
 
 def _grid(doc) -> np.ndarray:
     if "values" in doc:
-        return ramsey.detuning_grid(check_keys(doc, "grid", {"values"})["values"])
+        return ramsey.detuning_grid(reals(check_keys(doc, "grid", {"values"})["values"]))
     check_keys(doc, "grid", {"start", "stop", "points"})
     return ramsey.detuning_grid(np.linspace(real(doc["start"]), real(doc["stop"]),
                                             integer(doc["points"], 2)))
 
 
 def _times(value) -> list[float]:
-    # the bound also rejects NaN, inf and integers beyond the float range
-    if not isinstance(value, list) or not all(
-        type(t) in (int, float) and 0 <= t <= sys.float_info.max for t in value
-    ):
+    times = reals(value)
+    if times.ndim != 1 or (times < 0).any():
         raise ValueError("expected a list of finite nonnegative numbers")
-    return [float(t) for t in value]
+    return times.tolist()
 
 
 # ---------------------------------------------------------------------------
-# Config parses: the only readers of a config document.  Each checks every
-# key its command uses and returns the typed inputs of the command's handler.
+# Config parses: the only readers of a config document.  A parse reads every
+# key present, whichever command uses it, and returns the typed inputs of the
+# command's handler; ``required`` names the keys the command needs besides
+# those every command of the kind needs.
 # ---------------------------------------------------------------------------
 
 _THEORIES = ("standard", "modified")
 
 
-def _parse_ramsey_point(doc):
-    check_keys(doc, "config", {"ramsey", "theory"}, {"grid"})
-    return ramsey.RamseyConfig.from_dict(doc["ramsey"]), field(doc, "theory", one_of, _THEORIES)
+def _parse_ramsey(doc, required=()):
+    """(config, theory, detuning grid or None) of a Ramsey config."""
+    check_keys(doc, "config", {"ramsey", "theory", *required}, {"grid"})
+    return (ramsey.RamseyConfig.from_dict(doc["ramsey"]),
+            field(doc, "theory", one_of, _THEORIES),
+            field(doc, "grid", _grid) if "grid" in doc else None)
 
 
-def _parse_ramsey_scan(doc):
-    check_keys(doc, "config", {"ramsey", "theory", "grid"})
-    return (*_parse_ramsey_point(doc), field(doc, "grid", _grid))
-
-
-def _parse_evolve(doc):
-    check_keys(doc, "config", {"model", "rho0", "times"}, {"h", "scheme"})
+def _parse_model(doc, required=()):
+    """(model, rho0, times, h, scheme) of a model config, None for each
+    optional key it lacks."""
+    check_keys(doc, "config", {"model", *required}, {"rho0", "times", "h", "scheme"})
     model = lindblad.LindbladModel.from_dict(doc["model"])
-    times = field(doc, "times", _times)
-    return model, _density(doc["rho0"], model.dim), times
-
-
-def _parse_spectrum(doc):
-    check_keys(doc, "config", {"model"}, {"rho0", "times", "h", "scheme"})
-    return (lindblad.LindbladModel.from_dict(doc["model"]),)
+    return (model,
+            _density(doc["rho0"], model.dim) if "rho0" in doc else None,
+            field(doc, "times", _times) if "times" in doc else None,
+            field(doc, "h", real, low=0.0, strict=True) if "h" in doc else None,
+            field(doc, "scheme", one_of, ("central", "forward")) if "scheme" in doc else None)
 
 
 def _parse_born(doc):
@@ -152,13 +132,6 @@ def _parse_born(doc):
     model = lindblad.measurement_model(quantum.ProjectorBasis.computational(d), l_coeffs, h)
     return (model, rho0, field(doc, "horizon_over_gamma", real, low=0.0),
             field(doc, "tol", real))
-
-
-def _parse_extract(doc):
-    check_keys(doc, "config", {"model", "h", "scheme"}, {"rho0", "times"})
-    return (lindblad.LindbladModel.from_dict(doc["model"]),
-            field(doc, "h", real, low=0.0, strict=True),
-            field(doc, "scheme", one_of, ("central", "forward")))
 
 
 def validate_config(path: str, command: str) -> dict:
@@ -176,11 +149,11 @@ def validate_config(path: str, command: str) -> dict:
     return doc
 
 
-def _record(command: str, args, config_doc, result) -> dict:
+def _record(args, config_doc, result, caught) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "command": command,
+        "command": args.command,
         "flags": {
             "config": args.config,
             "format": args.format,
@@ -190,7 +163,7 @@ def _record(command: str, args, config_doc, result) -> dict:
         },
         "config": config_doc,
         "result": result,
-        "warnings": [str(w.message) for w in args.warnings],
+        "warnings": [str(w.message) for w in caught],
     }
 
 
@@ -212,56 +185,47 @@ def _emit(args, text: str):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each takes the parsed inputs, echoes the config
-# document into its record unchanged, and returns the process exit code
+# Subcommand handlers: each takes the parsed inputs and returns the process
+# exit code, the record's result and, for a tabular command, the CSV header
+# and rows (None for any other)
 # ---------------------------------------------------------------------------
 
-def _cmd_ramsey_scan(args, doc, cfg, theory, grid) -> int:
+def _scan_table(header, scans):
+    """The CSV table of scans on one grid: the detunings, then each scan's
+    single-shot and averaged fringe."""
+    columns = [scans[0].delta_omegas] + [c for s in scans for c in (s.pb_e, s.pb_e_avg)]
+    return header, zip(*(c.tolist() for c in columns))
+
+
+def _cmd_ramsey_scan(args, cfg, theory, grid):
     result = ramsey.scan(cfg, grid, args.theory or theory, truncate=args.truncate_gaussian)
-    if args.format == "csv":
-        _emit(args, _csv(("delta_omega", "pb_e", "pb_e_avg"), zip(
-            result.delta_omegas.tolist(), result.pb_e.tolist(), result.pb_e_avg.tolist())))
-    else:
-        _emit(args, canonical_json(_record("ramsey-scan", args, doc, result.to_dict())))
-    return 0
+    return 0, result.to_dict(), _scan_table(("delta_omega", "pb_e", "pb_e_avg"), [result])
 
 
-def _ramsey_scan_side_by_side(args) -> int:
+def _ramsey_scan_side_by_side(args):
     """Default run: the standard and modified figure curves next to each
-    other on the shared detuning grid."""
+    other on the shared detuning grid; returns the configs read, then what
+    a handler returns."""
     results, docs = {}, {}
     for name in ("fig1", "fig2"):
         docs[name] = _read_config(name)
-        cfg, theory, grid = _parse_ramsey_scan(docs[name])
+        cfg, theory, grid = _parse_ramsey(docs[name], required={"grid"})
         results[theory] = ramsey.scan(cfg, grid, theory, truncate=args.truncate_gaussian)
     std, mod = results["standard"], results["modified"]
-    if args.format == "csv":
-        columns = (std.delta_omegas, std.pb_e, std.pb_e_avg, mod.pb_e, mod.pb_e_avg)
-        _emit(args, _csv(("delta_omega", "pb_e_standard", "pb_e_avg_standard",
-                          "pb_e_modified", "pb_e_avg_modified"),
-                         zip(*(c.tolist() for c in columns))))
-    else:
-        _emit(args, canonical_json(_record(
-            "ramsey-scan", args, docs,
-            {"standard": std.to_dict(), "modified": mod.to_dict()},
-        )))
-    return 0
+    header = ("delta_omega", "pb_e_standard", "pb_e_avg_standard",
+              "pb_e_modified", "pb_e_avg_modified")
+    return (docs, 0, {"standard": std.to_dict(), "modified": mod.to_dict()},
+            _scan_table(header, [std, mod]))
 
 
-def _cmd_ramsey_point(args, doc, cfg, theory) -> int:
+def _cmd_ramsey_point(args, cfg, theory, *_):
     theory = args.theory or theory
     pb = ramsey.protocol(cfg, theory)
     avg = ramsey.gaussian_fraction(cfg, theory, truncate=args.truncate_gaussian)
-    result = {
-        "delta_omega": ramsey.derive(cfg).delta_omega,
-        "pb_e": pb,
-        "pb_e_avg": avg,
-    }
-    _emit(args, canonical_json(_record("ramsey-point", args, doc, result)))
-    return 0
+    return 0, {"delta_omega": ramsey.derive(cfg).delta_omega, "pb_e": pb, "pb_e_avg": avg}, None
 
 
-def _cmd_lindblad_evolve(args, doc, model, rho0, times) -> int:
+def _cmd_lindblad_evolve(args, model, rho0, times, *_):
     rhos = lindblad.evolve_many(model, rho0, times)
     stack = np.array([rho.matrix for rho in rhos], dtype=complex).reshape(
         len(rhos), model.dim, model.dim)
@@ -273,27 +237,18 @@ def _cmd_lindblad_evolve(args, doc, model, rho0, times) -> int:
          "repaired": repaired}
         for t, re, im, trace, entropy, repaired in zip(*columns)
     ]
-    _emit(args, canonical_json(
-        _record("lindblad-evolve", args, doc, {"states": states})
-    ))
-    return 0
+    return 0, {"states": states}, None
 
 
-def _cmd_lindblad_spectrum(args, doc, model) -> int:
+def _cmd_lindblad_spectrum(args, model, *_):
     spec = lindblad.spectrum(model)
-    columns = (spec.mus.real.tolist(), spec.mus.imag.tolist(), spec.classifications)
-    if args.format == "csv":
-        _emit(args, _csv(("re_mu", "im_mu", "class"), zip(*columns)))
-    else:
-        rows = [{"re_mu": re, "im_mu": im, "class": cls} for re, im, cls in zip(*columns)]
-        _emit(args, canonical_json(_record(
-            "lindblad-spectrum", args, doc,
-            {"modes": rows, "balanced": model.balanced},
-        )))
-    return 0
+    header = ("re_mu", "im_mu", "class")
+    rows = list(zip(spec.mus.real.tolist(), spec.mus.imag.tolist(), spec.classifications))
+    result = {"modes": [dict(zip(header, row)) for row in rows], "balanced": model.balanced}
+    return 0, result, (header, rows)
 
 
-def _cmd_born_check(args, doc, model, rho0, horizon_over_gamma, tol) -> int:
+def _cmd_born_check(args, model, rho0, horizon_over_gamma, tol):
     if rho0 is None:
         rng = np.random.default_rng(args.seed)
         v = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
@@ -312,11 +267,10 @@ def _cmd_born_check(args, doc, model, rho0, horizon_over_gamma, tol) -> int:
         "tol": tol,
         "converged": bool(converged),
     }
-    _emit(args, canonical_json(_record("born-check", args, doc, result)))
-    return 0 if converged else _EXIT_DOMAIN
+    return (0 if converged else _EXIT_DOMAIN), result, None
 
 
-def _cmd_cp_check(args, doc, kernel) -> int:
+def _cmd_cp_check(args, kernel):
     is_cp, spec = channels.choi_cp_test(kernel)
     result = {
         "is_cp": bool(is_cp),
@@ -324,11 +278,10 @@ def _cmd_cp_check(args, doc, kernel) -> int:
         "min_eigenvalue": float(spec.lambdas.min()),
         "eigenvalue_sum": float(spec.lambdas.sum()),
     }
-    _emit(args, canonical_json(_record("cp-check", args, doc, result)))
-    return 0 if is_cp else _EXIT_DOMAIN
+    return (0 if is_cp else _EXIT_DOMAIN), result, None
 
 
-def _cmd_entropy_check(args, doc, model, rho0, times) -> int:
+def _cmd_entropy_check(args, model, rho0, times, *_):
     eps = 1e-5
     # one pass over the interleaved grid t, t + eps, t - eps (0 when t < eps)
     grid = [s for t in times for s in (t, t + eps, t - eps if t >= eps else 0.0)]
@@ -339,19 +292,14 @@ def _cmd_entropy_check(args, doc, model, rho0, times) -> int:
     balanced = model.balanced
     fd = (s_plus - s_minus) / np.where(np.array(times) >= eps, 2 * eps, eps)
     ok = not (balanced and (rates < -1e-12).any()) and not (np.abs(rates - fd) > 1e-6).any()
-    columns = (times, rates.tolist(), fd.tolist())
-    if args.format == "csv":
-        _emit(args, _csv(("t", "rate", "central_difference"), zip(*columns)))
-    else:
-        rows = [{"t": t, "rate": r, "central_difference": c} for t, r, c in zip(*columns)]
-        _emit(args, canonical_json(_record(
-            "entropy-check", args, doc,
-            {"rows": rows, "balanced": balanced, "passed": ok},
-        )))
-    return 0 if ok else _EXIT_DOMAIN
+    header = ("t", "rate", "central_difference")
+    rows = list(zip(times, rates.tolist(), fd.tolist()))
+    result = {"rows": [dict(zip(header, row)) for row in rows], "balanced": balanced,
+              "passed": ok}
+    return (0 if ok else _EXIT_DOMAIN), result, (header, rows)
 
 
-def _cmd_extract_generator(args, doc, model, h, scheme) -> int:
+def _cmd_extract_generator(args, model, _rho0, _times, h, scheme):
     gen = lindblad.build_superoperator(model)
     samples = [
         (tau, channels.kernel_from_generator(gen, tau))
@@ -367,22 +315,25 @@ def _cmd_extract_generator(args, doc, model, h, scheme) -> int:
         "relative_error": float(np.linalg.norm(est - gen)) / scale,
         "richardson_relative_error": float(np.linalg.norm(rich - gen)) / scale,
     }
-    _emit(args, canonical_json(_record("extract-generator", args, doc, result)))
-    return 0
+    return 0, result, None
 
 
-# command -> (parse, handler, default config): the parse reads the config
-# document once and its result is the handler's input
+# command -> (parse, handler, default config, whether it writes CSV): the
+# parse reads the config document once and its result is the handler's input
 _COMMANDS = {
-    "ramsey-scan": (_parse_ramsey_scan, _cmd_ramsey_scan, "fig-both"),
-    "ramsey-point": (_parse_ramsey_point, _cmd_ramsey_point, "fig1"),
-    "lindblad-evolve": (_parse_evolve, _cmd_lindblad_evolve, "model-qubit"),
-    "lindblad-spectrum": (_parse_spectrum, _cmd_lindblad_spectrum, "model-qubit"),
-    "born-check": (_parse_born, _cmd_born_check, "born-d3"),
+    "ramsey-scan": (functools.partial(_parse_ramsey, required={"grid"}), _cmd_ramsey_scan,
+                    "fig-both", True),
+    "ramsey-point": (_parse_ramsey, _cmd_ramsey_point, "fig1", False),
+    "lindblad-evolve": (functools.partial(_parse_model, required={"rho0", "times"}),
+                        _cmd_lindblad_evolve, "model-qubit", False),
+    "lindblad-spectrum": (_parse_model, _cmd_lindblad_spectrum, "model-qubit", True),
+    "born-check": (_parse_born, _cmd_born_check, "born-d3", False),
     "cp-check": (lambda doc: (channels.Kernel.from_dict(doc),), _cmd_cp_check,
-                 "kernel-transpose"),
-    "entropy-check": (_parse_evolve, _cmd_entropy_check, "model-qubit"),
-    "extract-generator": (_parse_extract, _cmd_extract_generator, "model-qubit"),
+                 "kernel-transpose", False),
+    "entropy-check": (functools.partial(_parse_model, required={"rho0", "times"}),
+                      _cmd_entropy_check, "model-qubit", True),
+    "extract-generator": (functools.partial(_parse_model, required={"h", "scheme"}),
+                          _cmd_extract_generator, "model-qubit", False),
 }
 
 
@@ -397,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lindkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, handler, default_config) in _COMMANDS.items():
+    for name, (_, handler, default_config, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument(
             "--config",
@@ -421,26 +372,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    csv_capable = {"ramsey-scan", "lindblad-spectrum", "entropy-check"}
+    parse, handler, _, tabular = _COMMANDS[args.command]
     try:
-        if args.format == "csv" and args.command not in csv_capable:
+        if args.format == "csv" and not tabular:
             raise ConfigParse(
                 f"{args.command} emits JSON records only; csv applies to "
-                + ", ".join(sorted(csv_capable))
+                + ", ".join(sorted(name for name, c in _COMMANDS.items() if c[3]))
             )
         # every warning the handler raises goes into the record's warnings
         # field, or to stderr for CSV output, which has no record
-        with warnings.catch_warnings(record=True) as args.warnings:
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if args.command == "ramsey-scan" and args.config == "fig-both":
-                code = _ramsey_scan_side_by_side(args)
+                doc, code, result, table = _ramsey_scan_side_by_side(args)
             else:
-                parse, handler, _ = _COMMANDS[args.command]
                 doc = _read_config(args.config)
-                code = handler(args, doc, *parse(doc))
+                code, result, table = handler(args, *parse(doc))
         if args.format == "csv":
-            for w in args.warnings:
+            _emit(args, _csv(*table))
+            for w in caught:
                 sys.stderr.write(f"lindkit: warning: {w.message}\n")
+        else:
+            _emit(args, canonical_json(_record(args, doc, result, caught)))
         return code
     except ConfigParse as exc:
         _emit_error(args, exc, _EXIT_CONFIG)

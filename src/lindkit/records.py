@@ -56,9 +56,26 @@ def within(key: str):
         raise ConfigParse(str(exc), field=key) from exc
 
 
+def _numeric(kind: type) -> bool:
+    """Whether a value of type ``kind`` is a number: an int or a float, and
+    never a bool, which Python counts as an int."""
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
+def _entry_types(value: list) -> set:
+    """The types of the entries of ``value``, with lists in it entered."""
+    kinds = set(map(type, value))
+    if list in kinds:
+        kinds.remove(list)
+        for item in value:
+            if type(item) is list:
+                kinds |= _entry_types(item)
+    return kinds
+
+
 def real(value, low: float | None = None, strict: bool = False) -> float:
     """A finite number, at least ``low`` (above it if ``strict``)."""
-    if isinstance(value, str):
+    if not _numeric(type(value)):
         raise TypeError(f"expected a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x) or low is not None and (x < low or strict and x == low):
@@ -69,13 +86,11 @@ def real(value, low: float | None = None, strict: bool = False) -> float:
 
 def reals(value, shape: tuple | None = None) -> np.ndarray:
     """A list of finite numbers as a float array; given ``shape``, a flat
-    list of as many numbers as it holds, or lists nested in that shape."""
-    a = np.asarray(value)
-    numbers = a.dtype.kind in "biuf" or a.dtype.kind == "O" and all(
-        isinstance(x, (int, float)) for x in a.flat)  # "O": integers beyond int64
-    if a.ndim == 0 or not numbers:
+    list of as many numbers as it holds, or lists nested in that shape.
+    Every entry is checked, since numpy reads ``[true, 1.0]`` as numbers."""
+    if not isinstance(value, list) or not all(map(_numeric, _entry_types(value))):
         raise TypeError("expected a list of numbers")
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(value, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("entries must be finite")
     if shape is not None and a.shape not in ((math.prod(shape),), shape):
@@ -85,6 +100,8 @@ def reals(value, shape: tuple | None = None) -> np.ndarray:
 
 
 def integer(value, low: int) -> int:
+    if not _numeric(type(value)):
+        raise TypeError(f"expected an integer >= {low}, got {value!r}")
     n = int(value)
     if n != value or n < low:
         raise ValueError(f"expected an integer >= {low}, got {value!r}")

@@ -97,30 +97,36 @@ def full_ode(energies, u_matrix, omega, t_span, dt):
     t0, t1 = float(t_span[0]), float(t_span[1])
     n = max(1, int(np.ceil((t1 - t0) / dt)))
     h = (t1 - t0) / n
+    # the step times, accumulated one h at a time
+    times = np.add.accumulate(np.r_[t0, np.full(n, h)])
+    eye = np.eye(d * d)
 
-    def rhs(t, f):
-        ph = np.exp(1j * e * t)
-        hp = -u * np.exp(-1j * omega * t) - u.conj().T * np.exp(1j * omega * t)
-        hi = (ph[:, None] * hp) * ph.conj()[None, :]
-        return -1j * (hi @ f - f @ hi)
+    def rhs(t):
+        """The maps vec(f) -> vec(-i [H_I(t), f]) at each time of t, as
+        d^2 x d^2 matrices on the row-major vec."""
+        ph = np.exp(1j * e * t[:, None])
+        hp = (-u * np.exp(-1j * omega * t)[:, None, None]
+              - u.conj().T * np.exp(1j * omega * t)[:, None, None])
+        hi = (ph[:, :, None] * hp) * ph.conj()[:, None, :]
+        return -1j * (np.kron(hi, np.eye(d)) - np.kron(np.eye(d), hi.transpose(0, 2, 1)))
 
-    f = np.zeros((d, d), dtype=complex)
-    f[-1, -1] = 1.0  # ground state occupies the last basis slot
-    times = np.empty(n + 1)
-    traj = np.empty((n + 1, d, d), dtype=complex)
-    times[0] = t0
+    # the equation is linear, so each RK4 step is f <- P_k f with
+    # P_k = I + h/6 (k1 + 2 k2 + 2 k3 + k4), the stages taken as maps
+    t = times[:-1]
+    mid = rhs(t + h / 2)  # the two middle stages share their time
+    k1 = rhs(t)
+    k2 = mid @ (eye + h / 2 * k1)
+    k3 = mid @ (eye + h / 2 * k2)
+    k4 = rhs(t + h) @ (eye + h * k3)
+    steps = eye + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    f = np.zeros(d * d, dtype=complex)
+    f[-1] = 1.0  # ground state occupies the last basis slot
+    traj = np.empty((n + 1, d * d), dtype=complex)
     traj[0] = f
-    t = t0
     for k in range(n):
-        k1 = rhs(t, f)
-        k2 = rhs(t + h / 2, f + h / 2 * k1)
-        k3 = rhs(t + h / 2, f + h / 2 * k2)
-        k4 = rhs(t + h, f + h * k3)
-        f = f + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        times[k + 1] = t
+        f = steps[k] @ f
         traj[k + 1] = f
-    return times, traj
+    return times, traj.reshape(n + 1, d, d)
 
 
 def _pulse_raw(f_ee, f_eg, tau, derived, u_eg, t_start):

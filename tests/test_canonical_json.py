@@ -213,7 +213,7 @@ def test_evolve_record_holds_the_bits_of_the_states(tmp_path, config):
     path = config(tmp_path, 5)
     code, out, _ = _run(["lindblad-evolve", "--config", path])
     assert code == 0
-    model, rho0, times = cli._parse_evolve(json.loads(open(path).read()))
+    model, rho0, times, _, _ = cli._parse_model(json.loads(open(path).read()))
     states = json.loads(out)["result"]["states"]
     rhos = lindblad.evolve_many(model, rho0, times)
     assert len(states) == len(rhos)

@@ -237,7 +237,7 @@ def test_non_finite_ramsey_input_is_exit_2(tmp_path, capsys):
     for value in (float("nan"), float("inf")):
         path = _ramsey_doc(tmp_path, omega=value)
         assert run(["ramsey-point", "--config", path]) == 2
-        assert "omega must be finite" in capsys.readouterr().err
+        assert "omega: expected a finite number" in capsys.readouterr().err
     with pytest.raises(ValueError):
         cli.canonical_json({"pb_e": float("nan")})
 
@@ -352,19 +352,6 @@ def test_non_trace_preserving_kernel_is_exit_2_naming_its_entries(tmp_path, caps
     assert error["message"] == "trace defect 1.000e+00"
 
 
-@pytest.mark.parametrize("value, found", [
-    ([1.0, "x", float("nan")], "v"),
-    ([float("nan"), "x"], "v"),
-    ({"a": [[0.5, -float("inf")]]}, "a"),
-    ([10**400, 1.0], None),
-    ([True, 1e308], None),
-    ([[1.0], {"b": 2.0}, None, "inf"], None),
-    ([], None),
-])
-def test_non_finite_walk_verdicts(value, found):
-    assert cli._non_finite(value, "v") == found
-
-
 @pytest.mark.parametrize("model", [
     {"dim": 1, "h_re": [0.7], "h_im": [0.0], "lindblads": [{"re": [0.3], "im": [0.0]}]},
     {"dim": 2, "h_re": [0.0] * 4, "h_im": [0.0] * 4, "lindblads": []},
@@ -372,6 +359,8 @@ def test_non_finite_walk_verdicts(value, found):
 def test_extract_generator_of_a_zero_generator(tmp_path, capsys, model):
     doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
     doc["model"] = {"schema": "lindkit.model/1", **model}
+    if model["dim"] == 1:  # the bundled rho0, a qubit state, is checked against the model
+        del doc["rho0"], doc["times"]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     assert run(["extract-generator", "--config", str(path)]) == 0
@@ -517,7 +506,7 @@ _MALFORMED = [
     ("lindblad-evolve", "model-qubit", _model_as_list, "model"),
     ("extract-generator", "model-qubit", _set(("h",), "x"), "h"),
     ("extract-generator", "model-qubit", _set(("h",), 0.0), "h"),
-    ("lindblad-spectrum", "model-qubit", _set(("h",), _NAN), "h"),  # an unused key
+    ("lindblad-spectrum", "model-qubit", _set(("h",), _NAN), "h"),  # read, though unused
     ("born-check", "born-d3", _set(("dim",), "x"), "dim"),
     ("born-check", "born-d3", _set(("h",), "x"), "h"),
     ("born-check", "born-d3", _set(("l_re",), "x"), "l_re"),
@@ -549,6 +538,26 @@ _MALFORMED = [
     # born-check's h and l_re rows hold one entry per dimension
     ("born-check", "born-d3", _set(("h",), [0.3, 0.1]), "h"),
     ("born-check", "born-d3", _set(("l_re",), [[0.0, 1.0]]), "l_re"),
+    # a number is an int or a float: neither a bool nor a string, in a list or not
+    ("born-check", "born-d3", _set(("tol",), True), "tol"),
+    ("ramsey-point", "fig1", _set(("ramsey", "tau"), True), "ramsey"),
+    ("lindblad-evolve", "model-qubit", _set(("rho0", "re"), [True, False, False, False]),
+     "rho0"),
+    ("lindblad-evolve", "model-qubit", _set(("rho0", "re"), [True, 0.0, 0.0, 0.0]), "rho0"),
+    ("lindblad-spectrum", "model-qubit", _set(("model",), {
+        "schema": "lindkit.model/1", "dim": True, "h_re": [0.7], "h_im": [0.0],
+        "lindblads": []}), "model"),
+    ("ramsey-scan", "fig1", _set(("grid",), {"values": ["-0.1", "0.1"]}), "grid"),
+    ("ramsey-scan", "fig1", _set(("grid",), {"values": [False, True]}), "grid"),
+    ("extract-generator", "model-qubit", _set(("h",), True), "h"),
+    # every key present is read, whichever command uses it
+    ("lindblad-spectrum", "model-qubit", _set(("rho0",), "x"), "rho0"),
+    ("lindblad-spectrum", "model-qubit", _set(("times",), "abc"), "times"),
+    ("extract-generator", "model-qubit", _set(("times",), {"a": 1}), "times"),
+    ("lindblad-evolve", "model-qubit", _set(("scheme",), 5), "scheme"),
+    ("lindblad-evolve", "model-qubit", _set(("h",), "x"), "h"),
+    ("ramsey-point", "fig2", _set(("grid",), "junk"), "grid"),
+    ("lindblad-spectrum", "model-qubit", _set(("rho0", "re", 0), _NAN), "rho0"),
 ]
 
 

@@ -38,6 +38,10 @@ def _set(*path_and_value):
     return mutate
 
 
+def _one_dimensional_with_dim_true(doc):
+    doc.update(dim=True, h_re=[0.7], h_im=[0.0], lindblads=[])
+
+
 _NAN = float("nan")
 # (reader, mutation, the field the ConfigParse names)
 _MALFORMED = [
@@ -65,6 +69,10 @@ _MALFORMED = [
     ("ramsey", _set("sigma", _NAN), "ramsey"),
     ("ramsey", _set("e_g", "0.5"), "ramsey"),
     ("ramsey", _set("junk", 1.0), "junk"),
+    # a bool is not a number
+    ("model", _one_dimensional_with_dim_true, "model"),
+    ("ramsey", _set("tau", True), "ramsey"),
+    ("kernel", _set("tau", True), "tau"),
 ]
 
 

@@ -16,10 +16,13 @@ sha256 of its stdout and of its stderr.  The cases are:
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
 the first checkout's, with each side's exit code and, for an error record,
-its error type and field; then the number of differing cases.  It exits 1
-when any case differs.
+its error type and field; then, for the differing cases, one count per
+(subcommand, top-level config key, first checkout's exit -> this checkout's
+exit), with ``-`` for a default-config case; then the number of differing
+cases.  It exits 1 when any case differs.
 """
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -71,26 +74,28 @@ def _at(doc, path):
 
 
 def _cases(cli):
-    """(case name, argv, config document or None) of every case."""
+    """(case name, argv, config document or None, top-level key changed) of
+    every case."""
     for command in cli._COMMANDS:
-        yield f"default {command} json", [command], None
+        yield f"default {command} json", [command], None, "-"
     for command in CSV_COMMANDS:
-        yield f"default {command} csv", [command, "--format", "csv"], None
+        yield f"default {command} csv", [command, "--format", "csv"], None, "-"
     for command, name in CONFIGS:
         base = json.loads(cli.bundled_config_path(name).read_text())
         for path in _paths(base):
             for value in VALUES:
                 doc = json.loads(json.dumps(base))
                 _at(doc, path[:-1])[path[-1]] = value
-                yield f"{command} {name} {list(path)} = {value!r}", [command], doc
+                yield f"{command} {name} {list(path)} = {value!r}", [command], doc, path[0]
             if isinstance(path[-1], str):
                 doc = json.loads(json.dumps(base))
                 del _at(doc, path[:-1])[path[-1]]
-                yield f"{command} {name} {list(path)} removed", [command], doc
+                yield f"{command} {name} {list(path)} removed", [command], doc, path[0]
         for path in _objects(base):
             doc = json.loads(json.dumps(base))
             _at(doc, path)["unknown_key"] = 1.0
-            yield f"{command} {name} {list(path)} + unknown_key", [command], doc
+            yield (f"{command} {name} {list(path)} + unknown_key", [command], doc,
+                   path[0] if path else "unknown_key")
 
 
 def _error(text: str):
@@ -103,12 +108,14 @@ def _error(text: str):
 
 
 def child(workdir: str) -> None:
-    """Run every case with the lindkit on sys.path; print one JSON object."""
+    """Run every case with the lindkit on sys.path; print one JSON object:
+    each case's result, and its subcommand and top-level key."""
     from lindkit import cli
 
     config = os.path.join(workdir, "config.json")
-    results = {}
-    for name, argv, doc in _cases(cli):
+    results, groups = {}, {}
+    for name, argv, doc, key in _cases(cli):
+        groups[name] = f"{argv[0]} {key}"
         if doc is not None:
             with open(config, "w") as fh:
                 json.dump(doc, fh)
@@ -122,7 +129,7 @@ def child(workdir: str) -> None:
         results[name] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
                          hashlib.sha256(err.getvalue().encode()).hexdigest(),
                          _error(err.getvalue())]
-    json.dump(results, sys.stdout)
+    json.dump({"results": results, "groups": groups}, sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -134,14 +141,17 @@ def main(argv=None) -> int:
     if args.child:
         child(args.child)
         return 0
-    runs = []
+    runs, groups = [], {}
     with tempfile.TemporaryDirectory() as workdir:
         for src in args.src:
             env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
             proc = subprocess.run([sys.executable, __file__, "--src", src, "--child", workdir],
                                   env=env, capture_output=True, text=True, check=True)
-            runs.append(json.loads(proc.stdout))
+            out = json.loads(proc.stdout)
+            runs.append(out["results"])
+            groups.update(out["groups"])
     first, differing, outcomes = runs[0], 0, 0
+    counts = collections.Counter()
     for src, run in zip(args.src[1:], runs[1:]):
         for name in sorted(first.keys() | run.keys()):
             a, b = first.get(name), run.get(name)
@@ -154,6 +164,10 @@ def main(argv=None) -> int:
             streams = [] if None in (a, b) else [
                 label for label, k in (("stdout", 1), ("stderr", 2)) if a[k] != b[k]]
             print(f"{src}: {name}: {ends[0]} -> {ends[1]}; differs in {streams or 'presence'}")
+            before, after = (None if r is None else r[0] for r in (a, b))
+            counts[src, groups[name], before, after] += 1
+    for (src, group, before, after), count in sorted(counts.items(), key=str):
+        print(f"{src}: {group}: exit {before} -> {after}: {count}")
     print(f"{differing} of {len(first)} cases differ, {outcomes} in exit code or error "
           f"type and field")
     return 1 if differing else 0
