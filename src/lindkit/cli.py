@@ -134,19 +134,32 @@ def _parse_born(doc):
             field(doc, "tol", real))
 
 
+def _load(command: str, path: str):
+    """(document, handler, handler inputs) of the config ``path`` for
+    ``command``: the document as the record embeds it, read and parsed once.
+    ramsey-scan's default, fig-both, is the document {"fig1": ..., "fig2": ...},
+    each parsed as a ramsey-scan config, and runs side by side."""
+    if command == "ramsey-scan" and path == "fig-both":
+        doc = {name: _read_config(name) for name in ("fig1", "fig2")}
+        return doc, _ramsey_scan_side_by_side, (
+            [_parse_ramsey(part, required={"grid"}) for part in doc.values()],)
+    parse, handler, _, _ = _COMMANDS[command]
+    doc = _read_config(path)
+    return doc, handler, parse(doc)
+
+
 def validate_config(path: str, command: str) -> dict:
     """Parse and fully validate a config file for ``command``.
 
     Runs the command's own parse, which checks every physical invariant of
     the embedded objects before any computation and rejects unknown keys;
-    returns the parsed document.  Emitting the result with canonical_json,
-    re-parsing, and emitting again is byte-identical.
+    returns the parsed document, the one the command's record embeds.
+    Emitting the result with canonical_json, re-parsing, and emitting again
+    is byte-identical.
     """
     if command not in _COMMANDS:
         raise ConfigParse(f"unknown command {command!r}")
-    doc = _read_config(path)
-    _COMMANDS[command][0](doc)
-    return doc
+    return _load(command, path)[0]
 
 
 def _record(args, config_doc, result, caught) -> dict:
@@ -202,19 +215,15 @@ def _cmd_ramsey_scan(args, cfg, theory, grid):
     return 0, result.to_dict(), _scan_table(("delta_omega", "pb_e", "pb_e_avg"), [result])
 
 
-def _ramsey_scan_side_by_side(args):
-    """Default run: the standard and modified figure curves next to each
-    other on the shared detuning grid; returns the configs read, then what
-    a handler returns."""
-    results, docs = {}, {}
-    for name in ("fig1", "fig2"):
-        docs[name] = _read_config(name)
-        cfg, theory, grid = _parse_ramsey(docs[name], required={"grid"})
-        results[theory] = ramsey.scan(cfg, grid, theory, truncate=args.truncate_gaussian)
+def _ramsey_scan_side_by_side(args, parsed):
+    """Default run: the standard and modified figure curves, one per parsed
+    config, next to each other on the shared detuning grid."""
+    results = {theory: ramsey.scan(cfg, grid, theory, truncate=args.truncate_gaussian)
+               for cfg, theory, grid in parsed}
     std, mod = results["standard"], results["modified"]
     header = ("delta_omega", "pb_e_standard", "pb_e_avg_standard",
               "pb_e_modified", "pb_e_avg_modified")
-    return (docs, 0, {"standard": std.to_dict(), "modified": mod.to_dict()},
+    return (0, {"standard": std.to_dict(), "modified": mod.to_dict()},
             _scan_table(header, [std, mod]))
 
 
@@ -372,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    parse, handler, _, tabular = _COMMANDS[args.command]
+    tabular = _COMMANDS[args.command][3]
     try:
         if args.format == "csv" and not tabular:
             raise ConfigParse(
@@ -383,11 +392,8 @@ def main(argv=None) -> int:
         # field, or to stderr for CSV output, which has no record
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if args.command == "ramsey-scan" and args.config == "fig-both":
-                doc, code, result, table = _ramsey_scan_side_by_side(args)
-            else:
-                doc = _read_config(args.config)
-                code, result, table = handler(args, *parse(doc))
+            doc, handler, inputs = _load(args.command, args.config)
+            code, result, table = handler(args, *inputs)
         if args.format == "csv":
             _emit(args, _csv(*table))
             for w in caught:

@@ -9,8 +9,9 @@ models are the only constructor that guarantees the hypotheses of the
 Born-rule limit; general models get the asymptotic checks gated by the
 balanced predicate ||sum_a (L_a^dag L_a - L_a L_a^dag)|| = 0.
 
-Evolution goes through exp(t L) on the vectorized state rather than the
-modal sum, which sidesteps non-diagonalizable generators; the modal sum is
+Evolution goes through exp(t R) on the state's real coherence vector, with
+R the generator in the orthonormal Hermitian basis, rather than the modal
+sum, which sidesteps non-diagonalizable generators; the modal sum is
 exercised only in tests on diagonalizable fixtures.  A measurement model is
 solved exactly instead, at any finite time and without the generator.
 """
@@ -177,21 +178,16 @@ def spectrum(model: LindbladModel) -> SuperopSpectrum:
 
     L preserves Hermiticity, so in the orthonormal Hermitian basis
     V = [vec(I/sqrt(d)), vec(F_m)] it is the real matrix R = V^dag L V:
-    R is decomposed in real arithmetic (its complex eigenvalues come in exact
-    conjugate pairs) and its chains are mapped back by V, so ``chains`` and
-    ``modes`` are in L's own vec coordinates.  R's first row,
-    vec(I)^dag L / sqrt(d), vanishes for a trace-preserving L and is set to
-    exactly 0: LAPACK's balancing would scale its rounding noise up to a
-    stationary-mode residual of about 1e-7 ||L||_F.  Raises Overflow when an
-    entry of R or ||L||_2 leaves double precision.
+    R (:func:`_hermitian_generator`) is decomposed in real arithmetic (its
+    complex eigenvalues come in exact conjugate pairs) and its chains are
+    mapped back by V, so ``chains`` and ``modes`` are in L's own vec
+    coordinates.  R's exactly zero first row matters here: LAPACK's balancing
+    would scale its rounding noise up to a stationary-mode residual of about
+    1e-7 ||L||_F.  Raises Overflow when an entry of R or ||L||_2 leaves double
+    precision.
     """
-    sop = build_superoperator(model)
+    r = _hermitian_generator(model)
     v = channels._vec_basis(model.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = (v.conj().T @ sop @ v).real.copy()
-    if not np.isfinite(r).all():
-        raise Overflow("generator entries in the Hermitian basis overflow double precision")
-    r[0] = 0.0
     try:
         scale = max(1.0, float(np.linalg.norm(r, 2)))
     except np.linalg.LinAlgError as exc:
@@ -211,6 +207,42 @@ def spectrum(model: LindbladModel) -> SuperopSpectrum:
                            chains, tol)
 
 
+def _hermitian_generator(model: LindbladModel) -> np.ndarray:
+    """The generator as the real matrix R = Re(V^dag L V) in the orthonormal
+    Hermitian basis V = [vec(I/sqrt(d)), vec(F_m)] (L preserves Hermiticity).
+    R's first row, vec(I)^dag L / sqrt(d), vanishes for a trace-preserving L
+    and is set to exactly 0, so a state's first coordinate Tr(rho) / sqrt(d)
+    never moves under R.  Raises Overflow when an entry of R is not finite.
+    """
+    sop = build_superoperator(model)
+    v = channels._vec_basis(model.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (v.conj().T @ sop @ v).real.copy()
+    if not np.isfinite(r).all():
+        raise Overflow("generator entries in the Hermitian basis overflow double precision")
+    r[0] = 0.0
+    return r
+
+
+def _states_from_coherence(x: np.ndarray, d: int) -> np.ndarray:
+    """unvec(V x) for each row of the real (n, d^2) stack ``x``, V the basis
+    of :func:`_hermitian_generator`, through its pair structure: the
+    symmetric and antisymmetric Gell-Mann matrices of j < k give
+    rho_jk = (x_s - i x_a) / sqrt(2) and rho_kj its exact conjugate, and only
+    the identity and the diagonal ones reach the exactly real diagonal."""
+    j, k = records._mirror_layout(d)[2:4]  # the pairs j < k in gellmann_basis's order
+    pairs = len(j)
+    c = 1 / np.sqrt(2)  # the off-diagonal entries of the pair, as gellmann_basis writes them
+    diagonal = [0, *range(1 + 2 * pairs, d * d)]
+    rho = np.zeros((len(x), d, d), dtype=complex)
+    rho.real[:, j, k] = rho.real[:, k, j] = x[:, 1:1 + pairs] * c
+    im = x[:, 1 + pairs:1 + 2 * pairs] * c
+    rho.imag[:, j, k], rho.imag[:, k, j] = -im, im
+    rho.reshape(len(x), d * d).real[:, ::d + 1] = (
+        x[:, diagonal] @ channels._vec_basis(d).real[::d + 1, diagonal].T)
+    return rho
+
+
 def evolve(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """rho(t) for a single time; see :func:`evolve_many`."""
     return evolve_many(model, rho0, [t])[0]
@@ -221,41 +253,45 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
     order, with the clip-and-renormalize repair policy of DensityMatrix
     applied to each returned state.
 
-    L and ||L||_1 are computed once.  The times are visited in sorted order
-    and each state comes from the previous raw (unrepaired) vector by one
-    step exp(dt L) v.  The grid's distinct steps are planned once, by
-    :func:`matcore._step_actions`: dt joins the family of the smallest step
-    h below it when (dt - h) ||L||_1 <= theta_2, and a family whose steps
-    would save more matrix-vector products than one dense P_h = exp(h L)
-    costs takes each step as exp((dt - h) L) P_h v, the correction a Taylor
-    polynomial of degree at most 2.  Every other step is taken as
+    The state evolves as its real coherence vector, x(t) = exp(t R) x(0)
+    with x(0) = V^dag vec(rho0) and R, ||R||_1 built once
+    (:func:`_hermitian_generator`).  The times are visited in sorted order
+    and each x comes from the previous one by one step exp(dt R) x.  The
+    grid's distinct steps are planned once, by :func:`matcore._step_actions`:
+    dt joins the family of the smallest step h below it when
+    (dt - h) ||R||_1 <= theta_2, and a family whose steps would save more
+    matrix-vector products than one dense P_h = exp(h R) costs takes each
+    step as exp((dt - h) R) P_h x, the correction a Taylor polynomial of
+    degree at most 2.  Every other step is taken as
     :func:`matcore.expm_action` takes it, and the cost model is its
-    Taylor-or-dense rule.  So a uniform grid costs about one matrix-vector
-    product per point, and a single time is expm_action's result, with its
-    Overflow bound.  The returned states are repaired as one stack
-    (:meth:`DensityMatrix.from_matrices`); the first invalid one in
-    sorted-time order raises.  t = 0 returns a copy of rho0 with its
-    ``repaired`` flag.
+    Taylor-or-dense rule.  So a uniform grid costs about one real
+    matrix-vector product per point, and a single time is expm_action's
+    result, with its Overflow bound.  R keeps the trace fixed, and each x
+    maps back to an exactly Hermitian state; the states are checked and
+    repaired as one stack (:meth:`DensityMatrix.from_matrices`), and the
+    first invalid one in sorted-time order raises.  t = 0 returns a copy of
+    rho0 with its ``repaired`` flag.
     """
     times = [float(t) for t in times]
     if not all(t >= 0 for t in times):
         raise ValueError("evolution time must be nonnegative")
-    sop = build_superoperator(model)
-    norm1 = float(np.linalg.norm(sop, 1))
+    d = model.dim
+    r = _hermitian_generator(model)
+    norm1 = float(np.linalg.norm(r, 1))
     order = sorted((k for k, t in enumerate(times) if t > 0.0), key=times.__getitem__)
     steps = np.diff([0.0, *sorted({times[k] for k in order})])
-    actions = matcore._step_actions(sop, steps, norm1)
-    v = matcore.vec(rho0.matrix)
+    actions = matcore._step_actions(r, steps, norm1)
+    x = (channels._vec_basis(d).conj().T @ rho0.matrix.reshape(-1)).real
     now = 0.0
-    raw = np.empty((len(order), v.size), dtype=complex)  # one row per positive time
+    raw = np.empty((len(order), x.size))  # one row per positive time
     for row, k in enumerate(order):
         if times[k] > now:
             dt, now = times[k] - now, times[k]
-            v = actions[dt](v)
-        raw[row] = v
+            x = actions[dt](x)
+        raw[row] = x
     out = [DensityMatrix(rho0.matrix.copy(), rho0.repaired) if t == 0.0 else None
            for t in times]
-    states = DensityMatrix.from_matrices(raw.reshape(-1, *rho0.matrix.shape))
+    states = DensityMatrix.from_matrices(_states_from_coherence(raw, d))
     for k, rho in zip(order, states):
         out[k] = rho
     return out

@@ -1,7 +1,8 @@
-"""Dense complex linear algebra: eigendecompositions (Hermitian and general,
+"""Dense linear algebra: eigendecompositions (Hermitian and general,
 including generalized-eigenvector chains), the matrix exponential and its
 action on a vector, Kronecker products, and the vec/unvec reshaping between
-d x d matrices and length-d^2 vectors.
+d x d matrices and length-d^2 vectors.  Inputs are complex, except that
+``general_eig`` and ``expm`` keep a real input in real arithmetic.
 
 Conventions
 -----------
@@ -45,6 +46,12 @@ def as_square_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _as_square_of_kind(m) -> np.ndarray:
+    """:func:`as_square_matrix` of ``m``, real when ``m`` is real."""
+    a = as_square_matrix(m)
+    return a if np.iscomplexobj(m) else a.real
 
 
 def hermiticity_defect(m):
@@ -115,13 +122,14 @@ def herm_eig(m):
 def expm(m, t: float = 1.0) -> np.ndarray:
     """exp(t*m) by scaling-and-squaring (scipy Pade core).
 
+    A real ``m`` gives a real result, from scipy's real arithmetic.
     exp(0*m) is the identity exactly.  Raises Overflow if ||t*m||_1 exceeds
     EXPM_NORM_BOUND; beyond that scale the double-precision result is garbage
     anyway.
     """
-    a = as_square_matrix(m)
+    a = _as_square_of_kind(m)
     if t == 0.0:
-        return np.eye(a.shape[0], dtype=complex)
+        return np.eye(a.shape[0], dtype=a.dtype)
     scaled = t * a
     nrm = float(np.linalg.norm(scaled, 1))
     if nrm > EXPM_NORM_BOUND:
@@ -506,9 +514,7 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     (:func:`_cluster_chains`).  The final check that the vectors span the
     space is one SVD, real for a real input (:func:`_real_span`).
     """
-    a = as_square_matrix(m)
-    if not np.iscomplexobj(m):
-        a = a.real
+    a = _as_square_of_kind(m)
     d = a.shape[0]
     if tol_cluster is None:
         norm_a = float(np.linalg.norm(a, 2)) if d > 1 else float(abs(a[0, 0]))

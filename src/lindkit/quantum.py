@@ -35,11 +35,15 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state.
 
     ``repaired`` records whether the constructor clipped small negative
-    eigenvalues and renormalized.
+    eigenvalues and renormalized.  A state that :meth:`from_matrices` accepts
+    unrepaired keeps the eigenvalues its check computed, which
+    :func:`vn_entropies` reads, so ``matrix`` is not to be modified in place.
     """
 
     matrix: np.ndarray
     repaired: bool = False
+    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     @property
     def dim(self) -> int:
@@ -52,38 +56,44 @@ class DensityMatrix:
     @classmethod
     def from_matrices(cls, mats) -> "list[DensityMatrix]":
         """:meth:`from_matrix` of every matrix of an (n, d, d) stack, with one
-        Hermiticity and trace check and one ``eigh`` call for the stack.  The
-        first invalid matrix raises what :meth:`from_matrix` raises for it."""
+        Hermiticity and trace check and one ``eigvalsh`` call for the stack,
+        and one ``eigh`` call for the states it repairs.  The first invalid
+        matrix raises what :meth:`from_matrix` raises for it."""
         a = np.asarray(mats, dtype=complex)
         if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
             raise DimensionMismatch(
                 f"expected a stack of square matrices, got shape {a.shape}"
             )
-        finite = np.isfinite(a).all(axis=(1, 2))
+        # a non-finite entry makes the Hermiticity defect NaN, so the check
+        # flags that matrix too, and only a flagged one is tested for finiteness
         not_herm = ~matcore._is_hermitian(a, matcore.TOL_HERM)
         a = 0.5 * (a + a.conj().transpose(0, 2, 1))
         tr = np.trace(a, axis1=1, axis2=2).real
-        bad = ~finite | not_herm | (np.abs(tr - 1.0) > TOL_TRACE)
-        good = int(np.argmax(bad)) if bad.any() else len(a)
-        vals, vecs = np.linalg.eigh(a[:good])
-        low = vals[:, 0] < -TOL_POS
-        if low.any():
+        bad = (not_herm | (np.abs(tr - 1.0) > TOL_TRACE)).tolist()
+        good = bad.index(True) if True in bad else len(a)
+        vals = np.linalg.eigvalsh(a[:good])
+        low = vals[:, 0].tolist()
+        first_low = next((p for p in low if p < -TOL_POS), None)
+        if first_low is not None:
             raise InvalidDensityMatrix(
-                f"minimum eigenvalue {vals[np.argmax(low), 0]:.3e} below -{TOL_POS:.0e}"
+                f"minimum eigenvalue {first_low:.3e} below -{TOL_POS:.0e}"
             )
         if good < len(a):
-            if not finite[good]:
+            if not np.isfinite(a[good]).all():
                 raise ValueError("matrix entries must be finite")
             if not_herm[good]:
                 raise NotHermitian("density matrix must be Hermitian")
             raise InvalidDensityMatrix(f"trace is {float(tr[good])}, not 1")
-        repaired = vals[:, 0] < 0.0
-        if repaired.any():
-            p = np.clip(vals[repaired], 0.0, None)
-            v = vecs[repaired]
-            fixed = (v * p[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        repaired = [p < 0.0 for p in low]
+        if True in repaired:
+            p, v = np.linalg.eigh(a[repaired])
+            fixed = (v * np.clip(p, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
             a[repaired] = fixed / np.trace(fixed, axis1=1, axis2=2).real[:, None, None]
-        return [cls(m, bool(r)) for m, r in zip(a, repaired)]
+        states = [cls(m, r) for m, r in zip(a, repaired)]
+        for rho, p in zip(states, vals):
+            if not rho.repaired:
+                rho._eigenvalues = p
+        return states
 
     @classmethod
     def pure(cls, state) -> "DensityMatrix":
@@ -214,10 +224,19 @@ def vn_entropy(rho: DensityMatrix) -> float:
 
 
 def vn_entropies(states) -> np.ndarray:
-    """:func:`vn_entropy` of every state, from one stacked ``eigvalsh``."""
+    """:func:`vn_entropy` of every state, from the eigenvalues
+    :meth:`DensityMatrix.from_matrices` kept and one stacked ``eigvalsh`` of
+    the states without them: the same values either way, since those are the
+    ``eigvalsh`` eigenvalues of the matrix kept."""
     if not states:
         return np.zeros(0)
-    p = np.linalg.eigvalsh(np.stack([rho.matrix for rho in states]))
+    kept = [rho._eigenvalues for rho in states]
+    missing = [k for k, p in enumerate(kept) if p is None]
+    if missing:
+        fresh = np.linalg.eigvalsh(np.stack([states[k].matrix for k in missing]))
+        for k, p in zip(missing, fresh):
+            kept[k] = p
+    p = np.stack(kept)
     # eigvalsh sorts ascending, so the p <= 0 dropped by 0 ln 0 := 0 are a
     # prefix of each row: summing a row from its first positive entry adds
     # the same terms in the same order as a sum over p[p > 0] alone

@@ -296,13 +296,14 @@ def density_matrix_single(mat, tol_herm=1e-10, tol_trace=1e-10, tol_pos=1e-10):
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > tol_trace:
         raise InvalidDensityMatrix(f"trace is {tr}, not 1")
-    vals, vecs = np.linalg.eigh(a)
-    if vals[0] < -tol_pos:
+    low = np.linalg.eigvalsh(a)[0]
+    if low < -tol_pos:
         raise InvalidDensityMatrix(
-            f"minimum eigenvalue {vals[0]:.3e} below -{tol_pos:.0e}"
+            f"minimum eigenvalue {low:.3e} below -{tol_pos:.0e}"
         )
-    if vals[0] >= 0.0:
+    if low >= 0.0:
         return a, False
+    vals, vecs = np.linalg.eigh(a)
     a = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
     return a / float(np.trace(a).real), True
 

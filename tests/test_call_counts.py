@@ -143,6 +143,20 @@ def test_grid_eigendecompositions_do_not_grow_with_points(monkeypatch, rng, tmp_
     assert counts[50] == counts[200]
 
 
+def test_evolved_states_are_decomposed_once(monkeypatch, rng, tmp_path, capsys):
+    # the check of the evolved stack takes eigenvalues only, and the record's
+    # entropies reuse them: no eigh at all when no state needs repair
+    path = _grid_config(rng, tmp_path, 4, 50)
+    eigh = _count(monkeypatch, _LINALG, "eigh")
+    eigvalsh = _count(monkeypatch, _LINALG, "eigvalsh")
+    out = tmp_path / "out.json"
+    assert cli.main(["lindblad-evolve", "--config", str(path), "--out", str(out)]) == 0
+    states = json.loads(out.read_text())["result"]["states"]
+    assert len(states) == 50 and not any(s["repaired"] for s in states)
+    assert len(eigh) == 0
+    assert len(eigvalsh) == 2  # rho0's check and the evolved stack's
+
+
 @pytest.mark.parametrize("command", ["lindblad-evolve", "entropy-check"])
 @pytest.mark.parametrize("d", [2, 8])
 def test_dense_exponentials_at_most_distinct_steps(monkeypatch, rng, tmp_path, capsys,

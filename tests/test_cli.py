@@ -68,6 +68,18 @@ def test_validate_config_roundtrip_is_byte_identical(tmp_path):
     assert again == emitted
 
 
+def test_validate_config_reads_ramsey_scans_default_config(tmp_path):
+    # fig-both is ramsey-scan's default --config; validation returns the
+    # document its record embeds
+    out = tmp_path / "scan.json"
+    assert run(["ramsey-scan", "--out", str(out)]) == 0
+    doc = cli.validate_config("fig-both", "ramsey-scan")
+    assert doc == json.loads(out.read_text())["config"]
+    assert sorted(doc) == ["fig1", "fig2"]
+    with pytest.raises(cli.ConfigParse):
+        cli.validate_config("fig-both", "ramsey-point")
+
+
 def test_json_record_structure(tmp_path):
     out = tmp_path / "rec.json"
     assert run(["ramsey-point", "--out", str(out)]) == 0
@@ -223,6 +235,19 @@ def test_lindblad_evolve_states_are_physical(tmp_path):
     for state in doc["result"]["states"]:
         assert state["trace"] == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= state["entropy"] <= np.log(2) + 1e-9
+
+
+def test_long_horizon_trace_is_one_to_the_last_bits(tmp_path):
+    # the bundled qubit relaxes to I/2; evolution keeps the coherence
+    # vector's first coordinate, and so the trace, fixed at any horizon
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    doc["times"] = [1e5]
+    path, out = tmp_path / "model.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert run(["lindblad-evolve", "--config", str(path), "--out", str(out)]) == 0
+    state = json.loads(out.read_text())["result"]["states"][0]
+    assert abs(state["trace"] - 1.0) <= 4 * np.spacing(1.0)
+    assert np.allclose(state["re"], [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
 def _ramsey_doc(tmp_path, name="fig2", **ramsey_fields):

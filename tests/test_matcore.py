@@ -384,6 +384,15 @@ class TestExpm:
         with pytest.raises(errors.Overflow):
             expm(np.eye(2) * 1e9, 1.0)
 
+    def test_keeps_the_kind_of_its_input(self, rng):
+        # a real generator is exponentiated in real arithmetic
+        a = random_matrix(rng, 4)
+        for m, dtype in ((a.real, np.float64), (a, np.complex128),
+                         (a.real.tolist(), np.float64), (a.real.astype(complex), np.complex128)):
+            for t in (0.0, 0.7):
+                assert expm(m, t).dtype == dtype
+        assert np.linalg.norm(expm(a.real, 0.7) - expm(a.real.astype(complex), 0.7)) < 1e-14
+
 
 def _series_case(n, seed, log_x, log_norm, nilpotent):
     """(a, t, v, ||a||_1) with ||t*a||_1 = 10^log_x."""

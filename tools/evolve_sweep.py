@@ -1,5 +1,6 @@
 """Time lindblad.evolve_many, spectrum, build_superoperator and the
-lindblad-evolve command of several lindkit checkouts in one process.
+lindblad-evolve and entropy-check commands of several lindkit checkouts in
+one process.
 
     python3 tools/evolve_sweep.py --src ../parent/src --src src
 
@@ -12,9 +13,9 @@ three grids: that workload's 50-point linspace(0.05, 2, 50), the 150-point
 t, t + 1e-5, t - 1e-5 grid entropy-check evolves over it, and the single
 time 1.0; its spectrum is taken (case "spectrum"), its generator built
 (case "build", lindblad.build_superoperator), and a config with the 50-point
-grid run through the command line in-process (case "evolve-cli":
-``cli.main(["lindblad-evolve", "--config", path])``, its record written to
-memory).  A round times, for every (d, case), REPEAT calls of each
+grid run through the command line in-process (cases "evolve-cli" and
+"entropy-cli": ``cli.main([command, "--config", path])`` for lindblad-evolve
+and entropy-check, each record written to memory).  A round times, for every (d, case), REPEAT calls of each
 checkout in turn and keeps each one's best; the checkouts take turns going
 first from round to round.  After ROUNDS
 rounds the tool prints one JSON line per (d, case): each checkout's median
@@ -102,16 +103,18 @@ def main() -> None:
                                          for lk, model, _ in models]))
             work.append((d, "build", [partial(lk.lindblad.build_superoperator, model)
                                       for lk, model, _ in models]))
-            path = os.path.join(configs, f"evolve-d{d}.json")
+            path = os.path.join(configs, f"grid-d{d}.json")
             with open(path, "w") as fh:
                 json.dump({"model": json.loads(models[0][1].to_json()),
                            "rho0": {"re": rho.real.reshape(-1).tolist(),
                                     "im": rho.imag.reshape(-1).tolist()},
                            "times": grids["linspace50"]}, fh)
-            argv = ["lindblad-evolve", "--config", path]
-            if any(run_cli(cli, argv) for cli in clis):
-                sys.exit(f"lindblad-evolve failed on {path}")
-            work.append((d, "evolve-cli", [partial(run_cli, cli, argv) for cli in clis]))
+            for command, name in (("lindblad-evolve", "evolve-cli"),
+                                  ("entropy-check", "entropy-cli")):
+                argv = [command, "--config", path]
+                if any(run_cli(cli, argv) for cli in clis):
+                    sys.exit(f"{command} failed on {path}")
+                work.append((d, name, [partial(run_cli, cli, argv) for cli in clis]))
 
         best = {(d, name): [[] for _ in packages] for d, name, _ in work}
         for r in range(ROUNDS):
