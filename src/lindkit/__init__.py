@@ -31,6 +31,7 @@ from .lindblad import (
     diagonal_solution,
     evolve,
     evolve_many,
+    evolve_stencil,
     measurement_model,
     spectrum,
 )

@@ -270,18 +270,53 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
     maps back to an exactly Hermitian state; the states are checked and
     repaired as one stack (:meth:`DensityMatrix.from_matrices`), and the
     first invalid one in sorted-time order raises.  t = 0 returns a copy of
-    rho0 with its ``repaired`` flag.
+    rho0 with its ``repaired`` flag.  :func:`evolve_stencil` adds states a
+    short step either side of each time to the same chain.
     """
+    times, order, _, raw, _ = _coherence_chain(model, rho0, times)
+    return _place(rho0, times, [order], [raw])[0]
+
+
+def evolve_stencil(model: LindbladModel, rho0: DensityMatrix, times, eps: float):
+    """(rho(t), rho(t + eps), rho(max(t - eps, 0))), three lists in the
+    input order of ``times``, for a step eps > 0 (else ValueError) with
+    eps ||R||_1 within :data:`matcore.EXPM_NORM_BOUND` (else Overflow).
+
+    The states at t are :func:`evolve_many`'s, with the same bits, from the
+    same chain.  The states at t +- eps are exp(+-eps R) x(t), both taken
+    for all times at once on the block of coherence vectors by the
+    fixed-degree Taylor polynomial that :func:`matcore._step_actions` plans
+    for eps with the chain's steps.  For t >= eps the earlier state is the
+    trajectory's own, exp(-eps R) x(t), whose rounding grows by at most
+    e^{eps ||R||_1}; for t < eps it is a copy of rho0.  All the evolved
+    states are checked and repaired as one stack, the states at t first.
+    """
+    if not eps > 0:
+        raise ValueError("the stencil step must be positive")
+    times, order, x0, raw, block_step = _coherence_chain(model, rho0, times, eps)
+    x = np.repeat(x0[None], len(times), axis=0)
+    x[order] = raw
+    back = [k for k, t in enumerate(times) if t >= eps]
+    plus = block_step(eps, x.T).T
+    minus = block_step(-eps, x[back].T).T
+    return _place(rho0, times, [order, range(len(times)), back], [raw, plus, minus])
+
+
+def _coherence_chain(model: LindbladModel, rho0: DensityMatrix, times, probe: float = 0.0):
+    """(times as floats, the indices of the positive times in sorted order,
+    x(0), x(t) for those times as the rows of an array, probe_action): the
+    chain of :func:`evolve_many`, and the block action of
+    :func:`matcore._step_actions` for ``probe``.  Raises ValueError for a
+    negative time."""
     times = [float(t) for t in times]
     if not all(t >= 0 for t in times):
         raise ValueError("evolution time must be nonnegative")
-    d = model.dim
     r = _hermitian_generator(model)
     norm1 = float(np.linalg.norm(r, 1))
     order = sorted((k for k, t in enumerate(times) if t > 0.0), key=times.__getitem__)
     steps = np.diff([0.0, *sorted({times[k] for k in order})])
-    actions = matcore._step_actions(r, steps, norm1)
-    x = (channels._vec_basis(d).conj().T @ rho0.matrix.reshape(-1)).real
+    actions, probe_action = matcore._step_actions(r, steps, norm1, probe)
+    x = x0 = (channels._vec_basis(model.dim).conj().T @ rho0.matrix.reshape(-1)).real
     now = 0.0
     raw = np.empty((len(order), x.size))  # one row per positive time
     for row, k in enumerate(order):
@@ -289,12 +324,26 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
             dt, now = times[k] - now, times[k]
             x = actions[dt](x)
         raw[row] = x
-    out = [DensityMatrix(rho0.matrix.copy(), rho0.repaired) if t == 0.0 else None
-           for t in times]
-    states = DensityMatrix.from_matrices(_states_from_coherence(raw, d))
-    for k, rho in zip(order, states):
-        out[k] = rho
-    return out
+    return times, order, x0, raw, probe_action
+
+
+def _place(rho0: DensityMatrix, times, indices, rows) -> list[list[DensityMatrix]]:
+    """One list of states per pair of ``indices`` and ``rows``: the state of
+    coherence vector rows[i][j] at input position indices[i][j], and a copy
+    of rho0 at every other position of ``times``.  The states are checked and
+    repaired as one stack, but each block of rows is mapped back on its own,
+    since the bits of a matrix product may depend on its number of rows."""
+    d = rho0.matrix.shape[0]
+    stack = np.concatenate([_states_from_coherence(x, d) for x in rows])
+    states = iter(DensityMatrix.from_matrices(stack))
+    lists = []
+    for index in indices:
+        out = [None] * len(times)
+        for k in index:
+            out[k] = next(states)
+        lists.append([DensityMatrix(rho0.matrix.copy(), rho0.repaired) if rho is None else rho
+                      for rho in out])
+    return lists
 
 
 @dataclass

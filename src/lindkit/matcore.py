@@ -67,8 +67,9 @@ def _unit_scaled(m):
     imaginary part into [0.5, 1) when that part exceeds 1, else 1.  The
     scaling is exact, and the norms of a scaled finite matrix are finite."""
     a = np.asarray(m)
-    top = np.maximum(np.abs(a.real).max(axis=(-2, -1), initial=0.0),
-                     np.abs(a.imag).max(axis=(-2, -1), initial=0.0))
+    # a complex matrix's real and imaginary parts side by side in one real array
+    parts = np.ascontiguousarray(a).view(a.real.dtype) if np.iscomplexobj(a) else a
+    top = np.abs(parts).max(axis=(-2, -1), initial=0.0)
     big = top > 1.0
     if not big.any():
         return a, 1.0
@@ -253,44 +254,69 @@ def _taylor_series(a: np.ndarray, t: float, v: np.ndarray, m: int, s: int) -> np
     return f
 
 
-def _family_step(a: np.ndarray, p_h: np.ndarray, x: float, m: int, v: np.ndarray) -> np.ndarray:
-    """exp(x*a) @ P_h @ v with exp(x*a) the degree-m Taylor polynomial of
-    :func:`_correction_degree`: no plan and no stopping test."""
-    f = term = p_h @ v
+def _family_step(a: np.ndarray, p_h, x: float, m: int, v: np.ndarray) -> np.ndarray:
+    """exp(x*a) @ P_h @ v with exp(x*a) the degree-m Taylor polynomial
+    (:func:`_correction_degree` for a family's correction): no plan and no
+    stopping test.  v is a vector or a block of columns, and p_h None stands
+    for the identity."""
+    f = term = v if p_h is None else p_h @ v
     for j in range(1, m + 1):
         term = (x / j) * (a @ term)
         f = f + term
     return f
 
 
+def _block_action(a: np.ndarray, m: int, s: int, t: float, v: np.ndarray) -> np.ndarray:
+    """exp(t*a) @ v for a block v of columns: s steps of the degree-m Taylor
+    polynomial of exp(t*a/s), with no stopping test, which would have to
+    wait for the slowest column."""
+    for _ in range(s):
+        v = _family_step(a, None, t / s, m, v)
+    return v
+
+
 def _dense_action(a: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     return expm(a, t) @ v
 
 
-def _step_actions(a: np.ndarray, steps, norm1: float) -> dict:
-    """{dt: action} with action(v) = exp(dt*a) @ v for each distinct dt of a
-    sequence of positive ``steps`` taken in turn, given norm1 = ||a||_1.
+def _step_actions(a: np.ndarray, steps, norm1: float, probe: float = 0.0) -> tuple:
+    """({dt: action}, probe_action) with action(v) = exp(dt*a) @ v for each
+    distinct dt of a sequence of positive ``steps`` taken in turn, given
+    norm1 = ||a||_1, and probe_action(t, v) = exp(t*a) @ v for t = +-probe
+    and v a block of columns (:func:`_block_action`).
 
-    One vectorized :func:`_taylor_plan` plans every distinct step, and a
-    step outside a family (:func:`_step_families`) is taken as
+    One vectorized :func:`_taylor_plan` plans every distinct step and the
+    probe.  A step outside a family (:func:`_step_families`) is taken as
     :func:`expm_action` takes it, with the same bits.  A family's step dt
     is exp((dt - h) a) @ P_h @ v, exact since exp(h a) and exp((dt - h) a)
     commute and multiply to exp(dt a); the cost model counts a step on its
     own as expm_action's m*s products, or a dense expm and its product with
-    v.  A single step is :func:`expm_action` itself.
+    v.  The probe takes the plan's (m, s) for |probe| as a fixed-degree
+    polynomial and never a dense expm; like expm, it raises Overflow when
+    ||probe*a||_1 exceeds EXPM_NORM_BOUND.  Without a probe, a single step
+    is :func:`expm_action` itself, planned when it is taken, and
+    probe_action is None.
     """
-    if len(steps) < 2:  # one step saves at most the dense expm it would cost
+    if abs(probe) * norm1 > EXPM_NORM_BOUND:
+        raise Overflow(f"||t*m||_1 = {abs(probe) * norm1:.3e} exceeds bound "
+                       f"{EXPM_NORM_BOUND:.3e}")
+    if len(steps) < 2 and not probe:
         return {dt: partial(expm_action, a, dt, norm1=norm1)
-                for dt in np.asarray(steps, dtype=float).tolist()}
+                for dt in np.asarray(steps, dtype=float).tolist()}, None
     n = a.shape[0]
     values, uses = np.unique(steps, return_counts=True)
-    k, products, dense = _taylor_plan(values, norm1, n)
-    cost = np.where(dense, _expm_cost(values, norm1, n) + 1, products)
-    bases = _step_families(values, uses, cost, norm1, n)
+    k, products, dense = _taylor_plan(np.concatenate((values, [abs(probe)])), norm1, n)
+    degrees = _TAYLOR_M[k].tolist()
+    m = degrees.pop()
+    probe_action = partial(_block_action, a, m, int(products[-1]) // m)
+    products, dense = products[:-1], dense[:-1]
+    bases = {}
+    if len(steps) > 1:  # a lone step saves at most the dense expm it would cost
+        cost = np.where(dense, _expm_cost(values, norm1, n) + 1, products)
+        bases = _step_families(values, uses, cost, norm1, n)
     propagators = {h: expm(a, h) for h in dict.fromkeys(bases.values())}
     actions = {}
-    for dt, m, p, full in zip(values.tolist(), _TAYLOR_M[k].tolist(), products.tolist(),
-                              dense.tolist()):
+    for dt, m, p, full in zip(values.tolist(), degrees, products.tolist(), dense.tolist()):
         h = bases.get(dt)
         if h is not None:
             actions[dt] = partial(_family_step, a, propagators[h], dt - h,
@@ -299,7 +325,7 @@ def _step_actions(a: np.ndarray, steps, norm1: float) -> dict:
             actions[dt] = partial(_dense_action, a, dt)
         else:
             actions[dt] = partial(_taylor_series, a, dt, m=m, s=int(p) // m)
-    return actions
+    return actions, probe_action
 
 
 def expm_action(a: np.ndarray, t: float, v: np.ndarray, norm1: float) -> np.ndarray:

@@ -12,6 +12,9 @@ clustering by pairwise comparison of every pair.
 For states: the density-matrix checks and repair, the von Neumann entropy
 and the entropy rate of one state at a time, with their own eigh calls.
 
+For the Hermiticity checks: the power-of-two scale of a matrix stack from
+the largest real and the largest imaginary part, taken apart.
+
 For evolution: the Taylor loop of exp(t*a) @ v that tests every term
 against the running sum.
 
@@ -306,6 +309,20 @@ def density_matrix_single(mat, tol_herm=1e-10, tol_trace=1e-10, tol_pos=1e-10):
     vals, vecs = np.linalg.eigh(a)
     a = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
     return a / float(np.trace(a).real), True
+
+
+def unit_scaled_parts(m):
+    """(m * unit, unit) as :func:`lindkit.matcore._unit_scaled` defines it,
+    with the largest real and the largest imaginary part of each matrix
+    reduced apart."""
+    a = np.asarray(m)
+    top = np.maximum(np.abs(a.real).max(axis=(-2, -1), initial=0.0),
+                     np.abs(a.imag).max(axis=(-2, -1), initial=0.0))
+    big = top > 1.0
+    if not big.any():
+        return a, 1.0
+    unit = np.where(big, np.ldexp(1.0, -np.frexp(top)[1]), 1.0)
+    return a * unit[..., None, None], unit
 
 
 def vn_entropy_single(mat):

@@ -121,7 +121,8 @@ def test_time_grid_builds_once(monkeypatch, rng, tmp_path, capsys, command):
     capsys.readouterr()
     assert len(builds) == 1
     # one dense propagator for the family of the grid's (rounded) uniform
-    # step; the first step from t = 0 and the +-eps steps are Taylor steps
+    # step; the first step from t = 0 is a Taylor step, and so are the +-eps
+    # steps, taken from all the evolved states at once
     assert len(expms) <= 1
 
 
@@ -184,6 +185,25 @@ def test_taylor_plans_do_not_grow_with_points(monkeypatch, rng, tmp_path, capsys
         capsys.readouterr()
         counts[points] = len(plans)
     assert counts[50] == counts[100] == 1
+
+
+def test_probe_taylor_calls_do_not_grow_with_points(monkeypatch, rng, tmp_path, capsys):
+    # entropy-check's states at t +- 1e-5 are one block step from all the
+    # states at t, so beyond lindblad-evolve's chain on the same grid it
+    # makes as many calls into the Taylor routines at 50 times as at 100
+    calls = [_count(monkeypatch, [matcore], name) for name in ("_taylor_series", "_family_step")]
+    extra = {}
+    for points in (50, 100):
+        path = _grid_config(rng, tmp_path, 8, points)
+        made = []
+        for command in ("lindblad-evolve", "entropy-check"):
+            for c in calls:
+                c.clear()
+            assert cli.main([command, "--config", str(path)]) == 0
+            made.append(sum(map(len, calls)))
+        capsys.readouterr()
+        extra[points] = made[1] - made[0]
+    assert extra[50] == extra[100]
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

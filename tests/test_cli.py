@@ -145,13 +145,19 @@ def test_born_check_bundled_model_converges(tmp_path):
 
 
 def test_entropy_check_bundled_model(tmp_path):
-    out = tmp_path / "ent.json"
-    assert run(["entropy-check", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["result"]["passed"] is True
-    for row in doc["result"]["rows"]:
-        assert row["rate"] >= -1e-12
-        assert abs(row["rate"] - row["central_difference"]) < 1e-6
+    # the bundled times, and a time 0 < t < 1e-5 whose quotient spans 0 to t + 1e-5
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    doc["times"] = [5e-6, 0.5]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    for config in (["--config", str(path)], []):
+        out = tmp_path / "ent.json"
+        assert run(["entropy-check", *config, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["result"]["passed"] is True
+        for row in doc["result"]["rows"]:
+            assert row["rate"] >= -1e-12
+            assert abs(row["rate"] - row["central_difference"]) <= 1e-6
 
 
 def test_config_invariant_violation_is_exit_2(tmp_path, capsys):

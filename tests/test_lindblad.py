@@ -30,6 +30,7 @@ from lindkit import (
     errors,
     evolve,
     evolve_many,
+    evolve_stencil,
     kernel_from_generator,
     matcore,
     measurement_model,
@@ -333,6 +334,52 @@ def test_evolved_states_are_exactly_hermitian_with_unit_trace(d, seed, times):
     for t, rho in zip(times, states):
         if t > 0.0:
             assert abs(np.trace(rho.matrix).real - 1.0) <= 4 * np.spacing(1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    times=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-5, exclude_max=True),
+                             st.floats(0.0, 4.0)), min_size=1, max_size=8),
+    repeat=st.booleans(),
+)
+def test_stencil_matches_evolve_many(d, seed, times, repeat):
+    # the states at t are evolve_many's bits; the +-eps states, a block step
+    # from them, are evolve_many's at t + eps and max(t - eps, 0)
+    eps = 1e-5
+    times = times + times[:2] if repeat else times
+    rng = np.random.default_rng(seed)
+    model = random_lindblad_model(rng, d)
+    rho0 = random_density(rng, d)
+    states, plus, minus = evolve_stencil(model, rho0, times, eps)
+    for got, want in zip(states, evolve_many(model, rho0, times), strict=True):
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.repaired == want.repaired
+    for got, grid in ((plus, [t + eps for t in times]),
+                      (minus, [max(t - eps, 0.0) for t in times])):
+        for rho, want in zip(got, evolve_many(model, rho0, grid), strict=True):
+            assert np.max(np.abs(rho.matrix - want.matrix)) <= 1e-13
+    for t, rho in zip(times, minus):
+        if t < eps:
+            assert rho.matrix.tobytes() == rho0.matrix.tobytes()
+
+
+def test_stencil_step_must_be_positive(rng):
+    for eps in (0.0, -1e-5, float("nan")):
+        with pytest.raises(ValueError):
+            evolve_stencil(random_lindblad_model(rng, 2), random_density(rng, 2), [0.5], eps)
+
+
+def test_stencil_step_beyond_expm_bound_overflows(rng):
+    # a probe step exp(+-eps R) with ||eps R||_1 > 1e6 raises, as the dense
+    # expm of that step does, also where no time needs a step of its own
+    model = random_lindblad_model(rng, 2)
+    norm1 = np.linalg.norm(build_superoperator(model), 1)
+    s = 1e7 / (1e-5 * norm1)
+    big = LindbladModel(2, s * model.hamiltonian, [np.sqrt(s) * l for l in model.lindblads])
+    with pytest.raises(errors.Overflow):
+        evolve_stencil(big, random_density(rng, 2), [0.0], 1e-5)
 
 
 class TestMeasurementModel:

@@ -26,7 +26,7 @@ from lindkit.matcore import (
     vec,
 )
 from lindkit.perturb import first_order
-from oracles import cluster_pairwise, expm_action_loop
+from oracles import cluster_pairwise, expm_action_loop, unit_scaled_parts
 
 
 def charpoly_roots(a):
@@ -128,6 +128,33 @@ def test_hermiticity_verdict_is_the_unscaled_one_where_that_is_finite(rng):
     assert _is_hermitian(np.array([[0.5, 1.7e308], [1.7e308, -0.5]]), 1e-10)
     assert _is_hermitian(np.array([[1e308j, 0.0], [0.0, -1e308j]]), 1e-10) is False
     assert _is_hermitian(np.zeros((0, 0)), 1e-10)
+
+
+def test_unit_scale_is_the_one_of_the_parts_taken_apart(rng, monkeypatch):
+    # one reduction over the real view of the entries finds the scale the
+    # real and imaginary parts give apart: same scaled copies, same verdicts
+    def layouts(a):
+        yield a
+        yield a[::2, :, ::-1]
+        yield np.swapaxes(a, -1, -2)
+        yield np.asfortranarray(a[0])
+        yield a.real.copy()
+
+    cases = []
+    for _ in range(1000):
+        d, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        a = random_matrix(rng, d) * 10.0 ** rng.uniform(-300, 300, (n, 1, 1))
+        a[rng.random(a.shape) < 0.2] *= 1j
+        cases.extend(layouts(a))
+    cases += [np.zeros((0, 0), complex), np.zeros((3, 0, 0)), np.full((2, 2), np.nan + 0j)]
+    for a in cases:
+        got, want = matcore._unit_scaled(a), unit_scaled_parts(a)
+        assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+        assert np.array_equal(got[1], want[1])
+    verdicts = [_is_hermitian(a, 1e-10) for a in cases]
+    monkeypatch.setattr(matcore, "_unit_scaled", unit_scaled_parts)
+    for a, verdict in zip(cases, verdicts):
+        assert np.array_equal(_is_hermitian(a, 1e-10), verdict)
 
 
 class TestGeneralEig:

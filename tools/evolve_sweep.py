@@ -8,21 +8,23 @@ Each ``--src`` directory holds a lindkit package; each is imported under its
 own package name (lindkit_0, lindkit_1, ...), so all of them run in one
 process, on the same inputs, interleaved.  BLAS is pinned to one thread.
 For d in DIMS a random generator (seed SEED, two Lindblad operators) is
-scaled to ||L||_1 = d^2 as in perfbench's dynamics workload, evolved over
-three grids: that workload's 50-point linspace(0.05, 2, 50), the 150-point
-t, t + 1e-5, t - 1e-5 grid entropy-check evolves over it, and the single
-time 1.0; its spectrum is taken (case "spectrum"), its generator built
-(case "build", lindblad.build_superoperator), and a config with the 50-point
-grid run through the command line in-process (cases "evolve-cli" and
-"entropy-cli": ``cli.main([command, "--config", path])`` for lindblad-evolve
-and entropy-check, each record written to memory).  A round times, for every (d, case), REPEAT calls of each
-checkout in turn and keeps each one's best; the checkouts take turns going
-first from round to round.  After ROUNDS
-rounds the tool prints one JSON line per (d, case): each checkout's median
-and quartiles over the rounds, and in how many rounds it was faster than
-the first ``--src``.  Timing separate runs of one checkout after another
-drifted by about +-30 % on a 2-core host; rounds that interleave the
-checkouts share that drift.
+scaled to ||L||_1 = d^2 as in perfbench's dynamics workload and evolved over
+that workload's 50-point linspace(0.05, 2, 50) (case "linspace50") and at
+the single time 1.0 (case "single").  Case "stencil50" evolves it at those
+50 times and 1e-5 either side of each, as entropy-check does:
+lindblad.evolve_stencil, or, in a checkout without it, evolve_many over the
+interleaved 150-point grid.  Its spectrum is taken (case "spectrum"), its
+generator built (case "build", lindblad.build_superoperator), and a config
+with the 50-point grid run through the command line in-process (cases
+"evolve-cli" and "entropy-cli": ``cli.main([command, "--config", path])``
+for lindblad-evolve and entropy-check, each record written to memory).  A
+round times, for every (d, case), REPEAT calls of each checkout in turn and
+keeps each one's best; the checkouts take turns going first from round to
+round.  After ROUNDS rounds the tool prints one JSON line per (d, case):
+each checkout's median and quartiles over the rounds, and in how many
+rounds it was faster than the first ``--src``.  Timing separate runs of one
+checkout after another drifted by about +-30 % on a 2-core host; rounds that
+interleave the checkouts share that drift.
 """
 import argparse
 import contextlib
@@ -65,12 +67,16 @@ def cases(d: int):
     g, l1, l2, w = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                     for _ in range(4))
     w = w @ w.conj().T
-    times = np.linspace(0.05, 2.0, 50).tolist()
-    eps = 1e-5
-    grids = {"linspace50": times,
-             "entropy150": [s for t in times for s in (t, t + eps, t - eps)],
-             "single": [1.0]}
+    grids = {"linspace50": np.linspace(0.05, 2.0, 50).tolist(), "single": [1.0]}
     return (g + g.conj().T, [l1, l2]), w / np.trace(w).real, grids
+
+
+def stencil(lk, model, rho0, times, eps=1e-5):
+    """The states entropy-check evolves: at t, t + eps and max(t - eps, 0)."""
+    if hasattr(lk.lindblad, "evolve_stencil"):
+        return lk.lindblad.evolve_stencil(model, rho0, times, eps)
+    grid = [s for t in times for s in (t, t + eps, max(t - eps, 0.0))]
+    return lk.lindblad.evolve_many(model, rho0, grid)
 
 
 def run_cli(cli, argv: list) -> int:
@@ -99,6 +105,8 @@ def main() -> None:
             for name, grid in grids.items():
                 work.append((d, name, [partial(lk.lindblad.evolve_many, model, rho0, grid)
                                        for lk, model, rho0 in models]))
+            work.append((d, "stencil50", [partial(stencil, lk, model, rho0, grids["linspace50"])
+                                          for lk, model, rho0 in models]))
             work.append((d, "spectrum", [partial(lk.lindblad.spectrum, model)
                                          for lk, model, _ in models]))
             work.append((d, "build", [partial(lk.lindblad.build_superoperator, model)
