@@ -213,26 +213,36 @@ def kraus_operators(spectrum: ChoiSpectrum) -> np.ndarray:
 # Traceless operator basis and the GKS canonical form
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def gellmann_basis(dim: int) -> np.ndarray:
-    """Generalized Gell-Mann matrices for dimension ``dim``, as one read-only
-    (d^2 - 1, d, d) stack built once per d.
+def _gellmann_pairs(dim: int):
+    """(j, k): the pairs j < k of the symmetric and of the antisymmetric
+    Gell-Mann matrices, in :func:`gellmann_basis`'s order."""
+    return np.triu_indices(dim, 1)
 
-    d^2 - 1 Hermitian traceless matrices with Tr(F_m F_n^dag) = delta_mn,
-    ordered symmetric / antisymmetric / diagonal as documented in the module
-    docstring.
-    """
-    j, k = np.triu_indices(dim, 1)
-    sym, anti = np.arange(len(j)), np.arange(len(j), 2 * len(j))
-    fs = np.zeros((dim * dim - 1, dim, dim), dtype=complex)
-    fs[sym, j, k] = fs[sym, k, j] = 1 / np.sqrt(2)
-    fs[anti, j, k], fs[anti, k, j] = -1j / np.sqrt(2), 1j / np.sqrt(2)
+
+@lru_cache(maxsize=None)
+def _vec_basis(dim: int) -> np.ndarray:
+    """d^2 x d^2 unitary whose columns are vec(I/sqrt(d)) and vec(F_m), F_m
+    the generalized Gell-Mann matrices: Hermitian, traceless, with
+    Tr(F_m F_n^dag) = delta_mn, ordered as the module docstring says
+    (read-only, built once per d)."""
+    j, k = _gellmann_pairs(dim)
+    sym, anti = np.arange(1, len(j) + 1), np.arange(len(j) + 1, 2 * len(j) + 1)
+    rows = np.zeros((dim * dim, dim, dim), dtype=complex)
+    rows[0] = np.eye(dim) / np.sqrt(dim)
+    rows[sym, j, k] = rows[sym, k, j] = 1 / np.sqrt(2)
+    rows[anti, j, k], rows[anti, k, j] = -1j / np.sqrt(2), 1j / np.sqrt(2)
     # diagonal l = 1 .. d-1: (1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1))
     l, i = np.arange(1, dim)[:, None], np.arange(dim)
     diag = (i < l) - l * (i == l)
-    fs[2 * len(j) + l - 1, i, i] = diag.astype(complex) / np.sqrt(l * (l + 1))
-    fs.flags.writeable = False
-    return fs
+    rows[2 * len(j) + l, i, i] = diag.astype(complex) / np.sqrt(l * (l + 1))
+    rows.flags.writeable = False
+    return rows.reshape(dim * dim, dim * dim).T
+
+
+def gellmann_basis(dim: int) -> np.ndarray:
+    """Generalized Gell-Mann matrices for dimension ``dim``, as one read-only
+    (d^2 - 1, d, d) stack: a view of the rows of :func:`_vec_basis`."""
+    return _vec_basis(dim).T[1:].reshape(dim * dim - 1, dim, dim)
 
 
 @dataclass
@@ -275,16 +285,6 @@ class GKSForm:
         n = d * d - 1
         return cls(d, records.complex_matrix(doc, "h_re", "h_im", (d, d)),
                    records.complex_matrix(doc, "c_re", "c_im", (n, n)))
-
-
-@lru_cache(maxsize=None)
-def _vec_basis(dim: int) -> np.ndarray:
-    """d^2 x d^2 unitary whose columns are vec(I/sqrt(d)) and vec(F_m)
-    (read-only, built once per d)."""
-    fs = gellmann_basis(dim).reshape(dim * dim - 1, dim * dim)
-    v = np.vstack([np.eye(dim).reshape(1, -1) / np.sqrt(dim), fs]).T
-    v.flags.writeable = False
-    return v
 
 
 def gks_build(gks: GKSForm) -> np.ndarray:

@@ -93,10 +93,6 @@ class NotBalanced(LindkitError):
     asymptotics theorem does not apply."""
 
 
-class QuadratureFailure(LindkitError):
-    """Numerical quadrature of the transit-time average failed."""
-
-
 class UnphysicalAverage(LindkitError):
     """The full-line transit-time average is non-finite or leaves [0, 1]:
     the damped fringe's continuation to T < 0 dominates it.  The truncated

@@ -230,7 +230,7 @@ def _states_from_coherence(x: np.ndarray, d: int) -> np.ndarray:
     symmetric and antisymmetric Gell-Mann matrices of j < k give
     rho_jk = (x_s - i x_a) / sqrt(2) and rho_kj its exact conjugate, and only
     the identity and the diagonal ones reach the exactly real diagonal."""
-    j, k = records._mirror_layout(d)[2:4]  # the pairs j < k in gellmann_basis's order
+    j, k = channels._gellmann_pairs(d)
     pairs = len(j)
     c = 1 / np.sqrt(2)  # the off-diagonal entries of the pair, as gellmann_basis writes them
     diagonal = [0, *range(1 + 2 * pairs, d * d)]
@@ -280,34 +280,39 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
 def evolve_stencil(model: LindbladModel, rho0: DensityMatrix, times, eps: float):
     """(rho(t), rho(t + eps), rho(max(t - eps, 0))), three lists in the
     input order of ``times``, for a step eps > 0 (else ValueError) with
-    eps ||R||_1 within :data:`matcore.EXPM_NORM_BOUND` (else Overflow).
+    eps ||R||_1 within :data:`matcore.EXPM_NORM_BOUND` (else Overflow,
+    before any step).
 
     The states at t are :func:`evolve_many`'s, with the same bits, from the
-    same chain.  The states at t +- eps are exp(+-eps R) x(t), both taken
-    for all times at once on the block of coherence vectors by the
-    fixed-degree Taylor polynomial that :func:`matcore._step_actions` plans
-    for eps with the chain's steps.  For t >= eps the earlier state is the
-    trajectory's own, exp(-eps R) x(t), whose rounding grows by at most
-    e^{eps ||R||_1}; for t < eps it is a copy of rho0.  All the evolved
-    states are checked and repaired as one stack, the states at t first.
+    same chain.  The states at t +- eps are exp(+-eps R) x(t): one block of
+    coherence vectors per sign, stepped as a lone step of eps would be
+    (:func:`matcore._step_actions`), and an empty block not at all.  For
+    t >= eps the earlier state is the trajectory's own, exp(-eps R) x(t),
+    whose rounding grows by at most e^{eps ||R||_1}, and Overflow is raised
+    when it leaves double precision; for t < eps it is a copy of rho0.  All
+    the evolved states are checked and repaired as one stack, the states at
+    t first.
     """
     if not eps > 0:
         raise ValueError("the stencil step must be positive")
-    times, order, x0, raw, block_step = _coherence_chain(model, rho0, times, eps)
+    times, order, x0, raw, (forward, backward) = _coherence_chain(model, rho0, times, eps)
     x = np.repeat(x0[None], len(times), axis=0)
     x[order] = raw
     back = [k for k, t in enumerate(times) if t >= eps]
-    plus = block_step(eps, x.T).T
-    minus = block_step(-eps, x[back].T).T
+    plus = forward(x.T).T if len(x) else x
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        minus = backward(x[back].T).T if back else x[back]
+    if not np.isfinite(minus).all():
+        raise Overflow(f"the backward stencil step exp(-eps R) x(t) at eps = {eps!r} "
+                       "leaves double precision")
     return _place(rho0, times, [order, range(len(times)), back], [raw, plus, minus])
 
 
 def _coherence_chain(model: LindbladModel, rho0: DensityMatrix, times, probe: float = 0.0):
     """(times as floats, the indices of the positive times in sorted order,
-    x(0), x(t) for those times as the rows of an array, probe_action): the
-    chain of :func:`evolve_many`, and the block action of
-    :func:`matcore._step_actions` for ``probe``.  Raises ValueError for a
-    negative time."""
+    x(0), x(t) for those times as the rows of an array, probe actions): the
+    chain of :func:`evolve_many`, and the actions exp(+-probe R) of
+    :func:`matcore._step_actions`.  Raises ValueError for a negative time."""
     times = [float(t) for t in times]
     if not all(t >= 0 for t in times):
         raise ValueError("evolution time must be nonnegative")
@@ -315,7 +320,7 @@ def _coherence_chain(model: LindbladModel, rho0: DensityMatrix, times, probe: fl
     norm1 = float(np.linalg.norm(r, 1))
     order = sorted((k for k, t in enumerate(times) if t > 0.0), key=times.__getitem__)
     steps = np.diff([0.0, *sorted({times[k] for k in order})])
-    actions, probe_action = matcore._step_actions(r, steps, norm1, probe)
+    actions, probes = matcore._step_actions(r, steps, norm1, probe)
     x = x0 = (channels._vec_basis(model.dim).conj().T @ rho0.matrix.reshape(-1)).real
     now = 0.0
     raw = np.empty((len(order), x.size))  # one row per positive time
@@ -324,7 +329,7 @@ def _coherence_chain(model: LindbladModel, rho0: DensityMatrix, times, probe: fl
             dt, now = times[k] - now, times[k]
             x = actions[dt](x)
         raw[row] = x
-    return times, order, x0, raw, probe_action
+    return times, order, x0, raw, probes
 
 
 def _place(rho0: DensityMatrix, times, indices, rows) -> list[list[DensityMatrix]]:

@@ -222,8 +222,9 @@ _BOUND_FLOOR = 2.0**-1000
 
 
 def _inf_norm(x: np.ndarray):
-    """max |x_i|: ``np.abs(x).max()`` without ndarray.max's Python wrapper."""
-    return np.maximum.reduce(np.abs(x))
+    """max |x_i| over a vector or a whole block: ``np.abs(x).max()`` without
+    ndarray.max's Python wrapper, 0 for an empty block."""
+    return np.maximum.reduce(np.abs(x), axis=None, initial=0.0)
 
 
 def _taylor_series(a: np.ndarray, t: float, v: np.ndarray, m: int, s: int) -> np.ndarray:
@@ -233,7 +234,9 @@ def _taylor_series(a: np.ndarray, t: float, v: np.ndarray, m: int, s: int) -> np
     Algorithm 3.2).  ||f||_inf is computed only when the running bound on it
     lets the test fire, and the last term of a step has no test, since
     stopping there changes nothing: the result is the same bits as the
-    algorithm's."""
+    algorithm's.  v is a vector or a block of columns, whose norms are taken
+    over the whole block: a coherence vector's first entry is 1/sqrt(d), so
+    the block's test is within sqrt(d) of the slowest column's."""
     f = v
     for _ in range(s):
         term = f
@@ -254,78 +257,77 @@ def _taylor_series(a: np.ndarray, t: float, v: np.ndarray, m: int, s: int) -> np
     return f
 
 
-def _family_step(a: np.ndarray, p_h, x: float, m: int, v: np.ndarray) -> np.ndarray:
+def _family_step(a: np.ndarray, p_h: np.ndarray, x: float, m: int, v: np.ndarray) -> np.ndarray:
     """exp(x*a) @ P_h @ v with exp(x*a) the degree-m Taylor polynomial
     (:func:`_correction_degree` for a family's correction): no plan and no
-    stopping test.  v is a vector or a block of columns, and p_h None stands
-    for the identity."""
-    f = term = v if p_h is None else p_h @ v
+    stopping test."""
+    f = term = p_h @ v
     for j in range(1, m + 1):
         term = (x / j) * (a @ term)
         f = f + term
     return f
 
 
-def _block_action(a: np.ndarray, m: int, s: int, t: float, v: np.ndarray) -> np.ndarray:
-    """exp(t*a) @ v for a block v of columns: s steps of the degree-m Taylor
-    polynomial of exp(t*a/s), with no stopping test, which would have to
-    wait for the slowest column."""
-    for _ in range(s):
-        v = _family_step(a, None, t / s, m, v)
-    return v
-
-
 def _dense_action(a: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     return expm(a, t) @ v
 
 
+def _planned_action(a: np.ndarray, t: float, k, products, dense):
+    """v -> exp(t*a) @ v for a step that :func:`_taylor_plan` planned, for
+    |t|, as (k, products, dense): one dense ``expm(a, t) @ v`` when dense,
+    else products / m steps of the degree-m Taylor series, m = _TAYLOR_M[k]
+    (:func:`_taylor_series`).  v is a vector or a block of columns."""
+    if dense:
+        return partial(_dense_action, a, t)
+    m = int(_TAYLOR_M[k])
+    return partial(_taylor_series, a, t, m=m, s=int(products) // m)
+
+
 def _step_actions(a: np.ndarray, steps, norm1: float, probe: float = 0.0) -> tuple:
-    """({dt: action}, probe_action) with action(v) = exp(dt*a) @ v for each
-    distinct dt of a sequence of positive ``steps`` taken in turn, given
-    norm1 = ||a||_1, and probe_action(t, v) = exp(t*a) @ v for t = +-probe
-    and v a block of columns (:func:`_block_action`).
+    """({dt: action}, (forward, backward)) with action(v) = exp(dt*a) @ v for
+    each distinct dt of a sequence of positive ``steps`` taken in turn, given
+    norm1 = ||a||_1, and forward(v), backward(v) = exp(+-probe*a) @ v for a
+    probe >= 0.  v is a vector, or for the probe also a block of columns.
 
     One vectorized :func:`_taylor_plan` plans every distinct step and the
-    probe.  A step outside a family (:func:`_step_families`) is taken as
-    :func:`expm_action` takes it, with the same bits.  A family's step dt
-    is exp((dt - h) a) @ P_h @ v, exact since exp(h a) and exp((dt - h) a)
-    commute and multiply to exp(dt a); the cost model counts a step on its
-    own as expm_action's m*s products, or a dense expm and its product with
-    v.  The probe takes the plan's (m, s) for |probe| as a fixed-degree
-    polynomial and never a dense expm; like expm, it raises Overflow when
-    ||probe*a||_1 exceeds EXPM_NORM_BOUND.  Without a probe, a single step
-    is :func:`expm_action` itself, planned when it is taken, and
-    probe_action is None.
+    probe.  A step outside a family (:func:`_step_families`) and each probe
+    step are taken as :func:`expm_action` takes a step, by its plan's
+    :func:`_planned_action`.  A family's step dt is exp((dt - h) a) @ P_h @ v,
+    exact since exp(h a) and exp((dt - h) a) commute and multiply to
+    exp(dt a); the cost model counts a step on its own as expm_action's m*s
+    products, or a dense expm and its product with v.  Raises Overflow when
+    ||probe*a||_1 exceeds EXPM_NORM_BOUND, before any step is taken.
+    Without a probe, a single step is :func:`expm_action` itself, planned
+    when it is taken, and the probe actions are None.
     """
-    if abs(probe) * norm1 > EXPM_NORM_BOUND:
-        raise Overflow(f"||t*m||_1 = {abs(probe) * norm1:.3e} exceeds bound "
+    if probe * norm1 > EXPM_NORM_BOUND:
+        raise Overflow(f"||t*m||_1 = {probe * norm1:.3e} exceeds bound "
                        f"{EXPM_NORM_BOUND:.3e}")
     if len(steps) < 2 and not probe:
         return {dt: partial(expm_action, a, dt, norm1=norm1)
                 for dt in np.asarray(steps, dtype=float).tolist()}, None
     n = a.shape[0]
     values, uses = np.unique(steps, return_counts=True)
-    k, products, dense = _taylor_plan(np.concatenate((values, [abs(probe)])), norm1, n)
-    degrees = _TAYLOR_M[k].tolist()
-    m = degrees.pop()
-    probe_action = partial(_block_action, a, m, int(products[-1]) // m)
-    products, dense = products[:-1], dense[:-1]
+    k, products, dense = _taylor_plan(np.append(values, probe), norm1, n)
+    probes = tuple(_planned_action(a, t, k[-1], products[-1], dense[-1])
+                   for t in (probe, -probe))
+    k, products, dense = k[:-1], products[:-1], dense[:-1]
     bases = {}
-    if len(steps) > 1:  # a lone step saves at most the dense expm it would cost
+    # a lone step saves at most the dense expm it would cost, and an empty
+    # grid, whose probe alone is planned, has no family to look for
+    if len(steps) > 1:
         cost = np.where(dense, _expm_cost(values, norm1, n) + 1, products)
         bases = _step_families(values, uses, cost, norm1, n)
     propagators = {h: expm(a, h) for h in dict.fromkeys(bases.values())}
     actions = {}
-    for dt, m, p, full in zip(values.tolist(), degrees, products.tolist(), dense.tolist()):
+    for dt, *plan in zip(values.tolist(), k.tolist(), products.tolist(), dense.tolist()):
         h = bases.get(dt)
-        if h is not None:
+        if h is None:
+            actions[dt] = _planned_action(a, dt, *plan)
+        else:
             actions[dt] = partial(_family_step, a, propagators[h], dt - h,
                                   int(_correction_degree(dt - h, norm1)))
-        elif full:
-            actions[dt] = partial(_dense_action, a, dt)
-        else:
-            actions[dt] = partial(_taylor_series, a, dt, m=m, s=int(p) // m)
-    return actions, probe_action
+    return actions, probes
 
 
 def expm_action(a: np.ndarray, t: float, v: np.ndarray, norm1: float) -> np.ndarray:
@@ -338,14 +340,10 @@ def expm_action(a: np.ndarray, t: float, v: np.ndarray, norm1: float) -> np.ndar
     matrix-vector products cost at least one n x n matrix product
     (m*s >= n), the step is one dense ``expm(a, t) @ v`` instead, so a
     single long step keeps expm's scaling and squaring and its Overflow
-    bound.  ``a`` is trusted as it stands: callers validate it once and
-    then take many steps.
+    bound (:func:`_planned_action`).  ``a`` is trusted as it stands: callers
+    validate it once and then take many steps.
     """
-    k, products, dense = _taylor_plan(t, norm1, a.shape[0])
-    if dense:
-        return _dense_action(a, t, v)
-    m = int(_TAYLOR_M[k])
-    return _taylor_series(a, t, v, m, int(products) // m)
+    return _planned_action(a, t, *_taylor_plan(t, norm1, a.shape[0]))(v)
 
 
 def kron(a, b) -> np.ndarray:
@@ -400,31 +398,17 @@ class ChainSpectrum:
 
 def _cluster_eigenvalues(vals: np.ndarray, tol: float):
     """Group eigenvalues whose pairwise distance chains below ``tol``, ordered
-    by smallest index, indices ascending.  Values within ``tol`` have real
-    parts within ``tol``, so after a sort by real part only neighbours inside
-    that window are compared.
-    """
+    by smallest index, indices ascending: one test of every pair gives the
+    edges, each in both directions, and each value's edge to itself."""
     n = len(vals)
-    order = np.argsort(vals.real, kind="stable")
-    v = vals[order]
-    edges = []
-    for k in range(1, n):
-        in_window = v.real[k:] - v.real[:-k] <= tol
-        if not in_window.any():
-            break
-        hit = np.flatnonzero(in_window & (np.abs(v[k:] - v[:-k]) <= tol))
-        if hit.size:
-            edges.append((order[hit], order[hit + k]))
-    if not edges:
+    i, j = np.nonzero(np.abs(vals[:, None] - vals[None, :]) <= tol)
+    if len(i) == n:
         return [[k] for k in range(n)]
     # Min-label propagation: each group ends labelled by its smallest index.
     label, prev = np.arange(n), None
     while prev is None or not np.array_equal(label, prev):
         prev, label = label, label.copy()
-        for i, j in edges:
-            low = np.minimum(label[i], label[j])
-            np.minimum.at(label, i, low)
-            np.minimum.at(label, j, low)
+        np.minimum.at(label, i, label[j])
         label = label[label]
     idx = np.argsort(label, kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(label[idx])) + 1).tolist(), n]

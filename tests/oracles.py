@@ -30,11 +30,16 @@ from lindkit.matcore import _TAYLOR_M, _TAYLOR_TOL, _taylor_plan, expm
 from lindkit.channels import GKSForm, gellmann_basis
 from lindkit.errors import (
     InvalidDensityMatrix,
+    LindkitError,
     NotHermitian,
-    QuadratureFailure,
     SingularState,
     StepTooLarge,
 )
+
+
+class QuadratureFailure(LindkitError):
+    """Numerical quadrature of the transit-time average failed."""
+
 
 RWA_DT_MAX = 1e-2      # rwa_ode requires dt <= RWA_DT_MAX / Omega
 FULL_DT_MAX = 0.05     # full_ode requires dt <= FULL_DT_MAX / omega

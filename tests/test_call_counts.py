@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_density, random_hermitian, random_lindblad_model, random_matrix
-from lindkit import (GKSForm, ProjectorBasis, bfr_derivative_check, build_superoperator,
+from conftest import (SM, random_density, random_hermitian, random_lindblad_model,
+                      random_matrix)
+from lindkit import (DensityMatrix, GKSForm, LindbladModel, ProjectorBasis,
+                     bfr_derivative_check, build_superoperator,
                      channels, choi_cp_test, cli, first_order, gks_build, kernel_from_generator,
                      lindblad, matcore, perturb, ramsey, spectrum)
 from lindkit.channels import gks_lindblad_ops
@@ -204,6 +206,33 @@ def test_probe_taylor_calls_do_not_grow_with_points(monkeypatch, rng, tmp_path, 
         capsys.readouterr()
         extra[points] = made[1] - made[0]
     assert extra[50] == extra[100]
+
+
+# amplitude damping L = sqrt(1e10) sigma_-: ||R||_1 = 1e10, so eps ||R||_1 =
+# 1e5 at the stencil step eps = 1e-5
+_STIFF_QUBIT = LindbladModel(2, np.zeros((2, 2)), [np.sqrt(1e10) * SM])
+
+
+def test_stiff_stencil_step_is_one_dense_exponential(monkeypatch):
+    # beyond the Taylor plan's reach the +eps block takes the one dense expm
+    # a lone step of eps takes, not some 1e4 degree-55 steps; the -eps block
+    # is empty at t = 0 < eps
+    expms = _count(monkeypatch, [scipy.linalg], "expm")
+    series = _count(monkeypatch, [matcore], "_taylor_series")
+    lindblad.evolve_stencil(_STIFF_QUBIT, DensityMatrix.from_matrix(np.eye(2) / 2), [0.0], 1e-5)
+    assert (len(expms), len(series)) == (1, 0)
+
+
+def test_empty_backward_block_forms_no_exponential(monkeypatch, tmp_path, capsys):
+    # exp(-eps R), whose squarings overflow at eps ||R||_1 = 1e5, is not
+    # formed when no time reaches eps, so the record carries no warning
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({"model": json.loads(_STIFF_QUBIT.to_json()),
+                                "rho0": {"re": [0.5, 0.0, 0.0, 0.5]}, "times": [0.0]}))
+    expms = _count(monkeypatch, [scipy.linalg], "expm")
+    assert cli.main(["entropy-check", "--config", str(path)]) == 3  # the quotient fails
+    assert json.loads(capsys.readouterr().out)["warnings"] == []
+    assert len(expms) == 1
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

@@ -325,6 +325,23 @@ def test_huge_lindblad_entry_is_overflow_exit_3(tmp_path, capsys, command):
     assert (error["type"], error["exit_code"]) == ("Overflow", 3)
 
 
+def test_backward_stencil_overflow_is_exit_3(tmp_path, capsys):
+    # eps ||R||_1 = 4e3: the state a step eps before t = 1e-4 overflows
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    doc["model"]["h_re"] = [0.0] * 4
+    doc["model"]["lindblads"][0]["re"] = [0.0, 2e4, 0.0, 0.0]
+    doc["rho0"]["re"] = [0.5, 0.0, 0.0, 0.5]
+    doc["times"] = [0.0, 1e-4]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["entropy-check", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = _strict_json(err)["error"]
+    assert (error["type"], error["exit_code"]) == ("Overflow", 3)
+    assert "backward stencil step" in error["message"]
+
+
 def test_huge_hamiltonian_entry_is_overflow_exit_3(tmp_path, capsys):
     # a Hermitian H whose generator's 2-norm leaves double precision
     doc = json.loads(cli.bundled_config_path("model-qubit").read_text())

@@ -382,6 +382,15 @@ def test_stencil_step_beyond_expm_bound_overflows(rng):
         evolve_stencil(big, random_density(rng, 2), [0.0], 1e-5)
 
 
+def test_stencil_backward_step_that_overflows_raises_overflow():
+    # eps ||R||_1 = 4e3: exp(-eps R) x(t) at t = 1e-4 leaves double
+    # precision, and the error names that step
+    model = LindbladModel(2, np.zeros((2, 2)), [2e4 * SM.T])
+    rho0 = DensityMatrix.from_matrix(np.eye(2) / 2)
+    with pytest.raises(errors.Overflow, match="backward stencil step"):
+        evolve_stencil(model, rho0, [0.0, 1e-4], 1e-5)
+
+
 class TestMeasurementModel:
     def test_projector_commutation_and_balance(self, rng):
         model = random_measurement_model(rng, 3)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from lindkit.matcore import (
     _is_hermitian,
     _real_span,
     _taylor_plan,
+    _taylor_series,
     expm,
     expm_action,
     general_eig,
@@ -476,6 +478,23 @@ class TestExpmAction:
         a, t, v, norm1 = _series_case(n, seed, log_x, log_norm, nilpotent)
         got = expm_action(a, t, v, norm1)
         assert got.tobytes() == expm_action_loop(a, t, v, norm1).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 16), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           log_x=st.floats(-17.0, 0.5), sign=st.sampled_from([1.0, -1.0]))
+    @example(n=6, cols=3, seed=0, log_x=np.log10(3e-16), sign=-1.0)  # m = 1, s = 2
+    def test_block_series_is_the_dense_exponential(self, n, cols, seed, log_x, sign):
+        # a block of columns, with the plan's (m, s) for |t| and norms over
+        # the whole block, for t of either sign, up to t ||a||_1 = 10^0.5:
+        # beyond it the series' cancellation, in a vector's steps as much as
+        # in a block's, can reach 1e-9 of a random matrix's result
+        a, t, _, norm1 = _series_case(n, seed, log_x, 0.0, False)
+        block = random_matrix(np.random.default_rng(seed + 1), max(n, cols))[:n, :cols]
+        k, products, _ = _taylor_plan(t, norm1, n)
+        m = int(_TAYLOR_M[k])
+        got = _taylor_series(a, sign * t, block, m, int(products) // m)
+        want = scipy.linalg.expm(sign * t * a) @ block
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestTaylorPlan:

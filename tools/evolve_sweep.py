@@ -13,7 +13,10 @@ that workload's 50-point linspace(0.05, 2, 50) (case "linspace50") and at
 the single time 1.0 (case "single").  Case "stencil50" evolves it at those
 50 times and 1e-5 either side of each, as entropy-check does:
 lindblad.evolve_stencil, or, in a checkout without it, evolve_many over the
-interleaved 150-point grid.  Its spectrum is taken (case "spectrum"), its
+interleaved 150-point grid.  Case "stencil-stiff" takes that stencil at
+the single time 0, where the + eps step is all the work, of the generator
+scaled to eps ||R||_1 = 1e4 (R the generator in the Hermitian basis, or L
+in a checkout without it).  The spectrum is taken (case "spectrum"), the
 generator built (case "build", lindblad.build_superoperator), and a config
 with the 50-point grid run through the command line in-process (cases
 "evolve-cli" and "entropy-cli": ``cli.main([command, "--config", path])``
@@ -107,6 +110,14 @@ def main() -> None:
                                        for lk, model, rho0 in models]))
             work.append((d, "stencil50", [partial(stencil, lk, model, rho0, grids["linspace50"])
                                           for lk, model, rho0 in models]))
+            stiff = []
+            for lk, model, rho0 in models:
+                gen = getattr(lk.lindblad, "_hermitian_generator", lk.lindblad.build_superoperator)
+                s = 1e9 / float(np.linalg.norm(gen(model), 1))
+                stiff_model = lk.lindblad.LindbladModel(
+                    d, s * model.hamiltonian, [np.sqrt(s) * op for op in model.lindblads])
+                stiff.append(partial(stencil, lk, stiff_model, rho0, [0.0]))
+            work.append((d, "stencil-stiff", stiff))
             work.append((d, "spectrum", [partial(lk.lindblad.spectrum, model)
                                          for lk, model, _ in models]))
             work.append((d, "build", [partial(lk.lindblad.build_superoperator, model)
