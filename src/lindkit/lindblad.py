@@ -17,6 +17,7 @@ solved exactly instead, at any finite time and without the generator.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -224,22 +225,34 @@ def _hermitian_generator(model: LindbladModel) -> np.ndarray:
     return r
 
 
+@functools.cache
+def _coherence_layout(d: int):
+    """(j, k, diagonal, block), read-only and built once per d: the pairs of
+    :func:`channels._gellmann_pairs`, the coordinates of the identity and the
+    diagonal Gell-Mann matrices in V's order, and the d x d block of V that
+    maps those coordinates to the diagonal of rho."""
+    j, k = channels._gellmann_pairs(d)
+    diagonal = np.array([0, *range(1 + 2 * len(j), d * d)])
+    block = channels._vec_basis(d).real[::d + 1, diagonal]
+    for array in (j, k, diagonal, block):
+        array.flags.writeable = False
+    return j, k, diagonal, block
+
+
 def _states_from_coherence(x: np.ndarray, d: int) -> np.ndarray:
     """unvec(V x) for each row of the real (n, d^2) stack ``x``, V the basis
     of :func:`_hermitian_generator`, through its pair structure: the
     symmetric and antisymmetric Gell-Mann matrices of j < k give
     rho_jk = (x_s - i x_a) / sqrt(2) and rho_kj its exact conjugate, and only
     the identity and the diagonal ones reach the exactly real diagonal."""
-    j, k = channels._gellmann_pairs(d)
+    j, k, diagonal, block = _coherence_layout(d)
     pairs = len(j)
     c = 1 / np.sqrt(2)  # the off-diagonal entries of the pair, as gellmann_basis writes them
-    diagonal = [0, *range(1 + 2 * pairs, d * d)]
     rho = np.zeros((len(x), d, d), dtype=complex)
     rho.real[:, j, k] = rho.real[:, k, j] = x[:, 1:1 + pairs] * c
     im = x[:, 1 + pairs:1 + 2 * pairs] * c
     rho.imag[:, j, k], rho.imag[:, k, j] = -im, im
-    rho.reshape(len(x), d * d).real[:, ::d + 1] = (
-        x[:, diagonal] @ channels._vec_basis(d).real[::d + 1, diagonal].T)
+    rho.reshape(len(x), d * d).real[:, ::d + 1] = x[:, diagonal] @ block.T
     return rho
 
 

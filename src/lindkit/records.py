@@ -5,12 +5,16 @@ which report every fault as a ConfigParse naming the key at fault.  A record
 is written as ``json.dumps(record, sort_keys=True, indent=2,
 allow_nan=False)`` plus a newline would write it, byte for byte, but without
 ``json``'s pure-Python indenting encoder; an evolved state's Hermitian
-mirror entries are formatted once (:func:`state_arrays`).
+mirror entries are formatted once (:func:`state_arrays`), and a list of
+dicts with one set of str keys and scalar values only, such as a Ramsey
+scan's rows, is written as a table: its keys sorted and escaped once, each
+column formatted once.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -144,6 +148,14 @@ def canonical_json(doc) -> str:
     join over ``float.__repr__``, the repr ``json`` uses, checked with one
     ``math.isfinite`` pass.  A :class:`Mirrored` matrix is written as the list
     of its entries would be, formatting only its upper triangle and diagonal.
+    A list of dicts that all have the same non-empty set of str keys and hold
+    scalars only (str, None, bool, int, float) is a table, such as the rows
+    of a scan or a spectrum: its keys are sorted and escaped once, each
+    column is formatted once (floats as the float lists are) and each row is
+    written from those texts.  A row holding a list, a dict or a
+    :class:`Mirrored` (an evolved state) keeps the item-by-item path, which
+    never builds a long list's whole text at once, and so does a table
+    holding a value ``json`` rejects, so that ``json``'s error is raised.
     Everything else follows ``json``: keys in
     ``sorted(doc.items())`` order, int, float, bool and None keys converted
     the same way, int and float subclasses written as plain numbers, strings
@@ -158,12 +170,36 @@ def canonical_json(doc) -> str:
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
+# the values a table row may hold (bool is an int)
+_SCALARS = (str, int, float, type(None))
 
 
 def _float_text(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
     return float.__repr__(x)
+
+
+def _float_texts(items) -> list:
+    """``float.__repr__`` of each item: a TypeError at an item that is not a
+    float, ``json``'s ValueError at the first NaN or infinity."""
+    texts = list(map(float.__repr__, items))
+    if not all(map(math.isfinite, items)):
+        for x in items:
+            _float_text(x)  # raises at the first NaN or infinity
+    return texts
+
+
+def _scalar_text(o) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return _LITERALS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _key_text(key) -> str:
@@ -179,10 +215,49 @@ def _key_text(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
+def _table(rows, inner: str) -> str | None:
+    """The rows of the list ``rows`` as :func:`_encode` writes them, joined by
+    ``"," + inner``, when every row is a dict with the same non-empty str
+    keys and scalar values: the keys sorted and escaped once, each column
+    formatted once (a float column by :func:`_float_texts`) and each row one
+    ``%`` format of the key texts and its value texts.  None for any other
+    list, and for a table holding a value ``json`` rejects, which the item by
+    item path then reports in ``json``'s order."""
+    first = rows[0]
+    if (type(first) is not dict or not first
+            or not all(isinstance(v, _SCALARS) for v in first.values())):
+        return None
+    keys = first.keys()
+    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
+        return None
+    # rows as long as the first, whose keys together are the first's: each
+    # row has the first's keys (and every key is checked to be a str)
+    every_key = list(itertools.chain.from_iterable(rows))
+    if keys != set(every_key) or set(map(type, every_key)) != {str}:
+        return None
+    keys = sorted(keys)
+    field = inner + "  "
+    row = "{" + field + ("," + field).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys) + inner + "}"
+    try:
+        columns = []
+        for key in keys:
+            column = list(map(itemgetter(key), rows))
+            try:
+                columns.append(_float_texts(column))
+            except TypeError:  # not floats only
+                columns.append(list(map(_scalar_text, column)))
+    except (TypeError, ValueError):
+        return None
+    return ("," + inner).join(map(row.__mod__, zip(*columns)))
+
+
 def _encode(o, out: list, nl: str, path: set) -> None:
     """Append the canonical form of ``o`` to ``out``.  ``nl`` is a newline
     and the indentation of the line ``o`` ends on; ``path`` holds the ids of
-    the containers ``o`` is nested in."""
+    the containers ``o`` is nested in.  A scalar is written as by
+    :func:`_scalar_text`, whose tests are repeated inline here: a call per
+    value made small records about 10 % slower to write."""
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif o is None or o is True or o is False:
@@ -197,14 +272,11 @@ def _encode(o, out: list, nl: str, path: set) -> None:
             return
         inner = nl + "  "
         try:
-            floats = ("," + inner).join(map(float.__repr__, o))
-        except TypeError:  # an item that is not a float: written one by one below
-            pass
-        else:
-            if not all(map(math.isfinite, o)):
-                for x in o:
-                    _float_text(x)  # raises at the first NaN or infinity
-            out += ("[", inner, floats, nl, "]")
+            items = ("," + inner).join(_float_texts(o))
+        except TypeError:  # an item that is not a float: a table, or item by item below
+            items = _table(o, inner)
+        if items is not None:
+            out += ("[", inner, items, nl, "]")
             return
         _enter(o, path)
         out.append("[")

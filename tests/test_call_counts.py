@@ -6,8 +6,9 @@ superoperator builds, per-state eigendecompositions, per-step Taylor plans, a
 second config parse, a parser per call, per-pair projector checks, a
 generator built for the closed-form Born limit, a per-member loop over an
 operator family (the Gell-Mann basis, the Choi eigen-matrices, the Lindblad
-operators of a generator), per-mode reshapes of the spectrum, or an eigh per
-nondegenerate perturbation group fails a test."""
+operators of a generator), per-mode reshapes of the spectrum, an eigh per
+nondegenerate perturbation group, or an encoder call per row of a scan
+record fails a test."""
 import argparse
 import json
 import sys
@@ -22,7 +23,7 @@ from conftest import (SM, random_density, random_hermitian, random_lindblad_mode
 from lindkit import (DensityMatrix, GKSForm, LindbladModel, ProjectorBasis,
                      bfr_derivative_check, build_superoperator,
                      channels, choi_cp_test, cli, first_order, gks_build, kernel_from_generator,
-                     lindblad, matcore, perturb, ramsey, spectrum)
+                     lindblad, matcore, perturb, ramsey, records, spectrum)
 from lindkit.channels import gks_lindblad_ops
 from lindkit.matcore import general_eig
 
@@ -259,6 +260,23 @@ def test_default_config_is_parsed_once(monkeypatch, capsys, command, owner, name
     assert cli.main([command]) == 0
     capsys.readouterr()
     assert len(built) == calls
+
+
+def test_scan_record_encoding_calls_do_not_grow_with_the_grid(monkeypatch, tmp_path, capsys):
+    # the fringe rows are one table, not one recursion per row and value; the
+    # recursion looks _encode up by name, so the counter sees every call
+    calls = _count(monkeypatch, [records], "_encode")
+    doc = json.loads(cli.bundled_config_path("fig1").read_text())
+    counts = {}
+    for points in (11, 401):
+        doc["grid"]["points"] = points
+        path = tmp_path / f"fig1-{points}.json"
+        path.write_text(json.dumps(doc))
+        calls.clear()
+        assert cli.main(["ramsey-scan", "--config", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["result"]["rows"]) == points
+        counts[points] = len(calls)
+    assert counts[11] == counts[401]
 
 
 def _born_config(rng, tmp_path, d):

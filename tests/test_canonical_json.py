@@ -51,6 +51,59 @@ def test_writes_what_json_dumps_writes(doc):
     assert cli.canonical_json(doc) == canonical_json_dumps(doc)
 
 
+# keys whose texts a row table writes once: "%" (a format template's own
+# escape), braces, quotes, non-ASCII, a lone surrogate and the empty key
+_TABLE_KEYS = st.one_of(
+    st.sampled_from(["", "%", "%%", "G%", "%s", "%(k)s", "{", "{}", '"', "\\", "\xe9",
+                     "\ud800", "k"]),
+    st.text(st.sampled_from(['%', '{', '}', '"', "\xe9", "\ud800", "s", "G"]), max_size=4),
+    st.text(st.characters(exclude_categories=()), max_size=3),
+)
+_SCALAR_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 10**300]),
+    _FLOATS, _FLOATS.map(np.float64),
+    st.text(st.characters(exclude_categories=()), max_size=4),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A list or tuple of 1-6 dicts sharing one set of keys and holding
+    scalars, a column of floats only or of any scalars; sometimes one row
+    holds a list, has another key set (of another size or not) or is
+    repeated, or the keys are ints, or the table sits in a dict."""
+    keys = draw(st.lists(_TABLE_KEYS, min_size=1, max_size=4, unique=True))
+    columns = {key: draw(st.sampled_from([_FLOATS, _FLOATS.map(np.float64), _SCALAR_LEAVES]))
+               for key in keys}
+    rows = [{key: draw(values) for key, values in columns.items()}
+            for _ in range(draw(st.integers(1, 6)))]
+    row = draw(st.integers(0, len(rows) - 1))
+    twist = draw(st.sampled_from(["none", "none", "none", "list value", "key added",
+                                  "key removed", "key renamed", "repeated row", "int keys",
+                                  "in a dict"]))
+    if twist == "list value":
+        rows[row][draw(st.sampled_from(keys))] = draw(st.lists(_FLOATS, max_size=3))
+    elif twist == "key added":
+        rows[row][draw(_TABLE_KEYS)] = draw(_SCALAR_LEAVES)
+    elif twist == "key removed":
+        del rows[row][draw(st.sampled_from(keys))]
+    elif twist == "key renamed":
+        rows[row][draw(_TABLE_KEYS)] = rows[row].pop(draw(st.sampled_from(keys)))
+    elif twist == "repeated row":
+        rows.insert(row, rows[-1])
+    elif twist == "int keys":
+        rows = [dict(enumerate(r.values())) for r in rows]
+    table = tuple(rows) if draw(st.booleans()) else rows
+    return {"rows": table, "n": len(rows)} if twist == "in a dict" else table
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(doc=_tables())
+def test_writes_row_tables_as_json_dumps_does(doc):
+    assert records.canonical_json(doc) == canonical_json_dumps(doc)
+
+
 def _circular_list():
     a = [1.0, "x"]
     a.append(a)
@@ -60,6 +113,12 @@ def _circular_list():
 def _circular_dict():
     a = {"k": [1]}
     a["k"].append(a)
+    return a
+
+
+def _table_in_a_circular_list():
+    a = [[{"a": 1.0, "b": "x"}, {"a": 2.0, "b": "y"}]]
+    a.append(a)
     return a
 
 
@@ -80,6 +139,12 @@ _FAILING = {
     "circular dict": _circular_dict(),
     "mixed-type keys": {1: 0, "a": 0},
     "tuple key": {(1, 2): 0},
+    "table nan in the third row": [{"t": 0.0}, {"t": 1.0}, {"t": _NAN}],
+    "table inf after a string column": [{"class": "x", "mu": 1.0}, {"class": "y", "mu": _INF}],
+    "table set value": [{"a": 1.0}, {"a": {1, 2}}],
+    "table inf before a set in a column sorted first": [{"a": 1.0, "b": _INF},
+                                                         {"a": {1}, "b": 1.0}],
+    "table in a circular list": _table_in_a_circular_list(),
 }
 
 

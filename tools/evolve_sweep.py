@@ -20,14 +20,16 @@ in a checkout without it).  The spectrum is taken (case "spectrum"), the
 generator built (case "build", lindblad.build_superoperator), and a config
 with the 50-point grid run through the command line in-process (cases
 "evolve-cli" and "entropy-cli": ``cli.main([command, "--config", path])``
-for lindblad-evolve and entropy-check, each record written to memory).  A
-round times, for every (d, case), REPEAT calls of each checkout in turn and
-keeps each one's best; the checkouts take turns going first from round to
-round.  After ROUNDS rounds the tool prints one JSON line per (d, case):
-each checkout's median and quartiles over the rounds, and in how many
-rounds it was faster than the first ``--src``.  Timing separate runs of one
-checkout after another drifted by about +-30 % on a 2-core host; rounds that
-interleave the checkouts share that drift.
+for lindblad-evolve and entropy-check, each record written to memory).
+Case "scan-cli", with d null, runs the default ``ramsey-scan`` (the bundled
+fig-both config: 2 x 401 fringe rows) through ``cli.main`` once per round,
+not once per d.  A round times, for every (d, case), REPEAT calls of each
+checkout in turn and keeps each one's best; the checkouts take turns going
+first from round to round.  After ROUNDS rounds the tool prints one JSON
+line per (d, case): each checkout's median and quartiles over the rounds,
+and in how many rounds it was faster than the first ``--src``.  Timing
+separate runs of one checkout after another drifted by about +-30 % on a
+2-core host; rounds that interleave the checkouts share that drift.
 """
 import argparse
 import contextlib
@@ -83,7 +85,10 @@ def stencil(lk, model, rho0, times, eps=1e-5):
 
 
 def run_cli(cli, argv: list) -> int:
-    """``cli.main(argv)`` with its stdout written to memory."""
+    """``cli.main(argv)`` with its stdout written to memory.  The command
+    line finds a bundled config in the package named ``lindkit``, so that
+    name is bound to the checkout of ``cli`` first."""
+    sys.modules["lindkit"] = sys.modules[cli.__package__]
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(argv)
 
@@ -134,6 +139,9 @@ def main() -> None:
                 if any(run_cli(cli, argv) for cli in clis):
                     sys.exit(f"{command} failed on {path}")
                 work.append((d, name, [partial(run_cli, cli, argv) for cli in clis]))
+        if any(run_cli(cli, ["ramsey-scan"]) for cli in clis):
+            sys.exit("ramsey-scan failed on its default config")
+        work.append((None, "scan-cli", [partial(run_cli, cli, ["ramsey-scan"]) for cli in clis]))
 
         best = {(d, name): [[] for _ in packages] for d, name, _ in work}
         for r in range(ROUNDS):
