@@ -35,7 +35,7 @@ from .lindblad import (
     measurement_model,
     spectrum,
 )
-from .matcore import ChainSpectrum, expm, general_eig, herm_eig, kron, unvec, vec
+from .matcore import ChainSpectrum, expm, general_eig, herm_eig, unvec, vec
 from .perturb import PerturbationResult, first_order
 from .quantum import (
     DensityMatrix,
@@ -45,7 +45,6 @@ from .quantum import (
     entropy_rates,
     expectation,
     mixture,
-    unitary_step,
     vn_entropies,
     vn_entropy,
 )
@@ -55,7 +54,6 @@ from .ramsey import (
     RamseyDerived,
     ScanResult,
     derive,
-    free_flight,
     gaussian_fraction,
     protocol,
     pulse_closed_form,

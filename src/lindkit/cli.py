@@ -47,7 +47,7 @@ _EXIT_CONFIG, _EXIT_DOMAIN, _EXIT_IO = 2, 3, 4
 
 
 def bundled_config_path(name: str):
-    return resources.files("lindkit").joinpath("configs", _BUNDLED[name])
+    return resources.files(__package__).joinpath("configs", _BUNDLED[name])
 
 
 def _read_config(path: str) -> dict:

@@ -1,7 +1,7 @@
 """Dense linear algebra: eigendecompositions (Hermitian and general,
 including generalized-eigenvector chains), the matrix exponential and its
-action on a vector, Kronecker products, and the vec/unvec reshaping between
-d x d matrices and length-d^2 vectors.  Inputs are complex, except that
+action on a vector, and the vec/unvec reshaping between d x d matrices and
+length-d^2 vectors.  Inputs are complex, except that
 ``general_eig`` and ``expm`` keep a real input in real arithmetic.
 
 Conventions
@@ -9,7 +9,7 @@ Conventions
 vec is row-major: element (i, j) of a d x d matrix maps to slot i*d + j of the
 vector.  With this ordering,
 
-    vec(A @ X @ B) == kron(A, B.T) @ vec(X)
+    vec(A @ X @ B) == np.kron(A, B.T) @ vec(X)
 
 which is the identity every superoperator construction in the package relies
 on.  All operations are pure functions on immutable inputs.
@@ -344,10 +344,6 @@ def expm_action(a: np.ndarray, t: float, v: np.ndarray, norm1: float) -> np.ndar
     validate it once and then take many steps.
     """
     return _planned_action(a, t, *_taylor_plan(t, norm1, a.shape[0]))(v)
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_square_matrix(a), as_square_matrix(b))
 
 
 def vec(m) -> np.ndarray:

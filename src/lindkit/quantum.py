@@ -1,5 +1,6 @@
-"""Density matrices, projective measurement collapse, unitary steps, and the
-von Neumann entropy with its dissipative rate formula.
+"""Density matrices, projective measurement collapse, and the von Neumann
+entropy with its dissipative rate formula.  Unitary evolution is
+``lindblad.evolve`` of a model without jump operators.
 
 Entropy is in nats throughout (natural log); converting to bits is a display
 concern.  Density-matrix constructors repair eigenvalues in [-TOL_POS, 0) by
@@ -207,15 +208,6 @@ def born_collapse(rho: DensityMatrix, basis: ProjectorBasis) -> DensityMatrix:
             f"basis dimension {basis.dim} does not match state dimension {rho.dim}"
         )
     return basis._weighted(rho, basis._class_mask())
-
-
-def unitary_step(rho: DensityMatrix, h, dt: float) -> DensityMatrix:
-    """rho -> U rho U^dag with U = exp(-i h dt)."""
-    a = matcore.as_square_matrix(h)
-    if not matcore._is_hermitian(a, matcore.TOL_HERM):
-        raise NotHermitian("Hamiltonian must be Hermitian")
-    u = matcore.expm(-1j * a, dt)
-    return DensityMatrix.from_matrix(u @ rho.matrix @ u.conj().T)
 
 
 def vn_entropy(rho: DensityMatrix) -> float:

@@ -19,7 +19,11 @@ singularity: zero drive on resonance means nothing moves).
 The three-segment protocol is pulse(tau) -> free flight(T) -> pulse(tau) from
 the ground state.  In the standard theory f is constant during free flight;
 in a linearly modified theory the coherence picks up e^{-lambda_tilde T}
-(conjugate factor on f_ge, populations untouched).  Because the composed
+(conjugate factor on f_ge, populations untouched).  That free flight is the
+d = 2 Lindblad semigroup with H = Im(lt) |e><e| and L = sqrt(2 Re(lt)) |e><e|
+(Re(lt) >= 0 is its complete positivity), and it has no function of its own
+here: tests/test_ramsey.py::test_protocol_is_pulse_engine_flight_pulse checks
+the fringe against pulse -> lindblad.evolve -> pulse.  Because the composed
 excited-state fraction is exactly a single damped fringe in T,
 
     Pb_e(T) = A + e^{-Re(lt) T} [P cos(nu T) + Q sin(nu T)],
@@ -220,34 +224,6 @@ def pulse_closed_form(
     return CoefficientMatrix.from_components((1.0 + z) / 2, f_eg)
 
 
-def free_flight(
-    f_after_pulse: CoefficientMatrix,
-    t_flight: float,
-    lambda_tilde_eg: complex,
-    theory: str,
-) -> CoefficientMatrix:
-    """Segment 2.  Standard theory: f unchanged.  Modified theory: the
-    coherence decays/rotates by e^{-lambda_tilde T} (conjugate factor on
-    f_ge), populations untouched."""
-    if theory not in ("standard", "modified"):
-        raise ValueError(f"unknown theory {theory!r}")
-    if t_flight < 0:
-        raise ValueError("flight time must be nonnegative")
-    if theory == "standard":
-        return CoefficientMatrix(f_after_pulse.f.copy())
-    factor = np.exp(-complex(lambda_tilde_eg) * t_flight)
-    return CoefficientMatrix.from_components(
-        f_after_pulse.f_ee, f_after_pulse.f_eg * factor
-    )
-
-
-def _correction(config: RamseyConfig, theory: str) -> complex:
-    """The free-flight correction rate lambda_tilde_eg under ``theory``."""
-    if theory not in ("standard", "modified"):
-        raise ValueError(f"unknown theory {theory!r}")
-    return config.lambda_tilde_eg if theory == "modified" else 0j
-
-
 def _fringe(config: RamseyConfig, theory: str, dw):
     """Fringe constants (A, P, Q, gamma, nu) at each detuning in ``dw``.
 
@@ -257,7 +233,9 @@ def _fringe(config: RamseyConfig, theory: str, dw):
     is the same rotation R, so f_ee = (1 + R_z . b(T)) / 2 is one damped
     fringe whose constants come from the bottom row of R.
     """
-    lam = _correction(config, theory)
+    if theory not in ("standard", "modified"):
+        raise ValueError(f"unknown theory {theory!r}")
+    lam = config.lambda_tilde_eg if theory == "modified" else 0j
     dw = np.asarray(dw, dtype=float)
     r = _rotation(dw, _rabi(dw, config.u_eg), abs(config.u_eg), config.tau)
     bx, by, bz = -r[..., 0, 2], -r[..., 1, 2], -r[..., 2, 2]
@@ -348,12 +326,6 @@ def protocol(config: RamseyConfig, theory: str = "standard") -> float:
     return float(_fringe_at(*const, config.t_free))
 
 
-def fringe_decomposition(config: RamseyConfig, theory: str):
-    """Exact constants (A, P, Q, gamma, nu) of the composed fringe
-    Pb_e(T) = A + e^{-gamma T} [P cos(nu T) + Q sin(nu T)]."""
-    return tuple(float(c) for c in _fringe(config, theory, derive(config).delta_omega))
-
-
 def gaussian_fraction(
     config: RamseyConfig,
     theory: str = "standard",
@@ -371,33 +343,6 @@ def gaussian_fraction(
     """
     const = _fringe(config, theory, derive(config).delta_omega)
     return float(_transit_average(*const, config.t0, config.sigma, truncate))
-
-
-# ---------------------------------------------------------------------------
-# Regime reference formulas (valid for |U_eg| >> |delta omega|)
-# ---------------------------------------------------------------------------
-
-def _strong_drive_fringe(config: RamseyConfig, theory: str):
-    """Fringe constants in the |dw| << |U| limit: A = P = 1/2 sin^2(2 Omega tau),
-    Q = 0."""
-    der = derive(config)
-    pref = 0.5 * np.sin(2 * der.big_omega * config.tau) ** 2
-    lam = _correction(config, theory)
-    return pref, pref, 0.0, lam.real, der.delta_omega - lam.imag
-
-
-def pb_e_formula(config: RamseyConfig, theory: str = "standard") -> float:
-    """Single-shot fringe formula 1/2 sin^2(2 Omega tau) [1 + e^{-Re(lt) T}
-    cos((dw - Im(lt)) T)]; exact only in the strong-drive regime."""
-    return float(_fringe_at(*_strong_drive_fringe(config, theory), config.t_free))
-
-
-def pb_e_avg_formula(config: RamseyConfig, theory: str = "standard") -> float:
-    """Gaussian-averaged fringe formula: the modified variant carries the
-    damping e^{-Re(lt)(T0 - Re(lt) sigma^2/4)}, the fringe-center shift
-    dw -> dw - Im(lt), and the effective time T0 - Re(lt) sigma^2/2."""
-    const = _strong_drive_fringe(config, theory)
-    return float(_transit_average(*const, config.t0, config.sigma, truncate=False))
 
 
 # ---------------------------------------------------------------------------

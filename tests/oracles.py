@@ -3,7 +3,11 @@
 Fixed-step RK4 integrators for the RWA pulse and for the exact driven
 dynamics, and adaptive quadrature of the Gaussian transit-time average.  The
 quadrature integrand composes the three protocol segments directly on raw
-coefficient values, so it shares no code with the library's fringe constants.
+coefficient values, so it shares no code with the library's fringe constants;
+it takes any other composition of the fraction in its place, such as the one
+whose free flight is evolved by the Lindblad engine.  The strong-drive
+(|dw| << |U|) reference formulas for the single-shot and the Gaussian-averaged
+fringe are written out from their closed forms.
 
 For the generator layer: direct evaluation of L(rho), the generator and
 the GKS maps as explicit loops of Kronecker products, and eigenvalue
@@ -179,13 +183,14 @@ def protocol_at(config, theory, t_flight):
     return float(f_ee)
 
 
-def gaussian_fraction_quadrature(config, theory="standard", truncate=False):
-    """Transit-time average of protocol_at by adaptive quadrature: over the
-    full real line, or with ``truncate`` over [max(T0 - 8 sigma, 0),
-    T0 + 8 sigma] renormalized by the weight inside that window."""
+def gaussian_fraction_quadrature(config, theory="standard", truncate=False, at=protocol_at):
+    """Transit-time average of ``at(config, theory, T)`` (by default
+    protocol_at) by adaptive quadrature: over the full real line, or with
+    ``truncate`` over [max(T0 - 8 sigma, 0), T0 + 8 sigma] renormalized by
+    the weight inside that window."""
     sig = config.sigma
     if sig == 0.0:
-        return protocol_at(config, theory, config.t0)
+        return at(config, theory, config.t0)
     gamma = config.lambda_tilde_eg.real if theory == "modified" else 0.0
     center = config.t0 - gamma * sig**2 / 2  # effective center of the damped term
     lo = min(config.t0, center) - 10 * sig
@@ -202,12 +207,44 @@ def gaussian_fraction_quadrature(config, theory="standard", truncate=False):
 
     def integrand(t):
         w = np.exp(-((t - config.t0) ** 2) / sig**2) / np.sqrt(np.pi * sig**2)
-        return w * protocol_at(config, theory, t)
+        return w * at(config, theory, t)
 
     val, err = quad(integrand, lo, hi, limit=500, epsabs=1e-12, epsrel=1e-12)
     if not np.isfinite(val) or err > 1e-6:
         raise QuadratureFailure(f"quadrature error estimate {err:.3e}")
     return float(val / norm)
+
+
+def _strong_drive_fringe(config, theory):
+    """(prefactor, gamma, nu) of the strong-drive fringe
+    prefactor [1 + e^{-gamma T} cos(nu T)], prefactor = 1/2 sin^2(2 Omega tau),
+    from the config's own numbers."""
+    if theory not in ("standard", "modified"):
+        raise ValueError(f"unknown theory {theory!r}")
+    lam = complex(config.lambda_tilde_eg) if theory == "modified" else 0j
+    dw = config.omega - (config.e_e - config.e_g)
+    big_om = np.sqrt(dw**2 / 4 + abs(config.u_eg) ** 2)
+    return 0.5 * np.sin(2 * big_om * config.tau) ** 2, lam.real, dw - lam.imag
+
+
+def pb_e_formula(config, theory="standard"):
+    """Single-shot fringe formula 1/2 sin^2(2 Omega tau) [1 + e^{-Re(lt) T}
+    cos((dw - Im(lt)) T)]; exact only in the strong-drive regime."""
+    pref, gamma, nu = _strong_drive_fringe(config, theory)
+    t = config.t_free
+    return float(pref * (1 + np.exp(-gamma * t) * np.cos(nu * t)))
+
+
+def pb_e_avg_formula(config, theory="standard"):
+    """Gaussian-averaged fringe formula over the full real line:
+    1/2 sin^2(2 Omega tau) [1 + e^{-Re(lt)(T0 - Re(lt) sigma^2/4) - nu^2 sigma^2/4}
+    cos(nu (T0 - Re(lt) sigma^2/2))], nu = dw - Im(lt): the modified variant
+    carries the damping, the fringe-center shift dw -> dw - Im(lt), and the
+    effective time T0 - Re(lt) sigma^2/2."""
+    pref, gamma, nu = _strong_drive_fringe(config, theory)
+    t0, sig2 = config.t0, config.sigma**2
+    damping = np.exp(-gamma * (t0 - gamma * sig2 / 4) - nu**2 * sig2 / 4)
+    return float(pref * (1 + damping * np.cos(nu * (t0 - gamma * sig2 / 2))))
 
 
 def apply_generator(model, rho):

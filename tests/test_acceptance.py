@@ -45,8 +45,7 @@ from lindkit import (
     vn_entropy,
 )
 from lindkit.channels import extract_generator
-from lindkit.ramsey import pb_e_formula
-from oracles import full_ode, gaussian_fraction_quadrature, rwa_ode
+from oracles import full_ode, gaussian_fraction_quadrature, pb_e_formula, rwa_ode
 
 E_G, E_E = 0.0, 100.0
 W0 = E_E - E_G

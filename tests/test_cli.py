@@ -1,6 +1,11 @@
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
+import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +83,30 @@ def test_validate_config_reads_ramsey_scans_default_config(tmp_path):
     assert sorted(doc) == ["fig1", "fig2"]
     with pytest.raises(cli.ConfigParse):
         cli.validate_config("fig-both", "ramsey-point")
+
+
+def test_bundled_configs_are_read_from_the_package_that_runs(tmp_path, capsys):
+    # a copy of the package imported under another name, as
+    # tools/evolve_sweep.py imports each checkout, reads its own configs
+    pkg = tmp_path / "lindkit_alt"
+    shutil.copytree(Path(cli.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    fig2 = pkg / "configs" / "fig2.json"
+    doc = json.loads(fig2.read_text())
+    doc["ramsey"]["t_free"] += 1.0
+    fig2.write_text(json.dumps(doc))
+    spec = importlib.util.spec_from_file_location(
+        "lindkit_alt", pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["lindkit_alt"] = module
+        spec.loader.exec_module(module)
+        alt = importlib.import_module("lindkit_alt.cli")
+        assert alt.main(["ramsey-point", "--config", "fig2"]) == 0
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "lindkit_alt"]:
+            del sys.modules[name]
+    assert json.loads(capsys.readouterr().out)["config"] == doc
 
 
 def test_json_record_structure(tmp_path):

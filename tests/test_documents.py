@@ -1,14 +1,19 @@
 """Each JSON document has one strict reader, on the type that writes it:
 a malformed document raises ConfigParse naming its key, and a document
 written by ``to_json`` (``to_dict`` for a Ramsey config) reads back with
-every bit of its arrays, the sign of a zero included."""
+every bit of its arrays, the sign of a zero included.  The names the
+package exports are pinned here too."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lindkit
 from conftest import SM, SX
 from lindkit import (GKSForm, Kernel, LindbladModel, RamseyConfig, build_superoperator,
                      gks_project, kernel_from_generator)
@@ -143,3 +148,32 @@ def test_ramsey_config_round_trips_every_bit(e_g, gap, u, omega, times, lam):
     back = RamseyConfig.from_dict(json.loads(json.dumps(doc))).to_dict()
     assert back.keys() == doc.keys()
     assert _bits(list(back.values())) == _bits(list(doc.values()))
+
+
+# the names ``import lindkit`` binds: its submodules, and the types and
+# functions the package exports
+PUBLIC_NAMES = [
+    "ChainSpectrum", "ChoiSpectrum", "CoefficientMatrix", "DecayMatrix", "DensityMatrix",
+    "GKSForm", "Kernel", "LindbladModel", "MeasurementModel", "PerturbationResult",
+    "ProjectorBasis", "RamseyConfig", "RamseyDerived", "ScanResult", "SuperopSpectrum",
+    "bfr_derivative_check", "born_collapse", "born_limit_check", "build_superoperator",
+    "channels", "choi_cp_test", "decay_matrix", "derive", "diagonal_solution",
+    "entropy_rate", "entropy_rates", "errors", "evolve", "evolve_many", "evolve_stencil",
+    "expectation", "expm", "extract_generator", "first_order", "gaussian_fraction",
+    "general_eig", "gks_build", "gks_project", "herm_eig", "kernel_from_generator",
+    "kernel_from_unitary_ensemble", "kernel_spectrum", "lindblad", "matcore",
+    "measurement_model", "mixture", "perturb", "protocol", "pulse_closed_form", "quantum",
+    "ramsey", "records", "scan", "spectrum", "unvec", "vec", "vn_entropies", "vn_entropy",
+]
+
+
+def test_public_names_are_pinned():
+    # a fresh interpreter, since importing ``lindkit.cli`` here binds ``cli``
+    # too; a name added for tests alone shows up as a difference
+    src = os.path.dirname(os.path.dirname(lindkit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import lindkit; print('\\n'.join(sorted(n for n in dir(lindkit) if n[0] != '_')))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 58

@@ -23,7 +23,6 @@ from lindkit.matcore import (
     general_eig,
     hermiticity_defect,
     herm_eig,
-    kron,
     unvec,
     vec,
 )
@@ -98,15 +97,12 @@ _HUGE_NOT_HERMITIAN = [np.array([[0.5, big], [0.0, -0.5]]) for big in (1e300, 1.
     (herm_eig, errors.NotHermitian, True),
     (lambda m: quantum.expectation(quantum.DensityMatrix.maximally_mixed(2), m),
      errors.NotHermitian, False),
-    (lambda m: quantum.unitary_step(quantum.DensityMatrix.maximally_mixed(2), m, 0.1),
-     errors.NotHermitian, False),
     (lambda m: first_order(np.eye(2), m), errors.NotHermitian, False),
     (lambda m: GKSForm(2, m, np.eye(3)), errors.NotHermitian, False),
     # -i[m, .] preserves the trace but, m not being Hermitian, not Hermiticity
     (lambda m: gks_project(-1j * (np.kron(m, np.eye(2)) - np.kron(np.eye(2), m.T))),
      errors.NotHermitianKernel, True),
-], ids=["model", "herm_eig", "expectation", "unitary_step", "first_order", "gks",
-        "gks_project"])
+], ids=["model", "herm_eig", "expectation", "first_order", "gks", "gks_project"])
 def test_hermiticity_checks_hold_where_norms_overflow(m, check, error, reports_defect):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -508,17 +504,17 @@ class TestTaylorPlan:
 
 class TestKronVec:
     def test_kron_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_mixed_product(self, rng):
         a, b, x, y = (random_matrix(rng, 2) for _ in range(4))
-        lhs = kron(a, b) @ kron(x, y)
-        rhs = kron(a @ x, b @ y)
+        lhs = np.kron(a, b) @ np.kron(x, y)
+        rhs = np.kron(a @ x, b @ y)
         assert np.linalg.norm(lhs - rhs) < 1e-13
 
     def test_trace_factorization(self, rng):
         a, b = random_matrix(rng, 3), random_matrix(rng, 3)
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
+        assert abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
 
     def test_vec_ordering(self):
         m = np.array([[1, 2], [3, 4]])
@@ -531,7 +527,7 @@ class TestKronVec:
     def test_vec_of_product_identity(self, rng):
         a, x, b = (random_matrix(rng, 3) for _ in range(3))
         lhs = vec(a @ x @ b)
-        rhs = kron(a, b.T) @ vec(x)
+        rhs = np.kron(a, b.T) @ vec(x)
         assert np.linalg.norm(lhs - rhs) < 1e-13
 
     def test_dimension_mismatch(self):

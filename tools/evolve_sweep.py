@@ -85,9 +85,10 @@ def stencil(lk, model, rho0, times, eps=1e-5):
 
 
 def run_cli(cli, argv: list) -> int:
-    """``cli.main(argv)`` with its stdout written to memory.  The command
-    line finds a bundled config in the package named ``lindkit``, so that
-    name is bound to the checkout of ``cli`` first."""
+    """``cli.main(argv)`` with its stdout written to memory.  An older
+    checkout's command line finds a bundled config in the package named
+    ``lindkit``, not in its own, so that name is bound to the checkout of
+    ``cli`` first."""
     sys.modules["lindkit"] = sys.modules[cli.__package__]
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(argv)
