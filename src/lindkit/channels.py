@@ -56,6 +56,9 @@ TOL_KERNEL = 1e-10
 TOL_GENERATOR_TRACE = 1e-8
 TOL_OPERATOR = 1e-12  # Choi and c-matrix eigenvalues at or below it give no operator
 MAX_RESAMPLE = 50
+# the least d whose dense generator kernel_from_generator exponentiates as
+# the real V^dag L V (tools/evolve_sweep.py, case "kernel")
+REAL_KERNEL_MIN_DIM = 6
 # the constant entries of the kernel and GKS JSON: the schema, and the
 # conventions above as each document declares them
 KERNEL_CONSTANTS = {
@@ -151,10 +154,47 @@ class Kernel:
 
 
 def kernel_from_generator(generator: np.ndarray, tau: float) -> Kernel:
-    """exp(tau * L) wrapped as a Kernel."""
+    """exp(tau * L) wrapped as a Kernel.
+
+    A Hermiticity-preserving L is the real matrix R = V^dag L V in the
+    orthonormal Hermitian basis V = [vec(I/sqrt(d)), vec(F_m)]
+    (:func:`_vec_basis`), so for a dense L of d >= REAL_KERNEL_MIN_DIM the
+    kernel is I + V (exp(tau R) - I) V^dag, with exp(tau R) a real Pade
+    (:func:`matcore.expm`).  That kernel preserves Hermiticity by
+    construction, so L is checked instead, by the test a Kernel applies to
+    its own matrix: NotHermitianKernel is raised when reshuffle(L) is not
+    Hermitian within TOL_KERNEL, and Overflow when an entry of V^dag L V is
+    not finite (tested first, so that no overflow reads as a defect) or when
+    ||tau R||_1 exceeds matcore.EXPM_NORM_BOUND, as for a Hermiticity-
+    preserving L scaled by 1e300.  Written as I plus a correction, K is
+    exactly the identity at tau = 0.
+
+    Two kinds of L take exp(tau L) in complex arithmetic, as a matcore.expm
+    of L itself, whose bound is then on ||tau L||_1: an L with no
+    off-diagonal entry, which scipy exponentiates entry by entry, and an L
+    of d < REAL_KERNEL_MIN_DIM, where the real path's fixed cost exceeds
+    what its smaller exponential saves.  A zero L is of the first kind, and
+    its kernel is exactly the identity.
+    """
     gen = matcore.as_square_matrix(generator)
-    d = int(round(np.sqrt(gen.shape[0])))
-    return Kernel(d, tau, matcore.expm(gen, tau))
+    n = gen.shape[0]
+    d = int(round(np.sqrt(n)))
+    # row k of the (n - 1, n + 1) view holds the n entries between diagonal
+    # entries k and k + 1, and diagonal entry k + 1
+    if (d < REAL_KERNEL_MIN_DIM or d * d != n
+            or not gen.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any()):
+        return Kernel(d, tau, matcore.expm(gen, tau))
+    v = _vec_basis(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = v.conj().T @ gen @ v
+    if not np.isfinite(q).all():
+        raise Overflow("generator entries in the Hermitian basis overflow double precision")
+    c = reshuffle(gen, d)
+    if not matcore._is_hermitian(c, TOL_KERNEL):
+        raise NotHermitianKernel(
+            f"generator does not preserve Hermiticity ({matcore._defect_text(c)})")
+    step = matcore.expm(q.real, tau) - np.eye(n)
+    return Kernel(d, tau, np.eye(n) + v @ step @ v.conj().T)
 
 
 @dataclass

@@ -19,7 +19,7 @@ import pytest
 import scipy.linalg
 
 from conftest import (SM, random_density, random_hermitian, random_lindblad_model,
-                      random_matrix)
+                      random_matrix, random_measurement_model)
 from lindkit import (DensityMatrix, GKSForm, LindbladModel, ProjectorBasis,
                      bfr_derivative_check, build_superoperator,
                      channels, choi_cp_test, cli, first_order, gks_build, kernel_from_generator,
@@ -81,6 +81,38 @@ def test_spectrum_decomposes_a_real_matrix(monkeypatch, rng):
     monkeypatch.setattr(np.linalg, "eig", recording_eig)
     spectrum(random_lindblad_model(rng, 3))
     assert dtypes == [np.float64]
+
+
+def test_dense_kernel_exponentiates_a_real_matrix(monkeypatch, rng):
+    # the real R = V^dag L V for a dense generator at d = 6; a generator
+    # without off-diagonal entries keeps scipy's entrywise complex branch
+    dtypes = []
+    real_expm = scipy.linalg.expm
+
+    def recording_expm(a):
+        dtypes.append(np.asarray(a).dtype)
+        return real_expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
+    model = random_measurement_model(rng, 6)
+    kernel_from_generator(build_superoperator(model), 0.5)
+    diagonal = LindbladModel(6, np.diag(model.h_coeffs).astype(complex),
+                             [np.diag(row) for row in model.l_coeffs])
+    kernel_from_generator(build_superoperator(diagonal), 0.5)
+    assert dtypes == [np.float64, np.complex128]
+
+
+def test_degenerate_cluster_takes_one_svd(monkeypatch, rng):
+    # a measurement model's d stationary modes are one cluster: one SVD of
+    # R - mu I gives ||R - mu I||_2 and its null space, and one more is the
+    # span test
+    model = random_measurement_model(rng, 4)
+    r = lindblad._hermitian_generator(model)
+    tol = matcore.TOL_CLUSTER_REL * max(1.0, np.linalg.norm(r, 2))  # as spectrum's
+    calls = _count(monkeypatch, _LINALG, "svd")
+    cs = general_eig(r, tol_cluster=tol)
+    assert sorted(cs.multiplicities)[-1] == 4 and cs.multiplicities.count(1) == 12
+    assert len(calls) == 2
 
 
 def test_gks_build_kron_calls_do_not_grow_with_d(monkeypatch, rng):

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +17,10 @@ from conftest import (
 from lindkit import (
     GKSForm,
     Kernel,
+    LindbladModel,
     bfr_derivative_check,
     build_superoperator,
+    channels,
     choi_cp_test,
     errors,
     gks_build,
@@ -211,6 +216,76 @@ class TestSemigroup:
         gen = build_superoperator(random_lindblad_model(rng, 2))
         k = kernel_from_generator(gen, 1e-6)
         assert np.linalg.norm(k.matrix - np.eye(4)) < 1e-4
+
+
+def _generator(seed, d):
+    return build_superoperator(random_lindblad_model(np.random.default_rng(seed), d))
+
+
+def _max_relative(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), s=st.floats(0.0, 2.0),
+       t=st.floats(0.0, 2.0))
+def test_kernel_is_the_exponential_and_a_semigroup(d, seed, s, t):
+    # d on either side of REAL_KERNEL_MIN_DIM, where a dense generator is
+    # exponentiated as the real V^dag L V or as L itself
+    gen = _generator(seed, d)
+    ks, kt = (kernel_from_generator(gen, tau).matrix for tau in (s, t))
+    assert _max_relative(kt, scipy.linalg.expm(t * gen)) <= 1e-13
+    assert _max_relative(ks @ kt, kernel_from_generator(gen, s + t).matrix) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, channels.REAL_KERNEL_MIN_DIM, 8])
+def test_kernel_of_a_zero_generator_or_at_tau_zero_is_the_identity(d):
+    assert np.array_equal(kernel_from_generator(_generator(d, d), 0.0).matrix, np.eye(d * d))
+    zero = np.zeros((d * d, d * d))
+    assert np.array_equal(kernel_from_generator(zero, 0.7).matrix, np.eye(d * d))
+
+
+@pytest.mark.parametrize("factor, inside", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("d", [channels.REAL_KERNEL_MIN_DIM, 8])
+def test_kernel_needs_a_hermiticity_preserving_generator(d, factor, inside):
+    # an imaginary entry eps off the trace row of q = V^dag L V, so L stays
+    # trace preserving: reshuffle(L) gains the anti-Hermitian part of
+    # Frobenius norm 2 eps, set to factor times the Kernel's tolerance
+    # TOL_KERNEL max(1, ||reshuffle(L)||_F)
+    gen = _generator(d, d)
+    v = channels._vec_basis(d)
+    q = v.conj().T @ gen @ v
+    q[2, 1] += 0.5j * factor * channels.TOL_KERNEL * max(1.0, np.linalg.norm(gen))
+    skewed = v @ q @ v.conj().T
+    if inside:
+        got = kernel_from_generator(skewed, 0.6).matrix
+        assert _max_relative(got, kernel_from_generator(gen, 0.6).matrix) <= 1e-13
+    else:
+        with pytest.raises(errors.NotHermitianKernel, match="does not preserve Hermiticity"):
+            kernel_from_generator(skewed, 0.6)
+
+
+@pytest.mark.parametrize("d", [2, channels.REAL_KERNEL_MIN_DIM, 8])
+def test_kernel_of_a_huge_generator_is_overflow(d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.Overflow):
+            kernel_from_generator(1e300 * _generator(d, d), 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 4, channels.REAL_KERNEL_MIN_DIM - 1, 8, 12])
+def test_kernels_of_diagonal_and_small_generators_are_the_complex_exponential(d):
+    # a generator without off-diagonal entries (a measurement model in the
+    # computational basis), and a dense one below REAL_KERNEL_MIN_DIM, keep
+    # the bits of scipy's complex expm of tau L
+    rng = np.random.default_rng(d)
+    l = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+    diagonal = build_superoperator(LindbladModel(
+        d, np.diag(rng.standard_normal(d)), [np.diag(row) for row in l]))
+    gens = [diagonal] + ([_generator(d, d)] if d < channels.REAL_KERNEL_MIN_DIM else [])
+    for gen in gens:
+        got = kernel_from_generator(gen, 0.4).matrix
+        assert got.tobytes() == scipy.linalg.expm(0.4 * gen).tobytes()
 
 
 class TestGellmann:

@@ -208,6 +208,19 @@ class TestGeneralEig:
                 for lo, hi in zip(chain, chain[1:]):
                     assert np.linalg.norm(b @ hi - lo) < 1e-6
 
+    @pytest.mark.parametrize("c", [1.0, 1e-9, 1e-12])
+    def test_jordan_block_of_any_size_keeps_its_chain(self, c):
+        # an exactly degenerate cluster has no spread to forgive, whatever
+        # ||A|| is
+        assert general_eig(c * np.array([[0.0, 1.0], [0.0, 0.0]])).lengths == [[2]]
+
+    def test_neighbour_outside_the_cluster_stays_out(self):
+        # 1 + 2.5e-8 lies outside the tolerance 1e-8 of the double 1, and out
+        # of the double's null space
+        cs = general_eig(np.diag([1.0, 1.0, 1.0 + 2.5e-8, -1.0]))
+        assert cs.eigenvalues == [-1.0, 1.0, 1.0 + 2.5e-8]
+        assert cs.lengths == [[1], [1, 1], [1]]
+
     def test_ill_conditioned_cluster_fails_loudly(self):
         # forcing two genuinely distinct eigenvalues into one cluster leaves
         # the generalized null space short of the algebraic multiplicity;

@@ -1,6 +1,6 @@
-"""Time lindblad.evolve_many, spectrum, build_superoperator and the
-lindblad-evolve and entropy-check commands of several lindkit checkouts in
-one process.
+"""Time lindblad.evolve_many, spectrum, build_superoperator,
+channels.kernel_from_generator and the lindblad-evolve and entropy-check
+commands of several lindkit checkouts in one process.
 
     python3 tools/evolve_sweep.py --src ../parent/src --src src
 
@@ -23,11 +23,16 @@ with the 50-point grid run through the command line in-process (cases
 for lindblad-evolve and entropy-check, each record written to memory).
 Case "scan-cli", with d null, runs the default ``ramsey-scan`` (the bundled
 fig-both config: 2 x 401 fringe rows) through ``cli.main`` once per round,
-not once per d.  A round times, for every (d, case), REPEAT calls of each
-checkout in turn and keeps each one's best; the checkouts take turns going
-first from round to round.  After ROUNDS rounds the tool prints one JSON
-line per (d, case): each checkout's median and quartiles over the rounds,
-and in how many rounds it was faster than the first ``--src``.  Timing
+not once per d.  Case "kernel" takes channels.kernel_from_generator of the
+generator at tau = KERNEL_TAU, and case "kernel-diagonal" that of the model
+with only the diagonals of the same H and operators, whose generator has no
+off-diagonal entry; d = 5 and 6 in DIMS bracket the least d at which the
+kernel of a dense generator is taken in real arithmetic.  A round times,
+for every (d, case), REPEAT calls of each checkout in turn and keeps each
+one's best; the checkouts take turns going first from round to round.
+After ROUNDS rounds the tool prints one JSON line per (d, case): each
+checkout's median and quartiles over the rounds, and in how many rounds it
+was faster than the first ``--src``.  Timing
 separate runs of one checkout after another drifted by about +-30 % on a
 2-core host; rounds that interleave the checkouts share that drift.
 """
@@ -49,7 +54,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pins)
 
-DIMS = (2, 4, 8, 12, 16, 24)
+DIMS = (2, 4, 5, 6, 8, 12, 16, 24)
+KERNEL_TAU = 0.5
 REPEAT = 3
 ROUNDS = 11
 SEED = 7
@@ -111,6 +117,16 @@ def main() -> None:
                 s = d * d / float(np.linalg.norm(lk.lindblad.build_superoperator(model), 1))
                 model = lk.lindblad.LindbladModel(d, s * h, [np.sqrt(s) * op for op in ops])
                 models.append((lk, model, lk.quantum.DensityMatrix.from_matrix(rho)))
+            for name, diagonal in (("kernel", False), ("kernel-diagonal", True)):
+                calls = []
+                for lk, model, _ in models:
+                    if diagonal:
+                        model = lk.lindblad.LindbladModel(
+                            d, np.diag(np.diag(model.hamiltonian)),
+                            [np.diag(np.diag(op)) for op in model.lindblads])
+                    gen = lk.lindblad.build_superoperator(model)
+                    calls.append(partial(lk.channels.kernel_from_generator, gen, KERNEL_TAU))
+                work.append((d, name, calls))
             for name, grid in grids.items():
                 work.append((d, name, [partial(lk.lindblad.evolve_many, model, rho0, grid)
                                        for lk, model, rho0 in models]))
