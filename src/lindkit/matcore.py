@@ -13,6 +13,10 @@ vector.  With this ordering,
 
 which is the identity every superoperator construction in the package relies
 on.  All operations are pure functions on immutable inputs.
+
+Everything here is numpy except the dense :func:`expm`, which imports
+scipy.linalg on its first call, so that a process that never exponentiates
+a dense matrix never loads scipy.
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -125,21 +128,32 @@ def herm_eig(m):
     return vals, vecs
 
 
+def _check_expm_norm(nrm: float) -> None:
+    """Raise Overflow if nrm = ||t*m||_1 exceeds EXPM_NORM_BOUND."""
+    if nrm > EXPM_NORM_BOUND:
+        raise Overflow(f"||t*m||_1 = {nrm:.3e} exceeds bound {EXPM_NORM_BOUND:.3e}")
+
+
 def expm(m, t: float = 1.0) -> np.ndarray:
-    """exp(t*m) by scaling-and-squaring (scipy Pade core).
+    """exp(t*m) by scaling-and-squaring: ``scipy.linalg.expm``'s Pade core.
 
     A real ``m`` gives a real result, from scipy's real arithmetic.
     exp(0*m) is the identity exactly.  Raises Overflow if ||t*m||_1 exceeds
     EXPM_NORM_BOUND; beyond that scale the double-precision result is garbage
     anyway.
+
+    scipy.linalg is imported here, on the first call that reaches it, not
+    with this module: its import (about 0.3 s on a 2-core Xeon) is most of a
+    fresh CLI call's start-up, and only the commands that take a dense
+    exponential pay it.
     """
     a = _as_square_of_kind(m)
     if t == 0.0:
         return np.eye(a.shape[0], dtype=a.dtype)
     scaled = t * a
-    nrm = float(np.linalg.norm(scaled, 1))
-    if nrm > EXPM_NORM_BOUND:
-        raise Overflow(f"||t*m||_1 = {nrm:.3e} exceeds bound {EXPM_NORM_BOUND:.3e}")
+    _check_expm_norm(float(np.linalg.norm(scaled, 1)))
+    import scipy.linalg
+
     return scipy.linalg.expm(scaled)
 
 
@@ -305,9 +319,7 @@ def _step_actions(a: np.ndarray, steps, norm1: float, probe: float = 0.0) -> tup
     Without a probe, a single step is :func:`expm_action` itself, planned
     when it is taken, and the probe actions are None.
     """
-    if probe * norm1 > EXPM_NORM_BOUND:
-        raise Overflow(f"||t*m||_1 = {probe * norm1:.3e} exceeds bound "
-                       f"{EXPM_NORM_BOUND:.3e}")
+    _check_expm_norm(probe * norm1)
     if len(steps) < 2 and not probe:
         return {dt: partial(expm_action, a, dt, norm1=norm1)
                 for dt in np.asarray(steps, dtype=float).tolist()}, None

@@ -33,7 +33,9 @@ every quantity here is derived from those five constants, evaluated as arrays
 over the detuning grid: the single-shot fraction is the fringe at t_free, and
 the Gaussian transit-time average has an exact closed form, over the full
 real line (a Gaussian integral) or over the physical T >= 0 window (the same
-integral minus two bounded Faddeeva-function tails).
+integral minus two bounded Faddeeva-function tails).  That truncated
+average, through scipy.special's erf and wofz, is the module's one use of
+scipy, which it imports on first use.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from . import records
 from .errors import Overflow, UnphysicalAverage
@@ -282,6 +283,9 @@ def _transit_average(a, p, q, gamma, nu, t0, sig, truncate):
                 "(CLI: --truncate-gaussian) for the physical T >= 0 average"
             )
         return avg
+
+    # imported on first use, not with the module: see the module docstring
+    from scipy import special
 
     if t0 - 8 * sig < 0.0:
         warnings.warn(

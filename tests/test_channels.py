@@ -28,6 +28,7 @@ from lindkit import (
     kernel_from_generator,
     kernel_from_unitary_ensemble,
     kernel_spectrum,
+    matcore,
 )
 from lindkit.channels import (
     extract_generator,
@@ -286,6 +287,20 @@ def test_kernels_of_diagonal_and_small_generators_are_the_complex_exponential(d)
     for gen in gens:
         got = kernel_from_generator(gen, 0.4).matrix
         assert got.tobytes() == scipy.linalg.expm(0.4 * gen).tobytes()
+
+
+def test_diagonal_generator_kernels_keep_the_identity_and_the_norm_bound():
+    # the entrywise exponential of a diagonal L is exactly I at tau = 0,
+    # and refuses ||tau L||_1 past the bound with matcore.expm's Overflow
+    gen = build_superoperator(LindbladModel(
+        3, np.diag([0.5, -1.0, 2.0]), [np.diag([1.0, 0.3j, -2.0])]))
+    assert kernel_from_generator(gen, 0.0).matrix.tobytes() == np.eye(9, dtype=complex).tobytes()
+    tau = 2 * matcore.EXPM_NORM_BOUND / np.abs(np.diagonal(gen)).max()
+    with pytest.raises(errors.Overflow) as diagonal:
+        kernel_from_generator(gen, tau)
+    with pytest.raises(errors.Overflow) as dense:
+        matcore.expm(gen, tau)
+    assert str(diagonal.value) == str(dense.value)
 
 
 class TestGellmann:

@@ -8,10 +8,15 @@ sha256 of its stdout and of its stderr.  The cases are:
 
 - the 8 subcommands on their default configs as JSON, and the 3 CSV-capable
   ones (ramsey-scan, lindblad-spectrum, entropy-check) as CSV;
+- ramsey-scan and ramsey-point on their default configs with each
+  ``--theory`` (standard, modified), each with and without
+  ``--truncate-gaussian``;
 - single-key mutations of each bundled config, run by the subcommand that
   reads it: every object key and the first entry of every list set to each
   of VALUES in turn, every object key removed, and an unknown key added to
-  every object.
+  every object.  The two Ramsey subcommands run each of their cases, and
+  their default-config cases, both as they are and with
+  ``--truncate-gaussian``, the transit-time average over T >= 0 only.
 
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
@@ -39,8 +44,17 @@ CONFIGS = [
     ("cp-check", "kernel-transpose"), ("entropy-check", "model-qubit"),
     ("extract-generator", "model-qubit"),
 ]
-VALUES = [None, True, "x", "1", 2.5, 0, -1, 1e300, float("nan"), 10**400, [], [1.0], {}]
+VALUES = [None, True, "x", "1", 2.5, 3.0, 0, -1, 1e300, float("nan"), 10**400, [], [1.0], {}]
 CSV_COMMANDS = ("ramsey-scan", "lindblad-spectrum", "entropy-check")
+
+
+def _flag_sets(command):
+    """The flags each case of ``command`` runs under, in turn."""
+    return [[], ["--truncate-gaussian"]] if command.startswith("ramsey") else [[]]
+
+
+def _named(name, flags):
+    return " ".join([name, *flags])
 
 
 def _paths(doc, prefix=()):
@@ -77,25 +91,39 @@ def _cases(cli):
     """(case name, argv, config document or None, top-level key changed) of
     every case."""
     for command in cli._COMMANDS:
-        yield f"default {command} json", [command], None, "-"
+        for flags in _flag_sets(command):
+            yield _named(f"default {command} json", flags), [command, *flags], None, "-"
+            if command.startswith("ramsey"):
+                for theory in cli._THEORIES:
+                    argv = [command, "--theory", theory, *flags]
+                    yield _named(f"default {command} json", argv[1:]), argv, None, "-"
     for command in CSV_COMMANDS:
-        yield f"default {command} csv", [command, "--format", "csv"], None, "-"
+        for flags in _flag_sets(command):
+            yield (_named(f"default {command} csv", flags),
+                   [command, "--format", "csv", *flags], None, "-")
     for command, name in CONFIGS:
-        base = json.loads(cli.bundled_config_path(name).read_text())
-        for path in _paths(base):
-            for value in VALUES:
-                doc = json.loads(json.dumps(base))
-                _at(doc, path[:-1])[path[-1]] = value
-                yield f"{command} {name} {list(path)} = {value!r}", [command], doc, path[0]
-            if isinstance(path[-1], str):
-                doc = json.loads(json.dumps(base))
-                del _at(doc, path[:-1])[path[-1]]
-                yield f"{command} {name} {list(path)} removed", [command], doc, path[0]
-        for path in _objects(base):
+        for flags in _flag_sets(command):
+            for case, doc, key in _mutations(name, cli):
+                yield _named(f"{command} {name} {case}", flags), [command, *flags], doc, key
+
+
+def _mutations(name, cli):
+    """(case name, config document, top-level key changed) of every single-key
+    mutation of the bundled config ``name``."""
+    base = json.loads(cli.bundled_config_path(name).read_text())
+    for path in _paths(base):
+        for value in VALUES:
             doc = json.loads(json.dumps(base))
-            _at(doc, path)["unknown_key"] = 1.0
-            yield (f"{command} {name} {list(path)} + unknown_key", [command], doc,
-                   path[0] if path else "unknown_key")
+            _at(doc, path[:-1])[path[-1]] = value
+            yield f"{list(path)} = {value!r}", doc, path[0]
+        if isinstance(path[-1], str):
+            doc = json.loads(json.dumps(base))
+            del _at(doc, path[:-1])[path[-1]]
+            yield f"{list(path)} removed", doc, path[0]
+    for path in _objects(base):
+        doc = json.loads(json.dumps(base))
+        _at(doc, path)["unknown_key"] = 1.0
+        yield f"{list(path)} + unknown_key", doc, path[0] if path else "unknown_key"
 
 
 def _error(text: str):
