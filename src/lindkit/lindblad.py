@@ -39,6 +39,8 @@ MODEL_SCHEMA = "lindkit.model/1"
 BALANCE_TOL = 1e-10
 STATIONARY_TOL_REL = 1e-9
 CLASS_TOL = 1e-10
+# a mode's class, indexed by (Re mu >= -tol) + (Re mu > tol)
+_CLASSES = ("forbidden", "stationary", "decaying")
 
 
 @dataclass
@@ -202,9 +204,9 @@ def spectrum(model: LindbladModel) -> SuperopSpectrum:
     lengths = [p for per_eig in in_r.lengths for p in per_eig]
     mus = -np.repeat(chains.eigenvalues, [len(per_eig) for per_eig in in_r.lengths])
     heads = rows if len(lengths) == len(rows) else rows[np.cumsum([0, *lengths[:-1]])]
-    classes = np.select([mus.real > tol, mus.real >= -tol], ["decaying", "stationary"],
-                        "forbidden")
-    return SuperopSpectrum(mus, heads.reshape(-1, model.dim, model.dim), classes.tolist(),
+    classes = map(_CLASSES.__getitem__,
+                  np.add(mus.real >= -tol, mus.real > tol, dtype=int).tolist())
+    return SuperopSpectrum(mus, heads.reshape(-1, model.dim, model.dim), list(classes),
                            chains, tol)
 
 

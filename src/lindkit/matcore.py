@@ -44,28 +44,32 @@ def as_square_matrix(m) -> np.ndarray:
     return _checked_square(np.asarray(m, dtype=complex))
 
 
-def _as_square_of_kind(m) -> np.ndarray:
-    """:func:`as_square_matrix` of ``m``, real when ``m`` is real.  A real
-    ``m`` is checked as a float array, not copied into a complex one: with
-    that copy, :func:`expm` of a real 144 x 144 matrix took 4.1 ms instead
-    of 2.8 ms (2-core Xeon)."""
-    return _checked_square(np.asarray(m, dtype=complex if np.iscomplexobj(m) else float))
+def _of_kind(m) -> np.ndarray:
+    """``m`` as a complex array, or as a float array when ``m`` is real.  A
+    real ``m`` is not copied into a complex one: with that copy,
+    :func:`expm` of a real 144 x 144 matrix took 4.1 ms instead of 2.8 ms
+    (2-core Xeon)."""
+    return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
 
 
 def _checked_square(a: np.ndarray) -> np.ndarray:
+    _checked_shape(a)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _checked_shape(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise DimensionMismatch("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
     return a
 
 
 def hermiticity_defect(m):
     """||m - m^dag||_F: a float for a matrix, an array for a stack (..., d, d)."""
-    a = np.asarray(m)
-    defect = np.linalg.norm(a - np.swapaxes(a, -1, -2).conj(), axis=(-2, -1))
+    defect = _frobenius(_anti(np.asarray(m)))
     return defect if defect.ndim else float(defect)
 
 
@@ -85,17 +89,43 @@ def _unit_scaled(m):
     return a * unit[..., None, None], unit
 
 
+def _frobenius(a: np.ndarray):
+    """||a||_F over the last two axes, by ``np.linalg.norm``'s own formula
+    (so with its bits), without its Python-level argument handling."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+
+
+def _anti(a: np.ndarray) -> np.ndarray:
+    """a - a^dag for a matrix or a stack (..., d, d)."""
+    return a - a.swapaxes(-1, -2).conj()
+
+
 def _is_hermitian(m, tol: float, unit: float = 1.0):
-    """||m - m^dag||_F <= tol * max(1, ||m||_F), both norms taken of
-    :func:`_unit_scaled` m: the verdict is the unscaled one wherever that
-    one's norms are finite, and entries near the end of the double range,
-    whose norms overflow, still get a verdict.  A bool for a matrix, a bool
-    array for a stack (..., d, d).  A given ``unit`` (a power of two) means
-    ``m`` is the matrix of interest already scaled by it.
+    """||m - m^dag||_F <= tol * max(1, ||m||_F).  A bool for a matrix, a
+    bool array for a stack (..., d, d).  A given ``unit`` (a power of two)
+    means ``m`` is the matrix of interest already scaled by it.
+
+    Both norms are first taken of m as it stands.  Only where one of them
+    is not finite (squares beyond the double range, or a NaN or
+    infinite entry) is the test taken again on :func:`_unit_scaled` m.
+    Power-of-two scaling is exact, so the verdict is the unscaled one
+    wherever that one's norms are finite, and entries near the end of the
+    double range, whose norms overflow, still get a verdict.  A matrix with
+    a NaN or infinite entry is not Hermitian, and raises no warning.
     """
-    a, scale = _unit_scaled(m)
-    ok = hermiticity_defect(a) <= tol * np.maximum(unit * scale,
-                                                   np.linalg.norm(a, axis=(-2, -1)))
+    a = np.asarray(m)
+    if a.dtype.kind not in "fc":
+        a = a.astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect, size = _frobenius(_anti(a)), _frobenius(a)
+        if a.ndim == 2:  # as Python floats: a bool and no numpy call to compare
+            defect, size = float(defect), float(size)
+            if math.isfinite(defect + size):
+                return defect <= tol * max(unit, size)
+        elif np.isfinite(defect + size).all():
+            return defect <= tol * np.maximum(unit, size)
+        a, scale = _unit_scaled(a)
+        ok = _frobenius(_anti(a)) <= tol * np.maximum(unit * scale, _frobenius(a))
     return ok if ok.ndim else bool(ok)
 
 
@@ -146,12 +176,23 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     with this module: its import (about 0.3 s on a 2-core Xeon) is most of a
     fresh CLI call's start-up, and only the commands that take a dense
     exponential pay it.
+
+    A non-finite entry of ``m`` raises ValueError.  Such an entry makes
+    ||t*m||_1 non-finite, so the entries are scanned only when that norm is
+    (or at t = 0): a finite ``m`` whose t*m overflows raises Overflow.
+    Neither raises a warning first.
     """
-    a = _as_square_of_kind(m)
+    a = _checked_shape(_of_kind(m))
     if t == 0.0:
-        return np.eye(a.shape[0], dtype=a.dtype)
-    scaled = t * a
-    _check_expm_norm(float(np.linalg.norm(scaled, 1)))
+        return np.eye(_checked_square(a).shape[0], dtype=a.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = t * a
+        # np.linalg.norm(scaled, 1)'s own formula, without its Python wrappers
+        nrm = float(np.maximum.reduce(np.add.reduce(np.abs(scaled), axis=0)))
+    if not math.isfinite(nrm):
+        _checked_square(a)
+        nrm = math.inf  # t * a overflowed, or t itself is not finite
+    _check_expm_norm(nrm)
     import scipy.linalg
 
     return scipy.linalg.expm(scaled)
@@ -409,28 +450,29 @@ class ChainSpectrum:
         return [[[next(cols) for _ in range(p)] for p in per_eig] for per_eig in self.lengths]
 
 
-def _cluster_eigenvalues(vals: np.ndarray, tol: float):
-    """Group eigenvalues whose pairwise distance chains below ``tol``, ordered
-    by smallest index, indices ascending: one test of every pair gives the
-    edges, each in both directions, and each value's edge to itself."""
+def _cluster_labels(vals: np.ndarray, tol: float) -> np.ndarray:
+    """Each eigenvalue's cluster, named by its smallest index: eigenvalues
+    whose pairwise distance chains below ``tol`` share one.  One test of
+    every pair gives the edges, each in both directions, and each value's
+    edge to itself."""
     n = len(vals)
-    i, j = np.nonzero(np.abs(vals[:, None] - vals[None, :]) <= tol)
-    if len(i) == n:
-        return [[k] for k in range(n)]
-    # Min-label propagation: each group ends labelled by its smallest index.
-    label, prev = np.arange(n), None
+    close = np.abs(vals[:, None] - vals[None, :]) <= tol
+    label = np.arange(n)
+    if np.count_nonzero(close) == n:
+        return label
+    i, j = close.nonzero()
+    # Min-label propagation: each cluster ends labelled by its smallest index.
+    prev = None
     while prev is None or not np.array_equal(label, prev):
         prev, label = label, label.copy()
         np.minimum.at(label, i, label[j])
         label = label[label]
-    idx = np.argsort(label, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(label[idx])) + 1).tolist(), n]
-    idx = idx.tolist()
-    return [idx[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    return label
 
 
 def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: float):
-    """The chains of a cluster of ``a`` with more than one member:
+    """(vectors, lengths) of a cluster of ``a`` with more than one member:
+    its chains' vectors as columns, chain by chain, and the chains' lengths;
     eigenvalue ``lam`` (the members' mean), members the cluster's raw
     eigenvalues, ``limit`` the largest spread that still reads as one
     eigenvalue.  B = A - lambda I is real when both A and lambda are, so a
@@ -490,7 +532,7 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: flo
     if p == 1:
         # Diagonalizable cluster: the orthonormal null-space basis is the
         # chain set directly.
-        return [[col] for col in null_bases[1].T]
+        return null_bases[1], [1] * m_alg
 
     chains: list[list[np.ndarray]] = []
     carry: list[np.ndarray] = []  # level-k vectors of taller chains
@@ -522,7 +564,7 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: flo
             if nrm < 1e-300:
                 raise ill(": degenerate chain")
             chains.append([v / nrm for v in chain])
-    return chains
+    return np.column_stack([v for c in chains for v in c]), [len(c) for c in chains]
 
 
 def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
@@ -545,7 +587,7 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     (:func:`_cluster_chains`).  The final check that the vectors span the
     space is one SVD, real for a real input (:func:`_real_span`).
     """
-    a = _as_square_of_kind(m)
+    a = _checked_square(_of_kind(m))
     d = a.shape[0]
     if tol_cluster is None:
         norm_a = float(np.linalg.norm(a, 2)) if d > 1 else float(abs(a[0, 0]))
@@ -557,37 +599,40 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     if not np.isfinite(raw).all():
         raise NoConvergence("eig returned non-finite eigenvalues")
 
-    groups = _cluster_eigenvalues(raw, tol_cluster)
+    label = _cluster_labels(raw, tol_cluster)
     # a cluster's spread reads as rounding up to the cluster tolerance, and
     # never beyond the precision-level one of the spectral radius
     limit = min(tol_cluster, TOL_CLUSTER_REL * max(1.0, float(np.abs(raw).max())))
-    centres = raw[[idx[0] for idx in groups]].astype(complex)
-    for k, idx in enumerate(groups):
-        if len(idx) > 1:
-            centres[k] = np.mean(raw[idx])
-            im = np.sort(raw[idx].imag)
-            if not np.iscomplexobj(a) and np.array_equal(im, -im[::-1]):
-                centres[k] = centres[k].real
-    order = np.lexsort((centres.imag, centres.real)).tolist()
-    unit_vecs = raw_vecs / np.linalg.norm(raw_vecs, axis=0)
+    # the clusters by their smallest index: that index, the cluster's size
+    # and its centre, the first member or the members' mean
+    first = (label == np.arange(d)).nonzero()[0]
+    sizes = np.bincount(label, minlength=d)[first]
+    centres = raw[first].astype(complex)
+    members = {}
+    for k in (sizes > 1).nonzero()[0].tolist():
+        members[k] = idx = (label == first[k]).nonzero()[0]
+        centres[k] = np.mean(raw[idx])
+        im = np.sort(raw[idx].imag)
+        if not np.iscomplexobj(a) and np.array_equal(im, -im[::-1]):
+            centres[k] = centres[k].real
+    order = np.lexsort((centres.imag, centres.real))
+    first, sizes = first[order], sizes[order]
+    start = np.cumsum(sizes) - sizes
 
     # the vectors fill one matrix, cluster by cluster in order; the
-    # one-member clusters' columns in one gather
-    clusters = [groups[k] for k in order]
-    start = np.cumsum([0, *map(len, clusters)]).tolist()
-    singles = [j for j, idx in enumerate(clusters) if len(idx) == 1]
-    vectors = np.empty((d, d), unit_vecs.dtype)
-    vectors[:, [start[j] for j in singles]] = unit_vecs[:, [clusters[j][0] for j in singles]]
-    lengths = [[1] for _ in clusters]
-    for j, idx in enumerate(clusters):
-        if len(idx) > 1:
-            chains = _cluster_chains(a, complex(centres[order[j]]), raw[idx], limit)
-            vectors[:, start[j]:start[j + 1]] = np.column_stack([v for c in chains for v in c])
-            lengths[j] = [len(c) for c in chains]
+    # one-member clusters' unit eigenvectors in one gather
+    vectors = np.empty((d, d), raw_vecs.dtype)
+    single = sizes == 1
+    vectors[:, start[single]] = (raw_vecs / np.linalg.norm(raw_vecs, axis=0))[:, first[single]]
+    lengths = np.ones((len(order), 1), dtype=int).tolist()
+    for j in (~single).nonzero()[0].tolist():
+        k = int(order[j])
+        vectors[:, start[j]:start[j] + sizes[j]], lengths[j] = _cluster_chains(
+            a, complex(centres[k]), raw[members[k]], limit)
 
     eigenvalues = centres[order].tolist()
-    basis = vectors if np.iscomplexobj(a) else _real_span(vectors, raw, clusters)
-    if np.linalg.matrix_rank(basis, tol=1e-8) < d:
+    basis = vectors if np.iscomplexobj(a) else _real_span(vectors, raw, first, sizes)
+    if np.count_nonzero(np.linalg.svd(basis, compute_uv=False) > 1e-8) < d:
         raise IllConditioned(
             "generalized eigenvectors do not span the space",
             cluster=eigenvalues,
@@ -595,10 +640,11 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     return ChainSpectrum(eigenvalues, lengths, vectors)
 
 
-def _real_span(vectors, raw, clusters):
+def _real_span(vectors, raw, first, sizes):
     """A real matrix with the rank of ``vectors``, the generalized
     eigenvectors of a real matrix as :func:`general_eig` orders them, with
-    ``clusters`` the raw eigenvalue indices of each cluster in that order.
+    ``first`` the smallest raw eigenvalue index of each cluster in that
+    order and ``sizes`` the clusters' sizes.
 
     The raw eigenvalues of a real matrix come in conjugate pairs at
     adjacent indices, the positive imaginary part first, and the clusters
@@ -617,7 +663,7 @@ def _real_span(vectors, raw, clusters):
     """
     if not np.iscomplexobj(vectors):
         return vectors
-    side = np.repeat(np.sign(raw.imag[[idx[0] for idx in clusters]]),
-                     [len(idx) for idx in clusters])
-    x = vectors[:, side >= 0] * np.where(side[side >= 0] > 0, np.sqrt(2), 1.0)
-    return np.hstack([x.real, x.imag[:, x.imag.any(axis=0)]])
+    side = np.repeat(np.sign(raw.imag[first]), sizes)
+    keep = side >= 0
+    x = vectors[:, keep] * np.where(side[keep] > 0, np.sqrt(2), 1.0)
+    return np.concatenate((x.real, x.imag[:, x.imag.any(axis=0)]), axis=1)

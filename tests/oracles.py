@@ -367,6 +367,21 @@ def unit_scaled_parts(m):
     return a * unit[..., None, None], unit
 
 
+def hermitian_scaled(m, tol, unit=1.0):
+    """The Hermiticity verdict of :func:`lindkit.matcore._is_hermitian`,
+    taken for every matrix on its :func:`unit_scaled_parts` copy:
+    ||a - a^dag||_F <= tol * max(unit * scale, ||a||_F) with a = m * scale.
+    A bool for a matrix, a bool array for a stack (..., d, d); a NaN or
+    infinite entry gives False."""
+    # an infinite entry leaves its matrix unscaled, so the squares of its
+    # finite entries may overflow, and it gives inf * 0 and inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, scale = unit_scaled_parts(m)
+        defect = np.linalg.norm(a - np.swapaxes(a, -1, -2).conj(), axis=(-2, -1))
+        ok = defect <= tol * np.maximum(unit * scale, np.linalg.norm(a, axis=(-2, -1)))
+    return ok if ok.ndim else bool(ok)
+
+
 def vn_entropy_single(mat):
     p = np.linalg.eigvalsh(mat)
     p = p[p > 0.0]

@@ -116,6 +116,22 @@ def test_degenerate_cluster_takes_one_svd(monkeypatch, rng):
     assert len(calls) == 2
 
 
+def test_hermiticity_test_scales_only_where_norms_overflow(monkeypatch, rng):
+    # the unscaled norms settle a finite matrix or stack; only entries whose
+    # squares overflow take the exactly scaled copy
+    calls = _count(monkeypatch, [matcore], "_unit_scaled")
+    a = random_hermitian(rng, 4)
+    stack = np.stack([a, 1e-3 * a, random_matrix(rng, 4)])
+    for m in (a, 1e150 * a, stack, 1e150 * stack):
+        matcore._is_hermitian(m, matcore.TOL_HERM)
+    matcore._is_hermitian(a, 1e-8, 2.0**-10)
+    assert calls == []
+    assert matcore._is_hermitian(1e300 * a, matcore.TOL_HERM)
+    huge = stack * np.array([1.0, 1e300, 1e300])[:, None, None]
+    assert matcore._is_hermitian(huge, matcore.TOL_HERM).tolist() == [True, True, False]
+    assert len(calls) == 2
+
+
 def test_gks_build_kron_calls_do_not_grow_with_d(monkeypatch, rng):
     calls = _count(monkeypatch, [np], "kron")
     for d in (2, 4, 8):
@@ -348,15 +364,20 @@ def test_projector_basis_norm_calls_do_not_grow_with_d(monkeypatch):
 
 class _CountingNumpy:
     """Stands in for ``np`` in a lindkit module: every call of a numpy
-    function through it, also through a submodule such as ``np.linalg``, is
-    recorded by its dotted name.  Classes and constants pass through."""
+    function through it, also through a submodule such as ``np.linalg`` or
+    a ufunc's method such as ``np.add.reduce``, is recorded by its dotted
+    name.  Classes and constants pass through."""
 
     def __init__(self, module, calls, prefix=""):
         self._module, self._calls, self._prefix = module, calls, prefix
 
+    def __call__(self, *args, **kwargs):  # a ufunc called itself
+        self._calls.append(self._prefix[:-1])
+        return self._module(*args, **kwargs)
+
     def __getattr__(self, name):
         attr = getattr(self._module, name)
-        if isinstance(attr, types.ModuleType):
+        if isinstance(attr, (types.ModuleType, np.ufunc)):
             return _CountingNumpy(attr, self._calls, f"{self._prefix}{name}.")
         if not callable(attr) or isinstance(attr, type):
             return attr

@@ -13,7 +13,7 @@ from lindkit import (GKSForm, LindbladModel, build_superoperator, errors, gks_pr
                      quantum)
 from lindkit.matcore import (
     _TAYLOR_M,
-    _cluster_eigenvalues,
+    _cluster_labels,
     _is_hermitian,
     _real_span,
     _taylor_plan,
@@ -27,7 +27,7 @@ from lindkit.matcore import (
     vec,
 )
 from lindkit.perturb import first_order
-from oracles import cluster_pairwise, expm_action_loop, unit_scaled_parts
+from oracles import cluster_pairwise, expm_action_loop, hermitian_scaled, unit_scaled_parts
 
 
 def charpoly_roots(a):
@@ -126,6 +126,34 @@ def test_hermiticity_verdict_is_the_unscaled_one_where_that_is_finite(rng):
     assert _is_hermitian(np.array([[0.5, 1.7e308], [1.7e308, -0.5]]), 1e-10)
     assert _is_hermitian(np.array([[1e308j, 0.0], [0.0, -1e308j]]), 1e-10) is False
     assert _is_hermitian(np.zeros((0, 0)), 1e-10)
+    # stacks, a given unit as gks_project passes it, entries whose squares
+    # overflow (1e154-1e308), and NaN and infinite entries: the verdict is
+    # the scaled route's, matrix by matrix, and no warning is raised
+    for stack in [()] * 100 + [(1,), (7,), (3, 2)] * 50:
+        d = int(rng.integers(1, 6))
+        shape = (*stack, d, d)
+        tol = float(rng.choice([1e-10, 1e-8]))
+        a = random_matrix(rng, d) if not stack else (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        a = a + np.swapaxes(a, -1, -2).conj()
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        size = np.linalg.norm(a, axis=(-2, -1))[..., None, None]
+        a = a + tol * rng.uniform(0.5, 2.0, (*stack, 1, 1)) * size * noise / (2 * d)
+        # about half the matrices in the range where squares overflow
+        log_scale = np.where(rng.random((*stack, 1, 1)) < 0.5,
+                             rng.uniform(154, 307), rng.uniform(-5, 150))
+        a = a * 10.0 ** log_scale
+        if rng.random() < 0.3:  # non-finite entries in some matrices
+            bad = (rng.random(shape) < 0.3) & (rng.random((*stack, 1, 1)) < 0.5)
+            a[bad] = rng.choice([np.nan, np.inf, -np.inf, complex(0, np.inf),
+                                 complex(np.nan, 1.0)])
+        for unit in (1.0, 2.0 ** -int(rng.integers(1, 60))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _is_hermitian(a, tol, unit)
+            assert np.array_equal(got, hermitian_scaled(a, tol, unit))
+            assert got.shape == stack if stack else isinstance(got, bool)
+            assert not np.any(np.asarray(got)[~np.isfinite(a).all(axis=(-2, -1))])
 
 
 def test_unit_scale_is_the_one_of_the_parts_taken_apart(rng, monkeypatch):
@@ -139,20 +167,30 @@ def test_unit_scale_is_the_one_of_the_parts_taken_apart(rng, monkeypatch):
         yield a.real.copy()
 
     cases = []
-    for _ in range(1000):
+    for k in range(1000):
         d, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         a = random_matrix(rng, d) * 10.0 ** rng.uniform(-300, 300, (n, 1, 1))
-        a[rng.random(a.shape) < 0.2] *= 1j
+        if k % 2:  # Hermitian stacks, which the verdict passes
+            a = a + np.swapaxes(a, -1, -2).conj()
+        else:
+            a[rng.random(a.shape) < 0.2] *= 1j
+        if k % 10 == 1:  # a NaN or infinite entry in one matrix of the stack
+            a[0, 0, -1] = rng.choice([np.nan, np.inf, complex(0, -np.inf)])
         cases.extend(layouts(a))
     cases += [np.zeros((0, 0), complex), np.zeros((3, 0, 0)), np.full((2, 2), np.nan + 0j)]
-    for a in cases:
-        got, want = matcore._unit_scaled(a), unit_scaled_parts(a)
-        assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
-        assert np.array_equal(got[1], want[1])
-    verdicts = [_is_hermitian(a, 1e-10) for a in cases]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 scaling an infinite entry
+        for a in cases:
+            got, want = matcore._unit_scaled(a), unit_scaled_parts(a)
+            assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+            assert np.array_equal(got[1], want[1])
+    units = (1.0, 2.0**-40)  # as the matrix of interest, or its scaled copy
+    verdicts = [_is_hermitian(a, 1e-10, unit) for a in cases for unit in units]
+    assert any(np.any(v) for v in verdicts) and not all(np.all(v) for v in verdicts)
     monkeypatch.setattr(matcore, "_unit_scaled", unit_scaled_parts)
-    for a, verdict in zip(cases, verdicts):
-        assert np.array_equal(_is_hermitian(a, 1e-10), verdict)
+    for a, pair in zip(cases, zip(*[iter(verdicts)] * 2)):
+        for unit, verdict in zip(units, pair):
+            assert np.array_equal(_is_hermitian(a, 1e-10, unit), verdict)
+            assert np.array_equal(hermitian_scaled(a, 1e-10, unit), verdict)
 
 
 class TestGeneralEig:
@@ -278,7 +316,8 @@ class TestGeneralEig:
         # their real and imaginary parts add columns but no rank
         q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         vectors = q * np.exp(1j * np.array([0.3, -1.1, 0.0]))
-        basis = _real_span(vectors, np.array([0.5 + 1e-12j, 0.5 - 1e-12j, 2.0]), [[0, 1], [2]])
+        basis = _real_span(vectors, np.array([0.5 + 1e-12j, 0.5 - 1e-12j, 2.0]),
+                           np.array([0, 2]), np.array([2, 1]))
         assert basis.shape == (3, 5) and not np.iscomplexobj(basis)
         assert np.linalg.matrix_rank(basis, tol=1e-8) == 3
 
@@ -349,6 +388,13 @@ def test_cluster_power_overflow_is_overflow():
         general_eig(np.array([[0.0, 1e300], [0.0, 0.0]]))
 
 
+def _cluster_groups(vals, tol):
+    """The clusters of :func:`_cluster_labels`, each as its indices
+    ascending, ordered by smallest index."""
+    label = _cluster_labels(np.asarray(vals), tol)
+    return [np.flatnonzero(label == k).tolist() for k in np.unique(label).tolist()]
+
+
 class TestClusterEigenvalues:
     """The real-part sweep must give exactly the groups of the all-pairs
     union-find, in the same order."""
@@ -357,7 +403,7 @@ class TestClusterEigenvalues:
         for n in (1, 2, 7, 40, 150):
             vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             for tol in (1e-3, 0.1, 0.5):
-                assert _cluster_eigenvalues(vals, tol) == cluster_pairwise(vals, tol)
+                assert _cluster_groups(vals, tol) == cluster_pairwise(vals, tol)
 
     def test_clustered_inputs(self, rng):
         tol = 1e-6
@@ -368,7 +414,7 @@ class TestClusterEigenvalues:
         on_axis = 1j * np.repeat(rng.standard_normal(10), 4)
         on_axis = on_axis + 1j * 0.4 * tol * rng.standard_normal(40)
         for v in (vals, on_axis, np.concatenate([vals, on_axis])):
-            assert _cluster_eigenvalues(v, tol) == cluster_pairwise(v, tol)
+            assert _cluster_groups(v, tol) == cluster_pairwise(v, tol)
 
     @pytest.mark.parametrize(
         "vals, groups",
@@ -385,7 +431,7 @@ class TestClusterEigenvalues:
     def test_chains_merge_transitively(self, vals, groups):
         # a ~ b ~ c with |a - c| > tol is one group; exactly tol still links
         vals = np.asarray(vals, dtype=complex)
-        assert _cluster_eigenvalues(vals, 1.0) == groups
+        assert _cluster_groups(vals, 1.0) == groups
         assert cluster_pairwise(vals, 1.0) == groups
 
 
@@ -421,6 +467,26 @@ class TestExpm:
     def test_overflow_guard(self):
         with pytest.raises(errors.Overflow):
             expm(np.eye(2) * 1e9, 1.0)
+
+    def test_tells_a_non_finite_entry_from_an_overflow(self, rng):
+        # the norm's verdict: a NaN or infinite entry is a ValueError at any
+        # t, a finite matrix whose t*m is beyond the bound or overflows is
+        # Overflow, neither with a warning, and a finite one within the
+        # bound is scipy's expm of t*m
+        a = random_matrix(rng, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
+                for m in (a.copy(), a.real.copy()):
+                    m[1, 2] = bad if np.iscomplexobj(m) else np.real(bad) or np.nan
+                    for t in (0.0, 1e-3, -2.0):
+                        with pytest.raises(ValueError, match="finite"):
+                            expm(m, t)
+            for m, t in ((a, 1e7), (1e300 * a, 1e10), (1e300 * a.real, -1e10)):
+                with pytest.raises(errors.Overflow):
+                    expm(m, t)
+        for m in (a, a.real):
+            assert expm(m, 0.3).tobytes() == scipy.linalg.expm(0.3 * m).tobytes()
 
     def test_keeps_the_kind_of_its_input(self, rng):
         # a real generator is exponentiated in real arithmetic

@@ -27,7 +27,14 @@ not once per d.  Case "kernel" takes channels.kernel_from_generator of the
 generator at tau = KERNEL_TAU, and case "kernel-diagonal" that of the model
 with only the diagonals of the same H and operators, whose generator has no
 off-diagonal entry; d = 5 and 6 in DIMS bracket the least d at which the
-kernel of a dense generator is taken in real arithmetic.  A round times,
+kernel of a dense generator is taken in real arithmetic.  The rest of a
+perfbench ``spectral`` task has a case each: "spectrum-meas" takes the
+spectrum of a measurement model in a random basis (two operators), whose
+stationary modes are one d-fold cluster; "gks" takes
+channels.gks_build(channels.gks_project(L)); "choi" takes
+channels.choi_cp_test of the "kernel" case's kernel; and "perturb" takes
+perturb.first_order of H perturbed by the Hermitian part of
+sum_a L_a^dag L_a, as that workload does.  A round times,
 for every (d, case), REPEAT calls of each checkout in turn and keeps each
 one's best; the checkouts take turns going first from round to round.
 After ROUNDS rounds the tool prints one JSON line per (d, case): each
@@ -80,6 +87,21 @@ def cases(d: int):
     w = w @ w.conj().T
     grids = {"linspace50": np.linspace(0.05, 2.0, 50).tolist(), "single": [1.0]}
     return (g + g.conj().T, [l1, l2]), w / np.trace(w).real, grids
+
+
+def measurement_parts(d: int):
+    """(projector vectors, l coefficients, h coefficients) of the
+    "spectrum-meas" model at dimension d: a random basis, two operators."""
+    rng = np.random.default_rng([SEED, d, 1])
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    basis = q * (np.diag(r) / np.abs(np.diag(r)))
+    l = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+    return list(basis.T), l, rng.standard_normal(d)
+
+
+def gks_round_trip(lk, gen):
+    """The generator rebuilt from its GKS form, as a spectral task does."""
+    return lk.channels.gks_build(lk.channels.gks_project(gen))
 
 
 def stencil(lk, model, rho0, times, eps=1e-5):
@@ -142,6 +164,21 @@ def main() -> None:
             work.append((d, "stencil-stiff", stiff))
             work.append((d, "spectrum", [partial(lk.lindblad.spectrum, model)
                                          for lk, model, _ in models]))
+            vectors, l, hs = measurement_parts(d)
+            work.append((d, "spectrum-meas", [partial(
+                lk.lindblad.spectrum, lk.lindblad.measurement_model(
+                    lk.quantum.ProjectorBasis.from_vectors(vectors), l, hs))
+                for lk in packages]))
+            gks, choi, pert = [], [], []
+            for lk, model, _ in models:
+                gen = lk.lindblad.build_superoperator(model)
+                gks.append(partial(gks_round_trip, lk, gen))
+                choi.append(partial(lk.channels.choi_cp_test,
+                                    lk.channels.kernel_from_generator(gen, KERNEL_TAU)))
+                delta = sum(op.conj().T @ op for op in model.lindblads)
+                pert.append(partial(lk.perturb.first_order, model.hamiltonian,
+                                    0.5 * (delta + delta.conj().T)))
+            work += [(d, "gks", gks), (d, "choi", choi), (d, "perturb", pert)]
             work.append((d, "build", [partial(lk.lindblad.build_superoperator, model)
                                       for lk, model, _ in models]))
             path = os.path.join(configs, f"grid-d{d}.json")
