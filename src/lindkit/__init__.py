@@ -49,7 +49,6 @@ from .quantum import (
     vn_entropy,
 )
 from .ramsey import (
-    CoefficientMatrix,
     RamseyConfig,
     RamseyDerived,
     ScanResult,

@@ -483,51 +483,46 @@ def _sample_near(taus, target: float, h: float, missing: str) -> float:
     raise InconsistentSamples(missing)
 
 
+# the multiples m of the smallest sample time h that each scheme reads, and
+# how many of the first of them are the step of a difference
+_SCHEMES = {"forward": ((1,), 1), "central": ((1, 2), 1), "richardson": ((1, 2, 4), 2)}
+
+
 def extract_generator(samples, scheme: str = "central") -> np.ndarray:
     """Finite-difference estimate of the generator dK/dtau at tau = 0.
 
-    ``samples`` is a list of (tau, Kernel) pairs with tau > 0.  The "central"
-    scheme (second order) needs the pair (h, 2h) for the smallest h present
-    and computes (K(2h) - I) K(h)^{-1} / (2h), i.e. the centered difference
-    of K'(h) pulled back to tau = 0; "forward" (first order) uses only the
-    smallest sample, (K(h) - I)/h.
+    ``samples`` is a list of (tau, Kernel) pairs with tau > 0, h the smallest
+    tau.  The "forward" scheme (first order) is (K(h) - I)/h.  The "central"
+    scheme (second order) needs a sample at 2h too and computes
+    L_h = (K(2h) - I) K(h)^{-1} / (2h), i.e. the centered difference of
+    K'(h) pulled back to tau = 0.  The "richardson" scheme needs h, 2h and
+    4h and combines L_h with the same estimate L_2h from the samples at 2h
+    and 4h as (4 L_h - L_2h)/3, cancelling the leading O(h^2) error term.
+    Each step of a difference must be small, ||K(h) - I|| <= 0.1, and for
+    Richardson also ||K(2h) - I|| <= 0.1; a larger one raises StepTooLarge
+    naming that sample.
     """
-    if scheme not in ("central", "forward"):
+    if scheme not in _SCHEMES:
         raise ValueError(f"unknown differencing scheme {scheme!r}")
-    by_tau = _samples_by_tau(samples)
-    if len(by_tau) < (2 if scheme == "central" else 1):
-        raise InconsistentSamples("not enough distinct sample times")
-    taus = sorted(by_tau)
-    h = taus[0]
-    d2 = by_tau[h].dim ** 2
-    if np.linalg.norm(by_tau[h].matrix - np.eye(d2)) > 0.1:
-        raise StepTooLarge(
-            f"||K(h) - I|| = {np.linalg.norm(by_tau[h].matrix - np.eye(d2)):.3f} "
-            "exceeds 0.1; sample closer to tau = 0"
-        )
-    if scheme == "forward":
-        return (by_tau[h].matrix - np.eye(d2)) / h
-    t2h = _sample_near(taus, 2 * h, h, f"central differencing needs a sample at 2h = {2*h}")
-    k2h = by_tau[t2h].matrix
-    return (k2h - np.eye(d2)) @ np.linalg.inv(by_tau[h].matrix) / (2 * h)
-
-
-def extract_generator_richardson(samples) -> np.ndarray:
-    """Richardson extrapolation of the central scheme using steps h and 2h.
-
-    Needs samples at (h, 2h, 4h); combines the central estimates at h and 2h
-    as (4 L_h - L_2h)/3, cancelling the leading O(h^2) error term.
-    """
+    multiples, steps = _SCHEMES[scheme]
     by_tau = _samples_by_tau(samples)
     if not by_tau:
         raise InconsistentSamples("not enough distinct sample times")
     taus = sorted(by_tau)
     h = taus[0]
-    sel = [_sample_near(taus, target, h, "Richardson extrapolation needs samples at "
-                        f"h, 2h, 4h (missing {target})") for target in (h, 2 * h, 4 * h)]
-    l_h = extract_generator([(t, by_tau[t]) for t in sel[:2]], "central")
-    l_2h = extract_generator([(t, by_tau[t]) for t in sel[1:]], "central")
-    return (4.0 * l_h - l_2h) / 3.0
+    ts = [_sample_near(taus, m * h, h, f"{scheme} differencing needs a sample at {m}h = {m * h}")
+          for m in multiples]
+    ks = [by_tau[t].matrix for t in ts]
+    eye = np.eye(len(ks[0]))
+    for m, k in zip(multiples[:steps], ks):
+        defect = np.linalg.norm(k - eye)
+        if defect > 0.1:
+            raise StepTooLarge(f"||K({'' if m == 1 else m}h) - I|| = {defect:.3f} "
+                               "exceeds 0.1; sample closer to tau = 0")
+    if scheme == "forward":
+        return (ks[0] - eye) / h
+    central = [(k2 - eye) @ np.linalg.inv(k1) / (2 * t) for t, k1, k2 in zip(ts, ks, ks[1:])]
+    return central[0] if scheme == "central" else (4.0 * central[0] - central[1]) / 3.0
 
 
 def kernel_from_unitary_ensemble(unitary_sampler, tau: float, n_samples: int) -> Kernel:

@@ -316,7 +316,7 @@ def _cmd_extract_generator(args, model, _rho0, _times, h, scheme):
         for tau in (h, 2 * h, 4 * h)
     ]
     est = channels.extract_generator(samples, scheme)
-    rich = channels.extract_generator_richardson(samples)
+    rich = channels.extract_generator(samples, "richardson")
     # a zero generator's estimates are exactly 0, and so are their errors
     scale = float(np.linalg.norm(gen)) or 1.0
     result = {

@@ -1,8 +1,10 @@
 """Ramsey interferometer for a driven two-level system.
 
-Basis ordering is (e, g) everywhere, matching the index order of the slowly
-varying coefficient matrix f_ee, f_eg, f_gg.  The interaction-picture RWA
-equations for a monochromatic drive -U e^{-i w t} - U^dag e^{i w t} are
+A two-level state is a d = 2 DensityMatrix in the (e, g) basis everywhere:
+its entries f_ee, f_eg, f_gg are the slowly varying coefficients, and the
+pulse takes and returns that one type, as lindblad.evolve does.  The
+interaction-picture RWA equations for a monochromatic drive
+-U e^{-i w t} - U^dag e^{i w t} are
 
     i f_ee' =  conj(U) f_eg e^{+i dw t} - U f_ge e^{-i dw t}
     i f_gg' = -conj(U) f_eg e^{+i dw t} + U f_ge e^{-i dw t}
@@ -46,9 +48,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import records
-from .errors import Overflow, UnphysicalAverage
-
-TOL_COEFF = 1e-9  # Hermiticity defect of f, and imaginary part of a population
+from .errors import DimensionMismatch, Overflow, UnphysicalAverage
+from .quantum import DensityMatrix
 
 
 @dataclass
@@ -140,48 +141,6 @@ def _rabi(dw, u_eg: complex):
     return big_om
 
 
-@dataclass
-class CoefficientMatrix:
-    """Hermitian 2x2 slowly-varying coefficient matrix over (e, g)."""
-
-    f: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=complex)
-        if f.shape != (2, 2):
-            raise ValueError("coefficient matrix must be 2x2")
-        if abs(f[0, 1] - np.conj(f[1, 0])) > TOL_COEFF:
-            raise ValueError("coefficient matrix must be Hermitian")
-        if abs(f[0, 0].real + f[1, 1].real - 1.0) > 1e-10:
-            raise ValueError("coefficient matrix must have unit trace")
-        for p in (f[0, 0], f[1, 1]):
-            if abs(p.imag) > TOL_COEFF or p.real < -1e-10 or p.real > 1 + 1e-10:
-                raise ValueError("populations must be real in [0, 1]")
-        self.f = f
-
-    @classmethod
-    def ground(cls) -> "CoefficientMatrix":
-        return cls(np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex))
-
-    @classmethod
-    def from_components(cls, f_ee: float, f_eg: complex) -> "CoefficientMatrix":
-        return cls(
-            np.array([[f_ee, f_eg], [np.conj(f_eg), 1.0 - f_ee]], dtype=complex)
-        )
-
-    @property
-    def f_ee(self) -> float:
-        return float(self.f[0, 0].real)
-
-    @property
-    def f_gg(self) -> float:
-        return float(self.f[1, 1].real)
-
-    @property
-    def f_eg(self) -> complex:
-        return complex(self.f[0, 1])
-
-
 def _rotation(dw, big_om, u_abs, tau):
     """Bloch-vector rotation of an RWA pulse of length tau (Rodrigues): angle
     2 Omega tau about the unit axis (2|U|, 0, dw) / (2 Omega).  Vectorized
@@ -201,28 +160,34 @@ def _rotation(dw, big_om, u_abs, tau):
 
 
 def pulse_closed_form(
-    f_init: CoefficientMatrix,
+    rho: DensityMatrix,
     tau: float,
     derived: RamseyDerived,
     u_eg: complex,
     t_start: float = 0.0,
-) -> CoefficientMatrix:
-    """Exact RWA pulse solution over [t_start, t_start + tau].
+) -> DensityMatrix:
+    """Exact RWA pulse solution over [t_start, t_start + tau] of a two-level
+    state in the (e, g) basis; any other dimension raises DimensionMismatch.
 
     The start time matters because the lab-frame coefficients carry the
     explicit e^{+-i dw t} drive phases; fitting the general solution to the
     boundary at t_start is what produces the Ramsey fringe when segments are
-    composed.  Reduces to the textbook ground-state pulse formulas when
-    f_init is the ground state at t_start = 0.
+    composed.  Reduces to the textbook ground-state pulse formulas when rho
+    is the ground state at t_start = 0.  The pulse rotates the Bloch vector,
+    which keeps Hermiticity, trace and spectrum, so the result is built with
+    no check or repair, as :meth:`DensityMatrix.pure` builds its state.
     """
+    if rho.dim != 2:
+        raise DimensionMismatch(f"a Ramsey pulse acts on a two-level state, not d = {rho.dim}")
     dw = derived.delta_omega
     phi = np.angle(u_eg)
-    g = f_init.f_eg * np.exp(1j * (dw * t_start - phi))
+    g = rho.matrix[0, 1] * np.exp(1j * (dw * t_start - phi))
     x, y, z = _rotation(dw, derived.big_omega, abs(u_eg), tau) @ (
-        2 * g.real, 2 * g.imag, 2 * f_init.f_ee - 1.0
+        2 * g.real, 2 * g.imag, 2 * rho.matrix[0, 0].real - 1.0
     )
+    f_ee = (1.0 + z) / 2
     f_eg = (x + 1j * y) / 2 * np.exp(1j * (phi - dw * (t_start + tau)))
-    return CoefficientMatrix.from_components((1.0 + z) / 2, f_eg)
+    return DensityMatrix(np.array([[f_ee, f_eg], [np.conj(f_eg), 1.0 - f_ee]]))
 
 
 def _fringe(config: RamseyConfig, theory: str, dw):

@@ -2,12 +2,12 @@
 
 Fixed-step RK4 integrators for the RWA pulse and for the exact driven
 dynamics, and adaptive quadrature of the Gaussian transit-time average.  The
-quadrature integrand composes the three protocol segments directly on raw
-coefficient values, so it shares no code with the library's fringe constants;
-it takes any other composition of the fraction in its place, such as the one
-whose free flight is evolved by the Lindblad engine.  The strong-drive
-(|dw| << |U|) reference formulas for the single-shot and the Gaussian-averaged
-fringe are written out from their closed forms.
+quadrature integrand composes the three protocol segments directly on
+unchecked two-level states, so it shares no code with the library's fringe
+constants; it takes any other composition of the fraction in its place, such
+as the one whose free flight is evolved by the Lindblad engine.  The
+strong-drive (|dw| << |U|) reference formulas for the single-shot and the
+Gaussian-averaged fringe are written out from their closed forms.
 
 For the generator layer: direct evaluation of L(rho), the generator and
 the GKS maps as explicit loops of Kronecker products, and eigenvalue
@@ -29,7 +29,7 @@ import json
 import numpy as np
 from scipy.integrate import quad
 
-from lindkit import CoefficientMatrix, derive
+from lindkit import DensityMatrix, derive
 from lindkit.matcore import _TAYLOR_M, _TAYLOR_TOL, _taylor_plan, expm
 from lindkit.channels import GKSForm, gellmann_basis
 from lindkit.errors import (
@@ -58,9 +58,16 @@ def _rwa_rhs(t, fee, fgg, feg, u_eg, dw):
     return dee, dgg, deg
 
 
-def rwa_ode(f_init, tau, derived, u_eg, dt, t_start=0.0):
-    """Fixed-step RK4 integration of the RWA system; the independent oracle
-    for pulse_closed_form."""
+def _unchecked_state(f_ee, f_eg):
+    """The two-level state over (e, g) with excited population f_ee and
+    coherence f_eg, built with no check: RK4 drifts, and the transit-average
+    continuation visits transiently unphysical points."""
+    return DensityMatrix(np.array([[f_ee, f_eg], [np.conj(f_eg), 1.0 - f_ee]], dtype=complex))
+
+
+def rwa_ode(rho, tau, derived, u_eg, dt, t_start=0.0):
+    """Fixed-step RK4 integration of the RWA system from the two-level state
+    rho; the independent oracle for pulse_closed_form."""
     big_om = derived.big_omega
     if big_om > 0 and dt > RWA_DT_MAX / big_om:
         raise StepTooLarge(f"dt must be <= {RWA_DT_MAX / big_om:.3e}")
@@ -68,7 +75,8 @@ def rwa_ode(f_init, tau, derived, u_eg, dt, t_start=0.0):
     n = max(1, int(np.ceil(tau / dt)))
     h = tau / n
     t = t_start
-    fee, fgg, feg = complex(f_init.f_ee), complex(f_init.f_gg), f_init.f_eg
+    f = rho.matrix
+    fee, fgg, feg = complex(f[0, 0].real), complex(f[1, 1].real), complex(f[0, 1])
     for _ in range(n):
         k1 = _rwa_rhs(t, fee, fgg, feg, u_eg, dw)
         k2 = _rwa_rhs(
@@ -86,7 +94,7 @@ def rwa_ode(f_init, tau, derived, u_eg, dt, t_start=0.0):
         fgg += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         feg += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         t += h
-    return CoefficientMatrix.from_components(fee.real, feg)
+    return _unchecked_state(fee.real, feg)
 
 
 def full_ode(energies, u_matrix, omega, t_span, dt):
@@ -141,15 +149,16 @@ def full_ode(energies, u_matrix, omega, t_span, dt):
     return times, traj.reshape(n + 1, d, d)
 
 
-def _pulse_raw(f_ee, f_eg, tau, derived, u_eg, t_start):
-    """Rodrigues rotation on raw coefficient values, no physicality checks
+def _pulse_raw(rho, tau, derived, u_eg, t_start):
+    """Rodrigues rotation of rho's Bloch vector, the result built unchecked
     (the transit-average continuation visits transiently unphysical points
     whose Gaussian weight is negligible)."""
     dw = derived.delta_omega
     u = abs(u_eg)
     big_om = derived.big_omega
     if big_om == 0.0 or tau == 0.0:
-        return f_ee, f_eg
+        return rho
+    f_ee, f_eg = rho.matrix[0, 0].real, rho.matrix[0, 1]
     phi = np.angle(u_eg) if u > 0 else 0.0
     g = f_eg * np.exp(1j * dw * t_start) * np.exp(-1j * phi)
     bloch = np.array([2 * g.real, 2 * g.imag, 2 * f_ee - 1.0])
@@ -164,7 +173,7 @@ def _pulse_raw(f_ee, f_eg, tau, derived, u_eg, t_start):
     g_out = (rotated[0] + 1j * rotated[1]) / 2
     f_ee_out = (1.0 + rotated[2]) / 2
     f_eg_out = g_out * np.exp(1j * phi) * np.exp(-1j * dw * (t_start + tau))
-    return f_ee_out, f_eg_out
+    return _unchecked_state(f_ee_out, f_eg_out)
 
 
 def protocol_at(config, theory, t_flight):
@@ -172,15 +181,14 @@ def protocol_at(config, theory, t_flight):
     segment by segment.  Negative t_flight is the analytic continuation of
     the fringe that the full-real-line transit average integrates over."""
     der = derive(config)
-    f_ee, f_eg = _pulse_raw(0.0, 0.0 + 0.0j, config.tau, der, config.u_eg, 0.0)
+    rho = _pulse_raw(_unchecked_state(0.0, 0.0 + 0.0j), config.tau, der, config.u_eg, 0.0)
     if theory == "modified":
-        f_eg = f_eg * np.exp(-complex(config.lambda_tilde_eg) * t_flight)
+        damped = rho.matrix[0, 1] * np.exp(-complex(config.lambda_tilde_eg) * t_flight)
+        rho = _unchecked_state(rho.matrix[0, 0].real, damped)
     elif theory != "standard":
         raise ValueError(f"unknown theory {theory!r}")
-    f_ee, _ = _pulse_raw(
-        f_ee, f_eg, config.tau, der, config.u_eg, config.tau + t_flight
-    )
-    return float(f_ee)
+    rho = _pulse_raw(rho, config.tau, der, config.u_eg, config.tau + t_flight)
+    return float(rho.matrix[0, 0].real)
 
 
 def gaussian_fraction_quadrature(config, theory="standard", truncate=False, at=protocol_at):

@@ -17,7 +17,6 @@ from conftest import (
     random_state,
 )
 from lindkit import (
-    CoefficientMatrix,
     DensityMatrix,
     GKSForm,
     Kernel,
@@ -49,6 +48,7 @@ from oracles import full_ode, gaussian_fraction_quadrature, pb_e_formula, rwa_od
 
 E_G, E_E = 0.0, 100.0
 W0 = E_E - E_G
+GROUND = DensityMatrix.pure([0.0, 1.0])  # the ground state over (e, g)
 
 
 @contextmanager
@@ -76,14 +76,9 @@ def test_01_closed_form_matches_rk4():
             der = derive(cfg)
             for om_tau in (0.1, np.pi / 4, np.pi / 2, np.pi, 2 * np.pi):
                 tau = om_tau / der.big_omega
-                closed = pulse_closed_form(
-                    CoefficientMatrix.ground(), tau, der, cfg.u_eg
-                )
-                ode = rwa_ode(
-                    CoefficientMatrix.ground(), tau, der, cfg.u_eg,
-                    dt=1e-3 / der.big_omega,
-                )
-                worst = max(worst, float(np.max(np.abs(closed.f - ode.f))))
+                closed = pulse_closed_form(GROUND, tau, der, cfg.u_eg)
+                ode = rwa_ode(GROUND, tau, der, cfg.u_eg, dt=1e-3 / der.big_omega)
+                worst = max(worst, float(np.max(np.abs(closed.matrix - ode.matrix))))
         elapsed = time.perf_counter() - t_start
         assert worst <= 1e-8, f"max deviation {worst:.3e}"
         assert elapsed < 5.0, f"runtime {elapsed:.2f}s exceeds 5s"
@@ -353,18 +348,13 @@ def test_11_rwa_validity():
             der = derive(cfg)
             worst = 0.0
             for k in range(0, len(times), max(1, len(times) // 80)):
-                rwa = pulse_closed_form(
-                    CoefficientMatrix.ground(), float(times[k]), der, u_abs
-                )
-                worst = max(worst, abs(traj[k][0, 0].real - rwa.f_ee))
+                rwa = pulse_closed_form(GROUND, float(times[k]), der, u_abs)
+                worst = max(worst, abs(traj[k][0, 0].real - rwa.matrix[0, 0].real))
             discrepancies.append(worst)
             if ratio == 200:
                 # tie the trajectory check back to the RK4 RWA integrator
-                ode_final = rwa_ode(
-                    CoefficientMatrix.ground(), t_rabi, der, u_abs,
-                    dt=1e-3 / der.big_omega,
-                )
-                assert abs(traj[-1][0, 0].real - ode_final.f_ee) <= 0.02
+                ode_final = rwa_ode(GROUND, t_rabi, der, u_abs, dt=1e-3 / der.big_omega)
+                assert abs(traj[-1][0, 0].real - ode_final.matrix[0, 0].real) <= 0.02
                 assert worst <= 0.02, f"ratio 200 discrepancy {worst:.4f}"
         for lo, hi in zip(discrepancies[1:], discrepancies[:-1]):
             assert lo <= hi * 1.05, f"RWA error not decreasing: {discrepancies}"

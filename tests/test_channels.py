@@ -32,7 +32,6 @@ from lindkit import (
 )
 from lindkit.channels import (
     extract_generator,
-    extract_generator_richardson,
     gellmann_basis,
     gks_lindblad_ops,
     kraus_operators,
@@ -519,7 +518,7 @@ class TestExtractGenerator:
         h = 1e-3
         samples = [(t, kernel_from_generator(gen, t)) for t in (h, 2 * h, 4 * h)]
         e_central = np.linalg.norm(extract_generator(samples) - gen)
-        e_rich = np.linalg.norm(extract_generator_richardson(samples) - gen)
+        e_rich = np.linalg.norm(extract_generator(samples, "richardson") - gen)
         assert e_rich < 0.1 * e_central
 
     def test_step_too_large(self, rng):
@@ -537,20 +536,19 @@ class TestExtractGenerator:
         with pytest.raises(errors.InconsistentSamples):
             extract_generator([(1e-4, k1), (3e-4, kernel_from_generator(gen, 3e-4))])
 
-    @pytest.mark.parametrize(
-        "extract", [extract_generator, extract_generator_richardson]
-    )
-    def test_tau_sampled_twice_with_different_kernels(self, rng, extract):
+    @pytest.mark.parametrize("scheme", ["central", "richardson"])
+    def test_tau_sampled_twice_with_different_kernels(self, rng, scheme):
         gen = build_superoperator(random_lindblad_model(rng, 2))
         h = 1e-3
         samples = [(t, kernel_from_generator(gen, t)) for t in (h, 2 * h, 4 * h)]
         repeat = [(2 * h, kernel_from_generator(gen, 2 * h))]
-        assert np.array_equal(extract(samples + repeat), extract(samples))
+        assert np.array_equal(extract_generator(samples + repeat, scheme),
+                              extract_generator(samples, scheme))
         other = [(2 * h, kernel_from_generator(2.0 * gen, 2 * h))]
         with pytest.raises(errors.InconsistentSamples):
-            extract(samples + other)
+            extract_generator(samples + other, scheme)
         with pytest.raises(errors.InconsistentSamples):
-            extract([])
+            extract_generator([], scheme)
 
 
 class TestUnitaryEnsemble:

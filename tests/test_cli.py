@@ -445,6 +445,19 @@ def test_extract_generator_of_a_zero_generator(tmp_path, capsys, model):
     assert result["relative_error"] == result["richardson_relative_error"] == 0.0
 
 
+def test_extract_generator_names_richardsons_step_too_large(tmp_path, capsys):
+    # at h = 0.05 the central estimate's step passes (||K(h) - I|| = 0.072)
+    # and Richardson's second step, 2h, does not
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    doc["h"] = 0.05
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["extract-generator", "--config", str(path)]) == 3
+    error = _strict_json(capsys.readouterr().err)["error"]
+    assert (error["type"], error["exit_code"]) == ("StepTooLarge", 3)
+    assert error["message"] == "||K(2h) - I|| = 0.143 exceeds 0.1; sample closer to tau = 0"
+
+
 def _born_doc(tmp_path, **fields):
     doc = json.loads(cli.bundled_config_path("born-d3").read_text())
     doc.update(fields)

@@ -153,7 +153,7 @@ def test_ramsey_config_round_trips_every_bit(e_g, gap, u, omega, times, lam):
 # the names ``import lindkit`` binds: its submodules, and the types and
 # functions the package exports
 PUBLIC_NAMES = [
-    "ChainSpectrum", "ChoiSpectrum", "CoefficientMatrix", "DecayMatrix", "DensityMatrix",
+    "ChainSpectrum", "ChoiSpectrum", "DecayMatrix", "DensityMatrix",
     "GKSForm", "Kernel", "LindbladModel", "MeasurementModel", "PerturbationResult",
     "ProjectorBasis", "RamseyConfig", "RamseyDerived", "ScanResult", "SuperopSpectrum",
     "bfr_derivative_check", "born_collapse", "born_limit_check", "build_superoperator",
@@ -176,4 +176,4 @@ def test_public_names_are_pinned():
          "import lindkit; print('\\n'.join(sorted(n for n in dir(lindkit) if n[0] != '_')))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     assert out.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 57

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lindkit import (
-    CoefficientMatrix,
     DensityMatrix,
     LindbladModel,
     ProjectorBasis,
@@ -52,10 +51,13 @@ def flight_model(lam):
     return LindbladModel(2, lam.imag * e, [np.sqrt(2 * lam.real) * e])
 
 
-def free_flight(f, t, lam):
-    """``f`` after a free flight of length t at rate lam, evolved by the
+GROUND = DensityMatrix.pure([0.0, 1.0])  # the ground state over (e, g)
+
+
+def free_flight(rho, t, lam):
+    """``rho`` after a free flight of length t at rate lam, evolved by the
     Lindblad engine; lam = 0 is the standard theory's flight."""
-    return CoefficientMatrix(evolve(flight_model(lam), DensityMatrix.from_matrix(f.f), t).matrix)
+    return evolve(flight_model(lam), rho, t)
 
 
 def engine_protocol_at(config, theory, t):
@@ -63,16 +65,18 @@ def engine_protocol_at(config, theory, t):
     the ground state."""
     der = derive(config)
     lam = config.lambda_tilde_eg if theory == "modified" else 0.0
-    f1 = pulse_closed_form(CoefficientMatrix.ground(), config.tau, der, config.u_eg)
-    f2 = free_flight(f1, t, lam)
-    return pulse_closed_form(f2, config.tau, der, config.u_eg, t_start=config.tau + t).f_ee
+    rho = pulse_closed_form(GROUND, config.tau, der, config.u_eg)
+    rho = free_flight(rho, t, lam)
+    rho = pulse_closed_form(rho, config.tau, der, config.u_eg, t_start=config.tau + t)
+    return rho.matrix[0, 0].real
 
 
-def random_coefficients(rng):
+def random_two_level(rng):
+    """A random two-level state over (e, g), pure with probability 0."""
     f_ee = rng.uniform(0.0, 1.0)
     mag = np.sqrt(f_ee * (1 - f_ee)) * rng.uniform(0.0, 1.0)
     f_eg = mag * np.exp(2j * np.pi * rng.uniform())
-    return CoefficientMatrix.from_components(f_ee, f_eg)
+    return DensityMatrix.from_matrix([[f_ee, f_eg], [np.conj(f_eg), 1 - f_ee]])
 
 
 class TestDerive:
@@ -98,20 +102,20 @@ class TestPulseClosedForm:
         cfg = make_config(u=0.4)
         der = derive(cfg)
         tau = np.pi / (2 * der.big_omega)
-        out = pulse_closed_form(CoefficientMatrix.ground(), tau, der, cfg.u_eg)
-        assert out.f_ee == pytest.approx(1.0, abs=1e-12)
+        out = pulse_closed_form(GROUND, tau, der, cfg.u_eg)
+        assert out.matrix[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_duration(self, rng):
-        f0 = random_coefficients(rng)
+        f0 = random_two_level(rng)
         cfg = make_config(dw=0.7)
         out = pulse_closed_form(f0, 0.0, derive(cfg), cfg.u_eg)
-        assert np.allclose(out.f, f0.f)
+        assert np.allclose(out.matrix, f0.matrix)
 
     def test_zero_rabi_frequency_is_identity(self, rng):
-        f0 = random_coefficients(rng)
+        f0 = random_two_level(rng)
         cfg = RamseyConfig(E_G, E_E, 0.0, W0, 1.3, 1.0, 1.0, 0.0)
         out = pulse_closed_form(f0, 2.0, derive(cfg), 0.0)
-        assert np.allclose(out.f, f0.f)
+        assert np.allclose(out.matrix, f0.matrix)
 
     def test_ground_start_textbook_formulas(self):
         u = 0.3 + 0.4j
@@ -120,7 +124,7 @@ class TestPulseClosedForm:
         der = derive(cfg)
         om = der.big_omega
         for tau in (0.3, 1.7, 4.0):
-            out = pulse_closed_form(CoefficientMatrix.ground(), tau, der, u)
+            out = pulse_closed_form(GROUND, tau, der, u)
             fee = abs(u) ** 2 / om**2 * np.sin(om * tau) ** 2
             fgg = np.cos(om * tau) ** 2 + dw**2 / (4 * om**2) * np.sin(om * tau) ** 2
             feg = (
@@ -128,9 +132,9 @@ class TestPulseClosedForm:
                 * np.exp(-1j * dw * tau)
                 * (np.sin(2 * om * tau) + 1j * dw / om * np.sin(om * tau) ** 2)
             )
-            assert out.f_ee == pytest.approx(fee, abs=1e-13)
-            assert out.f_gg == pytest.approx(fgg, abs=1e-13)
-            assert out.f_eg == pytest.approx(feg, abs=1e-13)
+            assert out.matrix[0, 0].real == pytest.approx(fee, abs=1e-13)
+            assert out.matrix[1, 1].real == pytest.approx(fgg, abs=1e-13)
+            assert out.matrix[0, 1] == pytest.approx(feg, abs=1e-13)
 
     def test_matches_rk4_for_random_boundaries(self, rng):
         for _ in range(8):
@@ -138,45 +142,77 @@ class TestPulseClosedForm:
             dw = rng.normal()
             cfg = RamseyConfig(E_G, E_E, u, W0 + dw, 1.0, 1.0, 1.0, 0.0)
             der = derive(cfg)
-            f0 = random_coefficients(rng)
+            f0 = random_two_level(rng)
             tau = rng.uniform(0.2, 4.0)
             t_start = rng.uniform(0.0, 10.0)
             a = pulse_closed_form(f0, tau, der, u, t_start=t_start)
             b = rwa_ode(f0, tau, der, u, dt=1e-3 / max(der.big_omega, 0.1),
                         t_start=t_start)
-            assert np.max(np.abs(a.f - b.f)) < 1e-8
+            assert np.max(np.abs(a.matrix - b.matrix)) < 1e-8
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.floats(0.0, 1.0),
+    cos_polar=st.floats(-1.0, 1.0),
+    azimuth=st.floats(0.0, 2 * np.pi),
+    u=st.floats(0.01, 5.0),
+    dw=st.floats(-5.0, 5.0),
+    tau=st.floats(0.0, 20.0),
+    t_start=st.floats(0.0, 20.0),
+)
+def test_pulse_is_unitary_on_mixed_states(r, cos_polar, azimuth, u, dw, tau, t_start):
+    # a pulse rotates the Bloch vector (x, y, z), so rho's spectrum
+    # (1 +- |(x, y, z)|) / 2 survives it, and so do Hermiticity and trace
+    z = r * cos_polar
+    xy = r * np.sqrt(1.0 - cos_polar**2) * np.exp(1j * azimuth)
+    rho = DensityMatrix.from_matrix([[(1 + z) / 2, xy / 2], [np.conj(xy) / 2, (1 - z) / 2]])
+    cfg = make_config(u=u, dw=dw, tau=tau)
+    out = pulse_closed_form(rho, tau, derive(cfg), cfg.u_eg, t_start=t_start)
+    assert np.max(np.abs(out.eigenvalues() - rho.eigenvalues())) <= 1e-14
+    assert abs(np.trace(out.matrix) - 1.0) <= 1e-15
+    assert np.array_equal(out.matrix, out.matrix.conj().T)
+
+
+def test_pulse_takes_only_a_two_level_state():
+    cfg = make_config()
+    with pytest.raises(errors.DimensionMismatch):
+        pulse_closed_form(DensityMatrix.maximally_mixed(3), cfg.tau, derive(cfg), cfg.u_eg)
+    # populations (0.5, 0.5) with coherence 0.9: eigenvalues -0.4 and 1.4
+    with pytest.raises(errors.LindkitError):
+        DensityMatrix.from_matrix([[0.5, 0.9], [0.9, 0.5]])
 
 
 class TestRwaOde:
     def test_no_drive_is_constant(self, rng):
-        f0 = random_coefficients(rng)
+        f0 = random_two_level(rng)
         cfg = RamseyConfig(E_G, E_E, 0.0, W0 + 0.9, 1.0, 1.0, 1.0, 0.0)
         out = rwa_ode(f0, 3.0, derive(cfg), 0.0, dt=1e-3)
-        assert np.max(np.abs(out.f - f0.f)) < 1e-12
+        assert np.max(np.abs(out.matrix - f0.matrix)) < 1e-12
 
     def test_resonant_pi_pulse(self):
         cfg = make_config(u=0.4)
         der = derive(cfg)
         tau = np.pi / (2 * der.big_omega)
-        out = rwa_ode(CoefficientMatrix.ground(), tau, der, cfg.u_eg,
+        out = rwa_ode(GROUND, tau, der, cfg.u_eg,
                       dt=1e-3 / der.big_omega)
-        assert out.f_ee == pytest.approx(1.0, abs=1e-8)
+        assert out.matrix[0, 0].real == pytest.approx(1.0, abs=1e-8)
 
     def test_populations_bounded_along_trajectory(self):
         cfg = make_config(u=0.4, dw=0.6)
         der = derive(cfg)
-        f = CoefficientMatrix.ground()
+        f = GROUND
         t = 0.0
         step = 0.25
         for _ in range(40):
             f = rwa_ode(f, step, der, cfg.u_eg, dt=1e-3, t_start=t)
             t += step
-            assert -1e-10 <= f.f_ee <= 1 + 1e-10
+            assert -1e-10 <= f.matrix[0, 0].real <= 1 + 1e-10
 
     def test_step_bound_enforced(self):
         cfg = make_config(u=2.0)
         with pytest.raises(errors.StepTooLarge):
-            rwa_ode(CoefficientMatrix.ground(), 1.0, derive(cfg), cfg.u_eg, dt=0.1)
+            rwa_ode(GROUND, 1.0, derive(cfg), cfg.u_eg, dt=0.1)
 
 
 class TestFullOde:
@@ -202,38 +238,38 @@ class TestFullOde:
         der = derive(cfg)
         worst = 0.0
         for k in range(0, len(times), max(1, len(times) // 60)):
-            rwa = pulse_closed_form(CoefficientMatrix.ground(), times[k], der, u_abs)
-            worst = max(worst, abs(traj[k][0, 0].real - rwa.f_ee))
+            rwa = pulse_closed_form(GROUND, times[k], der, u_abs)
+            worst = max(worst, abs(traj[k][0, 0].real - rwa.matrix[0, 0].real))
         assert worst <= 0.02
 
 
 class TestFreeFlight:
     def test_zero_correction_matches_standard(self, rng):
-        f0 = random_coefficients(rng)
-        # the standard flight leaves f as it is
+        f0 = random_two_level(rng)
+        # the standard flight leaves the state as it is
         b = free_flight(f0, 3.0, 0.0)
-        assert np.allclose(f0.f, b.f)
+        assert np.allclose(f0.matrix, b.matrix)
 
     def test_real_rate_damps_coherence_only(self, rng):
-        f0 = random_coefficients(rng)
+        f0 = random_two_level(rng)
         gamma, t = 0.3, 2.0
         out = free_flight(f0, t, gamma)
-        assert abs(out.f_eg) == pytest.approx(abs(f0.f_eg) * np.exp(-gamma * t))
-        assert out.f_ee == pytest.approx(f0.f_ee)
-        assert out.f_gg == pytest.approx(f0.f_gg)
+        assert abs(out.matrix[0, 1]) == pytest.approx(abs(f0.matrix[0, 1]) * np.exp(-gamma * t))
+        assert out.matrix[0, 0].real == pytest.approx(f0.matrix[0, 0].real)
+        assert out.matrix[1, 1].real == pytest.approx(f0.matrix[1, 1].real)
 
     def test_imaginary_rate_shifts_phase_only(self, rng):
-        f0 = random_coefficients(rng)
+        f0 = random_two_level(rng)
         delta, t = 0.4, 3.0
         out = free_flight(f0, t, 1j * delta)
-        assert abs(out.f_eg) == pytest.approx(abs(f0.f_eg))
-        expected = f0.f_eg * np.exp(-1j * delta * t)
-        assert out.f_eg == pytest.approx(expected)
+        assert abs(out.matrix[0, 1]) == pytest.approx(abs(f0.matrix[0, 1]))
+        expected = f0.matrix[0, 1] * np.exp(-1j * delta * t)
+        assert out.matrix[0, 1] == pytest.approx(expected)
 
     def test_hermiticity_preserved(self, rng):
-        f0 = random_coefficients(rng)
+        f0 = random_two_level(rng)
         out = free_flight(f0, 1.0, 0.2 + 0.5j)
-        assert abs(out.f[0, 1] - np.conj(out.f[1, 0])) < 1e-14
+        assert abs(out.matrix[0, 1] - np.conj(out.matrix[1, 0])) < 1e-14
 
 
 class TestProtocol:
@@ -446,12 +482,11 @@ class TestCorrectionConsistency:
         model = measurement_model(basis, l, np.zeros(2))
         dm = decay_matrix(model)
         lam_eg = complex(dm.lambdas_tilde[0, 1])
-        f0 = random_coefficients(rng)
-        rho0 = DensityMatrix.from_matrix(f0.f)
+        f0 = random_two_level(rng)
         for t in (0.4, 1.9):
             via_ramsey = free_flight(f0, t, lam_eg)
-            via_lindblad = diagonal_solution(dm, rho0, t)
-            assert np.linalg.norm(via_ramsey.f - via_lindblad.matrix) < 1e-10
+            via_lindblad = diagonal_solution(dm, f0, t)
+            assert np.linalg.norm(via_ramsey.matrix - via_lindblad.matrix) < 1e-10
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -16,7 +16,10 @@ sha256 of its stdout and of its stderr.  The cases are:
   of VALUES in turn, every object key removed, and an unknown key added to
   every object.  The two Ramsey subcommands run each of their cases, and
   their default-config cases, both as they are and with
-  ``--truncate-gaussian``, the transit-time average over T >= 0 only.
+  ``--truncate-gaussian``, the transit-time average over T >= 0 only;
+- the top-level keys of EXTRA set to values that VALUES does not hold:
+  extract-generator's forward scheme, and an h whose Richardson step 2h is
+  too large while the central step h is not.
 
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
@@ -46,6 +49,9 @@ CONFIGS = [
 ]
 VALUES = [None, True, "x", "1", 2.5, 3.0, 0, -1, 1e300, float("nan"), 10**400, [], [1.0], {}]
 CSV_COMMANDS = ("ramsey-scan", "lindblad-spectrum", "entropy-check")
+# (subcommand, bundled config, top-level key, value) of the further cases
+EXTRA = [("extract-generator", "model-qubit", "scheme", "forward"),
+         ("extract-generator", "model-qubit", "h", 0.05)]
 
 
 def _flag_sets(command):
@@ -105,6 +111,10 @@ def _cases(cli):
         for flags in _flag_sets(command):
             for case, doc, key in _mutations(name, cli):
                 yield _named(f"{command} {name} {case}", flags), [command, *flags], doc, key
+    for command, name, key, value in EXTRA:
+        doc = json.loads(cli.bundled_config_path(name).read_text())
+        doc[key] = value
+        yield f"{command} {name} {[key]} = {value!r}", [command], doc, key
 
 
 def _mutations(name, cli):

@@ -38,8 +38,10 @@ sum_a L_a^dag L_a, as that workload does.  A round times,
 for every (d, case), REPEAT calls of each checkout in turn and keeps each
 one's best; the checkouts take turns going first from round to round.
 After ROUNDS rounds the tool prints one JSON line per (d, case): each
-checkout's median and quartiles over the rounds, and in how many rounds it
-was faster than the first ``--src``.  Timing
+checkout's minimum, median and quartiles over the rounds, and in how many
+rounds it was faster than the first ``--src``.  The minimum is the
+steadiest of these: a round that lands in a slow phase of the host moves
+the median and quartiles, not the minimum.  Timing
 separate runs of one checkout after another drifted by about +-30 % on a
 2-core host; rounds that interleave the checkouts share that drift.
 """
@@ -212,6 +214,7 @@ def main() -> None:
     for (d, name), per_package in best.items():
         print(json.dumps({
             "d": d, "case": name, "rounds": ROUNDS,
+            "min_s": {src: min(t) for src, t in zip(args.src, per_package)},
             "median_s": {src: statistics.median(t) for src, t in zip(args.src, per_package)},
             "quartiles_s": {src: statistics.quantiles(t, n=4)[::2]
                             for src, t in zip(args.src, per_package)},
