@@ -14,6 +14,13 @@ R the generator in the orthonormal Hermitian basis, rather than the modal
 sum, which sidesteps non-diagonalizable generators; the modal sum is
 exercised only in tests on diagonalizable fixtures.  A measurement model is
 solved exactly instead, at any finite time and without the generator.
+
+Its spectrum is exact too: a model built by measurement_model (a
+MeasurementModel with its l_coeffs) has the modes |u_alpha><u_beta| with
+mu = lambda_{alpha beta} of its decay matrix, so spectrum reads them off
+that matrix, with ||L||_2 = max |lambda| (L is normal there) and Hermitian
+modes in every cluster with a real centre, and runs no eig; every other
+model takes one real eig of its generator.
 """
 from __future__ import annotations
 
@@ -177,18 +184,51 @@ def spectrum(model: LindbladModel) -> SuperopSpectrum:
     tol decaying, |Re mu| <= tol stationary (this bucket includes purely
     oscillatory coherences), Re mu < -tol forbidden.
     A balanced model must produce no forbidden modes, and every generator has
-    at least one mu = 0 mode.
+    at least one mu = 0 mode.  Eigenvalues within TOL_CLUSTER_REL
+    max(1, ||L||_2) of each other are one cluster, ordered by the real, then
+    the imaginary part of the cluster's centre (:func:`matcore.general_eig`).
 
-    L preserves Hermiticity, so in the orthonormal Hermitian basis
+    A model built by :func:`measurement_model` (a MeasurementModel with its
+    ``l_coeffs``, the models :func:`decay_matrix` reads) is solved exactly:
+    L |u_alpha><u_beta| = -lambda_{alpha beta} |u_alpha><u_beta| in the
+    model's basis, so its mus are the decay rates, every chain has length 1,
+    and no generator is built (:func:`_decay_modes`).  L is normal there, so
+    ||L||_2 = max |lambda_{alpha beta}|.  As on the eig path, a cluster with a
+    real centre has Hermitian modes: each pair (alpha, beta), (beta, alpha)
+    in it is written as (|alpha><beta| + |beta><alpha|) / sqrt(2) and
+    i (|alpha><beta| - |beta><alpha|) / sqrt(2).
+
+    Any other model takes one ``eig`` (:func:`_eig_modes`).  L preserves
+    Hermiticity, so in the orthonormal Hermitian basis
     V = [vec(I/sqrt(d)), vec(F_m)] it is the real matrix R = V^dag L V:
     R (:func:`_hermitian_generator`) is decomposed in real arithmetic (its
     complex eigenvalues come in exact conjugate pairs) and its chains are
-    mapped back by V, so ``chains`` and ``modes`` are in L's own vec
-    coordinates.  R's exactly zero first row matters here: LAPACK's balancing
-    would scale its rounding noise up to a stationary-mode residual of about
-    1e-7 ||L||_F.  Raises Overflow when an entry of R or ||L||_2 leaves double
-    precision.
+    mapped back by V.  R's exactly zero first row matters here: LAPACK's
+    balancing would scale its rounding noise up to a stationary-mode residual
+    of about 1e-7 ||L||_F.
+
+    Either way ``chains`` and ``modes`` are in L's own vec coordinates, with
+    unit vectors.  Raises Overflow when a decay rate, an entry of R or
+    ||L||_2 leaves double precision.
     """
+    if _is_measurement(model):
+        eigenvalues, lengths, rows, tol = _decay_modes(model)
+    else:
+        eigenvalues, lengths, rows, tol = _eig_modes(model)
+    chains = ChainSpectrum(eigenvalues, lengths, rows.T)
+    per_chain = [p for per_eig in lengths for p in per_eig]
+    mus = -np.repeat(chains.eigenvalues, [len(per_eig) for per_eig in lengths])
+    heads = rows if len(per_chain) == len(rows) else rows[np.cumsum([0, *per_chain[:-1]])]
+    classes = map(_CLASSES.__getitem__,
+                  np.add(mus.real >= -tol, mus.real > tol, dtype=int).tolist())
+    return SuperopSpectrum(mus, heads.reshape(-1, model.dim, model.dim), list(classes),
+                           chains, tol)
+
+
+def _eig_modes(model: LindbladModel):
+    """(eigenvalues, lengths, rows, tol) of :func:`spectrum` by one real
+    ``eig`` of R: the clusters' eigenvalues and chain lengths, the chains'
+    vectors as rows in L's vec coordinates, and the stationary tolerance."""
     r = _hermitian_generator(model)
     v = channels._vec_basis(model.dim)
     try:
@@ -197,17 +237,42 @@ def spectrum(model: LindbladModel) -> SuperopSpectrum:
         raise NoConvergence(f"2-norm of the generator: {exc}") from exc
     if scale == np.inf:  # every tolerance below would be infinite
         raise Overflow("||L||_2 overflows double precision")
-    tol = STATIONARY_TOL_REL * scale
     in_r = matcore.general_eig(r, tol_cluster=matcore.TOL_CLUSTER_REL * scale)
     rows = in_r.vectors.T @ v.T  # row k: vector k in L's vec coordinates
-    chains = ChainSpectrum(in_r.eigenvalues, in_r.lengths, rows.T)
-    lengths = [p for per_eig in in_r.lengths for p in per_eig]
-    mus = -np.repeat(chains.eigenvalues, [len(per_eig) for per_eig in in_r.lengths])
-    heads = rows if len(lengths) == len(rows) else rows[np.cumsum([0, *lengths[:-1]])]
-    classes = map(_CLASSES.__getitem__,
-                  np.add(mus.real >= -tol, mus.real > tol, dtype=int).tolist())
-    return SuperopSpectrum(mus, heads.reshape(-1, model.dim, model.dim), list(classes),
-                           chains, tol)
+    return in_r.eigenvalues, in_r.lengths, rows, STATIONARY_TOL_REL * scale
+
+
+def _decay_modes(model: MeasurementModel):
+    """:func:`_eig_modes`' tuple of a measurement model, from its decay
+    matrix: L's eigenvalue -lambda_{alpha beta} at slot alpha d + beta, with
+    the mode vec(u_alpha u_beta^dag), clustered and ordered by
+    :func:`matcore._ordered_clusters` (the rates are closed under exact
+    conjugation, lambda_{beta alpha} = conj(lambda_{alpha beta})), and each
+    pair of transposed modes in a cluster with a real centre rotated into
+    its two Hermitian combinations."""
+    d = model.dim
+    lam = decay_matrix(model).lambdas
+    scale = max(1.0, float(np.abs(lam).max()))
+    first, sizes, centres, members = matcore._ordered_clusters(
+        -lam.reshape(-1), matcore.TOL_CLUSTER_REL * scale, True)
+    # slot of each mode in order, and each slot's position
+    slot = np.repeat(first, sizes)
+    start = np.cumsum(sizes) - sizes
+    for j, idx in members.items():
+        slot[start[j]:start[j] + sizes[j]] = idx
+    position = np.empty_like(slot)
+    position[slot] = np.arange(d * d)
+    u = model.basis._u.T  # row alpha: u_alpha
+    rows = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)[slot]
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    alpha, beta = np.divmod(slot, d)
+    partner = position[beta * d + alpha]
+    pair = (alpha < beta) & (centres.imag == 0.0)[cluster] & (cluster[partner] == cluster)
+    s, t = pair.nonzero()[0], partner[pair]
+    x, y = rows[s], rows[t]
+    c = 1 / np.sqrt(2)
+    rows[s], rows[t] = (x + y) * c, (x - y) * (1j * c)
+    return centres.tolist(), [[1] * n for n in sizes.tolist()], rows, STATIONARY_TOL_REL * scale
 
 
 def _hermitian_generator(model: LindbladModel) -> np.ndarray:
@@ -394,6 +459,12 @@ def measurement_model(basis: ProjectorBasis, l_coeffs, h_coeffs) -> MeasurementM
     return MeasurementModel(d, ham, ops, basis=basis, l_coeffs=l, h_coeffs=h)
 
 
+def _is_measurement(model: LindbladModel) -> bool:
+    """Is ``model`` a measurement model with its coefficients, the models
+    :func:`decay_matrix` and :func:`spectrum`'s exact path read?"""
+    return isinstance(model, MeasurementModel) and model.l_coeffs is not None
+
+
 @dataclass
 class DecayMatrix:
     """Pairwise decay rates lambda_{alpha beta} of a diagonal model, and the
@@ -424,7 +495,7 @@ def decay_matrix(model: MeasurementModel) -> DecayMatrix:
     """lambda_{alpha beta} = 1/2 sum_a |l_{a alpha} - l_{a beta}|^2
     - i Im sum_a l_{a alpha} l*_{a beta} + i (h_alpha - h_beta); raises
     Overflow when a rate leaves double precision."""
-    if not isinstance(model, MeasurementModel) or model.l_coeffs is None:
+    if not _is_measurement(model):
         raise NotDiagonalFamily(
             "decay_matrix needs a model built by measurement_model"
         )

@@ -470,6 +470,36 @@ def _cluster_labels(vals: np.ndarray, tol: float) -> np.ndarray:
     return label
 
 
+def _ordered_clusters(raw: np.ndarray, tol: float, conjugate_closed: bool):
+    """(first, sizes, centres, members): the clusters of the eigenvalues
+    ``raw`` (:func:`_cluster_labels`), ordered by the real, then the
+    imaginary part of their centres.  Per cluster in that order, ``first``
+    is its smallest index into raw, ``sizes`` its size and ``centres`` its
+    eigenvalue, the one member or the members' mean; ``members`` maps the
+    position of each cluster of more than one member to its indices into
+    raw, in ascending positions.  When raw is closed under exact
+    conjugation, a self-conjugate cluster, whose sorted imaginary parts are
+    their own negatives reversed, gets an exactly real centre, which
+    ``np.mean``'s pairwise sum does not guarantee."""
+    n = len(raw)
+    label = _cluster_labels(raw, tol)
+    first = (label == np.arange(n)).nonzero()[0]
+    sizes = np.bincount(label, minlength=n)[first]
+    centres = raw[first].astype(complex)
+    found = {}
+    for k in (sizes > 1).nonzero()[0].tolist():
+        found[k] = idx = (label == first[k]).nonzero()[0]
+        centres[k] = np.mean(raw[idx])
+        im = np.sort(raw[idx].imag)
+        if conjugate_closed and np.array_equal(im, -im[::-1]):
+            centres[k] = centres[k].real
+    order = np.lexsort((centres.imag, centres.real))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    members = dict(sorted((int(position[k]), idx) for k, idx in found.items()))
+    return first[order], sizes[order], centres[order], members
+
+
 def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: float):
     """(vectors, lengths) of a cluster of ``a`` with more than one member:
     its chains' vectors as columns, chain by chain, and the chains' lengths;
@@ -577,7 +607,8 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     ``tol_cluster`` and 1e-8 max(1, spectral radius), whichever is less.  For a
     diagonalizable matrix every chain has length one and the vectors within
     each eigenvalue are orthonormal.  Clusters are ordered by the real, then
-    the imaginary part of their mean.  A real input stays real, so ``eig``
+    the imaginary part of their mean (:func:`_ordered_clusters`, whose rules
+    a measurement model's spectrum shares).  A real input stays real, so ``eig``
     takes LAPACK's real path and its complex eigenvalues come in exact
     conjugate pairs.  A self-conjugate cluster, whose sorted imaginary parts
     are their own negatives reversed, gets an exactly real centre, which
@@ -599,24 +630,11 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     if not np.isfinite(raw).all():
         raise NoConvergence("eig returned non-finite eigenvalues")
 
-    label = _cluster_labels(raw, tol_cluster)
     # a cluster's spread reads as rounding up to the cluster tolerance, and
     # never beyond the precision-level one of the spectral radius
     limit = min(tol_cluster, TOL_CLUSTER_REL * max(1.0, float(np.abs(raw).max())))
-    # the clusters by their smallest index: that index, the cluster's size
-    # and its centre, the first member or the members' mean
-    first = (label == np.arange(d)).nonzero()[0]
-    sizes = np.bincount(label, minlength=d)[first]
-    centres = raw[first].astype(complex)
-    members = {}
-    for k in (sizes > 1).nonzero()[0].tolist():
-        members[k] = idx = (label == first[k]).nonzero()[0]
-        centres[k] = np.mean(raw[idx])
-        im = np.sort(raw[idx].imag)
-        if not np.iscomplexobj(a) and np.array_equal(im, -im[::-1]):
-            centres[k] = centres[k].real
-    order = np.lexsort((centres.imag, centres.real))
-    first, sizes = first[order], sizes[order]
+    first, sizes, centres, members = _ordered_clusters(raw, tol_cluster,
+                                                       not np.iscomplexobj(a))
     start = np.cumsum(sizes) - sizes
 
     # the vectors fill one matrix, cluster by cluster in order; the
@@ -624,13 +642,12 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     vectors = np.empty((d, d), raw_vecs.dtype)
     single = sizes == 1
     vectors[:, start[single]] = (raw_vecs / np.linalg.norm(raw_vecs, axis=0))[:, first[single]]
-    lengths = np.ones((len(order), 1), dtype=int).tolist()
-    for j in (~single).nonzero()[0].tolist():
-        k = int(order[j])
+    lengths = np.ones((len(first), 1), dtype=int).tolist()
+    for j, idx in members.items():
         vectors[:, start[j]:start[j] + sizes[j]], lengths[j] = _cluster_chains(
-            a, complex(centres[k]), raw[members[k]], limit)
+            a, complex(centres[j]), raw[idx], limit)
 
-    eigenvalues = centres[order].tolist()
+    eigenvalues = centres.tolist()
     basis = vectors if np.iscomplexobj(a) else _real_span(vectors, raw, first, sizes)
     if np.count_nonzero(np.linalg.svd(basis, compute_uv=False) > 1e-8) < d:
         raise IllConditioned(

@@ -3,9 +3,10 @@
 Fixed-step RK4 integrators for the RWA pulse and for the exact driven
 dynamics, and adaptive quadrature of the Gaussian transit-time average.  The
 quadrature integrand composes the three protocol segments directly on
-unchecked two-level states, so it shares no code with the library's fringe
-constants; it takes any other composition of the fraction in its place, such
-as the one whose free flight is evolved by the Lindblad engine.  The
+unchecked 2 x 2 arrays, so it shares no code with the library's fringe
+constants and builds no state per integrand point; it takes any other
+composition of the fraction in its place, such as the one whose free flight
+is evolved by the Lindblad engine.  The
 strong-drive (|dw| << |U|) reference formulas for the single-shot and the
 Gaussian-averaged fringe are written out from their closed forms.
 
@@ -25,6 +26,7 @@ against the running sum.
 For the output: the standard library's JSON encoder.
 """
 import json
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -58,11 +60,17 @@ def _rwa_rhs(t, fee, fgg, feg, u_eg, dw):
     return dee, dgg, deg
 
 
+def _unchecked_matrix(f_ee, f_eg):
+    """The 2 x 2 matrix over (e, g) with excited population f_ee and
+    coherence f_eg, built with no check: the transit-average continuation
+    visits transiently unphysical points."""
+    return np.array([[f_ee, f_eg], [np.conj(f_eg), 1.0 - f_ee]], dtype=complex)
+
+
 def _unchecked_state(f_ee, f_eg):
-    """The two-level state over (e, g) with excited population f_ee and
-    coherence f_eg, built with no check: RK4 drifts, and the transit-average
-    continuation visits transiently unphysical points."""
-    return DensityMatrix(np.array([[f_ee, f_eg], [np.conj(f_eg), 1.0 - f_ee]], dtype=complex))
+    """:func:`_unchecked_matrix` as a DensityMatrix, with no check: RK4
+    drifts."""
+    return DensityMatrix(_unchecked_matrix(f_ee, f_eg))
 
 
 def rwa_ode(rho, tau, derived, u_eg, dt, t_start=0.0):
@@ -149,46 +157,46 @@ def full_ode(energies, u_matrix, omega, t_span, dt):
     return times, traj.reshape(n + 1, d, d)
 
 
-def _pulse_raw(rho, tau, derived, u_eg, t_start):
-    """Rodrigues rotation of rho's Bloch vector, the result built unchecked
+def _pulse_raw(f, tau, derived, u_eg, t_start):
+    """Rodrigues rotation of the Bloch vector of the 2 x 2 array f over
+    (e, g), in scalar arithmetic, the result a 2 x 2 array built unchecked
     (the transit-average continuation visits transiently unphysical points
     whose Gaussian weight is negligible)."""
     dw = derived.delta_omega
     u = abs(u_eg)
     big_om = derived.big_omega
     if big_om == 0.0 or tau == 0.0:
-        return rho
-    f_ee, f_eg = rho.matrix[0, 0].real, rho.matrix[0, 1]
+        return f
+    f_ee, f_eg = f[0, 0].real, f[0, 1]
     phi = np.angle(u_eg) if u > 0 else 0.0
     g = f_eg * np.exp(1j * dw * t_start) * np.exp(-1j * phi)
-    bloch = np.array([2 * g.real, 2 * g.imag, 2 * f_ee - 1.0])
-    axis = np.array([2 * u, 0.0, dw]) / (2 * big_om)
+    bx, by, bz = 2 * g.real, 2 * g.imag, 2 * f_ee - 1.0
+    nx, nz = u / big_om, dw / (2 * big_om)  # the rotation axis, n_y = 0
     theta = 2 * big_om * tau
-    c, s = np.cos(theta), np.sin(theta)
-    rotated = (
-        bloch * c
-        + np.cross(axis, bloch) * s
-        + axis * np.dot(axis, bloch) * (1 - c)
-    )
-    g_out = (rotated[0] + 1j * rotated[1]) / 2
-    f_ee_out = (1.0 + rotated[2]) / 2
+    c, s = math.cos(theta), math.sin(theta)
+    along = (nx * bx + nz * bz) * (1 - c)
+    x = bx * c - nz * by * s + nx * along
+    y = by * c + (nz * bx - nx * bz) * s
+    z = bz * c + nx * by * s + nz * along
+    g_out = (x + 1j * y) / 2
     f_eg_out = g_out * np.exp(1j * phi) * np.exp(-1j * dw * (t_start + tau))
-    return _unchecked_state(f_ee_out, f_eg_out)
+    return _unchecked_matrix((1.0 + z) / 2, f_eg_out)
 
 
 def protocol_at(config, theory, t_flight):
     """Composed fraction pulse -> flight -> pulse at any flight time,
-    segment by segment.  Negative t_flight is the analytic continuation of
-    the fringe that the full-real-line transit average integrates over."""
+    segment by segment on 2 x 2 arrays.  Negative t_flight is the analytic
+    continuation of the fringe that the full-real-line transit average
+    integrates over."""
     der = derive(config)
-    rho = _pulse_raw(_unchecked_state(0.0, 0.0 + 0.0j), config.tau, der, config.u_eg, 0.0)
+    f = _pulse_raw(_unchecked_matrix(0.0, 0.0 + 0.0j), config.tau, der, config.u_eg, 0.0)
     if theory == "modified":
-        damped = rho.matrix[0, 1] * np.exp(-complex(config.lambda_tilde_eg) * t_flight)
-        rho = _unchecked_state(rho.matrix[0, 0].real, damped)
+        damped = f[0, 1] * np.exp(-complex(config.lambda_tilde_eg) * t_flight)
+        f = _unchecked_matrix(f[0, 0].real, damped)
     elif theory != "standard":
         raise ValueError(f"unknown theory {theory!r}")
-    rho = _pulse_raw(rho, config.tau, der, config.u_eg, config.tau + t_flight)
-    return float(rho.matrix[0, 0].real)
+    f = _pulse_raw(f, config.tau, der, config.u_eg, config.tau + t_flight)
+    return float(f[0, 0].real)
 
 
 def gaussian_fraction_quadrature(config, theory="standard", truncate=False, at=protocol_at):

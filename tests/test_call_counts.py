@@ -139,6 +139,18 @@ def test_gks_build_kron_calls_do_not_grow_with_d(monkeypatch, rng):
     assert calls == []
 
 
+def test_measurement_spectrum_takes_no_eig_svd_or_generator(monkeypatch, rng):
+    # a measurement model's spectrum is its decay matrix: no generator, no
+    # eig and no SVD, at any d
+    eigs = _count(monkeypatch, _LINALG, "eig")
+    svds = _count(monkeypatch, _LINALG, "svd")
+    builds = _count(monkeypatch, [lindblad], "build_superoperator")
+    for d in (2, 4, 8):
+        spec = spectrum(random_measurement_model(rng, d))
+        assert spec.classifications.count("stationary") == d
+    assert eigs == svds == builds == []
+
+
 def test_spectrum_svd_calls_do_not_grow_with_d(monkeypatch, rng):
     # one 2-norm of L shared by both tolerances, one rank check
     calls = _count(monkeypatch, _LINALG, "svd")

@@ -20,6 +20,7 @@ from conftest import (
 from lindkit import (
     DensityMatrix,
     LindbladModel,
+    MeasurementModel,
     ProjectorBasis,
     born_collapse,
     born_limit_check,
@@ -188,6 +189,116 @@ def test_stationary_residual_of_generic_models():
             k = int(np.argmin(np.abs(spec.mus)))
             v = spec.modes[k].reshape(-1) / np.linalg.norm(spec.modes[k])
             assert np.linalg.norm(sop @ v + spec.mus[k] * v) <= 1e-12 * np.linalg.norm(sop)
+
+
+def _span_projector(modes):
+    """The orthogonal projector onto the span of the vectorized modes."""
+    q = np.linalg.qr(np.reshape(modes, (len(modes), -1)).T)[0]
+    return q @ q.conj().T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 10), merge=st.sampled_from([None, "equal h", "unequal h"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_measurement_spectrum_is_the_eig_paths(d, merge, seed):
+    # the decay-matrix path against the eig path on the same operators; with
+    # ``merge`` some outcomes share outcome 0's coefficient column, and with
+    # it its h or not.  One class with one h would be the zero generator,
+    # whose eig path reads its rounding noise, so that merge leaves a class
+    # apart.
+    rng = np.random.default_rng(seed)
+    basis = ProjectorBasis.from_vectors(list(random_unitary(rng, d).T))
+    l = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+    h = rng.standard_normal(d)
+    most = d - 1 if merge == "unequal h" else d - 2
+    if merge and most:
+        merged = rng.choice(np.arange(1, d), size=int(rng.integers(1, most + 1)),
+                            replace=False)
+        l[:, merged] = l[:, [0]]
+        if merge == "equal h":
+            h[merged] = h[0]
+    model = measurement_model(basis, l, h)
+    got = spectrum(model)
+    want = spectrum(LindbladModel(d, model.hamiltonian, model.lindblads))
+    sop = build_superoperator(model)
+    scale = max(1.0, np.abs(got.mus).max())
+    # L is normal, so ||L||_2 = max |mu| sets the same tolerances
+    assert abs(got.tol - want.tol) <= 1e-12 * want.tol
+    # The order is the eig path's, except where exact real parts tie: there
+    # the eig path sorts by their rounding noise, so a run of tied real parts
+    # is compared as a multiset.
+    assert len(got.mus) == len(want.mus) == d * d
+    cut = np.flatnonzero(np.diff(got.mus.real) > 1e-10 * scale) + 1
+    perm = np.arange(d * d)
+    for run in np.split(perm, cut):
+        cost = np.abs(got.mus[run][:, None] - want.mus[run][None, :])
+        perm[run] = run[scipy.optimize.linear_sum_assignment(cost)[1]]
+    assert np.abs(got.mus - want.mus[perm]).max() <= 1e-10 * scale
+    assert got.classifications == [want.classifications[k] for k in perm]
+    size_got = np.repeat(got.chains.multiplicities, got.chains.multiplicities)
+    size_want = np.repeat(want.chains.multiplicities, want.chains.multiplicities)
+    assert np.array_equal(size_got, size_want[perm])
+    assert got.chains.lengths == [[1] * m for m in got.chains.multiplicities]
+    assert [p for per_eig in want.chains.lengths for p in per_eig] == [1] * d * d
+    # each cluster spans what the eig path's cluster at the same mu spans
+    for mu in np.unique(got.mus):
+        mine = np.flatnonzero(got.mus == mu)
+        theirs = np.flatnonzero(np.abs(want.mus - mu) <= 1e-10 * scale)
+        assert len(mine) == len(theirs)
+        distance = np.linalg.norm(_span_projector(got.modes[mine])
+                                  - _span_projector(want.modes[theirs]), 2)
+        assert distance <= 1e-10
+    for mu, mode in zip(got.mus, got.modes):
+        v = mode.reshape(-1)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        assert np.linalg.norm(sop @ v + mu * v) <= 1e-12 * np.linalg.norm(sop)
+        if abs(mu) <= got.tol:
+            assert _hermitian_up_to_phase_defect(mode) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_eig_path_resolves_a_measurement_models_stationary_cluster(monkeypatch, d):
+    # the measurement model's operators as a plain LindbladModel take the
+    # eig path, whose d stationary modes are one cluster of _cluster_chains
+    chains = []
+    real = matcore._cluster_chains
+    monkeypatch.setattr(matcore, "_cluster_chains",
+                        lambda *args: chains.append(args[2]) or real(*args))
+    model = random_measurement_model(np.random.default_rng(d), d)
+    plain = LindbladModel(d, model.hamiltonian, model.lindblads)
+    spec = spectrum(plain)
+    assert [len(members) for members in chains] == [d]
+    assert sorted(spec.chains.multiplicities) == [1] * (d * d - d) + [d]
+    sop = build_superoperator(plain)
+    stationary = spec.stationary_modes()
+    assert len(stationary) == d
+    for mode in stationary:
+        v = mode.reshape(-1)
+        assert np.linalg.norm(sop @ v) <= 1e-12 * np.linalg.norm(sop)
+        assert _hermitian_up_to_phase_defect(mode) <= 1e-12
+    assert np.linalg.norm(_span_projector(stationary)
+                          - _span_projector(model.basis.projectors), 2) <= 1e-10
+
+
+def test_measurement_spectrum_overflows_as_the_eig_path_does():
+    model = measurement_model(ProjectorBasis.computational(3), [[0.0, 1e300, -1.0]],
+                              [0.0, 0.0, 0.0])
+    for m in (model, LindbladModel(3, model.hamiltonian, model.lindblads)):
+        with pytest.raises(errors.Overflow):
+            spectrum(m)
+
+
+def test_measurement_model_without_coefficients_takes_the_eig_path(monkeypatch, rng):
+    model = random_measurement_model(rng, 4)
+    bare = MeasurementModel(4, model.hamiltonian, model.lindblads)
+    want = spectrum(LindbladModel(4, model.hamiltonian, model.lindblads))
+    calls = []
+    real_eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or real_eig(a))
+    got = spectrum(bare)
+    assert calls == [1]
+    assert np.array_equal(got.mus, want.mus) and np.array_equal(got.modes, want.modes)
+    assert got.classifications == want.classifications
 
 
 class TestEvolve:
