@@ -25,21 +25,19 @@ that decomposition: the eigenvalues and the eigen-matrices as one
 (d^2, d, d) stack.  The stored eigen-matrices depend on this convention;
 the CP verdict does not.
 
-The fixed traceless operator basis {F_m} is the generalized Gell-Mann set,
-ordered: symmetric pairs (j < k, lexicographic), then antisymmetric pairs,
-then diagonal, all normalized to Tr(F_m F_n^dag) = delta_mn.  It is one
-read-only (d^2 - 1, d, d) array, so a sum over it is one tensor product,
-and Tr(X F_m) for every m is one product with the columns vec(F_m).
+The fixed traceless operator basis {F_m} is the generalized Gell-Mann set
+of :mod:`lindkit.gellmann`: symmetric pairs, antisymmetric pairs, then
+diagonal, with Tr(F_m F_n^dag) = delta_mn.  Sums over it and the traces
+Tr(X F_m) are that module's gathers, so a two-sided product costs O(d^4).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import matcore, records
+from . import gellmann, matcore, records
 from .errors import (
     DimensionMismatch,
     InconsistentSamples,
@@ -86,13 +84,6 @@ def trace_defect(mat: np.ndarray, dim: int) -> float:
     """How far the superoperator (a propagator) is from preserving the trace."""
     vec_i = np.eye(dim, dtype=complex).reshape(-1)
     return float(np.linalg.norm(vec_i @ mat - vec_i))
-
-
-def generator_trace_defect(mat: np.ndarray, dim: int) -> float:
-    """Trace condition for a *generator*: the identity must be a left null
-    vector, vec(I)^T L = 0."""
-    vec_i = np.eye(dim, dtype=complex).reshape(-1)
-    return float(np.linalg.norm(vec_i @ mat))
 
 
 @dataclass
@@ -153,21 +144,30 @@ class Kernel:
             return cls(d, tau, matrix)
 
 
+def _real_generator(gen: np.ndarray) -> np.ndarray:
+    """R = Re(V^dag L V) of a Hermiticity-preserving L in the basis V =
+    [vec(I/sqrt(d)), vec(F_m)], its first row vec(I)^dag L / sqrt(d) kept as
+    it is; Overflow when an entry is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.ascontiguousarray(gellmann.both_axes(gellmann.to_coords, gen).real)
+    if not np.isfinite(r).all():
+        raise Overflow("generator entries in the Hermitian basis overflow double precision")
+    return r
+
+
 def kernel_from_generator(generator: np.ndarray, tau: float) -> Kernel:
     """exp(tau * L) wrapped as a Kernel.
 
-    A Hermiticity-preserving L is the real matrix R = V^dag L V in the
-    orthonormal Hermitian basis V = [vec(I/sqrt(d)), vec(F_m)]
-    (:func:`_vec_basis`), so for a dense L of d >= REAL_KERNEL_MIN_DIM the
-    kernel is I + V (exp(tau R) - I) V^dag, with exp(tau R) a real Pade
+    A dense Hermiticity-preserving L of d >= REAL_KERNEL_MIN_DIM is the real
+    matrix R (:func:`_real_generator`), and its kernel I + V (exp(tau R) - I)
+    V^dag, exactly I at tau = 0, with exp(tau R) a real Pade
     (:func:`matcore.expm`).  That kernel preserves Hermiticity by
-    construction, so L is checked instead, by the test a Kernel applies to
-    its own matrix: NotHermitianKernel is raised when reshuffle(L) is not
-    Hermitian within TOL_KERNEL, and Overflow when an entry of V^dag L V is
-    not finite (tested first, so that no overflow reads as a defect) or when
-    ||tau R||_1 exceeds matcore.EXPM_NORM_BOUND, as for a Hermiticity-
-    preserving L scaled by 1e300.  Written as I plus a correction, K is
-    exactly the identity at tau = 0.
+    construction, so L takes the Kernel's own test instead: NotHermitianKernel
+    when reshuffle(L) is not Hermitian within TOL_KERNEL, and Overflow when an
+    entry of R is not finite (tested first, so that no overflow reads as a
+    defect) or ||tau R||_1 exceeds matcore.EXPM_NORM_BOUND.  R keeps its first
+    row, so the kernel of an L that does not preserve the trace fails the
+    Kernel's trace test.
 
     Two kinds of L take exp(tau L) in complex arithmetic, whose bound is
     then on ||tau L||_1: an L with no off-diagonal entry, whose exponential
@@ -190,17 +190,13 @@ def kernel_from_generator(generator: np.ndarray, tau: float) -> Kernel:
         return Kernel(d, tau, np.diag(np.exp(scaled)) if tau else np.eye(n, dtype=complex))
     if d < REAL_KERNEL_MIN_DIM or d * d != n:
         return Kernel(d, tau, matcore.expm(gen, tau))
-    v = _vec_basis(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = v.conj().T @ gen @ v
-    if not np.isfinite(q).all():
-        raise Overflow("generator entries in the Hermitian basis overflow double precision")
+    r = _real_generator(gen)
     c = reshuffle(gen, d)
     if not matcore._is_hermitian(c, TOL_KERNEL):
         raise NotHermitianKernel(
             f"generator does not preserve Hermiticity ({matcore._defect_text(c)})")
-    step = matcore.expm(q.real, tau) - np.eye(n)
-    return Kernel(d, tau, np.eye(n) + v @ step @ v.conj().T)
+    step = matcore.expm(r, tau) - np.eye(n)
+    return Kernel(d, tau, np.eye(n) + gellmann.both_axes(gellmann.from_coords, step))
 
 
 @dataclass
@@ -259,36 +255,10 @@ def kraus_operators(spectrum: ChoiSpectrum) -> np.ndarray:
 # Traceless operator basis and the GKS canonical form
 # ---------------------------------------------------------------------------
 
-def _gellmann_pairs(dim: int):
-    """(j, k): the pairs j < k of the symmetric and of the antisymmetric
-    Gell-Mann matrices, in :func:`gellmann_basis`'s order."""
-    return np.triu_indices(dim, 1)
-
-
-@lru_cache(maxsize=None)
-def _vec_basis(dim: int) -> np.ndarray:
-    """d^2 x d^2 unitary whose columns are vec(I/sqrt(d)) and vec(F_m), F_m
-    the generalized Gell-Mann matrices: Hermitian, traceless, with
-    Tr(F_m F_n^dag) = delta_mn, ordered as the module docstring says
-    (read-only, built once per d)."""
-    j, k = _gellmann_pairs(dim)
-    sym, anti = np.arange(1, len(j) + 1), np.arange(len(j) + 1, 2 * len(j) + 1)
-    rows = np.zeros((dim * dim, dim, dim), dtype=complex)
-    rows[0] = np.eye(dim) / np.sqrt(dim)
-    rows[sym, j, k] = rows[sym, k, j] = 1 / np.sqrt(2)
-    rows[anti, j, k], rows[anti, k, j] = -1j / np.sqrt(2), 1j / np.sqrt(2)
-    # diagonal l = 1 .. d-1: (1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1))
-    l, i = np.arange(1, dim)[:, None], np.arange(dim)
-    diag = (i < l) - l * (i == l)
-    rows[2 * len(j) + l, i, i] = diag.astype(complex) / np.sqrt(l * (l + 1))
-    rows.flags.writeable = False
-    return rows.reshape(dim * dim, dim * dim).T
-
-
 def gellmann_basis(dim: int) -> np.ndarray:
-    """Generalized Gell-Mann matrices for dimension ``dim``, as one read-only
-    (d^2 - 1, d, d) stack: a view of the rows of :func:`_vec_basis`."""
-    return _vec_basis(dim).T[1:].reshape(dim * dim - 1, dim, dim)
+    """Generalized Gell-Mann matrices for dimension ``dim``, as one
+    (d^2 - 1, d, d) stack."""
+    return gellmann.from_coords(np.eye(dim * dim)[:, 1:]).T.reshape(-1, dim, dim)
 
 
 @dataclass
@@ -309,10 +279,6 @@ class GKSForm:
             raise NotHermitian("c matrix must be Hermitian")
         if not matcore._is_hermitian(self.hamiltonian, matcore.TOL_HERM):
             raise NotHermitian("GKS Hamiltonian must be Hermitian")
-
-    @property
-    def basis(self) -> np.ndarray:
-        return gellmann_basis(self.dim)
 
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, **GKS_CONSTANTS,
@@ -339,14 +305,16 @@ def gks_build(gks: GKSForm) -> np.ndarray:
         L(rho) = -i[H, rho] + sum_mn c_mn (F_m rho F_n^dag
                                            - 1/2 {F_n^dag F_m, rho}).
 
-    With M = W c W^dag (W: columns vec(F_m)), sum_mn c_mn F_m (x) conj(F_n) is
-    reshuffle(M) and sum_mn c_mn F_n^dag F_m is a partial trace of M, anti.
-    The rest, K (x) I + I (x) (iH - anti/2)^T with K = -iH - anti/2, is
-    added on the delta_jl and delta_ik diagonals of entry ((i, j), (k, l)).
+    With M = V (0 (+) c) V^dag (:func:`gellmann.both_axes`, O(d^4)),
+    sum_mn c_mn F_m (x) conj(F_n) is reshuffle(M) and sum_mn c_mn F_n^dag F_m
+    is a partial trace of M, anti.  The rest, K (x) I + I (x) (iH - anti/2)^T
+    with K = -iH - anti/2, is added on the delta_jl and delta_ik diagonals of
+    entry ((i, j), (k, l)).
     """
     d, h = gks.dim, gks.hamiltonian
-    w = _vec_basis(d)[:, 1:]
-    m = w @ gks.c_matrix @ w.conj().T
+    q = np.zeros((d * d, d * d), dtype=complex)
+    q[1:, 1:] = gks.c_matrix
+    m = gellmann.both_axes(gellmann.from_coords, q)
     anti = np.trace(m.reshape(d, d, d, d), axis1=0, axis2=2).T
     sop = reshuffle(m, d).reshape(d, d, d, d)
     np.einsum("ijkj->ijk", sop)[...] += (-1j * h - 0.5 * anti)[:, None, :]
@@ -359,23 +327,22 @@ def gks_project(superop: np.ndarray) -> GKSForm:
 
     Expands the superoperator in the orthonormal family
     {G_a (x) conj(G_b)} with G_0 = I/sqrt(d), G_m = F_m; the (m, n >= 1) block
-    of the expansion is c, and the m0 column plus the 00 coefficient fits the
-    Hamiltonian.  Since reshuffle(A (x) conj(B)) = vec(A) vec(B)^dag, the
-    whole expansion is q = V^dag reshuffle(L) V with V the columns vec(G_a).
+    of the expansion is c, and its first column fits the Hamiltonian.  Since
+    reshuffle(A (x) conj(B)) = vec(A) vec(B)^dag, the whole expansion is
+    q = V^dag reshuffle(L) V (:func:`gellmann.both_axes`, O(d^4)).
     gks_build(gks_project(L)) reproduces L exactly for valid generators.
     """
     sop = matcore.as_square_matrix(superop)
     d = int(round(np.sqrt(sop.shape[0])))
     if d * d != sop.shape[0]:
         raise DimensionMismatch("superoperator side must be a perfect square")
-    residual = generator_trace_defect(sop, d)
+    residual = float(np.linalg.norm(np.eye(d).reshape(-1) @ sop))  # of vec(I)^T L = 0
     if residual > TOL_GENERATOR_TRACE:
         raise NotAGenerator(f"trace-preservation residual {residual:.3e}")
-    v = _vec_basis(d)
     # q of the exactly scaled copy: entries near 1e308 leave no inf in it
     scaled, unit = matcore._unit_scaled(sop)
     unit = float(unit)
-    q = v.conj().T @ reshuffle(scaled, d) @ v
+    q = gellmann.both_axes(gellmann.to_coords, reshuffle(scaled, d))
     if not matcore._is_hermitian(q, 1e-8, unit):
         raise NotHermitianKernel(
             "generator is not Hermiticity-preserving "
@@ -383,8 +350,8 @@ def gks_project(superop: np.ndarray) -> GKSForm:
         )
     q = (0.5 / unit) * (q + q.conj().T)
     c = q[1:, 1:].copy()
-    f_op = (v[:, 1:] @ q[1:, 0]).reshape(d, d) / np.sqrt(d)
-    f_op = f_op + q[0, 0] / (2 * d) * np.eye(d)
+    # F = sum_a q_a0 G_a / sqrt(d); its identity part is real and cancels in H
+    f_op = gellmann.from_coords(q[:, 0]).reshape(d, d) / np.sqrt(d)
     h = 0.5j * (f_op - f_op.conj().T)
     return GKSForm(d, h, c)
 
@@ -398,7 +365,8 @@ def gks_lindblad_ops(gks: GKSForm) -> np.ndarray:
             f"c matrix has negative eigenvalue {vals.min():.3e}; not a CP generator"
         )
     keep = vals > TOL_OPERATOR
-    return np.sqrt(vals[keep])[:, None, None] * np.tensordot(vecs[:, keep].T, gks.basis, 1)
+    coords = np.vstack([np.zeros((1, keep.sum())), vecs[:, keep] * np.sqrt(vals[keep])])
+    return gellmann.from_coords(coords).T.reshape(-1, gks.dim, gks.dim)
 
 
 def bfr_derivative_check(gks: GKSForm, trials: int, seed: int = 0) -> float:
@@ -417,20 +385,18 @@ def bfr_derivative_check(gks: GKSForm, trials: int, seed: int = 0) -> float:
     a negative minimum.  Raises SingularSimilarity if no well-conditioned
     similarity can be found after MAX_RESAMPLE redraws.
 
-    F_m is Hermitian, so Tr(X F_m) = Tr(X F_m^dag) = vec(F_m)^dag vec(X):
-    the four trace vectors are one product with the basis columns.
+    F_m is Hermitian, so W and the traces Tr(X F_m) = vec(F_m)^dag vec(X) are
+    one :mod:`lindkit.gellmann` map each.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    fs = gks.basis
-    n = len(fs)
-    cols = _vec_basis(gks.dim)[:, 1:].conj()
+    d, n = gks.dim, gks.dim ** 2 - 1
     best = np.inf
     for _ in range(trials):
         for attempt in range(MAX_RESAMPLE + 1):
             w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            big_w = 0.5 * np.tensordot(w.conj(), fs, 1)
+            big_w = gellmann.from_coords(np.r_[0.0, 0.5 * w.conj()]).reshape(d, d)
             try:
                 _, s_mat = np.linalg.eig(big_w)
             except np.linalg.LinAlgError:
@@ -447,7 +413,7 @@ def bfr_derivative_check(gks: GKSForm, trials: int, seed: int = 0) -> float:
         psi = psi_dag.conj().T
         xs = np.stack([psi @ phi.conj().T, phi @ psi_dag,
                        (phi.conj().T @ psi).T, (psi_dag @ phi).T])
-        a_vec, b_vec, e_vec, g_vec = xs.reshape(4, -1) @ cols
+        a_vec, b_vec, e_vec, g_vec = gellmann.to_coords(xs.reshape(4, -1).T)[1:].T
         val = a_vec @ gks.c_matrix @ b_vec + e_vec @ gks.c_matrix @ g_vec
         best = min(best, 2.0 * float(val.real))
     return best

@@ -9,28 +9,22 @@ models are the only constructor that guarantees the hypotheses of the
 Born-rule limit; general models get the asymptotic checks gated by the
 balanced predicate ||sum_a (L_a^dag L_a - L_a L_a^dag)|| = 0.
 
-Evolution goes through exp(t R) on the state's real coherence vector, with
-R the generator in the orthonormal Hermitian basis, rather than the modal
-sum, which sidesteps non-diagonalizable generators; the modal sum is
-exercised only in tests on diagonalizable fixtures.  A measurement model is
-solved exactly instead, at any finite time and without the generator.
-
-Its spectrum is exact too: a model built by measurement_model (a
-MeasurementModel with its l_coeffs) has the modes |u_alpha><u_beta| with
-mu = lambda_{alpha beta} of its decay matrix, so spectrum reads them off
-that matrix, with ||L||_2 = max |lambda| (L is normal there) and Hermitian
-modes in every cluster with a real centre, and runs no eig; every other
-model takes one real eig of its generator.
+Evolution applies exp(t R) to the state's real coordinates x = V^dag
+vec(rho) in the Gell-Mann basis of :mod:`lindkit.gellmann`, R = V^dag L V,
+rather than the modal sum, which sidesteps non-diagonalizable generators.
+A measurement model is solved exactly instead, at any finite time and
+without the generator, and so is its spectrum: its modes |u_alpha><u_beta|
+have mu = lambda_{alpha beta} of its decay matrix, ||L||_2 = max |lambda|
+(L is normal there), and every other model takes one real eig of R.
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, matcore, records
+from . import channels, gellmann, matcore, records
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -198,14 +192,12 @@ def spectrum(model: LindbladModel) -> SuperopSpectrum:
     in it is written as (|alpha><beta| + |beta><alpha|) / sqrt(2) and
     i (|alpha><beta| - |beta><alpha|) / sqrt(2).
 
-    Any other model takes one ``eig`` (:func:`_eig_modes`).  L preserves
-    Hermiticity, so in the orthonormal Hermitian basis
-    V = [vec(I/sqrt(d)), vec(F_m)] it is the real matrix R = V^dag L V:
-    R (:func:`_hermitian_generator`) is decomposed in real arithmetic (its
-    complex eigenvalues come in exact conjugate pairs) and its chains are
-    mapped back by V.  R's exactly zero first row matters here: LAPACK's
-    balancing would scale its rounding noise up to a stationary-mode residual
-    of about 1e-7 ||L||_F.
+    Any other model takes one ``eig`` (:func:`_eig_modes`) of the real
+    generator R = V^dag L V (:func:`_hermitian_generator`), whose complex
+    eigenvalues come in exact conjugate pairs, and its chains are mapped back
+    by V.  R's exactly zero first row matters here: LAPACK's balancing would
+    scale its rounding noise up to a stationary-mode residual of about 1e-7
+    ||L||_F.
 
     Either way ``chains`` and ``modes`` are in L's own vec coordinates, with
     unit vectors.  Raises Overflow when a decay rate, an entry of R or
@@ -230,7 +222,6 @@ def _eig_modes(model: LindbladModel):
     ``eig`` of R: the clusters' eigenvalues and chain lengths, the chains'
     vectors as rows in L's vec coordinates, and the stationary tolerance."""
     r = _hermitian_generator(model)
-    v = channels._vec_basis(model.dim)
     try:
         scale = max(1.0, float(np.linalg.norm(r, 2)))
     except np.linalg.LinAlgError as exc:
@@ -238,7 +229,7 @@ def _eig_modes(model: LindbladModel):
     if scale == np.inf:  # every tolerance below would be infinite
         raise Overflow("||L||_2 overflows double precision")
     in_r = matcore.general_eig(r, tol_cluster=matcore.TOL_CLUSTER_REL * scale)
-    rows = in_r.vectors.T @ v.T  # row k: vector k in L's vec coordinates
+    rows = gellmann.from_coords(in_r.vectors).T  # row k: vector k in L's vec coordinates
     return in_r.eigenvalues, in_r.lengths, rows, STATIONARY_TOL_REL * scale
 
 
@@ -276,51 +267,12 @@ def _decay_modes(model: MeasurementModel):
 
 
 def _hermitian_generator(model: LindbladModel) -> np.ndarray:
-    """The generator as the real matrix R = Re(V^dag L V) in the orthonormal
-    Hermitian basis V = [vec(I/sqrt(d)), vec(F_m)] (L preserves Hermiticity).
-    R's first row, vec(I)^dag L / sqrt(d), vanishes for a trace-preserving L
-    and is set to exactly 0, so a state's first coordinate Tr(rho) / sqrt(d)
-    never moves under R.  Raises Overflow when an entry of R is not finite.
-    """
-    sop = build_superoperator(model)
-    v = channels._vec_basis(model.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = (v.conj().T @ sop @ v).real.copy()
-    if not np.isfinite(r).all():
-        raise Overflow("generator entries in the Hermitian basis overflow double precision")
+    """The generator as the real matrix R of :func:`channels._real_generator`,
+    its first row, which vanishes for a trace-preserving L, set to exactly 0:
+    a state's first coordinate Tr(rho) / sqrt(d) never moves under R."""
+    r = channels._real_generator(build_superoperator(model))
     r[0] = 0.0
     return r
-
-
-@functools.cache
-def _coherence_layout(d: int):
-    """(j, k, diagonal, block), read-only and built once per d: the pairs of
-    :func:`channels._gellmann_pairs`, the coordinates of the identity and the
-    diagonal Gell-Mann matrices in V's order, and the d x d block of V that
-    maps those coordinates to the diagonal of rho."""
-    j, k = channels._gellmann_pairs(d)
-    diagonal = np.array([0, *range(1 + 2 * len(j), d * d)])
-    block = channels._vec_basis(d).real[::d + 1, diagonal]
-    for array in (j, k, diagonal, block):
-        array.flags.writeable = False
-    return j, k, diagonal, block
-
-
-def _states_from_coherence(x: np.ndarray, d: int) -> np.ndarray:
-    """unvec(V x) for each row of the real (n, d^2) stack ``x``, V the basis
-    of :func:`_hermitian_generator`, through its pair structure: the
-    symmetric and antisymmetric Gell-Mann matrices of j < k give
-    rho_jk = (x_s - i x_a) / sqrt(2) and rho_kj its exact conjugate, and only
-    the identity and the diagonal ones reach the exactly real diagonal."""
-    j, k, diagonal, block = _coherence_layout(d)
-    pairs = len(j)
-    c = 1 / np.sqrt(2)  # the off-diagonal entries of the pair, as gellmann_basis writes them
-    rho = np.zeros((len(x), d, d), dtype=complex)
-    rho.real[:, j, k] = rho.real[:, k, j] = x[:, 1:1 + pairs] * c
-    im = x[:, 1 + pairs:1 + 2 * pairs] * c
-    rho.imag[:, j, k], rho.imag[:, k, j] = -im, im
-    rho.reshape(len(x), d * d).real[:, ::d + 1] = x[:, diagonal] @ block.T
-    return rho
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
@@ -401,7 +353,7 @@ def _coherence_chain(model: LindbladModel, rho0: DensityMatrix, times, probe: fl
     order = sorted((k for k, t in enumerate(times) if t > 0.0), key=times.__getitem__)
     steps = np.diff([0.0, *sorted({times[k] for k in order})])
     actions, probes = matcore._step_actions(r, steps, norm1, probe)
-    x = x0 = (channels._vec_basis(model.dim).conj().T @ rho0.matrix.reshape(-1)).real
+    x = x0 = gellmann.to_coords(rho0.matrix.reshape(-1)).real
     now = 0.0
     raw = np.empty((len(order), x.size))  # one row per positive time
     for row, k in enumerate(order):
@@ -419,7 +371,7 @@ def _place(rho0: DensityMatrix, times, indices, rows) -> list[list[DensityMatrix
     repaired as one stack, but each block of rows is mapped back on its own,
     since the bits of a matrix product may depend on its number of rows."""
     d = rho0.matrix.shape[0]
-    stack = np.concatenate([_states_from_coherence(x, d) for x in rows])
+    stack = np.concatenate([gellmann.from_coords(x.T).T.reshape(-1, d, d) for x in rows])
     states = iter(DensityMatrix.from_matrices(stack))
     lists = []
     for index in indices:

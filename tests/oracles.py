@@ -11,7 +11,8 @@ strong-drive (|dw| << |U|) reference formulas for the single-shot and the
 Gaussian-averaged fringe are written out from their closed forms.
 
 For the generator layer: direct evaluation of L(rho), the generator and
-the GKS maps as explicit loops of Kronecker products, and eigenvalue
+the GKS maps as explicit loops of Kronecker products, the Hermitian basis
+as the dense d^2 x d^2 unitary of its columns vec(G_a), and eigenvalue
 clustering by pairwise comparison of every pair.
 
 For states: the density-matrix checks and repair, the von Neumann entropy
@@ -33,7 +34,7 @@ from scipy.integrate import quad
 
 from lindkit import DensityMatrix, derive
 from lindkit.matcore import _TAYLOR_M, _TAYLOR_TOL, _taylor_plan, expm
-from lindkit.channels import GKSForm, gellmann_basis
+from lindkit.channels import GKSForm
 from lindkit.errors import (
     InvalidDensityMatrix,
     LindkitError,
@@ -286,13 +287,65 @@ def superoperator_kron(model):
     return sop
 
 
+def vec_basis(dim):
+    """The d^2 x d^2 unitary whose columns are vec(I/sqrt(d)) and vec(F_m),
+    F_m the generalized Gell-Mann matrices written out entry by entry:
+    symmetric pairs j < k, antisymmetric pairs, then diagonal."""
+    j, k = np.triu_indices(dim, 1)
+    sym, anti = np.arange(1, len(j) + 1), np.arange(len(j) + 1, 2 * len(j) + 1)
+    rows = np.zeros((dim * dim, dim, dim), dtype=complex)
+    rows[0] = np.eye(dim) / np.sqrt(dim)
+    rows[sym, j, k] = rows[sym, k, j] = 1 / np.sqrt(2)
+    rows[anti, j, k], rows[anti, k, j] = -1j / np.sqrt(2), 1j / np.sqrt(2)
+    # diagonal l = 1 .. d-1: (1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1))
+    l, i = np.arange(1, dim)[:, None], np.arange(dim)
+    diag = (i < l) - l * (i == l)
+    rows[2 * len(j) + l, i, i] = diag.astype(complex) / np.sqrt(l * (l + 1))
+    return rows.reshape(dim * dim, dim * dim).T
+
+
+def _basis_matrices(dim):
+    """[G_0, G_1, ...]: the columns of :func:`vec_basis` as matrices."""
+    return list(vec_basis(dim).T.reshape(dim * dim, dim, dim))
+
+
+def _reshuffle(m, d):
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def gks_project_dense(sop):
+    """(H, c) of a generator from q = V^dag reshuffle(L) V, with the dense
+    V of :func:`vec_basis`: c is q's traceless block, and the Hamiltonian is
+    fitted from its first column."""
+    d = int(round(np.sqrt(sop.shape[0])))
+    v = vec_basis(d)
+    q = v.conj().T @ _reshuffle(sop, d) @ v
+    q = 0.5 * (q + q.conj().T)
+    f_op = (v[:, 1:] @ q[1:, 0]).reshape(d, d) / np.sqrt(d) + q[0, 0] / (2 * d) * np.eye(d)
+    return 0.5j * (f_op - f_op.conj().T), q[1:, 1:]
+
+
+def gks_build_dense(gks):
+    """Superoperator of a GKSForm in Kronecker form: sum_mn c_mn
+    F_m (x) conj(F_n) is reshuffle(W c W^dag), W the dense columns vec(F_m)
+    of :func:`vec_basis`, and sum_mn c_mn F_n^dag F_m one contraction."""
+    d, h = gks.dim, gks.hamiltonian
+    eye = np.eye(d)
+    w = vec_basis(d)[:, 1:]
+    fs = w.T.reshape(-1, d, d)
+    anti = np.einsum("mn,nji,mjk->ik", gks.c_matrix, fs.conj(), fs, optimize=True)
+    return (_reshuffle(w @ gks.c_matrix @ w.conj().T, d)
+            - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+            - 1j * (np.kron(h, eye) - np.kron(eye, h.T)))
+
+
 def gks_build_loops(gks):
     """Superoperator of a GKSForm, one Kronecker product per basis pair."""
     d = gks.dim
     eye = np.eye(d)
     h = gks.hamiltonian
     out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    fs = gks.basis
+    fs = _basis_matrices(d)[1:]
     for m_i, fm in enumerate(fs):
         for n_i, fn in enumerate(fs):
             c = gks.c_matrix[m_i, n_i]
@@ -310,7 +363,7 @@ def gks_project_loops(sop):
     """(H, c) of a generator from its overlaps Tr[(G_a (x) conj G_b)^dag L],
     one Kronecker product per basis pair (G_0 = I/sqrt(d), G_m = F_m)."""
     d = int(round(np.sqrt(sop.shape[0])))
-    gs = [np.eye(d, dtype=complex) / np.sqrt(d)] + list(gellmann_basis(d))
+    gs = _basis_matrices(d)
     n = d * d
     q = np.empty((n, n), dtype=complex)
     for a, ga in enumerate(gs):

@@ -38,7 +38,7 @@ from lindkit.channels import (
     reshuffle,
     trace_defect,
 )
-from oracles import gks_build_loops, gks_project_loops
+from oracles import gks_build_loops, gks_project_loops, vec_basis
 
 TRANSPOSE_D2 = np.array(
     [
@@ -253,7 +253,7 @@ def test_kernel_needs_a_hermiticity_preserving_generator(d, factor, inside):
     # Frobenius norm 2 eps, set to factor times the Kernel's tolerance
     # TOL_KERNEL max(1, ||reshuffle(L)||_F)
     gen = _generator(d, d)
-    v = channels._vec_basis(d)
+    v = vec_basis(d)
     q = v.conj().T @ gen @ v
     q[2, 1] += 0.5j * factor * channels.TOL_KERNEL * max(1.0, np.linalg.norm(gen))
     skewed = v @ q @ v.conj().T
@@ -263,6 +263,15 @@ def test_kernel_needs_a_hermiticity_preserving_generator(d, factor, inside):
     else:
         with pytest.raises(errors.NotHermitianKernel, match="does not preserve Hermiticity"):
             kernel_from_generator(skewed, 0.6)
+
+
+@pytest.mark.parametrize("d", [4, channels.REAL_KERNEL_MIN_DIM, 8])
+def test_kernel_of_a_non_trace_preserving_generator_fails_the_trace_test(d):
+    # on the real path (d >= REAL_KERNEL_MIN_DIM) L + 0.05 I reaches the
+    # Kernel's trace test only through R's first row, which is kept
+    gen = _generator(d, d) + 0.05 * np.eye(d * d)
+    with pytest.raises(errors.NotTracePreserving):
+        kernel_from_generator(gen, 0.5)
 
 
 @pytest.mark.parametrize("d", [2, channels.REAL_KERNEL_MIN_DIM, 8])

@@ -160,7 +160,7 @@ PUBLIC_NAMES = [
     "channels", "choi_cp_test", "decay_matrix", "derive", "diagonal_solution",
     "entropy_rate", "entropy_rates", "errors", "evolve", "evolve_many", "evolve_stencil",
     "expectation", "expm", "extract_generator", "first_order", "gaussian_fraction",
-    "general_eig", "gks_build", "gks_project", "herm_eig", "kernel_from_generator",
+    "gellmann", "general_eig", "gks_build", "gks_project", "herm_eig", "kernel_from_generator",
     "kernel_from_unitary_ensemble", "kernel_spectrum", "lindblad", "matcore",
     "measurement_model", "mixture", "perturb", "protocol", "pulse_closed_form", "quantum",
     "ramsey", "records", "scan", "spectrum", "unvec", "vec", "vn_entropies", "vn_entropy",
@@ -176,4 +176,4 @@ def test_public_names_are_pinned():
          "import lindkit; print('\\n'.join(sorted(n for n in dir(lindkit) if n[0] != '_')))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     assert out.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 58
