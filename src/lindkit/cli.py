@@ -50,9 +50,18 @@ def bundled_config_path(name: str):
     return resources.files(__package__).joinpath("configs", _BUNDLED[name])
 
 
+@functools.cache
+def _bundled_text(name: str) -> str:
+    """The text of the bundled config ``name``, read once per process: a
+    package resource does not change while the package runs."""
+    return bundled_config_path(name).read_text()
+
+
 def _read_config(path: str) -> dict:
+    """A new document of the config ``path`` on every call, so no caller
+    shares the document another call returned."""
     if path in _BUNDLED:
-        text = bundled_config_path(path).read_text()
+        text = _bundled_text(path)
     else:
         try:
             with open(path) as fh:
@@ -131,7 +140,7 @@ def _parse_born(doc):
     h = field(doc, "h", reals, (d,))
     model = lindblad.measurement_model(quantum.ProjectorBasis.computational(d), l_coeffs, h)
     return (model, rho0, field(doc, "horizon_over_gamma", real, low=0.0),
-            field(doc, "tol", real))
+            field(doc, "tol", real, low=0.0))
 
 
 def _load(command: str, path: str):
@@ -347,6 +356,17 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: every call returns
@@ -370,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for any stochastic step")
+        p.add_argument("--seed", type=_seed, default=0,
+                       help="seed for any stochastic step (an integer >= 0)")
         if name.startswith("ramsey"):
             p.add_argument("--theory", choices=_THEORIES, default=None,
                            help="override the theory named in the config")

@@ -69,7 +69,7 @@ class DensityMatrix:
         # flags that matrix too, and only a flagged one is tested for finiteness
         not_herm = ~matcore._is_hermitian(a, matcore.TOL_HERM)
         a = 0.5 * (a + a.conj().transpose(0, 2, 1))
-        tr = np.trace(a, axis1=1, axis2=2).real
+        tr = a.trace(axis1=1, axis2=2).real
         bad = (not_herm | (np.abs(tr - 1.0) > TOL_TRACE)).tolist()
         good = bad.index(True) if True in bad else len(a)
         vals = np.linalg.eigvalsh(a[:good])
@@ -88,8 +88,8 @@ class DensityMatrix:
         repaired = [p < 0.0 for p in low]
         if True in repaired:
             p, v = np.linalg.eigh(a[repaired])
-            fixed = (v * np.clip(p, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-            a[repaired] = fixed / np.trace(fixed, axis1=1, axis2=2).real[:, None, None]
+            fixed = (v * np.maximum(p, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            a[repaired] = fixed / fixed.trace(axis1=1, axis2=2).real[:, None, None]
         states = [cls(m, r) for m, r in zip(a, repaired)]
         for rho, p in zip(states, vals):
             if not rho.repaired:
@@ -126,14 +126,14 @@ class ProjectorBasis:
         p = np.asarray(self.projectors, dtype=complex)
         n, d = len(p), p.shape[-1]
         # column k of P = v v^dag is v conj(v_k): over sqrt(P_kk), v up to a phase
-        k = np.argmax(np.diagonal(p, axis1=1, axis2=2).real, axis=1)
+        k = p.diagonal(axis1=1, axis2=2).real.argmax(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = p[range(n), :, k] / np.sqrt(p[range(n), k, k].real)[:, None]
-        defect = np.linalg.norm(p - v[:, :, None] * v[:, None, :].conj(), axis=(1, 2))
-        if not np.all(defect <= TOL_PROJECTOR):  # also catches a NaN defect
+        defect = matcore._frobenius(p - v[:, :, None] * v[:, None, :].conj())
+        if not (defect <= TOL_PROJECTOR).all():  # also catches a NaN defect
             raise IncompleteBasis("projectors must be rank-1 projectors")
         self._u = v.T
-        if n != d or np.linalg.norm(v.conj() @ v.T - np.eye(n)) > TOL_PROJECTOR * d:
+        if n != d or matcore._frobenius(v.conj() @ v.T - np.eye(n)) > TOL_PROJECTOR * d:
             raise IncompleteBasis("projectors are not orthogonal or do not sum to the identity")
         if self.classes is not None:
             flat = sorted(i for c in self.classes for i in c)
@@ -142,8 +142,8 @@ class ProjectorBasis:
 
     @classmethod
     def from_vectors(cls, vectors, classes=None) -> "ProjectorBasis":
-        w = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
-        if np.any(np.abs(np.linalg.norm(w, axis=1) - 1.0) > 1e-12):
+        w = np.asarray(vectors, dtype=complex).reshape(len(vectors), -1)
+        if (np.abs(np.sqrt((w * w.conj()).real.sum(axis=1)) - 1.0) > 1e-12).any():
             raise UnnormalizedState("basis vectors must be normalized")
         return cls(list(w[:, :, None] * w[:, None, :].conj()), classes)
 

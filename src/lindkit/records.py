@@ -60,6 +60,7 @@ def within(key: str):
         raise ConfigParse(str(exc), field=key) from exc
 
 
+@functools.cache
 def _numeric(kind: type) -> bool:
     """Whether a value of type ``kind`` is a number: an int or a float, and
     never a bool, which Python counts as an int."""

@@ -7,8 +7,9 @@ second config parse, a parser per call, per-pair projector checks, a
 generator built for the closed-form Born limit, a per-member loop over an
 operator family (the Gell-Mann basis, the Choi eigen-matrices, the Lindblad
 operators of a generator), per-mode reshapes of the spectrum, an eigh per
-nondegenerate perturbation group, or an encoder call per row of a scan
-record fails a test."""
+nondegenerate perturbation group, an encoder call per row of a scan
+record, a bundled config read per call, or more Python-level calls in the
+config stage fails a test."""
 import argparse
 import json
 import sys
@@ -305,6 +306,73 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     capsys.readouterr()
     assert codes == [0, 0, 3, 0]  # the bundled transpose kernel is not CP
     assert len(builds) == 1
+
+
+def test_bundled_config_is_read_once_per_process(monkeypatch, capsys):
+    # the package resource is read on a name's first use; every call still
+    # parses the text into a document of its own
+    cli._bundled_text.cache_clear()
+    reads = _count(monkeypatch, [cli], "bundled_config_path")
+    codes = [cli.main(["lindblad-spectrum"]),
+             cli.main(["entropy-check", "--config", "model-qubit"])]
+    docs = [cli.validate_config("model-qubit", command)
+            for command in ("lindblad-evolve", "extract-generator")]
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert len(reads) == 1
+    docs[0]["model"]["dim"] = 3
+    assert cli.validate_config("model-qubit", "lindblad-evolve") == docs[1]
+    for _ in range(2):  # fig-both reads fig1 and fig2, each once
+        assert cli.main(["ramsey-scan"]) == 0
+    capsys.readouterr()
+    assert len(reads) == 3
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_first_and_later_calls_write_the_same_bytes(capsys, command):
+    cli._bundled_text.cache_clear()
+    runs = []
+    for _ in range(3):
+        code = cli.main([command])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def _python_calls(fn, *args) -> int:
+    """The calls of Python functions and of builtins that ``fn(*args)``
+    makes, as ``sys.setprofile`` reports them (ufunc calls are not among
+    them, ufunc methods such as ``reduce`` are).  The count includes the
+    Python-level wrappers of numpy, so the pins below hold for the numpy
+    2.4.6 and Python 3.11.7 they were taken with; another numpy or Python
+    may move them with lindkit unchanged."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls.append(event)
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(before)
+    return len(calls)
+
+
+@pytest.mark.parametrize("command, name, most", [
+    ("lindblad-spectrum", "model-qubit", 247),
+    ("born-check", "born-d3", 284),
+])
+def test_config_stage_call_counts(command, name, most):
+    cli._load(command, name)  # the first call reads the bundled text
+    assert _python_calls(cli._load, command, name) <= most
+
+
+def test_single_state_call_count():
+    state = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
+    DensityMatrix.from_matrix(state)
+    assert _python_calls(DensityMatrix.from_matrix, state) <= 67
 
 
 @pytest.mark.parametrize("command, owner, name, calls", [

@@ -263,6 +263,20 @@ def test_seed_controls_random_initial_state(tmp_path):
     assert outs[0] != outs[2]
 
 
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+def test_seed_other_than_a_non_negative_integer_is_exit_2(tmp_path, capsys, seed):
+    # rejected by the argument parser, as the random initial state's
+    # generator would reject it with a traceback
+    cfg = json.loads(cli.bundled_config_path("born-d3").read_text())
+    del cfg["rho0"]
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exit_info:
+        run(["born-check", "--config", str(path), "--seed", seed])
+    assert exit_info.value.code == 2
+    assert "--seed: expected an integer >= 0" in capsys.readouterr().err
+
+
 def test_lindblad_evolve_states_are_physical(tmp_path):
     out = tmp_path / "ev.json"
     assert run(["lindblad-evolve", "--out", str(out)]) == 0
@@ -648,6 +662,8 @@ _MALFORMED = [
     ("lindblad-evolve", "model-qubit", _set(("h",), "x"), "h"),
     ("ramsey-point", "fig2", _set(("grid",), "junk"), "grid"),
     ("lindblad-spectrum", "model-qubit", _set(("rho0", "re", 0), _NAN), "rho0"),
+    # a negative tolerance is a config fault, not a failed Born limit
+    ("born-check", "born-d3", _set(("tol",), -1.0), "tol"),
 ]
 
 

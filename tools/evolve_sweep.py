@@ -21,11 +21,15 @@ generator built (case "build", lindblad.build_superoperator), and a config
 with the 50-point grid run through the command line in-process (cases
 "evolve-cli" and "entropy-cli": ``cli.main([command, "--config", path])``
 for lindblad-evolve and entropy-check, each record written to memory).
-Case "scan-cli", with d null, runs the default ``ramsey-scan`` (the bundled
-fig-both config: 2 x 401 fringe rows) through ``cli.main`` once per round,
-not once per d.  Case "kernel" takes channels.kernel_from_generator of the
-generator at tau = KERNEL_TAU, and case "kernel-diagonal" that of the model
-with only the diagonals of the same H and operators, whose generator has no
+Case "bundled-cli:<command>", with d null, runs each of the eight commands
+on its bundled default config (``cli.main([command])``, the record written
+to memory; ``ramsey-scan`` runs the fig-both config: 2 x 401 fringe rows)
+once per round, not once per d, so that the fixed cost of an in-process
+call, reading and parsing its config, shows next to its experiment (an
+exit code of 3, cp-check's verdict on the transpose, counts as a run).
+Case "kernel" takes channels.kernel_from_generator of the generator at
+tau = KERNEL_TAU, and case "kernel-diagonal" that of the model with only
+the diagonals of the same H and operators, whose generator has no
 off-diagonal entry; d = 5 and 6 in DIMS bracket the least d at which the
 kernel of a dense generator is taken in real arithmetic.  The rest of a
 perfbench ``spectral`` task has a case each: "spectrum-meas" takes the
@@ -195,9 +199,11 @@ def main() -> None:
                 if any(run_cli(cli, argv) for cli in clis):
                     sys.exit(f"{command} failed on {path}")
                 work.append((d, name, [partial(run_cli, cli, argv) for cli in clis]))
-        if any(run_cli(cli, ["ramsey-scan"]) for cli in clis):
-            sys.exit("ramsey-scan failed on its default config")
-        work.append((None, "scan-cli", [partial(run_cli, cli, ["ramsey-scan"]) for cli in clis]))
+        for command in clis[0]._COMMANDS:
+            if any(run_cli(cli, [command]) not in (0, 3) for cli in clis):
+                sys.exit(f"{command} failed on its default config")
+            work.append((None, f"bundled-cli:{command}",
+                         [partial(run_cli, cli, [command]) for cli in clis]))
 
         best = {(d, name): [[] for _ in packages] for d, name, _ in work}
         for r in range(ROUNDS):
