@@ -34,7 +34,7 @@ from .errors import (
     Overflow,
 )
 from .matcore import ChainSpectrum
-from .quantum import DensityMatrix, ProjectorBasis, born_collapse
+from .quantum import DensityMatrix, ProjectorBasis
 
 MODEL_SCHEMA = "lindkit.model/1"
 BALANCE_TOL = 1e-10
@@ -182,8 +182,8 @@ def spectrum(model: LindbladModel) -> SuperopSpectrum:
     max(1, ||L||_2) of each other are one cluster, ordered by the real, then
     the imaginary part of the cluster's centre (:func:`matcore.general_eig`).
 
-    A model built by :func:`measurement_model` (a MeasurementModel with its
-    ``l_coeffs``, the models :func:`decay_matrix` reads) is solved exactly:
+    A MeasurementModel (:func:`measurement_model`), whose coefficients
+    :func:`decay_matrix` reads, is solved exactly:
     L |u_alpha><u_beta| = -lambda_{alpha beta} |u_alpha><u_beta| in the
     model's basis, so its mus are the decay rates, every chain has length 1,
     and no generator is built (:func:`_decay_modes`).  L is normal there, so
@@ -203,7 +203,7 @@ def spectrum(model: LindbladModel) -> SuperopSpectrum:
     unit vectors.  Raises Overflow when a decay rate, an entry of R or
     ||L||_2 leaves double precision.
     """
-    if _is_measurement(model):
+    if isinstance(model, MeasurementModel):
         eigenvalues, lengths, rows, tol = _decay_modes(model)
     else:
         eigenvalues, lengths, rows, tol = _eig_modes(model)
@@ -294,11 +294,11 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
     (dt - h) ||R||_1 <= theta_2, and a family whose steps would save more
     matrix-vector products than one dense P_h = exp(h R) costs takes each
     step as exp((dt - h) R) P_h x, the correction a Taylor polynomial of
-    degree at most 2.  Every other step is taken as
-    :func:`matcore.expm_action` takes it, and the cost model is its
-    Taylor-or-dense rule.  So a uniform grid costs about one real
-    matrix-vector product per point, and a single time is expm_action's
-    result, with its Overflow bound.  R keeps the trace fixed, and each x
+    degree at most 2.  Every other step, a single time's included, takes its
+    plan's Taylor-or-dense rule (:func:`matcore._planned_action`), which is
+    also the cost model.  So a uniform grid costs about one real
+    matrix-vector product per point, and a long single step is one dense
+    exponential, with its Overflow bound.  R keeps the trace fixed, and each x
     maps back to an exactly Hermitian state; the states are checked and
     repaired as one stack (:meth:`DensityMatrix.from_matrices`), and the
     first invalid one in sorted-time order raises.  t = 0 returns a copy of
@@ -317,13 +317,13 @@ def evolve_stencil(model: LindbladModel, rho0: DensityMatrix, times, eps: float)
 
     The states at t are :func:`evolve_many`'s, with the same bits, from the
     same chain.  The states at t +- eps are exp(+-eps R) x(t): one block of
-    coherence vectors per sign, stepped as a lone step of eps would be
-    (:func:`matcore._step_actions`), and an empty block not at all.  For
-    t >= eps the earlier state is the trajectory's own, exp(-eps R) x(t),
-    whose rounding grows by at most e^{eps ||R||_1}, and Overflow is raised
-    when it leaves double precision; for t < eps it is a copy of rho0.  All
-    the evolved states are checked and repaired as one stack, the states at
-    t first.
+    coherence vectors per sign, stepped by the plan of eps from the chain's
+    one planning call (:func:`matcore._step_actions`), and an empty block
+    not at all.  For t >= eps the earlier state is the trajectory's own,
+    exp(-eps R) x(t), whose rounding grows by at most e^{eps ||R||_1}, and
+    Overflow is raised when it leaves double precision; for t < eps it is a
+    copy of rho0.  All the evolved states are checked and repaired as one
+    stack, the states at t first.
     """
     if not eps > 0:
         raise ValueError("the stencil step must be positive")
@@ -388,9 +388,9 @@ class MeasurementModel(LindbladModel):
     """Diagonal family over a projector basis; the constructor that makes the
     Born-rule hypotheses hold automatically."""
 
-    basis: ProjectorBasis = None
-    l_coeffs: np.ndarray = None     # (n_ops, d) complex
-    h_coeffs: np.ndarray = None     # (d,) real
+    basis: ProjectorBasis
+    l_coeffs: np.ndarray     # (n_ops, d) complex
+    h_coeffs: np.ndarray     # (d,) real
 
 
 def measurement_model(basis: ProjectorBasis, l_coeffs, h_coeffs) -> MeasurementModel:
@@ -409,12 +409,6 @@ def measurement_model(basis: ProjectorBasis, l_coeffs, h_coeffs) -> MeasurementM
         )
     ham, *ops = basis._diagonal(np.concatenate([h[None], l]))
     return MeasurementModel(d, ham, ops, basis=basis, l_coeffs=l, h_coeffs=h)
-
-
-def _is_measurement(model: LindbladModel) -> bool:
-    """Is ``model`` a measurement model with its coefficients, the models
-    :func:`decay_matrix` and :func:`spectrum`'s exact path read?"""
-    return isinstance(model, MeasurementModel) and model.l_coeffs is not None
 
 
 @dataclass
@@ -447,7 +441,7 @@ def decay_matrix(model: MeasurementModel) -> DecayMatrix:
     """lambda_{alpha beta} = 1/2 sum_a |l_{a alpha} - l_{a beta}|^2
     - i Im sum_a l_{a alpha} l*_{a beta} + i (h_alpha - h_beta); raises
     Overflow when a rate leaves double precision."""
-    if not _is_measurement(model):
+    if not isinstance(model, MeasurementModel):
         raise NotDiagonalFamily(
             "decay_matrix needs a model built by measurement_model"
         )
@@ -508,6 +502,7 @@ def born_limit_check(model: LindbladModel, rho0: DensityMatrix, horizon: float, 
         raise NotBalanced(f"balance defect {defect:.3e} exceeds {BALANCE_TOL}")
     dm = decay_matrix(model)
     reached = diagonal_solution(dm, rho0, horizon)
-    target = born_collapse(rho0, ProjectorBasis(model.basis.projectors, dm.classes()))
+    label = dm._labels()
+    target = model.basis._weighted(rho0, label[:, None] == label[None, :])
     residual = float(np.linalg.norm(reached.matrix - target.matrix))
     return residual <= tol, residual

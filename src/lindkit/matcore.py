@@ -216,7 +216,7 @@ _TAYLOR_TOL = 2.0**-53
 
 
 def _taylor_plan(t, norm1: float, n: int):
-    """How :func:`expm_action` takes exp(t*a) @ v for an n x n ``a`` with
+    """How :func:`_planned_action` takes exp(t*a) @ v for an n x n ``a`` with
     ||a||_1 = norm1, vectorized over t: (k, products, dense), where k indexes
     the cheapest Taylor degree m of the table, products = m*s its count of
     matrix-vector products, and dense marks the steps whose products cost at
@@ -272,15 +272,6 @@ def _step_families(values: np.ndarray, uses: np.ndarray, cost: np.ndarray,
     return {float(dt): float(b) for dt, b, k in zip(values, h, kept[family]) if k}
 
 
-# The stopping test of a Taylor step compares c_{j-1} + c_j with 2^-53
-# ||f||_inf.  ||f_0||_inf + sum_{i <= j} c_i bounds ||f||_inf up to the
-# rounding of j <= 55 additions and moduli, a relative 2^-46 at most; the
-# pad covers that and the floor covers subnormal moduli, so the test is
-# evaluated whenever it can fire.
-_BOUND_PAD = 1.0 + 2.0**-40
-_BOUND_FLOOR = 2.0**-1000
-
-
 def _inf_norm(x: np.ndarray):
     """max |x_i| over a vector or a whole block: ``np.abs(x).max()`` without
     ndarray.max's Python wrapper, 0 for an empty block."""
@@ -291,29 +282,21 @@ def _taylor_series(a: np.ndarray, t: float, v: np.ndarray, m: int, s: int) -> np
     """s steps of the degree-m Taylor polynomial of exp(t*a/s) applied to v,
     each stopping once two consecutive terms c_{j-1}, c_j (infinity norms)
     fall below 2^-53 of ||f||_inf, f the running sum (Al-Mohy & Higham 2011,
-    Algorithm 3.2).  ||f||_inf is computed only when the running bound on it
-    lets the test fire, and the last term of a step has no test, since
-    stopping there changes nothing: the result is the same bits as the
-    algorithm's.  v is a vector or a block of columns, whose norms are taken
-    over the whole block: a coherence vector's first entry is 1/sqrt(d), so
-    the block's test is within sqrt(d) of the slowest column's."""
+    Algorithm 3.2).  v is a vector or a block of columns, whose norms are
+    taken over the whole block: a coherence vector's first entry is
+    1/sqrt(d), so the block's test is within sqrt(d) of the slowest
+    column's."""
     f = v
     for _ in range(s):
         term = f
-        if m > 1:
-            c1 = bound = _inf_norm(f)
-        for j in range(1, m):
+        c1 = _inf_norm(f)
+        for j in range(1, m + 1):
             term = (t / (s * j)) * (a @ term)
             c2 = _inf_norm(term)
             f = f + term
-            bound += c2
-            c = c1 + c2
-            if (c <= _TAYLOR_TOL * (bound * _BOUND_PAD + _BOUND_FLOOR)
-                    and c <= _TAYLOR_TOL * _inf_norm(f)):
+            if c1 + c2 <= _TAYLOR_TOL * _inf_norm(f):
                 break
             c1 = c2
-        else:
-            f = f + (t / (s * m)) * (a @ term)
     return f
 
 
@@ -348,22 +331,21 @@ def _step_actions(a: np.ndarray, steps, norm1: float, probe: float = 0.0) -> tup
     each distinct dt of a sequence of positive ``steps`` taken in turn, given
     norm1 = ||a||_1, and forward(v), backward(v) = exp(+-probe*a) @ v for a
     probe >= 0.  v is a vector, or for the probe also a block of columns.
+    ``a`` is trusted as it stands: callers validate it once and then take
+    many steps.
 
     One vectorized :func:`_taylor_plan` plans every distinct step and the
-    probe.  A step outside a family (:func:`_step_families`) and each probe
-    step are taken as :func:`expm_action` takes a step, by its plan's
-    :func:`_planned_action`.  A family's step dt is exp((dt - h) a) @ P_h @ v,
-    exact since exp(h a) and exp((dt - h) a) commute and multiply to
-    exp(dt a); the cost model counts a step on its own as expm_action's m*s
-    products, or a dense expm and its product with v.  Raises Overflow when
-    ||probe*a||_1 exceeds EXPM_NORM_BOUND, before any step is taken.
-    Without a probe, a single step is :func:`expm_action` itself, planned
-    when it is taken, and the probe actions are None.
+    probe.  Each step outside a family (:func:`_step_families`; a grid of
+    one step has none) and each probe step is taken by its plan's
+    :func:`_planned_action`: Taylor steps (:func:`_taylor_series`), or one
+    dense :func:`expm` with its scaling and squaring and its Overflow bound.
+    A family's step dt is exp((dt - h) a) @ P_h @ v, exact since exp(h a)
+    and exp((dt - h) a) commute and multiply to exp(dt a); the cost model
+    counts a step on its own as its plan's m*s products, or a dense expm and
+    its product with v.  Raises Overflow when ||probe*a||_1 exceeds
+    EXPM_NORM_BOUND, before any step is taken.
     """
     _check_expm_norm(probe * norm1)
-    if len(steps) < 2 and not probe:
-        return {dt: partial(expm_action, a, dt, norm1=norm1)
-                for dt in np.asarray(steps, dtype=float).tolist()}, None
     n = a.shape[0]
     values, uses = np.unique(steps, return_counts=True)
     k, products, dense = _taylor_plan(np.append(values, probe), norm1, n)
@@ -386,22 +368,6 @@ def _step_actions(a: np.ndarray, steps, norm1: float, probe: float = 0.0) -> tup
             actions[dt] = partial(_family_step, a, propagators[h], dt - h,
                                   int(_correction_degree(dt - h, norm1)))
     return actions, probes
-
-
-def expm_action(a: np.ndarray, t: float, v: np.ndarray, norm1: float) -> np.ndarray:
-    """exp(t*a) @ v for t > 0, given norm1 = ||a||_1.
-
-    Truncated Taylor steps in the style of Al-Mohy & Higham's Algorithm 3.2
-    (:func:`_taylor_series`): (m, s) minimises the m*s products with ``a``
-    over the theta_m table, and a step's series stops once two consecutive
-    terms fall below 2^-53 of the running sum.  When those m*s
-    matrix-vector products cost at least one n x n matrix product
-    (m*s >= n), the step is one dense ``expm(a, t) @ v`` instead, so a
-    single long step keeps expm's scaling and squaring and its Overflow
-    bound (:func:`_planned_action`).  ``a`` is trusted as it stands: callers
-    validate it once and then take many steps.
-    """
-    return _planned_action(a, t, *_taylor_plan(t, norm1, a.shape[0]))(v)
 
 
 def vec(m) -> np.ndarray:

@@ -425,7 +425,7 @@ def test_born_check_builds_and_exponentiates_no_generator(monkeypatch, rng, tmp_
                                                           capsys, d):
     argv = ["born-check", *([] if d is None else _born_config(rng, tmp_path, d))]
     calls = [_count(monkeypatch, [module], name) for module, name in (
-        (lindblad, "build_superoperator"), (matcore, "expm"), (matcore, "expm_action"),
+        (lindblad, "build_superoperator"), (matcore, "expm"), (matcore, "_step_actions"),
         (lindblad, "evolve_many"))]
     assert cli.main(argv) == 0
     capsys.readouterr()

@@ -220,6 +220,32 @@ def test_missing_config_file_is_exit_2(capsys):
     assert run(["ramsey-scan", "--config", "/does/not/exist.json"]) == 2
 
 
+def test_output_into_a_missing_directory_is_exit_4(tmp_path, capsys):
+    assert run(["born-check", "--out", str(tmp_path / "missing" / "out.json")]) == 4
+    assert capsys.readouterr().err.startswith("lindkit: I/O error: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{\"dim\": 3,", "is not valid JSON"),
+    ("[1.0, 2.0]", "config root must be a JSON object"),
+], ids=["invalid-json", "array-root"])
+def test_config_that_is_not_a_json_object_is_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert run(["born-check", "--config", str(path)]) == 2
+    error = _strict_json(capsys.readouterr().err)["error"]
+    assert (error["type"], error["exit_code"]) == ("ConfigParse", 2)
+    assert message in error["message"]
+
+
+def test_born_check_without_decaying_coherences_is_exit_2(tmp_path, capsys):
+    # equal l columns: every coherence keeps its modulus, so gamma_min = 0
+    path = _born_doc(tmp_path, l_re=[[0.5, 0.5, 0.5]])
+    assert run(["born-check", "--config", path]) == 2
+    error = _strict_json(capsys.readouterr().err)["error"]
+    assert (error["type"], error["field"], error["exit_code"]) == ("ConfigParse", "l_re", 2)
+
+
 def test_csv_unsupported_for_point_command(capsys):
     assert run(["ramsey-point", "--format", "csv"]) == 2
 

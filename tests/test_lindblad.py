@@ -289,17 +289,12 @@ def test_measurement_spectrum_overflows_as_the_eig_path_does():
             spectrum(m)
 
 
-def test_measurement_model_without_coefficients_takes_the_eig_path(monkeypatch, rng):
+def test_measurement_model_needs_its_basis_and_coefficients(rng):
+    # a MeasurementModel without them would be a plain LindbladModel under
+    # the name of one whose decay matrix is read
     model = random_measurement_model(rng, 4)
-    bare = MeasurementModel(4, model.hamiltonian, model.lindblads)
-    want = spectrum(LindbladModel(4, model.hamiltonian, model.lindblads))
-    calls = []
-    real_eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or real_eig(a))
-    got = spectrum(bare)
-    assert calls == [1]
-    assert np.array_equal(got.mus, want.mus) and np.array_equal(got.modes, want.modes)
-    assert got.classifications == want.classifications
+    with pytest.raises(TypeError):
+        MeasurementModel(4, model.hamiltonian, model.lindblads)
 
 
 class TestEvolve:

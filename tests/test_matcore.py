@@ -16,10 +16,10 @@ from lindkit.matcore import (
     _cluster_labels,
     _is_hermitian,
     _real_span,
+    _step_actions,
     _taylor_plan,
     _taylor_series,
     expm,
-    expm_action,
     general_eig,
     hermiticity_defect,
     herm_eig,
@@ -512,6 +512,12 @@ def _series_case(n, seed, log_x, log_norm, nilpotent):
     return a, t, random_matrix(rng, n)[0], norm1
 
 
+def _lone_step(a, t, v, norm1):
+    """exp(t*a) @ v as :func:`_step_actions` takes a grid of one step."""
+    actions, _ = _step_actions(a, [t], norm1)
+    return actions[t](v)
+
+
 class TestExpmAction:
     # m = 1 with s = 2; s = 2 with m = 40 (80 < n products); one dense expm
     @pytest.mark.parametrize("n, log_x, want", [
@@ -524,7 +530,7 @@ class TestExpmAction:
         k, products, dense = _taylor_plan(t, norm1, n)
         m = int(_TAYLOR_M[k])
         assert (want[2] if dense else (m, int(products) // m, False) == want)
-        assert expm_action(a, t, v, norm1).tobytes() == expm_action_loop(a, t, v, norm1).tobytes()
+        assert _lone_step(a, t, v, norm1).tobytes() == expm_action_loop(a, t, v, norm1).tobytes()
 
     @pytest.mark.parametrize("lam, terms", [
         (1e-6, 5),
@@ -538,7 +544,7 @@ class TestExpmAction:
         v = np.zeros(24, dtype=complex)
         v[:2] = 1e-30, 1.0
         assert not _taylor_plan(1.0, 1.0, 24)[2]
-        got = expm_action(a, 1.0, v, 1.0)
+        got = _lone_step(a, 1.0, v, 1.0)
         assert got.tobytes() == expm_action_loop(a, 1.0, v, 1.0).tobytes()
         partial_sum = sum(1.0 / np.prod(np.arange(1, j + 1)) for j in range(terms))
         assert got[0] == pytest.approx(1e-30 * partial_sum, rel=1e-15)
@@ -551,7 +557,7 @@ class TestExpmAction:
     @example(n=96, seed=2, log_x=1.2, log_norm=2.0, nilpotent=False)
     def test_is_the_reference_loop_bit_for_bit(self, n, seed, log_x, log_norm, nilpotent):
         a, t, v, norm1 = _series_case(n, seed, log_x, log_norm, nilpotent)
-        got = expm_action(a, t, v, norm1)
+        got = _lone_step(a, t, v, norm1)
         assert got.tobytes() == expm_action_loop(a, t, v, norm1).tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -19,7 +19,12 @@ sha256 of its stdout and of its stderr.  The cases are:
   ``--truncate-gaussian``, the transit-time average over T >= 0 only;
 - the top-level keys of EXTRA set to values that VALUES does not hold:
   extract-generator's forward scheme, and an h whose Richardson step 2h is
-  too large while the central step h is not.
+  too large while the central step h is not;
+- lindblad-evolve and entropy-check on a seeded generic model for each d in
+  GENERIC_DIMS (a random Hamiltonian and two random Lindblad operators,
+  scaled to ||L||_1 = d^2 as in perfbench's dynamics workload, and a
+  full-rank initial state), each over the 50-point linspace(0.05, 2, 50)
+  and at the single time 1.0, so that the stepper runs above d = 2.
 
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
@@ -40,6 +45,8 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 # (subcommand, bundled config it mutates)
 CONFIGS = [
     ("ramsey-scan", "fig1"), ("ramsey-point", "fig2"), ("lindblad-evolve", "model-qubit"),
@@ -52,6 +59,9 @@ CSV_COMMANDS = ("ramsey-scan", "lindblad-spectrum", "entropy-check")
 # (subcommand, bundled config, top-level key, value) of the further cases
 EXTRA = [("extract-generator", "model-qubit", "scheme", "forward"),
          ("extract-generator", "model-qubit", "h", 0.05)]
+GENERIC_DIMS = (3, 4, 8, 12)
+GENERIC_SEED = 30
+GRIDS = {"linspace50": np.linspace(0.05, 2.0, 50).tolist(), "single": [1.0]}
 
 
 def _flag_sets(command):
@@ -115,6 +125,42 @@ def _cases(cli):
         doc = json.loads(cli.bundled_config_path(name).read_text())
         doc[key] = value
         yield f"{command} {name} {[key]} = {value!r}", [command], doc, key
+    for d in GENERIC_DIMS:
+        model, rho0 = _generic(d)
+        for grid, times in GRIDS.items():
+            for command in ("lindblad-evolve", "entropy-check"):
+                doc = {"model": model, "rho0": rho0, "times": times}
+                yield f"{command} generic d={d} {grid}", [command], doc, f"generic d={d}"
+
+
+def _generic(d):
+    """(model document, rho0 document) of the seeded generic model of
+    dimension d: H and two operators scaled so that the superoperator's
+    ||L||_1 is d^2, and the state a a^dag + d/2 I, normalized."""
+    rng = np.random.default_rng([GENERIC_SEED, d])
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a = cplx(d, d)
+    h = 0.5 * (a + a.conj().T)
+    ops = [0.5 * cplx(d, d) for _ in range(2)]
+    eye = np.eye(d)
+    sop = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op in ops:
+        g = op.conj().T @ op
+        sop += np.kron(op, op.conj()) - 0.5 * (np.kron(g, eye) + np.kron(eye, g.T))
+    s = d * d / np.linalg.norm(sop, 1)
+    a = cplx(d, d)
+    rho = a @ a.conj().T + 0.5 * d * eye
+    rho /= np.trace(rho).real
+
+    def parts(m, re="re", im="im"):
+        return {re: m.real.reshape(-1).tolist(), im: m.imag.reshape(-1).tolist()}
+
+    model = {"schema": "lindkit.model/1", "dim": d, **parts(s * h, "h_re", "h_im"),
+             "lindblads": [parts(np.sqrt(s) * op) for op in ops]}
+    return model, parts(rho)
 
 
 def _mutations(name, cli):
