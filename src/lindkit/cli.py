@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, channels, lindblad, quantum, ramsey
 from .errors import ConfigParse, LindkitError
-from .records import (canonical_json, check_keys, complex_matrix, field, integer,
+from .records import (Rows, canonical_json, check_keys, complex_matrix, field, integer,
                       one_of, real, reals, state_arrays, within)
 
 SCHEMA_VERSION = 1
@@ -147,11 +147,14 @@ def _load(command: str, path: str):
     """(document, handler, handler inputs) of the config ``path`` for
     ``command``: the document as the record embeds it, read and parsed once.
     ramsey-scan's default, fig-both, is the document {"fig1": ..., "fig2": ...},
-    each parsed as a ramsey-scan config, and runs side by side."""
+    each parsed as a ramsey-scan config, and runs side by side on one grid:
+    the two grids must be equal bit for bit."""
     if command == "ramsey-scan" and path == "fig-both":
         doc = {name: _read_config(name) for name in ("fig1", "fig2")}
-        return doc, _ramsey_scan_side_by_side, (
-            [_parse_ramsey(part, required={"grid"}) for part in doc.values()],)
+        parsed = [_parse_ramsey(part, required={"grid"}) for part in doc.values()]
+        if parsed[0][2].tobytes() != parsed[1][2].tobytes():  # 1-d float arrays: bits, length
+            raise ConfigParse("fig2: grid differs from fig1's grid", field="grid")
+        return doc, _ramsey_scan_side_by_side, (parsed,)
     parse, handler, _, _ = _COMMANDS[command]
     doc = _read_config(path)
     return doc, handler, parse(doc)
@@ -212,28 +215,39 @@ def _emit(args, text: str):
 # and rows (None for any other)
 # ---------------------------------------------------------------------------
 
-def _scan_table(header, scans):
-    """The CSV table of scans on one grid: the detunings, then each scan's
-    single-shot and averaged fringe."""
-    columns = [scans[0].delta_omegas] + [c for s in scans for c in (s.pb_e, s.pb_e_avg)]
-    return header, zip(*(c.tolist() for c in columns))
+def _scan_record(scan, grid: list) -> dict:
+    """The ``lindkit.scan/1`` document of ``scan``, its rows on ``grid``."""
+    return {"schema": "lindkit.scan/1", "theory": scan.theory,
+            "config": scan.config.to_dict(),
+            "rows": Rows(delta_omega=grid, pb_e=scan.pb_e.tolist(),
+                         pb_e_avg=scan.pb_e_avg.tolist())}
+
+
+def _scan_table(header, docs):
+    """The CSV table of scan documents on one grid: the detunings, then each
+    scan's single-shot and averaged fringe."""
+    columns = [docs[0]["rows"].columns["delta_omega"]]
+    columns += [doc["rows"].columns[key] for doc in docs for key in ("pb_e", "pb_e_avg")]
+    return header, zip(*columns)
 
 
 def _cmd_ramsey_scan(args, cfg, theory, grid):
     result = ramsey.scan(cfg, grid, args.theory or theory, truncate=args.truncate_gaussian)
-    return 0, result.to_dict(), _scan_table(("delta_omega", "pb_e", "pb_e_avg"), [result])
+    doc = _scan_record(result, result.delta_omegas.tolist())
+    return 0, doc, _scan_table(("delta_omega", "pb_e", "pb_e_avg"), [doc])
 
 
 def _ramsey_scan_side_by_side(args, parsed):
     """Default run: the standard and modified figure curves, one per parsed
-    config, next to each other on the shared detuning grid."""
-    results = {theory: ramsey.scan(cfg, grid, theory, truncate=args.truncate_gaussian)
-               for cfg, theory, grid in parsed}
-    std, mod = results["standard"], results["modified"]
+    config, next to each other on the one detuning grid, written once."""
+    grid = parsed[0][2]
+    column = grid.tolist()
+    docs = {theory: _scan_record(
+        ramsey.scan(cfg, grid, theory, truncate=args.truncate_gaussian), column)
+        for cfg, theory, _ in parsed}
     header = ("delta_omega", "pb_e_standard", "pb_e_avg_standard",
               "pb_e_modified", "pb_e_avg_modified")
-    return (0, {"standard": std.to_dict(), "modified": mod.to_dict()},
-            _scan_table(header, [std, mod]))
+    return 0, docs, _scan_table(header, [docs["standard"], docs["modified"]])
 
 
 def _cmd_ramsey_point(args, cfg, theory, *_):
@@ -261,9 +275,9 @@ def _cmd_lindblad_evolve(args, model, rho0, times, *_):
 def _cmd_lindblad_spectrum(args, model, *_):
     spec = lindblad.spectrum(model)
     header = ("re_mu", "im_mu", "class")
-    rows = list(zip(spec.mus.real.tolist(), spec.mus.imag.tolist(), spec.classifications))
-    result = {"modes": [dict(zip(header, row)) for row in rows], "balanced": model.balanced}
-    return 0, result, (header, rows)
+    columns = (spec.mus.real.tolist(), spec.mus.imag.tolist(), spec.classifications)
+    result = {"modes": Rows(**dict(zip(header, columns))), "balanced": model.balanced}
+    return 0, result, (header, zip(*columns))
 
 
 def _cmd_born_check(args, model, rho0, horizon_over_gamma, tol):
@@ -312,10 +326,9 @@ def _cmd_entropy_check(args, model, rho0, times, *_):
     fd = (s_plus - s_minus) / (np.minimum(times, eps) + eps)
     ok = not (balanced and (rates < -1e-12).any()) and not (np.abs(rates - fd) > 1e-6).any()
     header = ("t", "rate", "central_difference")
-    rows = list(zip(times, rates.tolist(), fd.tolist()))
-    result = {"rows": [dict(zip(header, row)) for row in rows], "balanced": balanced,
-              "passed": ok}
-    return (0 if ok else _EXIT_DOMAIN), result, (header, rows)
+    columns = (times, rates.tolist(), fd.tolist())
+    result = {"rows": Rows(**dict(zip(header, columns))), "balanced": balanced, "passed": ok}
+    return (0 if ok else _EXIT_DOMAIN), result, (header, zip(*columns))
 
 
 def _cmd_extract_generator(args, model, _rho0, _times, h, scheme):

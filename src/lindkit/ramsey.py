@@ -41,7 +41,6 @@ scipy, which it imports on first use.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 
@@ -331,24 +330,6 @@ class ScanResult:
 
     def argmax_avg(self) -> float:
         return float(self.delta_omegas[int(np.argmax(self.pb_e_avg))])
-
-    def to_dict(self) -> dict:
-        """The ``lindkit.scan/1`` document: theory, config and one row per
-        detuning."""
-        return {
-            "schema": "lindkit.scan/1",
-            "theory": self.theory,
-            "config": self.config.to_dict(),
-            "rows": [
-                {"delta_omega": dw, "pb_e": p, "pb_e_avg": pa}
-                for dw, p, pa in zip(
-                    self.delta_omegas.tolist(), self.pb_e.tolist(), self.pb_e_avg.tolist()
-                )
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def detuning_grid(values) -> np.ndarray:

@@ -5,16 +5,15 @@ which report every fault as a ConfigParse naming the key at fault.  A record
 is written as ``json.dumps(record, sort_keys=True, indent=2,
 allow_nan=False)`` plus a newline would write it, byte for byte, but without
 ``json``'s pure-Python indenting encoder; an evolved state's Hermitian
-mirror entries are formatted once (:func:`state_arrays`), and a list of
-dicts with one set of str keys and scalar values only, such as a Ramsey
-scan's rows, is written as a table: its keys sorted and escaped once, each
-column formatted once.
+mirror entries are formatted once (:func:`state_arrays`), and a table of
+rows handed over as its columns (:class:`Rows`), such as a Ramsey scan's
+fringe, is written with its keys sorted and escaped once and each column
+formatted once.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -149,14 +148,14 @@ def canonical_json(doc) -> str:
     join over ``float.__repr__``, the repr ``json`` uses, checked with one
     ``math.isfinite`` pass.  A :class:`Mirrored` matrix is written as the list
     of its entries would be, formatting only its upper triangle and diagonal.
-    A list of dicts that all have the same non-empty set of str keys and hold
-    scalars only (str, None, bool, int, float) is a table, such as the rows
-    of a scan or a spectrum: its keys are sorted and escaped once, each
-    column is formatted once (floats as the float lists are) and each row is
-    written from those texts.  A row holding a list, a dict or a
-    :class:`Mirrored` (an evolved state) keeps the item-by-item path, which
-    never builds a long list's whole text at once, and so does a table
-    holding a value ``json`` rejects, so that ``json``'s error is raised.
+    A :class:`Rows` is written as the list of its rows' dicts would be: its
+    keys are sorted and escaped once, each column is formatted once (floats
+    as the float lists are), and each row is written from those texts; a
+    column object met twice in one call, such as the detuning grid shared by
+    two scans, is formatted once for that call.  A table holding a value that
+    is not a scalar (str, None, bool, int, float) or that ``json`` rejects is
+    written through its rows' dicts item by item, so that ``json``'s output
+    or error, in ``json``'s row-major order, is what the table gives.
     Everything else follows ``json``: keys in
     ``sorted(doc.items())`` order, int, float, bool and None keys converted
     the same way, int and float subclasses written as plain numbers, strings
@@ -165,14 +164,12 @@ def canonical_json(doc) -> str:
     reference.
     """
     out = []
-    _encode(doc, out, "\n", set())
+    _encode(doc, out, "\n", set(), {})
     out.append("\n")
     return "".join(out)
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
-# the values a table row may hold (bool is an int)
-_SCALARS = (str, int, float, type(None))
 
 
 def _float_text(x: float) -> str:
@@ -216,49 +213,50 @@ def _key_text(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _table(rows, inner: str) -> str | None:
-    """The rows of the list ``rows`` as :func:`_encode` writes them, joined by
-    ``"," + inner``, when every row is a dict with the same non-empty str
-    keys and scalar values: the keys sorted and escaped once, each column
-    formatted once (a float column by :func:`_float_texts`) and each row one
-    ``%`` format of the key texts and its value texts.  None for any other
-    list, and for a table holding a value ``json`` rejects, which the item by
-    item path then reports in ``json``'s order."""
-    first = rows[0]
-    if (type(first) is not dict or not first
-            or not all(isinstance(v, _SCALARS) for v in first.values())):
-        return None
-    keys = first.keys()
-    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
-        return None
-    # rows as long as the first, whose keys together are the first's: each
-    # row has the first's keys (and every key is checked to be a str)
-    every_key = list(itertools.chain.from_iterable(rows))
-    if keys != set(every_key) or set(map(type, every_key)) != {str}:
-        return None
-    keys = sorted(keys)
+class Rows:
+    """A table for canonical_json to write, held as its columns: the rows
+    ``{key: columns[key][i] for key in columns}`` for each i, written as
+    ``json`` writes that list of dicts.  Columns of unequal length raise
+    ValueError."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, **columns):
+        sizes = set(map(len, columns.values()))
+        if len(sizes) > 1:
+            raise ValueError(f"columns of unequal lengths {sorted(sizes)}")
+        self.columns = columns
+
+
+def _rows_text(rows: Rows, inner: str, texts: dict) -> str:
+    """The rows of ``rows`` as :func:`_encode` writes their dicts, joined by
+    ``"," + inner``, and empty for no rows: the keys sorted and escaped once,
+    each column formatted once (a float column by :func:`_float_texts`) into
+    ``texts``, by its id, and each row one ``%`` format of the key texts and
+    its value texts.  A TypeError or ValueError at a value that is not a
+    scalar or that ``json`` rejects."""
+    keys = sorted(rows.columns)
     field = inner + "  "
     row = "{" + field + ("," + field).join(
         encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys) + inner + "}"
-    try:
-        columns = []
-        for key in keys:
-            column = list(map(itemgetter(key), rows))
+    columns = []
+    for column in map(rows.columns.get, keys):
+        if id(column) not in texts:  # a column met before in this call is not formatted again
             try:
-                columns.append(_float_texts(column))
+                texts[id(column)] = _float_texts(column)
             except TypeError:  # not floats only
-                columns.append(list(map(_scalar_text, column)))
-    except (TypeError, ValueError):
-        return None
+                texts[id(column)] = list(map(_scalar_text, column))
+        columns.append(texts[id(column)])
     return ("," + inner).join(map(row.__mod__, zip(*columns)))
 
 
-def _encode(o, out: list, nl: str, path: set) -> None:
+def _encode(o, out: list, nl: str, path: set, texts: dict) -> None:
     """Append the canonical form of ``o`` to ``out``.  ``nl`` is a newline
     and the indentation of the line ``o`` ends on; ``path`` holds the ids of
-    the containers ``o`` is nested in.  A scalar is written as by
-    :func:`_scalar_text`, whose tests are repeated inline here: a call per
-    value made small records about 10 % slower to write."""
+    the containers ``o`` is nested in, and ``texts`` the texts of the
+    :class:`Rows` columns formatted so far in this call.  A scalar is
+    written as by :func:`_scalar_text`, whose tests are repeated inline
+    here: a call per value made small records about 10 % slower to write."""
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif o is None or o is True or o is False:
@@ -273,17 +271,15 @@ def _encode(o, out: list, nl: str, path: set) -> None:
             return
         inner = nl + "  "
         try:
-            items = ("," + inner).join(_float_texts(o))
-        except TypeError:  # an item that is not a float: a table, or item by item below
-            items = _table(o, inner)
-        if items is not None:
-            out += ("[", inner, items, nl, "]")
+            out += ("[", inner, ("," + inner).join(_float_texts(o)), nl, "]")
             return
+        except TypeError:  # an item that is not a float: item by item below
+            pass
         _enter(o, path)
         out.append("[")
         for k, item in enumerate(o):
             out.append("," + inner if k else inner)
-            _encode(item, out, inner, path)
+            _encode(item, out, inner, path, texts)
         out += (nl, "]")
         path.remove(id(o))
     elif isinstance(o, dict):
@@ -296,9 +292,18 @@ def _encode(o, out: list, nl: str, path: set) -> None:
         for k, (key, value) in enumerate(sorted(o.items())):
             out += ("," + inner if k else inner,
                     encode_basestring_ascii(_key_text(key)), ": ")
-            _encode(value, out, inner, path)
+            _encode(value, out, inner, path, texts)
         out += (nl, "}")
         path.remove(id(o))
+    elif isinstance(o, Rows):
+        inner = nl + "  "
+        try:
+            text = _rows_text(o, inner, texts)
+        except (TypeError, ValueError):  # json's output or error, row by row
+            rows = zip(*o.columns.values())
+            _encode([dict(zip(o.columns, row)) for row in rows], out, nl, path, texts)
+            return
+        out += ("[", inner, text, nl, "]") if text else ("[]",)  # no rows, no text
     elif isinstance(o, Mirrored):
         inner = nl + "  "
         out += ("[", inner, ("," + inner).join(o.texts()), nl, "]")

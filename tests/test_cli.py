@@ -64,6 +64,44 @@ def test_default_scan_emits_both_curves_side_by_side(tmp_path):
     assert data[:, 4].max() < data[:, 2].max()
 
 
+def _fig2_grid(monkeypatch, grid):
+    """Make the bundled fig2 scan on ``grid``, in this process only."""
+    text = cli._bundled_text
+
+    def patched(name):
+        doc = json.loads(text(name))
+        if name == "fig2":
+            doc["grid"] = grid
+        return json.dumps(doc)
+
+    monkeypatch.setattr(cli, "_bundled_text", patched)
+
+
+_FIG1_GRID = np.linspace(-1.0, 1.0, 401)
+
+
+@pytest.mark.parametrize("grid", [
+    {"start": -1.0, "stop": 0.5, "points": 401},
+    {"start": -1.0, "stop": 1.0, "points": 400},
+    # equal values, but one zero's sign differs: the CSV's one column would be fig1's
+    {"values": np.where(_FIG1_GRID == 0.0, -0.0, _FIG1_GRID).tolist()},
+], ids=["other stop", "other size", "other zero"])
+def test_side_by_side_scan_needs_one_grid(monkeypatch, capsys, grid):
+    _fig2_grid(monkeypatch, grid)
+    assert run(["ramsey-scan"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (error["type"], error["field"], error["exit_code"]) == ("ConfigParse", "grid", 2)
+
+
+def test_side_by_side_grids_compare_as_parsed(monkeypatch, capsys):
+    # the same 401 detunings as a list of values scan side by side as before
+    assert run(["ramsey-scan"]) == 0
+    default = json.loads(capsys.readouterr().out)["result"]
+    _fig2_grid(monkeypatch, {"values": _FIG1_GRID.tolist()})
+    assert run(["ramsey-scan"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == default
+
+
 def test_validate_config_roundtrip_is_byte_identical(tmp_path):
     doc = cli.validate_config("fig1", "ramsey-scan")
     emitted = cli.canonical_json(doc)

@@ -455,8 +455,9 @@ class TestScan:
         assert np.all(res.pb_e >= -1e-9) and np.all(res.pb_e <= 1 + 1e-9)
         assert np.all(res.pb_e_avg >= -1e-9) and np.all(res.pb_e_avg <= 1 + 1e-9)
 
-    def test_csv_and_json_serialization(self, tmp_path):
-        # the CSV form of a scan is the CLI's
+    def test_csv_and_json_serialization(self, tmp_path, capsys):
+        # the CSV form of a scan is the CLI's, and its JSON record holds the
+        # scan's bits
         grid = np.linspace(-0.1, 0.1, 5)
         res = scan(make_config(), grid)
         config, out = tmp_path / "scan.json", tmp_path / "scan.csv"
@@ -467,10 +468,31 @@ class TestScan:
         csv = out.read_text()
         assert csv.splitlines()[0] == "delta_omega,pb_e,pb_e_avg"
         assert len(csv.splitlines()) == 6
-        doc = json.loads(res.to_json())
-        assert doc == res.to_dict()
-        assert doc["theory"] == "standard"
-        assert len(doc["rows"]) == 5
+        assert cli.main(["ramsey-scan", "--config", str(config)]) == 0
+        doc = json.loads(capsys.readouterr().out)["result"]
+        assert doc["schema"] == "lindkit.scan/1" and doc["theory"] == "standard"
+        assert doc["config"] == res.config.to_dict()
+        _assert_rows_hold_the_bits_of(doc["rows"], res)
+
+    def test_default_record_holds_both_scans_on_one_grid(self, capsys):
+        assert cli.main(["ramsey-scan"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        for name, theory in (("fig1", "standard"), ("fig2", "modified")):
+            doc = json.loads(cli.bundled_config_path(name).read_text())
+            cfg, _, grid = cli._parse_ramsey(doc, required={"grid"})
+            _assert_rows_hold_the_bits_of(result[theory]["rows"], scan(cfg, grid, theory))
+        std, mod = (np.array([row["delta_omega"] for row in result[theory]["rows"]])
+                    for theory in ("standard", "modified"))
+        np.testing.assert_array_equal(std.view(np.int64), mod.view(np.int64))
+
+
+def _assert_rows_hold_the_bits_of(rows, res):
+    """Each column of a scan record's rows has the bits of ``res``'s array."""
+    assert len(rows) == len(res.delta_omegas)
+    for key, column in (("delta_omega", res.delta_omegas), ("pb_e", res.pb_e),
+                        ("pb_e_avg", res.pb_e_avg)):
+        np.testing.assert_array_equal(np.array([row[key] for row in rows]).view(np.int64),
+                                      column.view(np.int64))
 
 
 class TestCorrectionConsistency:

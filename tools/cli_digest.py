@@ -24,7 +24,9 @@ sha256 of its stdout and of its stderr.  The cases are:
   GENERIC_DIMS (a random Hamiltonian and two random Lindblad operators,
   scaled to ||L||_1 = d^2 as in perfbench's dynamics workload, and a
   full-rank initial state), each over the 50-point linspace(0.05, 2, 50)
-  and at the single time 1.0, so that the stepper runs above d = 2.
+  and at the single time 1.0, so that the stepper runs above d = 2;
+  entropy-check there as CSV too, and lindblad-spectrum of each model as
+  JSON and as CSV, so that the row tables are written above d = 2.
 
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
@@ -127,10 +129,16 @@ def _cases(cli):
         yield f"{command} {name} {[key]} = {value!r}", [command], doc, key
     for d in GENERIC_DIMS:
         model, rho0 = _generic(d)
+        yield (f"lindblad-spectrum generic d={d}", ["lindblad-spectrum"], {"model": model},
+               f"generic d={d}")
+        yield (f"lindblad-spectrum generic d={d} csv", ["lindblad-spectrum", "--format", "csv"],
+               {"model": model}, f"generic d={d}")
         for grid, times in GRIDS.items():
+            doc = {"model": model, "rho0": rho0, "times": times}
             for command in ("lindblad-evolve", "entropy-check"):
-                doc = {"model": model, "rho0": rho0, "times": times}
                 yield f"{command} generic d={d} {grid}", [command], doc, f"generic d={d}"
+            yield (f"entropy-check generic d={d} {grid} csv",
+                   ["entropy-check", "--format", "csv"], doc, f"generic d={d}")
 
 
 def _generic(d):
