@@ -21,9 +21,9 @@ Hermiticity preservation of the map is Hermiticity of this reshuffled matrix,
 its eigenvalues are the Choi spectrum (summing to d for a trace-preserving
 map), and its reshaped eigenvectors are the orthonormal operator family of
 the kernel's spectral decomposition.  One type, :class:`ChoiSpectrum`, holds
-that decomposition: the eigenvalues and the eigen-matrices as one
-(d^2, d, d) stack.  The stored eigen-matrices depend on this convention;
-the CP verdict does not.
+that decomposition: the eigenvalues, and the eigen-matrices as one
+(d^2, d, d) stack, decomposed only when read.  The eigen-matrices depend
+on this convention; the CP verdict does not.
 
 The fixed traceless operator basis {F_m} is the generalized Gell-Mann set
 of :mod:`lindkit.gellmann`: symmetric pairs, antisymmetric pairs, then
@@ -32,7 +32,9 @@ Tr(X F_m) are that module's gathers, so a two-sided product costs O(d^4).
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,14 +203,36 @@ def kernel_from_generator(generator: np.ndarray, tau: float) -> Kernel:
 
 @dataclass
 class ChoiSpectrum:
-    """Choi eigenvalues lambda_N, descending (summing to d for a trace-
-    preserving kernel), with their orthonormal Kraus-like eigen-matrices E^N
-    as one (d^2, d, d) stack: sum_{ii'} E^N_{ii'} (E^M_{ii'})^* = delta_NM.
-    Each E^N's phase makes its first entry of largest modulus real positive.
+    """The Choi spectrum of a kernel: its eigenvalues lambda_N, descending
+    (summing to d for a trace-preserving kernel), and the Choi matrix they
+    are the eigenvalues of.
+
+    ``kraus_like`` is the orthonormal Kraus-like eigen-matrices E^N as one
+    (d^2, d, d) stack, sum_{ii'} E^N_{ii'} (E^M_{ii'})^* = delta_NM, each
+    E^N's phase making its first entry of largest modulus real positive.
+    It is decomposed on first read, by one ``eigh`` of the Choi matrix, and
+    kept; an ``eigh`` costs about twice the ``eigvalsh`` that gave
+    ``lambdas`` (d = 4-10, one BLAS thread), so a caller that reads the
+    eigen-matrices pays that ``eigvalsh`` on top.
+    ``lambdas[N]`` goes with ``kraus_like[N]``: each decomposition sorts by
+    its own eigenvalues, so the two orders can differ only among eigenvalues
+    equal to within rounding.
     """
 
     lambdas: np.ndarray
-    kraus_like: np.ndarray
+    choi: np.ndarray
+
+    @functools.cached_property
+    def kraus_like(self) -> np.ndarray:
+        vals, vecs = np.linalg.eigh(self.choi)
+        order = np.argsort(vals)[::-1]
+        rows = vecs.T[order]
+        # unit rows, so each pivot is nonzero; hypot is the modulus abs() takes
+        # of a complex scalar
+        piv = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+        rows *= (np.conj(piv) / np.hypot(piv.real, piv.imag))[:, None]
+        d = math.isqrt(len(rows))
+        return rows.reshape(-1, d, d)
 
     def reassemble(self) -> np.ndarray:
         """Rebuild the kernel matrix sum_N lambda_N vec(E^N) vec(E^N)^dag
@@ -219,26 +243,24 @@ class ChoiSpectrum:
 
 
 def kernel_spectrum(k: Kernel) -> ChoiSpectrum:
-    """Diagonalize the kernel in its Hermitian index pairing.
+    """The Choi spectrum of the kernel in its Hermitian index pairing: one
+    ``eigvalsh`` of k.choi(), its ascending output reversed; the
+    eigen-matrices wait for a read of ``kraus_like``.
 
     At tau = 0 the top eigenvalue is d with eigen-matrix I/sqrt(d) and the
     remaining d^2 - 1 eigenvalues vanish with traceless eigen-matrices.
     """
-    vals, vecs = np.linalg.eigh(k.choi())
-    order = np.argsort(vals)[::-1]
-    rows = vecs.T[order]
-    # unit rows, so each pivot is nonzero; hypot is the modulus abs() takes
-    # of a complex scalar
-    piv = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
-    rows *= (np.conj(piv) / np.hypot(piv.real, piv.imag))[:, None]
-    return ChoiSpectrum(vals[order], rows.reshape(-1, k.dim, k.dim))
+    choi = k.choi()
+    return ChoiSpectrum(np.linalg.eigvalsh(choi)[::-1], choi)
 
 
 def choi_cp_test(k: Kernel):
     """Complete positivity via the Choi spectrum.
 
     Returns (is_cp, ChoiSpectrum); ``is_cp`` is min(lambda) >= -TOL_KERNEL * d
-    (the eigensolver noise floor of exactly-CP maps).
+    (the eigensolver noise floor of exactly-CP maps).  The verdict reads the
+    eigenvalues only, so the test costs one ``eigvalsh`` of the d^2 x d^2
+    Choi matrix.
     """
     spec = kernel_spectrum(k)
     return bool(spec.lambdas.min() >= -(TOL_KERNEL * k.dim)), spec
@@ -246,7 +268,9 @@ def choi_cp_test(k: Kernel):
 
 def kraus_operators(spectrum: ChoiSpectrum) -> np.ndarray:
     """{sqrt(lambda) E}, stacked, for the Choi eigenvalues above TOL_OPERATOR;
-    reproduces the channel action when the map is CP."""
+    reproduces the channel action when the map is CP.  Reads
+    ``spectrum.kraus_like``, so the first call on a spectrum pays its
+    ``eigh``."""
     keep = spectrum.lambdas > TOL_OPERATOR
     return np.sqrt(spectrum.lambdas[keep])[:, None, None] * spectrum.kraus_like[keep]
 

@@ -239,7 +239,12 @@ def _cmd_ramsey_scan(args, cfg, theory, grid):
 
 def _ramsey_scan_side_by_side(args, parsed):
     """Default run: the standard and modified figure curves, one per parsed
-    config, next to each other on the one detuning grid, written once."""
+    config, next to each other on the one detuning grid, written once.  Each
+    curve is its config's theory, so ``--theory`` has nothing to override."""
+    if args.theory is not None:
+        raise ConfigParse("--theory does not apply to the default fig-both run, which scans "
+                          "each figure under its own theory; name one config with --config",
+                          field="--theory")
     grid = parsed[0][2]
     column = grid.tolist()
     docs = {theory: _scan_record(

@@ -18,6 +18,9 @@ clustering by pairwise comparison of every pair.
 For states: the density-matrix checks and repair, the von Neumann entropy
 and the entropy rate of one state at a time, with their own eigh calls.
 
+For the Choi test: the descending eigenvalues and phase-fixed eigen-matrices
+of one eigh of a kernel's Choi matrix, sorted and phased in one pass.
+
 For the Hermiticity checks: the power-of-two scale of a matrix stack from
 the largest real and the largest imaginary part, taken apart.
 
@@ -499,3 +502,15 @@ def expm_action_loop(a, t, v, norm1):
 def canonical_json_dumps(doc):
     """The canonical record form: sorted keys, two-space indent, strict JSON."""
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def choi_eigh(kernel):
+    """(lambdas, kraus_like) of ``kernel``'s Choi matrix from one eigh: the
+    eigenvalues descending, each eigenvector a (d, d) matrix whose first
+    entry of largest modulus is made real positive."""
+    vals, vecs = np.linalg.eigh(kernel.choi())
+    order = np.argsort(vals)[::-1]
+    rows = vecs.T[order]
+    piv = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+    rows *= (np.conj(piv) / np.hypot(piv.real, piv.imag))[:, None]
+    return vals[order], rows.reshape(-1, kernel.dim, kernel.dim)

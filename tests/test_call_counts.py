@@ -25,7 +25,7 @@ from lindkit import (DensityMatrix, GKSForm, LindbladModel, ProjectorBasis,
                      bfr_derivative_check, build_superoperator,
                      channels, choi_cp_test, cli, first_order, gks_build, kernel_from_generator,
                      lindblad, matcore, perturb, ramsey, records, spectrum)
-from lindkit.channels import gks_lindblad_ops
+from lindkit.channels import gks_lindblad_ops, kraus_operators
 from lindkit.matcore import general_eig
 
 # norm and matrix_rank call svd through numpy's implementation module
@@ -502,7 +502,8 @@ def test_gks_lindblad_ops_numpy_calls_do_not_grow_with_d(monkeypatch, rng):
 
 
 def test_choi_cp_test_numpy_calls_do_not_grow_with_d(monkeypatch, rng):
-    # one eigh and one phase gather for all d^2 eigen-matrices
+    # the verdict takes one eigvalsh; the eigen-matrices, on their first
+    # read, one eigh and one phase gather for all d^2 of them
     calls = _numpy_calls(monkeypatch, channels)
     counts = {}
     for d in (2, 6):
@@ -512,6 +513,19 @@ def test_choi_cp_test_numpy_calls_do_not_grow_with_d(monkeypatch, rng):
         assert is_cp and np.shape(spec.kraus_like) == (d * d, d, d)
         counts[d] = len(calls)
     assert counts[2] == counts[6]
+
+
+def test_choi_eigen_matrices_are_decomposed_on_first_read(monkeypatch, rng):
+    eigh = _count(monkeypatch, _LINALG, "eigh")
+    eigvalsh = _count(monkeypatch, _LINALG, "eigvalsh")
+    kernel = kernel_from_generator(build_superoperator(random_lindblad_model(rng, 3)), 0.5)
+    is_cp, spec = choi_cp_test(kernel)
+    assert is_cp and (len(eigvalsh), len(eigh)) == (1, 0)
+    first = spec.kraus_like
+    assert (len(eigvalsh), len(eigh)) == (1, 1)
+    kraus_operators(spec)
+    assert spec.kraus_like is first
+    assert (len(eigvalsh), len(eigh)) == (1, 1)
 
 
 def test_build_superoperator_numpy_calls_do_not_grow_with_operators(monkeypatch, rng):

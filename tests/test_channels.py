@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,7 +39,7 @@ from lindkit.channels import (
     reshuffle,
     trace_defect,
 )
-from oracles import gks_build_loops, gks_project_loops, vec_basis
+from oracles import choi_eigh, gks_build_loops, gks_project_loops, vec_basis
 
 TRANSPOSE_D2 = np.array(
     [
@@ -224,6 +225,49 @@ def _generator(seed, d):
 
 def _max_relative(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
+
+
+def _seeded_cp_kernel(seed, d):
+    return kernel_from_generator(_generator([seed, d], d), 0.7)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_kraus_like_is_the_one_eigh_decomposition(d, seed):
+    # the eigen-matrices read on demand carry the bits of one eigh of the
+    # Choi matrix, sorted descending and phase-fixed
+    kernel = _seeded_cp_kernel(seed, d)
+    is_cp, spec = choi_cp_test(kernel)
+    want_vals, want = choi_eigh(kernel)
+    assert is_cp
+    assert np.array_equal(spec.kraus_like, want)
+    # eigvalsh's eigenvalues match eigh's to rounding, in the same order
+    assert np.all(np.diff(spec.lambdas) <= 0)
+    assert np.abs(spec.lambdas - want_vals).max() <= 2 * _eigenvalue_bound(kernel.choi())
+
+
+# |lambda_computed - lambda_exact| <= N_EPS_BOUND n u ||C||_2 for the n x n
+# Choi matrix C, u = 2^-53: a backward-stable Hermitian eigensolver returns
+# the eigenvalues of C + E with ||E||_2 <= p(n) u ||C||_2, and by Weyl's
+# inequality each sorted eigenvalue moves by at most ||E||_2; here p(n) = 2n
+N_EPS_BOUND = 2.0
+
+
+def _eigenvalue_bound(choi):
+    return N_EPS_BOUND * len(choi) * (np.finfo(float).eps / 2) * np.linalg.norm(choi, 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(5))
+def test_choi_eigenvalues_meet_the_backward_error_bound(d, seed):
+    kernel = _seeded_cp_kernel(seed, d)
+    choi = kernel.choi()
+    with mpmath.workdps(40):
+        exact = mpmath.eigh(mpmath.matrix(choi.tolist()), eigvals_only=True)
+        exact = np.sort([float(x) for x in exact])[::-1]
+    bound = _eigenvalue_bound(choi)
+    assert np.abs(choi_eigh(kernel)[0] - exact).max() <= bound  # the eigh reference
+    assert np.abs(choi_cp_test(kernel)[1].lambdas - exact).max() <= bound
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -102,6 +102,20 @@ def test_side_by_side_grids_compare_as_parsed(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["result"] == default
 
 
+@pytest.mark.parametrize("theory", ["standard", "modified"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_side_by_side_scan_refuses_theory(capsys, theory, fmt):
+    # each curve of the default run is its own config's theory: an override
+    # exits 2 naming the flag, and writes nothing to stdout
+    assert run(["ramsey-scan", "--theory", theory, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)["error"]
+    assert (error["type"], error["field"], error["exit_code"]) == ("ConfigParse", "--theory", 2)
+    assert "--theory" in error["message"] and captured.out == ""
+    # one named config takes the override
+    assert run(["ramsey-scan", "--config", "fig1", "--theory", theory]) == 0
+
+
 def test_validate_config_roundtrip_is_byte_identical(tmp_path):
     doc = cli.validate_config("fig1", "ramsey-scan")
     emitted = cli.canonical_json(doc)

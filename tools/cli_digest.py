@@ -26,7 +26,10 @@ sha256 of its stdout and of its stderr.  The cases are:
   full-rank initial state), each over the 50-point linspace(0.05, 2, 50)
   and at the single time 1.0, so that the stepper runs above d = 2;
   entropy-check there as CSV too, and lindblad-spectrum of each model as
-  JSON and as CSV, so that the row tables are written above d = 2.
+  JSON and as CSV, so that the row tables are written above d = 2;
+  cp-check of each model's kernel at tau = GENERIC_TAU
+  (``channels.kernel_from_generator``, written as its ``lindkit.kernel/1``
+  document), so that the Choi spectrum is written above d = 2.
 
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
@@ -34,7 +37,9 @@ the first checkout's, with each side's exit code and, for an error record,
 its error type and field; then, for the differing cases, one count per
 (subcommand, top-level config key, first checkout's exit -> this checkout's
 exit), with ``-`` for a default-config case; then the number of differing
-cases.  It exits 1 when any case differs.
+cases.  A differing case whose stdout holds a record on both sides also
+names the keys of the record's ``result`` whose values differ.  It exits 1
+when any case differs.
 """
 import argparse
 import collections
@@ -63,6 +68,7 @@ EXTRA = [("extract-generator", "model-qubit", "scheme", "forward"),
          ("extract-generator", "model-qubit", "h", 0.05)]
 GENERIC_DIMS = (3, 4, 8, 12)
 GENERIC_SEED = 30
+GENERIC_TAU = 0.5
 GRIDS = {"linspace50": np.linspace(0.05, 2.0, 50).tolist(), "single": [1.0]}
 
 
@@ -139,6 +145,8 @@ def _cases(cli):
                 yield f"{command} generic d={d} {grid}", [command], doc, f"generic d={d}"
             yield (f"entropy-check generic d={d} {grid} csv",
                    ["entropy-check", "--format", "csv"], doc, f"generic d={d}")
+        yield (f"cp-check generic d={d} tau={GENERIC_TAU}", ["cp-check"],
+               _generic_kernel(cli, model), f"generic d={d}")
 
 
 def _generic(d):
@@ -171,6 +179,13 @@ def _generic(d):
     return model, parts(rho)
 
 
+def _generic_kernel(cli, model):
+    """The ``lindkit.kernel/1`` document of exp(GENERIC_TAU L) for the model
+    document ``model``, as the checkout of ``cli`` builds and writes it."""
+    gen = cli.lindblad.build_superoperator(cli.lindblad.LindbladModel.from_dict(model))
+    return json.loads(cli.channels.kernel_from_generator(gen, GENERIC_TAU).to_json())
+
+
 def _mutations(name, cli):
     """(case name, config document, top-level key changed) of every single-key
     mutation of the bundled config ``name``."""
@@ -188,6 +203,19 @@ def _mutations(name, cli):
         doc = json.loads(json.dumps(base))
         _at(doc, path)["unknown_key"] = 1.0
         yield f"{list(path)} + unknown_key", doc, path[0] if path else "unknown_key"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _result_fields(text: str):
+    """{key: sha256 of its value} of a record's ``result``, else None."""
+    try:
+        result = json.loads(text)["result"]
+        return {key: _sha(json.dumps(value, sort_keys=True)) for key, value in result.items()}
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
 
 
 def _error(text: str):
@@ -218,9 +246,8 @@ def child(workdir: str) -> None:
                 code = cli.main(argv)
             except Exception as exc:  # a traceback escaping the CLI
                 code = f"raised {type(exc).__name__}"
-        results[name] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
-                         hashlib.sha256(err.getvalue().encode()).hexdigest(),
-                         _error(err.getvalue())]
+        results[name] = [code, _sha(out.getvalue()), _sha(err.getvalue()),
+                         _error(err.getvalue()), _result_fields(out.getvalue())]
     json.dump({"results": results, "groups": groups}, sys.stdout)
 
 
@@ -255,7 +282,13 @@ def main(argv=None) -> int:
             outcomes += ends[0] != ends[1]
             streams = [] if None in (a, b) else [
                 label for label, k in (("stdout", 1), ("stderr", 2)) if a[k] != b[k]]
-            print(f"{src}: {name}: {ends[0]} -> {ends[1]}; differs in {streams or 'presence'}")
+            fields = ""
+            if None not in (a, b) and None not in (a[4], b[4]):
+                keys = a[4].keys() | b[4].keys()
+                fields = "; result keys " + ", ".join(
+                    sorted(k for k in keys if a[4].get(k) != b[4].get(k)))
+            print(f"{src}: {name}: {ends[0]} -> {ends[1]}; differs in "
+                  f"{streams or 'presence'}{fields}")
             before, after = (None if r is None else r[0] for r in (a, b))
             counts[src, groups[name], before, after] += 1
     for (src, group, before, after), count in sorted(counts.items(), key=str):

@@ -36,7 +36,9 @@ perfbench ``spectral`` task has a case each: "spectrum-meas" takes the
 spectrum of a measurement model in a random basis (two operators), whose
 stationary modes are one d-fold cluster; "gks" takes
 channels.gks_build(channels.gks_project(L)); "choi" takes
-channels.choi_cp_test of the "kernel" case's kernel; and "perturb" takes
+channels.choi_cp_test of the "kernel" case's kernel, and "choi-kraus"
+that test and then a read of its spectrum's eigen-matrices (``kraus_like``),
+the cost of a caller that reads the vectors; and "perturb" takes
 perturb.first_order of H perturbed by the Hermitian part of
 sum_a L_a^dag L_a, as that workload does.  A round times,
 for every (d, case), REPEAT calls of each checkout in turn and keeps each
@@ -110,6 +112,11 @@ def gks_round_trip(lk, gen):
     return lk.channels.gks_build(lk.channels.gks_project(gen))
 
 
+def choi_kraus(lk, kernel):
+    """The Choi test of ``kernel``, then its eigen-matrices."""
+    return lk.channels.choi_cp_test(kernel)[1].kraus_like
+
+
 def stencil(lk, model, rho0, times, eps=1e-5):
     """The states entropy-check evolves: at t, t + eps and max(t - eps, 0)."""
     if hasattr(lk.lindblad, "evolve_stencil"):
@@ -175,16 +182,18 @@ def main() -> None:
                 lk.lindblad.spectrum, lk.lindblad.measurement_model(
                     lk.quantum.ProjectorBasis.from_vectors(vectors), l, hs))
                 for lk in packages]))
-            gks, choi, pert = [], [], []
+            gks, choi, kraus, pert = [], [], [], []
             for lk, model, _ in models:
                 gen = lk.lindblad.build_superoperator(model)
                 gks.append(partial(gks_round_trip, lk, gen))
-                choi.append(partial(lk.channels.choi_cp_test,
-                                    lk.channels.kernel_from_generator(gen, KERNEL_TAU)))
+                kernel = lk.channels.kernel_from_generator(gen, KERNEL_TAU)
+                choi.append(partial(lk.channels.choi_cp_test, kernel))
+                kraus.append(partial(choi_kraus, lk, kernel))
                 delta = sum(op.conj().T @ op for op in model.lindblads)
                 pert.append(partial(lk.perturb.first_order, model.hamiltonian,
                                     0.5 * (delta + delta.conj().T)))
-            work += [(d, "gks", gks), (d, "choi", choi), (d, "perturb", pert)]
+            work += [(d, "gks", gks), (d, "choi", choi), (d, "choi-kraus", kraus),
+                     (d, "perturb", pert)]
             work.append((d, "build", [partial(lk.lindblad.build_superoperator, model)
                                       for lk, model, _ in models]))
             path = os.path.join(configs, f"grid-d{d}.json")
