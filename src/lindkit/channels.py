@@ -492,27 +492,45 @@ def extract_generator(samples, scheme: str = "central") -> np.ndarray:
     Richardson also ||K(2h) - I|| <= 0.1; a larger one raises StepTooLarge
     naming that sample.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown differencing scheme {scheme!r}")
-    multiples, steps = _SCHEMES[scheme]
+    return extract_generators(samples, (scheme,))[0]
+
+
+def extract_generators(samples, schemes) -> list[np.ndarray]:
+    """:func:`extract_generator`'s estimate for each of ``schemes``, in
+    order, raising what those calls one scheme at a time would raise first.
+    A central difference that two schemes read is taken once, so the
+    "central" estimate and Richardson's L_h are the same array."""
+    for scheme in schemes:
+        if scheme not in _SCHEMES:
+            raise ValueError(f"unknown differencing scheme {scheme!r}")
     by_tau = _samples_by_tau(samples)
     if not by_tau:
         raise InconsistentSamples("not enough distinct sample times")
     taus = sorted(by_tau)
     h = taus[0]
-    ts = [_sample_near(taus, m * h, h, f"{scheme} differencing needs a sample at {m}h = {m * h}")
-          for m in multiples]
-    ks = [by_tau[t].matrix for t in ts]
-    eye = np.eye(len(ks[0]))
-    for m, k in zip(multiples[:steps], ks):
-        defect = np.linalg.norm(k - eye)
-        if defect > 0.1:
-            raise StepTooLarge(f"||K({'' if m == 1 else m}h) - I|| = {defect:.3f} "
-                               "exceeds 0.1; sample closer to tau = 0")
-    if scheme == "forward":
-        return (ks[0] - eye) / h
-    central = [(k2 - eye) @ np.linalg.inv(k1) / (2 * t) for t, k1, k2 in zip(ts, ks, ks[1:])]
-    return central[0] if scheme == "central" else (4.0 * central[0] - central[1]) / 3.0
+    eye = np.eye(len(by_tau[h].matrix))
+    central = {}  # (K(2t) - I) K(t)^{-1} / (2t) by t
+    estimates = []
+    for scheme in schemes:
+        multiples, steps = _SCHEMES[scheme]
+        ts = [_sample_near(taus, m * h, h,
+                           f"{scheme} differencing needs a sample at {m}h = {m * h}")
+              for m in multiples]
+        ks = [by_tau[t].matrix for t in ts]
+        for m, k in zip(multiples[:steps], ks):
+            defect = np.linalg.norm(k - eye)
+            if defect > 0.1:
+                raise StepTooLarge(f"||K({'' if m == 1 else m}h) - I|| = {defect:.3f} "
+                                   "exceeds 0.1; sample closer to tau = 0")
+        if scheme == "forward":
+            estimates.append((ks[0] - eye) / h)
+            continue
+        for t, k1, k2 in zip(ts, ks, ks[1:]):
+            if t not in central:
+                central[t] = (k2 - eye) @ np.linalg.inv(k1) / (2 * t)
+        l_h = central[ts[0]]
+        estimates.append(l_h if scheme == "central" else (4.0 * l_h - central[ts[1]]) / 3.0)
+    return estimates
 
 
 def kernel_from_unitary_ensemble(unitary_sampler, tau: float, n_samples: int) -> Kernel:

@@ -296,7 +296,7 @@ def _cmd_born_check(args, model, rho0, horizon_over_gamma, tol):
         raise ConfigParse("model has no decaying coherences; Born limit is empty",
                           field="l_re")
     horizon = horizon_over_gamma / gamma_min
-    converged, residual = lindblad.born_limit_check(model, rho0, horizon, tol)
+    converged, residual = lindblad.born_limit_check(model, rho0, horizon, tol, dm)
     result = {
         "gamma_min": gamma_min,
         "horizon": horizon,
@@ -342,8 +342,7 @@ def _cmd_extract_generator(args, model, _rho0, _times, h, scheme):
         (tau, channels.kernel_from_generator(gen, tau))
         for tau in (h, 2 * h, 4 * h)
     ]
-    est = channels.extract_generator(samples, scheme)
-    rich = channels.extract_generator(samples, "richardson")
+    est, rich = channels.extract_generators(samples, (scheme, "richardson"))
     # a zero generator's estimates are exactly 0, and so are their errors
     scale = float(np.linalg.norm(gen)) or 1.0
     result = {

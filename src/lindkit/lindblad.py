@@ -481,7 +481,8 @@ def diagonal_solution(dm: DecayMatrix, rho0: DensityMatrix, t: float) -> Density
     return dm.basis._weighted(rho0, factor)
 
 
-def born_limit_check(model: LindbladModel, rho0: DensityMatrix, horizon: float, tol: float):
+def born_limit_check(model: LindbladModel, rho0: DensityMatrix, horizon: float, tol: float,
+                     dm: DecayMatrix | None = None):
     """Has a measurement model's state reached the Born-rule fixed point by
     ``horizon``?
 
@@ -492,7 +493,9 @@ def born_limit_check(model: LindbladModel, rho0: DensityMatrix, horizon: float, 
     ||rho0|| e^{-gamma_min * horizon}.  Raises NotBalanced when the model
     fails the balanced condition the theorem needs, NotDiagonalFamily when it
     is balanced but not of measurement form, and Overflow when L_a^dag L_a
-    or a decay rate leaves double precision.
+    or a decay rate leaves double precision.  ``dm`` is the model's
+    :func:`decay_matrix` when the caller holds it already, as the CLI does
+    for gamma_min; it is taken from the model otherwise.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         defect = model.balance_defect()
@@ -500,7 +503,8 @@ def born_limit_check(model: LindbladModel, rho0: DensityMatrix, horizon: float, 
         raise Overflow("L_a^dag L_a overflows double precision")
     if defect > BALANCE_TOL:
         raise NotBalanced(f"balance defect {defect:.3e} exceeds {BALANCE_TOL}")
-    dm = decay_matrix(model)
+    if dm is None:
+        dm = decay_matrix(model)
     reached = diagonal_solution(dm, rho0, horizon)
     label = dm._labels()
     target = model.basis._weighted(rho0, label[:, None] == label[None, :])

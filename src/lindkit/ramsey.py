@@ -35,12 +35,15 @@ every quantity here is derived from those five constants, evaluated as arrays
 over the detuning grid: the single-shot fraction is the fringe at t_free, and
 the Gaussian transit-time average has an exact closed form, over the full
 real line (a Gaussian integral) or over the physical T >= 0 window (the same
-integral minus two bounded Faddeeva-function tails).  That truncated
-average, through scipy.special's erf and wofz, is the module's one use of
-scipy, which it imports on first use.
+integral minus two bounded Faddeeva-function tails).  The Faddeeva function
+w(z) = e^{-z^2} erfc(-iz) is :func:`_faddeeva`, Weideman's rational series
+in numpy, and the window's weight takes math.erf, so the module imports no
+scipy.
 """
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -227,7 +230,9 @@ def _transit_average(a, p, q, gamma, nu, t0, sig, truncate):
     e^{kappa t0 + kappa^2 sigma^2 / 4}, and over [t0 + d, inf) (sign +1) or
     (-inf, t0 + d] (sign -1) is (1/2) e^{kappa (t0 + d) - d^2 / sigma^2}
     w(sign i z), w the Faddeeva function and z = d / sigma - kappa sigma / 2.
-    Both factors of a tail are bounded for t0 + d >= 0 when sign Re z >= 0.
+    Both factors of a tail are bounded for t0 + d >= 0 when sign Re z >= 0,
+    which every tail below keeps; that is Im(sign i z) >= 0, the domain of
+    :func:`_faddeeva`.
     """
     if sig == 0.0:
         # delta-function transit distribution, truncated or not
@@ -248,9 +253,6 @@ def _transit_average(a, p, q, gamma, nu, t0, sig, truncate):
             )
         return avg
 
-    # imported on first use, not with the module: see the module docstring
-    from scipy import special
-
     if t0 - 8 * sig < 0.0:
         warnings.warn(
             "transit-time window clipped at T = 0; weight renormalized", stacklevel=3
@@ -261,9 +263,7 @@ def _transit_average(a, p, q, gamma, nu, t0, sig, truncate):
 
     def tail(d, sign):
         z = d / sig - kappa * sig / 2
-        return 0.5 * np.exp(kappa * (t0 + d) - (d / sig) ** 2) * special.wofz(
-            sign * 1j * z
-        )
+        return 0.5 * np.exp(kappa * (t0 + d) - (d / sig) ** 2) * _faddeeva(sign * 1j * z)
 
     if d_lo / sig + gamma * sig / 2 > 0.0:
         # Re z_lo > 0: the full-line term overflows here, so integrate
@@ -271,11 +271,60 @@ def _transit_average(a, p, q, gamma, nu, t0, sig, truncate):
         damped = tail(d_lo, 1) - tail(d_hi, 1)
     else:
         damped = np.exp(kappa * t0 + _spread(kappa, sig)) - tail(d_lo, -1) - tail(d_hi, 1)
-    weight = (special.erf(d_hi / sig) - special.erf(d_lo / sig)) / 2
+    weight = (math.erf(d_hi / sig) - math.erf(d_lo / sig)) / 2
     avg = a + ((p - 1j * q) * damped).real / weight
     if not np.all(np.isfinite(avg)):
         raise Overflow("the transit-time average overflows double precision")
     return avg
+
+
+# Weideman's series for w: N terms and the scale L = sqrt(N / sqrt(2)) his
+# paper pairs with N (Weideman 1994, SIAM J. Numer. Anal. 31:1497)
+_W_TERMS = 36
+_W_SCALE = math.sqrt(_W_TERMS / math.sqrt(2))
+
+
+@functools.cache
+def _faddeeva_coefficients() -> np.ndarray:
+    """a_1 ... a_N of p(Z) = sum_n a_n Z^{n-1}: Weideman's cosine
+    coefficients of f(t) = e^{-t^2} (L^2 + t^2) on the 2M = 4N nodes
+    t_k = L tan(theta_k / 2), theta_k = pi k / M, k = -M ... M - 1, that is
+    a_n = sum_k f(t_k) cos(n theta_k) / 2M.  f(t_{-M}) = f(-inf) = 0 and f
+    is even in k, so the sum is f(0) = L^2 plus twice the k = 1 ... M - 1
+    terms.  A direct sum where Weideman's code takes an FFT, built on first
+    use: importing the module does no work and loads no numpy.fft."""
+    m = 2 * _W_TERMS
+    theta = np.pi * np.arange(1, m) / m
+    t = _W_SCALE * np.tan(theta / 2)
+    f = np.exp(-t * t) * (_W_SCALE ** 2 + t * t)
+    n = np.arange(1, _W_TERMS + 1)
+    return (_W_SCALE ** 2 + 2 * (np.cos(np.outer(n, theta)) @ f)) / (2 * m)
+
+
+def _faddeeva(z) -> np.ndarray:
+    """The Faddeeva function w(z) = e^{-z^2} erfc(-iz) for Im z >= 0, an array.
+
+    Weideman's rational series: with L = sqrt(N / sqrt(2)),
+    Z = (L + iz) / (L - iz), written 2L / (L - iz) - 1 so that an argument
+    near the largest double still gives Z = -1, and
+    w(z) = (2 p(Z) / (L - iz) + 1/sqrt(pi)) / (L - iz).  Im z >= 0 keeps |Z| <= 1,
+    so the powers Z^0 ... Z^{N-1}, one cumprod, stay bounded; p is then one
+    matrix-vector product.  Within 1e-13 relative of scipy's wofz over
+    the upper half-plane, the real axis included (tests/test_ramsey.py); the
+    lower half-plane is outside its domain, and _transit_average never
+    reaches it.
+    """
+    z = np.asarray(z, dtype=complex)
+    den = _W_SCALE - 1j * z
+    powers = np.empty(z.shape + (_W_TERMS,), dtype=complex)
+    powers[..., 0] = 1.0
+    # |w| <= 1 here: an overflow is only inside a complex division by a
+    # denominator near the largest double, whose quotient is 0; a NaN
+    # argument gives NaN without a warning, as scipy's wofz does
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers[..., 1:] = (2 * _W_SCALE / den - 1)[..., None]
+        np.cumprod(powers, axis=-1, out=powers)
+        return (2 * (powers @ _faddeeva_coefficients()) / den + 1 / math.sqrt(math.pi)) / den
 
 
 def _spread(kappa, sig):

@@ -8,8 +8,9 @@ generator built for the closed-form Born limit, a per-member loop over an
 operator family (the Gell-Mann basis, the Choi eigen-matrices, the Lindblad
 operators of a generator), per-mode reshapes of the spectrum, an eigh per
 nondegenerate perturbation group, an encoder call per row of a scan
-record, a bundled config read per call, or more Python-level calls in the
-config stage fails a test."""
+record, a bundled config read per call, a second decay matrix per
+born-check, a second inversion of K(h) per extract-generator, or more
+Python-level calls in the config stage fails a test."""
 import argparse
 import json
 import sys
@@ -430,6 +431,30 @@ def test_born_check_builds_and_exponentiates_no_generator(monkeypatch, rng, tmp_
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert [len(c) for c in calls] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("d", [None, 12], ids=["bundled", "d12-long-horizon"])
+def test_born_check_decays_its_model_once(monkeypatch, rng, tmp_path, capsys, d):
+    argv = ["born-check", *([] if d is None else _born_config(rng, tmp_path, d))]
+    calls = _count(monkeypatch, [lindblad], "decay_matrix")
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scheme", ["forward", "central"])
+def test_extract_generator_takes_each_central_difference_once(monkeypatch, tmp_path, capsys,
+                                                              scheme):
+    # Richardson's L_h inverts K(h) and its L_2h inverts K(2h); the central
+    # estimate is that L_h, and the forward one inverts nothing
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    doc["scheme"] = scheme
+    path = tmp_path / "extract.json"
+    path.write_text(json.dumps(doc))
+    calls = _count(monkeypatch, _LINALG, "inv")
+    assert cli.main(["extract-generator", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
 
 
 def test_projector_basis_norm_calls_do_not_grow_with_d(monkeypatch):

@@ -33,6 +33,7 @@ from lindkit import (
 )
 from lindkit.channels import (
     extract_generator,
+    extract_generators,
     gellmann_basis,
     gks_lindblad_ops,
     kraus_operators,
@@ -602,6 +603,35 @@ class TestExtractGenerator:
             extract_generator(samples + other, scheme)
         with pytest.raises(errors.InconsistentSamples):
             extract_generator([], scheme)
+
+
+    def test_schemes_together_share_their_central_differences(self, rng):
+        gen = build_superoperator(random_lindblad_model(rng, 3))
+        h = 1e-3
+        samples = [(t, kernel_from_generator(gen, t)) for t in (h, 2 * h, 4 * h)]
+        k1, k2, k4 = (k.matrix for _, k in samples)
+        eye = np.eye(9)
+        l_h = (k2 - eye) @ np.linalg.inv(k1) / (2 * h)
+        l_2h = (k4 - eye) @ np.linalg.inv(k2) / (4 * h)
+        forward, central, rich = extract_generators(samples, ("forward", "central",
+                                                              "richardson"))
+        assert np.array_equal(forward, (k1 - eye) / h)
+        assert np.array_equal(central, l_h)
+        assert np.array_equal(rich, (4.0 * l_h - l_2h) / 3.0)
+        for scheme, est in zip(("forward", "central", "richardson"), (forward, central, rich)):
+            assert np.array_equal(extract_generator(samples, scheme), est)
+
+    def test_schemes_together_raise_what_the_first_failing_scheme_raises(self, rng):
+        gen = build_superoperator(random_lindblad_model(rng, 2))
+        # K(h) too large and no 4h sample: central names K(h) before
+        # Richardson can miss its 4h sample
+        samples = [(t, kernel_from_generator(gen, t)) for t in (5.0, 10.0)]
+        with pytest.raises(errors.StepTooLarge, match=r"^\|\|K\(h\) - I\|\|"):
+            extract_generators(samples, ("central", "richardson"))
+        with pytest.raises(errors.InconsistentSamples, match="at 4h"):
+            extract_generators(samples, ("richardson", "central"))
+        with pytest.raises(ValueError, match="unknown differencing scheme"):
+            extract_generators(samples, ("central", "backward"))
 
 
 class TestUnitaryEnsemble:

@@ -1,8 +1,11 @@
 import json
+import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +24,7 @@ from lindkit import (
     measurement_model,
     protocol,
     pulse_closed_form,
+    ramsey,
     scan,
     spectrum,
 )
@@ -34,6 +38,25 @@ from oracles import (
 
 E_G, E_E = 0.0, 100.0
 W0 = E_E - E_G
+
+
+@pytest.fixture(autouse=True, scope="module")
+def faddeeva_arguments():
+    """The size of every argument the transit average hands _faddeeva while
+    this module's tests run, each checked on arrival to lie in its domain
+    Im z >= 0."""
+    sizes = []
+    inner = ramsey._faddeeva
+
+    def checked(z):
+        z = np.asarray(z)
+        assert np.all(z.imag >= 0), f"_faddeeva called below the real axis: {z[~(z.imag >= 0)]}"
+        sizes.append(z.size)
+        return inner(z)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ramsey, "_faddeeva", checked)
+        yield sizes
 
 
 def make_config(u=0.25, dw=0.0, tau=None, t_free=20.0, t0=20.0, sigma=2.0, lam=0.0):
@@ -597,3 +620,61 @@ def test_fringe_and_truncated_average_stay_in_unit_interval(
         for theory in ("standard", "modified"):
             assert -1e-12 <= protocol(cfg, theory) <= 1 + 1e-12
             assert -1e-12 <= gaussian_fraction(cfg, theory, truncate=True) <= 1 + 1e-12
+
+
+def _upper_half_plane(rng, n):
+    """Seeded points of Im z >= 0: uniform boxes from [-1, 1] x [0, 12] up to
+    [-1e8, 1e8] x [0, 1e8], magnitudes 1e-300 ... 1e300 at uniform angles in
+    [0, pi], and the real axis, linear and at magnitudes 1e-300 ... 1e300."""
+    boxes = [(1.0, 12.0), (10.0, 10.0), (1e2, 1e2), (1e4, 1e4), (1e8, 1e8)]
+    parts = [rng.uniform(-re, re, n) + 1j * rng.uniform(0.0, im, n) for re, im in boxes]
+    parts.append(10.0 ** rng.uniform(-300, 300, n) * np.exp(1j * rng.uniform(0, np.pi, n)))
+    parts.append(rng.uniform(-30.0, 30.0, n) + 0j)
+    parts.append(rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n) + 0j)
+    return np.concatenate(parts)
+
+
+def test_faddeeva_matches_wofz_over_the_upper_half_plane(rng):
+    z = np.r_[_upper_half_plane(rng, 4000),
+              0.0, 1e300j, 1e308j, 1.7e308, -1.7e308, 1e300 + 1e300j, -1e300 + 1e-300j,
+              1e308 + 1e308j, -1.7e308 + 1.7e308j]
+    ref = scipy.special.wofz(z)
+    assert np.all(np.abs(ramsey._faddeeva(z) - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_faddeeva_matches_mpmath_at_40_digits(rng):
+    # w(z) = exp(-z^2) erfc(-iz), the definition, at up to about 1 ms a point
+    z = np.r_[10.0 ** rng.uniform(-3, 4, 130) * np.exp(1j * rng.uniform(0, np.pi, 130)),
+              rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(0.0, 12.0, 10),
+              rng.uniform(-30.0, 30.0, 10) + 0j]
+    with mpmath.workdps(40):
+        ref = np.array([complex(mpmath.exp(-mpmath.mpc(x) ** 2) * mpmath.erfc(-1j * mpmath.mpc(x)))
+                        for x in z])
+    assert np.all(np.abs(ramsey._faddeeva(z) - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_every_faddeeva_argument_lies_in_the_upper_half_plane(faddeeva_arguments):
+    # both branches of the truncated average, at each sign of the detuning:
+    # [lo, inf) minus [hi, inf) where Re z_lo > 0, the full line minus both
+    # tails otherwise; the fixture checks each argument as it arrives
+    before = len(faddeeva_arguments)
+    configs = [make_config(t0=1.0, sigma=2.0, lam=5.0 + 0.3j),
+               make_config(u=1.3, dw=-0.7, tau=0.9, t0=3.0, sigma=2.0, lam=0.3 - 0.4j),
+               make_config(t0=30.0, sigma=4.0, lam=0.05 + 0.02j)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clipped windows warn
+        for cfg in configs:
+            for theory in ("standard", "modified"):
+                scan(cfg, np.linspace(-2.0, 2.0, 9), theory, truncate=True)
+    assert len(faddeeva_arguments) == before + 2 * len(configs) * 2
+    assert sum(faddeeva_arguments[before:]) == 9 * len(faddeeva_arguments[before:])
+
+
+def test_window_weight_erf_matches_scipy(rng):
+    # the weight reads erf at 8 and at -min(8 sigma, t0) / sigma in [-8, 0]:
+    # the ends below are those of this module's truncated averages, and a
+    # seeded sweep of the rest
+    ends = np.r_[8.0, -8.0, -1.5, -1.0, -0.5, 0.0, rng.uniform(-8.0, 0.0, 2000)]
+    ref = scipy.special.erf(ends)
+    got = np.array([math.erf(x) for x in ends])
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))

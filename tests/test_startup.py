@@ -1,7 +1,7 @@
 """What a fresh process loads, and the harness that times fresh CLI calls.
 scipy's import is most of a CLI call's start-up, so it is imported only
-where it is used: the commands that neither exponentiate a dense matrix nor
-take a truncated transit-time average load none of it."""
+where it is used: the commands that exponentiate a dense matrix load
+scipy.linalg, and no command loads scipy.special."""
 import json
 import os
 import subprocess
@@ -12,6 +12,18 @@ import lindkit
 
 SRC = Path(lindkit.__file__).resolve().parent.parent
 
+# the modules ``import lindkit`` adds to those ``import numpy`` loads, as
+# taken with Python 3.11.7 and numpy 2.4.6
+IMPORTED = {
+    "__future__", "_json", "copy", "dataclasses", "json", "json.decoder", "json.encoder",
+    "json.scanner", "lindkit", "lindkit.channels", "lindkit.errors", "lindkit.gellmann",
+    "lindkit.lindblad", "lindkit.matcore", "lindkit.perturb", "lindkit.quantum",
+    "lindkit.ramsey", "lindkit.records",
+}
+
+# runs each command line among its arguments in turn, in-process, and
+# reports the scipy and numpy.fft modules loaded after the import and after
+# each command
 CHILD = """
 import contextlib, io, json, sys
 from lindkit import cli
@@ -20,45 +32,78 @@ def run(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main(argv)
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+def optional_modules():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "scipy" or name.startswith("numpy.fft"))
 
-report = {"import": scipy_modules(), "codes": {}}
-for command in ("ramsey-scan", "ramsey-point", "lindblad-spectrum", "born-check", "cp-check"):
-    report["codes"][command] = run([command])
-report["numpy-only"] = scipy_modules()
-report["codes"]["truncated"] = run(["ramsey-scan", "--truncate-gaussian"])
-report["codes"]["lindblad-evolve"] = run(["lindblad-evolve"])
-report["after"] = scipy_modules()
+report = {"import": optional_modules(), "runs": []}
+for line in sys.argv[1:]:
+    report["runs"].append([line, run(line.split()), optional_modules()])
 print(json.dumps(report))
 """
 
 
-def test_only_exponentials_and_truncated_averages_load_scipy():
+def _child(*command_lines):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
-                          text=True, check=True)
-    report = json.loads(proc.stdout)
+    proc = subprocess.run([sys.executable, "-c", CHILD, *command_lines], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_new_module():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; before = set(sys.modules); import lindkit; "
+         "print('\\n'.join(sorted(set(sys.modules) - before)))"],
+        env=env, capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert added <= IMPORTED, sorted(added - IMPORTED)
+    assert "numpy.fft" not in added and not any(name.startswith("scipy") for name in added)
+
+
+def test_only_exponentials_load_scipy_and_none_loads_scipy_special():
     # cp-check's bundled kernel, the transpose map, is not CP: exit 3
-    assert report["codes"] == {"ramsey-scan": 0, "ramsey-point": 0, "lindblad-spectrum": 0,
-                               "born-check": 0, "cp-check": 3, "truncated": 0,
-                               "lindblad-evolve": 0}
-    assert report["import"] == [] and report["numpy-only"] == []
-    assert {"scipy.special", "scipy.linalg"} <= set(report["after"])
+    numpy_only = _child("ramsey-scan", "ramsey-point", "lindblad-spectrum", "born-check",
+                        "cp-check", "ramsey-scan --truncate-gaussian",
+                        "ramsey-point --truncate-gaussian")
+    assert numpy_only["import"] == []
+    assert [(line, code) for line, code, _ in numpy_only["runs"]] == [
+        ("ramsey-scan", 0), ("ramsey-point", 0), ("lindblad-spectrum", 0), ("born-check", 0),
+        ("cp-check", 3), ("ramsey-scan --truncate-gaussian", 0),
+        ("ramsey-point --truncate-gaussian", 0)]
+    assert all(loaded == [] for _, _, loaded in numpy_only["runs"])
+    for command in ("lindblad-evolve", "entropy-check", "extract-generator"):
+        [(line, code, loaded)] = _child(command)["runs"]
+        assert code == 0
+        # scipy.linalg loads numpy.fft itself
+        assert "scipy.linalg" in loaded and "scipy.special" not in loaded
 
 
 def test_cli_wall_times_fresh_calls_of_each_checkout():
     tool = Path(__file__).resolve().parent.parent / "tools" / "cli_wall.py"
+    commands = ["ramsey-point", "ramsey-point  --truncate-gaussian"]
     proc = subprocess.run(
         [sys.executable, str(tool), "--src", str(SRC), "--src", str(SRC), "--rounds", "1",
-         "--command", "ramsey-point"], capture_output=True, text=True, check=True)
-    settings, row = (json.loads(line) for line in proc.stdout.splitlines())
+         *(arg for command in commands for arg in ("--command", command))],
+        capture_output=True, text=True, check=True)
+    settings, *rows = (json.loads(line) for line in proc.stdout.splitlines())
     assert settings["srcs"] == [str(SRC)] * 2 and settings["rounds"] == 1
+    assert settings["commands"] == ["ramsey-point", "ramsey-point --truncate-gaussian"]
     assert isinstance(settings["PYTHONDONTWRITEBYTECODE"], bool)
-    assert row["command"] == "ramsey-point" and row["exit"] == 0
-    for key in ("wall_median_s", "rss_median_mib"):
-        assert len(row[key]) == 2 and all(x > 0 for x in row[key])
-    for key in ("wall_quartiles_s", "rss_quartiles_mib"):
-        assert all(lo <= hi for lo, hi in row[key])
-    assert row["faster_than_first"] in ([0], [1])
-    assert row["smaller_than_first"] in ([0], [1])
+    assert [row["command"] for row in rows] == settings["commands"]
+    for row in rows:
+        assert row["exit"] == 0
+        for key in ("wall_median_s", "rss_median_mib"):
+            assert len(row[key]) == 2 and all(x > 0 for x in row[key])
+        for key in ("wall_quartiles_s", "rss_quartiles_mib"):
+            assert all(lo <= hi for lo, hi in row[key])
+        assert row["faster_than_first"] in ([0], [1])
+        assert row["smaller_than_first"] in ([0], [1])
+
+
+def test_cli_wall_takes_only_subcommands_with_their_flags():
+    tool = Path(__file__).resolve().parent.parent / "tools" / "cli_wall.py"
+    for bad in ("--truncate-gaussian", "ramsey", ""):
+        proc = subprocess.run([sys.executable, str(tool), "--src", str(SRC), f"--command={bad}"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and "does not start with one of" in proc.stderr

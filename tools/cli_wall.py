@@ -3,9 +3,10 @@ memory, subcommand by subcommand.
 
     python3 tools/cli_wall.py --src ../parent/src --src src [--rounds 11]
                               [--command ramsey-scan ...]
+                              [--command "ramsey-scan --truncate-gaussian" ...]
 
 Each ``--src`` directory holds a lindkit package.  Each call is a new
-process, ``python -m lindkit.cli <command>`` on the command's bundled
+process, ``python -m lindkit.cli <command> [flags]`` on the command's bundled
 default config, with PYTHONPATH set to one ``--src`` directory, BLAS pinned
 to one thread and stdout and stderr sent to /dev/null: what a user pays per
 shell call, interpreter start-up and imports included.  The wall time runs
@@ -38,17 +39,27 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def call(src: str, command: str):
     """(exit code, wall time in s, peak RSS in MiB) of one fresh
-    ``python -m lindkit.cli command`` with lindkit taken from ``src``."""
+    ``python -m lindkit.cli command`` with lindkit taken from ``src``;
+    ``command`` is a subcommand and its flags, split at whitespace."""
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src),
            **{var: "1" for var in BLAS_THREAD_VARS}}
     quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
     start = time.perf_counter()
-    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "lindkit.cli", command],
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "lindkit.cli", *command.split()],
                          env, file_actions=quiet)
     _, status, usage = os.wait4(pid, 0)
     wall = time.perf_counter() - start
     # ru_maxrss is in KiB on Linux
     return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024
+
+
+def _command(text: str) -> str:
+    """A ``--command`` value: a subcommand, then any flags it takes."""
+    words = text.split()
+    if not words or words[0] not in COMMANDS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} does not start with one of {', '.join(COMMANDS)}")
+    return " ".join(words)
 
 
 def _quartiles(xs):
@@ -65,8 +76,10 @@ def main(argv=None) -> int:
     ap.add_argument("--src", action="append", required=True,
                     help="directory holding a lindkit package (repeat for each checkout)")
     ap.add_argument("--rounds", type=int, default=11, help="timed rounds (default 11)")
-    ap.add_argument("--command", action="append", choices=COMMANDS,
-                    help="subcommand to time (repeatable; default all 8)")
+    ap.add_argument("--command", action="append", type=_command,
+                    help="subcommand to time, with any flags in the same argument, "
+                         "e.g. 'ramsey-scan --truncate-gaussian' (repeatable; "
+                         "default the 8 subcommands without flags)")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
