@@ -8,10 +8,11 @@ a broken physical invariant is rejected before any computation.  The four
 model commands share one parse and the two Ramsey commands another; the
 commands of a kind differ only in the keys they require.  The handler then
 runs the experiment and returns its exit code, its result and, for a tabular
-command, a CSV header and rows.  Last, :func:`main` alone writes the output:
-the JSON record of the config and result, or the CSV table.  Outputs carry no
-timestamps and all randomness is seeded, so identical config + seed gives
-byte-identical output.
+command, the table its CSV holds: the ``records.Rows`` of the record, or for
+the side-by-side scan one over the two records' columns.  Last, :func:`main`
+alone writes the output: the JSON record of the config and result, or the
+CSV table.  Outputs carry no timestamps and all randomness is seeded, so
+identical config + seed gives byte-identical output.
 
 Exit codes: 0 success, 2 config error, 3 domain error (including a failed
 check, e.g. a non-CP kernel), 4 I/O error.  Every malformed config exits 2
@@ -31,7 +32,7 @@ import numpy as np
 from . import __version__, channels, lindblad, quantum, ramsey
 from .errors import ConfigParse, LindkitError
 from .records import (Rows, canonical_json, check_keys, complex_matrix, field, integer,
-                      one_of, real, reals, state_arrays, within)
+                      one_of, real, reals, within)
 
 SCHEMA_VERSION = 1
 
@@ -192,12 +193,13 @@ def _record(args, config_doc, result, caught) -> dict:
     }
 
 
-def _csv(header, rows) -> str:
-    """CSV text: the ``header`` names, then one line per row, floats written
-    with ``float.__repr__`` and anything else (class labels) with ``str``."""
-    lines = [",".join(header)]
+def _csv(table: Rows) -> str:
+    """CSV text of ``table``: its keys in insertion order, then one line per
+    row, floats written with ``float.__repr__`` and anything else (class
+    labels) with ``str``."""
+    lines = [",".join(table.columns)]
     lines += [",".join(float.__repr__(x) if isinstance(x, float) else str(x) for x in row)
-              for row in rows]
+              for row in zip(*table.columns.values())]
     return "\n".join(lines) + "\n"
 
 
@@ -211,8 +213,8 @@ def _emit(args, text: str):
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each takes the parsed inputs and returns the process
-# exit code, the record's result and, for a tabular command, the CSV header
-# and rows (None for any other)
+# exit code, the record's result and, for a tabular command, the Rows its CSV
+# holds (None for any other)
 # ---------------------------------------------------------------------------
 
 def _scan_record(scan, grid: list) -> dict:
@@ -223,18 +225,10 @@ def _scan_record(scan, grid: list) -> dict:
                          pb_e_avg=scan.pb_e_avg.tolist())}
 
 
-def _scan_table(header, docs):
-    """The CSV table of scan documents on one grid: the detunings, then each
-    scan's single-shot and averaged fringe."""
-    columns = [docs[0]["rows"].columns["delta_omega"]]
-    columns += [doc["rows"].columns[key] for doc in docs for key in ("pb_e", "pb_e_avg")]
-    return header, zip(*columns)
-
-
 def _cmd_ramsey_scan(args, cfg, theory, grid):
     result = ramsey.scan(cfg, grid, args.theory or theory, truncate=args.truncate_gaussian)
     doc = _scan_record(result, result.delta_omegas.tolist())
-    return 0, doc, _scan_table(("delta_omega", "pb_e", "pb_e_avg"), [doc])
+    return 0, doc, doc["rows"]
 
 
 def _ramsey_scan_side_by_side(args, parsed):
@@ -250,9 +244,10 @@ def _ramsey_scan_side_by_side(args, parsed):
     docs = {theory: _scan_record(
         ramsey.scan(cfg, grid, theory, truncate=args.truncate_gaussian), column)
         for cfg, theory, _ in parsed}
-    header = ("delta_omega", "pb_e_standard", "pb_e_avg_standard",
-              "pb_e_modified", "pb_e_avg_modified")
-    return 0, docs, _scan_table(header, [docs["standard"], docs["modified"]])
+    std, mod = (docs[theory]["rows"].columns for theory in ("standard", "modified"))
+    return 0, docs, Rows(delta_omega=column, pb_e_standard=std["pb_e"],
+                         pb_e_avg_standard=std["pb_e_avg"], pb_e_modified=mod["pb_e"],
+                         pb_e_avg_modified=mod["pb_e_avg"])
 
 
 def _cmd_ramsey_point(args, cfg, theory, *_):
@@ -266,23 +261,18 @@ def _cmd_lindblad_evolve(args, model, rho0, times, *_):
     rhos = lindblad.evolve_many(model, rho0, times)
     stack = np.array([rho.matrix for rho in rhos], dtype=complex).reshape(
         len(rhos), model.dim, model.dim)
-    columns = (times, state_arrays(stack.real, False), state_arrays(stack.imag, True),
-               np.trace(stack, axis1=1, axis2=2).real.tolist(),
-               quantum.vn_entropies(rhos).tolist(), [rho.repaired for rho in rhos])
-    states = [
-        {"t": t, "re": re, "im": im, "trace": trace, "entropy": entropy,
-         "repaired": repaired}
-        for t, re, im, trace, entropy, repaired in zip(*columns)
-    ]
+    states = Rows(t=times, re=stack.real, im=stack.imag,
+                  trace=np.trace(stack, axis1=1, axis2=2).real.tolist(),
+                  entropy=quantum.vn_entropies(rhos).tolist(),
+                  repaired=[rho.repaired for rho in rhos])
     return 0, {"states": states}, None
 
 
 def _cmd_lindblad_spectrum(args, model, *_):
     spec = lindblad.spectrum(model)
-    header = ("re_mu", "im_mu", "class")
-    columns = (spec.mus.real.tolist(), spec.mus.imag.tolist(), spec.classifications)
-    result = {"modes": Rows(**dict(zip(header, columns))), "balanced": model.balanced}
-    return 0, result, (header, zip(*columns))
+    modes = Rows(re_mu=spec.mus.real.tolist(), im_mu=spec.mus.imag.tolist(),
+                 **{"class": spec.classifications})
+    return 0, {"modes": modes, "balanced": model.balanced}, modes
 
 
 def _cmd_born_check(args, model, rho0, horizon_over_gamma, tol):
@@ -330,10 +320,9 @@ def _cmd_entropy_check(args, model, rho0, times, *_):
     balanced = model.balanced
     fd = (s_plus - s_minus) / (np.minimum(times, eps) + eps)
     ok = not (balanced and (rates < -1e-12).any()) and not (np.abs(rates - fd) > 1e-6).any()
-    header = ("t", "rate", "central_difference")
-    columns = (times, rates.tolist(), fd.tolist())
-    result = {"rows": Rows(**dict(zip(header, columns))), "balanced": balanced, "passed": ok}
-    return (0 if ok else _EXIT_DOMAIN), result, (header, zip(*columns))
+    rows = Rows(t=times, rate=rates.tolist(), central_difference=fd.tolist())
+    result = {"rows": rows, "balanced": balanced, "passed": ok}
+    return (0 if ok else _EXIT_DOMAIN), result, rows
 
 
 def _cmd_extract_generator(args, model, _rho0, _times, h, scheme):
@@ -433,7 +422,7 @@ def main(argv=None) -> int:
             doc, handler, inputs = _load(args.command, args.config)
             code, result, table = handler(args, *inputs)
         if args.format == "csv":
-            _emit(args, _csv(*table))
+            _emit(args, _csv(table))
             for w in caught:
                 sys.stderr.write(f"lindkit: warning: {w.message}\n")
         else:

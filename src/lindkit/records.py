@@ -4,17 +4,17 @@ Each document's one strict reader is built from the field readers here,
 which report every fault as a ConfigParse naming the key at fault.  A record
 is written as ``json.dumps(record, sort_keys=True, indent=2,
 allow_nan=False)`` plus a newline would write it, byte for byte, but without
-``json``'s pure-Python indenting encoder; an evolved state's Hermitian
-mirror entries are formatted once (:func:`state_arrays`), and a table of
-rows handed over as its columns (:class:`Rows`), such as a Ramsey scan's
-fringe, is written with its keys sorted and escaped once and each column
-formatted once.
+``json``'s pure-Python indenting encoder.  A table of rows handed over as
+its columns (:class:`Rows`), such as a Ramsey scan's fringe or the evolved
+states, is written with its keys sorted and escaped once, each scalar column
+formatted once and each matrix as its row is written.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import math
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -146,16 +146,17 @@ def canonical_json(doc) -> str:
     which costs an interpreter round trip per value; records here are mostly
     long lists of floats (the evolved states), so a list of floats only is one
     join over ``float.__repr__``, the repr ``json`` uses, checked with one
-    ``math.isfinite`` pass.  A :class:`Mirrored` matrix is written as the list
-    of its entries would be, formatting only its upper triangle and diagonal.
-    A :class:`Rows` is written as the list of its rows' dicts would be: its
-    keys are sorted and escaped once, each column is formatted once (floats
-    as the float lists are), and each row is written from those texts; a
+    ``math.isfinite`` pass.  A :class:`Rows` is written as the list of its
+    rows' dicts would be: its keys are sorted and escaped once, each scalar
+    column is formatted once (floats as the float lists are) and each matrix
+    as its row is written, and each row is written from those texts; a
     column object met twice in one call, such as the detuning grid shared by
     two scans, is formatted once for that call.  A table holding a value that
-    is not a scalar (str, None, bool, int, float) or that ``json`` rejects is
-    written through its rows' dicts item by item, so that ``json``'s output
-    or error, in ``json``'s row-major order, is what the table gives.
+    is not a scalar (str, None, bool, int, float) or that ``json`` rejects,
+    or a 3-D column that is not of finite float64 square matrices, is written
+    through its rows' dicts item by item, each matrix as its row-major list,
+    so that ``json``'s output or error, in ``json``'s row-major order, is
+    what the table gives.
     Everything else follows ``json``: keys in
     ``sorted(doc.items())`` order, int, float, bool and None keys converted
     the same way, int and float subclasses written as plain numbers, strings
@@ -216,8 +217,10 @@ def _key_text(key) -> str:
 class Rows:
     """A table for canonical_json to write, held as its columns: the rows
     ``{key: columns[key][i] for key in columns}`` for each i, written as
-    ``json`` writes that list of dicts.  Columns of unequal length raise
-    ValueError."""
+    ``json`` writes that list of dicts.  A column that is a 3-D array, a
+    stack of matrices, gives each row the row-major list of its matrix.  The
+    keys in insertion order are the header of the table's CSV.  Columns of
+    unequal length raise ValueError."""
 
     __slots__ = ("columns",)
 
@@ -228,33 +231,55 @@ class Rows:
         self.columns = columns
 
 
-def _rows_text(rows: Rows, inner: str, texts: dict) -> str:
-    """The rows of ``rows`` as :func:`_encode` writes their dicts, joined by
-    ``"," + inner``, and empty for no rows: the keys sorted and escaped once,
-    each column formatted once (a float column by :func:`_float_texts`) into
-    ``texts``, by its id, and each row one ``%`` format of the key texts and
-    its value texts.  A TypeError or ValueError at a value that is not a
-    scalar or that ``json`` rejects."""
-    keys = sorted(rows.columns)
+def _rows_texts(rows: Rows, inner: str, texts: dict) -> list:
+    """The rows of ``rows`` as :func:`_encode` writes their dicts, separated
+    by ``"," + inner``, as a list of texts, empty for no rows: the keys
+    sorted and escaped once, each scalar column formatted once (a float
+    column by :func:`_float_texts`) into ``texts``, by its id, and each run
+    of a row's keys between its matrices one ``%`` format.  Small rows, of
+    scalars only, are joined into one text, each freed as it is joined; in
+    a large row, each matrix's text, made by :func:`_matrix_texts` as its
+    row is reached, is a text of the list, copied only into the record.  A
+    TypeError or ValueError, before any row, where :func:`canonical_json`
+    writes the rows' dicts instead."""
     field = inner + "  "
-    row = "{" + field + ("," + field).join(
-        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys) + inner + "}"
-    columns = []
-    for column in map(rows.columns.get, keys):
+    slots, groups, matrices = [], [[]], []
+    for key in sorted(rows.columns):
+        column = rows.columns[key]
+        key_text = encode_basestring_ascii(key).replace("%", "%%") + ": "
+        if isinstance(column, np.ndarray) and column.ndim == 3:
+            n, d, e = column.shape
+            if column.dtype != float or not d == e > 0 or not np.isfinite(column).all():
+                raise TypeError("not a stack of square finite float64 matrices")
+            # NUL splits the row at the matrix: no escaped key or indentation holds one
+            slots.append(key_text + "[" + field + "  \0" + field + "]")
+            matrices.append(_matrix_texts(column, "," + field + "  "))
+            groups.append([])
+            continue
         if id(column) not in texts:  # a column met before in this call is not formatted again
             try:
                 texts[id(column)] = _float_texts(column)
             except TypeError:  # not floats only
                 texts[id(column)] = list(map(_scalar_text, column))
-        columns.append(texts[id(column)])
-    return ("," + inner).join(map(row.__mod__, zip(*columns)))
+        slots.append(key_text + "%s")
+        groups[-1].append(texts[id(column)])
+    sep, row = "," + inner, "{" + field + ("," + field).join(slots) + inner + "}"
+    if not matrices:
+        text = sep.join(map(row.__mod__, zip(*groups[0])))
+        return [text] if text else []
+    segments = [map(segment.__mod__, zip(*group)) if group else repeat(segment % (), n)
+                for segment, group in zip(row.split("\0"), groups)]
+    streams = [repeat(sep), segments[0]]  # a row: sep, segment, matrix, segment, ...
+    for matrix, segment in zip(matrices, segments[1:]):
+        streams += (matrix, segment)
+    return list(chain.from_iterable(zip(*streams)))[1:]
 
 
 def _encode(o, out: list, nl: str, path: set, texts: dict) -> None:
     """Append the canonical form of ``o`` to ``out``.  ``nl`` is a newline
     and the indentation of the line ``o`` ends on; ``path`` holds the ids of
     the containers ``o`` is nested in, and ``texts`` the texts of the
-    :class:`Rows` columns formatted so far in this call.  A scalar is
+    :class:`Rows` scalar columns formatted so far in this call.  A scalar is
     written as by :func:`_scalar_text`, whose tests are repeated inline
     here: a call per value made small records about 10 % slower to write."""
     if isinstance(o, str):
@@ -298,15 +323,14 @@ def _encode(o, out: list, nl: str, path: set, texts: dict) -> None:
     elif isinstance(o, Rows):
         inner = nl + "  "
         try:
-            text = _rows_text(o, inner, texts)
+            pieces = _rows_texts(o, inner, texts)
         except (TypeError, ValueError):  # json's output or error, row by row
-            rows = zip(*o.columns.values())
-            _encode([dict(zip(o.columns, row)) for row in rows], out, nl, path, texts)
+            columns = [[m.ravel().tolist() for m in c]  # a matrix as its row-major list
+                       if isinstance(c, np.ndarray) and c.ndim == 3 else c
+                       for c in o.columns.values()]
+            _encode([dict(zip(o.columns, row)) for row in zip(*columns)], out, nl, path, texts)
             return
-        out += ("[", inner, text, nl, "]") if text else ("[]",)  # no rows, no text
-    elif isinstance(o, Mirrored):
-        inner = nl + "  "
-        out += ("[", inner, ("," + inner).join(o.texts()), nl, "]")
+        out += ("[", inner, *pieces, nl, "]") if pieces else ("[]",)
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
@@ -317,67 +341,50 @@ def _enter(container, path: set) -> None:
     path.add(id(container))
 
 
-class Mirrored:
-    """The row-major entries of a d x d float matrix whose entries below the
-    diagonal repeat those above it, for canonical_json to write.  ``upper``
-    holds the finite upper triangle with the diagonal, row by row; an entry
-    below the diagonal is written with the text of its mirror, its sign
-    flipped when ``flip`` (the imaginary part of a Hermitian matrix).
-    ``place`` maps those texts, flipped ones appended, to the row-major order.
-    """
-
-    __slots__ = ("upper", "place", "flip")
-
-    def __init__(self, upper: list, place: itemgetter, flip: bool):
-        self.upper, self.place, self.flip = upper, place, flip
-
-    def texts(self) -> tuple:
-        texts = list(map(float.__repr__, self.upper))
-        if self.flip:  # the text of -x: float.__repr__ writes the sign, then |x|
-            texts += [t[1:] if t[0] == "-" else "-" + t for t in texts]
-        return self.place(texts)
-
-
-# State matrices of lower dimension are written entry by entry: a 2 x 2 part
-# has one mirror entry, which saves less than finding it costs (a 50-state
-# d = 2 lindblad-evolve ran about 3 % slower with mirrors, one at d = 3 faster)
-MIRROR_MIN_DIM = 3
-
-
 @functools.cache
-def _mirror_layout(d: int):
+def _triangles(d: int):
     """Index maps of a d x d matrix, built once per d: the rows and columns
-    of the upper triangle with the diagonal and of the strict upper triangle,
-    row by row, as read-only arrays, and the ``place`` getters of
-    :class:`Mirrored` for the real and the imaginary part."""
-    (rows, cols), (strict_rows, strict_cols) = np.triu_indices(d), np.triu_indices(d, 1)
-    for index in (rows, cols, strict_rows, strict_cols):
-        index.flags.writeable = False
+    of its strict upper triangle, row by row, then of its diagonal, as
+    read-only arrays, and the getters that place texts in that order in
+    row-major order, mirrored below the diagonal as they are, and mirrored
+    negated from the texts of the strict triangle's negatives appended."""
+    strict_rows, strict_cols = np.triu_indices(d, 1)
+    rows, cols = np.r_[strict_rows, :d], np.r_[strict_cols, :d]
+    rows.flags.writeable = cols.flags.writeable = False
     upper = np.zeros((d, d), dtype=int)
     upper[rows, cols] = np.arange(rows.size)
     below = np.tri(d, k=-1, dtype=bool)
-    place_re = np.where(below, upper.T, upper).reshape(-1).tolist()
-    place_im = np.where(below, rows.size + upper.T, upper).reshape(-1).tolist()
-    return (rows, cols, strict_rows, strict_cols, itemgetter(*place_re),
-            itemgetter(*place_im))
+    places = [np.where(below, shift + upper.T, upper).reshape(-1).tolist()
+              for shift in (0, rows.size)]
+    # itemgetter of one item returns that item, not a tuple of it
+    return rows, cols, *(itemgetter(*p) if d > 1 else itemgetter(slice(1)) for p in places)
 
 
-def state_arrays(a: np.ndarray, flip: bool) -> list:
-    """The entries of each matrix of the (n, d, d) float stack ``a`` as
-    canonical_json writes them: a :class:`Mirrored` for each matrix whose
-    entries below the diagonal have the bits of their mirrors (negated when
-    ``flip``), the list of its entries for any other.  Bits, not values:
-    0.0 == -0.0, but their texts differ."""
-    n, d, _ = a.shape
-    if d < MIRROR_MIN_DIM or not np.isfinite(a).all():
-        return a.reshape(n, d * d).tolist()
-    rows, cols, strict_rows, strict_cols, place_re, place_im = _mirror_layout(d)
-    mirror = a[:, strict_cols, strict_rows]
-    if flip:
-        mirror = -mirror
-    proven = (a[:, strict_rows, strict_cols].view(np.int64)
-              == mirror.view(np.int64)).all(axis=1).tolist()
-    place = place_im if flip else place_re
-    return [Mirrored(upper, place, flip) if ok
-            else a[k].reshape(-1).tolist()
-            for k, (ok, upper) in enumerate(zip(proven, a[:, rows, cols].tolist()))]
+def _mirror_signs(a: np.ndarray) -> list:
+    """For each matrix of the (n, d, d) float stack ``a``: 1 if every entry
+    below its diagonal has the bits of its mirror above it, else -1 if the
+    bits of that mirror negated (as a Hermitian matrix's imaginary part
+    has), else 0.  Bits, not values: 0.0 == -0.0, but their texts differ."""
+    d = a.shape[1]
+    rows, cols = (index[:-d] for index in _triangles(d)[:2])  # the strict triangle
+    bits = a.view(np.int64)
+    flips = bits[:, rows, cols] ^ bits[:, cols, rows]
+    same, negated = (~flips.any(axis=1)).tolist(), (flips == -2**63).all(axis=1).tolist()
+    return [1 if s else -1 if n else 0 for s, n in zip(same, negated)]
+
+
+def _matrix_texts(a: np.ndarray, sep: str):
+    """The row-major entries of each matrix of the (n, d, d) finite float
+    stack ``a``, their texts joined by ``sep``, made as each is asked for;
+    a matrix with a mirror sign (:func:`_mirror_signs`) formats only its
+    upper triangle and diagonal."""
+    d = a.shape[1]
+    rows, cols, place, place_negated = _triangles(d)
+    for k, (sign, upper) in enumerate(zip(_mirror_signs(a), a[:, rows, cols].tolist())):
+        if sign == 0:
+            yield sep.join(map(float.__repr__, a[k].reshape(-1).tolist()))
+            continue
+        texts = list(map(float.__repr__, upper))
+        if sign < 0:  # the text of -x: float.__repr__ writes the sign, then |x|
+            texts += [t[1:] if t[0] == "-" else "-" + t for t in texts[:-d]]
+        yield sep.join((place if sign > 0 else place_negated)(texts))

@@ -8,9 +8,10 @@ generator built for the closed-form Born limit, a per-member loop over an
 operator family (the Gell-Mann basis, the Choi eigen-matrices, the Lindblad
 operators of a generator), per-mode reshapes of the spectrum, an eigh per
 nondegenerate perturbation group, an encoder call per row of a scan
-record, a bundled config read per call, a second decay matrix per
-born-check, a second inversion of K(h) per extract-generator, or more
-Python-level calls in the config stage fails a test."""
+record or per evolved state, a bundled config read per call, a second
+decay matrix per born-check, a second inversion of K(h) per
+extract-generator, or more Python-level calls in the config stage fails a
+test."""
 import argparse
 import json
 import sys
@@ -407,6 +408,21 @@ def test_scan_record_encoding_calls_do_not_grow_with_the_grid(monkeypatch, tmp_p
         assert len(json.loads(capsys.readouterr().out)["result"]["rows"]) == points
         counts[points] = len(calls)
     assert counts[11] == counts[401]
+
+
+def test_evolve_record_encoding_calls_do_not_grow_with_the_times(monkeypatch, rng, tmp_path,
+                                                                  capsys):
+    # the evolved states are one table, their re and im matrix columns, not
+    # one recursion per state and value
+    calls = _count(monkeypatch, [records], "_encode")
+    counts = {}
+    for points in (3, 50):
+        path = _grid_config(rng, tmp_path, 4, points)
+        calls.clear()
+        assert cli.main(["lindblad-evolve", "--config", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["result"]["states"]) == points
+        counts[points] = len(calls)
+    assert counts[3] == counts[50]
 
 
 def _born_config(rng, tmp_path, d):

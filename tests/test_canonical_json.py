@@ -1,8 +1,8 @@
 """canonical_json writes what json.dumps(sort_keys=True, indent=2,
 allow_nan=False) writes, byte for byte, and fails where it fails; every
-record the CLI emits is that form of its own content; and a state matrix
-written from its mirror entries' texts has the texts, and so the bits, of
-its own entries."""
+record the CLI emits is that form of its own content; and a table of state
+matrices, written from their mirror entries' texts, has the texts, and so
+the bits, of their own entries."""
 import contextlib
 import io
 import json
@@ -117,7 +117,8 @@ def test_writes_row_tables_as_json_dumps_does(pair):
     assert records.canonical_json(doc) == canonical_json_dumps(dicts)
 
 
-@pytest.mark.parametrize("columns", [{}, {"a": [], "b": ()}], ids=["no columns", "no rows"])
+@pytest.mark.parametrize("columns", [{}, {"a": [], "b": ()}, {"m": np.zeros((0, 2, 2)), "t": []}],
+                         ids=["no columns", "no rows", "no rows with a matrix column"])
 def test_an_empty_table_is_an_empty_list(columns):
     doc = {"modes": records.Rows(**columns)}
     assert records.canonical_json(doc) == canonical_json_dumps({"modes": []})
@@ -219,10 +220,19 @@ _FAILING_ROWS = {
     "set value": {"a": [1.0, {1, 2}]},
     "inf before a set in a column sorted first": {"a": [1.0, {1}], "b": [_INF, 1.0]},
     "set before a nan in a column sorted first": {"a": [1.0, _NAN], "b": [{1}, 1.0]},
+    "nan in a matrix": {"m": np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, _NAN], [_NAN, 1.0]]])},
+    "inf in a matrix after a string column": {"class": ["x"], "m": np.full((1, 2, 2), _INF)},
+    "nan in a matrix before a set in a column sorted first": {
+        "a": [1.0, {1}], "m": np.array([[[_NAN]], [[1.0]]])},
+    "complex matrix": {"m": np.ones((1, 2, 2), dtype=complex)},
 }
 
 
 def _dict_rows(columns):
+    # a matrix column's rows hold the row-major lists of its matrices
+    columns = {key: [m.reshape(-1).tolist() for m in c]
+               if isinstance(c, np.ndarray) and c.ndim == 3 else c
+               for key, c in columns.items()}
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
@@ -233,6 +243,23 @@ def test_a_table_fails_where_json_dumps_fails_on_its_rows(columns):
     with pytest.raises(expected.type) as got:
         records.canonical_json({"rows": records.Rows(**columns)})
     assert str(got.value) == str(expected.value)
+
+
+# matrix columns that are not stacks of square float64 matrices, written as
+# their rows' row-major lists are
+_OTHER_MATRIX_COLUMNS = {
+    "ints": {"m": np.arange(8).reshape(2, 2, 2)},
+    "float32": {"m": np.full((2, 2, 2), 0.1, dtype=np.float32)},
+    "not square": {"m": np.arange(12.0).reshape(2, 2, 3), "t": [0.0, 1.0]},
+    "no entries": {"m": np.zeros((2, 0, 0)), "t": [0.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("columns", _OTHER_MATRIX_COLUMNS.values(),
+                         ids=_OTHER_MATRIX_COLUMNS.keys())
+def test_other_matrix_columns_are_written_as_their_rows(columns):
+    assert records.canonical_json({"rows": records.Rows(**columns)}) == canonical_json_dumps(
+        {"rows": _dict_rows(columns)})
 
 
 def test_a_table_in_a_circular_list_fails_as_its_rows_do():
@@ -326,23 +353,38 @@ def _mirrors_proven(m, flip):
     the bits of its mirror (negated when flip), by float.hex, which writes a
     zero's sign."""
     d = len(m)
-    return d >= records.MIRROR_MIN_DIM and all(
-        float(m[j, i]).hex() == float(-m[i, j] if flip else m[i, j]).hex()
-        for i in range(d) for j in range(i + 1, d))
+    return all(float(m[j, i]).hex() == float(-m[i, j] if flip else m[i, j]).hex()
+               for i in range(d) for j in range(i + 1, d))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(stack=_part_stacks())
 def test_state_arrays_write_every_entry_as_its_repr(stack):
-    for part, flip in zip(stack, (False, True)):
-        written = records.state_arrays(part, flip)
-        texts = [list(w.texts()) if isinstance(w, records.Mirrored) else list(map(repr, w))
-                 for w in written]
-        assert texts == [list(map(float.__repr__, m.reshape(-1).tolist())) for m in part]
-        assert [isinstance(w, records.Mirrored) for w in written] == [
-            _mirrors_proven(m, flip) for m in part]
-        assert records.canonical_json({"states": written}) == canonical_json_dumps(
-            {"states": part.reshape(len(part), -1).tolist()})
+    # a table of matrix columns is written as the row dicts of their
+    # row-major lists; a matrix formats only its upper triangle and diagonal
+    # where the bits of its mirror entries, or of their negatives, prove it
+    re, im = stack
+    columns = {"re": re, "im": im}
+    rows = [{key: part[k].reshape(-1).tolist() for key, part in columns.items()}
+            for k in range(len(re))]
+    assert records.canonical_json({"states": records.Rows(**columns)}) == canonical_json_dumps(
+        {"states": rows})
+    for part in stack:
+        assert records._mirror_signs(part) == [
+            1 if _mirrors_proven(m, False) else -1 if _mirrors_proven(m, True) else 0
+            for m in part]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(keys=st.lists(_TABLE_KEYS, min_size=3, max_size=3, unique=True), stack=_part_stacks(),
+       values=st.lists(_SCALAR_LEAVES, min_size=4, max_size=4))
+def test_writes_matrix_columns_among_scalar_columns_as_json_dumps_does(keys, stack, values):
+    # keys that a row template must escape, sorted before, between and after
+    # the matrix columns, the mirror path and the entry-by-entry one mixed
+    re, im = stack
+    columns = dict(zip(keys, (re, values[:len(re)], im)))
+    assert records.canonical_json([records.Rows(**columns)]) == canonical_json_dumps(
+        [_dict_rows(columns)])
 
 
 def _real_model_config(tmp_path, d):

@@ -453,10 +453,8 @@ def test_evolved_states_are_written_as_mirrors(d):
     times = np.linspace(0.05, 2.0, 50)
     for states in (evolve_many(model, rho0, times), *evolve_stencil(model, rho0, times, 1e-5)):
         stack = np.array([rho.matrix for rho in states])
-        for part, flip in ((stack.real, False), (stack.imag, True)):
-            written = records.state_arrays(part, flip)
-            assert len(written) == 50
-            assert all(isinstance(w, records.Mirrored) for w in written)
+        assert records._mirror_signs(stack.real) == [1] * 50
+        assert records._mirror_signs(stack.imag) == [-1] * 50
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

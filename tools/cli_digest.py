@@ -29,7 +29,12 @@ sha256 of its stdout and of its stderr.  The cases are:
   JSON and as CSV, so that the row tables are written above d = 2;
   cp-check of each model's kernel at tau = GENERIC_TAU
   (``channels.kernel_from_generator``, written as its ``lindkit.kernel/1``
-  document), so that the Choi spectrum is written above d = 2.
+  document), so that the Choi spectrum is written above d = 2;
+- lindblad-evolve as JSON, over the 50-point grid, of a seeded pure state
+  under the Hamiltonian of each generic model alone (no Lindblad operator),
+  for d = 1, 2 and each d in GENERIC_DIMS: most of those states are repaired,
+  and a repaired state's parts need not mirror their upper triangles, so the
+  record's entry-by-entry path is written too.
 
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
@@ -147,6 +152,9 @@ def _cases(cli):
                    ["entropy-check", "--format", "csv"], doc, f"generic d={d}")
         yield (f"cp-check generic d={d} tau={GENERIC_TAU}", ["cp-check"],
                _generic_kernel(cli, model), f"generic d={d}")
+    for d in (1, 2, *GENERIC_DIMS):
+        yield (f"lindblad-evolve pure unitary d={d} linspace50", ["lindblad-evolve"],
+               _pure_unitary(d), f"pure unitary d={d}")
 
 
 def _generic(d):
@@ -170,13 +178,25 @@ def _generic(d):
     a = cplx(d, d)
     rho = a @ a.conj().T + 0.5 * d * eye
     rho /= np.trace(rho).real
+    model = {"schema": "lindkit.model/1", "dim": d, **_parts(s * h, "h_re", "h_im"),
+             "lindblads": [_parts(np.sqrt(s) * op) for op in ops]}
+    return model, _parts(rho)
 
-    def parts(m, re="re", im="im"):
-        return {re: m.real.reshape(-1).tolist(), im: m.imag.reshape(-1).tolist()}
 
-    model = {"schema": "lindkit.model/1", "dim": d, **parts(s * h, "h_re", "h_im"),
-             "lindblads": [parts(np.sqrt(s) * op) for op in ops]}
-    return model, parts(rho)
+def _pure_unitary(d):
+    """The lindblad-evolve config of the generic model of dimension d without
+    its Lindblad operators, and the seeded pure state |v><v|, over the
+    50-point grid."""
+    model, _ = _generic(d)
+    rng = np.random.default_rng([GENERIC_SEED, d, 1])
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    return {"model": {**model, "lindblads": []}, "rho0": _parts(np.outer(v, v.conj())),
+            "times": GRIDS["linspace50"]}
+
+
+def _parts(m, re="re", im="im"):
+    return {re: m.real.reshape(-1).tolist(), im: m.imag.reshape(-1).tolist()}
 
 
 def _generic_kernel(cli, model):

@@ -21,6 +21,9 @@ generator built (case "build", lindblad.build_superoperator), and a config
 with the 50-point grid run through the command line in-process (cases
 "evolve-cli" and "entropy-cli": ``cli.main([command, "--config", path])``
 for lindblad-evolve and entropy-check, each record written to memory).
+Case "evolve-record" writes the in-memory record of that lindblad-evolve
+run, built once, with ``records.canonical_json``: the encoder's share of
+"evolve-cli".
 Case "bundled-cli:<command>", with d null, runs each of the eight commands
 on its bundled default config (``cli.main([command])``, the record written
 to memory; ``ramsey-scan`` runs the fig-both config: 2 x 401 fringe rows)
@@ -135,6 +138,16 @@ def run_cli(cli, argv: list) -> int:
         return cli.main(argv)
 
 
+def evolve_record(cli, path: str) -> dict:
+    """The record lindblad-evolve writes for the config ``path``, as the
+    command line holds it before writing it."""
+    sys.modules["lindkit"] = sys.modules[cli.__package__]
+    args = cli.build_parser().parse_args(["lindblad-evolve", "--config", path])
+    doc, handler, inputs = cli._load("lindblad-evolve", path)
+    _, result, _ = handler(args, *inputs)
+    return cli._record(args, doc, result, [])
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", required=True,
@@ -208,6 +221,8 @@ def main() -> None:
                 if any(run_cli(cli, argv) for cli in clis):
                     sys.exit(f"{command} failed on {path}")
                 work.append((d, name, [partial(run_cli, cli, argv) for cli in clis]))
+            work.append((d, "evolve-record", [partial(cli.canonical_json, evolve_record(cli, path))
+                                              for cli in clis]))
         for command in clis[0]._COMMANDS:
             if any(run_cli(cli, [command]) not in (0, 3) for cli in clis):
                 sys.exit(f"{command} failed on its default config")
