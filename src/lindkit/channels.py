@@ -56,9 +56,6 @@ TOL_KERNEL = 1e-10
 TOL_GENERATOR_TRACE = 1e-8
 TOL_OPERATOR = 1e-12  # Choi and c-matrix eigenvalues at or below it give no operator
 MAX_RESAMPLE = 50
-# the least d whose dense generator kernel_from_generator exponentiates as
-# the real V^dag L V (tools/evolve_sweep.py, case "kernel")
-REAL_KERNEL_MIN_DIM = 6
 # the constant entries of the kernel and GKS JSON: the schema, and the
 # conventions above as each document declares them
 KERNEL_CONSTANTS = {
@@ -146,42 +143,49 @@ class Kernel:
             return cls(d, tau, matrix)
 
 
-def _real_generator(gen: np.ndarray) -> np.ndarray:
+def _real_generator(gen: np.ndarray, check: bool = False) -> np.ndarray:
     """R = Re(V^dag L V) of a Hermiticity-preserving L in the basis V =
     [vec(I/sqrt(d)), vec(F_m)], its first row vec(I)^dag L / sqrt(d) kept as
-    it is; Overflow when an entry is not finite."""
+    it is; Overflow when an entry is not finite.  With ``check``, then
+    NotHermitianKernel unless 2 ||Im q||_F <= TOL_KERNEL max(1, ||q||_F), q =
+    V^dag L V: the Kernel's test of C = reshuffle(L), since X -> X^dag
+    conjugates the coordinates, so ||C - C^dag||_F = 2 ||Im q||_F and
+    ||C||_F = ||q||_F."""
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.ascontiguousarray(gellmann.both_axes(gellmann.to_coords, gen).real)
+        q = gellmann.both_axes(gellmann.to_coords, gen)
+        r = np.ascontiguousarray(q.real)
     if not np.isfinite(r).all():
         raise Overflow("generator entries in the Hermitian basis overflow double precision")
+    if check and not matcore._is_hermitian(q, TOL_KERNEL / 2, anti=np.imag):
+        raise NotHermitianKernel("generator does not preserve Hermiticity "
+                                 f"({matcore._defect_text(2 * q, anti=np.imag)})")
     return r
 
 
 def kernel_from_generator(generator: np.ndarray, tau: float) -> Kernel:
-    """exp(tau * L) wrapped as a Kernel.
+    """exp(tau * L) wrapped as a Kernel; DimensionMismatch when the side of L
+    is not a perfect square.
 
-    A dense Hermiticity-preserving L of d >= REAL_KERNEL_MIN_DIM is the real
-    matrix R (:func:`_real_generator`), and its kernel I + V (exp(tau R) - I)
-    V^dag, exactly I at tau = 0, with exp(tau R) a real Pade
+    A dense L is the real matrix R (:func:`_real_generator`), and its kernel
+    I + V (exp(tau R) - I) V^dag, with exp(tau R) a real Pade
     (:func:`matcore.expm`).  That kernel preserves Hermiticity by
-    construction, so L takes the Kernel's own test instead: NotHermitianKernel
-    when reshuffle(L) is not Hermitian within TOL_KERNEL, and Overflow when an
+    construction, so L takes the Kernel's own test instead: Overflow when an
     entry of R is not finite (tested first, so that no overflow reads as a
-    defect) or ||tau R||_1 exceeds matcore.EXPM_NORM_BOUND.  R keeps its first
-    row, so the kernel of an L that does not preserve the trace fails the
-    Kernel's trace test.
+    defect), NotHermitianKernel when reshuffle(L) is not Hermitian within
+    TOL_KERNEL, and Overflow when ||tau R||_1 exceeds EXPM_NORM_BOUND.  R
+    keeps its first row, so the kernel of an L that does not preserve the
+    trace fails the Kernel's trace test.
 
-    Two kinds of L take exp(tau L) in complex arithmetic, whose bound is
-    then on ||tau L||_1: an L with no off-diagonal entry, whose exponential
-    is the diagonal of entrywise exponentials (the bits scipy's expm gives
-    it, without scipy), and an L of d < REAL_KERNEL_MIN_DIM, as a
-    matcore.expm of L itself, where the real path's fixed cost exceeds what
-    its smaller exponential saves.  A zero L is of the first kind, and its
-    kernel is exactly the identity, as is every kernel at tau = 0.
+    An L with no off-diagonal entry, a zero L among them, takes the diagonal
+    of entrywise exponentials (the bits scipy's complex expm of tau L gives
+    it) under the same bound on ||tau L||_1.  Every kernel at tau = 0 is
+    exactly the identity.
     """
     gen = matcore.as_square_matrix(generator)
     n = gen.shape[0]
-    d = int(round(np.sqrt(n)))
+    d = math.isqrt(n)
+    if d * d != n:
+        raise DimensionMismatch("generator side must be a perfect square")
     # row k of the (n - 1, n + 1) view holds the n entries between diagonal
     # entries k and k + 1, and diagonal entry k + 1; entry (0, 1), nonzero
     # in most dense L, settles the test without that scan (4 us at n = 4, 2-core Xeon)
@@ -190,14 +194,7 @@ def kernel_from_generator(generator: np.ndarray, tau: float) -> Kernel:
         matcore._check_expm_norm(float(np.abs(scaled).max()))
         # at tau = 0, exp(0 * L_kk) may carry an imaginary part of -0
         return Kernel(d, tau, np.diag(np.exp(scaled)) if tau else np.eye(n, dtype=complex))
-    if d < REAL_KERNEL_MIN_DIM or d * d != n:
-        return Kernel(d, tau, matcore.expm(gen, tau))
-    r = _real_generator(gen)
-    c = reshuffle(gen, d)
-    if not matcore._is_hermitian(c, TOL_KERNEL):
-        raise NotHermitianKernel(
-            f"generator does not preserve Hermiticity ({matcore._defect_text(c)})")
-    step = matcore.expm(r, tau) - np.eye(n)
+    step = matcore.expm(_real_generator(gen, check=True), tau) - np.eye(n)
     return Kernel(d, tau, np.eye(n) + gellmann.both_axes(gellmann.from_coords, step))
 
 

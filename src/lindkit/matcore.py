@@ -100,10 +100,11 @@ def _anti(a: np.ndarray) -> np.ndarray:
     return a - a.swapaxes(-1, -2).conj()
 
 
-def _is_hermitian(m, tol: float, unit: float = 1.0):
-    """||m - m^dag||_F <= tol * max(1, ||m||_F).  A bool for a matrix, a
-    bool array for a stack (..., d, d).  A given ``unit`` (a power of two)
-    means ``m`` is the matrix of interest already scaled by it.
+def _is_hermitian(m, tol: float, unit: float = 1.0, anti=_anti):
+    """||anti(m)||_F <= tol * max(1, ||m||_F), anti(m) = m - m^dag unless
+    given (``np.imag`` tests that m is real).  A bool for a matrix, a bool
+    array for a stack (..., d, d).  A given ``unit`` (a power of two) means
+    ``m`` is the matrix of interest already scaled by it.
 
     Both norms are first taken of m as it stands.  Only where one of them
     is not finite (squares beyond the double range, or a NaN or
@@ -117,7 +118,7 @@ def _is_hermitian(m, tol: float, unit: float = 1.0):
     if a.dtype.kind not in "fc":
         a = a.astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
-        defect, size = _frobenius(_anti(a)), _frobenius(a)
+        defect, size = _frobenius(anti(a)), _frobenius(a)
         if a.ndim == 2:  # as Python floats: a bool and no numpy call to compare
             defect, size = float(defect), float(size)
             if math.isfinite(defect + size):
@@ -125,17 +126,17 @@ def _is_hermitian(m, tol: float, unit: float = 1.0):
         elif np.isfinite(defect + size).all():
             return defect <= tol * np.maximum(unit, size)
         a, scale = _unit_scaled(a)
-        ok = _frobenius(_anti(a)) <= tol * np.maximum(unit * scale, _frobenius(a))
+        ok = _frobenius(anti(a)) <= tol * np.maximum(unit * scale, _frobenius(a))
     return ok if ok.ndim else bool(ok)
 
 
-def _defect_text(m, unit: float = 1.0) -> str:
-    """'defect x' for an error message: the Hermiticity defect of
-    :func:`_unit_scaled` m, with its scale when there is one, so it is finite
-    where the unscaled defect overflows; ``unit`` as in :func:`_is_hermitian`."""
+def _defect_text(m, unit: float = 1.0, anti=_anti) -> str:
+    """'defect x' for an error message: the defect of :func:`_unit_scaled` m,
+    with its scale when there is one, so it is finite where the unscaled
+    defect overflows; ``unit`` and ``anti`` as in :func:`_is_hermitian`."""
     a, scale = _unit_scaled(m)
     scale = float(unit * scale)
-    text = f"defect {hermiticity_defect(a):.3e}"
+    text = f"defect {float(_frobenius(anti(a))):.3e}"
     return text if scale == 1.0 else f"{text} (entries scaled by 2^{math.frexp(scale)[1] - 1})"
 
 

@@ -87,7 +87,7 @@ def test_spectrum_decomposes_a_real_matrix(monkeypatch, rng):
 
 
 def test_dense_kernel_exponentiates_a_real_matrix(monkeypatch, rng):
-    # the real R = V^dag L V for a dense generator at d = 6; a generator
+    # the real R = V^dag L V for a dense generator at every d; a generator
     # without off-diagonal entries takes its entrywise exponential without
     # a dense expm
     dtypes = []
@@ -103,7 +103,9 @@ def test_dense_kernel_exponentiates_a_real_matrix(monkeypatch, rng):
     diagonal = LindbladModel(6, np.diag(model.h_coeffs).astype(complex),
                              [np.diag(row) for row in model.l_coeffs])
     kernel_from_generator(build_superoperator(diagonal), 0.5)
-    assert dtypes == [np.float64]
+    for d in (2, 5):
+        kernel_from_generator(build_superoperator(random_lindblad_model(rng, d)), 0.5)
+    assert dtypes == [np.float64] * 3
 
 
 def test_degenerate_cluster_takes_one_svd(monkeypatch, rng):

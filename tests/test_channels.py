@@ -1,4 +1,6 @@
+import importlib.util
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -23,6 +25,7 @@ from lindkit import (
     build_superoperator,
     channels,
     choi_cp_test,
+    cli,
     errors,
     gks_build,
     gks_project,
@@ -275,33 +278,50 @@ def test_choi_eigenvalues_meet_the_backward_error_bound(d, seed):
 @given(d=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), s=st.floats(0.0, 2.0),
        t=st.floats(0.0, 2.0))
 def test_kernel_is_the_exponential_and_a_semigroup(d, seed, s, t):
-    # d on either side of REAL_KERNEL_MIN_DIM, where a dense generator is
-    # exponentiated as the real V^dag L V or as L itself
+    # every dense generator is exponentiated as the real V^dag L V
     gen = _generator(seed, d)
     ks, kt = (kernel_from_generator(gen, tau).matrix for tau in (s, t))
     assert _max_relative(kt, scipy.linalg.expm(t * gen)) <= 1e-13
     assert _max_relative(ks @ kt, kernel_from_generator(gen, s + t).matrix) <= 1e-13
 
 
-@pytest.mark.parametrize("d", [2, channels.REAL_KERNEL_MIN_DIM, 8])
+@pytest.mark.parametrize("d", [2, 6, 8])
 def test_kernel_of_a_zero_generator_or_at_tau_zero_is_the_identity(d):
     assert np.array_equal(kernel_from_generator(_generator(d, d), 0.0).matrix, np.eye(d * d))
     zero = np.zeros((d * d, d * d))
     assert np.array_equal(kernel_from_generator(zero, 0.7).matrix, np.eye(d * d))
 
 
-@pytest.mark.parametrize("factor, inside", [(0.5, True), (2.0, False)])
-@pytest.mark.parametrize("d", [channels.REAL_KERNEL_MIN_DIM, 8])
-def test_kernel_needs_a_hermiticity_preserving_generator(d, factor, inside):
-    # an imaginary entry eps off the trace row of q = V^dag L V, so L stays
-    # trace preserving: reshuffle(L) gains the anti-Hermitian part of
-    # Frobenius norm 2 eps, set to factor times the Kernel's tolerance
-    # TOL_KERNEL max(1, ||reshuffle(L)||_F)
-    gen = _generator(d, d)
+def _skewed(gen, d, factor):
+    """gen with an imaginary entry eps off the trace row of q = V^dag L V, so
+    that it stays trace preserving: reshuffle(L) gains the anti-Hermitian
+    part of Frobenius norm 2 eps, set to factor times the Kernel's tolerance
+    TOL_KERNEL max(1, ||reshuffle(L)||_F)."""
     v = vec_basis(d)
     q = v.conj().T @ gen @ v
     q[2, 1] += 0.5j * factor * channels.TOL_KERNEL * max(1.0, np.linalg.norm(gen))
-    skewed = v @ q @ v.conj().T
+    return v @ q @ v.conj().T
+
+
+def _passes_generator_check(gen):
+    try:
+        channels._real_generator(gen, check=True)
+    except errors.NotHermitianKernel:
+        return False
+    return True
+
+
+def _passes_reshuffle_test(gen):
+    # the Kernel's own test, which the generator check reads off Im(V^dag L V)
+    d = int(round(np.sqrt(len(gen))))
+    return matcore._is_hermitian(reshuffle(gen, d), channels.TOL_KERNEL)
+
+
+@pytest.mark.parametrize("factor, inside", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 8])
+def test_kernel_needs_a_hermiticity_preserving_generator(d, factor, inside):
+    gen = _generator(d, d)
+    skewed = _skewed(gen, d, factor)
     if inside:
         got = kernel_from_generator(skewed, 0.6).matrix
         assert _max_relative(got, kernel_from_generator(gen, 0.6).matrix) <= 1e-13
@@ -310,16 +330,52 @@ def test_kernel_needs_a_hermiticity_preserving_generator(d, factor, inside):
             kernel_from_generator(skewed, 0.6)
 
 
-@pytest.mark.parametrize("d", [4, channels.REAL_KERNEL_MIN_DIM, 8])
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+def test_generator_check_has_the_reshuffle_tests_verdict(d, factor):
+    for seed in range(3):
+        skewed = _skewed(_generator([seed, d], d), d, factor)
+        assert _passes_reshuffle_test(skewed) == (factor < 1.0)
+        assert _passes_generator_check(skewed) == (factor < 1.0)
+
+
+def test_generator_check_has_the_reshuffle_tests_verdict_on_bundled_and_digest_models():
+    # the bundled models, and the generic models of tools/cli_digest.py
+    # (cp-check of their kernels), skewed on either side of the tolerance
+    spec = importlib.util.spec_from_file_location(
+        "cli_digest", Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    models = [cli._load("extract-generator", "model-qubit")[2][0],
+              cli._load("born-check", "born-d3")[2][0]]
+    models += [LindbladModel.from_dict(digest._generic(d)[0]) for d in digest.GENERIC_DIMS]
+    for model in models:
+        gen = build_superoperator(model)
+        for skewed in [gen] + [_skewed(gen, model.dim, f) for f in (0.5, 0.9, 1.1, 2.0)]:
+            assert _passes_generator_check(skewed) == _passes_reshuffle_test(skewed)
+        assert _passes_generator_check(gen)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_kernel_of_a_generator_whose_side_is_not_a_square_is_a_dimension_mismatch(n):
+    # raised before any map, so that no Gell-Mann layout of a wrong d is read
+    rng = np.random.default_rng(n)
+    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for gen in (dense, np.diag(np.diagonal(dense))):
+        with pytest.raises(errors.DimensionMismatch, match="perfect square"):
+            kernel_from_generator(gen, 0.5)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
 def test_kernel_of_a_non_trace_preserving_generator_fails_the_trace_test(d):
-    # on the real path (d >= REAL_KERNEL_MIN_DIM) L + 0.05 I reaches the
-    # Kernel's trace test only through R's first row, which is kept
+    # L + 0.05 I reaches the Kernel's trace test only through R's first
+    # row, which is kept
     gen = _generator(d, d) + 0.05 * np.eye(d * d)
     with pytest.raises(errors.NotTracePreserving):
         kernel_from_generator(gen, 0.5)
 
 
-@pytest.mark.parametrize("d", [2, channels.REAL_KERNEL_MIN_DIM, 8])
+@pytest.mark.parametrize("d", [2, 6, 8])
 def test_kernel_of_a_huge_generator_is_overflow(d):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -327,19 +383,16 @@ def test_kernel_of_a_huge_generator_is_overflow(d):
             kernel_from_generator(1e300 * _generator(d, d), 1.0)
 
 
-@pytest.mark.parametrize("d", [2, 4, channels.REAL_KERNEL_MIN_DIM - 1, 8, 12])
-def test_kernels_of_diagonal_and_small_generators_are_the_complex_exponential(d):
+@pytest.mark.parametrize("d", [2, 4, 5, 8, 12])
+def test_kernels_of_diagonal_generators_are_the_complex_exponential(d):
     # a generator without off-diagonal entries (a measurement model in the
-    # computational basis), and a dense one below REAL_KERNEL_MIN_DIM, keep
-    # the bits of scipy's complex expm of tau L
+    # computational basis) keeps the bits of scipy's complex expm of tau L
     rng = np.random.default_rng(d)
     l = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
-    diagonal = build_superoperator(LindbladModel(
+    gen = build_superoperator(LindbladModel(
         d, np.diag(rng.standard_normal(d)), [np.diag(row) for row in l]))
-    gens = [diagonal] + ([_generator(d, d)] if d < channels.REAL_KERNEL_MIN_DIM else [])
-    for gen in gens:
-        got = kernel_from_generator(gen, 0.4).matrix
-        assert got.tobytes() == scipy.linalg.expm(0.4 * gen).tobytes()
+    got = kernel_from_generator(gen, 0.4).matrix
+    assert got.tobytes() == scipy.linalg.expm(0.4 * gen).tobytes()
 
 
 def test_diagonal_generator_kernels_keep_the_identity_and_the_norm_bound():

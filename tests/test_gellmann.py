@@ -61,7 +61,7 @@ def test_generator_and_kernel_are_the_dense_products(d):
         r = lindblad._hermitian_generator(model)
         assert not r[0].any()
         _close(r[1:], ref[1:])
-        if d >= channels.REAL_KERNEL_MIN_DIM and seed == 0:
+        if seed == 0:
             step = matcore.expm(r, 0.3) - np.eye(d * d)
             _close(kernel_from_generator(gen, 0.3).matrix, np.eye(d * d) + v @ step @ v.conj().T)
 

@@ -33,11 +33,10 @@ exit code of 3, cp-check's verdict on the transpose, counts as a run).
 Case "kernel" takes channels.kernel_from_generator of the generator at
 tau = KERNEL_TAU, and case "kernel-diagonal" that of the model with only
 the diagonals of the same H and operators, whose generator has no
-off-diagonal entry; d = 5 and 6 in DIMS bracket the least d at which the
-kernel of a dense generator is taken in real arithmetic.  The rest of a
-perfbench ``spectral`` task has a case each: "spectrum-meas" takes the
-spectrum of a measurement model in a random basis (two operators), whose
-stationary modes are one d-fold cluster; "gks" takes
+off-diagonal entry.  The rest of a perfbench ``spectral`` task has a
+case each: "spectrum-meas" takes the spectrum of a measurement model in a
+random basis (two operators), whose stationary modes are one d-fold
+cluster; "gks" takes
 channels.gks_build(channels.gks_project(L)); "choi" takes
 channels.choi_cp_test of the "kernel" case's kernel, and "choi-kraus"
 that test and then a read of its spectrum's eigen-matrices (``kraus_like``),
@@ -72,7 +71,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pins)
 
-DIMS = (2, 4, 5, 6, 8, 12, 16, 24)
+DIMS = (2, 3, 4, 5, 6, 8, 12, 16, 24)
 KERNEL_TAU = 0.5
 REPEAT = 3
 ROUNDS = 11
