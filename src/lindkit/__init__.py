@@ -17,7 +17,6 @@ from .channels import (
     gks_build,
     gks_project,
     kernel_from_generator,
-    kernel_from_unitary_ensemble,
     kernel_spectrum,
 )
 from .lindblad import (
@@ -43,8 +42,6 @@ from .quantum import (
     born_collapse,
     entropy_rate,
     entropy_rates,
-    expectation,
-    mixture,
     vn_entropies,
     vn_entropy,
 )

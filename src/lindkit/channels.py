@@ -54,7 +54,7 @@ from .errors import (
 
 TOL_KERNEL = 1e-10
 TOL_GENERATOR_TRACE = 1e-8
-TOL_OPERATOR = 1e-12  # Choi and c-matrix eigenvalues at or below it give no operator
+TOL_OPERATOR = 1e-12  # Choi eigenvalues at or below it give no Kraus operator
 MAX_RESAMPLE = 50
 # the constant entries of the kernel and GKS JSON: the schema, and the
 # conventions above as each document declares them
@@ -163,23 +163,32 @@ def _real_generator(gen: np.ndarray, check: bool = False) -> np.ndarray:
 
 
 def kernel_from_generator(generator: np.ndarray, tau: float) -> Kernel:
-    """exp(tau * L) wrapped as a Kernel; DimensionMismatch when the side of L
-    is not a perfect square.
+    """exp(tau * L) wrapped as a Kernel: :func:`kernels_from_generator` at
+    the one time ``tau``."""
+    return kernels_from_generator(generator, (tau,))[0]
 
-    A dense L is the real matrix R (:func:`_real_generator`), and its kernel
-    I + V (exp(tau R) - I) V^dag, with exp(tau R) a real Pade
-    (:func:`matcore.expm`).  That kernel preserves Hermiticity by
-    construction, so L takes the Kernel's own test instead: Overflow when an
-    entry of R is not finite (tested first, so that no overflow reads as a
-    defect), NotHermitianKernel when reshuffle(L) is not Hermitian within
-    TOL_KERNEL, and Overflow when ||tau R||_1 exceeds EXPM_NORM_BOUND.  R
-    keeps its first row, so the kernel of an L that does not preserve the
-    trace fails the Kernel's trace test.
+
+def kernels_from_generator(generator: np.ndarray, taus) -> list[Kernel]:
+    """exp(tau * L) wrapped as a Kernel for each of ``taus``, in order;
+    DimensionMismatch when the side of L is not a perfect square.
+
+    A dense L is the real matrix R (:func:`_real_generator`), formed and
+    checked once for all the taus, and its kernel I + V (exp(tau R) - I) V^dag,
+    with exp(tau R) a real Pade (:func:`matcore.expm`), one per tau.  That
+    kernel preserves Hermiticity by construction, so L takes the Kernel's own
+    test instead: Overflow when an entry of R is not finite (tested first, so
+    that no overflow reads as a defect), NotHermitianKernel when
+    reshuffle(L) is not Hermitian within TOL_KERNEL, and Overflow when
+    ||tau R||_1 exceeds EXPM_NORM_BOUND.  R keeps its first row, so the
+    kernel of an L that does not preserve the trace fails the Kernel's trace
+    test.
 
     An L with no off-diagonal entry, a zero L among them, takes the diagonal
     of entrywise exponentials (the bits scipy's complex expm of tau L gives
     it) under the same bound on ||tau L||_1.  Every kernel at tau = 0 is
-    exactly the identity.
+    exactly the identity.  The first error raised is the one that
+    :func:`kernel_from_generator` at each tau in turn would raise first, and
+    each kernel has that call's bits.
     """
     gen = matcore.as_square_matrix(generator)
     n = gen.shape[0]
@@ -189,13 +198,20 @@ def kernel_from_generator(generator: np.ndarray, tau: float) -> Kernel:
     # row k of the (n - 1, n + 1) view holds the n entries between diagonal
     # entries k and k + 1, and diagonal entry k + 1; entry (0, 1), nonzero
     # in most dense L, settles the test without that scan (4 us at n = 4, 2-core Xeon)
-    if not (n > 1 and gen[0, 1] or gen.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any()):
+    if n > 1 and gen[0, 1] or gen.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any():
+        r = _real_generator(gen, check=True)
+        eye = np.eye(n)
+        return [Kernel(d, tau, eye + gellmann.both_axes(gellmann.from_coords,
+                                                        matcore.expm(r, tau) - eye))
+                for tau in taus]
+    kernels = []
+    for tau in taus:
         scaled = tau * np.diagonal(gen)
         matcore._check_expm_norm(float(np.abs(scaled).max()))
         # at tau = 0, exp(0 * L_kk) may carry an imaginary part of -0
-        return Kernel(d, tau, np.diag(np.exp(scaled)) if tau else np.eye(n, dtype=complex))
-    step = matcore.expm(_real_generator(gen, check=True), tau) - np.eye(n)
-    return Kernel(d, tau, np.eye(n) + gellmann.both_axes(gellmann.from_coords, step))
+        kernels.append(Kernel(d, tau, np.diag(np.exp(scaled)) if tau
+                              else np.eye(n, dtype=complex)))
+    return kernels
 
 
 @dataclass
@@ -230,13 +246,6 @@ class ChoiSpectrum:
         rows *= (np.conj(piv) / np.hypot(piv.real, piv.imag))[:, None]
         d = math.isqrt(len(rows))
         return rows.reshape(-1, d, d)
-
-    def reassemble(self) -> np.ndarray:
-        """Rebuild the kernel matrix sum_N lambda_N vec(E^N) vec(E^N)^dag
-        (in the superoperator ordering)."""
-        d = self.kraus_like.shape[-1]
-        rows = self.kraus_like.reshape(d * d, d * d)
-        return reshuffle((rows.T * self.lambdas) @ rows.conj(), d)
 
 
 def kernel_spectrum(k: Kernel) -> ChoiSpectrum:
@@ -275,12 +284,6 @@ def kraus_operators(spectrum: ChoiSpectrum) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Traceless operator basis and the GKS canonical form
 # ---------------------------------------------------------------------------
-
-def gellmann_basis(dim: int) -> np.ndarray:
-    """Generalized Gell-Mann matrices for dimension ``dim``, as one
-    (d^2 - 1, d, d) stack."""
-    return gellmann.from_coords(np.eye(dim * dim)[:, 1:]).T.reshape(-1, dim, dim)
-
 
 @dataclass
 class GKSForm:
@@ -375,19 +378,6 @@ def gks_project(superop: np.ndarray) -> GKSForm:
     f_op = gellmann.from_coords(q[:, 0]).reshape(d, d) / np.sqrt(d)
     h = 0.5j * (f_op - f_op.conj().T)
     return GKSForm(d, h, c)
-
-
-def gks_lindblad_ops(gks: GKSForm) -> np.ndarray:
-    """Lindblad operators sqrt(eta) sum_m w_m F_m, stacked, for the
-    eigenpairs (eta, w) of a PSD c matrix with eta > TOL_OPERATOR."""
-    vals, vecs = np.linalg.eigh(gks.c_matrix)
-    if vals.min() < -TOL_OPERATOR * max(1.0, abs(vals).max()):
-        raise NotAGenerator(
-            f"c matrix has negative eigenvalue {vals.min():.3e}; not a CP generator"
-        )
-    keep = vals > TOL_OPERATOR
-    coords = np.vstack([np.zeros((1, keep.sum())), vecs[:, keep] * np.sqrt(vals[keep])])
-    return gellmann.from_coords(coords).T.reshape(-1, gks.dim, gks.dim)
 
 
 def bfr_derivative_check(gks: GKSForm, trials: int, seed: int = 0) -> float:
@@ -528,18 +518,3 @@ def extract_generators(samples, schemes) -> list[np.ndarray]:
         l_h = central[ts[0]]
         estimates.append(l_h if scheme == "central" else (4.0 * l_h - central[ts[1]]) / 3.0)
     return estimates
-
-
-def kernel_from_unitary_ensemble(unitary_sampler, tau: float, n_samples: int) -> Kernel:
-    """Monte-Carlo kernel K = < U (x) conj(U) > over a unitary ensemble.
-
-    ``unitary_sampler(k)`` must return the k-th sample unitary; indexing by k
-    keeps the average reproducible regardless of evaluation order.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    us = np.array([unitary_sampler(k) for k in range(n_samples)], dtype=complex)
-    d = us.shape[1]
-    # sum_k U_k (x) conj(U_k): element ((i, j), (i', j')) is U[i, i'] conj(U[j, j'])
-    acc = np.einsum("kac,kbd->abcd", us, us.conj(), optimize=True).reshape(d * d, d * d)
-    return Kernel(d, tau, acc / n_samples)

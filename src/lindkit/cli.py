@@ -327,10 +327,8 @@ def _cmd_entropy_check(args, model, rho0, times, *_):
 
 def _cmd_extract_generator(args, model, _rho0, _times, h, scheme):
     gen = lindblad.build_superoperator(model)
-    samples = [
-        (tau, channels.kernel_from_generator(gen, tau))
-        for tau in (h, 2 * h, 4 * h)
-    ]
+    taus = (h, 2 * h, 4 * h)
+    samples = list(zip(taus, channels.kernels_from_generator(gen, taus)))
     est, rich = channels.extract_generators(samples, (scheme, "richardson"))
     # a zero generator's estimates are exactly 0, and so are their errors
     scale = float(np.linalg.norm(gen)) or 1.0

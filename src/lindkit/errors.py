@@ -35,10 +35,6 @@ class DimensionMismatch(LindkitError):
     """Operands have incompatible dimensions."""
 
 
-class BadWeights(LindkitError):
-    """Mixture weights are negative or do not sum to one."""
-
-
 class UnnormalizedState(LindkitError):
     """A state vector is not normalized within tolerance."""
 

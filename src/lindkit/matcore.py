@@ -67,12 +67,6 @@ def _checked_shape(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m):
-    """||m - m^dag||_F: a float for a matrix, an array for a stack (..., d, d)."""
-    defect = _frobenius(_anti(np.asarray(m)))
-    return defect if defect.ndim else float(defect)
-
-
 def _unit_scaled(m):
     """(m * unit, unit) for a matrix or a stack (..., d, d) of them, with
     unit, per matrix, the power of two that brings its largest real or

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import matcore
 from .errors import (
-    BadWeights,
     DimensionMismatch,
     IncompleteBasis,
     InvalidDensityMatrix,
@@ -88,7 +87,9 @@ class DensityMatrix:
         repaired = [p < 0.0 for p in low]
         if True in repaired:
             p, v = np.linalg.eigh(a[repaired])
-            fixed = (v * np.maximum(p, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            fixed = (v * np.maximum(p, 0.0)[:, None, :]) @ np.conjugate(v).swapaxes(1, 2)
+            # the product's mirror entries differ in their last bits
+            fixed = 0.5 * (fixed + np.conjugate(fixed).swapaxes(1, 2))
             a[repaired] = fixed / fixed.trace(axis1=1, axis2=2).real[:, None, None]
         states = [cls(m, r) for m, r in zip(a, repaired)]
         for rho, p in zip(states, vals):
@@ -172,31 +173,6 @@ class ProjectorBasis:
         u = self._u
         return DensityMatrix.from_matrix(u @ ((u.conj().T @ rho.matrix @ u) * weights)
                                          @ u.conj().T)
-
-
-def mixture(weights, states) -> DensityMatrix:
-    """rho = sum_i w_i |psi_i><psi_i| for classical weights over (possibly
-    non-orthogonal) normalized states."""
-    w = np.asarray(weights, dtype=float)
-    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):  # also False for NaN
-        raise BadWeights(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
-    if len(w) != len(states):
-        raise BadWeights("one weight per state required")
-    v = np.asarray(states, dtype=complex).reshape(len(w), -1)
-    if np.any(np.abs(np.linalg.norm(v, axis=1) - 1.0) > 1e-12):
-        raise UnnormalizedState("mixture states must be normalized")
-    # added in order from 0, so an entry that is -0.0 in every term sums to +0.0
-    terms = w[:, None, None] * (v[:, :, None] * v[:, None, :].conj())
-    return DensityMatrix.from_matrix(np.sum(terms, axis=0, initial=0.0))
-
-
-def expectation(rho: DensityMatrix, obs) -> float:
-    """Tr(obs * rho) for a Hermitian observable; the (tiny) imaginary part of
-    the trace is discarded."""
-    a = matcore.as_square_matrix(obs)
-    if not matcore._is_hermitian(a, matcore.TOL_HERM):
-        raise NotHermitian("observable must be Hermitian")
-    return float(np.trace(a @ rho.matrix).real)
 
 
 def born_collapse(rho: DensityMatrix, basis: ProjectorBasis) -> DensityMatrix:

@@ -15,14 +15,22 @@ the GKS maps as explicit loops of Kronecker products, the Hermitian basis
 as the dense d^2 x d^2 unitary of its columns vec(G_a), and eigenvalue
 clustering by pairwise comparison of every pair.
 
-For states: the density-matrix checks and repair, the von Neumann entropy
-and the entropy rate of one state at a time, with their own eigh calls.
+For states: the density-matrix checks and repair (the repaired matrix
+symmetrized, as the library's), the von Neumann entropy and the entropy rate
+of one state at a time, with their own eigh calls; a classical mixture of
+pure states, and the expectation value Tr(obs rho).
 
 For the Choi test: the descending eigenvalues and phase-fixed eigen-matrices
-of one eigh of a kernel's Choi matrix, sorted and phased in one pass.
+of one eigh of a kernel's Choi matrix, sorted and phased in one pass; the
+kernel reassembled from a Choi spectrum; and the kernel of a unitary
+ensemble, the mean of U (x) conj(U) over its samples.
+
+For the GKS form: the Gell-Mann matrices as one stack, and the Lindblad
+operators of a GKS form from the eigenpairs of its c matrix.
 
 For the Hermiticity checks: the power-of-two scale of a matrix stack from
-the largest real and the largest imaginary part, taken apart.
+the largest real and the largest imaginary part, taken apart, and the
+unscaled defect ||m - m^dag||_F.
 
 For evolution: the Taylor loop of exp(t*a) @ v that tests every term
 against the running sum.
@@ -35,12 +43,13 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from lindkit import DensityMatrix, derive
+from lindkit import DensityMatrix, derive, gellmann
 from lindkit.matcore import _TAYLOR_M, _TAYLOR_TOL, _taylor_plan, expm
-from lindkit.channels import GKSForm
+from lindkit.channels import TOL_OPERATOR, GKSForm, Kernel, reshuffle
 from lindkit.errors import (
     InvalidDensityMatrix,
     LindkitError,
+    NotAGenerator,
     NotHermitian,
     SingularState,
     StepTooLarge,
@@ -422,7 +431,35 @@ def density_matrix_single(mat, tol_herm=1e-10, tol_trace=1e-10, tol_pos=1e-10):
         return a, False
     vals, vecs = np.linalg.eigh(a)
     a = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    a = 0.5 * (a + a.conj().T)
     return a / float(np.trace(a).real), True
+
+
+def mixture(weights, states):
+    """rho = sum_i w_i |psi_i><psi_i| for classical weights over (possibly
+    non-orthogonal) states, as a DensityMatrix: the library's state check
+    rejects what is not a density matrix."""
+    w = np.asarray(weights, dtype=float)
+    v = np.asarray(states, dtype=complex).reshape(len(w), -1)
+    # an infinite weight times a zero entry is NaN, which the state check
+    # rejects; added in order from 0, so an entry that is -0.0 in every term
+    # sums to +0.0
+    with np.errstate(invalid="ignore"):
+        terms = w[:, None, None] * (v[:, :, None] * v[:, None, :].conj())
+    return DensityMatrix.from_matrix(np.sum(terms, axis=0, initial=0.0))
+
+
+def expectation(rho, obs):
+    """Tr(obs * rho) of a DensityMatrix and an observable, the imaginary part
+    of the trace discarded."""
+    return float(np.trace(np.asarray(obs) @ rho.matrix).real)
+
+
+def hermiticity_defect(m):
+    """||m - m^dag||_F: a float for a matrix, an array for a stack (..., d, d)."""
+    a = np.asarray(m)
+    defect = np.linalg.norm(a - a.swapaxes(-1, -2).conj(), axis=(-2, -1))
+    return defect if defect.ndim else float(defect)
 
 
 def unit_scaled_parts(m):
@@ -514,3 +551,46 @@ def choi_eigh(kernel):
     piv = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
     rows *= (np.conj(piv) / np.hypot(piv.real, piv.imag))[:, None]
     return vals[order], rows.reshape(-1, kernel.dim, kernel.dim)
+
+
+def reassemble(spectrum):
+    """The kernel matrix sum_N lambda_N vec(E^N) vec(E^N)^dag of a
+    ChoiSpectrum, in the superoperator ordering."""
+    d = spectrum.kraus_like.shape[-1]
+    rows = spectrum.kraus_like.reshape(d * d, d * d)
+    return reshuffle((rows.T * spectrum.lambdas) @ rows.conj(), d)
+
+
+def kernel_from_unitary_ensemble(unitary_sampler, tau, n_samples):
+    """Monte-Carlo kernel K = < U (x) conj(U) > over a unitary ensemble.
+
+    ``unitary_sampler(k)`` must return the k-th sample unitary; indexing by k
+    keeps the average reproducible regardless of evaluation order.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    us = np.array([unitary_sampler(k) for k in range(n_samples)], dtype=complex)
+    d = us.shape[1]
+    # sum_k U_k (x) conj(U_k): element ((i, j), (i', j')) is U[i, i'] conj(U[j, j'])
+    acc = np.einsum("kac,kbd->abcd", us, us.conj(), optimize=True).reshape(d * d, d * d)
+    return Kernel(d, tau, acc / n_samples)
+
+
+def gellmann_basis(dim):
+    """The generalized Gell-Mann matrices for dimension ``dim``, as one
+    (d^2 - 1, d, d) stack: the library's coordinate map of the unit vectors."""
+    return gellmann.from_coords(np.eye(dim * dim)[:, 1:]).T.reshape(-1, dim, dim)
+
+
+def gks_lindblad_ops(gks):
+    """Lindblad operators sqrt(eta) sum_m w_m F_m, stacked, for the
+    eigenpairs (eta, w) of a PSD c matrix with eta > TOL_OPERATOR;
+    NotAGenerator when c has a negative eigenvalue beyond that."""
+    vals, vecs = np.linalg.eigh(gks.c_matrix)
+    if vals.min() < -TOL_OPERATOR * max(1.0, abs(vals).max()):
+        raise NotAGenerator(
+            f"c matrix has negative eigenvalue {vals.min():.3e}; not a CP generator"
+        )
+    keep = vals > TOL_OPERATOR
+    coords = np.vstack([np.zeros((1, keep.sum())), vecs[:, keep] * np.sqrt(vals[keep])])
+    return gellmann.from_coords(coords).T.reshape(-1, gks.dim, gks.dim)

@@ -5,13 +5,12 @@ return to per-cluster SVDs, per-pair Kronecker products, per-time
 superoperator builds, per-state eigendecompositions, per-step Taylor plans, a
 second config parse, a parser per call, per-pair projector checks, a
 generator built for the closed-form Born limit, a per-member loop over an
-operator family (the Gell-Mann basis, the Choi eigen-matrices, the Lindblad
-operators of a generator), per-mode reshapes of the spectrum, an eigh per
-nondegenerate perturbation group, an encoder call per row of a scan
-record or per evolved state, a bundled config read per call, a second
-decay matrix per born-check, a second inversion of K(h) per
-extract-generator, or more Python-level calls in the config stage fails a
-test."""
+operator family (the Gell-Mann basis, the Choi eigen-matrices), per-mode
+reshapes of the spectrum, an eigh per nondegenerate perturbation group, an
+encoder call per row of a scan record or per evolved state, a bundled config
+read per call, a second decay matrix per born-check, a second inversion of
+K(h) or a second generator in the Hermitian basis per extract-generator, or
+more Python-level calls in the config stage fails a test."""
 import argparse
 import json
 import sys
@@ -27,7 +26,7 @@ from lindkit import (DensityMatrix, GKSForm, LindbladModel, ProjectorBasis,
                      bfr_derivative_check, build_superoperator,
                      channels, choi_cp_test, cli, first_order, gks_build, kernel_from_generator,
                      lindblad, matcore, perturb, ramsey, records, spectrum)
-from lindkit.channels import gks_lindblad_ops, kraus_operators
+from lindkit.channels import kraus_operators
 from lindkit.matcore import general_eig
 
 # norm and matrix_rank call svd through numpy's implementation module
@@ -475,6 +474,14 @@ def test_extract_generator_takes_each_central_difference_once(monkeypatch, tmp_p
     assert len(calls) == 2
 
 
+def test_extract_generator_forms_the_real_generator_once(monkeypatch, capsys):
+    # the kernels at h, 2h and 4h share one R = V^dag L V and its check
+    calls = _count(monkeypatch, [channels], "_real_generator")
+    assert cli.main(["extract-generator"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_projector_basis_norm_calls_do_not_grow_with_d(monkeypatch):
     calls = _count(monkeypatch, _LINALG, "norm")
     counts = {}
@@ -529,19 +536,6 @@ def test_derivative_check_takes_no_traces(monkeypatch, rng):
     for d in (2, 4):
         bfr_derivative_check(_gks(rng, d), trials=3)
     assert calls and "trace" not in calls
-
-
-def test_gks_lindblad_ops_numpy_calls_do_not_grow_with_d(monkeypatch, rng):
-    # one tensordot of the kept c eigenvectors with the stacked basis
-    calls = _numpy_calls(monkeypatch, channels)
-    counts = {}
-    for d in (2, 4):
-        gks = _gks(rng, d)
-        calls.clear()
-        assert len(gks_lindblad_ops(gks)) == d * d - 1
-        counts[d] = len(calls)
-    assert "trace" not in calls
-    assert counts[2] == counts[4]
 
 
 def test_choi_cp_test_numpy_calls_do_not_grow_with_d(monkeypatch, rng):

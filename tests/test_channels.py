@@ -30,20 +30,18 @@ from lindkit import (
     gks_build,
     gks_project,
     kernel_from_generator,
-    kernel_from_unitary_ensemble,
     kernel_spectrum,
     matcore,
 )
 from lindkit.channels import (
     extract_generator,
     extract_generators,
-    gellmann_basis,
-    gks_lindblad_ops,
     kraus_operators,
     reshuffle,
     trace_defect,
 )
-from oracles import choi_eigh, gks_build_loops, gks_project_loops, vec_basis
+from oracles import (choi_eigh, gellmann_basis, gks_build_loops, gks_lindblad_ops,
+                     gks_project_loops, kernel_from_unitary_ensemble, reassemble, vec_basis)
 
 TRANSPOSE_D2 = np.array(
     [
@@ -110,7 +108,7 @@ class TestKernelSpectrum:
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         k = Kernel(2, 1.0, np.kron(sx, sx.conj()))
         spec = kernel_spectrum(k)
-        assert np.linalg.norm(spec.reassemble() - k.matrix) < 1e-12
+        assert np.linalg.norm(reassemble(spec) - k.matrix) < 1e-12
 
     def test_orthonormality_and_completeness(self, rng):
         k = random_cp_kernel(rng, 3)
@@ -129,7 +127,7 @@ class TestKernelSpectrum:
 
     def test_reassembly_random(self, rng):
         k = random_cp_kernel(rng, 2)
-        assert np.linalg.norm(kernel_spectrum(k).reassemble() - k.matrix) < 1e-9
+        assert np.linalg.norm(reassemble(kernel_spectrum(k)) - k.matrix) < 1e-9
 
 
 class TestChoiCp:
@@ -290,6 +288,27 @@ def test_kernel_of_a_zero_generator_or_at_tau_zero_is_the_identity(d):
     assert np.array_equal(kernel_from_generator(_generator(d, d), 0.0).matrix, np.eye(d * d))
     zero = np.zeros((d * d, d * d))
     assert np.array_equal(kernel_from_generator(zero, 0.7).matrix, np.eye(d * d))
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
+def test_kernels_at_several_times_are_the_one_time_kernels(diagonal):
+    # one R for all the times, and each kernel with the bits of its own
+    # call; a time past the norm bound raises that call's Overflow
+    gen = _generator(3, 3)
+    if diagonal:
+        gen = build_superoperator(LindbladModel(
+            3, np.diag([0.5, -1.0, 2.0]), [np.diag([1.0, 0.3j, -2.0])]))
+    taus = (0.3, 0.0, 1.1, 0.3)
+    got = channels.kernels_from_generator(gen, taus)
+    assert [k.tau for k in got] == list(taus)
+    for k, tau in zip(got, taus):
+        assert k.matrix.tobytes() == kernel_from_generator(gen, tau).matrix.tobytes()
+    huge = 2 * matcore.EXPM_NORM_BOUND / np.abs(gen).sum(axis=0).max()
+    with pytest.raises(errors.Overflow) as one:
+        kernel_from_generator(gen, huge)
+    with pytest.raises(errors.Overflow) as several:
+        channels.kernels_from_generator(gen, (0.3, huge, 0.0))
+    assert str(several.value) == str(one.value)
 
 
 def _skewed(gen, d, factor):
@@ -688,16 +707,22 @@ class TestExtractGenerator:
 
 
 class TestUnitaryEnsemble:
+    # the oracle averages U (x) conj(U) over its samples; the library's
+    # kernels and their action are compared against it
     def test_single_unitary_is_conjugation(self, rng):
-        u = random_unitary(rng, 2)
-        k = kernel_from_unitary_ensemble(lambda _k: u, 0.5, 1)
-        assert np.linalg.norm(k.matrix - np.kron(u, u.conj())) < 1e-13
+        h = random_hermitian(rng, 3)
+        p, v = np.linalg.eigh(h)
+        u = (v * np.exp(-0.5j * p)) @ v.conj().T
+        k = kernel_from_generator(build_superoperator(LindbladModel(3, h, [])), 0.5)
+        ref = kernel_from_unitary_ensemble(lambda _k: u, 0.5, 1)
+        assert np.abs(k.matrix - ref.matrix).max() < 1e-13
 
     def test_is_the_mean_of_the_per_sample_products(self, rng):
         us = [random_unitary(rng, 3) for _ in range(20)]
         k = kernel_from_unitary_ensemble(us.__getitem__, 0.5, len(us))
-        ref = sum(np.kron(u, u.conj()) for u in us) / len(us)
-        assert np.abs(k.matrix - ref).max() <= 1e-15
+        rho = random_density(rng, 3).matrix
+        ref = sum(u @ rho @ u.conj().T for u in us) / len(us)
+        assert np.abs(k.apply(rho) - ref).max() <= 1e-15
 
     def test_identity_z_ensemble_is_dephasing(self):
         ops = [np.eye(2, dtype=complex), SZ]

@@ -2,11 +2,14 @@
 a malformed document raises ConfigParse naming its key, and a document
 written by ``to_json`` (``to_dict`` for a Ramsey config) reads back with
 every bit of its arrays, the sign of a zero included.  The names the
-package exports are pinned here too."""
+package exports are pinned here too, and each has a caller outside the unit
+tests."""
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,11 +162,11 @@ PUBLIC_NAMES = [
     "bfr_derivative_check", "born_collapse", "born_limit_check", "build_superoperator",
     "channels", "choi_cp_test", "decay_matrix", "derive", "diagonal_solution",
     "entropy_rate", "entropy_rates", "errors", "evolve", "evolve_many", "evolve_stencil",
-    "expectation", "expm", "extract_generator", "first_order", "gaussian_fraction",
-    "gellmann", "general_eig", "gks_build", "gks_project", "herm_eig", "kernel_from_generator",
-    "kernel_from_unitary_ensemble", "kernel_spectrum", "lindblad", "matcore",
-    "measurement_model", "mixture", "perturb", "protocol", "pulse_closed_form", "quantum",
-    "ramsey", "records", "scan", "spectrum", "unvec", "vec", "vn_entropies", "vn_entropy",
+    "expm", "extract_generator", "first_order", "gaussian_fraction", "gellmann",
+    "general_eig", "gks_build", "gks_project", "herm_eig", "kernel_from_generator",
+    "kernel_spectrum", "lindblad", "matcore", "measurement_model", "perturb", "protocol",
+    "pulse_closed_form", "quantum", "ramsey", "records", "scan", "spectrum", "unvec", "vec",
+    "vn_entropies", "vn_entropy",
 ]
 
 
@@ -176,4 +179,39 @@ def test_public_names_are_pinned():
          "import lindkit; print('\\n'.join(sorted(n for n in dir(lindkit) if n[0] != '_')))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     assert out.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 55
+
+
+def _names_used(path):
+    """The names a Python file reads (variables, attributes, imported names
+    and modules), each top-level function or class not counted as reading
+    its own name."""
+    used = set()
+    for stmt in ast.parse(path.read_text()).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        used |= names
+    return used
+
+
+def test_public_names_have_callers():
+    # a name the package exports is used by the package itself, the
+    # benchmark, a tool or the acceptance suite; one that only unit tests
+    # call belongs in tests/oracles.py
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((root / "src" / "lindkit").glob("*.py"))
+             if p.name != "__init__.py"]
+    files += sorted((root / "perfbench").glob("*.py")) + sorted((root / "tools").glob("*.py"))
+    files.append(root / "tests" / "test_acceptance.py")
+    used = set().union(*map(_names_used, files))
+    assert [name for name in PUBLIC_NAMES if name not in used] == []

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_hermitian, random_lindblad_model, random_matrix
 from lindkit import channels, gellmann, lindblad, matcore
 from lindkit.channels import GKSForm, gks_build, gks_project, kernel_from_generator
-from oracles import gks_build_dense, gks_project_dense, vec_basis
+from oracles import gellmann_basis, gks_build_dense, gks_project_dense, vec_basis
 
 DIMS = [1, 2, 3, 4, 5, 8, 12, 16, 24]
 SEEDS = [0, 1, 2]
@@ -33,7 +33,7 @@ def test_maps_are_the_dense_products(d):
             _close(gellmann.from_coords(x), v @ x)
         _close(gellmann.both_axes(gellmann.to_coords, a), v.conj().T @ a @ v)
         _close(gellmann.both_axes(gellmann.from_coords, a), v @ a @ v.conj().T)
-    _close(channels.gellmann_basis(d), v.T[1:].reshape(d * d - 1, d, d))
+    _close(gellmann_basis(d), v.T[1:].reshape(d * d - 1, d, d))
 
 
 @pytest.mark.parametrize("d", DIMS)

@@ -38,7 +38,7 @@ from lindkit import (
     records,
     spectrum,
 )
-from oracles import apply_generator, superoperator_kron
+from oracles import apply_generator, hermiticity_defect, superoperator_kron
 
 
 class TestSuperoperator:
@@ -405,7 +405,7 @@ def test_evolve_many_states_are_physical_and_match_evolve(d, seed, times):
     states = evolve_many(model, rho0, times)
     assert len(states) == len(times)
     for t, rho in zip(times, states):
-        assert matcore.hermiticity_defect(rho.matrix) <= 1e-12
+        assert hermiticity_defect(rho.matrix) <= 1e-12
         assert abs(np.trace(rho.matrix) - 1) <= 1e-12
         assert np.max(np.abs(rho.matrix - evolve(model, rho0, t).matrix)) <= 1e-12
 

@@ -21,13 +21,13 @@ from lindkit.matcore import (
     _taylor_series,
     expm,
     general_eig,
-    hermiticity_defect,
     herm_eig,
     unvec,
     vec,
 )
 from lindkit.perturb import first_order
-from oracles import cluster_pairwise, expm_action_loop, hermitian_scaled, unit_scaled_parts
+from oracles import (cluster_pairwise, expm_action_loop, hermitian_scaled, hermiticity_defect,
+                     unit_scaled_parts)
 
 
 def charpoly_roots(a):
@@ -95,14 +95,13 @@ _HUGE_NOT_HERMITIAN = [np.array([[0.5, big], [0.0, -0.5]]) for big in (1e300, 1.
 @pytest.mark.parametrize("check, error, reports_defect", [
     (lambda m: LindbladModel(2, m, []), errors.NotHermitianH, False),
     (herm_eig, errors.NotHermitian, True),
-    (lambda m: quantum.expectation(quantum.DensityMatrix.maximally_mixed(2), m),
-     errors.NotHermitian, False),
+    (quantum.DensityMatrix.from_matrix, errors.NotHermitian, False),
     (lambda m: first_order(np.eye(2), m), errors.NotHermitian, False),
     (lambda m: GKSForm(2, m, np.eye(3)), errors.NotHermitian, False),
     # -i[m, .] preserves the trace but, m not being Hermitian, not Hermiticity
     (lambda m: gks_project(-1j * (np.kron(m, np.eye(2)) - np.kron(np.eye(2), m.T))),
      errors.NotHermitianKernel, True),
-], ids=["model", "herm_eig", "expectation", "first_order", "gks", "gks_project"])
+], ids=["model", "herm_eig", "density_matrix", "first_order", "gks", "gks_project"])
 def test_hermiticity_checks_hold_where_norms_overflow(m, check, error, reports_defect):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
