@@ -273,36 +273,27 @@ def _inf_norm(x: np.ndarray):
     return np.maximum.reduce(np.abs(x), axis=None, initial=0.0)
 
 
-def _taylor_series(a: np.ndarray, t: float, v: np.ndarray, m: int, s: int) -> np.ndarray:
-    """s steps of the degree-m Taylor polynomial of exp(t*a/s) applied to v,
-    each stopping once two consecutive terms c_{j-1}, c_j (infinity norms)
-    fall below 2^-53 of ||f||_inf, f the running sum (Al-Mohy & Higham 2011,
-    Algorithm 3.2).  v is a vector or a block of columns, whose norms are
-    taken over the whole block: a coherence vector's first entry is
-    1/sqrt(d), so the block's test is within sqrt(d) of the slowest
-    column's."""
-    f = v
+def _taylor_series(a: np.ndarray, t: float, m: int, s: int, p, v: np.ndarray) -> np.ndarray:
+    """s steps of the degree-m Taylor polynomial of exp(t*a/s) applied to
+    p @ v, or to v when p is None (p is a family's P_h).  A step stops once
+    two consecutive terms c_{j-1}, c_j (infinity norms) fall below 2^-53 of
+    ||f||_inf, f the running sum (Al-Mohy & Higham 2011, Algorithm 3.2).  It
+    is tested at 1 < j < m only, 2m - 3 norms a step for m >= 3: at j = 1 it
+    fires only on f = 0, since ||f||_inf <= (c_0 + c_1)(1 + 2^-53), and at
+    j = m the step ends anyway.  v is a vector or a block of columns, normed
+    as a whole: a coherence vector's first entry is 1/sqrt(d), so the
+    block's test is within sqrt(d) of the slowest column's."""
+    f = v if p is None else p @ v
+    c2 = None
     for _ in range(s):
         term = f
-        c1 = _inf_norm(f)
         for j in range(1, m + 1):
             term = (t / (s * j)) * (a @ term)
-            c2 = _inf_norm(term)
             f = f + term
-            if c1 + c2 <= _TAYLOR_TOL * _inf_norm(f):
-                break
-            c1 = c2
-    return f
-
-
-def _family_step(a: np.ndarray, p_h: np.ndarray, x: float, m: int, v: np.ndarray) -> np.ndarray:
-    """exp(x*a) @ P_h @ v with exp(x*a) the degree-m Taylor polynomial
-    (:func:`_correction_degree` for a family's correction): no plan and no
-    stopping test."""
-    f = term = p_h @ v
-    for j in range(1, m + 1):
-        term = (x / j) * (a @ term)
-        f = f + term
+            if 2 < m and j < m:
+                c1, c2 = c2, _inf_norm(term)
+                if j > 1 and c1 + c2 <= _TAYLOR_TOL * _inf_norm(f):
+                    break
     return f
 
 
@@ -318,7 +309,7 @@ def _planned_action(a: np.ndarray, t: float, k, products, dense):
     if dense:
         return partial(_dense_action, a, t)
     m = int(_TAYLOR_M[k])
-    return partial(_taylor_series, a, t, m=m, s=int(products) // m)
+    return partial(_taylor_series, a, t, m, int(products) // m, None)
 
 
 def _step_actions(a: np.ndarray, steps, norm1: float, probe: float = 0.0) -> tuple:
@@ -332,12 +323,13 @@ def _step_actions(a: np.ndarray, steps, norm1: float, probe: float = 0.0) -> tup
     One vectorized :func:`_taylor_plan` plans every distinct step and the
     probe.  Each step outside a family (:func:`_step_families`; a grid of
     one step has none) and each probe step is taken by its plan's
-    :func:`_planned_action`: Taylor steps (:func:`_taylor_series`), or one
-    dense :func:`expm` with its scaling and squaring and its Overflow bound.
-    A family's step dt is exp((dt - h) a) @ P_h @ v, exact since exp(h a)
-    and exp((dt - h) a) commute and multiply to exp(dt a); the cost model
-    counts a step on its own as its plan's m*s products, or a dense expm and
-    its product with v.  Raises Overflow when ||probe*a||_1 exceeds
+    :func:`_planned_action`: Taylor steps, or one dense :func:`expm` with
+    its scaling and squaring and its Overflow bound.  A family's step dt is
+    exp((dt - h) a) @ P_h @ v, exact since exp(h a) and exp((dt - h) a)
+    commute: the correction's polynomial applied to P_h @ v by
+    :func:`_taylor_series`, which takes every Taylor step.  The cost model
+    counts a step on its own as its plan's m*s products, or a dense expm
+    and its product with v.  Raises Overflow when ||probe*a||_1 exceeds
     EXPM_NORM_BOUND, before any step is taken.
     """
     _check_expm_norm(probe * norm1)
@@ -360,8 +352,8 @@ def _step_actions(a: np.ndarray, steps, norm1: float, probe: float = 0.0) -> tup
         if h is None:
             actions[dt] = _planned_action(a, dt, *plan)
         else:
-            actions[dt] = partial(_family_step, a, propagators[h], dt - h,
-                                  int(_correction_degree(dt - h, norm1)))
+            actions[dt] = partial(_taylor_series, a, dt - h,
+                                  int(_correction_degree(dt - h, norm1)), 1, propagators[h])
     return actions, probes
 
 
@@ -468,7 +460,11 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: flo
     eigenvalues, ``limit`` the largest spread that still reads as one
     eigenvalue.  B = A - lambda I is real when both A and lambda are, so a
     real cluster's SVDs run in real arithmetic.  One full SVD of B gives both
-    ||B||_2 and B's null space."""
+    ||B||_2 and B's null space.  The chains come from one descent from the
+    top level p of the null spaces of B^k: level k is B times level k + 1,
+    then the tops of the chains of length k, in null(B^k) away from
+    null(B^(k-1)) and the level's other columns.  Chain c is column c of
+    levels 1 .. its length, scaled to a unit head V_1."""
     d = a.shape[0]
     m_alg = len(members)
     if lam.imag == 0.0 and not np.iscomplexobj(a):
@@ -499,7 +495,6 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: flo
     null_bases = [np.zeros((d, 0))]
     dims = [0]
     bk = b
-    p = 0
     for k in range(1, m_alg + 1):
         if k > 1:
             bk = bk @ b
@@ -513,49 +508,43 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: flo
             break
         null_bases.append(nb)
         dims.append(nb.shape[1])
-        p = k
         if nb.shape[1] >= m_alg:
             break
     if dims[-1] != m_alg:
         raise ill(f" (multiplicity {m_alg}): generalized null space stalled at "
                   f"dimension {dims[-1]}")
+    # widths[k-1] counts the chains of length >= k, so it cannot grow with k
+    widths = np.diff(dims)
+    if (widths[1:] > widths[:-1]).any():
+        raise ill(f": null-space dimensions {dims} fit no Jordan structure")
+    p = len(widths)
 
-    if p == 1:
-        # Diagonalizable cluster: the orthonormal null-space basis is the
-        # chain set directly.
+    if p == 1:  # diagonalizable: the orthonormal null-space basis is the chain set
         return null_bases[1], [1] * m_alg
 
-    chains: list[list[np.ndarray]] = []
-    carry: list[np.ndarray] = []  # level-k vectors of taller chains
-    tops_by_level: dict[int, list[np.ndarray]] = {}
+    levels = [np.zeros((d, 0), b.dtype)]
     for k in range(p, 0, -1):
-        have = len(carry)
-        need = (dims[k] - dims[k - 1]) - have
-        if need > 0:
-            obstruction = [null_bases[k - 1]] if k > 1 else []
-            if carry:
-                obstruction.append(np.column_stack(carry))
-            cand = null_bases[k]
-            if obstruction:
-                q = np.linalg.qr(np.column_stack(obstruction))[0]
-                cand = cand - q @ (q.conj().T @ cand)
-            u, s, _ = np.linalg.svd(cand, full_matrices=False)
+        level = b @ levels[-1]
+        need = widths[k - 1] - level.shape[1]
+        if need:
+            q = np.linalg.qr(np.column_stack([null_bases[k - 1], level]))[0]
+            u, s, _ = np.linalg.svd(null_bases[k] - q @ (q.conj().T @ null_bases[k]),
+                                    full_matrices=False)
             if np.sum(s > 0.1) < need:
                 raise ill(f": cannot separate chain tops at level {k}")
-            tops_by_level[k] = [u[:, c].copy() for c in range(need)]
-            carry = carry + tops_by_level[k]
-        carry = [b @ v for v in carry]
-    for k, tops in sorted(tops_by_level.items(), reverse=True):
-        for top in tops:
-            chain = [top]
-            for _ in range(k - 1):
-                chain.append(b @ chain[-1])
-            chain.reverse()  # chain[0] is now the eigenvector V_1
-            nrm = np.linalg.norm(chain[0])
-            if nrm < 1e-300:
-                raise ill(": degenerate chain")
-            chains.append([v / nrm for v in chain])
-    return np.column_stack([v for c in chains for v in c]), [len(c) for c in chains]
+            level = np.column_stack([level, u[:, :need]])
+        levels.append(level)
+    lengths = (widths[:, None] > np.arange(widths[0])).sum(axis=0).tolist()
+    order = [dims[k] + c for c, n in enumerate(lengths) for k in range(n)]
+    # each head's 2-norm taken on it scaled by its largest modulus, so that
+    # the squares of a tiny head do not underflow
+    top = np.abs(levels[-1]).max(axis=0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        norms = top * np.linalg.norm(levels[-1] / top, axis=0)
+        vectors = np.column_stack(levels[:0:-1])[:, order] / np.repeat(norms, lengths)
+    if not np.isfinite(vectors).all():
+        raise ill(": degenerate chain")
+    return vectors, lengths
 
 
 def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:

@@ -12,6 +12,7 @@ read per call, a second decay matrix per born-check, a second inversion of
 K(h) or a second generator in the Hermitian basis per extract-generator, or
 more Python-level calls in the config stage fails a test."""
 import argparse
+import inspect
 import json
 import sys
 import types
@@ -258,20 +259,45 @@ def test_taylor_plans_do_not_grow_with_points(monkeypatch, rng, tmp_path, capsys
 def test_probe_taylor_calls_do_not_grow_with_points(monkeypatch, rng, tmp_path, capsys):
     # entropy-check's states at t +- 1e-5 are one block step from all the
     # states at t, so beyond lindblad-evolve's chain on the same grid it
-    # makes as many calls into the Taylor routines at 50 times as at 100
-    calls = [_count(monkeypatch, [matcore], name) for name in ("_taylor_series", "_family_step")]
+    # makes as many calls into the Taylor routine at 50 times as at 100
+    calls = _count(monkeypatch, [matcore], "_taylor_series")
     extra = {}
     for points in (50, 100):
         path = _grid_config(rng, tmp_path, 8, points)
         made = []
         for command in ("lindblad-evolve", "entropy-check"):
-            for c in calls:
-                c.clear()
+            calls.clear()
             assert cli.main([command, "--config", str(path)]) == 0
-            made.append(sum(map(len, calls)))
+            made.append(len(calls))
         capsys.readouterr()
         extra[points] = made[1] - made[0]
     assert extra[50] == extra[100]
+
+
+def test_taylor_norms_are_taken_only_where_the_stopping_test_can_fire(monkeypatch, rng):
+    # the stopping test runs at terms 1 < j < m: a step of degree m >= 3
+    # takes at most 2m - 3 infinity norms per substep, and one of degree
+    # <= 2, a family's correction among them, none; on this d = 8 stencil
+    # over 50 times that is 51 norms, where a test at every term took 61
+    norms = _count(monkeypatch, [matcore], "_inf_norm")
+    real = matcore._taylor_series
+    steps = []
+
+    def recording(*args, **kwargs):
+        before = len(norms)
+        f = real(*args, **kwargs)
+        bound = inspect.signature(real).bind(*args, **kwargs).arguments
+        steps.append((bound["m"], bound["s"], len(norms) - before))
+        return f
+
+    monkeypatch.setattr(matcore, "_taylor_series", recording)
+    model = random_lindblad_model(rng, 8)
+    rho0 = random_density(rng, 8, strictly_positive=True)
+    lindblad.evolve_stencil(model, rho0, np.linspace(0.05, 2.0, 50), 1e-5)
+    assert len(norms) <= 51
+    for m, s, taken in steps:
+        assert taken <= (s * (2 * m - 3) if m > 2 else 0)
+    assert min(m for m, _, _ in steps) <= 2 < max(m for m, _, _ in steps)
 
 
 # amplitude damping L = sqrt(1e10) sigma_-: ||R||_1 = 1e10, so eps ||R||_1 =

@@ -251,6 +251,53 @@ class TestGeneralEig:
         # ||A|| is
         assert general_eig(c * np.array([[0.0, 1.0], [0.0, 0.0]])).lengths == [[2]]
 
+    def test_tiny_jordan_block_keeps_its_chain(self):
+        # the head V_1 of 1e-100 N's chain has entries of about 1e-200, whose
+        # squares underflow: its norm is taken on the head scaled to unit size
+        n = 1e-100 * np.diag([1.0, 1.0], k=1)
+        cs = general_eig(n)
+        assert cs.lengths == [[3]]
+        v1, v2, v3 = cs.chains[0][0]
+        assert abs(np.linalg.norm(v1) - 1.0) < 1e-15
+        assert not (n @ v1).any()
+        assert np.array_equal(n @ v2, v1) and np.array_equal(n @ v3, v2)
+
+    def test_jordan_ladder_that_no_structure_fits_is_ill_conditioned(self):
+        # at 1e-150 N the null spaces of B, B^2 read 1 and 3 dimensions: a
+        # growth of 2 after a growth of 1, which no Jordan structure makes
+        with pytest.raises(errors.IllConditioned, match=re.escape("[0, 1, 3]")):
+            general_eig(1e-150 * np.diag([1.0, 1.0], k=1))
+
+    @pytest.mark.parametrize("structure", [[3, 1], [2, 2], [2, 1, 1], [3, 2], [4, 2, 1]])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_mixed_chain_lengths_in_one_cluster(self, structure, kind):
+        # a Jordan form with several chains at lambda, and two distinct
+        # eigenvalues, under a random unitary similarity; its cluster splits
+        # by about (2^-53)^(1/4) ||A||, within the cluster tolerance 1e-2
+        rng = np.random.default_rng([len(structure), *structure, kind is complex])
+        n = sum(structure) + 2
+        draw = rng.standard_normal((2, n + 1, n))
+        lam = draw[0, n, 0] + (1j * draw[1, n, 0] if kind is complex else 0.0)
+        j = np.diag(np.ones(n - 1, kind), 1)
+        j[np.cumsum(structure) - 1, np.cumsum(structure)] = j[n - 2, n - 1] = 0.0
+        j += np.diag([lam] * (n - 2) + [lam + 3.0, lam + 5.0])
+        q = np.linalg.qr(draw[0, :n] + (1j * draw[1, :n] if kind is complex else 0.0))[0]
+        a = q @ j @ q.conj().T
+        cs = general_eig(a, tol_cluster=1e-2)
+        assert cs.lengths == [structure, [1], [1]]
+        assert cs.multiplicities == [n - 2, 1, 1]
+        assert abs(cs.eigenvalues[0] - lam) < 1e-12
+        if kind is float:
+            assert cs.eigenvalues[0].imag == 0.0 and not cs.vectors.imag.any()
+        assert np.linalg.matrix_rank(cs.vectors, tol=1e-8) == n
+        scale = np.linalg.norm(a, 2)
+        b = a - cs.eigenvalues[0] * np.eye(n)
+        for chain in cs.chains[0]:
+            assert abs(np.linalg.norm(chain[0]) - 1.0) < 1e-14
+            assert np.linalg.norm(b @ chain[0]) <= 1e-12 * scale
+            for lo, hi in zip(chain, chain[1:]):
+                assert np.linalg.norm(b @ hi - lo) <= 1e-12 * scale
+
     def test_neighbour_outside_the_cluster_stays_out(self):
         # 1 + 2.5e-8 lies outside the tolerance 1e-8 of the double 1, and out
         # of the double's null space
@@ -559,6 +606,38 @@ class TestExpmAction:
         got = _lone_step(a, t, v, norm1)
         assert got.tobytes() == expm_action_loop(a, t, v, norm1).tobytes()
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 40), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           log_x=st.floats(-17.0, 1.5), log_norm=st.floats(-3.0, 3.0))
+    @example(n=6, cols=3, seed=0, log_x=np.log10(3e-16), log_norm=0.0)  # m = 1, s = 2
+    def test_probe_blocks_are_the_reference_loop_bit_for_bit(self, n, cols, seed, log_x,
+                                                              log_norm):
+        # exp(+-t a) on a block of columns, as evolve_stencil's probe takes
+        # it; exp(-t a) is the loop's exp(t (-a)), with the same bits
+        a, t, _, norm1 = _series_case(n, seed, log_x, log_norm, False)
+        block = random_matrix(np.random.default_rng(seed + 1), max(n, cols))[:n, :cols]
+        _, (forward, backward) = _step_actions(a, [], norm1, t)
+        assert forward(block).tobytes() == expm_action_loop(a, t, block, norm1).tobytes()
+        assert backward(block).tobytes() == expm_action_loop(-a, t, block, norm1).tobytes()
+
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_family_steps_are_the_reference_loop_bit_for_bit(self, cols):
+        # a family's step is P_h v corrected by the Taylor polynomial of
+        # x = dt - h; at x ||a||_1 = 0, 1e-17 and 1e-9 the loop's own plan of
+        # x takes degree 0, 1 and 2 with s = 1.  The steps h and h + x_1,
+        # taken 50 times each, form a family
+        a, h, _, norm1 = _series_case(12, 3, -3.0, 0.0, False)
+        x0 = random_matrix(np.random.default_rng(4), 12)
+        v = x0[:, 0] if cols is None else x0[:, :cols]
+        dts = np.unique(h + np.array([0.0, 1e-17]) / norm1)
+        actions, _ = _step_actions(a, np.repeat(dts, 50), norm1)
+        p = expm(a, dts[0])
+        for degree, x in enumerate([*(dts - dts[0]).tolist(), 1e-9 / norm1]):
+            want = expm_action_loop(a, x, p @ v, norm1).tobytes()
+            assert _taylor_series(a, x, degree, 1, p, v).tobytes() == want
+            if degree < 2:
+                assert actions[dts[degree]](v).tobytes() == want
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 16), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
            log_x=st.floats(-17.0, 0.5), sign=st.sampled_from([1.0, -1.0]))
@@ -572,7 +651,7 @@ class TestExpmAction:
         block = random_matrix(np.random.default_rng(seed + 1), max(n, cols))[:n, :cols]
         k, products, _ = _taylor_plan(t, norm1, n)
         m = int(_TAYLOR_M[k])
-        got = _taylor_series(a, sign * t, block, m, int(products) // m)
+        got = _taylor_series(a, sign * t, m, int(products) // m, None, block)
         want = scipy.linalg.expm(sign * t * a) @ block
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

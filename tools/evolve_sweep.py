@@ -30,6 +30,11 @@ to memory; ``ramsey-scan`` runs the fig-both config: 2 x 401 fringe rows)
 once per round, not once per d, so that the fixed cost of an in-process
 call, reading and parsing its config, shows next to its experiment (an
 exit code of 3, cp-check's verdict on the transpose, counts as a run).
+Case "jordan" takes matcore.general_eig, with cluster tolerance
+JORDAN_TOL, of an n x n matrix, n = d^2 >= 6: a [3, 2, 1] Jordan cluster
+at 0 and n - 6 distinct eigenvalues evenly spaced over [1, 2], under a
+seeded orthogonal similarity.  It is the one case that runs the chain
+code (matcore._cluster_chains), which no command reaches on these models.
 Case "kernel" takes channels.kernel_from_generator of the generator at
 tau = KERNEL_TAU, and case "kernel-diagonal" that of the model with only
 the diagonals of the same H and operators, whose generator has no
@@ -73,6 +78,7 @@ import numpy as np  # noqa: E402  (after the thread pins)
 
 DIMS = (2, 3, 4, 5, 6, 8, 12, 16, 24)
 KERNEL_TAU = 0.5
+JORDAN_TOL = 1e-4
 REPEAT = 3
 ROUNDS = 11
 SEED = 7
@@ -107,6 +113,17 @@ def measurement_parts(d: int):
     basis = q * (np.diag(r) / np.abs(np.diag(r)))
     l = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
     return list(basis.T), l, rng.standard_normal(d)
+
+
+def jordan_matrix(d: int) -> np.ndarray:
+    """The "jordan" case's matrix at dimension d: n = d^2, chains of length
+    3, 2 and 1 at 0 and n - 6 eigenvalues evenly spaced over [1, 2], similar
+    by a random orthogonal matrix (seed [SEED, d, 2])."""
+    n = d * d
+    j = np.diag(np.concatenate([np.zeros(6), np.linspace(1.0, 2.0, n - 6)]))
+    j[[0, 1, 3], [1, 2, 4]] = 1.0
+    q = np.linalg.qr(np.random.default_rng([SEED, d, 2]).standard_normal((n, n)))[0]
+    return q @ j @ q.T
 
 
 def gks_round_trip(lk, gen):
@@ -189,6 +206,9 @@ def main() -> None:
             work.append((d, "stencil-stiff", stiff))
             work.append((d, "spectrum", [partial(lk.lindblad.spectrum, model)
                                          for lk, model, _ in models]))
+            if d * d >= 6:
+                work.append((d, "jordan", [partial(lk.matcore.general_eig, jordan_matrix(d),
+                                                   JORDAN_TOL) for lk in packages]))
             vectors, l, hs = measurement_parts(d)
             work.append((d, "spectrum-meas", [partial(
                 lk.lindblad.spectrum, lk.lindblad.measurement_model(
