@@ -294,16 +294,18 @@ def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[Densit
     (dt - h) ||R||_1 <= theta_2, and a family whose steps would save more
     matrix-vector products than one dense P_h = exp(h R) costs takes each
     step as exp((dt - h) R) P_h x, the correction a Taylor polynomial of
-    degree at most 2.  Every other step, a single time's included, takes its
-    plan's Taylor-or-dense rule (:func:`matcore._planned_action`), which is
-    also the cost model.  So a uniform grid costs about one real
-    matrix-vector product per point, and a long single step is one dense
-    exponential, with its Overflow bound.  R keeps the trace fixed, and each x
-    maps back to an exactly Hermitian state; the states are checked and
-    repaired as one stack (:meth:`DensityMatrix.from_matrices`), and the
-    first invalid one in sorted-time order raises.  t = 0 returns a copy of
-    rho0 with its ``repaired`` flag.  :func:`evolve_stencil` adds states a
-    short step either side of each time to the same chain.
+    degree at most 1: over (theta_1, theta_2] degree 1 truncates by at most
+    theta_2^2 / 2 = 3.3e-16, below P_h's own rounding.  Every other step, a
+    single time's included, takes its plan's Taylor-or-dense rule
+    (:func:`matcore._planned_action`), which is also the cost model.  So a
+    uniform grid costs about one real matrix-vector product per point, and a
+    long single step is one dense exponential, with its Overflow bound.  R
+    keeps the trace fixed, and each x maps back to an exactly Hermitian
+    state; the states are checked and repaired as one stack
+    (:meth:`DensityMatrix.from_matrices`), and the first invalid one in
+    sorted-time order raises.  t = 0 returns a copy of rho0 with its
+    ``repaired`` flag.  :func:`evolve_stencil` adds states a short step
+    either side of each time to the same chain.
     """
     times, order, _, raw, _ = _coherence_chain(model, rho0, times)
     return _place(rho0, times, [order], [raw])[0]

@@ -230,17 +230,11 @@ def _expm_cost(t, norm1: float, n: int):
     return n * (8 + np.ceil(np.log2(scaled / 5.37)))
 
 
-# ||t*a||_1 that a Taylor step of at most 2 products covers: theta_2 (m = 2,
-# s = 1), since two degree-1 steps reach only 2 * theta_1 = 4.6e-16.
+# ||x*a||_1 up to which a family takes exp(x*a) as its degree-1 Taylor
+# polynomial: theta_2, the reach of one degree-2 step.  Over (theta_1, theta_2]
+# degree 1 truncates by at most theta_2^2 / 2 = 3.3e-16 relative, below the
+# rounding of the P_h v it corrects.
 _TWO_PRODUCT_REACH = _TAYLOR_THETA[1]
-
-
-def _correction_degree(x, norm1: float):
-    """Degree of the Taylor polynomial that takes exp(x*a) to 2^-53 for
-    0 <= x*||a||_1 <= theta_2: 0 at x = 0, 1 up to theta_1, else 2.
-    Vectorized over x."""
-    scaled = x * norm1
-    return (scaled > 0) + (scaled > _TAYLOR_THETA[0])
 
 
 def _step_families(values: np.ndarray, uses: np.ndarray, cost: np.ndarray,
@@ -252,8 +246,10 @@ def _step_families(values: np.ndarray, uses: np.ndarray, cost: np.ndarray,
 
     The steps fall into families: each family starts at its smallest step h
     and takes every following dt with (dt - h) ||a||_1 <= theta_2, whose
-    exp((dt - h) a) is a Taylor polynomial of degree at most 2.  A family is
-    kept when the products its uses save exceed the cost of P_h.
+    exp((dt - h) a) is taken as the Taylor polynomial of degree 1 (degree 0
+    at dt = h): over (theta_1, theta_2] it truncates by at most theta_2^2/2
+    = 3.3e-16, below the rounding of P_h v itself.  A family is kept when
+    the products its uses save exceed the cost of P_h.
     """
     scaled = values * norm1
     ends = np.searchsorted(scaled, scaled + _TWO_PRODUCT_REACH, side="right").tolist()
@@ -262,7 +258,7 @@ def _step_families(values: np.ndarray, uses: np.ndarray, cost: np.ndarray,
         starts.append(ends[starts[-1]])
     family = np.repeat(np.arange(len(starts)), np.diff(starts + [len(values)]))
     h = values[starts][family]
-    saved = uses * (cost - 1 - _correction_degree(values - h, norm1))
+    saved = uses * (cost - 1 - (values > h))
     kept = np.add.reduceat(saved, starts) > _expm_cost(values[starts], norm1, n)
     return {float(dt): float(b) for dt, b, k in zip(values, h, kept[family]) if k}
 
@@ -352,8 +348,7 @@ def _step_actions(a: np.ndarray, steps, norm1: float, probe: float = 0.0) -> tup
         if h is None:
             actions[dt] = _planned_action(a, dt, *plan)
         else:
-            actions[dt] = partial(_taylor_series, a, dt - h,
-                                  int(_correction_degree(dt - h, norm1)), 1, propagators[h])
+            actions[dt] = partial(_taylor_series, a, dt - h, int(dt > h), 1, propagators[h])
     return actions, probes
 
 
@@ -511,7 +506,8 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: flo
         if nb.shape[1] >= m_alg:
             break
     if dims[-1] != m_alg:
-        raise ill(f" (multiplicity {m_alg}): generalized null space stalled at "
+        how = "passed the multiplicity at" if dims[-1] > m_alg else "stalled at"
+        raise ill(f" (multiplicity {m_alg}): generalized null space {how} "
                   f"dimension {dims[-1]}")
     # widths[k-1] counts the chains of length >= k, so it cannot grow with k
     widths = np.diff(dims)

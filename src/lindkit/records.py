@@ -4,17 +4,18 @@ Each document's one strict reader is built from the field readers here,
 which report every fault as a ConfigParse naming the key at fault.  A record
 is written as ``json.dumps(record, sort_keys=True, indent=2,
 allow_nan=False)`` plus a newline would write it, byte for byte, but without
-``json``'s pure-Python indenting encoder.  A table of rows handed over as
-its columns (:class:`Rows`), such as a Ramsey scan's fringe or the evolved
-states, is written with its keys sorted and escaped once, each scalar column
-formatted once and each matrix as its row is written.
+``json``'s pure-Python indenting encoder; the encoder takes the values
+records hold (:func:`canonical_json`) and refuses the rest.  A table handed
+over as its columns (:class:`Rows`), such as a Ramsey scan's fringe or the
+evolved states, is written through one row template: its keys sorted and
+escaped once, each scalar column formatted once, each matrix as its row is
+filled in.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import math
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -140,32 +141,23 @@ def complex_parts(re_key: str, im_key: str, m) -> dict:
 
 def canonical_json(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
-    written directly.
+    written directly, for the records the commands write: dicts with str
+    keys, lists, tuples, str, int, float, bool and None, and :class:`Rows`.
 
     With ``indent`` set, ``json`` formats through its pure-Python encoder,
     which costs an interpreter round trip per value; records here are mostly
     long lists of floats (the evolved states), so a list of floats only is one
     join over ``float.__repr__``, the repr ``json`` uses, checked with one
     ``math.isfinite`` pass.  A :class:`Rows` is written as the list of its
-    rows' dicts would be: its keys are sorted and escaped once, each scalar
-    column is formatted once (floats as the float lists are) and each matrix
-    as its row is written, and each row is written from those texts; a
-    column object met twice in one call, such as the detuning grid shared by
-    two scans, is formatted once for that call.  A table holding a value that
-    is not a scalar (str, None, bool, int, float) or that ``json`` rejects,
-    or a 3-D column that is not of finite float64 square matrices, is written
-    through its rows' dicts item by item, each matrix as its row-major list,
-    so that ``json``'s output or error, in ``json``'s row-major order, is
-    what the table gives.
-    Everything else follows ``json``: keys in
-    ``sorted(doc.items())`` order, int, float, bool and None keys converted
-    the same way, int and float subclasses written as plain numbers, strings
-    through ``encode_basestring_ascii``, and the same TypeError for an object
-    it cannot serialize and ValueError for NaN, infinity or a circular
-    reference.
+    rows' dicts would be, by one row template (:func:`_rows_texts`).  As in
+    ``json``, keys are in ``sorted(doc.items())`` order, int and float
+    subclasses are written as plain numbers and strings through
+    ``encode_basestring_ascii``.  A NaN or infinity raises ``json``'s
+    ValueError, and a key that is not a str or any other value TypeError;
+    a circular reference is not looked for, since no record holds one.
     """
     out = []
-    _encode(doc, out, "\n", set(), {})
+    _encode(doc, out, "\n", {})
     out.append("\n")
     return "".join(out)
 
@@ -201,26 +193,14 @@ def _scalar_text(o) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True or key is False or key is None:
-        return _LITERALS[key]
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
 class Rows:
     """A table for canonical_json to write, held as its columns: the rows
     ``{key: columns[key][i] for key in columns}`` for each i, written as
-    ``json`` writes that list of dicts.  A column that is a 3-D array, a
-    stack of matrices, gives each row the row-major list of its matrix.  The
-    keys in insertion order are the header of the table's CSV.  Columns of
-    unequal length raise ValueError."""
+    ``json`` writes that list of dicts.  A column is a sequence of scalars
+    (str, int, float, bool, None) or a 3-D array, a stack of finite float64
+    square matrices, which gives each row the row-major list of its matrix.
+    The keys in insertion order are the header of the table's CSV.  Columns
+    of unequal length raise ValueError."""
 
     __slots__ = ("columns",)
 
@@ -231,30 +211,27 @@ class Rows:
         self.columns = columns
 
 
-def _rows_texts(rows: Rows, inner: str, texts: dict) -> list:
+def _rows_texts(rows: Rows, inner: str, texts: dict) -> str:
     """The rows of ``rows`` as :func:`_encode` writes their dicts, separated
-    by ``"," + inner``, as a list of texts, empty for no rows: the keys
-    sorted and escaped once, each scalar column formatted once (a float
-    column by :func:`_float_texts`) into ``texts``, by its id, and each run
-    of a row's keys between its matrices one ``%`` format.  Small rows, of
-    scalars only, are joined into one text, each freed as it is joined; in
-    a large row, each matrix's text, made by :func:`_matrix_texts` as its
-    row is reached, is a text of the list, copied only into the record.  A
-    TypeError or ValueError, before any row, where :func:`canonical_json`
-    writes the rows' dicts instead."""
+    by ``"," + inner``, as one text, empty for no rows: the keys sorted and
+    escaped once into one ``%`` row template, each scalar column formatted
+    once (a float column by :func:`_float_texts`) into ``texts``, by its id,
+    and each matrix of a matrix column by :func:`_matrix_texts` as its row
+    is filled in.  A matrix column that is not a stack of square float64
+    matrices raises TypeError, and one with a NaN or infinity ``json``'s
+    ValueError."""
     field = inner + "  "
-    slots, groups, matrices = [], [[]], []
+    slots, cells = [], []
     for key in sorted(rows.columns):
         column = rows.columns[key]
         key_text = encode_basestring_ascii(key).replace("%", "%%") + ": "
         if isinstance(column, np.ndarray) and column.ndim == 3:
-            n, d, e = column.shape
-            if column.dtype != float or not d == e > 0 or not np.isfinite(column).all():
-                raise TypeError("not a stack of square finite float64 matrices")
-            # NUL splits the row at the matrix: no escaped key or indentation holds one
-            slots.append(key_text + "[" + field + "  \0" + field + "]")
-            matrices.append(_matrix_texts(column, "," + field + "  "))
-            groups.append([])
+            if column.dtype != float or not column.shape[1] == column.shape[2] > 0:
+                raise TypeError("a matrix column must be a stack of square float64 matrices")
+            if not np.isfinite(column).all():  # json's ValueError at the first NaN or infinity
+                _float_texts(column.reshape(-1).tolist())
+            slots.append(key_text + "[" + field + "  %s" + field + "]")
+            cells.append(_matrix_texts(column, "," + field + "  "))
             continue
         if id(column) not in texts:  # a column met before in this call is not formatted again
             try:
@@ -262,26 +239,18 @@ def _rows_texts(rows: Rows, inner: str, texts: dict) -> list:
             except TypeError:  # not floats only
                 texts[id(column)] = list(map(_scalar_text, column))
         slots.append(key_text + "%s")
-        groups[-1].append(texts[id(column)])
-    sep, row = "," + inner, "{" + field + ("," + field).join(slots) + inner + "}"
-    if not matrices:
-        text = sep.join(map(row.__mod__, zip(*groups[0])))
-        return [text] if text else []
-    segments = [map(segment.__mod__, zip(*group)) if group else repeat(segment % (), n)
-                for segment, group in zip(row.split("\0"), groups)]
-    streams = [repeat(sep), segments[0]]  # a row: sep, segment, matrix, segment, ...
-    for matrix, segment in zip(matrices, segments[1:]):
-        streams += (matrix, segment)
-    return list(chain.from_iterable(zip(*streams)))[1:]
+        cells.append(texts[id(column)])
+    row = "{" + field + ("," + field).join(slots) + inner + "}"
+    return ("," + inner).join(map(row.__mod__, zip(*cells)))
 
 
-def _encode(o, out: list, nl: str, path: set, texts: dict) -> None:
+def _encode(o, out: list, nl: str, texts: dict) -> None:
     """Append the canonical form of ``o`` to ``out``.  ``nl`` is a newline
-    and the indentation of the line ``o`` ends on; ``path`` holds the ids of
-    the containers ``o`` is nested in, and ``texts`` the texts of the
-    :class:`Rows` scalar columns formatted so far in this call.  A scalar is
-    written as by :func:`_scalar_text`, whose tests are repeated inline
-    here: a call per value made small records about 10 % slower to write."""
+    and the indentation of the line ``o`` ends on, and ``texts`` holds the
+    texts of the :class:`Rows` scalar columns formatted so far in this call.
+    A scalar is written as by :func:`_scalar_text`, whose tests are repeated
+    inline here: a call per value made small records about 10 % slower to
+    write."""
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif o is None or o is True or o is False:
@@ -300,45 +269,26 @@ def _encode(o, out: list, nl: str, path: set, texts: dict) -> None:
             return
         except TypeError:  # an item that is not a float: item by item below
             pass
-        _enter(o, path)
         out.append("[")
         for k, item in enumerate(o):
             out.append("," + inner if k else inner)
-            _encode(item, out, inner, path, texts)
+            _encode(item, out, inner, texts)
         out += (nl, "]")
-        path.remove(id(o))
     elif isinstance(o, dict):
         if not o:
             out.append("{}")
             return
-        _enter(o, path)
         inner = nl + "  "
         out.append("{")
         for k, (key, value) in enumerate(sorted(o.items())):
-            out += ("," + inner if k else inner,
-                    encode_basestring_ascii(_key_text(key)), ": ")
-            _encode(value, out, inner, path, texts)
+            out += ("," + inner if k else inner, encode_basestring_ascii(key), ": ")
+            _encode(value, out, inner, texts)
         out += (nl, "}")
-        path.remove(id(o))
     elif isinstance(o, Rows):
-        inner = nl + "  "
-        try:
-            pieces = _rows_texts(o, inner, texts)
-        except (TypeError, ValueError):  # json's output or error, row by row
-            columns = [[m.ravel().tolist() for m in c]  # a matrix as its row-major list
-                       if isinstance(c, np.ndarray) and c.ndim == 3 else c
-                       for c in o.columns.values()]
-            _encode([dict(zip(o.columns, row)) for row in zip(*columns)], out, nl, path, texts)
-            return
-        out += ("[", inner, *pieces, nl, "]") if pieces else ("[]",)
+        text = _rows_texts(o, nl + "  ", texts)
+        out += ("[", nl + "  ", text, nl, "]") if text else ("[]",)
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _enter(container, path: set) -> None:
-    if id(container) in path:
-        raise ValueError("Circular reference detected")
-    path.add(id(container))
 
 
 @functools.cache

@@ -2,15 +2,17 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian, random_matrix, random_measurement_model
-from lindkit import (GKSForm, LindbladModel, build_superoperator, errors, gks_project, matcore,
-                     quantum)
+from conftest import (random_hermitian, random_lindblad_model, random_matrix,
+                      random_measurement_model)
+from lindkit import (GKSForm, LindbladModel, build_superoperator, errors, gks_project, lindblad,
+                     matcore, quantum)
 from lindkit.matcore import (
     _TAYLOR_M,
     _cluster_labels,
@@ -313,6 +315,20 @@ class TestGeneralEig:
             general_eig(np.diag([1.0, 1.5]), tol_cluster=1.0)
         assert exc.value.cluster is not None
 
+    def test_null_space_past_the_multiplicity_is_reported_so(self):
+        # a [3, 2, 1] cluster at 0 beside 14 distinct eigenvalues up to 1000:
+        # the B^3 rank cutoff 20 * 1e-10 * ||B||^3, about 2, lies above the
+        # cubes of 1 and 1.1, so the ladder jumps from 5 to 8 dimensions,
+        # past the multiplicity 6; it did not stall short of it
+        n = 20
+        j = np.diag([1.0, 1.0, 0.0, 1.0] + [0.0] * (n - 5), 1)
+        j += np.diag([0.0] * 6 + [1.0, 1.1, *np.linspace(2.0, 14.0, 11), 1000.0])
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
+        with pytest.raises(errors.IllConditioned, match=re.escape(
+                "(multiplicity 6): generalized null space passed the multiplicity at "
+                "dimension 8")):
+            general_eig(q @ j @ q.T, tol_cluster=1e-2)
+
     @pytest.mark.parametrize("a, tol", [
         (np.array([[1.0, 1.0], [0.0, 1.0 + 1e-9]]), 1e-12),
         (np.array([[1.0, 1.0], [0.0, 1.0 + 1e-9]], dtype=complex), 1e-12),
@@ -558,6 +574,28 @@ def _series_case(n, seed, log_x, log_norm, nilpotent):
     return a, t, random_matrix(rng, n)[0], norm1
 
 
+def _exact_action(a, t, v):
+    """exp(t*a) @ v by its Taylor series in 40-digit arithmetic, an mpmath
+    column; t*||a||_1 is at most a few units here."""
+    with mpmath.workdps(40):
+        term = total = mpmath.matrix(v.tolist())
+        ta = mpmath.matrix(a.tolist()) * mpmath.mpf(t)
+        for k in range(1, 200):
+            term = ta * term / k
+            total += term
+            if mpmath.mnorm(term, 1) < mpmath.mpf(10)**-45:
+                return total
+    raise AssertionError("the series did not converge")
+
+
+def _relative_error(got, exact):
+    """max |got_i - exact_i| / max |exact_i|, the difference taken in 40
+    digits."""
+    with mpmath.workdps(40):
+        return float(max(abs(x - mpmath.mpf(float(g))) for g, x in zip(got, exact))
+                     / max(abs(x) for x in exact))
+
+
 def _lone_step(a, t, v, norm1):
     """exp(t*a) @ v as :func:`_step_actions` takes a grid of one step."""
     actions, _ = _step_actions(a, [t], norm1)
@@ -637,6 +675,27 @@ class TestExpmAction:
             assert _taylor_series(a, x, degree, 1, p, v).tobytes() == want
             if degree < 2:
                 assert actions[dts[degree]](v).tobytes() == want
+
+    def test_a_degree_one_family_correction_is_as_accurate_as_p_h(self, rng):
+        # a family corrects P_h v by the Taylor polynomial of degree 1 up to
+        # (dt - h) ||R||_1 = theta_2, which truncates by at most theta_2^2/2
+        # = 3.3e-16: over (theta_1, theta_2], on generators R of d = 2-4 with
+        # h ||R||_1 in [0.1, 3], the step errs, against a 40-digit
+        # reference, by at most twice what P_h v alone does, plus 2^-52
+        theta_1, theta_2 = matcore._TAYLOR_THETA[:2]
+        for _ in range(30):
+            d = int(rng.integers(2, 5))
+            r = lindblad._hermitian_generator(random_lindblad_model(rng, d))
+            norm1 = float(np.linalg.norm(r, 1))
+            h = rng.uniform(0.1, 3.0) / norm1
+            dt = h + rng.uniform(theta_1, theta_2) / norm1
+            v = rng.standard_normal(d * d)
+            actions, _ = _step_actions(r, np.repeat([h, dt], 50), norm1)
+            p = expm(r, h)
+            got = actions[dt](v)
+            assert got.tobytes() == _taylor_series(r, dt - h, 1, 1, p, v).tobytes()
+            p_error = _relative_error(p @ v, _exact_action(r, h, v))
+            assert _relative_error(got, _exact_action(r, dt, v)) <= 2 * p_error + 2.0**-52
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 16), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
