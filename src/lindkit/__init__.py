@@ -34,7 +34,7 @@ from .lindblad import (
     measurement_model,
     spectrum,
 )
-from .matcore import ChainSpectrum, expm, general_eig, herm_eig, unvec, vec
+from .matcore import ChainSpectrum, expm, general_eig, herm_eig
 from .perturb import PerturbationResult, first_order
 from .quantum import (
     DensityMatrix,

@@ -56,14 +56,13 @@ TOL_KERNEL = 1e-10
 TOL_GENERATOR_TRACE = 1e-8
 TOL_OPERATOR = 1e-12  # Choi eigenvalues at or below it give no Kraus operator
 MAX_RESAMPLE = 50
-# the constant entries of the kernel and GKS JSON: the schema, and the
-# conventions above as each document declares them
+# the constant entries of the kernel JSON: the schema, and the conventions
+# above as the document declares them
 KERNEL_CONSTANTS = {
     "schema": "lindkit.kernel/1",
     "vec_order": "row-major",
     "choi_convention": "sum Phi(|i><j|) x |i><j|",
 }
-GKS_CONSTANTS = {"schema": "lindkit.gks/1", "basis": "gellmann:sym-antisym-diag"}
 
 
 def reshuffle(mat: np.ndarray, dim: int) -> np.ndarray:
@@ -114,19 +113,12 @@ class Kernel:
             if np.linalg.norm(self.matrix - np.eye(d * d)) > TOL_KERNEL * d:
                 raise NotTracePreserving("K(0) must be the identity")
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return matcore.unvec(self.matrix @ matcore.vec(rho), self.dim)
-
     def choi(self) -> np.ndarray:
         return reshuffle(self.matrix, self.dim)
 
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "tau": self.tau, **KERNEL_CONSTANTS,
                            **records.complex_parts("re", "im", self.matrix)}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Kernel":
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Kernel":
@@ -137,7 +129,7 @@ class Kernel:
         for key, value in KERNEL_CONSTANTS.items():
             records.field(doc, key, records.one_of, (value,))
         d = records.field(doc, "dim", records.integer, 1)
-        tau = records.field(doc, "tau", records.real)
+        tau = records.field(doc, "tau", records.real, 0.0)
         matrix = records.complex_matrix(doc, "re", "im", (d * d, d * d))
         with records.within("re"):
             return cls(d, tau, matrix)
@@ -303,24 +295,6 @@ class GKSForm:
             raise NotHermitian("c matrix must be Hermitian")
         if not matcore._is_hermitian(self.hamiltonian, matcore.TOL_HERM):
             raise NotHermitian("GKS Hamiltonian must be Hermitian")
-
-    def to_json(self) -> str:
-        return json.dumps({"dim": self.dim, **GKS_CONSTANTS,
-                           **records.complex_parts("h_re", "h_im", self.hamiltonian),
-                           **records.complex_parts("c_re", "c_im", self.c_matrix)}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GKSForm":
-        """The form of a ``lindkit.gks/1`` document (the text :meth:`to_json`
-        writes): a fault raises ConfigParse naming its key, a failed check its error."""
-        doc = records.check_keys(json.loads(text), "gks",
-                                 {"dim", "h_re", "h_im", "c_re", "c_im"} | GKS_CONSTANTS.keys())
-        for key, value in GKS_CONSTANTS.items():
-            records.field(doc, key, records.one_of, (value,))
-        d = records.field(doc, "dim", records.integer, 1)
-        n = d * d - 1
-        return cls(d, records.complex_matrix(doc, "h_re", "h_im", (d, d)),
-                   records.complex_matrix(doc, "c_re", "c_im", (n, n)))
 
 
 def gks_build(gks: GKSForm) -> np.ndarray:

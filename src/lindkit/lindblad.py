@@ -85,10 +85,6 @@ class LindbladModel:
                           sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "LindbladModel":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_dict(cls, doc: dict) -> "LindbladModel":
         """The model of a parsed ``lindkit.model/1`` document (the form
         :meth:`to_json` writes): a missing or unknown key raises ConfigParse

@@ -1,13 +1,12 @@
 """Dense linear algebra: eigendecompositions (Hermitian and general,
 including generalized-eigenvector chains), the matrix exponential and its
-action on a vector, and the vec/unvec reshaping between d x d matrices and
-length-d^2 vectors.  Inputs are complex, except that
-``general_eig`` and ``expm`` keep a real input in real arithmetic.
+action on a vector.  Inputs are complex, except that ``general_eig`` and
+``expm`` keep a real input in real arithmetic.
 
 Conventions
 -----------
 vec is row-major: element (i, j) of a d x d matrix maps to slot i*d + j of the
-vector.  With this ordering,
+length-d^2 vector, which is ``m.reshape(-1)``.  With this ordering,
 
     vec(A @ X @ B) == np.kron(A, B.T) @ vec(X)
 
@@ -352,21 +351,6 @@ def _step_actions(a: np.ndarray, steps, norm1: float, probe: float = 0.0) -> tup
     return actions, probes
 
 
-def vec(m) -> np.ndarray:
-    """Row-major vectorization: (i, j) -> slot i*d + j."""
-    return as_square_matrix(m).reshape(-1)
-
-
-def unvec(v, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`; the exact round trip unvec(vec(m)) == m."""
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    if dim is None:
-        dim = int(round(np.sqrt(a.size)))
-    if dim * dim != a.size:
-        raise DimensionMismatch(f"vector of length {a.size} is not d*d")
-    return a.reshape(dim, dim)
-
-
 @dataclass
 class ChainSpectrum:
     """Eigenvalues with their generalized-eigenvector chains.
@@ -381,21 +365,6 @@ class ChainSpectrum:
     eigenvalues: list[complex]
     lengths: list[list[int]]
     vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def multiplicities(self) -> list[int]:
-        return [sum(per_eig) for per_eig in self.lengths]
-
-    @property
-    def chains(self) -> list[list[list[np.ndarray]]]:
-        """``chains[k][c]``: chain c of ``eigenvalues[k]`` as column views of
-        ``vectors``."""
-        cols = iter(self.vectors.T)
-        return [[[next(cols) for _ in range(p)] for p in per_eig] for per_eig in self.lengths]
 
 
 def _cluster_labels(vals: np.ndarray, tol: float) -> np.ndarray:

@@ -23,10 +23,6 @@ class PerturbationResult:
     rotated_basis: np.ndarray         # orthonormal columns
     degeneracy_groups: list[list[int]]
 
-    @property
-    def dim(self) -> int:
-        return self.rotated_basis.shape[0]
-
 
 def _fix_phases(basis: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Make the first non-negligible component of each column real-positive.

@@ -105,13 +105,6 @@ class DensityMatrix:
             raise UnnormalizedState(f"state norm is {nrm}")
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 @dataclass
 class ProjectorBasis:

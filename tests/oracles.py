@@ -13,7 +13,8 @@ Gaussian-averaged fringe are written out from their closed forms.
 For the generator layer: direct evaluation of L(rho), the generator and
 the GKS maps as explicit loops of Kronecker products, the Hermitian basis
 as the dense d^2 x d^2 unitary of its columns vec(G_a), and eigenvalue
-clustering by pairwise comparison of every pair.
+clustering by pairwise comparison of every pair; the generalized-eigenvector
+chains of a chain spectrum as column views.
 
 For states: the density-matrix checks and repair (the repaired matrix
 symmetrized, as the library's), the von Neumann entropy and the entropy rate
@@ -409,6 +410,13 @@ def cluster_pairwise(vals, tol):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def chain_views(cs):
+    """``chain_views(cs)[k][c]``: chain c of ``cs.eigenvalues[k]`` as column
+    views of ``cs.vectors``, read off its chain ``lengths``."""
+    cols = iter(cs.vectors.T)
+    return [[[next(cols) for _ in range(p)] for p in per_eig] for per_eig in cs.lengths]
 
 
 def density_matrix_single(mat, tol_herm=1e-10, tol_trace=1e-10, tol_pos=1e-10):

@@ -742,6 +742,8 @@ _MALFORMED = [
     ("lindblad-spectrum", "model-qubit", _set(("rho0", "re", 0), _NAN), "rho0"),
     # a negative tolerance is a config fault, not a failed Born limit
     ("born-check", "born-d3", _set(("tol",), -1.0), "tol"),
+    # a kernel's elapsed time is not negative
+    ("cp-check", "kernel-transpose", _set(("tau",), -1.0), "tau"),
 ]
 
 

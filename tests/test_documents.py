@@ -2,9 +2,10 @@
 a malformed document raises ConfigParse naming its key, and a document
 written by ``to_json`` (``to_dict`` for a Ramsey config) reads back with
 every bit of its arrays, the sign of a zero included.  The names the
-package exports are pinned here too, and each has a caller outside the unit
-tests."""
+package exports are pinned here too, and each of them, and each public
+method of an exported class, has a caller outside the unit tests."""
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -18,8 +19,7 @@ from hypothesis import strategies as st
 
 import lindkit
 from conftest import SM, SX
-from lindkit import (GKSForm, Kernel, LindbladModel, RamseyConfig, build_superoperator,
-                     gks_project, kernel_from_generator)
+from lindkit import Kernel, LindbladModel, RamseyConfig, build_superoperator, kernel_from_generator
 from lindkit.errors import ConfigParse
 
 _MODEL = LindbladModel(2, np.diag([0.5, -0.5]).astype(complex), [0.3 * SX, 0.2 * SM])
@@ -30,8 +30,6 @@ _RAMSEY = RamseyConfig(0.0, 100.0, 0.25, 100.0, np.pi, 50.0, 50.0, 5.0, 0.02 + 0
 _READERS = {
     "model": (LindbladModel.from_dict, json.loads(_MODEL.to_json())),
     "kernel": (Kernel.from_dict, json.loads(kernel_from_generator(_GEN, 0.8).to_json())),
-    "gks": (lambda doc: GKSForm.from_json(json.dumps(doc)),
-            json.loads(gks_project(_GEN).to_json())),
     "ramsey": (RamseyConfig.from_dict, _RAMSEY.to_dict()),
 }
 
@@ -60,11 +58,11 @@ _MALFORMED = [
     ("kernel", _set("re", 0, _NAN), "re"),
     ("kernel", _set("im", [0.0] * 15), "im"),
     ("kernel", _set("vec_order", "col-major"), "vec_order"),
-    ("gks", _set("dim", 2.9), "dim"),
-    ("gks", _set("c_re", 0, _NAN), "c_re"),
-    ("gks", _set("h_im", [0.0]), "h_im"),
-    ("gks", _set("junk", 1.0), "junk"),
-    ("gks", _set("basis", "pauli"), "basis"),
+    ("kernel", _set("tau", -1.0), "tau"),
+    ("kernel", _set("dim", 0), "dim"),
+    ("kernel", _set("schema", "lindkit.kernel/2"), "schema"),
+    ("kernel", _set("choi_convention", "sum |i><j| x Phi(|i><j|)"), "choi_convention"),
+    ("kernel", _set("re", [0.0] * 15), "re"),
     ("model", _set("dim", 2.5), "model"),
     ("model", _set("dim", "2"), "model"),
     ("model", _set("lindblads", 0, "junk", 1.0), "model"),
@@ -132,10 +130,6 @@ def test_documents_round_trip_every_bit(d, n_ops, seed, tau):
     assert (back.dim, back.tau) == (d, tau)
     assert _bits(back.matrix) == _bits(kernel.matrix)
 
-    gks = gks_project(gen)
-    back = GKSForm.from_json(gks.to_json())
-    assert _bits(back.hamiltonian, back.c_matrix) == _bits(gks.hamiltonian, gks.c_matrix)
-
 
 _SIGNED = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
 _NONNEGATIVE = st.floats(0.0, 1e3) | st.sampled_from([0.0, -0.0])
@@ -165,8 +159,8 @@ PUBLIC_NAMES = [
     "expm", "extract_generator", "first_order", "gaussian_fraction", "gellmann",
     "general_eig", "gks_build", "gks_project", "herm_eig", "kernel_from_generator",
     "kernel_spectrum", "lindblad", "matcore", "measurement_model", "perturb", "protocol",
-    "pulse_closed_form", "quantum", "ramsey", "records", "scan", "spectrum", "unvec", "vec",
-    "vn_entropies", "vn_entropy",
+    "pulse_closed_form", "quantum", "ramsey", "records", "scan", "spectrum", "vn_entropies",
+    "vn_entropy",
 ]
 
 
@@ -179,7 +173,7 @@ def test_public_names_are_pinned():
          "import lindkit; print('\\n'.join(sorted(n for n in dir(lindkit) if n[0] != '_')))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     assert out.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 53
 
 
 def _names_used(path):
@@ -204,14 +198,54 @@ def _names_used(path):
     return used
 
 
-def test_public_names_have_callers():
-    # a name the package exports is used by the package itself, the
-    # benchmark, a tool or the acceptance suite; one that only unit tests
-    # call belongs in tests/oracles.py
+def _program_files():
+    """The package, the benchmark, the tools and the acceptance suite."""
     root = Path(__file__).resolve().parents[1]
     files = [p for p in sorted((root / "src" / "lindkit").glob("*.py"))
              if p.name != "__init__.py"]
     files += sorted((root / "perfbench").glob("*.py")) + sorted((root / "tools").glob("*.py"))
-    files.append(root / "tests" / "test_acceptance.py")
-    used = set().union(*map(_names_used, files))
+    return files + [root / "tests" / "test_acceptance.py"]
+
+
+def test_public_names_have_callers():
+    # a name the package exports is used by the package itself, the
+    # benchmark, a tool or the acceptance suite; one that only unit tests
+    # call belongs in tests/oracles.py
+    used = set().union(*map(_names_used, _program_files()))
     assert [name for name in PUBLIC_NAMES if name not in used] == []
+
+
+def _attributes_read(path):
+    """The attribute names a Python file reads, a read inside a function of
+    the same name not counted."""
+    reads = set()
+
+    def visit(node, inside):
+        if isinstance(node, ast.FunctionDef):
+            inside = inside | {node.name}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and node.attr not in inside):
+            reads.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+    visit(ast.parse(path.read_text()), frozenset())
+    return reads
+
+
+def test_public_methods_have_callers():
+    """Every public method, property and classmethod defined in the body of
+    a class that ``import lindkit`` binds is read as an attribute, by name, in
+    a program file.  The test matches names, not types: a name that another
+    class shares, such as ``dim`` or ``to_json``, passes on a read of either,
+    so such a name wants a look of its own at who calls it."""
+    read = set().union(*map(_attributes_read, _program_files()))
+    unread = []
+    for name in PUBLIC_NAMES:
+        cls = getattr(lindkit, name)
+        if not isinstance(cls, type):
+            continue
+        body = ast.parse(inspect.getsource(cls)).body[0].body
+        unread += [f"{name}.{node.name}" for node in body
+                   if isinstance(node, ast.FunctionDef) and node.name[0] != "_"
+                   and node.name not in read]
+    assert unread == []

@@ -11,14 +11,13 @@ For d in DIMS a random generator (seed SEED, two Lindblad operators) is
 scaled to ||L||_1 = d^2 as in perfbench's dynamics workload and evolved over
 that workload's 50-point linspace(0.05, 2, 50) (case "linspace50") and at
 the single time 1.0 (case "single").  Case "stencil50" evolves it at those
-50 times and 1e-5 either side of each, as entropy-check does:
-lindblad.evolve_stencil, or, in a checkout without it, evolve_many over the
-interleaved 150-point grid.  Case "stencil-stiff" takes that stencil at
-the single time 0, where the + eps step is all the work, of the generator
-scaled to eps ||R||_1 = 1e4 (R the generator in the Hermitian basis, or L
-in a checkout without it).  The spectrum is taken (case "spectrum"), the
-generator built (case "build", lindblad.build_superoperator), and a config
-with the 50-point grid run through the command line in-process (cases
+50 times and STENCIL_EPS either side of each, as entropy-check does, with
+lindblad.evolve_stencil.  Case "stencil-stiff" takes that stencil at the
+single time 0, where the + eps step is all the work, of the generator
+scaled to eps ||R||_1 = 1e4 (R the generator in the Hermitian basis).  The
+spectrum is taken (case "spectrum"), the generator built (case "build",
+lindblad.build_superoperator), and a config with the 50-point grid run
+through the command line in-process (cases
 "evolve-cli" and "entropy-cli": ``cli.main([command, "--config", path])``
 for lindblad-evolve and entropy-check, each record written to memory).
 Case "evolve-record" writes the in-memory record of that lindblad-evolve
@@ -78,6 +77,7 @@ import numpy as np  # noqa: E402  (after the thread pins)
 
 DIMS = (2, 3, 4, 5, 6, 8, 12, 16, 24)
 KERNEL_TAU = 0.5
+STENCIL_EPS = 1e-5
 JORDAN_TOL = 1e-4
 REPEAT = 3
 ROUNDS = 11
@@ -136,14 +136,6 @@ def choi_kraus(lk, kernel):
     return lk.channels.choi_cp_test(kernel)[1].kraus_like
 
 
-def stencil(lk, model, rho0, times, eps=1e-5):
-    """The states entropy-check evolves: at t, t + eps and max(t - eps, 0)."""
-    if hasattr(lk.lindblad, "evolve_stencil"):
-        return lk.lindblad.evolve_stencil(model, rho0, times, eps)
-    grid = [s for t in times for s in (t, t + eps, max(t - eps, 0.0))]
-    return lk.lindblad.evolve_many(model, rho0, grid)
-
-
 def run_cli(cli, argv: list) -> int:
     """``cli.main(argv)`` with its stdout written to memory.  An older
     checkout's command line finds a bundled config in the package named
@@ -194,15 +186,16 @@ def main() -> None:
             for name, grid in grids.items():
                 work.append((d, name, [partial(lk.lindblad.evolve_many, model, rho0, grid)
                                        for lk, model, rho0 in models]))
-            work.append((d, "stencil50", [partial(stencil, lk, model, rho0, grids["linspace50"])
+            work.append((d, "stencil50", [partial(lk.lindblad.evolve_stencil, model, rho0,
+                                                  grids["linspace50"], STENCIL_EPS)
                                           for lk, model, rho0 in models]))
             stiff = []
             for lk, model, rho0 in models:
-                gen = getattr(lk.lindblad, "_hermitian_generator", lk.lindblad.build_superoperator)
-                s = 1e9 / float(np.linalg.norm(gen(model), 1))
+                s = 1e9 / float(np.linalg.norm(lk.lindblad._hermitian_generator(model), 1))
                 stiff_model = lk.lindblad.LindbladModel(
                     d, s * model.hamiltonian, [np.sqrt(s) * op for op in model.lindblads])
-                stiff.append(partial(stencil, lk, stiff_model, rho0, [0.0]))
+                stiff.append(partial(lk.lindblad.evolve_stencil, stiff_model, rho0, [0.0],
+                                     STENCIL_EPS))
             work.append((d, "stencil-stiff", stiff))
             work.append((d, "spectrum", [partial(lk.lindblad.spectrum, model)
                                          for lk, model, _ in models]))
