@@ -17,7 +17,6 @@ from .channels import (
     gks_build,
     gks_project,
     kernel_from_generator,
-    kernel_spectrum,
 )
 from .lindblad import (
     DecayMatrix,

@@ -20,8 +20,8 @@ of the superoperator and coincides with the Choi matrix in the convention
 Hermiticity preservation of the map is Hermiticity of this reshuffled matrix,
 its eigenvalues are the Choi spectrum (summing to d for a trace-preserving
 map), and its reshaped eigenvectors are the orthonormal operator family of
-the kernel's spectral decomposition.  One type, :class:`ChoiSpectrum`, holds
-that decomposition: the eigenvalues, and the eigen-matrices as one
+the kernel's spectral decomposition, which :func:`choi_cp_test` returns as
+one :class:`ChoiSpectrum`: the eigenvalues, and the eigen-matrices as one
 (d^2, d, d) stack, decomposed only when read.  The eigen-matrices depend
 on this convention; the CP verdict does not.
 
@@ -78,15 +78,9 @@ def reshuffle(mat: np.ndarray, dim: int) -> np.ndarray:
     )
 
 
-def trace_defect(mat: np.ndarray, dim: int) -> float:
-    """How far the superoperator (a propagator) is from preserving the trace."""
-    vec_i = np.eye(dim, dtype=complex).reshape(-1)
-    return float(np.linalg.norm(vec_i @ mat - vec_i))
-
-
 @dataclass
 class Kernel:
-    """Markovian propagator over an elapsed time tau."""
+    """Markovian propagator over an elapsed time tau, 0 <= tau < inf."""
 
     dim: int
     tau: float
@@ -102,19 +96,20 @@ class Kernel:
         # before the checks below: a NaN defect compares False against any tolerance
         if not np.isfinite(self.matrix).all():
             raise Overflow("kernel matrix entries must be finite")
+        # after that test: a diagonal L's kernel at tau = inf is an Overflow
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau!r}")
         c = reshuffle(self.matrix, d)
         if not matcore._is_hermitian(c, TOL_KERNEL):
             raise NotHermitianKernel(
                 f"kernel does not preserve Hermiticity ({matcore._defect_text(c)})")
-        defect = trace_defect(self.matrix, d)
+        vec_i = np.eye(d, dtype=complex).reshape(-1)
+        defect = float(np.linalg.norm(vec_i @ self.matrix - vec_i))
         if defect > TOL_KERNEL * d:
             raise NotTracePreserving(f"trace defect {defect:.3e}")
         if self.tau == 0.0:
             if np.linalg.norm(self.matrix - np.eye(d * d)) > TOL_KERNEL * d:
                 raise NotTracePreserving("K(0) must be the identity")
-
-    def choi(self) -> np.ndarray:
-        return reshuffle(self.matrix, self.dim)
 
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "tau": self.tau, **KERNEL_CONSTANTS,
@@ -178,7 +173,8 @@ def kernels_from_generator(generator: np.ndarray, taus) -> list[Kernel]:
     An L with no off-diagonal entry, a zero L among them, takes the diagonal
     of entrywise exponentials (the bits scipy's complex expm of tau L gives
     it) under the same bound on ||tau L||_1.  Every kernel at tau = 0 is
-    exactly the identity.  The first error raised is the one that
+    exactly the identity.  A negative tau raises the Kernel's ValueError,
+    after the Overflow of the bound.  The first error raised is the one that
     :func:`kernel_from_generator` at each tau in turn would raise first, and
     each kernel has that call's bits.
     """
@@ -187,10 +183,7 @@ def kernels_from_generator(generator: np.ndarray, taus) -> list[Kernel]:
     d = math.isqrt(n)
     if d * d != n:
         raise DimensionMismatch("generator side must be a perfect square")
-    # row k of the (n - 1, n + 1) view holds the n entries between diagonal
-    # entries k and k + 1, and diagonal entry k + 1; entry (0, 1), nonzero
-    # in most dense L, settles the test without that scan (4 us at n = 4, 2-core Xeon)
-    if n > 1 and gen[0, 1] or gen.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any():
+    if np.count_nonzero(gen) > np.count_nonzero(np.diagonal(gen)):
         r = _real_generator(gen, check=True)
         eye = np.eye(n)
         return [Kernel(d, tau, eye + gellmann.both_axes(gellmann.from_coords,
@@ -240,28 +233,18 @@ class ChoiSpectrum:
         return rows.reshape(-1, d, d)
 
 
-def kernel_spectrum(k: Kernel) -> ChoiSpectrum:
-    """The Choi spectrum of the kernel in its Hermitian index pairing: one
-    ``eigvalsh`` of k.choi(), its ascending output reversed; the
-    eigen-matrices wait for a read of ``kraus_like``.
-
-    At tau = 0 the top eigenvalue is d with eigen-matrix I/sqrt(d) and the
-    remaining d^2 - 1 eigenvalues vanish with traceless eigen-matrices.
-    """
-    choi = k.choi()
-    return ChoiSpectrum(np.linalg.eigvalsh(choi)[::-1], choi)
-
-
 def choi_cp_test(k: Kernel):
-    """Complete positivity via the Choi spectrum.
+    """Complete positivity via the Choi spectrum: (is_cp, ChoiSpectrum).
 
-    Returns (is_cp, ChoiSpectrum); ``is_cp`` is min(lambda) >= -TOL_KERNEL * d
-    (the eigensolver noise floor of exactly-CP maps).  The verdict reads the
-    eigenvalues only, so the test costs one ``eigvalsh`` of the d^2 x d^2
-    Choi matrix.
+    The spectrum is one ``eigvalsh`` of reshuffle(K), reversed to descend,
+    and ``is_cp`` is min(lambda) >= -TOL_KERNEL * d (the eigensolver noise
+    floor of exactly-CP maps); the eigen-matrices wait for a read of
+    ``kraus_like``.  At tau = 0 the top eigenvalue is d with eigen-matrix
+    I/sqrt(d) and the other d^2 - 1 vanish with traceless eigen-matrices.
     """
-    spec = kernel_spectrum(k)
-    return bool(spec.lambdas.min() >= -(TOL_KERNEL * k.dim)), spec
+    choi = reshuffle(k.matrix, k.dim)
+    lambdas = np.linalg.eigvalsh(choi)[::-1]
+    return bool(lambdas.min() >= -(TOL_KERNEL * k.dim)), ChoiSpectrum(lambdas, choi)
 
 
 def kraus_operators(spectrum: ChoiSpectrum) -> np.ndarray:

@@ -412,7 +412,9 @@ def measurement_model(basis: ProjectorBasis, l_coeffs, h_coeffs) -> MeasurementM
 @dataclass
 class DecayMatrix:
     """Pairwise decay rates lambda_{alpha beta} of a diagonal model, and the
-    energy-phase-free variant lambda-tilde used by the Ramsey analysis."""
+    energy-phase-free variant lambda-tilde, whose (e, g) entry for a two-level
+    model is the ``lambda_tilde_eg`` a ``RamseyConfig`` takes (tied to the
+    free flight by tests/test_ramsey.py::TestCorrectionConsistency)."""
 
     basis: ProjectorBasis
     lambdas: np.ndarray        # lambda_{alpha beta}, zero on the diagonal

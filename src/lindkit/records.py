@@ -248,18 +248,9 @@ def _encode(o, out: list, nl: str, texts: dict) -> None:
     """Append the canonical form of ``o`` to ``out``.  ``nl`` is a newline
     and the indentation of the line ``o`` ends on, and ``texts`` holds the
     texts of the :class:`Rows` scalar columns formatted so far in this call.
-    A scalar is written as by :func:`_scalar_text`, whose tests are repeated
-    inline here: a call per value made small records about 10 % slower to
-    write."""
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None or o is True or o is False:
-        out.append(_LITERALS[o])
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
+    Anything but a list, tuple, dict or :class:`Rows` is written by
+    :func:`_scalar_text`."""
+    if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
@@ -288,7 +279,7 @@ def _encode(o, out: list, nl: str, texts: dict) -> None:
         text = _rows_texts(o, nl + "  ", texts)
         out += ("[", nl + "  ", text, nl, "]") if text else ("[]",)
     else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        out.append(_scalar_text(o))
 
 
 @functools.cache

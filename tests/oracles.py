@@ -553,7 +553,7 @@ def choi_eigh(kernel):
     """(lambdas, kraus_like) of ``kernel``'s Choi matrix from one eigh: the
     eigenvalues descending, each eigenvector a (d, d) matrix whose first
     entry of largest modulus is made real positive."""
-    vals, vecs = np.linalg.eigh(kernel.choi())
+    vals, vecs = np.linalg.eigh(reshuffle(kernel.matrix, kernel.dim))
     order = np.argsort(vals)[::-1]
     rows = vecs.T[order]
     piv = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]

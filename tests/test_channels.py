@@ -31,7 +31,6 @@ from lindkit import (
     gks_build,
     gks_project,
     kernel_from_generator,
-    kernel_spectrum,
     matcore,
 )
 from lindkit.channels import (
@@ -39,7 +38,6 @@ from lindkit.channels import (
     extract_generators,
     kraus_operators,
     reshuffle,
-    trace_defect,
 )
 from oracles import (choi_eigh, gellmann_basis, gks_build_loops, gks_lindblad_ops,
                      gks_project_loops, kernel_from_unitary_ensemble, reassemble, vec_basis)
@@ -99,7 +97,7 @@ class TestKernelBasics:
 class TestKernelSpectrum:
     def test_tau_zero_structure(self):
         k = Kernel(2, 0.0, np.eye(4, dtype=complex))
-        spec = kernel_spectrum(k)
+        spec = choi_cp_test(k)[1]
         assert np.allclose(spec.lambdas, [2, 0, 0, 0], atol=1e-12)
         assert np.allclose(spec.kraus_like[0], np.eye(2) / np.sqrt(2), atol=1e-12)
         for u in spec.kraus_like[1:]:
@@ -108,12 +106,12 @@ class TestKernelSpectrum:
     def test_unitary_conjugation_reassembles(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         k = Kernel(2, 1.0, np.kron(sx, sx.conj()))
-        spec = kernel_spectrum(k)
+        spec = choi_cp_test(k)[1]
         assert np.linalg.norm(reassemble(spec) - k.matrix) < 1e-12
 
     def test_orthonormality_and_completeness(self, rng):
         k = random_cp_kernel(rng, 3)
-        spec = kernel_spectrum(k)
+        spec = choi_cp_test(k)[1]
         gram = np.array(
             [
                 [np.sum(u * v.conj()) for v in spec.kraus_like]
@@ -128,7 +126,7 @@ class TestKernelSpectrum:
 
     def test_reassembly_random(self, rng):
         k = random_cp_kernel(rng, 2)
-        assert np.linalg.norm(reassemble(kernel_spectrum(k)) - k.matrix) < 1e-9
+        assert np.linalg.norm(reassemble(choi_cp_test(k)[1]) - k.matrix) < 1e-9
 
 
 class TestChoiCp:
@@ -226,6 +224,12 @@ def _generator(seed, d):
     return build_superoperator(random_lindblad_model(np.random.default_rng(seed), d))
 
 
+def _diagonal_generator():
+    # a d = 3 model with no off-diagonal entry in L
+    return build_superoperator(LindbladModel(
+        3, np.diag([0.5, -1.0, 2.0]), [np.diag([1.0, 0.3j, -2.0])]))
+
+
 def _max_relative(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
@@ -246,7 +250,8 @@ def test_kraus_like_is_the_one_eigh_decomposition(d, seed):
     assert np.array_equal(spec.kraus_like, want)
     # eigvalsh's eigenvalues match eigh's to rounding, in the same order
     assert np.all(np.diff(spec.lambdas) <= 0)
-    assert np.abs(spec.lambdas - want_vals).max() <= 2 * _eigenvalue_bound(kernel.choi())
+    bound = 2 * _eigenvalue_bound(reshuffle(kernel.matrix, kernel.dim))
+    assert np.abs(spec.lambdas - want_vals).max() <= bound
 
 
 # |lambda_computed - lambda_exact| <= N_EPS_BOUND n u ||C||_2 for the n x n
@@ -264,7 +269,7 @@ def _eigenvalue_bound(choi):
 @pytest.mark.parametrize("seed", range(5))
 def test_choi_eigenvalues_meet_the_backward_error_bound(d, seed):
     kernel = _seeded_cp_kernel(seed, d)
-    choi = kernel.choi()
+    choi = reshuffle(kernel.matrix, kernel.dim)
     with mpmath.workdps(40):
         exact = mpmath.eigh(mpmath.matrix(choi.tolist()), eigvals_only=True)
         exact = np.sort([float(x) for x in exact])[::-1]
@@ -297,8 +302,7 @@ def test_kernels_at_several_times_are_the_one_time_kernels(diagonal):
     # call; a time past the norm bound raises that call's Overflow
     gen = _generator(3, 3)
     if diagonal:
-        gen = build_superoperator(LindbladModel(
-            3, np.diag([0.5, -1.0, 2.0]), [np.diag([1.0, 0.3j, -2.0])]))
+        gen = _diagonal_generator()
     taus = (0.3, 0.0, 1.1, 0.3)
     got = channels.kernels_from_generator(gen, taus)
     assert [k.tau for k in got] == list(taus)
@@ -418,8 +422,7 @@ def test_kernels_of_diagonal_generators_are_the_complex_exponential(d):
 def test_diagonal_generator_kernels_keep_the_identity_and_the_norm_bound():
     # the entrywise exponential of a diagonal L is exactly I at tau = 0,
     # and refuses ||tau L||_1 past the bound with matcore.expm's Overflow
-    gen = build_superoperator(LindbladModel(
-        3, np.diag([0.5, -1.0, 2.0]), [np.diag([1.0, 0.3j, -2.0])]))
+    gen = _diagonal_generator()
     assert kernel_from_generator(gen, 0.0).matrix.tobytes() == np.eye(9, dtype=complex).tobytes()
     tau = 2 * matcore.EXPM_NORM_BOUND / np.abs(np.diagonal(gen)).max()
     with pytest.raises(errors.Overflow) as diagonal:
@@ -427,6 +430,55 @@ def test_diagonal_generator_kernels_keep_the_identity_and_the_norm_bound():
     with pytest.raises(errors.Overflow) as dense:
         matcore.expm(gen, tau)
     assert str(diagonal.value) == str(dense.value)
+    # inf times a zero diagonal entry is NaN: the Kernel tests its entries
+    # before its tau, so a zero L at tau = inf stays an Overflow
+    with np.errstate(invalid="ignore"), pytest.raises(errors.Overflow, match="finite"):
+        kernel_from_generator(np.zeros((4, 4)), np.inf)
+
+
+def test_a_single_entry_off_the_diagonal_takes_the_dense_path(monkeypatch):
+    # H = 0 and the one operator |1><2| at d = 3: L's only off-diagonal entry
+    # is ((1, 1), (2, 2)), and entry (0, 1) is zero.  The diagonal path would
+    # drop it, giving 0 where exp(tau L) holds 1 - exp(-tau)
+    jump = np.zeros((3, 3))
+    jump[1, 2] = 1.0
+    gen = build_superoperator(LindbladModel(3, np.zeros((3, 3)), [jump]))
+    off = gen - np.diag(np.diagonal(gen))
+    assert np.flatnonzero(off).tolist() == [4 * 9 + 8] and gen[0, 1] == 0
+    calls = []
+    real_generator = channels._real_generator
+    monkeypatch.setattr(channels, "_real_generator",
+                        lambda *a, **k: calls.append(1) or real_generator(*a, **k))
+    for tau in (0.3, 1.7):
+        got = kernel_from_generator(gen, tau).matrix
+        assert np.abs(got - scipy.linalg.expm(tau * gen)).max() <= 1e-12
+    assert len(calls) == 2
+
+
+def test_a_one_by_one_zero_generator_takes_the_diagonal_path(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("the dense path was taken")
+
+    monkeypatch.setattr(channels, "_real_generator", dense)
+    kernel = kernel_from_generator(np.zeros((1, 1)), 0.8)
+    assert kernel.matrix.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("source, tau", [
+    ("matrix", -1.0), ("matrix", float("nan")), ("matrix", float("inf")),
+    ("dense", -1.0), ("diagonal", -1.0),
+])
+def test_kernel_refuses_a_negative_or_non_finite_tau(source, tau):
+    # exp(-L) of a decaying qubit is the backward propagator, not a kernel
+    sigma_minus = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="tau"):
+        if source == "matrix":
+            Kernel(2, tau, np.eye(4))
+        elif source == "dense":
+            kernel_from_generator(
+                build_superoperator(LindbladModel(2, np.zeros((2, 2)), [sigma_minus])), tau)
+        else:
+            kernel_from_generator(_diagonal_generator(), tau)
 
 
 class TestGellmann:
@@ -556,7 +608,8 @@ def test_gks_semigroup_with_psd_c_is_cptp(d, rank, seed, log_tau):
     kernel = kernel_from_generator(gks_build(gks), 10.0**log_tau)
     is_cp, spec = choi_cp_test(kernel)
     assert is_cp, spec.lambdas.min()
-    assert trace_defect(kernel.matrix, d) <= 1e-12
+    vec_i = np.eye(d, dtype=complex).reshape(-1)
+    assert np.linalg.norm(vec_i @ kernel.matrix - vec_i) <= 1e-12  # the trace defect
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
