@@ -191,8 +191,10 @@ def kernels_from_generator(generator: np.ndarray, taus) -> list[Kernel]:
                 for tau in taus]
     kernels = []
     for tau in taus:
-        scaled = tau * np.diagonal(gen)
-        matcore._check_expm_norm(float(np.abs(scaled).max()))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
+            scaled = tau * np.diagonal(gen)
+        nrm = float(np.abs(scaled).max())  # not finite: inf, as in matcore.expm
+        matcore._check_expm_norm(nrm if math.isfinite(nrm) else math.inf)
         # at tau = 0, exp(0 * L_kk) may carry an imaginary part of -0
         kernels.append(Kernel(d, tau, np.diag(np.exp(scaled)) if tau
                               else np.eye(n, dtype=complex)))

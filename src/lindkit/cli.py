@@ -259,12 +259,10 @@ def _cmd_ramsey_point(args, cfg, theory, *_):
 
 def _cmd_lindblad_evolve(args, model, rho0, times, *_):
     rhos = lindblad.evolve_many(model, rho0, times)
-    stack = np.array([rho.matrix for rho in rhos], dtype=complex).reshape(
-        len(rhos), model.dim, model.dim)
-    states = Rows(t=times, re=stack.real, im=stack.imag,
-                  trace=np.trace(stack, axis1=1, axis2=2).real.tolist(),
-                  entropy=quantum.vn_entropies(rhos).tolist(),
-                  repaired=[rho.repaired for rho in rhos])
+    states = Rows(t=times, re=rhos.matrices.real, im=rhos.matrices.imag,
+                  trace=np.trace(rhos.matrices, axis1=1, axis2=2).real.tolist(),
+                  entropy=quantum.vn_entropies(rhos.eigenvalues).tolist(),
+                  repaired=rhos.repaired.tolist())
     return 0, {"states": states}, None
 
 
@@ -314,9 +312,9 @@ def _cmd_entropy_check(args, model, rho0, times, *_):
     # the +-eps steps taken for all of them at once; the quotient's span is
     # 2 eps, or t + eps for t < eps
     states, plus, minus = lindblad.evolve_stencil(model, rho0, times, eps)
-    rates = quantum.entropy_rates(states, model.lindblads)
-    s_plus = quantum.vn_entropies(plus)
-    s_minus = quantum.vn_entropies(minus)
+    rates = quantum.entropy_rates(states.matrices, model.lindblads)
+    s_plus = quantum.vn_entropies(plus.eigenvalues)
+    s_minus = quantum.vn_entropies(minus.eigenvalues)
     balanced = model.balanced
     fd = (s_plus - s_minus) / (np.minimum(times, eps) + eps)
     ok = not (balanced and (rates < -1e-12).any()) and not (np.abs(rates - fd) > 1e-6).any()

@@ -34,7 +34,7 @@ from .errors import (
     Overflow,
 )
 from .matcore import ChainSpectrum
-from .quantum import DensityMatrix, ProjectorBasis
+from .quantum import DensityMatrix, ProjectorBasis, States
 
 MODEL_SCHEMA = "lindkit.model/1"
 BALANCE_TOL = 1e-10
@@ -276,42 +276,34 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatrix
     return evolve_many(model, rho0, [t])[0]
 
 
-def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> list[DensityMatrix]:
-    """rho(t) = unvec(exp(t L) vec(rho0)) for every t in ``times``, in input
-    order, with the clip-and-renormalize repair policy of DensityMatrix
-    applied to each returned state.
+def evolve_many(model: LindbladModel, rho0: DensityMatrix, times) -> States:
+    """rho(t) = unvec(exp(t L) vec(rho0)) for every t in ``times``, as one
+    :class:`~lindkit.quantum.States` in input order, checked and repaired by
+    :meth:`DensityMatrix.from_matrices`; the first invalid state in
+    sorted-time order raises.  A time t = 0 holds rho0's matrix and
+    ``repaired`` flag, unchecked.
 
     The state evolves as its real coherence vector, x(t) = exp(t R) x(0)
     with x(0) = V^dag vec(rho0) and R, ||R||_1 built once
     (:func:`_hermitian_generator`).  The times are visited in sorted order
-    and each x comes from the previous one by one step exp(dt R) x.  The
-    grid's distinct steps are planned once, by :func:`matcore._step_actions`:
-    dt joins the family of the smallest step h below it when
-    (dt - h) ||R||_1 <= theta_2, and a family whose steps would save more
-    matrix-vector products than one dense P_h = exp(h R) costs takes each
-    step as exp((dt - h) R) P_h x, the correction a Taylor polynomial of
-    degree at most 1: over (theta_1, theta_2] degree 1 truncates by at most
-    theta_2^2 / 2 = 3.3e-16, below P_h's own rounding.  Every other step, a
-    single time's included, takes its plan's Taylor-or-dense rule
-    (:func:`matcore._planned_action`), which is also the cost model.  So a
-    uniform grid costs about one real matrix-vector product per point, and a
-    long single step is one dense exponential, with its Overflow bound.  R
-    keeps the trace fixed, and each x maps back to an exactly Hermitian
-    state; the states are checked and repaired as one stack
-    (:meth:`DensityMatrix.from_matrices`), and the first invalid one in
-    sorted-time order raises.  t = 0 returns a copy of rho0 with its
-    ``repaired`` flag.  :func:`evolve_stencil` adds states a short step
-    either side of each time to the same chain.
+    and each x comes from the previous one by one step exp(dt R) x, the
+    grid's distinct steps planned once by :func:`matcore._step_actions`:
+    nearby steps share one dense exp(h R) (:func:`matcore._step_families`),
+    so a uniform grid costs about one real matrix-vector product per point,
+    and a long single step is one dense exponential, with its Overflow
+    bound.  R keeps the trace fixed, and each x maps back to an exactly
+    Hermitian state.  :func:`evolve_stencil` adds states a short step either
+    side of each time to the same chain.
     """
-    times, order, _, raw, _ = _coherence_chain(model, rho0, times)
-    return _place(rho0, times, [order], [raw])[0]
+    times, order, x, _ = _coherence_chain(model, rho0, times)
+    return _place(rho0, times, [order], [x[order]])[0]
 
 
 def evolve_stencil(model: LindbladModel, rho0: DensityMatrix, times, eps: float):
-    """(rho(t), rho(t + eps), rho(max(t - eps, 0))), three lists in the
-    input order of ``times``, for a step eps > 0 (else ValueError) with
-    eps ||R||_1 within :data:`matcore.EXPM_NORM_BOUND` (else Overflow,
-    before any step).
+    """(rho(t), rho(t + eps), rho(max(t - eps, 0))), three
+    :class:`~lindkit.quantum.States` in the input order of ``times``, for a
+    step eps > 0 (else ValueError) with eps ||R||_1 within
+    :data:`matcore.EXPM_NORM_BOUND` (else Overflow, before any step).
 
     The states at t are :func:`evolve_many`'s, with the same bits, from the
     same chain.  The states at t +- eps are exp(+-eps R) x(t): one block of
@@ -319,15 +311,13 @@ def evolve_stencil(model: LindbladModel, rho0: DensityMatrix, times, eps: float)
     one planning call (:func:`matcore._step_actions`), and an empty block
     not at all.  For t >= eps the earlier state is the trajectory's own,
     exp(-eps R) x(t), whose rounding grows by at most e^{eps ||R||_1}, and
-    Overflow is raised when it leaves double precision; for t < eps it is a
-    copy of rho0.  All the evolved states are checked and repaired as one
+    Overflow is raised when it leaves double precision; for t < eps it is
+    rho0's row.  All the evolved states are checked and repaired as one
     stack, the states at t first.
     """
     if not eps > 0:
         raise ValueError("the stencil step must be positive")
-    times, order, x0, raw, (forward, backward) = _coherence_chain(model, rho0, times, eps)
-    x = np.repeat(x0[None], len(times), axis=0)
-    x[order] = raw
+    times, order, x, (forward, backward) = _coherence_chain(model, rho0, times, eps)
     back = [k for k, t in enumerate(times) if t >= eps]
     plus = forward(x.T).T if len(x) else x
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -335,13 +325,13 @@ def evolve_stencil(model: LindbladModel, rho0: DensityMatrix, times, eps: float)
     if not np.isfinite(minus).all():
         raise Overflow(f"the backward stencil step exp(-eps R) x(t) at eps = {eps!r} "
                        "leaves double precision")
-    return _place(rho0, times, [order, range(len(times)), back], [raw, plus, minus])
+    return _place(rho0, times, [order, range(len(times)), back], [x[order], plus, minus])
 
 
 def _coherence_chain(model: LindbladModel, rho0: DensityMatrix, times, probe: float = 0.0):
     """(times as floats, the indices of the positive times in sorted order,
-    x(0), x(t) for those times as the rows of an array, probe actions): the
-    chain of :func:`evolve_many`, and the actions exp(+-probe R) of
+    x(t) for every time as the rows of an array, probe actions): the chain of
+    :func:`evolve_many`, and the actions exp(+-probe R) of
     :func:`matcore._step_actions`.  Raises ValueError for a negative time."""
     times = [float(t) for t in times]
     if not all(t >= 0 for t in times):
@@ -351,34 +341,34 @@ def _coherence_chain(model: LindbladModel, rho0: DensityMatrix, times, probe: fl
     order = sorted((k for k, t in enumerate(times) if t > 0.0), key=times.__getitem__)
     steps = np.diff([0.0, *sorted({times[k] for k in order})])
     actions, probes = matcore._step_actions(r, steps, norm1, probe)
-    x = x0 = gellmann.to_coords(rho0.matrix.reshape(-1)).real
+    x = gellmann.to_coords(rho0.matrix.reshape(-1)).real
     now = 0.0
-    raw = np.empty((len(order), x.size))  # one row per positive time
-    for row, k in enumerate(order):
+    out = np.repeat(x[None], len(times), axis=0)  # x(0) at t = 0
+    for k in order:
         if times[k] > now:
             dt, now = times[k] - now, times[k]
             x = actions[dt](x)
-        raw[row] = x
-    return times, order, x0, raw, probes
+        out[k] = x
+    return times, order, out, probes
 
 
-def _place(rho0: DensityMatrix, times, indices, rows) -> list[list[DensityMatrix]]:
-    """One list of states per pair of ``indices`` and ``rows``: the state of
-    coherence vector rows[i][j] at input position indices[i][j], and a copy
-    of rho0 at every other position of ``times``.  The states are checked and
-    repaired as one stack, but each block of rows is mapped back on its own,
-    since the bits of a matrix product may depend on its number of rows."""
+def _place(rho0: DensityMatrix, times, indices, rows) -> list[States]:
+    """One stack per pair of ``indices`` and ``rows``: the state of coherence
+    vector rows[i][j] at position indices[i][j] of ``times``, and rho0,
+    unchecked, at every other.  The states are checked as one stack, but each
+    block is mapped back on its own: a product's bits may depend on its rows."""
     d = rho0.matrix.shape[0]
     stack = np.concatenate([gellmann.from_coords(x.T).T.reshape(-1, d, d) for x in rows])
-    states = iter(DensityMatrix.from_matrices(stack))
-    lists = []
-    for index in indices:
-        out = [None] * len(times)
-        for k in index:
-            out[k] = next(states)
-        lists.append([DensityMatrix(rho0.matrix.copy(), rho0.repaired) if rho is None else rho
-                      for rho in out])
-    return lists
+    states = DensityMatrix.from_matrices(stack)
+    # the row of each position in the checked stack, rho0's one past its end
+    at = np.full((len(indices), len(times)), len(stack))
+    block = np.repeat(np.arange(len(indices)), [len(index) for index in indices])
+    at[block, [k for index in indices for k in index]] = np.arange(len(stack))
+    if (at == len(stack)).any():
+        states = States(np.concatenate([states.matrices, [rho0.matrix]]),
+                        np.append(states.repaired, rho0.repaired),
+                        np.concatenate([states.eigenvalues, np.linalg.eigvalsh([rho0.matrix])]))
+    return [states[row] for row in at]
 
 
 @dataclass

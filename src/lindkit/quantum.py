@@ -1,12 +1,12 @@
-"""Density matrices, projective measurement collapse, and the von Neumann
-entropy with its dissipative rate formula.  Unitary evolution is
-``lindblad.evolve`` of a model without jump operators.
+"""Density matrices, alone or as a checked stack that holds their
+eigenvalues, projective measurement collapse, and the von Neumann entropy
+with its dissipative rate formula, in nats (natural log).  Unitary evolution
+is ``lindblad.evolve`` of a model without jump operators.
 
-Entropy is in nats throughout (natural log); converting to bits is a display
-concern.  Density-matrix constructors repair eigenvalues in [-TOL_POS, 0) by
-clipping to zero and renormalizing the trace, recording that the repair
-happened -- long evolutions accumulate negativity at the 1e-13 scale and a
-silent hard failure there would be useless.
+Density-matrix constructors repair eigenvalues in [-TOL_POS, 0) by clipping
+to zero and renormalizing the trace, recording that the repair happened --
+long evolutions accumulate negativity at the 1e-13 scale and a silent hard
+failure there would be useless.
 """
 from __future__ import annotations
 
@@ -30,20 +30,50 @@ TOL_POS_STRICT = 1e-12
 TOL_PROJECTOR = 1e-10
 
 
+def _checked(mats):
+    """(matrices, repaired flags, eigenvalues before the repair) of the stack
+    ``mats``, checked and repaired as :meth:`DensityMatrix.from_matrices` says."""
+    a = np.asarray(mats, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+    # a non-finite entry makes the Hermiticity defect NaN, so the check
+    # flags that matrix too, and only a flagged one is tested for finiteness
+    not_herm = ~matcore._is_hermitian(a, matcore.TOL_HERM)
+    a = 0.5 * (a + a.conj().transpose(0, 2, 1))
+    tr = a.trace(axis1=1, axis2=2).real
+    bad = (not_herm | (np.abs(tr - 1.0) > TOL_TRACE)).tolist()
+    good = bad.index(True) if True in bad else a.shape[0]
+    vals = np.linalg.eigvalsh(a[:good])
+    low = vals[:, 0].tolist()
+    least = min(low, default=0.0)
+    if least < -TOL_POS:
+        first = next(p for p in low if p < -TOL_POS)
+        raise InvalidDensityMatrix(f"minimum eigenvalue {first:.3e} below -{TOL_POS:.0e}")
+    if True in bad:
+        if not np.isfinite(a[good]).all():
+            raise ValueError("matrix entries must be finite")
+        if not_herm[good]:
+            raise NotHermitian("density matrix must be Hermitian")
+        raise InvalidDensityMatrix(f"trace is {float(tr[good])}, not 1")
+    repaired = vals[:, 0] < 0.0
+    if least < 0.0:
+        p, v = np.linalg.eigh(a[repaired])
+        fixed = (v * np.maximum(p, 0.0)[:, None, :]) @ np.conjugate(v).swapaxes(1, 2)
+        # the product's mirror entries differ in their last bits
+        fixed = 0.5 * (fixed + np.conjugate(fixed).swapaxes(1, 2))
+        a[repaired] = fixed / fixed.trace(axis1=1, axis2=2).real[:, None, None]
+    return a, repaired, vals
+
+
 @dataclass
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state.
 
     ``repaired`` records whether the constructor clipped small negative
-    eigenvalues and renormalized.  A state that :meth:`from_matrices` accepts
-    unrepaired keeps the eigenvalues its check computed, which
-    :func:`vn_entropies` reads, so ``matrix`` is not to be modified in place.
-    """
+    eigenvalues and renormalized."""
 
     matrix: np.ndarray
     repaired: bool = False
-    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False,
-                                            compare=False)
 
     @property
     def dim(self) -> int:
@@ -51,51 +81,19 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, mat) -> "DensityMatrix":
-        return cls.from_matrices(matcore.as_square_matrix(mat)[None])[0]
+        a, repaired, _ = _checked(matcore.as_square_matrix(mat)[None])
+        return cls(a[0], bool(repaired[0]))
 
     @classmethod
-    def from_matrices(cls, mats) -> "list[DensityMatrix]":
-        """:meth:`from_matrix` of every matrix of an (n, d, d) stack, with one
-        Hermiticity and trace check and one ``eigvalsh`` call for the stack,
-        and one ``eigh`` call for the states it repairs.  The first invalid
-        matrix raises what :meth:`from_matrix` raises for it."""
-        a = np.asarray(mats, dtype=complex)
-        if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
-            raise DimensionMismatch(
-                f"expected a stack of square matrices, got shape {a.shape}"
-            )
-        # a non-finite entry makes the Hermiticity defect NaN, so the check
-        # flags that matrix too, and only a flagged one is tested for finiteness
-        not_herm = ~matcore._is_hermitian(a, matcore.TOL_HERM)
-        a = 0.5 * (a + a.conj().transpose(0, 2, 1))
-        tr = a.trace(axis1=1, axis2=2).real
-        bad = (not_herm | (np.abs(tr - 1.0) > TOL_TRACE)).tolist()
-        good = bad.index(True) if True in bad else len(a)
-        vals = np.linalg.eigvalsh(a[:good])
-        low = vals[:, 0].tolist()
-        first_low = next((p for p in low if p < -TOL_POS), None)
-        if first_low is not None:
-            raise InvalidDensityMatrix(
-                f"minimum eigenvalue {first_low:.3e} below -{TOL_POS:.0e}"
-            )
-        if good < len(a):
-            if not np.isfinite(a[good]).all():
-                raise ValueError("matrix entries must be finite")
-            if not_herm[good]:
-                raise NotHermitian("density matrix must be Hermitian")
-            raise InvalidDensityMatrix(f"trace is {float(tr[good])}, not 1")
-        repaired = [p < 0.0 for p in low]
-        if True in repaired:
-            p, v = np.linalg.eigh(a[repaired])
-            fixed = (v * np.maximum(p, 0.0)[:, None, :]) @ np.conjugate(v).swapaxes(1, 2)
-            # the product's mirror entries differ in their last bits
-            fixed = 0.5 * (fixed + np.conjugate(fixed).swapaxes(1, 2))
-            a[repaired] = fixed / fixed.trace(axis1=1, axis2=2).real[:, None, None]
-        states = [cls(m, r) for m, r in zip(a, repaired)]
-        for rho, p in zip(states, vals):
-            if not rho.repaired:
-                rho._eigenvalues = p
-        return states
+    def from_matrices(cls, mats) -> "States":
+        """:meth:`from_matrix` of every matrix of an (n, d, d) stack, as one
+        :class:`States`: one Hermiticity, trace and ``eigvalsh`` check of the
+        stack, and one ``eigh`` and one ``eigvalsh`` of the states it repairs.
+        The first invalid matrix raises what :meth:`from_matrix` raises."""
+        a, repaired, vals = _checked(mats)
+        if repaired.any():
+            vals[repaired] = np.linalg.eigvalsh(a[repaired])
+        return States(a, repaired, vals)
 
     @classmethod
     def pure(cls, state) -> "DensityMatrix":
@@ -104,6 +102,27 @@ class DensityMatrix:
         if abs(nrm - 1.0) > 1e-12:
             raise UnnormalizedState(f"state norm is {nrm}")
         return cls(np.outer(v, v.conj()))
+
+
+@dataclass(eq=False)
+class States:
+    """A checked stack of n states: ``matrices`` (n, d, d), one ``repaired``
+    flag per state, and ``eigenvalues`` (n, d), the ascending ``eigvalsh``
+    eigenvalues of each matrix, which :func:`vn_entropies` reads.  Item k is
+    state k as a :class:`DensityMatrix` on row k of ``matrices``; an index
+    array or a slice gives the ``States`` of those rows."""
+
+    matrices: np.ndarray
+    repaired: np.ndarray
+    eigenvalues: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def __getitem__(self, k):
+        if isinstance(k, (int, np.integer)):
+            return DensityMatrix(self.matrices[k], bool(self.repaired[k]))
+        return States(self.matrices[k], self.repaired[k], self.eigenvalues[k])
 
 
 @dataclass
@@ -181,23 +200,14 @@ def born_collapse(rho: DensityMatrix, basis: ProjectorBasis) -> DensityMatrix:
 
 def vn_entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy -sum p ln p in nats, with 0 ln 0 := 0."""
-    return float(vn_entropies([rho])[0])
+    return float(vn_entropies(np.linalg.eigvalsh([rho.matrix]))[0])
 
 
-def vn_entropies(states) -> np.ndarray:
-    """:func:`vn_entropy` of every state, from the eigenvalues
-    :meth:`DensityMatrix.from_matrices` kept and one stacked ``eigvalsh`` of
-    the states without them: the same values either way, since those are the
-    ``eigvalsh`` eigenvalues of the matrix kept."""
-    if not states:
-        return np.zeros(0)
-    kept = [rho._eigenvalues for rho in states]
-    missing = [k for k, p in enumerate(kept) if p is None]
-    if missing:
-        fresh = np.linalg.eigvalsh(np.stack([states[k].matrix for k in missing]))
-        for k, p in zip(missing, fresh):
-            kept[k] = p
-    p = np.stack(kept)
+def vn_entropies(eigenvalues) -> np.ndarray:
+    """:func:`vn_entropy` of every state of a stack from its ascending
+    eigenvalues, one row per state, as :attr:`States.eigenvalues` holds
+    them."""
+    p = np.asarray(eigenvalues)
     # eigvalsh sorts ascending, so the p <= 0 dropped by 0 ln 0 := 0 are a
     # prefix of each row: summing a row from its first positive entry adds
     # the same terms in the same order as a sum over p[p > 0] alone
@@ -218,15 +228,14 @@ def entropy_rate(rho: DensityMatrix, lindblads) -> float:
     the p -> 0 limit of the formula is delicate, so regularizing is the
     caller's decision, not ours.
     """
-    return float(entropy_rates([rho], lindblads)[0])
+    return float(entropy_rates([rho.matrix], lindblads)[0])
 
 
-def entropy_rates(states, lindblads) -> np.ndarray:
-    """:func:`entropy_rate` of every state, from one stacked ``eigh``; the
-    first state that is not strictly positive raises SingularState."""
-    if not states:
-        return np.zeros(0)
-    p, v = np.linalg.eigh(np.stack([rho.matrix for rho in states]))
+def entropy_rates(matrices, lindblads) -> np.ndarray:
+    """:func:`entropy_rate` of every state of an (n, d, d) stack, such as
+    :attr:`States.matrices`, from one stacked ``eigh``; the first state that
+    is not strictly positive raises SingularState."""
+    p, v = np.linalg.eigh(matrices)
     singular = p[:, 0] <= TOL_POS_STRICT
     if singular.any():
         raise SingularState(

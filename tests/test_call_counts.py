@@ -391,8 +391,8 @@ def _python_calls(fn, *args) -> int:
 
 
 @pytest.mark.parametrize("command, name, most", [
-    ("lindblad-spectrum", "model-qubit", 247),
-    ("born-check", "born-d3", 284),
+    ("lindblad-spectrum", "model-qubit", 242),
+    ("born-check", "born-d3", 279),
 ])
 def test_config_stage_call_counts(command, name, most):
     cli._load(command, name)  # the first call reads the bundled text
@@ -402,7 +402,7 @@ def test_config_stage_call_counts(command, name, most):
 def test_single_state_call_count():
     state = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
     DensityMatrix.from_matrix(state)
-    assert _python_calls(DensityMatrix.from_matrix, state) <= 67
+    assert _python_calls(DensityMatrix.from_matrix, state) <= 62
 
 
 @pytest.mark.parametrize("command, owner, name, calls", [

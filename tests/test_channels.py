@@ -430,10 +430,14 @@ def test_diagonal_generator_kernels_keep_the_identity_and_the_norm_bound():
     with pytest.raises(errors.Overflow) as dense:
         matcore.expm(gen, tau)
     assert str(diagonal.value) == str(dense.value)
-    # inf times a zero diagonal entry is NaN: the Kernel tests its entries
-    # before its tau, so a zero L at tau = inf stays an Overflow
-    with np.errstate(invalid="ignore"), pytest.raises(errors.Overflow, match="finite"):
-        kernel_from_generator(np.zeros((4, 4)), np.inf)
+    # inf times a zero entry is NaN, and 1e300 times -1e10 overflows: both
+    # norms are inf, and raise the dense path's Overflow with no warning
+    for gen, tau in ((np.zeros((4, 4)), np.inf), (np.diag([0.0, -1e10, -1e10, 0.0]), 1e300)):
+        with pytest.raises(errors.Overflow) as diagonal:
+            kernel_from_generator(gen, tau)
+        with pytest.raises(errors.Overflow) as dense:
+            matcore.expm(gen, tau)
+        assert str(diagonal.value) == str(dense.value)
 
 
 def test_a_single_entry_off_the_diagonal_takes_the_dense_path(monkeypatch):

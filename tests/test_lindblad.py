@@ -453,9 +453,8 @@ def test_evolved_states_are_written_as_mirrors(d):
     rho0 = random_density(rng, d)
     times = np.linspace(0.05, 2.0, 50)
     for states in (evolve_many(model, rho0, times), *evolve_stencil(model, rho0, times, 1e-5)):
-        stack = np.array([rho.matrix for rho in states])
-        assert records._mirror_signs(stack.real) == [1] * 50
-        assert records._mirror_signs(stack.imag) == [-1] * 50
+        assert records._mirror_signs(states.matrices.real) == [1] * 50
+        assert records._mirror_signs(states.matrices.imag) == [-1] * 50
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -482,9 +481,13 @@ def test_stencil_matches_evolve_many(d, seed, times, repeat):
                       (minus, [max(t - eps, 0.0) for t in times])):
         for rho, want in zip(got, evolve_many(model, rho0, grid), strict=True):
             assert np.max(np.abs(rho.matrix - want.matrix)) <= 1e-13
-    for t, rho in zip(times, minus):
-        if t < eps:
-            assert rho.matrix.tobytes() == rho0.matrix.tobytes()
+    # rho0's rows, unchecked: the states at t = 0 and the earlier states below
+    # eps (the later state at t = 0 is exp(eps R) rho0, an evolved one)
+    for got, held in ((states, [t == 0.0 for t in times]), (minus, [t < eps for t in times])):
+        for k in np.flatnonzero(held):
+            assert got.matrices[k].tobytes() == rho0.matrix.tobytes()
+            assert got.repaired[k] == rho0.repaired
+            assert got.eigenvalues[k].tobytes() == np.linalg.eigvalsh(rho0.matrix).tobytes()
 
 
 def test_stencil_step_must_be_positive(rng):

@@ -333,9 +333,10 @@ def _same_bytes(x, y):
 )
 def test_stacked_states_equal_per_state_results(d, seed, kinds):
     # the stacked calls, their n = 1 cases, and the one-state-at-a-time
-    # oracles give the same matrices, flags, values and first error; at
-    # d >= 9 numpy's pairwise sum makes the entropy's bytes depend on which
-    # terms it adds
+    # oracles give the same matrices, flags, values and first error; the
+    # stack's eigenvalues are eigvalsh's of each matrix it holds, repaired
+    # or not; at d >= 9 numpy's pairwise sum makes the entropy's bytes
+    # depend on which terms it adds
     rng = np.random.default_rng(seed)
     mats = np.stack([_stack_member(rng, d, kind) for kind in kinds])
     stacked = _outcome(DensityMatrix.from_matrices, mats)
@@ -352,11 +353,13 @@ def test_stacked_states_equal_per_state_results(d, seed, kinds):
         assert rho.repaired == one.repaired == repaired
         assert np.array_equal(rho.matrix, one.matrix)
         assert np.array_equal(rho.matrix, matrix)
-    entropies = vn_entropies(states)
+    for rho, p in zip(states, states.eigenvalues, strict=True):
+        assert p.tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
+    entropies = vn_entropies(states.eigenvalues)
     assert _same_bytes(entropies, [vn_entropy(s) for s in states])
     assert _same_bytes(entropies, [vn_entropy_single(s.matrix) for s in states])
     ls = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2)]
-    rates = _outcome(entropy_rates, states, ls)
+    rates = _outcome(entropy_rates, states.matrices, ls)
     single_rates = [_outcome(entropy_rate, s, ls) for s in states]
     oracle_rates = [_outcome(entropy_rate_single, s.matrix, ls) for s in states]
     assert single_rates == oracle_rates

@@ -23,8 +23,10 @@ sha256 of its stdout and of its stderr.  The cases are:
 - lindblad-evolve and entropy-check on a seeded generic model for each d in
   GENERIC_DIMS (a random Hamiltonian and two random Lindblad operators,
   scaled to ||L||_1 = d^2 as in perfbench's dynamics workload, and a
-  full-rank initial state), each over the 50-point linspace(0.05, 2, 50)
-  and at the single time 1.0, so that the stepper runs above d = 2;
+  full-rank initial state), each over the 50-point linspace(0.05, 2, 50),
+  at the single time 1.0, so that the stepper runs above d = 2, and over
+  the grid [0, 0.5, 0, 5e-6, 2], so that rho0's rows (at t = 0, and the
+  entropy stencil's earlier state at t < 1e-5) are written above d = 2;
   entropy-check there as CSV too, and lindblad-spectrum of each model as
   JSON and as CSV, so that the row tables are written above d = 2;
   cp-check of each model's kernel at tau = GENERIC_TAU
@@ -36,7 +38,11 @@ sha256 of its stdout and of its stderr.  The cases are:
   A repaired state is exactly Hermitian too, so its parts mirror their upper
   triangles like any other state's: no case here writes a matrix entry by
   entry (over 12 seeds of these configs, 0 of the 7200 parts of 3600 states,
-  2451 of them repaired).
+  2451 of them repaired).  The d = 4 pure state, itself repaired, runs the
+  grid with zeros too, so that a repaired rho0 flag is written in the
+  states at t = 0.
+
+There are 2741 cases.
 
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
@@ -76,7 +82,8 @@ EXTRA = [("extract-generator", "model-qubit", "scheme", "forward"),
 GENERIC_DIMS = (3, 4, 8, 12)
 GENERIC_SEED = 30
 GENERIC_TAU = 0.5
-GRIDS = {"linspace50": np.linspace(0.05, 2.0, 50).tolist(), "single": [1.0]}
+GRIDS = {"linspace50": np.linspace(0.05, 2.0, 50).tolist(), "single": [1.0],
+         "zeros": [0.0, 0.5, 0.0, 5e-06, 2.0]}
 
 
 def _flag_sets(command):
@@ -157,6 +164,8 @@ def _cases(cli):
     for d in (1, 2, *GENERIC_DIMS):
         yield (f"lindblad-evolve pure unitary d={d} linspace50", ["lindblad-evolve"],
                _pure_unitary(d), f"pure unitary d={d}")
+    yield ("lindblad-evolve pure unitary d=4 zeros", ["lindblad-evolve"],
+           _pure_unitary(4, "zeros"), "pure unitary d=4")
 
 
 def _generic(d):
@@ -185,16 +194,16 @@ def _generic(d):
     return model, _parts(rho)
 
 
-def _pure_unitary(d):
+def _pure_unitary(d, grid="linspace50"):
     """The lindblad-evolve config of the generic model of dimension d without
-    its Lindblad operators, and the seeded pure state |v><v|, over the
-    50-point grid."""
+    its Lindblad operators, and the seeded pure state |v><v|, over the grid
+    named ``grid``."""
     model, _ = _generic(d)
     rng = np.random.default_rng([GENERIC_SEED, d, 1])
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     v /= np.linalg.norm(v)
     return {"model": {**model, "lindblads": []}, "rho0": _parts(np.outer(v, v.conj())),
-            "times": GRIDS["linspace50"]}
+            "times": GRIDS[grid]}
 
 
 def _parts(m, re="re", im="im"):
