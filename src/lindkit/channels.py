@@ -170,11 +170,11 @@ def kernels_from_generator(generator: np.ndarray, taus) -> list[Kernel]:
     kernel of an L that does not preserve the trace fails the Kernel's trace
     test.
 
-    An L with no off-diagonal entry, a zero L among them, takes the diagonal
-    of entrywise exponentials (the bits scipy's complex expm of tau L gives
-    it) under the same bound on ||tau L||_1.  Every kernel at tau = 0 is
-    exactly the identity.  A negative tau raises the Kernel's ValueError,
-    after the Overflow of the bound.  The first error raised is the one that
+    An L with no off-diagonal entry, a zero L among them, is exponentiated
+    as it stands, ``matcore.expm(L, tau)``, which takes its entrywise branch
+    and its norm bound.  Every kernel at tau = 0 is exactly the identity.  A
+    negative tau raises the Kernel's ValueError, after the Overflow of the
+    bound.  The first error raised is the one that
     :func:`kernel_from_generator` at each tau in turn would raise first, and
     each kernel has that call's bits.
     """
@@ -189,16 +189,7 @@ def kernels_from_generator(generator: np.ndarray, taus) -> list[Kernel]:
         return [Kernel(d, tau, eye + gellmann.both_axes(gellmann.from_coords,
                                                         matcore.expm(r, tau) - eye))
                 for tau in taus]
-    kernels = []
-    for tau in taus:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
-            scaled = tau * np.diagonal(gen)
-        nrm = float(np.abs(scaled).max())  # not finite: inf, as in matcore.expm
-        matcore._check_expm_norm(nrm if math.isfinite(nrm) else math.inf)
-        # at tau = 0, exp(0 * L_kk) may carry an imaginary part of -0
-        kernels.append(Kernel(d, tau, np.diag(np.exp(scaled)) if tau
-                              else np.eye(n, dtype=complex)))
-    return kernels
+    return [Kernel(d, tau, matcore.expm(gen, tau)) for tau in taus]
 
 
 @dataclass

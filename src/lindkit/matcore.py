@@ -13,9 +13,9 @@ length-d^2 vector, which is ``m.reshape(-1)``.  With this ordering,
 which is the identity every superoperator construction in the package relies
 on.  All operations are pure functions on immutable inputs.
 
-Everything here is numpy except the dense :func:`expm`, which imports
-scipy.linalg on its first call, so that a process that never exponentiates
-a dense matrix never loads scipy.
+Everything here is numpy except :func:`expm` of a matrix with a nonzero
+off-diagonal entry, which imports scipy.linalg on its first call, so that a
+process that never exponentiates such a matrix never loads scipy.
 """
 from __future__ import annotations
 
@@ -166,10 +166,11 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     EXPM_NORM_BOUND; beyond that scale the double-precision result is garbage
     anyway.
 
-    scipy.linalg is imported here, on the first call that reaches it, not
-    with this module: its import (about 0.3 s on a 2-core Xeon) is most of a
-    fresh CLI call's start-up, and only the commands that take a dense
-    exponential pay it.
+    A t*m with no nonzero off-diagonal entry is exponentiated entrywise on
+    its diagonal, the branch ``scipy.linalg.expm`` itself takes for it, so
+    the bits are scipy's.  Only any other matrix imports scipy.linalg, on the
+    first call that reaches it, not with this module: its import (about 0.3 s
+    on a 2-core Xeon) is most of a fresh CLI call's start-up.
 
     A non-finite entry of ``m`` raises ValueError.  Such an entry makes
     ||t*m||_1 non-finite, so the entries are scanned only when that norm is
@@ -187,6 +188,8 @@ def expm(m, t: float = 1.0) -> np.ndarray:
         _checked_square(a)
         nrm = math.inf  # t * a overflowed, or t itself is not finite
     _check_expm_norm(nrm)
+    if np.count_nonzero(scaled) == np.count_nonzero(np.diagonal(scaled)):
+        return np.diag(np.exp(np.diagonal(scaled)))
     import scipy.linalg
 
     return scipy.linalg.expm(scaled)

@@ -36,14 +36,14 @@ def _fix_phases(basis: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return basis * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
-def first_order(a, delta_a, degeneracy_tol: float | None = None) -> PerturbationResult:
+def first_order(a, delta_a) -> PerturbationResult:
     """First-order eigenvalue shifts of ``a`` under the perturbation ``delta_a``.
 
-    Eigenvalues of ``a`` within ``degeneracy_tol`` of each other form one
-    degeneracy group (default 1e-9 * ||a||).  Within each group the returned
-    basis diagonalizes ``delta_a``, so the block <u_m| delta_a |u_n> is
-    diagonal and the shifts are its eigenvalues; for a nondegenerate
-    eigenvalue the rotation is the identity up to phase.
+    Eigenvalues of ``a`` within 1e-9 max(1, ||a||_2) of each other form one
+    degeneracy group.  Within each group the returned basis diagonalizes
+    ``delta_a``, so the block <u_m| delta_a |u_n> is diagonal and the shifts
+    are its eigenvalues; for a nondegenerate eigenvalue the rotation is the
+    identity up to phase.
     """
     am = matcore.as_square_matrix(a)
     dm = matcore.as_square_matrix(delta_a)
@@ -54,11 +54,10 @@ def first_order(a, delta_a, degeneracy_tol: float | None = None) -> Perturbation
     if not matcore._is_hermitian(dm, matcore.TOL_HERM):
         raise NotHermitian("perturbation must be Hermitian")
     vals, vecs = matcore.herm_eig(am)
-    if degeneracy_tol is None:  # ||a||_2 is the largest |eigenvalue|
-        degeneracy_tol = 1e-9 * max(1.0, float(max(-vals[0], vals[-1])))
-
-    # vals are sorted, so groups are contiguous runs with small gaps
-    breaks = (np.flatnonzero(np.diff(vals) > degeneracy_tol) + 1).tolist()
+    # vals are sorted, so groups are contiguous runs with small gaps;
+    # ||a||_2 is the largest |eigenvalue|
+    tol = 1e-9 * max(1.0, float(max(-vals[0], vals[-1])))
+    breaks = (np.flatnonzero(np.diff(vals) > tol) + 1).tolist()
     groups = [list(range(a, b)) for a, b in zip([0, *breaks], [*breaks, len(vals)])]
 
     # a one-member group's shift is Re <u|delta|u>; larger groups are rotated

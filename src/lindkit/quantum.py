@@ -39,7 +39,9 @@ def _checked(mats):
     # a non-finite entry makes the Hermiticity defect NaN, so the check
     # flags that matrix too, and only a flagged one is tested for finiteness
     not_herm = ~matcore._is_hermitian(a, matcore.TOL_HERM)
-    a = 0.5 * (a + a.conj().transpose(0, 2, 1))
+    # halved before the sum, which then cannot overflow to entries whose NaN
+    # eigenvalues would pass the eigenvalue test below
+    a = 0.5 * a + 0.5 * a.conj().transpose(0, 2, 1)
     tr = a.trace(axis1=1, axis2=2).real
     bad = (not_herm | (np.abs(tr - 1.0) > TOL_TRACE)).tolist()
     good = bad.index(True) if True in bad else a.shape[0]
@@ -99,7 +101,7 @@ class DensityMatrix:
     def pure(cls, state) -> "DensityMatrix":
         v = np.asarray(state, dtype=complex).reshape(-1)
         nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # a NaN norm too
             raise UnnormalizedState(f"state norm is {nrm}")
         return cls(np.outer(v, v.conj()))
 

@@ -294,7 +294,7 @@ def test_09_perturbation_theory():
             a = (q * base) @ q.conj().T
             a = 0.5 * (a + a.conj().T)
             da = random_hermitian(rng, d)
-            res = first_order(a, da, 1e-6)
+            res = first_order(a, da)
             for grp in res.degeneracy_groups:
                 sub = res.rotated_basis[:, grp]
                 block = sub.conj().T @ da @ sub

@@ -489,6 +489,21 @@ def test_huge_non_hermitian_state_is_exit_3(tmp_path, capsys):
     assert (error["type"], error["exit_code"]) == ("NotHermitian", 3)
 
 
+@pytest.mark.parametrize("command", ["lindblad-evolve", "entropy-check", "lindblad-spectrum"])
+def test_hermitian_state_beyond_any_state_is_exit_3(tmp_path, capsys, command):
+    # Hermitian with unit trace, but |rho_01| > 1/2; its symmetrization
+    # 0.5 (rho + rho^dag) would overflow to inf
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    doc["rho0"]["re"] = [0.5, 1.7e308, 1.7e308, 0.5]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = _strict_json(err)["error"]
+    assert (error["type"], error["exit_code"]) == ("InvalidDensityMatrix", 3)
+
+
 @pytest.mark.parametrize("entry", [0.5, 1e300])
 def test_non_hermiticity_preserving_kernel_is_exit_2(tmp_path, capsys, entry):
     # at 1e300 the reshuffled kernel's defect and norm overflow unless taken

@@ -541,6 +541,29 @@ class TestExpm:
                     expm(m, t)
         for m in (a, a.real):
             assert expm(m, 0.3).tobytes() == scipy.linalg.expm(0.3 * m).tobytes()
+        # a diagonal t*m is exponentiated entrywise, as scipy does it, with the
+        # same bound: real and complex, n = 1, zero and negative entries
+        diagonals = (np.diag([-3.0, 0.5, -1e-3]), np.diag([-2.0 + 1j, 0.25 - 3j]),
+                     np.zeros((3, 3)), np.zeros((2, 2), dtype=complex), np.array([[-0.7]]),
+                     np.array([[0.4 - 1j]]))
+        for m in diagonals:
+            for t in (0.3, -2.0, 1e-3):
+                assert expm(m, t).tobytes() == scipy.linalg.expm(t * m).tobytes()
+            eye = expm(m, 0.0)  # exp(0 * (0.25 - 3j)) would be 1 - 0j
+            assert eye.dtype == m.dtype and np.array_equal(eye, np.eye(len(m)))
+            assert not np.signbit(eye.imag).any()
+        bound = "exceeds bound 1.000e+06"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, t, nrm in ((np.diag([1.0, -2e6]), 1.0, "2.000e+06"),
+                              (np.array([[1j]]), 2e6, "2.000e+06"),
+                              (np.diag([0.5, -1e300]), 1e300, "inf"),
+                              (np.zeros((4, 4)), np.inf, "inf")):
+                with pytest.raises(errors.Overflow, match=re.escape(f"= {nrm} {bound}")):
+                    expm(m, t)
+            # the dense path's message
+            with pytest.raises(errors.Overflow, match=re.escape(f"= 2.000e+06 {bound}")):
+                expm(np.array([[1.0, 1.0], [0.0, -2e6]]), 1.0)
 
     def test_keeps_the_kind_of_its_input(self, rng):
         # a real generator is exponentiated in real arithmetic

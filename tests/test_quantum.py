@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,23 @@ class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(errors.InvalidDensityMatrix):
             DensityMatrix.from_matrix(np.diag([0.7, 0.7]))
+
+    def test_rejects_entries_beyond_any_state_without_a_warning(self):
+        # no state has |rho_01| > 1/2: these are Hermitian with unit trace,
+        # but 0.5 (a + a^dag) would overflow, and a NaN eigenvalue or norm
+        # passes a test that only rejects what exceeds a tolerance
+        huge = (np.array([[0.5, 1.7e308], [1.7e308, 0.5]]),
+                np.array([[0.5, 1.7e308j], [-1.7e308j, 0.5]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in huge:
+                with pytest.raises(errors.InvalidDensityMatrix):
+                    DensityMatrix.from_matrix(m)
+                with pytest.raises(errors.InvalidDensityMatrix):
+                    DensityMatrix.from_matrices([np.eye(2) / 2, m])
+            for v in ([np.nan, 0.0], [1.0, complex(0.0, np.nan)]):
+                with pytest.raises(errors.UnnormalizedState):
+                    DensityMatrix.pure(v)
 
 
 class TestMixture:

@@ -1,7 +1,8 @@
 """What a fresh process loads, and the harness that times fresh CLI calls.
 scipy's import is most of a CLI call's start-up, so it is imported only
-where it is used: the commands that exponentiate a dense matrix load
-scipy.linalg, and no command loads scipy.special."""
+where it is used: a command loads scipy.linalg only when it exponentiates a
+matrix with a nonzero off-diagonal entry, and no command loads
+scipy.special."""
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import lindkit
+from lindkit import cli
 
 SRC = Path(lindkit.__file__).resolve().parent.parent
 
@@ -77,6 +79,31 @@ def test_only_exponentials_load_scipy_and_none_loads_scipy_special():
         assert code == 0
         # scipy.linalg loads numpy.fft itself
         assert "scipy.linalg" in loaded and "scipy.special" not in loaded
+
+
+def test_diagonal_exponentials_load_no_scipy(tmp_path):
+    # the pure-dephasing qubit (H = 0, L = sqrt(0.3) sigma_z) and a measurement
+    # model in the computational basis: every exponential their commands take
+    # is of a diagonal matrix, which matcore.expm takes entrywise
+    dephasing = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    root = 0.3**0.5
+    dephasing["model"] = {"schema": "lindkit.model/1", "dim": 2, "h_re": [0.0] * 4,
+                          "h_im": [0.0] * 4,
+                          "lindblads": [{"re": [root, 0.0, 0.0, -root], "im": [0.0] * 4}]}
+    measurement = {"model": {"schema": "lindkit.model/1", "dim": 3,
+                             "h_re": [0.3, 0, 0, 0, -0.2, 0, 0, 0, 0.5], "h_im": [0.0] * 9,
+                             "lindblads": [{"re": [1.0, 0, 0, 0, 0, 0, 0, 0, -0.7],
+                                            "im": [0, 0, 0, 0, 0.5, 0, 0, 0, 0]}]},
+                   "h": 1e-3, "scheme": "central"}
+    lines = []
+    for command, doc in (("lindblad-evolve", dephasing), ("entropy-check", dephasing),
+                         ("extract-generator", measurement)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        lines.append(f"{command} --config {path}")
+    report = _child(*lines)
+    assert report["import"] == []
+    assert [(code, loaded) for _, code, loaded in report["runs"]] == [(0, [])] * 3
 
 
 def test_cli_wall_times_fresh_calls_of_each_checkout():

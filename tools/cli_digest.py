@@ -40,9 +40,18 @@ sha256 of its stdout and of its stderr.  The cases are:
   entry (over 12 seeds of these configs, 0 of the 7200 parts of 3600 states,
   2451 of them repaired).  The d = 4 pure state, itself repaired, runs the
   grid with zeros too, so that a repaired rho0 flag is written in the
-  states at t = 0.
+  states at t = 0;
+- extract-generator on a seeded measurement model in the computational
+  basis for each d in GENERIC_DIMS, as perfbench's dynamics workload builds
+  it (a diagonal H and two diagonal Lindblad operators, h = 0.05 / ||L||_F,
+  the central scheme), and on the same model with h = 1e300, which exits 3
+  with Overflow: a diagonal generator's kernels are ``matcore.expm``'s
+  entrywise branch, at and beyond its norm bound;
+- lindblad-evolve, entropy-check and extract-generator on the
+  pure-dephasing qubit (H = 0, L = sqrt(0.3) sigma_z), model-qubit's config
+  with that model, whose exponentials are all diagonal.
 
-There are 2741 cases.
+There are 2752 cases.
 
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
@@ -166,6 +175,17 @@ def _cases(cli):
                _pure_unitary(d), f"pure unitary d={d}")
     yield ("lindblad-evolve pure unitary d=4 zeros", ["lindblad-evolve"],
            _pure_unitary(4, "zeros"), "pure unitary d=4")
+    for d in GENERIC_DIMS:
+        doc = _measurement(d)
+        for name, case in (("", doc), (" h=1e300", {**doc, "h": 1e300})):
+            yield (f"extract-generator measurement d={d}{name}", ["extract-generator"], case,
+                   f"measurement d={d}")
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    root = np.sqrt(0.3)
+    doc["model"] = {"schema": "lindkit.model/1", "dim": 2, "h_re": [0.0] * 4, "h_im": [0.0] * 4,
+                    "lindblads": [_parts(np.diag([root, -root]))]}
+    for command in ("lindblad-evolve", "entropy-check", "extract-generator"):
+        yield f"{command} dephasing qubit", [command], doc, "dephasing qubit"
 
 
 def _generic(d):
@@ -204,6 +224,23 @@ def _pure_unitary(d, grid="linspace50"):
     v /= np.linalg.norm(v)
     return {"model": {**model, "lindblads": []}, "rho0": _parts(np.outer(v, v.conj())),
             "times": GRIDS[grid]}
+
+
+def _measurement(d):
+    """The extract-generator config of the seeded measurement model of
+    dimension d in the computational basis: H = diag(h) and two diagonal
+    Lindblad operators, whose superoperator is the diagonal L, with the step
+    h = 0.05 / ||L||_F and the central scheme."""
+    rng = np.random.default_rng([GENERIC_SEED, d, 2])
+    h = rng.standard_normal(d)
+    ops = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+    # L[(i, j), (i, j)] = -i (h_i - h_j) + sum_a l_ai conj(l_aj) - (|l_ai|^2 + |l_aj|^2) / 2
+    sq = np.abs(ops) ** 2
+    diag = -1j * (h[:, None] - h[None, :]) + sum(
+        np.outer(l, l.conj()) - 0.5 * (q[:, None] + q[None, :]) for l, q in zip(ops, sq))
+    model = {"schema": "lindkit.model/1", "dim": d, **_parts(np.diag(h), "h_re", "h_im"),
+             "lindblads": [_parts(np.diag(l)) for l in ops]}
+    return {"model": model, "h": 0.05 / float(np.linalg.norm(diag)), "scheme": "central"}
 
 
 def _parts(m, re="re", im="im"):
