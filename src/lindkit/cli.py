@@ -251,10 +251,8 @@ def _ramsey_scan_side_by_side(args, parsed):
 
 
 def _cmd_ramsey_point(args, cfg, theory, *_):
-    theory = args.theory or theory
-    pb = ramsey.protocol(cfg, theory)
-    avg = ramsey.gaussian_fraction(cfg, theory, truncate=args.truncate_gaussian)
-    return 0, {"delta_omega": ramsey.derive(cfg).delta_omega, "pb_e": pb, "pb_e_avg": avg}, None
+    dw, pb, avg = ramsey.point(cfg, args.theory or theory, truncate=args.truncate_gaussian)
+    return 0, {"delta_omega": dw, "pb_e": pb, "pb_e_avg": avg}, None
 
 
 def _cmd_lindblad_evolve(args, model, rho0, times, *_):
@@ -380,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lindkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.command_parsers = sub.choices  # name -> that command's parser, for main
     for name, (_, handler, default_config, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument(
@@ -402,8 +401,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: when ``argv`` starts with a
+    command, the namespace of that command's parser on the rest of it, with
+    ``command`` set, and the full parser's otherwise (``--help``,
+    ``--version``, a missing or unknown command).  An argument the command
+    does not know is reported by the command's parser, under its own
+    ``prog``."""
+    parser = build_parser()
+    command = parser.command_parsers.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     tabular = _COMMANDS[args.command][3]
     try:
         if args.format == "csv" and not tabular:

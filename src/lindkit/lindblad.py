@@ -320,9 +320,12 @@ def evolve_stencil(model: LindbladModel, rho0: DensityMatrix, times, eps: float)
     times, order, x, (forward, backward) = _coherence_chain(model, rho0, times, eps)
     back = [k for k, t in enumerate(times) if t >= eps]
     plus = forward(x.T).T if len(x) else x
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        minus = backward(x[back].T).T if back else x[back]
-    if not np.isfinite(minus).all():
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            minus = backward(x[back].T).T if back else x[back]
+    except Overflow:  # a dense exp(-eps R) that leaves double precision itself
+        minus = None
+    if minus is None or not np.isfinite(minus).all():
         raise Overflow(f"the backward stencil step exp(-eps R) x(t) at eps = {eps!r} "
                        "leaves double precision")
     return _place(rho0, times, [order, range(len(times)), back], [x[order], plus, minus])
@@ -418,7 +421,7 @@ class DecayMatrix:
         """Partition of outcomes into groups with identical coefficients
         (|lambda_{alpha beta}| <= CLASS_TOL), i.e. coherence-preserving classes."""
         label = self._labels()
-        return [np.flatnonzero(label == k).tolist() for k in np.unique(label).tolist()]
+        return [np.flatnonzero(label == k).tolist() for k in sorted(set(label.tolist()))]
 
     def gamma_min(self) -> float:
         """Smallest nonzero decay rate Re lambda across distinct classes."""

@@ -20,6 +20,7 @@ process that never exponentiates such a matrix never loads scipy.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -174,8 +175,10 @@ def expm(m, t: float = 1.0) -> np.ndarray:
 
     A non-finite entry of ``m`` raises ValueError.  Such an entry makes
     ||t*m||_1 non-finite, so the entries are scanned only when that norm is
-    (or at t = 0): a finite ``m`` whose t*m overflows raises Overflow.
-    Neither raises a warning first.
+    (or at t = 0): a finite ``m`` whose t*m overflows raises Overflow, and
+    so does one within the bound whose exponential leaves double precision
+    (an eigenvalue with real part above about 709.8, which no generator of
+    a physical evolution has).  None raises a warning first.
     """
     a = _checked_shape(_of_kind(m))
     if t == 0.0:
@@ -184,15 +187,19 @@ def expm(m, t: float = 1.0) -> np.ndarray:
         scaled = t * a
         # np.linalg.norm(scaled, 1)'s own formula, without its Python wrappers
         nrm = float(np.maximum.reduce(np.add.reduce(np.abs(scaled), axis=0)))
-    if not math.isfinite(nrm):
-        _checked_square(a)
-        nrm = math.inf  # t * a overflowed, or t itself is not finite
-    _check_expm_norm(nrm)
-    if np.count_nonzero(scaled) == np.count_nonzero(np.diagonal(scaled)):
-        return np.diag(np.exp(np.diagonal(scaled)))
-    import scipy.linalg
+        if not math.isfinite(nrm):
+            _checked_square(a)
+            nrm = math.inf  # t * a overflowed, or t itself is not finite
+        _check_expm_norm(nrm)
+        if np.count_nonzero(scaled) == np.count_nonzero(np.diagonal(scaled)):
+            out = np.diag(np.exp(np.diagonal(scaled)))
+        else:
+            import scipy.linalg
 
-    return scipy.linalg.expm(scaled)
+            out = scipy.linalg.expm(scaled)
+    if not np.isfinite(out).all():
+        raise Overflow(f"exp(t*m) leaves double precision (||t*m||_1 = {nrm:.3e})")
+    return out
 
 
 # theta_m of Al-Mohy & Higham, "Computing the action of the matrix
@@ -332,7 +339,10 @@ def _step_actions(a: np.ndarray, steps, norm1: float, probe: float = 0.0) -> tup
     """
     _check_expm_norm(probe * norm1)
     n = a.shape[0]
-    values, uses = np.unique(steps, return_counts=True)
+    # np.unique(steps, return_counts=True), by one dict count
+    counts = Counter(np.asarray(steps, dtype=float).tolist())
+    values = np.array(sorted(counts), dtype=float)
+    uses = np.array([counts[dt] for dt in values.tolist()], dtype=np.intp)
     k, products, dense = _taylor_plan(np.append(values, probe), norm1, n)
     probes = tuple(_planned_action(a, t, k[-1], products[-1], dense[-1])
                    for t in (probe, -probe))

@@ -215,7 +215,7 @@ def vn_entropies(eigenvalues) -> np.ndarray:
     # the same terms in the same order as a sum over p[p > 0] alone
     first = np.count_nonzero(p <= 0.0, axis=-1)
     s = np.empty(len(p))
-    for k in np.unique(first).tolist():
+    for k in sorted(set(first.tolist())):
         rows = first == k
         q = p[rows, k:]
         s[rows] = -np.sum(q * np.log(q), axis=-1)

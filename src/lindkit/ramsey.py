@@ -362,6 +362,17 @@ def gaussian_fraction(
     return float(_transit_average(*const, config.t0, config.sigma, truncate))
 
 
+def point(config: RamseyConfig, theory: str = "standard",
+          truncate: bool = False) -> tuple[float, float, float]:
+    """(detuning, single-shot fraction, transit average) of ``config``: the
+    :func:`derive` detuning, :func:`protocol` and :func:`gaussian_fraction`,
+    bit for bit, from one set of fringe constants."""
+    dw = derive(config).delta_omega
+    const = _fringe(config, theory, dw)
+    return (dw, float(_fringe_at(*const, config.t_free)),
+            float(_transit_average(*const, config.t0, config.sigma, truncate)))
+
+
 # ---------------------------------------------------------------------------
 # Detuning scans
 # ---------------------------------------------------------------------------

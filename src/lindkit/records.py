@@ -7,15 +7,16 @@ allow_nan=False)`` plus a newline would write it, byte for byte, but without
 ``json``'s pure-Python indenting encoder; the encoder takes the values
 records hold (:func:`canonical_json`) and refuses the rest.  A table handed
 over as its columns (:class:`Rows`), such as a Ramsey scan's fringe or the
-evolved states, is written through one row template: its keys sorted and
-escaped once, each scalar column formatted once, each matrix as its row is
-filled in.
+evolved states, is written by one join per table: its keys sorted and
+escaped once into the texts between the cells, each scalar column formatted
+once, each matrix as its row is filled in.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import math
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -149,7 +150,7 @@ def canonical_json(doc) -> str:
     long lists of floats (the evolved states), so a list of floats only is one
     join over ``float.__repr__``, the repr ``json`` uses, checked with one
     ``math.isfinite`` pass.  A :class:`Rows` is written as the list of its
-    rows' dicts would be, by one row template (:func:`_rows_texts`).  As in
+    rows' dicts would be, by one join per table (:func:`_rows_texts`).  As in
     ``json``, keys are in ``sorted(doc.items())`` order, int and float
     subclasses are written as plain numbers and strings through
     ``encode_basestring_ascii``.  A NaN or infinity raises ``json``'s
@@ -213,35 +214,46 @@ class Rows:
 
 def _rows_texts(rows: Rows, inner: str, texts: dict) -> str:
     """The rows of ``rows`` as :func:`_encode` writes their dicts, separated
-    by ``"," + inner``, as one text, empty for no rows: the keys sorted and
-    escaped once into one ``%`` row template, each scalar column formatted
+    by ``"," + inner``, as one text, empty for no rows: one ``"".join`` that
+    interleaves the texts between the cells, the keys sorted and escaped
+    into them once per table, with the cells: each scalar column formatted
     once (a float column by :func:`_float_texts`) into ``texts``, by its id,
     and each matrix of a matrix column by :func:`_matrix_texts` as its row
     is filled in.  A matrix column that is not a stack of square float64
     matrices raises TypeError, and one with a NaN or infinity ``json``'s
     ValueError."""
     field = inner + "  "
-    slots, cells = [], []
+    # gaps[k] is the text before the cell of key k, close the text after
+    # the last cell of a row, before its closing brace
+    gaps, cells, close, n = [], [], "", 0
     for key in sorted(rows.columns):
         column = rows.columns[key]
-        key_text = encode_basestring_ascii(key).replace("%", "%%") + ": "
+        n = len(column)
+        gaps.append((close + "," if gaps else "{") + field + encode_basestring_ascii(key) + ": ")
         if isinstance(column, np.ndarray) and column.ndim == 3:
             if column.dtype != float or not column.shape[1] == column.shape[2] > 0:
                 raise TypeError("a matrix column must be a stack of square float64 matrices")
             if not np.isfinite(column).all():  # json's ValueError at the first NaN or infinity
                 _float_texts(column.reshape(-1).tolist())
-            slots.append(key_text + "[" + field + "  %s" + field + "]")
+            gaps[-1] += "[" + field + "  "
             cells.append(_matrix_texts(column, "," + field + "  "))
+            close = field + "]"
             continue
+        close = ""
         if id(column) not in texts:  # a column met before in this call is not formatted again
             try:
                 texts[id(column)] = _float_texts(column)
             except TypeError:  # not floats only
                 texts[id(column)] = list(map(_scalar_text, column))
-        slots.append(key_text + "%s")
         cells.append(texts[id(column)])
-    row = "{" + field + ("," + field).join(slots) + inner + "}"
-    return ("," + inner).join(map(row.__mod__, zip(*cells)))
+    if not n:  # no columns, or columns of no rows
+        return ""
+    end = close + inner + "}"
+    lanes = [repeat(gap) for gap in gaps]
+    # a row after the first starts with the end of the row before it
+    lanes[0] = chain(gaps[:1], repeat(end + "," + inner + gaps[0]))
+    table = zip(*chain.from_iterable(zip(lanes, cells)))
+    return "".join(chain(chain.from_iterable(table), (end,)))
 
 
 def _encode(o, out: list, nl: str, texts: dict) -> None:

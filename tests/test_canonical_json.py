@@ -197,6 +197,29 @@ def _dict_rows(columns):
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
+_SHARED_GRID = [-0.5, -0.0, 0.0, 0.1, 1e16]
+_SHARED_STACK = np.arange(20.0).reshape(5, 2, 2) - 7.5
+# records of row tables at the row writer's edges, each one or two tables
+_EDGE_TABLES = {
+    "no columns": [{}],
+    "columns of length 0": [{"a": [], "b": (), "m": np.zeros((0, 3, 3))}],
+    "a single row": [{"t": [2.5], "re": np.eye(2)[None], "label": ["x"], "ok": [True]}],
+    "a d = 1 matrix column": [{"im": np.array([[[0.0]], [[-0.0]], [[-3.5]], [[1e-300]]]),
+                               "t": [0.0, 1.0, 2.0, 3.0]}],
+    "a column shared by two tables": [
+        {"delta_omega": _SHARED_GRID, "m": _SHARED_STACK, "pb_e": [0.25] * 5},
+        {"m": _SHARED_STACK, "x": _SHARED_GRID, "y": _SHARED_GRID, "z": [None] * 5}],
+}
+
+
+@pytest.mark.parametrize("tables", _EDGE_TABLES.values(), ids=_EDGE_TABLES.keys())
+def test_writes_edge_tables_as_json_dumps_does(tables):
+    doc = {f"t{k}": records.Rows(**columns) for k, columns in enumerate(tables)}
+    dicts = {f"t{k}": _dict_rows(columns) for k, columns in enumerate(tables)}
+    for record, expected in ((doc, dicts), ([doc, 1], [dicts, 1])):
+        assert records.canonical_json(record) == canonical_json_dumps(expected)
+
+
 @pytest.mark.parametrize("columns", _FAILING_ROWS.values(), ids=_FAILING_ROWS.keys())
 def test_a_table_fails_where_json_dumps_fails_on_its_rows(columns):
     with pytest.raises((TypeError, ValueError)) as expected:
@@ -351,7 +374,7 @@ def test_state_arrays_write_every_entry_as_its_repr(stack):
 @given(keys=st.lists(_TABLE_KEYS, min_size=3, max_size=3, unique=True), stack=_part_stacks(),
        values=st.lists(_SCALAR_LEAVES, min_size=4, max_size=4))
 def test_writes_matrix_columns_among_scalar_columns_as_json_dumps_does(keys, stack, values):
-    # keys that a row template must escape, sorted before, between and after
+    # keys that the row writer must escape, sorted before, between and after
     # the matrix columns, the mirror path and the entry-by-entry one mixed
     re, im = stack
     columns = dict(zip(keys, (re, values[:len(re)], im)))

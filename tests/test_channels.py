@@ -440,6 +440,14 @@ def test_diagonal_generator_kernels_keep_the_identity_and_the_norm_bound():
         assert str(diagonal.value) == str(dense.value)
 
 
+def test_a_kernel_beyond_the_double_range_is_overflow_without_a_warning():
+    # tau ||L||_1 = 800 is within the norm bound, but e^800 is not a double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.Overflow, match="leaves double precision"):
+            kernel_from_generator(np.diag([0.0, 800.0, 800.0, 0.0]), 1.0)
+
+
 def test_a_single_entry_off_the_diagonal_takes_the_dense_path(monkeypatch):
     # H = 0 and the one operator |1><2| at d = 3: L's only off-diagonal entry
     # is ((1, 1), (2, 2)), and entry (0, 1) is zero.  The diagonal path would

@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindkit import cli
+from lindkit import cli, ramsey
 
 
 def run(args):
@@ -642,6 +643,87 @@ def test_back_to_back_commands_print_what_each_prints_alone():
     cli.build_parser.cache_clear()
     assert [_main_output(first), _main_output(second)] == alone
     assert [_main_output(second), _main_output(first)] == alone[::-1]
+
+
+def _flag_grid(command):
+    """Command lines of ``command``: none, each option alone, and several
+    together, in both the spaced and the ``=`` form."""
+    grid = [[], ["--config", "fig2"], ["--out", "-"], ["--format", "csv"], ["--seed", "7"],
+            ["--config=born-d3", "--seed=3", "--format", "json", "--out", "-"],
+            ["--seed", "0", "--config", "model-qubit", "--format=csv"]]
+    if command.startswith("ramsey"):
+        grid += [["--theory", "modified"], ["--truncate-gaussian"],
+                 ["--theory=standard", "--truncate-gaussian", "--seed", "1", "--config", "fig1"]]
+    return [[command, *flags] for flags in grid]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_main_parses_as_the_full_parser_does(monkeypatch, capsys, command):
+    # main parses a command's arguments with that command's parser alone,
+    # into the namespace the full parser gives
+    seen = []
+    parse = cli._parse_args
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: seen.append(parse(argv)) or seen[-1])
+    for argv in _flag_grid(command):
+        assert run(argv) in (0, 2, 3)
+        capsys.readouterr()
+        assert seen[-1] == cli.build_parser().parse_args(argv), argv
+    assert len(seen) == len(_flag_grid(command))
+
+
+def _exit_of(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    return exit_info.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["--version"], ["no-such-command"],
+                                  ["--version", "ramsey-scan"], ["ramsey-point", "--help"],
+                                  ["cp-check", "--seed", "-1"],
+                                  ["lindblad-evolve", "--format", "xml"],
+                                  ["ramsey-scan", "--theory", "other"]],
+                         ids=lambda argv: " ".join(argv) or "no argument")
+def test_what_the_parser_answers_itself_is_unchanged(capsys, argv):
+    # help, version, a missing or unknown command and a bad option value
+    # exit as the full parser makes them, with the same output
+    assert _exit_of(run, argv, capsys) == _exit_of(cli.build_parser().parse_args, argv, capsys)
+
+
+def test_an_unknown_option_is_reported_by_the_commands_parser(capsys):
+    # exit 2 as before; the message now names the command's own parser
+    code, (out, err) = _exit_of(run, ["lindblad-evolve", "--bad"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("lindkit lindblad-evolve: error: unrecognized arguments: --bad\n")
+
+
+def _ramsey_point_cases():
+    for name in ("fig1", "fig2"):
+        for fields in ({}, {"omega": 0.37}, {"t0": 1.0, "sigma": 2.0}):
+            for theory in cli._THEORIES:
+                for truncate in (False, True):
+                    yield name, fields, theory, truncate
+
+
+@pytest.mark.parametrize("name, fields, theory, truncate", list(_ramsey_point_cases()))
+def test_ramsey_point_record_holds_the_bits_of_each_function(tmp_path, name, fields, theory,
+                                                             truncate):
+    # the one fringe the command evaluates gives derive's detuning and
+    # protocol's and gaussian_fraction's values, bit for bit, and the
+    # clipped-window warning of gaussian_fraction
+    path = _ramsey_doc(tmp_path, name, **fields)
+    out = tmp_path / "point.json"
+    argv = ["ramsey-point", "--config", path, "--theory", theory, "--out", str(out)]
+    assert run(argv + ["--truncate-gaussian"] * truncate) == 0
+    record = json.loads(out.read_text())
+    cfg = ramsey.RamseyConfig.from_dict(json.loads(open(path).read())["ramsey"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        avg = ramsey.gaussian_fraction(cfg, theory, truncate=truncate)
+    expected = {"delta_omega": ramsey.derive(cfg).delta_omega,
+                "pb_e": ramsey.protocol(cfg, theory), "pb_e_avg": avg}
+    assert {key: float(value).hex() for key, value in record["result"].items()} == {
+        key: value.hex() for key, value in expected.items()}
+    assert record["warnings"] == [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("command", ["ramsey-point", "ramsey-scan"])

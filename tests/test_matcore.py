@@ -565,6 +565,18 @@ class TestExpm:
             with pytest.raises(errors.Overflow, match=re.escape(f"= 2.000e+06 {bound}")):
                 expm(np.array([[1.0, 1.0], [0.0, -2e6]]), 1.0)
 
+    @pytest.mark.parametrize("m", [np.diag([800.0, 0.0]), [[800.0, 1.0], [0.0, 0.0]]],
+                             ids=["diagonal", "dense"])
+    def test_an_exponential_beyond_the_double_range_is_overflow(self, m):
+        # ||t*m||_1 = 800 is within the norm bound, but e^800 is not a
+        # double: both branches raise Overflow, with no warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.Overflow, match="leaves double precision"):
+                expm(m)
+            near = np.array(m) * (700.0 / 800.0)  # e^700 is a double
+            assert expm(near).tobytes() == scipy.linalg.expm(near).tobytes()
+
     def test_keeps_the_kind_of_its_input(self, rng):
         # a real generator is exponentiated in real arithmetic
         a = random_matrix(rng, 4)

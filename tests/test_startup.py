@@ -117,6 +117,7 @@ def test_cli_wall_times_fresh_calls_of_each_checkout():
     assert settings["srcs"] == [str(SRC)] * 2 and settings["rounds"] == 1
     assert settings["commands"] == ["ramsey-point", "ramsey-point --truncate-gaussian"]
     assert isinstance(settings["PYTHONDONTWRITEBYTECODE"], bool)
+    assert settings["bytecode_cached"] in ([True, True], [False, False])  # one tree twice
     assert [row["command"] for row in rows] == settings["commands"]
     for row in rows:
         assert row["exit"] == 0

@@ -49,9 +49,13 @@ sha256 of its stdout and of its stderr.  The cases are:
   entrywise branch, at and beyond its norm bound;
 - lindblad-evolve, entropy-check and extract-generator on the
   pure-dephasing qubit (H = 0, L = sqrt(0.3) sigma_z), model-qubit's config
-  with that model, whose exponentials are all diagonal.
+  with that model, whose exponentials are all diagonal;
+- the command lines of ARGV, which the parser answers itself: help,
+  version, a missing or unknown command, an option the command does not
+  know; each exits through argparse, and its exit status is the case's
+  exit code.
 
-There are 2752 cases.
+There are 2759 cases.
 
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
@@ -93,6 +97,9 @@ GENERIC_SEED = 30
 GENERIC_TAU = 0.5
 GRIDS = {"linspace50": np.linspace(0.05, 2.0, 50).tolist(), "single": [1.0],
          "zeros": [0.0, 0.5, 0.0, 5e-06, 2.0]}
+# command lines that end in the parser
+ARGV = [[], ["--help"], ["--version"], ["no-such-command"], ["ramsey-point", "--help"],
+        ["lindblad-evolve", "--bad"], ["ramsey-scan", "--seed", "-1"]]
 
 
 def _flag_sets(command):
@@ -186,6 +193,8 @@ def _cases(cli):
                     "lindblads": [_parts(np.diag([root, -root]))]}
     for command in ("lindblad-evolve", "entropy-check", "extract-generator"):
         yield f"{command} dephasing qubit", [command], doc, "dephasing qubit"
+    for argv in ARGV:
+        yield f"argv {argv}", argv, None, "argv"
 
 
 def _generic(d):
@@ -303,7 +312,7 @@ def child(workdir: str) -> None:
     config = os.path.join(workdir, "config.json")
     results, groups = {}, {}
     for name, argv, doc, key in _cases(cli):
-        groups[name] = f"{argv[0]} {key}"
+        groups[name] = " ".join(argv[:1] + [key])
         if doc is not None:
             with open(config, "w") as fh:
                 json.dump(doc, fh)
@@ -312,6 +321,8 @@ def child(workdir: str) -> None:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
+            except SystemExit as exc:  # argparse's exit
+                code = exc.code
             except Exception as exc:  # a traceback escaping the CLI
                 code = f"raised {type(exc).__name__}"
         results[name] = [code, _sha(out.getvalue()), _sha(err.getvalue()),

@@ -18,13 +18,19 @@ the file cache, and must exit as it does in the first checkout.  Then each
 round runs every command once per checkout; the checkouts take turns going
 first from round to round, so rounds share the host's drift.  The tool
 prints one JSON line with the run's settings, among them whether
-PYTHONDONTWRITEBYTECODE is set (then each call also compiles lindkit from
-source), and then one JSON line per command: its exit code, and as lists
+PYTHONDONTWRITEBYTECODE is set and, per checkout after the untimed calls,
+whether every lindkit module has its bytecode cached beside it: Python reads
+cached bytecode even under that flag, and a checkout without it compiles
+lindkit from source on every call, so two checkouts compare only when both
+read the same.  Then it prints one JSON line per command: its exit code,
+and as lists
 in ``--src`` order each checkout's median and quartiles of the wall time
 (s) and of the peak RSS (MiB), and, from the second checkout on, in how many
 rounds it was faster, and smaller, than the first.
 """
 import argparse
+import glob
+import importlib.util
 import json
 import os
 import platform
@@ -51,6 +57,15 @@ def call(src: str, command: str):
     wall = time.perf_counter() - start
     # ru_maxrss is in KiB on Linux
     return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024
+
+
+def _compiled(src: str) -> bool:
+    """Whether every module of the lindkit package in ``src`` has bytecode
+    cached for this interpreter, no older than its source."""
+    sources = glob.glob(os.path.join(src, "lindkit", "*.py"))
+    cached = [importlib.util.cache_from_source(path) for path in sources]
+    return all(os.path.exists(pyc) and os.path.getmtime(pyc) >= os.path.getmtime(path)
+               for path, pyc in zip(sources, cached))
 
 
 def _command(text: str) -> str:
@@ -85,11 +100,6 @@ def main(argv=None) -> int:
         ap.error("--rounds must be at least 1")
     commands = args.command or list(COMMANDS)
     srcs = args.src
-    print(json.dumps({
-        "srcs": srcs, "rounds": args.rounds, "commands": commands,
-        "python": platform.python_version(), "cpus": os.cpu_count(), "blas_threads": 1,
-        "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-    }), flush=True)
     codes = {}
     for command in commands:
         for i, src in enumerate(srcs):
@@ -97,6 +107,12 @@ def main(argv=None) -> int:
             if codes[command, i] != codes[command, 0]:
                 sys.exit(f"{command} exits {codes[command, i]} with {src}, "
                          f"{codes[command, 0]} with {srcs[0]}")
+    print(json.dumps({
+        "srcs": srcs, "rounds": args.rounds, "commands": commands,
+        "python": platform.python_version(), "cpus": os.cpu_count(), "blas_threads": 1,
+        "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "bytecode_cached": [_compiled(src) for src in srcs],
+    }), flush=True)
     walls = {key: [] for key in codes}
     rss = {key: [] for key in codes}
     for r in range(args.rounds):
