@@ -46,9 +46,7 @@ from .quantum import (
 )
 from .ramsey import (
     RamseyConfig,
-    RamseyDerived,
     ScanResult,
-    derive,
     gaussian_fraction,
     protocol,
     pulse_closed_form,

@@ -427,7 +427,8 @@ def extract_generator(samples, scheme: str = "central") -> np.ndarray:
     and 4h as (4 L_h - L_2h)/3, cancelling the leading O(h^2) error term.
     Each step of a difference must be small, ||K(h) - I|| <= 0.1, and for
     Richardson also ||K(2h) - I|| <= 0.1; a larger one raises StepTooLarge
-    naming that sample.
+    naming that sample.  A quotient that leaves double precision, as at a
+    subnormal h, raises Overflow naming the scheme and h.
     """
     return extract_generators(samples, (scheme,))[0]
 
@@ -459,12 +460,17 @@ def extract_generators(samples, schemes) -> list[np.ndarray]:
             if defect > 0.1:
                 raise StepTooLarge(f"||K({'' if m == 1 else m}h) - I|| = {defect:.3f} "
                                    "exceeds 0.1; sample closer to tau = 0")
-        if scheme == "forward":
-            estimates.append((ks[0] - eye) / h)
-            continue
-        for t, k1, k2 in zip(ts, ks, ks[1:]):
-            if t not in central:
-                central[t] = (k2 - eye) @ np.linalg.inv(k1) / (2 * t)
-        l_h = central[ts[0]]
-        estimates.append(l_h if scheme == "central" else (4.0 * l_h - central[ts[1]]) / 3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if scheme == "forward":
+                est = (ks[0] - eye) / h
+            else:
+                for t, k1, k2 in zip(ts, ks, ks[1:]):
+                    if t not in central:
+                        central[t] = (k2 - eye) @ np.linalg.inv(k1) / (2 * t)
+                l_h = central[ts[0]]
+                est = l_h if scheme == "central" else (4.0 * l_h - central[ts[1]]) / 3.0
+        if not np.all(np.isfinite(est)):
+            raise Overflow(f"the {scheme} difference quotient at h = {h} "
+                           "overflows double precision")
+        estimates.append(est)
     return estimates

@@ -10,11 +10,12 @@ interaction-picture RWA equations for a monochromatic drive
     i f_gg' = -conj(U) f_eg e^{+i dw t} + U f_ge e^{-i dw t}
     i f_eg' =  U (f_ee - f_gg) e^{-i dw t}
 
-with detuning dw = omega - (E_e - E_g) and f_ge = conj(f_eg).  In the frame
-g = f_eg e^{i dw t} the system is an exact precession of the Bloch vector
-(2 Re g~, 2 Im g~, f_ee - f_gg) about the axis (2|U|, 0, dw) at angular rate
-2*Omega, Omega^2 = dw^2/4 + |U|^2; pulse_closed_form evaluates that rotation
-directly (Rodrigues formula), which is the general closed-form solution and
+with detuning dw = omega - (E_e - E_g) = RamseyConfig.delta_omega and
+f_ge = conj(f_eg).  In the frame g = f_eg e^{i dw t} the system is an exact
+precession of the Bloch vector (2 Re g~, 2 Im g~, f_ee - f_gg) about the axis
+(2|U|, 0, dw) at angular rate 2*Omega, Omega^2 = dw^2/4 + |U|^2, which the
+rotation works out from the same (dw, U); pulse_closed_form evaluates that
+rotation directly (Rodrigues formula), the general closed-form solution, which
 degrades gracefully to the identity in the Omega -> 0 limit (a removable
 singularity: zero drive on resonance means nothing moves).
 
@@ -82,6 +83,11 @@ class RamseyConfig:
         if self.lambda_tilde_eg.real < 0:
             raise ValueError("Re(lambda_tilde_eg) must be nonnegative")
 
+    @property
+    def delta_omega(self) -> float:
+        """The detuning dw = omega - (E_e - E_g)."""
+        return self.omega - (self.e_e - self.e_g)
+
     def with_detuning(self, delta_omega: float) -> "RamseyConfig":
         return replace(self, omega=self.e_e - self.e_g + delta_omega)
 
@@ -117,19 +123,6 @@ class RamseyConfig:
                        complex(x["lambda_tilde_re"], x["lambda_tilde_im"]))
 
 
-@dataclass
-class RamseyDerived:
-    delta_omega: float
-    big_omega: float
-
-
-def derive(config: RamseyConfig) -> RamseyDerived:
-    """Detuning dw = omega - (E_e - E_g) and generalized Rabi frequency
-    Omega = sqrt(dw^2/4 + |U|^2)."""
-    dw = config.omega - (config.e_e - config.e_g)
-    return RamseyDerived(dw, float(_rabi(dw, config.u_eg)))
-
-
 def _rabi(dw, u_eg: complex):
     """sqrt(dw^2/4 + |U|^2), vectorized over dw; raises Overflow when the sum
     under the root leaves double precision (|dw| or |U| beyond ~1e154)."""
@@ -143,14 +136,15 @@ def _rabi(dw, u_eg: complex):
     return big_om
 
 
-def _rotation(dw, big_om, u_abs, tau):
+def _rotation(dw, u_eg: complex, tau):
     """Bloch-vector rotation of an RWA pulse of length tau (Rodrigues): angle
-    2 Omega tau about the unit axis (2|U|, 0, dw) / (2 Omega).  Vectorized
-    over dw and Omega, returning shape dw.shape + (3, 3); at Omega = 0 the
-    angle vanishes and the rotation is the identity."""
-    dw, big_om = np.asarray(dw, dtype=float), np.asarray(big_om, dtype=float)
+    2 Omega tau about the unit axis (2|U|, 0, dw) / (2 Omega), Omega the
+    :func:`_rabi` of that drive.  Vectorized over dw, returning shape
+    dw.shape + (3, 3); at Omega = 0 the rotation is the identity."""
+    dw = np.asarray(dw, dtype=float)
+    big_om = _rabi(dw, u_eg)
     den = np.where(big_om > 0, 2 * big_om, 1.0)
-    nx, nz = 2 * u_abs / den, dw / den
+    nx, nz = 2 * abs(u_eg) / den, dw / den
     theta = 2 * big_om * tau
     c, s = np.cos(theta), np.sin(theta)
     k = 1 - c
@@ -164,12 +158,14 @@ def _rotation(dw, big_om, u_abs, tau):
 def pulse_closed_form(
     rho: DensityMatrix,
     tau: float,
-    derived: RamseyDerived,
+    delta_omega: float,
     u_eg: complex,
     t_start: float = 0.0,
 ) -> DensityMatrix:
     """Exact RWA pulse solution over [t_start, t_start + tau] of a two-level
-    state in the (e, g) basis; any other dimension raises DimensionMismatch.
+    state in the (e, g) basis under the drive (``delta_omega``, ``u_eg``);
+    any other dimension raises DimensionMismatch, and a drive whose Omega
+    overflows raises :func:`_rabi`'s Overflow.
 
     The start time matters because the lab-frame coefficients carry the
     explicit e^{+-i dw t} drive phases; fitting the general solution to the
@@ -181,14 +177,13 @@ def pulse_closed_form(
     """
     if rho.dim != 2:
         raise DimensionMismatch(f"a Ramsey pulse acts on a two-level state, not d = {rho.dim}")
-    dw = derived.delta_omega
     phi = np.angle(u_eg)
-    g = rho.matrix[0, 1] * np.exp(1j * (dw * t_start - phi))
-    x, y, z = _rotation(dw, derived.big_omega, abs(u_eg), tau) @ (
+    g = rho.matrix[0, 1] * np.exp(1j * (delta_omega * t_start - phi))
+    x, y, z = _rotation(delta_omega, u_eg, tau) @ (
         2 * g.real, 2 * g.imag, 2 * rho.matrix[0, 0].real - 1.0
     )
     f_ee = (1.0 + z) / 2
-    f_eg = (x + 1j * y) / 2 * np.exp(1j * (phi - dw * (t_start + tau)))
+    f_eg = (x + 1j * y) / 2 * np.exp(1j * (phi - delta_omega * (t_start + tau)))
     return DensityMatrix(np.array([[f_ee, f_eg], [np.conj(f_eg), 1.0 - f_ee]]))
 
 
@@ -205,7 +200,7 @@ def _fringe(config: RamseyConfig, theory: str, dw):
         raise ValueError(f"unknown theory {theory!r}")
     lam = config.lambda_tilde_eg if theory == "modified" else 0j
     dw = np.asarray(dw, dtype=float)
-    r = _rotation(dw, _rabi(dw, config.u_eg), abs(config.u_eg), config.tau)
+    r = _rotation(dw, config.u_eg, config.tau)
     bx, by, bz = -r[..., 0, 2], -r[..., 1, 2], -r[..., 2, 2]
     rzx, rzy, rzz = r[..., 2, 0], r[..., 2, 1], r[..., 2, 2]
     a = (1.0 + rzz * bz) / 2
@@ -339,7 +334,7 @@ def _spread(kappa, sig):
 def protocol(config: RamseyConfig, theory: str = "standard") -> float:
     """Excited-state probability after pulse -> free flight (t_free) -> pulse
     from the ground state, with equal pulse durations."""
-    const = _fringe(config, theory, derive(config).delta_omega)
+    const = _fringe(config, theory, config.delta_omega)
     return float(_fringe_at(*const, config.t_free))
 
 
@@ -358,16 +353,16 @@ def gaussian_fraction(
     [max(T0 - 8 sigma, 0), T0 + 8 sigma] and renormalized over it, with a
     warning when the window is clipped at T = 0.  Both are exact.
     """
-    const = _fringe(config, theory, derive(config).delta_omega)
+    const = _fringe(config, theory, config.delta_omega)
     return float(_transit_average(*const, config.t0, config.sigma, truncate))
 
 
 def point(config: RamseyConfig, theory: str = "standard",
           truncate: bool = False) -> tuple[float, float, float]:
-    """(detuning, single-shot fraction, transit average) of ``config``: the
-    :func:`derive` detuning, :func:`protocol` and :func:`gaussian_fraction`,
-    bit for bit, from one set of fringe constants."""
-    dw = derive(config).delta_omega
+    """(detuning, single-shot fraction, transit average) of ``config``: its
+    :attr:`RamseyConfig.delta_omega`, :func:`protocol` and
+    :func:`gaussian_fraction`, bit for bit, from one set of fringe constants."""
+    dw = config.delta_omega
     const = _fringe(config, theory, dw)
     return (dw, float(_fringe_at(*const, config.t_free)),
             float(_transit_average(*const, config.t0, config.sigma, truncate)))
@@ -413,7 +408,7 @@ def scan(
     grid is evaluated as arrays, so a clipped-window warning is issued once."""
     grid = detuning_grid(delta_omega_grid)
     # the detuning each point's config represents: omega = (E_e - E_g) + delta
-    # rounds at the float grain, exactly as with_detuning + derive would
+    # rounds at the float grain, so this is the delta_omega of with_detuning
     w0 = config.e_e - config.e_g
     const = _fringe(config, theory, (w0 + grid) - w0)
     pb = _fringe_at(*const, config.t_free)

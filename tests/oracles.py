@@ -44,7 +44,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from lindkit import DensityMatrix, derive, gellmann
+from lindkit import DensityMatrix, gellmann
 from lindkit.matcore import _TAYLOR_M, _TAYLOR_TOL, _taylor_plan, expm
 from lindkit.channels import TOL_OPERATOR, GKSForm, Kernel, reshuffle
 from lindkit.errors import (
@@ -87,13 +87,18 @@ def _unchecked_state(f_ee, f_eg):
     return DensityMatrix(_unchecked_matrix(f_ee, f_eg))
 
 
-def rwa_ode(rho, tau, derived, u_eg, dt, t_start=0.0):
-    """Fixed-step RK4 integration of the RWA system from the two-level state
-    rho; the independent oracle for pulse_closed_form."""
-    big_om = derived.big_omega
+def _rabi(dw, u_eg):
+    """The textbook generalized Rabi frequency sqrt(dw^2/4 + |U|^2)."""
+    return math.sqrt(dw * dw / 4 + abs(u_eg) ** 2)
+
+
+def rwa_ode(rho, tau, dw, u_eg, dt, t_start=0.0):
+    """Fixed-step RK4 integration of the RWA system under the drive
+    (dw, u_eg) from the two-level state rho; the independent oracle for
+    pulse_closed_form."""
+    big_om = _rabi(dw, u_eg)
     if big_om > 0 and dt > RWA_DT_MAX / big_om:
         raise StepTooLarge(f"dt must be <= {RWA_DT_MAX / big_om:.3e}")
-    dw = derived.delta_omega
     n = max(1, int(np.ceil(tau / dt)))
     h = tau / n
     t = t_start
@@ -171,14 +176,13 @@ def full_ode(energies, u_matrix, omega, t_span, dt):
     return times, traj.reshape(n + 1, d, d)
 
 
-def _pulse_raw(f, tau, derived, u_eg, t_start):
+def _pulse_raw(f, tau, dw, u_eg, t_start):
     """Rodrigues rotation of the Bloch vector of the 2 x 2 array f over
-    (e, g), in scalar arithmetic, the result a 2 x 2 array built unchecked
-    (the transit-average continuation visits transiently unphysical points
-    whose Gaussian weight is negligible)."""
-    dw = derived.delta_omega
+    (e, g) under the drive (dw, u_eg), in scalar arithmetic, the result a
+    2 x 2 array built unchecked (the transit-average continuation visits
+    transiently unphysical points whose Gaussian weight is negligible)."""
     u = abs(u_eg)
-    big_om = derived.big_omega
+    big_om = _rabi(dw, u_eg)
     if big_om == 0.0 or tau == 0.0:
         return f
     f_ee, f_eg = f[0, 0].real, f[0, 1]
@@ -202,14 +206,14 @@ def protocol_at(config, theory, t_flight):
     segment by segment on 2 x 2 arrays.  Negative t_flight is the analytic
     continuation of the fringe that the full-real-line transit average
     integrates over."""
-    der = derive(config)
-    f = _pulse_raw(_unchecked_matrix(0.0, 0.0 + 0.0j), config.tau, der, config.u_eg, 0.0)
+    dw = config.omega - (config.e_e - config.e_g)
+    f = _pulse_raw(_unchecked_matrix(0.0, 0.0 + 0.0j), config.tau, dw, config.u_eg, 0.0)
     if theory == "modified":
         damped = f[0, 1] * np.exp(-complex(config.lambda_tilde_eg) * t_flight)
         f = _unchecked_matrix(f[0, 0].real, damped)
     elif theory != "standard":
         raise ValueError(f"unknown theory {theory!r}")
-    f = _pulse_raw(f, config.tau, der, config.u_eg, config.tau + t_flight)
+    f = _pulse_raw(f, config.tau, dw, config.u_eg, config.tau + t_flight)
     return float(f[0, 0].real)
 
 

@@ -750,6 +750,22 @@ class TestExtractGenerator:
         for scheme, est in zip(("forward", "central", "richardson"), (forward, central, rich)):
             assert np.array_equal(extract_generator(samples, scheme), est)
 
+    @pytest.mark.parametrize("scheme", ["forward", "central", "richardson"])
+    def test_a_subnormal_step_is_overflow_without_a_warning(self, rng, scheme):
+        # K(h) - I holds entries of order h, and numpy's complex quotient by a
+        # subnormal h overflows; at h = 1e-300 the quotient is still finite
+        gen = build_superoperator(random_lindblad_model(rng, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in (1e-320, 1e-310):
+                samples = [(t, kernel_from_generator(gen, t)) for t in (h, 2 * h, 4 * h)]
+                with pytest.raises(errors.Overflow) as raised:
+                    extract_generator(samples, scheme)
+                assert str(raised.value) == (f"the {scheme} difference quotient at h = {h} "
+                                             "overflows double precision")
+            samples = [(t, kernel_from_generator(gen, t)) for t in (1e-300, 2e-300, 4e-300)]
+            assert np.all(np.isfinite(extract_generator(samples, scheme)))
+
     def test_schemes_together_raise_what_the_first_failing_scheme_raises(self, rng):
         gen = build_superoperator(random_lindblad_model(rng, 2))
         # K(h) too large and no 4h sample: central names K(h) before

@@ -566,6 +566,24 @@ def test_extract_generator_names_richardsons_step_too_large(tmp_path, capsys):
     assert error["message"] == "||K(2h) - I|| = 0.143 exceeds 0.1; sample closer to tau = 0"
 
 
+def test_extract_generator_at_a_subnormal_step_is_overflow(tmp_path, capsys):
+    # the difference quotients by h = 1e-320 overflow: an error record and
+    # exit 3, with no RuntimeWarning and no NaN in a result
+    doc = json.loads(cli.bundled_config_path("model-qubit").read_text())
+    doc["h"] = 1e-320
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["extract-generator", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = _strict_json(err)["error"]
+    assert (error["type"], error["exit_code"]) == ("Overflow", 3)
+    assert error["message"] == ("the central difference quotient at h = 1e-320 "
+                                "overflows double precision")
+
+
 def _born_doc(tmp_path, **fields):
     doc = json.loads(cli.bundled_config_path("born-d3").read_text())
     doc.update(fields)
@@ -707,7 +725,7 @@ def _ramsey_point_cases():
 @pytest.mark.parametrize("name, fields, theory, truncate", list(_ramsey_point_cases()))
 def test_ramsey_point_record_holds_the_bits_of_each_function(tmp_path, name, fields, theory,
                                                              truncate):
-    # the one fringe the command evaluates gives derive's detuning and
+    # the one fringe the command evaluates gives the config's detuning and
     # protocol's and gaussian_fraction's values, bit for bit, and the
     # clipped-window warning of gaussian_fraction
     path = _ramsey_doc(tmp_path, name, **fields)
@@ -719,7 +737,7 @@ def test_ramsey_point_record_holds_the_bits_of_each_function(tmp_path, name, fie
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         avg = ramsey.gaussian_fraction(cfg, theory, truncate=truncate)
-    expected = {"delta_omega": ramsey.derive(cfg).delta_omega,
+    expected = {"delta_omega": cfg.delta_omega,
                 "pb_e": ramsey.protocol(cfg, theory), "pb_e_avg": avg}
     assert {key: float(value).hex() for key, value in record["result"].items()} == {
         key: value.hex() for key, value in expected.items()}

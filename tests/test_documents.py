@@ -152,9 +152,9 @@ def test_ramsey_config_round_trips_every_bit(e_g, gap, u, omega, times, lam):
 PUBLIC_NAMES = [
     "ChainSpectrum", "ChoiSpectrum", "DecayMatrix", "DensityMatrix",
     "GKSForm", "Kernel", "LindbladModel", "MeasurementModel", "PerturbationResult",
-    "ProjectorBasis", "RamseyConfig", "RamseyDerived", "ScanResult", "SuperopSpectrum",
+    "ProjectorBasis", "RamseyConfig", "ScanResult", "SuperopSpectrum",
     "bfr_derivative_check", "born_collapse", "born_limit_check", "build_superoperator",
-    "channels", "choi_cp_test", "decay_matrix", "derive", "diagonal_solution",
+    "channels", "choi_cp_test", "decay_matrix", "diagonal_solution",
     "entropy_rate", "entropy_rates", "errors", "evolve", "evolve_many", "evolve_stencil",
     "expm", "extract_generator", "first_order", "gaussian_fraction", "gellmann",
     "general_eig", "gks_build", "gks_project", "herm_eig", "kernel_from_generator",
@@ -172,7 +172,7 @@ def test_public_names_are_pinned():
          "import lindkit; print('\\n'.join(sorted(n for n in dir(lindkit) if n[0] != '_')))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     assert out.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 50
 
 
 def _names_used(path):

@@ -16,7 +16,6 @@ from lindkit import (
     RamseyConfig,
     cli,
     decay_matrix,
-    derive,
     diagonal_solution,
     errors,
     evolve,
@@ -29,12 +28,14 @@ from lindkit import (
     spectrum,
 )
 from oracles import (
+    _pulse_raw,
     full_ode,
     gaussian_fraction_quadrature,
     pb_e_avg_formula,
     pb_e_formula,
     rwa_ode,
 )
+from oracles import _rabi as textbook_rabi
 
 E_G, E_E = 0.0, 100.0
 W0 = E_E - E_G
@@ -86,11 +87,11 @@ def free_flight(rho, t, lam):
 def engine_protocol_at(config, theory, t):
     """Excited fraction after pulse -> engine free flight (t) -> pulse from
     the ground state."""
-    der = derive(config)
+    dw = config.delta_omega
     lam = config.lambda_tilde_eg if theory == "modified" else 0.0
-    rho = pulse_closed_form(GROUND, config.tau, der, config.u_eg)
+    rho = pulse_closed_form(GROUND, config.tau, dw, config.u_eg)
     rho = free_flight(rho, t, lam)
-    rho = pulse_closed_form(rho, config.tau, der, config.u_eg, t_start=config.tau + t)
+    rho = pulse_closed_form(rho, config.tau, dw, config.u_eg, t_start=config.tau + t)
     return rho.matrix[0, 0].real
 
 
@@ -102,52 +103,61 @@ def random_two_level(rng):
     return DensityMatrix.from_matrix([[f_ee, f_eg], [np.conj(f_eg), 1 - f_ee]])
 
 
-class TestDerive:
-    def test_on_resonance(self):
-        der = derive(make_config(u=0.3, dw=0.0))
-        assert der.delta_omega == 0.0
-        assert der.big_omega == pytest.approx(0.3)
+class TestDrive:
+    def test_detuning_is_omega_less_the_level_gap(self):
+        assert make_config(u=0.3, dw=0.0).delta_omega == 0.0
+        cfg = RamseyConfig(0.1, E_E, 0.3, W0 + 0.8, 1.0, 1.0, 1.0, 0.0)
+        assert cfg.delta_omega == (W0 + 0.8) - (E_E - 0.1)
+        # omega = (E_e - E_g) + delta rounds at the float grain
+        assert cfg.with_detuning(1e-14).delta_omega == ((E_E - 0.1) + 1e-14) - (E_E - 0.1)
 
-    def test_no_drive(self):
-        cfg = RamseyConfig(E_G, E_E, 0.0, W0 + 0.8, 1.0, 1.0, 1.0, 0.0)
-        assert derive(cfg).big_omega == pytest.approx(0.4)
+    def test_rabi_on_resonance(self):
+        assert ramsey._rabi(0.0, 0.3) == pytest.approx(0.3)
+        assert ramsey._rabi(0.0, 0.3j) == pytest.approx(0.3)
 
-    def test_detuned(self):
-        der = derive(make_config(u=0.5, dw=1.0))
-        assert der.big_omega == pytest.approx(np.sqrt(2) * 0.5)
-        assert der.big_omega**2 == pytest.approx(
-            der.delta_omega**2 / 4 + 0.25, rel=1e-14
-        )
+    def test_rabi_without_drive(self):
+        assert ramsey._rabi(0.8, 0.0) == pytest.approx(0.4)
+
+    def test_rabi_detuned(self):
+        om = ramsey._rabi(1.0, 0.5)
+        assert om == pytest.approx(np.sqrt(2) * 0.5)
+        assert om**2 == pytest.approx(1.0 / 4 + 0.25, rel=1e-14)
+        assert ramsey._rabi(np.array([-1.0, 0.0, 1.0]), 0.5).tolist() == [
+            ramsey._rabi(-1.0, 0.5), 0.5, om]
+
+    @pytest.mark.parametrize("dw, u", [(1e300, 0.1), (0.0, 1e300), (np.array([0.0, 1e300]), 0.1),
+                                       (0.0, complex(1e308, 1e308))])
+    def test_rabi_beyond_double_precision_is_overflow(self, dw, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.Overflow, match="overflows double precision"):
+                ramsey._rabi(dw, u)
 
 
 class TestPulseClosedForm:
     def test_resonant_half_pulse_full_transfer(self):
         cfg = make_config(u=0.4)
-        der = derive(cfg)
-        tau = np.pi / (2 * der.big_omega)
-        out = pulse_closed_form(GROUND, tau, der, cfg.u_eg)
+        tau = np.pi / (2 * 0.4)  # Omega = |U| on resonance
+        out = pulse_closed_form(GROUND, tau, cfg.delta_omega, cfg.u_eg)
         assert out.matrix[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_duration(self, rng):
         f0 = random_two_level(rng)
         cfg = make_config(dw=0.7)
-        out = pulse_closed_form(f0, 0.0, derive(cfg), cfg.u_eg)
+        out = pulse_closed_form(f0, 0.0, cfg.delta_omega, cfg.u_eg)
         assert np.allclose(out.matrix, f0.matrix)
 
     def test_zero_rabi_frequency_is_identity(self, rng):
         f0 = random_two_level(rng)
-        cfg = RamseyConfig(E_G, E_E, 0.0, W0, 1.3, 1.0, 1.0, 0.0)
-        out = pulse_closed_form(f0, 2.0, derive(cfg), 0.0)
+        out = pulse_closed_form(f0, 2.0, 0.0, 0.0)
         assert np.allclose(out.matrix, f0.matrix)
 
     def test_ground_start_textbook_formulas(self):
         u = 0.3 + 0.4j
         dw = 0.7
-        cfg = make_config(u=u, dw=dw)
-        der = derive(cfg)
-        om = der.big_omega
+        om = textbook_rabi(dw, u)
         for tau in (0.3, 1.7, 4.0):
-            out = pulse_closed_form(GROUND, tau, der, u)
+            out = pulse_closed_form(GROUND, tau, dw, u)
             fee = abs(u) ** 2 / om**2 * np.sin(om * tau) ** 2
             fgg = np.cos(om * tau) ** 2 + dw**2 / (4 * om**2) * np.sin(om * tau) ** 2
             feg = (
@@ -163,14 +173,12 @@ class TestPulseClosedForm:
         for _ in range(8):
             u = (rng.normal() + 1j * rng.normal()) * 0.5
             dw = rng.normal()
-            cfg = RamseyConfig(E_G, E_E, u, W0 + dw, 1.0, 1.0, 1.0, 0.0)
-            der = derive(cfg)
+            om = textbook_rabi(dw, u)
             f0 = random_two_level(rng)
             tau = rng.uniform(0.2, 4.0)
             t_start = rng.uniform(0.0, 10.0)
-            a = pulse_closed_form(f0, tau, der, u, t_start=t_start)
-            b = rwa_ode(f0, tau, der, u, dt=1e-3 / max(der.big_omega, 0.1),
-                        t_start=t_start)
+            a = pulse_closed_form(f0, tau, dw, u, t_start=t_start)
+            b = rwa_ode(f0, tau, dw, u, dt=1e-3 / max(om, 0.1), t_start=t_start)
             assert np.max(np.abs(a.matrix - b.matrix)) < 1e-8
 
 
@@ -191,17 +199,44 @@ def test_pulse_is_unitary_on_mixed_states(r, cos_polar, azimuth, u, dw, tau, t_s
     xy = r * np.sqrt(1.0 - cos_polar**2) * np.exp(1j * azimuth)
     rho = DensityMatrix.from_matrix([[(1 + z) / 2, xy / 2], [np.conj(xy) / 2, (1 - z) / 2]])
     cfg = make_config(u=u, dw=dw, tau=tau)
-    out = pulse_closed_form(rho, tau, derive(cfg), cfg.u_eg, t_start=t_start)
+    out = pulse_closed_form(rho, tau, cfg.delta_omega, cfg.u_eg, t_start=t_start)
     vals = np.linalg.eigvalsh([out.matrix, rho.matrix])
     assert np.max(np.abs(vals[0] - vals[1])) <= 1e-14
     assert abs(np.trace(out.matrix) - 1.0) <= 1e-15
     assert np.array_equal(out.matrix, out.matrix.conj().T)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.floats(0.0, 1.0),
+    cos_polar=st.floats(-1.0, 1.0),
+    azimuth=st.floats(0.0, 2 * np.pi),
+    u_abs=st.floats(0.0, 5.0),
+    u_phase=st.floats(-np.pi, np.pi),
+    dw=st.floats(-5.0, 5.0),
+    tau=st.floats(0.0, 20.0),
+    t_start=st.floats(0.0, 20.0),
+)
+def test_pulse_of_a_drive_is_the_scalar_rotation(r, cos_polar, azimuth, u_abs, u_phase, dw,
+                                                 tau, t_start):
+    # the pulse takes the drive (dw, U) alone and works its Rabi frequency
+    # out itself: it agrees with the oracle's scalar rotation, whose Omega is
+    # the textbook formula, on mixed states and any phase of U, the zero
+    # drive included, and keeps the input's spectrum
+    z = r * cos_polar
+    xy = r * np.sqrt(1.0 - cos_polar**2) * np.exp(1j * azimuth)
+    rho = DensityMatrix.from_matrix([[(1 + z) / 2, xy / 2], [np.conj(xy) / 2, (1 - z) / 2]])
+    u = u_abs * np.exp(1j * u_phase)
+    out = pulse_closed_form(rho, tau, dw, u, t_start=t_start)
+    assert np.max(np.abs(out.matrix - _pulse_raw(rho.matrix, tau, dw, u, t_start))) <= 1e-13
+    vals = np.linalg.eigvalsh([out.matrix, rho.matrix])
+    assert np.max(np.abs(vals[0] - vals[1])) <= 1e-14
+
+
 def test_pulse_takes_only_a_two_level_state():
     cfg = make_config()
     with pytest.raises(errors.DimensionMismatch):
-        pulse_closed_form(DensityMatrix(np.eye(3) / 3), cfg.tau, derive(cfg), cfg.u_eg)
+        pulse_closed_form(DensityMatrix(np.eye(3) / 3), cfg.tau, cfg.delta_omega, cfg.u_eg)
     # populations (0.5, 0.5) with coherence 0.9: eigenvalues -0.4 and 1.4
     with pytest.raises(errors.LindkitError):
         DensityMatrix.from_matrix([[0.5, 0.9], [0.9, 0.5]])
@@ -210,33 +245,26 @@ def test_pulse_takes_only_a_two_level_state():
 class TestRwaOde:
     def test_no_drive_is_constant(self, rng):
         f0 = random_two_level(rng)
-        cfg = RamseyConfig(E_G, E_E, 0.0, W0 + 0.9, 1.0, 1.0, 1.0, 0.0)
-        out = rwa_ode(f0, 3.0, derive(cfg), 0.0, dt=1e-3)
+        out = rwa_ode(f0, 3.0, 0.9, 0.0, dt=1e-3)
         assert np.max(np.abs(out.matrix - f0.matrix)) < 1e-12
 
     def test_resonant_pi_pulse(self):
-        cfg = make_config(u=0.4)
-        der = derive(cfg)
-        tau = np.pi / (2 * der.big_omega)
-        out = rwa_ode(GROUND, tau, der, cfg.u_eg,
-                      dt=1e-3 / der.big_omega)
+        tau = np.pi / (2 * 0.4)  # Omega = |U| on resonance
+        out = rwa_ode(GROUND, tau, 0.0, 0.4, dt=1e-3 / 0.4)
         assert out.matrix[0, 0].real == pytest.approx(1.0, abs=1e-8)
 
     def test_populations_bounded_along_trajectory(self):
-        cfg = make_config(u=0.4, dw=0.6)
-        der = derive(cfg)
         f = GROUND
         t = 0.0
         step = 0.25
         for _ in range(40):
-            f = rwa_ode(f, step, der, cfg.u_eg, dt=1e-3, t_start=t)
+            f = rwa_ode(f, step, 0.6, 0.4, dt=1e-3, t_start=t)
             t += step
             assert -1e-10 <= f.matrix[0, 0].real <= 1 + 1e-10
 
     def test_step_bound_enforced(self):
-        cfg = make_config(u=2.0)
         with pytest.raises(errors.StepTooLarge):
-            rwa_ode(GROUND, 1.0, derive(cfg), cfg.u_eg, dt=0.1)
+            rwa_ode(GROUND, 1.0, 0.0, 2.0, dt=0.1)
 
 
 class TestFullOde:
@@ -258,11 +286,9 @@ class TestFullOde:
         u = u_abs * np.array([[0, 1], [1, 0]], dtype=complex)
         t_rabi = np.pi / u_abs
         times, traj = full_ode([E_E, E_G], u, W0, (0.0, t_rabi), 0.05 / W0)
-        cfg = make_config(u=u_abs)
-        der = derive(cfg)
         worst = 0.0
         for k in range(0, len(times), max(1, len(times) // 60)):
-            rwa = pulse_closed_form(GROUND, times[k], der, u_abs)
+            rwa = pulse_closed_form(GROUND, times[k], 0.0, u_abs)
             worst = max(worst, abs(traj[k][0, 0].real - rwa.matrix[0, 0].real))
         assert worst <= 0.02
 
@@ -299,7 +325,7 @@ class TestFreeFlight:
 class TestProtocol:
     def test_resonant_value(self):
         cfg = make_config(u=0.25, tau=1.1)
-        om = derive(cfg).big_omega
+        om = 0.25  # |U| on resonance
         assert protocol(cfg) == pytest.approx(np.sin(2 * om * 1.1) ** 2, abs=1e-12)
 
     def test_fringe_node_in_regime(self):
@@ -309,7 +335,7 @@ class TestProtocol:
 
     def test_fully_damped_modified_fringe(self):
         cfg = make_config(u=1.0, dw=1e-7, tau=0.61, t_free=300.0, lam=0.1)
-        om = derive(cfg).big_omega
+        om = textbook_rabi(cfg.delta_omega, cfg.u_eg)
         ref = 0.5 * np.sin(2 * om * 0.61) ** 2
         assert protocol(cfg, "modified") == pytest.approx(ref, rel=1e-8)
 
@@ -334,7 +360,7 @@ class TestGaussianFraction:
 
     def test_on_resonance_standard(self):
         cfg = make_config(u=0.25, tau=2.0, dw=0.0, sigma=3.0)
-        om = derive(cfg).big_omega
+        om = 0.25  # |U| on resonance
         assert gaussian_fraction(cfg) == pytest.approx(
             np.sin(2 * om * 2.0) ** 2, abs=1e-12
         )

@@ -18,8 +18,9 @@ sha256 of its stdout and of its stderr.  The cases are:
   their default-config cases, both as they are and with
   ``--truncate-gaussian``, the transit-time average over T >= 0 only;
 - the top-level keys of EXTRA set to values that VALUES does not hold:
-  extract-generator's forward scheme, and an h whose Richardson step 2h is
-  too large while the central step h is not;
+  extract-generator's forward scheme, an h whose Richardson step 2h is
+  too large while the central step h is not, and the subnormal h = 1e-320,
+  whose difference quotients overflow (exit 3 with Overflow);
 - lindblad-evolve and entropy-check on a seeded generic model for each d in
   GENERIC_DIMS (a random Hamiltonian and two random Lindblad operators,
   scaled to ||L||_1 = d^2 as in perfbench's dynamics workload, and a
@@ -55,7 +56,7 @@ sha256 of its stdout and of its stderr.  The cases are:
   know; each exits through argparse, and its exit status is the case's
   exit code.
 
-There are 2759 cases.
+There are 2760 cases.
 
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
@@ -91,7 +92,8 @@ VALUES = [None, True, "x", "1", 2.5, 3.0, 0, -1, 1e300, float("nan"), 10**400, [
 CSV_COMMANDS = ("ramsey-scan", "lindblad-spectrum", "entropy-check")
 # (subcommand, bundled config, top-level key, value) of the further cases
 EXTRA = [("extract-generator", "model-qubit", "scheme", "forward"),
-         ("extract-generator", "model-qubit", "h", 0.05)]
+         ("extract-generator", "model-qubit", "h", 0.05),
+         ("extract-generator", "model-qubit", "h", 1e-320)]
 GENERIC_DIMS = (3, 4, 8, 12)
 GENERIC_SEED = 30
 GENERIC_TAU = 0.5
