@@ -44,7 +44,7 @@ class InvalidDensityMatrix(LindkitError):
 
 
 class IncompleteBasis(LindkitError):
-    """Projectors do not form a complete orthogonal measurement basis."""
+    """A measurement basis is not d orthonormal vectors of C^d."""
 
 
 class SingularState(LindkitError):

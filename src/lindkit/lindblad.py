@@ -4,7 +4,7 @@ Born-rule asymptotics check.
 
 The central objects are LindbladModel (Hamiltonian plus jump operators) and
 MeasurementModel, the diagonal family L_a = sum_alpha l_{a,alpha} P_alpha,
-H = sum_alpha h_alpha P_alpha over a rank-1 projector basis.  Measurement
+H = sum_alpha h_alpha P_alpha over an orthonormal basis.  Measurement
 models are the only constructor that guarantees the hypotheses of the
 Born-rule limit; general models get the asymptotic checks gated by the
 balanced predicate ||sum_a (L_a^dag L_a - L_a L_a^dag)|| = 0.
@@ -249,7 +249,7 @@ def _decay_modes(model: MeasurementModel):
         slot[start[j]:start[j] + sizes[j]] = idx
     position = np.empty_like(slot)
     position[slot] = np.arange(d * d)
-    u = model.basis._u.T  # row alpha: u_alpha
+    u = model.basis.u.T  # row alpha: u_alpha
     rows = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)[slot]
     cluster = np.repeat(np.arange(len(sizes)), sizes)
     alpha, beta = np.divmod(slot, d)
@@ -398,7 +398,10 @@ def measurement_model(basis: ProjectorBasis, l_coeffs, h_coeffs) -> MeasurementM
             "need one l coefficient per operator per projector and one real h "
             "per projector"
         )
-    ham, *ops = basis._diagonal(np.concatenate([h[None], l]))
+    coeffs = np.concatenate([h[None], l])
+    if not np.isfinite(coeffs).all():
+        raise ValueError("matrix entries must be finite")
+    ham, *ops = basis._diagonal(coeffs)
     return MeasurementModel(d, ham, ops, basis=basis, l_coeffs=l, h_coeffs=h)
 
 

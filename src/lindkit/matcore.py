@@ -435,27 +435,31 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: flo
     its chains' vectors as columns, chain by chain, and the chains' lengths;
     eigenvalue ``lam`` (the members' mean), members the cluster's raw
     eigenvalues, ``limit`` the largest spread that still reads as one
-    eigenvalue.  B = A - lambda I is real when both A and lambda are, so a
-    real cluster's SVDs run in real arithmetic.  One full SVD of B gives both
-    ||B||_2 and B's null space.  The chains come from one descent from the
-    top level p of the null spaces of B^k: level k is B times level k + 1,
-    then the tops of the chains of length k, in null(B^k) away from
-    null(B^(k-1)) and the level's other columns.  Chain c is column c of
-    levels 1 .. its length, scaled to a unit head V_1."""
+    eigenvalue.  B = A - lambda I is real when both A and lambda are, and
+    taken as B / sigma, sigma = 2^e putting its largest part in [0.5, 1), so
+    that no power of it leaves double precision.  One full SVD gives both
+    ||B / sigma||_2 and B's null space.  The chains come from one descent
+    from the top level p of the null spaces of B^k: level k is B / sigma
+    times level k + 1, then the tops of the chains of length k, in null(B^k)
+    away from null(B^(k-1)) and the level's other columns.  Chain c is
+    column c of levels 1 .. its length over the norm of its head, level k
+    times sigma^-(k-1)."""
     d = a.shape[0]
     m_alg = len(members)
     if lam.imag == 0.0 and not np.iscomplexobj(a):
         b = a - lam.real * np.eye(d)
     else:
         b = a - lam * np.eye(d)
+    parts = b.view(b.real.dtype)
+    e = int(np.frexp(np.abs(parts).max())[1])  # sigma = 2^e
+    b = np.ldexp(parts, -e).view(b.dtype)
     try:
         _, s, vh = np.linalg.svd(b)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"2-norm of A - lambda I at {lam:.6g}: {exc}") from exc
-    norm_b = max(float(s[0]), 1e-300)
-    # twice the members' spread about lambda, at most ``limit``, as a numpy
-    # float, so that its powers overflow to inf
-    spread = np.float64(min(2.0 * float(np.abs(members - lam).max()), limit))
+    norm_b = s[0]
+    # twice the members' spread about lambda, at most ``limit``, on B / sigma
+    spread = np.ldexp(min(2.0 * float(np.abs(members - lam).max()), limit), -e)
 
     def ill(reason):
         return IllConditioned(f"cluster at {lam:.6g}{reason}",
@@ -477,9 +481,7 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: flo
             bk = bk @ b
             _, s, vh = np.linalg.svd(bk)
         with np.errstate(over="ignore"):
-            cutoff = max(d * 1e-10 * np.float64(norm_b)**k, spread**k, 1e-300)
-        if cutoff == np.inf:
-            raise Overflow(f"cluster at {lam:.6g}: ||A - lambda I||^{k} overflows")
+            cutoff = max(d * 1e-10 * norm_b**k, spread**k)
         nb = vh[int(np.sum(s > cutoff)):].conj().T
         if nb.shape[1] <= dims[-1]:
             break
@@ -514,14 +516,12 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: flo
         levels.append(level)
     lengths = (widths[:, None] > np.arange(widths[0])).sum(axis=0).tolist()
     order = [dims[k] + c for c, n in enumerate(lengths) for k in range(n)]
-    # each head's 2-norm taken on it scaled by its largest modulus, so that
-    # the squares of a tiny head do not underflow
-    top = np.abs(levels[-1]).max(axis=0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        norms = top * np.linalg.norm(levels[-1] / top, axis=0)
-        vectors = np.column_stack(levels[:0:-1])[:, order] / np.repeat(norms, lengths)
-    if not np.isfinite(vectors).all():
-        raise ill(": degenerate chain")
+    level = np.concatenate([np.arange(n) for n in lengths])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        vectors = (np.column_stack(levels[:0:-1])[:, order] / np.repeat(
+            np.linalg.norm(levels[-1], axis=0), lengths) * np.ldexp(1.0, -e * level))
+    if not (np.isfinite(vectors).all() and vectors.any(axis=0).all()):
+        raise Overflow(f"cluster at {lam:.6g}: chain vectors leave double precision")
     return vectors, lengths
 
 
@@ -544,7 +544,8 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
     one-member clusters take their unit eigenvectors from the one ``eig``
     call, normalized together; only larger clusters pay for SVDs
     (:func:`_cluster_chains`).  The final check that the vectors span the
-    space is one SVD, real for a real input (:func:`_real_span`).
+    space is one SVD of them scaled to unit norm, real for a real input
+    (:func:`_real_span`).
     """
     a = _checked_square(_of_kind(m))
     d = a.shape[0]
@@ -576,7 +577,13 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
             a, complex(centres[j]), raw[idx], limit)
 
     eigenvalues = centres.tolist()
-    basis = vectors if np.iscomplexobj(a) else _real_span(vectors, raw, first, sizes)
+    # the span is read on unit vectors; only chain vectors are not unit, and
+    # each is scaled by its largest modulus first, so that its norm is finite
+    basis = vectors
+    if any(max(lengths[j]) > 1 for j in members):
+        basis = vectors / np.abs(vectors).max(axis=0)
+        basis /= np.linalg.norm(basis, axis=0)
+    basis = basis if np.iscomplexobj(a) else _real_span(basis, raw, first, sizes)
     if np.count_nonzero(np.linalg.svd(basis, compute_uv=False) > 1e-8) < d:
         raise IllConditioned(
             "generalized eigenvectors do not span the space",

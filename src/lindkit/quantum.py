@@ -1,7 +1,8 @@
 """Density matrices, alone or as a checked stack that holds their
-eigenvalues, projective measurement collapse, and the von Neumann entropy
-with its dissipative rate formula, in nats (natural log).  Unitary evolution
-is ``lindblad.evolve`` of a model without jump operators.
+eigenvalues, measurement bases as one unitary each, projective measurement
+collapse, and the von Neumann entropy with its dissipative rate formula, in
+nats (natural log).  Unitary evolution is ``lindblad.evolve`` of a model
+without jump operators.
 
 Density-matrix constructors repair eigenvalues in [-TOL_POS, 0) by clipping
 to zero and renormalizing the trace, recording that the repair happened --
@@ -10,7 +11,7 @@ failure there would be useless.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,38 +130,46 @@ class States:
 
 @dataclass
 class ProjectorBasis:
-    """Rank-1 orthogonal projectors summing to the identity, optionally
-    partitioned into equivalence classes of indistinguishable outcomes.  The
-    basis is kept as one unitary U with P_alpha = U[:, alpha] U[:, alpha]^dag."""
+    """A measurement basis as the unitary ``u`` of its vectors, P_alpha =
+    u_alpha u_alpha^dag for column alpha, checked orthonormal and complete,
+    with optional equivalence classes of indistinguishable outcomes."""
 
-    projectors: list[np.ndarray]
+    u: np.ndarray
     classes: list[list[int]] | None = None
-    _u: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.projectors, dtype=complex)
-        n, d = len(p), p.shape[-1]
-        # column k of P = v v^dag is v conj(v_k): over sqrt(P_kk), v up to a phase
-        k = p.diagonal(axis1=1, axis2=2).real.argmax(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = p[range(n), :, k] / np.sqrt(p[range(n), k, k].real)[:, None]
-        defect = matcore._frobenius(p - v[:, :, None] * v[:, None, :].conj())
-        if not (defect <= TOL_PROJECTOR).all():  # also catches a NaN defect
-            raise IncompleteBasis("projectors must be rank-1 projectors")
-        self._u = v.T
-        if n != d or matcore._frobenius(v.conj() @ v.T - np.eye(n)) > TOL_PROJECTOR * d:
-            raise IncompleteBasis("projectors are not orthogonal or do not sum to the identity")
+        u = self.u = np.asarray(self.u, dtype=complex)
+        d = len(u) if u.ndim == 2 else 0
+        # a unitary's entries are at most 1 in modulus, which a NaN entry fails,
+        # and bounded entries keep U^dag U finite
+        if not (d and u.shape == (d, d) and (np.abs(u) <= 1.0 + TOL_PROJECTOR).all()
+                and matcore._frobenius(u.conj().T @ u - np.eye(d)) <= TOL_PROJECTOR * d):
+            raise IncompleteBasis(f"a basis of C^d is d orthonormal vectors, got U of {u.shape}")
         if self.classes is not None:
             flat = sorted(i for c in self.classes for i in c)
-            if flat != list(range(n)):
+            if flat != list(range(d)):
                 raise IncompleteBasis("classes are not a partition of outcomes")
 
     @classmethod
     def from_vectors(cls, vectors, classes=None) -> "ProjectorBasis":
-        w = np.asarray(vectors, dtype=complex).reshape(len(vectors), -1)
-        if (np.abs(np.sqrt((w * w.conj()).real.sum(axis=1)) - 1.0) > 1e-12).any():
-            raise UnnormalizedState("basis vectors must be normalized")
-        return cls(list(w[:, :, None] * w[:, None, :].conj()), classes)
+        """u_alpha = vectors[alpha] conj(u_k) / sqrt(|u_k|^2), k its entry of
+        largest modulus, as column k of P_alpha over sqrt(P_kk) reads it."""
+        w = np.asarray(vectors, dtype=complex)
+        if not (w.ndim and w.size):
+            raise IncompleteBasis("a basis needs a list of at least one vector")
+        w = w.reshape(len(w), -1)
+        if not np.isfinite(w).all():
+            raise ValueError("basis vector entries must be finite")
+        # a unit vector's entries are at most 1 in modulus, and bounded so, no
+        # square overflows
+        if (np.abs(w) <= 1.0 + 1e-12).all():
+            sq = (w * w.conj()).real
+            if (np.abs(np.sqrt(sq.sum(axis=1)) - 1.0) <= 1e-12).all():
+                n = range(len(w))
+                k = sq.argmax(axis=1)
+                return cls(((w * w[n, k].conj()[:, None]) / np.sqrt(sq[n, k])[:, None]).T,
+                           classes)
+        raise UnnormalizedState("basis vectors must be normalized")
 
     @classmethod
     def computational(cls, dim: int, classes=None) -> "ProjectorBasis":
@@ -168,7 +177,7 @@ class ProjectorBasis:
 
     @property
     def dim(self) -> int:
-        return self._u.shape[0]
+        return self.u.shape[0]
 
     def _class_mask(self) -> np.ndarray:
         """Boolean (n, n): alpha and beta share a class (identity if no classes)."""
@@ -179,12 +188,12 @@ class ProjectorBasis:
 
     def _diagonal(self, coeffs) -> np.ndarray:
         """sum_alpha c_alpha P_alpha = U diag(c) U^dag for each row c of coeffs."""
-        return (self._u * np.asarray(coeffs)[..., None, :]) @ self._u.conj().T
+        return (self.u * np.asarray(coeffs)[..., None, :]) @ self.u.conj().T
 
     def _weighted(self, rho: "DensityMatrix", weights) -> "DensityMatrix":
         """sum_{alpha beta} w_{alpha beta} P_alpha rho P_beta, taken as
         U ((U^dag rho U) o w) U^dag with o the element-wise product."""
-        u = self._u
+        u = self.u
         return DensityMatrix.from_matrix(u @ ((u.conj().T @ rho.matrix @ u) * weights)
                                          @ u.conj().T)
 

@@ -37,6 +37,11 @@ For evolution: the Taylor loop of exp(t*a) @ v that tests every term
 against the running sum.
 
 For the output: the standard library's JSON encoder.
+
+For measurement bases: a basis's projectors P_alpha = u_alpha u_alpha^dag,
+and the unitary of a list of basis vectors read back from their projectors,
+column k of P = v v^dag over sqrt(P_kk), k the largest diagonal entry, which
+fixes each vector's phase.
 """
 import json
 import math
@@ -606,3 +611,20 @@ def gks_lindblad_ops(gks):
     keep = vals > TOL_OPERATOR
     coords = np.vstack([np.zeros((1, keep.sum())), vecs[:, keep] * np.sqrt(vals[keep])])
     return gellmann.from_coords(coords).T.reshape(-1, gks.dim, gks.dim)
+
+
+def projectors(basis):
+    """The (d, d, d) stack of a basis's projectors P_alpha, one outer product
+    of column alpha of its unitary with itself each."""
+    return np.array([np.outer(v, v.conj()) for v in basis.u.T])
+
+
+def basis_from_projectors(vectors):
+    """The unitary whose column alpha is vectors[alpha] as its projector
+    P_alpha = v v^dag gives it back: column k of P_alpha over sqrt(P_kk), k
+    the index of P_alpha's largest diagonal entry."""
+    w = np.asarray(vectors, dtype=complex).reshape(len(vectors), -1)
+    p = w[:, :, None] * w[:, None, :].conj()
+    n = range(len(p))
+    k = p.diagonal(axis1=1, axis2=2).real.argmax(axis=1)
+    return (p[n, :, k] / np.sqrt(p[n, k, k].real)[:, None]).T

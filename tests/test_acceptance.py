@@ -212,7 +212,7 @@ def test_05_born_rule_emergence():
                 classes = dm.classes()
                 assert any(len(c) > 1 for c in classes)
                 target = born_collapse(
-                    rho0, ProjectorBasis(model.basis.projectors, classes)
+                    rho0, ProjectorBasis(model.basis.u, classes)
                 )
                 reached = evolve(model, rho0, 40.0 / gamma)
                 assert np.linalg.norm(reached.matrix - target.matrix) <= 1e-6

@@ -392,7 +392,7 @@ def _python_calls(fn, *args) -> int:
 
 @pytest.mark.parametrize("command, name, most", [
     ("lindblad-spectrum", "model-qubit", 242),
-    ("born-check", "born-d3", 279),
+    ("born-check", "born-d3", 278),
 ])
 def test_config_stage_call_counts(command, name, most):
     cli._load(command, name)  # the first call reads the bundled text

@@ -1,4 +1,5 @@
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -39,7 +40,8 @@ from lindkit import (
     records,
     spectrum,
 )
-from oracles import apply_generator, chain_views, hermiticity_defect, superoperator_kron
+from oracles import (apply_generator, chain_views, hermiticity_defect, projectors,
+                     superoperator_kron)
 
 
 class TestSuperoperator:
@@ -279,7 +281,7 @@ def test_eig_path_resolves_a_measurement_models_stationary_cluster(monkeypatch, 
         assert np.linalg.norm(sop @ v) <= 1e-12 * np.linalg.norm(sop)
         assert _hermitian_up_to_phase_defect(mode) <= 1e-12
     assert np.linalg.norm(_span_projector(stationary)
-                          - _span_projector(model.basis.projectors), 2) <= 1e-10
+                          - _span_projector(projectors(model.basis)), 2) <= 1e-10
 
 
 def test_measurement_spectrum_overflows_as_the_eig_path_does():
@@ -521,7 +523,7 @@ class TestMeasurementModel:
         model = random_measurement_model(rng, 3)
         assert model.balanced
         for l in model.lindblads:
-            for p in model.basis.projectors:
+            for p in projectors(model.basis):
                 assert np.linalg.norm(l @ p - p @ l) < 1e-12
 
     def test_zero_l_is_purely_hamiltonian(self):
@@ -554,6 +556,20 @@ class TestMeasurementModel:
         with pytest.raises(errors.DimensionMismatch):
             measurement_model(basis, np.zeros((1, 3)), [0.0, 0.0])
 
+    @pytest.mark.parametrize("l, h", [
+        ([[1.0, 0.5]], [np.inf, 1.0]),
+        ([[1.0, np.nan]], [0.0, 1.0]),
+        ([[1.0, 1j * np.inf]], [0.0, 1.0]),
+    ], ids=["inf-h", "nan-l", "inf-imaginary-l"])
+    def test_non_finite_coefficients_raise_before_any_operator(self, l, h):
+        # the table is checked before U diag(c) U^dag is formed, whose
+        # products would warn first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                measurement_model(ProjectorBasis.from_vectors([[0.6, 0.8], [0.8, -0.6]]),
+                                  l, h)
+
     def test_general_model_rejected_by_decay_matrix(self, rng):
         with pytest.raises(errors.NotDiagonalFamily):
             decay_matrix(random_lindblad_model(rng, 2))
@@ -581,7 +597,7 @@ class TestDecayMatrix:
         rho0 = random_density(rng, 3)
         t = 0.7
         evolved = evolve(model, rho0, t).matrix
-        projs = model.basis.projectors
+        projs = projectors(model.basis)
         for a in range(3):
             for b in range(3):
                 if a == b:
@@ -598,7 +614,7 @@ class TestDecayMatrix:
         model = random_measurement_model(rng, 3)
         dm = decay_matrix(model)
         sop = build_superoperator(model)
-        projs = model.basis.projectors
+        projs = projectors(model.basis)
         vecs = [v / np.linalg.norm(v) for v in
                 (np.linalg.eigh(p)[1][:, -1] for p in projs)]
         for a in range(3):
@@ -654,7 +670,7 @@ class TestBornLimitCheck:
     def test_diagonal_state_converged_at_zero(self, rng):
         model = random_measurement_model(rng, 2)
         diag = sum(
-            p * 0.5 for p in model.basis.projectors
+            p * 0.5 for p in projectors(model.basis)
         )
         rho0 = DensityMatrix.from_matrix(diag)
         converged, residual = born_limit_check(model, rho0, 0.0, 1e-12)
@@ -719,7 +735,7 @@ def test_closed_form_is_evolve_and_reaches_the_born_limit(d, n_ops, degenerate, 
         assert np.linalg.norm(exact - evolve(model, rho0, t).matrix) <= 1e-12
     classes = dm.classes()
     assert (classes[0] == [0, 1]) == degenerate
-    target = born_collapse(rho0, ProjectorBasis(basis.projectors, classes))
+    target = born_collapse(rho0, ProjectorBasis(basis.u, classes))
     for horizon_over_gamma in (1e6, 1e9, 1e12):
         out = diagonal_solution(dm, rho0, horizon_over_gamma / dm.gamma_min()).matrix
         assert np.array_equal(out, out.conj().T)

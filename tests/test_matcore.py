@@ -251,7 +251,7 @@ class TestGeneralEig:
 
     def test_tiny_jordan_block_keeps_its_chain(self):
         # the head V_1 of 1e-100 N's chain has entries of about 1e-200, whose
-        # squares underflow: its norm is taken on the head scaled to unit size
+        # squares underflow: the chain is found for B scaled to unit size
         n = 1e-100 * np.diag([1.0, 1.0], k=1)
         cs = general_eig(n)
         assert cs.lengths == [[3]]
@@ -261,10 +261,44 @@ class TestGeneralEig:
         assert np.array_equal(n @ v2, v1) and np.array_equal(n @ v3, v2)
 
     def test_jordan_ladder_that_no_structure_fits_is_ill_conditioned(self):
-        # at 1e-150 N the null spaces of B, B^2 read 1 and 3 dimensions: a
-        # growth of 2 after a growth of 1, which no Jordan structure makes
+        # the cluster {0, +-1e-6}: its spread reads as rounding only up to
+        # 1e-8 in the null space of B, but 1e-12 is below B^2's cutoff, so
+        # the null spaces of B, B^2 read 1 and 3 dimensions: a growth of 2
+        # after a growth of 1, which no Jordan structure makes
         with pytest.raises(errors.IllConditioned, match=re.escape("[0, 1, 3]")):
-            general_eig(1e-150 * np.diag([1.0, 1.0], k=1))
+            general_eig(np.diag([0.0, 1e-6, -1e-6, 1.0]), tol_cluster=1e-3)
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-100, 1.0, 1e100, 1e150])
+    def test_jordan_chain_at_any_scale(self, c):
+        # c N, N the 3 x 3 shift: the chain e1, e2 / c, e3 / c^2 whenever
+        # its vectors are doubles; the rank tests run on B scaled to unit size
+        a = c * np.diag([1.0, 1.0], k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cs = general_eig(a)
+        assert cs.eigenvalues == [0.0] and cs.lengths == [[3]]
+        v1, v2, v3 = cs.vectors.T
+        assert np.array_equal(np.abs(v1), [1.0, 0.0, 0.0])
+        for lo, hi, k in ((v1, v2, 1), (v2, v3, 2)):
+            # hi is e_k / c^k up to rounding, and a @ hi is lo
+            assert abs(abs(hi[k]) * c**k - 1.0) <= 1e-15
+            assert np.abs(hi[:k] * c**k).max() <= 1e-15 and not hi[k + 1:].any()
+            assert np.abs((a @ hi - lo) * c**(k - 1)).max() <= 1e-15
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e200])
+    def test_jordan_chain_beyond_double_precision_is_overflow(self, c):
+        # e3 / c^2 overflows (c = 1e-300: about 1e600) or underflows to zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.Overflow, match="cluster at 0"):
+                general_eig(c * np.diag([1.0, 1.0], k=1))
+
+    def test_defective_pair_of_huge_coupling_keeps_its_chain(self):
+        # ||A - lambda I||^2 = 1e600 leaves double precision, the chain
+        # e1, e2 / 1e300 does not
+        cs = general_eig(np.array([[0.0, 1e300], [0.0, 0.0]]))
+        assert cs.lengths == [[2]]
+        assert np.array_equal(np.abs(cs.vectors), [[1.0, 0.0], [0.0, 1e-300]])
 
     @pytest.mark.parametrize("structure", [[3, 1], [2, 2], [2, 1, 1], [3, 2], [4, 2, 1]])
     @pytest.mark.parametrize("kind", [float, complex])
@@ -437,9 +471,9 @@ def test_cluster_norm_failure_is_no_convergence():
 
 
 def test_cluster_power_overflow_is_overflow():
-    # a defective double eigenvalue 0 whose ||A - lambda I||^2 overflows
+    # a defective double eigenvalue 0 whose chain vector e2 / 1e-310 overflows
     with pytest.raises(errors.Overflow):
-        general_eig(np.array([[0.0, 1e300], [0.0, 0.0]]))
+        general_eig(np.array([[0.0, 1e-310], [0.0, 0.0]]))
 
 
 def _cluster_groups(vals, tol):

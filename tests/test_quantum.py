@@ -26,8 +26,8 @@ from lindkit import (
     vn_entropies,
     vn_entropy,
 )
-from oracles import (density_matrix_single, entropy_rate_single, expectation, mixture,
-                     vn_entropy_single)
+from oracles import (basis_from_projectors, density_matrix_single, entropy_rate_single,
+                     expectation, mixture, projectors, vn_entropy_single)
 
 
 class TestDensityMatrix:
@@ -196,19 +196,55 @@ class TestProjectorBasis:
         with pytest.raises(errors.IncompleteBasis):
             ProjectorBasis.from_vectors([[1, 0], v])
 
-    @pytest.mark.parametrize("projectors", [
-        [np.eye(2)],
-        [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])],
-        [np.eye(2), np.zeros((2, 2))],  # as many projectors as dimensions
-    ], ids=["identity", "rank-2-member", "identity-and-zero"])
-    def test_higher_rank_projectors_rejected(self, projectors):
-        # complete and orthogonal, but coarse-graining is the job of classes
-        with pytest.raises(errors.IncompleteBasis):
-            ProjectorBasis(projectors)
-
     def test_bad_class_partition_rejected(self):
         with pytest.raises(errors.IncompleteBasis):
             ProjectorBasis.computational(3, classes=[[0, 1]])
+
+    @pytest.mark.parametrize("vectors, error, match", [
+        ([[np.inf, 0.0], [0.0, 1.0]], ValueError, "finite"),
+        ([[np.nan, 0.0], [0.0, 1.0]], ValueError, "finite"),
+        ([[1e200, 0.0], [0.0, 1.0]], errors.UnnormalizedState, "normalized"),
+        ([[1e200 + 1e200j, 0.0], [0.0, 1.0]], errors.UnnormalizedState, "normalized"),
+        ([], errors.IncompleteBasis, "at least one"),
+        ([[]], errors.IncompleteBasis, "at least one"),
+        (1.0, errors.IncompleteBasis, "a list"),
+    ], ids=["inf", "nan", "huge", "huge-complex", "empty", "empty-vector", "scalar"])
+    def test_bad_vectors_raise_a_typed_error_and_no_warning(self, vectors, error, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                ProjectorBasis.from_vectors(vectors)
+
+    @pytest.mark.parametrize("u", [
+        np.diag([1.0, np.nan]), np.diag([1.0, np.inf]), np.diag([1.0, 1e200]),
+        np.eye(2)[:, :1], np.zeros((0, 0)), np.ones(2) / np.sqrt(2),
+    ], ids=["nan", "inf", "huge", "one-column", "empty", "vector"])
+    def test_bad_unitary_raises_incomplete_basis_and_no_warning(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.IncompleteBasis):
+                ProjectorBasis(u)
+
+    def test_basis_is_its_unitary(self, rng):
+        u = random_unitary(rng, 4)
+        basis = ProjectorBasis(u, [[0, 1], [2], [3]])
+        assert np.array_equal(basis.u, u)
+        assert basis.dim == 4 and basis.classes == [[0, 1], [2], [3]]
+        assert np.abs(basis._diagonal(np.eye(4)) - projectors(basis)).max() <= 1e-15
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), real=st.booleans())
+def test_from_vectors_keeps_the_bits_of_the_projector_round_trip(d, seed, real):
+    # random column phases, or a real orthogonal basis with random signs, so
+    # that the phase convention is exercised on every branch of the argmax
+    rng = np.random.default_rng(seed)
+    if real:
+        w = np.linalg.qr(rng.standard_normal((d, d)))[0] * rng.choice([-1.0, 1.0], d)
+    else:
+        w = random_unitary(rng, d) * np.exp(2j * np.pi * rng.random(d))
+    u = ProjectorBasis.from_vectors(list(w.T)).u
+    assert u.dtype == complex and np.array_equal(u, basis_from_projectors(list(w.T)))
 
 
 class TestUnitaryStep:
