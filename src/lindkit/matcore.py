@@ -480,8 +480,7 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: flo
         if k > 1:
             bk = bk @ b
             _, s, vh = np.linalg.svd(bk)
-        with np.errstate(over="ignore"):
-            cutoff = max(d * 1e-10 * norm_b**k, spread**k)
+        cutoff = max(d * 1e-10 * norm_b**k, spread**k)
         nb = vh[int(np.sum(s > cutoff)):].conj().T
         if nb.shape[1] <= dims[-1]:
             break
@@ -520,7 +519,9 @@ def _cluster_chains(a: np.ndarray, lam: complex, members: np.ndarray, limit: flo
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         vectors = (np.column_stack(levels[:0:-1])[:, order] / np.repeat(
             np.linalg.norm(levels[-1], axis=0), lengths) * np.ldexp(1.0, -e * level))
-    if not (np.isfinite(vectors).all() and vectors.any(axis=0).all()):
+    # a column whose largest entry is subnormal has lost its precision
+    if not (np.isfinite(vectors).all()
+            and (np.abs(vectors).max(axis=0) >= np.finfo(float).tiny).all()):
         raise Overflow(f"cluster at {lam:.6g}: chain vectors leave double precision")
     return vectors, lengths
 
@@ -577,12 +578,10 @@ def general_eig(m, tol_cluster: float | None = None) -> ChainSpectrum:
             a, complex(centres[j]), raw[idx], limit)
 
     eigenvalues = centres.tolist()
-    # the span is read on unit vectors; only chain vectors are not unit, and
-    # each is scaled by its largest modulus first, so that its norm is finite
-    basis = vectors
-    if any(max(lengths[j]) > 1 for j in members):
-        basis = vectors / np.abs(vectors).max(axis=0)
-        basis /= np.linalg.norm(basis, axis=0)
+    # the span is read on unit vectors, each scaled by its largest modulus
+    # first, so that a chain vector's norm is finite
+    basis = vectors / np.abs(vectors).max(axis=0)
+    basis /= np.linalg.norm(basis, axis=0)
     basis = basis if np.iscomplexobj(a) else _real_span(basis, raw, first, sizes)
     if np.count_nonzero(np.linalg.svd(basis, compute_uv=False) > 1e-8) < d:
         raise IllConditioned(

@@ -138,7 +138,8 @@ class ProjectorBasis:
     classes: list[list[int]] | None = None
 
     def __post_init__(self):
-        u = self.u = np.asarray(self.u, dtype=complex)
+        u = self.u = np.array(self.u, dtype=complex)  # a copy the caller cannot change
+        u.flags.writeable = False
         d = len(u) if u.ndim == 2 else 0
         # a unitary's entries are at most 1 in modulus, which a NaN entry fails,
         # and bounded entries keep U^dag U finite

@@ -285,9 +285,10 @@ class TestGeneralEig:
             assert np.abs(hi[:k] * c**k).max() <= 1e-15 and not hi[k + 1:].any()
             assert np.abs((a @ hi - lo) * c**(k - 1)).max() <= 1e-15
 
-    @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e200])
+    @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e200])
     def test_jordan_chain_beyond_double_precision_is_overflow(self, c):
-        # e3 / c^2 overflows (c = 1e-300: about 1e600) or underflows to zero
+        # e3 / c^2 overflows (c = 1e-300: about 1e600), or falls below the
+        # normal doubles (c = 1e160: about 1e-320, 10 bits) or to zero
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(errors.Overflow, match="cluster at 0"):

@@ -232,6 +232,15 @@ class TestProjectorBasis:
         assert basis.dim == 4 and basis.classes == [[0, 1], [2], [3]]
         assert np.abs(basis._diagonal(np.eye(4)) - projectors(basis)).max() <= 1e-15
 
+    def test_basis_owns_its_unitary(self, rng):
+        # a later change to the caller's array cannot pass the checks by
+        u = random_unitary(rng, 3)
+        basis = ProjectorBasis(u)
+        u[:] = 0.0
+        assert not np.array_equal(basis.u, u)
+        with pytest.raises(ValueError, match="read-only"):
+            basis.u[0, 0] = 0.0
+
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), real=st.booleans())
