@@ -3,11 +3,13 @@ allow_nan=False) writes, byte for byte, for the values records hold (dicts
 with str keys, lists, tuples, scalars and Rows tables), fails where it fails
 on those, and refuses every other value: json's ValueError for a NaN or
 infinity, TypeError otherwise; every record the CLI emits is that form of
-its own content; and a table of state matrices, written from their mirror
-entries' texts, has the texts, and so the bits, of their own entries."""
+its own content; and a table of state matrices has the texts, and so the
+bits, of their own entries, which the shortest-repr kernel writes as
+float.__repr__ does."""
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -322,11 +324,17 @@ def test_every_record_is_the_json_dumps_form_of_its_content(tmp_path):
 
 @st.composite
 def _part_stacks(draw):
-    """(re, im) of an (n, d, d) stack: exactly Hermitian, real (im all +0.0),
-    Hermitian but for one entry off by one unit in the last place or by the
-    sign of a zero (as a repaired state can be), or unstructured."""
-    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    re, im = (draw(arrays(np.float64, (n, d, d), elements=_FLOATS)) for _ in range(2))
+    """(re, im) of an (n, d, d) stack, with fewer or more entries than the
+    kernel takes: exactly Hermitian, real (im all +0.0), Hermitian but for
+    one entry off by one unit in the last place or by the sign of a zero (as
+    a repaired state can be), or unstructured; its entries drawn from
+    _FLOATS, or seeded normal draws scaled by powers of ten."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        re, im = (draw(arrays(np.float64, (n, d, d), elements=_FLOATS)) for _ in range(2))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        re, im = rng.standard_normal((2, n, d, d)) * 10.0 ** rng.integers(-30, 30, (2, n, d, d))
     kind = draw(st.sampled_from(["hermitian", "real", "nudged", "general"]))
     if kind != "general":
         rows, cols = np.triu_indices(d, 1)
@@ -343,31 +351,17 @@ def _part_stacks(draw):
     return re, im
 
 
-def _mirrors_proven(m, flip):
-    """Whether every entry of the square float matrix m below the diagonal has
-    the bits of its mirror (negated when flip), by float.hex, which writes a
-    zero's sign."""
-    d = len(m)
-    return all(float(m[j, i]).hex() == float(-m[i, j] if flip else m[i, j]).hex()
-               for i in range(d) for j in range(i + 1, d))
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(stack=_part_stacks())
 def test_state_arrays_write_every_entry_as_its_repr(stack):
     # a table of matrix columns is written as the row dicts of their
-    # row-major lists; a matrix formats only its upper triangle and diagonal
-    # where the bits of its mirror entries, or of their negatives, prove it
+    # row-major lists, on either side of the kernel's crossover
     re, im = stack
     columns = {"re": re, "im": im}
     rows = [{key: part[k].reshape(-1).tolist() for key, part in columns.items()}
             for k in range(len(re))]
     assert records.canonical_json({"states": records.Rows(**columns)}) == canonical_json_dumps(
         {"states": rows})
-    for part in stack:
-        assert records._mirror_signs(part) == [
-            1 if _mirrors_proven(m, False) else -1 if _mirrors_proven(m, True) else 0
-            for m in part]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -375,11 +369,79 @@ def test_state_arrays_write_every_entry_as_its_repr(stack):
        values=st.lists(_SCALAR_LEAVES, min_size=4, max_size=4))
 def test_writes_matrix_columns_among_scalar_columns_as_json_dumps_does(keys, stack, values):
     # keys that the row writer must escape, sorted before, between and after
-    # the matrix columns, the mirror path and the entry-by-entry one mixed
+    # the matrix columns, written by the kernel or by float.__repr__
     re, im = stack
-    columns = dict(zip(keys, (re, values[:len(re)], im)))
+    column = [values[k % len(values)] for k in range(len(re))]
+    columns = dict(zip(keys, (re, column, im)))
     assert records.canonical_json([records.Rows(**columns)]) == canonical_json_dumps(
         [_dict_rows(columns)])
+
+
+def _kernel_texts(x):
+    """The kernel's texts of the float vector x, and the mask of its
+    entries that float.__repr__ wrote."""
+    x = np.asarray(x, dtype=float)
+    [text], slow = records._repr_texts(x, np.full(x.size, ord(";"), np.uint8), [0, x.size])
+    return text.decode().split(";")[:-1], slow
+
+
+def _assert_reprs(x):
+    texts, _ = _kernel_texts(x)
+    assert texts == [float.__repr__(v) for v in np.asarray(x, dtype=float).tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bits=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+def test_kernel_writes_any_finite_double_as_its_repr(bits):
+    x = np.array(bits, dtype=np.int64).view(np.float64)
+    _assert_reprs(x[np.isfinite(x)])
+
+
+def _neighbours(values):
+    """values and the finite doubles next to each."""
+    x = np.array(values)
+    with np.errstate(over="ignore"):
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    return x[np.isfinite(x)]
+
+
+_KERNEL_SETS = {
+    "zeros and subnormals": [0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                             *_neighbours([2.2250738585072014e-308])],
+    "the largest double": _neighbours([1.7976931348623157e308, -1.7976931348623157e308]),
+    "powers of 2": _neighbours([2.0**k for k in range(-1074, 1024)]),
+    "powers of 10": _neighbours([10.0**k for k in range(-323, 309)]),
+    "integers": np.concatenate([np.arange(-2000.0, 2000.0),
+                                np.random.default_rng(0).integers(0, 2**53, 4000).astype(float),
+                                _neighbours([2.0**53])]),
+    "thousandths": np.arange(-4000, 4000) / 1000,
+    "layout edges": _neighbours([1e16, 9999999999999998.0, 0.0001, 1e-05, 1e-04 - 1e-20]),
+    # y = 10000000000000002.5: a tie, read by float.__repr__
+    "ties": [1000000000000000.25, 1000000000000000.75, -9007199254740994.0],
+}
+
+
+@pytest.mark.parametrize("values", _KERNEL_SETS.values(), ids=_KERNEL_SETS.keys())
+def test_kernel_writes_edge_values_as_their_reprs(values):
+    _assert_reprs(values)
+
+
+def test_power_table_is_ten_to_the_k_correctly_rounded():
+    # hi is 10^k rounded to nearest and lo the rest rounded, as a table built
+    # with exact fractions has them; big + small split hi exactly
+    (hi, lo, big, small), *_ = records._repr_tables()
+    for k, h, l in zip(range(records._KMIN, records._KMAX + 1), hi.tolist(), lo.tolist()):
+        exact = Fraction(10) ** k
+        assert (h, l) == (float(exact), float(exact - Fraction(h)))
+    assert np.array_equal(big + small, hi)
+
+
+def test_kernel_writes_nearly_every_normal_draw_itself():
+    # the property above cannot pass on float.__repr__ alone
+    x = np.random.default_rng(1).standard_normal(10**4)
+    texts, slow = _kernel_texts(x)
+    assert texts == [float.__repr__(v) for v in x.tolist()]
+    assert slow.mean() <= 0.01
 
 
 def _real_model_config(tmp_path, d):

@@ -37,7 +37,6 @@ from lindkit import (
     kernel_from_generator,
     matcore,
     measurement_model,
-    records,
     spectrum,
 )
 from oracles import (apply_generator, chain_views, hermiticity_defect, projectors,
@@ -444,19 +443,6 @@ def test_evolved_states_are_exactly_hermitian_with_unit_trace(d, seed, times):
     for t, rho in zip(times, states):
         if t > 0.0:
             assert abs(np.trace(rho.matrix).real - 1.0) <= 4 * np.spacing(1.0)
-
-
-@pytest.mark.parametrize("d", [3, 5, 8, 12])
-def test_evolved_states_are_written_as_mirrors(d):
-    # the record writer proves each state's mirror entries by their bits; a
-    # state without exact conjugate pairs would be written entry by entry
-    rng = np.random.default_rng(d)
-    model = random_lindblad_model(rng, d)
-    rho0 = random_density(rng, d)
-    times = np.linspace(0.05, 2.0, 50)
-    for states in (evolve_many(model, rho0, times), *evolve_stencil(model, rho0, times, 1e-5)):
-        assert records._mirror_signs(states.matrices.real) == [1] * 50
-        assert records._mirror_signs(states.matrices.imag) == [-1] * 50
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

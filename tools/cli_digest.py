@@ -36,10 +36,11 @@ sha256 of its stdout and of its stderr.  The cases are:
 - lindblad-evolve as JSON, over the 50-point grid, of a seeded pure state
   under the Hamiltonian of each generic model alone (no Lindblad operator),
   for d = 1, 2 and each d in GENERIC_DIMS: most of those states are repaired.
-  A repaired state is exactly Hermitian too, so its parts mirror their upper
-  triangles like any other state's: no case here writes a matrix entry by
-  entry (over 12 seeds of these configs, 0 of the 7200 parts of 3600 states,
-  2451 of them repaired).  The d = 4 pure state, itself repaired, runs the
+  In every lindblad-evolve case each state's parts are written entry by
+  entry: by the records writer's numpy kernel where the record's states
+  hold at least ``records._REPR_MIN_ENTRIES`` entries (every 50-point grid
+  from d = 3 up, and the generic models' 5-point grid from d = 8), and by
+  float.__repr__ below that.  The d = 4 pure state, itself repaired, runs the
   grid with zeros too, so that a repaired rho0 flag is written in the
   states at t = 0;
 - extract-generator on a seeded measurement model in the computational

@@ -23,6 +23,11 @@ for lindblad-evolve and entropy-check, each record written to memory).
 Case "evolve-record" writes the in-memory record of that lindblad-evolve
 run, built once, with ``records.canonical_json``: the encoder's share of
 "evolve-cli".
+Case "matrix-texts:<entries>", with d null, writes a table of two
+matrix columns alone, ``records.canonical_json(records.Rows(re=re, im=im))``
+with re and im the real and imaginary stacks of MATRIX_TEXTS_STATES[k]
+seeded d = 4 density matrices: 64 to 8192 entries in all, on either side
+of the entry count from which the records writer takes its numpy kernel.
 Case "bundled-cli:<command>", with d null, runs each of the eight commands
 on its bundled default config (``cli.main([command])``, the record written
 to memory; ``ramsey-scan`` runs the fig-both config: 2 x 401 fringe rows)
@@ -51,9 +56,10 @@ for every (d, case), REPEAT calls of each checkout in turn and keeps each
 one's best; the checkouts take turns going first from round to round.
 After ROUNDS rounds the tool prints one JSON line per (d, case): each
 checkout's minimum, median and quartiles over the rounds, and in how many
-rounds it was faster than the first ``--src``.  The minimum is the
-steadiest of these: a round that lands in a slow phase of the host moves
-the median and quartiles, not the minimum.  Timing
+rounds it was faster than the first ``--src``.  ``--case PREFIX`` keeps
+only the cases whose names start with PREFIX (repeat for more).  The
+minimum is the steadiest of these: a round that lands in a slow phase of
+the host moves the median and quartiles, not the minimum.  Timing
 separate runs of one checkout after another drifted by about +-30 % on a
 2-core host; rounds that interleave the checkouts share that drift.
 """
@@ -82,6 +88,8 @@ JORDAN_TOL = 1e-4
 REPEAT = 3
 ROUNDS = 11
 SEED = 7
+# the states of the "matrix-texts" cases: 32 entries each at d = 4
+MATRIX_TEXTS_STATES = (2, 4, 8, 16, 32, 64, 128, 256)
 
 
 def load(src: str, name: str):
@@ -126,6 +134,14 @@ def jordan_matrix(d: int) -> np.ndarray:
     return q @ j @ q.T
 
 
+def density_stack(n: int, d: int) -> np.ndarray:
+    """n seeded d x d density matrices (seed [SEED, n, d, 3])."""
+    rng = np.random.default_rng([SEED, n, d, 3])
+    w = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    rho = w @ w.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
 def gks_round_trip(lk, gen):
     """The generator rebuilt from its GKS form, as a spectral task does."""
     return lk.channels.gks_build(lk.channels.gks_project(gen))
@@ -160,6 +176,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", required=True,
                     help="directory that holds a lindkit package (repeat to compare)")
+    ap.add_argument("--case", action="append",
+                    help="keep only the cases whose names start with this (repeat for more)")
     args = ap.parse_args()
     packages = [load(src, f"lindkit_{i}") for i, src in enumerate(args.src)]
     clis = [importlib.import_module(f"lindkit_{i}.cli") for i in range(len(packages))]
@@ -235,12 +253,19 @@ def main() -> None:
                 work.append((d, name, [partial(run_cli, cli, argv) for cli in clis]))
             work.append((d, "evolve-record", [partial(cli.canonical_json, evolve_record(cli, path))
                                               for cli in clis]))
+        for n in MATRIX_TEXTS_STATES:
+            rho = density_stack(n, 4)
+            work.append((None, f"matrix-texts:{rho.size * 2}", [partial(
+                lk.records.canonical_json, lk.records.Rows(re=rho.real, im=rho.imag))
+                for lk in packages]))
         for command in clis[0]._COMMANDS:
             if any(run_cli(cli, [command]) not in (0, 3) for cli in clis):
                 sys.exit(f"{command} failed on its default config")
             work.append((None, f"bundled-cli:{command}",
                          [partial(run_cli, cli, [command]) for cli in clis]))
 
+        if args.case:
+            work = [w for w in work if w[1].startswith(tuple(args.case))]
         best = {(d, name): [[] for _ in packages] for d, name, _ in work}
         for r in range(ROUNDS):
             turn = [(r + i) % len(packages) for i in range(len(packages))]
