@@ -3,23 +3,20 @@
 Each document's one strict reader is built from the field readers here,
 which report every fault as a ConfigParse naming the key at fault.  A record
 is written as ``json.dumps(record, sort_keys=True, indent=2,
-allow_nan=False)`` plus a newline would write it, byte for byte, but without
-``json``'s pure-Python indenting encoder; the encoder takes the values
-records hold (:func:`canonical_json`) and refuses the rest.  A table handed
-over as its columns (:class:`Rows`), such as a Ramsey scan's fringe or the
-evolved states, is written by one join per table: its keys sorted and
-escaped once into the texts between the cells, each scalar column formatted
-once, and the matrices of all its matrix columns together, entry by entry in
-row-major order, by a numpy kernel that writes float.__repr__'s texts
-(:func:`_repr_texts`) once they hold enough entries to repay it.
+allow_nan=False)`` plus a newline would write it, byte for byte, by
+:func:`canonical_json`, which takes a table as its columns (:class:`Rows`)
+and writes all of a record's float lists, float columns and matrices at
+once: by a numpy kernel that writes float.__repr__'s texts (:func:`_repr_texts`)
+when they are many enough to repay it, and by float.__repr__ when they are not.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import math
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import countOf
 
 import numpy as np
 
@@ -142,24 +139,22 @@ def complex_parts(re_key: str, im_key: str, m) -> dict:
 
 
 def canonical_json(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
-    written directly, for the records the commands write: dicts with str
-    keys, lists, tuples, str, int, float, bool and None, and :class:`Rows`.
-
-    With ``indent`` set, ``json`` formats through its pure-Python encoder,
-    which costs an interpreter round trip per value; records here are mostly
-    long lists of floats (the evolved states), so a list of floats only is one
-    join over ``float.__repr__``, the repr ``json`` uses, checked with one
-    ``math.isfinite`` pass.  A :class:`Rows` is written as the list of its
-    rows' dicts would be, by one join per table (:func:`_rows_texts`).  As in
-    ``json``, keys are in ``sorted(doc.items())`` order, int and float
-    subclasses are written as plain numbers and strings through
-    ``encode_basestring_ascii``.  A NaN or infinity raises ``json``'s
-    ValueError, and a key that is not a str or any other value TypeError;
-    a circular reference is not looked for, since no record holds one.
-    """
-    out = []
-    _encode(doc, out, "\n", {})
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``
+    for the records the commands write (dicts with str keys, lists, tuples,
+    str, int, float, bool, None and :class:`Rows`), without ``json``'s
+    pure-Python indenting encoder: one walk (:func:`_encode`) checks every
+    value in ``json``'s order and writes all but the float runs, the lists
+    and table columns of type-float items only and the matrix columns, whose
+    texts :func:`_run_texts` then writes at once.  As in ``json``, keys are
+    sorted, int and float subclasses written as plain numbers and strings
+    through ``encode_basestring_ascii``; a NaN or infinity raises ValueError,
+    a key that is not a str or any other value TypeError.  Circular
+    references are not looked for: no record holds one."""
+    out, runs, later = [], [], []
+    _encode(doc, out, "\n", (runs, later, {}))
+    texts = _run_texts(runs)
+    for slot, fill in later:  # a list's run, or a table's writer
+        out[slot] = texts[fill] if type(fill) is int else fill(texts)
     out.append("\n")
     return "".join(out)
 
@@ -167,20 +162,13 @@ def canonical_json(doc) -> str:
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return float.__repr__(x)
-
-
-def _float_texts(items) -> list:
-    """``float.__repr__`` of each item: a TypeError at an item that is not a
-    float, ``json``'s ValueError at the first NaN or infinity."""
-    texts = list(map(float.__repr__, items))
-    if not all(map(math.isfinite, items)):
-        for x in items:
-            _float_text(x)  # raises at the first NaN or infinity
-    return texts
+def _floats(items) -> bool:
+    """Whether all items are of type float; if so, json's ValueError at a NaN or inf."""
+    if countOf(map(type, items), float) != len(items):  # a subclass's sum may warn (numpy's)
+        return False
+    if not math.isfinite(sum(items, 0.0)):  # a NaN or inf, or a sum past the largest float
+        list(map(_scalar_text, items))  # json's ValueError at the first NaN or inf, if any
+    return True
 
 
 def _scalar_text(o) -> str:
@@ -191,7 +179,9 @@ def _scalar_text(o) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        return _float_text(o)
+        if math.isfinite(o):
+            return float.__repr__(o)
+        raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
@@ -200,8 +190,7 @@ class Rows:
     ``{key: columns[key][i] for key in columns}`` for each i, written as
     ``json`` writes that list of dicts.  A column is a sequence of scalars
     (str, int, float, bool, None) or a 3-D array, a stack of finite float64
-    square matrices, which gives each row the row-major list of its matrix,
-    every entry written as ``float.__repr__`` writes it.
+    square matrices, which gives each row the row-major list of its matrix.
     The keys in insertion order are the header of the table's CSV.  Columns
     of unequal length raise ValueError."""
 
@@ -214,21 +203,19 @@ class Rows:
         self.columns = columns
 
 
-def _rows_texts(rows: Rows, inner: str, texts: dict) -> str:
-    """The rows of ``rows`` as :func:`_encode` writes their dicts, separated
-    by ``"," + inner``, as one text, empty for no rows: one ``"".join`` that
-    interleaves the texts between the cells, the keys sorted and escaped
-    into them once per table, with the cells: each scalar column formatted
-    once (a float column by :func:`_float_texts`) into ``texts``, by its id,
-    and the matrices of every matrix column in one call of
-    :func:`_matrix_texts`.  A matrix column that is not a stack of square
-    float64 matrices raises TypeError, and one with a NaN or infinity
-    ``json``'s ValueError, in key order among the scalar columns' faults."""
+def _encode_rows(rows: Rows, out: list, nl: str, walk: tuple) -> None:
+    """:func:`_encode` of ``rows`` as the list of their dicts: an empty list, or
+    the place of a function of the runs' texts that joins the texts between
+    the cells, keys escaped once per table, with the cells.  In key order, a
+    float column is a run, another scalar column's texts are written once per
+    call, and a matrix column is a run of rows (TypeError if not a stack of
+    square float64 matrices, ValueError at a NaN or inf)."""
+    runs, later, seen = walk
+    inner = nl + "  "
     field = inner + "  "
     # gaps[k] is the text before the cell of key k, close the text after
-    # the last cell of a row, before its closing brace
+    # the last cell of a row; a cell is its texts or the index of its run
     gaps, cells, close, n = [], [], "", 0
-    stacks, slots = [], []  # the matrix columns and their places in cells
     for key in sorted(rows.columns):
         column = rows.columns[key]
         n = len(column)
@@ -237,52 +224,54 @@ def _rows_texts(rows: Rows, inner: str, texts: dict) -> str:
             if column.dtype != float or not column.shape[1] == column.shape[2] > 0:
                 raise TypeError("a matrix column must be a stack of square float64 matrices")
             if not np.isfinite(column).all():  # json's ValueError at the first NaN or infinity
-                _float_texts(column.reshape(-1).tolist())
+                _floats(column.reshape(-1).tolist())
             gaps[-1] += "[" + field + "  "
-            stacks.append(column)
-            slots.append(len(cells))
-            cells.append(None)
+            cells.append(len(runs))
+            runs.append((column.reshape(-1, column.shape[1] ** 2), "," + field + "  "))
             close = field + "]"
             continue
         close = ""
-        if id(column) not in texts:  # a column met before in this call is not formatted again
-            try:
-                texts[id(column)] = _float_texts(column)
-            except TypeError:  # not floats only
-                texts[id(column)] = list(map(_scalar_text, column))
-        cells.append(texts[id(column)])
+        if id(column) not in seen:  # a column met before in this call is not formatted again
+            floats = _floats(column)
+            seen[id(column)] = len(runs) if floats else list(map(_scalar_text, column))
+            runs += [(column, None)] * floats
+        cells.append(seen[id(column)])
     if not n:  # no columns, or columns of no rows
-        return ""
-    for slot, matrices in zip(slots, _matrix_texts(stacks, "," + field + "  ")):
-        cells[slot] = matrices
+        out.append("[]")
+        return
     end = close + inner + "}"
-    lanes = [repeat(gap) for gap in gaps]
-    # a row after the first starts with the end of the row before it
-    lanes[0] = chain(gaps[:1], repeat(end + "," + inner + gaps[0]))
-    table = zip(*chain.from_iterable(zip(lanes, cells)))
-    return "".join(chain(chain.from_iterable(table), (end,)))
+
+    def table(texts: list) -> str:
+        lanes = [repeat(gap) for gap in gaps]
+        # a row after the first starts with the end of the row before it
+        lanes[0] = chain(gaps[:1], repeat(end + "," + inner + gaps[0]))
+        columns = (texts[cell] if type(cell) is int else cell for cell in cells)
+        return "".join(chain(chain.from_iterable(zip(*chain.from_iterable(zip(lanes, columns)))),
+                             (end,)))
+    later.append((len(out) + 2, table))
+    out += ("[", inner, "", nl, "]")
 
 
-def _encode(o, out: list, nl: str, texts: dict) -> None:
-    """Append the canonical form of ``o`` to ``out``.  ``nl`` is a newline
-    and the indentation of the line ``o`` ends on, and ``texts`` holds the
-    texts of the :class:`Rows` scalar columns formatted so far in this call.
-    Anything but a list, tuple, dict or :class:`Rows` is written by
-    :func:`_scalar_text`."""
+def _encode(o, out: list, nl: str, walk: tuple) -> None:
+    """Append the canonical form of ``o`` to ``out``, an empty text in the
+    place of each float run's.  ``nl`` is a newline and the indentation of
+    the line ``o`` ends on; ``walk`` holds the runs met so far, the places
+    in ``out`` waiting for texts (each with its list's run or its table's
+    writer) and each scalar column's run or texts, by its id."""
     if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
         inner = nl + "  "
-        try:
-            out += ("[", inner, ("," + inner).join(_float_texts(o)), nl, "]")
+        if _floats(o):
+            walk[1].append((len(out) + 2, len(walk[0])))
+            walk[0].append((o, "," + inner))
+            out += ("[", inner, "", nl, "]")
             return
-        except TypeError:  # an item that is not a float: item by item below
-            pass
         out.append("[")
         for k, item in enumerate(o):
             out.append("," + inner if k else inner)
-            _encode(item, out, inner, texts)
+            _encode(item, out, inner, walk)
         out += (nl, "]")
     elif isinstance(o, dict):
         if not o:
@@ -292,16 +281,15 @@ def _encode(o, out: list, nl: str, texts: dict) -> None:
         out.append("{")
         for k, (key, value) in enumerate(sorted(o.items())):
             out += ("," + inner if k else inner, encode_basestring_ascii(key), ": ")
-            _encode(value, out, inner, texts)
+            _encode(value, out, inner, walk)
         out += (nl, "}")
     elif isinstance(o, Rows):
-        text = _rows_texts(o, nl + "  ", texts)
-        out += ("[", nl + "  ", text, nl, "]") if text else ("[]",)
+        _encode_rows(o, out, nl, walk)
     else:
         out.append(_scalar_text(o))
 
 
-# The texts of a matrix column.  float.__repr__ writes the shortest decimal
+# The texts of a record's floats.  float.__repr__ writes the shortest decimal
 # string that reads back as the double, the one nearest to it among those
 # (Steele & White 1990; Gay's dtoa, mode 0), at about 0.6 us a value.  The
 # kernel below finds the same digits for a whole array in double-double
@@ -326,13 +314,12 @@ _DROP = 0xFF  # a canvas byte that is no character, deleted from the text
 # (6-39), "e+ddd" (40-44), two bytes unused and the terminator (47); as six
 # 8-byte words, the first five are a leading digit and four four-digit groups
 _WIDTH = 48
-# The fewest entries a table's matrix columns hold for the kernel to write
-# them.  Its fixed cost is about 0.2 ms, and float.__repr__ costs about
-# 0.55 us an entry: ``tools/evolve_sweep.py --case matrix-texts`` on two
-# copies of this module with this constant set to 10**9 and to 0 read 154
-# against 220 us at 256 entries, 285 against 270 us at 512 and 569 against
-# 343 us at 1024 (minima of 11 rounds, 2-core VM).
-_REPR_MIN_ENTRIES = 512
+# The fewest floats a record's runs hold for the kernel to write them all
+# (tools/evolve_sweep.py, copies with this at 10**9 and 1, minima of 11 rounds):
+# float-texts 290/296 us at 384 floats, 340/329 at 448, warm in a loop; in a
+# command, which evicts numpy's code, entropy-cli d = 8 (712 floats) 5.37/5.52
+# ms, evolve-cli d = 2 (632) 1.87/1.95 and evolve-cli d = 3 (1172) 2.27/2.23.
+_REPR_MIN_ENTRIES = 768
 # the most entries a canvas holds: 2048 rows of _WIDTH bytes stay below the
 # C allocator's 128 KiB threshold for mapping fresh pages from the system
 _REPR_CHUNK = 2048
@@ -474,27 +461,40 @@ def _repr_texts(x: np.ndarray, term: np.ndarray, cuts) -> tuple:
     return texts, slow
 
 
-def _matrix_texts(stacks: list, sep: str) -> list:
-    """For each (n, d, d) finite float64 stack of ``stacks``, the texts of
-    its matrices: each one's row-major entries as float.__repr__ writes
-    them, joined by ``sep``.  Stacks of fewer than _REPR_MIN_ENTRIES entries
-    in all join float.__repr__ matrix by matrix; the rest are written by
-    :func:`_repr_texts`, all stacks together, on canvases of whole
-    matrices of at most _REPR_CHUNK entries (or one matrix)."""
-    flats = [s.reshape(len(s), -1) for s in stacks]
-    if sum(f.size for f in flats) < _REPR_MIN_ENTRIES:
-        return [[sep.join(map(float.__repr__, row)) for row in f.tolist()] for f in flats]
-    x = np.concatenate([f.reshape(-1) for f in flats])
-    ends = np.cumsum(np.repeat([f.shape[1] for f in flats], [len(f) for f in flats]))
-    term = np.full(x.size, ord(","), np.uint8)
-    term[ends - 1] = ord(";")
-    cuts = [0]
-    while cuts[-1] < x.size:  # the last matrix end within a chunk, or the next one
-        cuts.append(int(ends[max(np.searchsorted(ends, cuts[-1] + _REPR_CHUNK, "right") - 1,
-                                 np.searchsorted(ends, cuts[-1], "right"))]))
-    texts, sep = [], sep.encode()
-    for text in _repr_texts(x, term, cuts)[0]:
-        texts += text.replace(b",", sep).decode().split(";")
-        texts.pop()  # the empty text after the last terminator
-    starts = np.cumsum([0] + [len(f) for f in flats]).tolist()
-    return [texts[a:b] for a, b in zip(starts[:-1], starts[1:])]
+def _run_texts(runs: list) -> list:
+    """The texts of float runs (values, sep), each float as float.__repr__
+    writes it: of a float sequence, one per entry if ``sep`` is None and else
+    the text of them all joined by ``sep``; of an (n, k) float64 array, one per
+    row joined by ``sep``.  Fewer than _REPR_MIN_ENTRIES floats in all are
+    written by float.__repr__, more by one :func:`_repr_texts` call, on
+    canvases of at most _REPR_CHUNK entries (or one row) of one row sep."""
+    sizes = [values.size if isinstance(values, np.ndarray) else len(values) for values, _ in runs]
+    if sum(sizes) < _REPR_MIN_ENTRIES:
+        return [list(map(float.__repr__, values)) if sep is None else
+                sep.join(map(float.__repr__, values)) if type(values) is not np.ndarray
+                else [sep.join(map(float.__repr__, row)) for row in values.tolist()]
+                for values, sep in runs]
+    x = np.concatenate([np.asarray(values, float).reshape(-1) for values, _ in runs])
+    term = np.full(x.size, ord(";"), np.uint8)  # ";" ends a text, "," parts a row's entries
+    stretches, a = [[0, ","]], 0  # where each stretch of one row separator starts, and it
+    for (values, sep), size in zip(runs, sizes):
+        if sep is not None and isinstance(values, np.ndarray):  # a stack's rows
+            term[a:a + size].reshape(values.shape)[:, :-1] = ord(",")
+            if stretches[-1][1] not in (",", sep):
+                stretches.append([a, sep])
+            stretches[-1][1] = sep
+        a += size
+    ends = np.flatnonzero(term == ord(";")) + 1
+    cuts, seps = [0], []
+    for (_, sep), (stop, _) in zip(stretches, stretches[1:] + [(x.size, None)]):
+        while cuts[-1] < stop:  # the last text's end within a chunk, or the next one
+            cut = ends[max(np.searchsorted(ends, cuts[-1] + _REPR_CHUNK, "right") - 1,
+                           np.searchsorted(ends, cuts[-1], "right"))]
+            cuts.append(min(stop, int(cut)))
+            seps.append(sep.encode())
+    flat = []
+    for text, sep in zip(_repr_texts(x, term, cuts)[0], seps):
+        flat += text.replace(b",", sep).decode().split(";")[:-1]  # none after the last ";"
+    bounds = list(accumulate((len(values) for values, _ in runs), initial=0))
+    return [flat[a:b] if sep is None or isinstance(values, np.ndarray) else sep.join(flat[a:b])
+            for (values, sep), a, b in zip(runs, bounds, bounds[1:])]

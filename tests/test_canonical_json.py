@@ -129,24 +129,36 @@ def test_columns_of_unequal_length_are_refused():
 
 
 def test_a_column_held_twice_is_written_as_two_copies_formatted_once(monkeypatch):
-    grid = [0.25 * k for k in range(-4, 5)]
-    doc = {"standard": records.Rows(delta_omega=grid, pb_e=[x * x for x in grid]),
-           "modified": records.Rows(delta_omega=grid, label=["x"] * len(grid)),
-           "both": records.Rows(a=grid, b=grid)}
-    copies = {"standard": [{"delta_omega": x, "pb_e": x * x} for x in grid],
-              "modified": [{"delta_omega": x, "label": "x"} for x in grid],
-              "both": [{"a": x, "b": x} for x in grid]}
-    formatted, float_texts = [], records._float_texts
+    # on either side of the kernel's crossover: a 9-point grid's record is
+    # written by float.__repr__, a longer one's by one kernel call
+    runs, kernel_calls = [], []
+    run_texts, repr_texts = records._run_texts, records._repr_texts
 
-    def counting(items):
-        formatted.append(id(items))
-        return float_texts(items)
+    def counting(record_runs):
+        runs.extend(id(values) for values, _ in record_runs)
+        return run_texts(record_runs)
 
-    monkeypatch.setattr(records, "_float_texts", counting)
-    for _ in range(2):  # once in each call: nothing is kept from call to call
-        formatted.clear()
-        assert records.canonical_json(doc) == canonical_json_dumps(copies)
-        assert formatted.count(id(grid)) == 1
+    def counting_kernel(*args):
+        kernel_calls.append(len(args[0]))
+        return repr_texts(*args)
+
+    monkeypatch.setattr(records, "_run_texts", counting)
+    monkeypatch.setattr(records, "_repr_texts", counting_kernel)
+    for points in (9, (records._REPR_MIN_ENTRIES + 1) // 2):
+        grid = [0.25 * k for k in range(-(points // 2), points - points // 2)]
+        doc = {"standard": records.Rows(delta_omega=grid, pb_e=[x * x for x in grid]),
+               "modified": records.Rows(delta_omega=grid, label=["x"] * len(grid)),
+               "both": records.Rows(a=grid, b=grid)}
+        copies = {"standard": [{"delta_omega": x, "pb_e": x * x} for x in grid],
+                  "modified": [{"delta_omega": x, "label": "x"} for x in grid],
+                  "both": [{"a": x, "b": x} for x in grid]}
+        for _ in range(2):  # once in each call: nothing is kept from call to call
+            runs.clear()
+            kernel_calls.clear()
+            assert records.canonical_json(doc) == canonical_json_dumps(copies)
+            assert runs.count(id(grid)) == 1 and len(runs) == 2
+            assert kernel_calls == ([] if 2 * points < records._REPR_MIN_ENTRIES
+                                    else [2 * points])
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -156,6 +168,7 @@ _FAILING = {
     "-inf value": {"a": -_INF},
     "nan before a string": [_NAN, "x"],
     "numpy nan": [np.float64(_NAN)],
+    "numpy inf and -inf": [np.float64(_INF), np.float64(-_INF)],
     "numpy int": [np.int64(3)],
     "numpy bool": {"a": np.bool_(True)},
     "set": {"a": {1, 2}},
@@ -170,8 +183,32 @@ _FAILING = {
 }
 
 
+def test_numpy_float_lists_are_written_as_json_dumps_does():
+    # numpy's floats, a float subclass, are written item by item: summed to
+    # test their finiteness, as float lists are, they would warn on overflow
+    doc = {"big": [np.float64(1.7e308)] * 2, "mixed": (np.float64(0.5), 0.25),
+           "rows": records.Rows(t=np.linspace(0.0, 1.0, 3))}
+    copy = {**doc, "rows": [{"t": t} for t in doc["rows"].columns["t"]]}
+    assert records.canonical_json(doc) == canonical_json_dumps(copy)
+
+
 @pytest.mark.parametrize("doc", _FAILING.values(), ids=_FAILING.keys())
 def test_fails_where_json_dumps_fails(doc):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        canonical_json_dumps(doc)
+    with pytest.raises(expected.type) as got:
+        cli.canonical_json(doc)
+    assert str(got.value) == str(expected.value)
+
+
+# a float list of more floats than the kernel's crossover, written before
+# each fault below: the walk still meets the fault where json does
+_LONG = [k / 7 for k in range(max(1000, records._REPR_MIN_ENTRIES))]
+
+
+@pytest.mark.parametrize("doc", _FAILING.values(), ids=_FAILING.keys())
+def test_fails_where_json_dumps_fails_after_a_long_float_list(doc):
+    doc = [_LONG, doc]
     with pytest.raises((TypeError, ValueError)) as expected:
         canonical_json_dumps(doc)
     with pytest.raises(expected.type) as got:
@@ -211,6 +248,9 @@ _EDGE_TABLES = {
     "a column shared by two tables": [
         {"delta_omega": _SHARED_GRID, "m": _SHARED_STACK, "pb_e": [0.25] * 5},
         {"m": _SHARED_STACK, "x": _SHARED_GRID, "y": _SHARED_GRID, "z": [None] * 5}],
+    "numpy float columns": [{"t": np.linspace(0.0, 2.0, 5), "x": np.arange(5) / 7}],
+    "numpy float columns past the crossover": [
+        {"t": np.linspace(0.0, 2.0, records._REPR_MIN_ENTRIES), "x": np.arange(records._REPR_MIN_ENTRIES) / 7}],
 }
 
 
@@ -228,6 +268,15 @@ def test_a_table_fails_where_json_dumps_fails_on_its_rows(columns):
         canonical_json_dumps({"rows": _dict_rows(columns)})
     with pytest.raises(expected.type) as got:
         records.canonical_json({"rows": records.Rows(**columns)})
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("columns", _FAILING_ROWS.values(), ids=_FAILING_ROWS.keys())
+def test_a_table_fails_where_json_dumps_fails_on_its_rows_after_a_long_float_list(columns):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        canonical_json_dumps({"a": _LONG, "rows": _dict_rows(columns)})
+    with pytest.raises(expected.type) as got:
+        records.canonical_json({"a": _LONG, "rows": records.Rows(**columns)})
     assert str(got.value) == str(expected.value)
 
 
@@ -263,6 +312,15 @@ _REFUSED = {
 def test_values_no_record_holds_are_refused(doc, error):
     with pytest.raises(error) as got:
         records.canonical_json(doc)
+    if error is ValueError:
+        assert str(got.value) in [f"Out of range float values are not JSON compliant: {x!r}"
+                                  for x in (_NAN, _INF, -_INF)]
+
+
+@pytest.mark.parametrize("doc, error", _REFUSED.values(), ids=_REFUSED.keys())
+def test_values_no_record_holds_are_refused_after_a_long_float_list(doc, error):
+    with pytest.raises(error) as got:
+        records.canonical_json([_LONG, doc])
     if error is ValueError:
         assert str(got.value) in [f"Out of range float values are not JSON compliant: {x!r}"
                                   for x in (_NAN, _INF, -_INF)]
@@ -375,6 +433,54 @@ def test_writes_matrix_columns_among_scalar_columns_as_json_dumps_does(keys, sta
     columns = dict(zip(keys, (re, column, im)))
     assert records.canonical_json([records.Rows(**columns)]) == canonical_json_dumps(
         [_dict_rows(columns)])
+
+
+@st.composite
+def _mixed_records(draw):
+    """(record, the json form it stands for): a float list and two tables,
+    the second sometimes nested one level deeper, that share a float
+    column, each with a float column of its own, a matrix column (or
+    none), and str, bool and None columns; their
+    floats, seeded draws over many scales with zeros, subnormals and
+    integers among them, number from half to twice the kernel's crossover,
+    or one below it, at it or one above it."""
+    c = records._REPR_MIN_ENTRIES
+    total = draw(st.one_of(st.sampled_from([c - 1, c, c + 1]), st.integers(c // 2, 2 * c)))
+    d = draw(st.integers(0, 3))  # the matrices' size; 0 for no matrix column
+    per_row = 3 + 2 * d * d
+    n = min(draw(st.integers(1, 60)), (total - 1) // per_row)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def floats(size):
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+        special = rng.random(size) < 0.1
+        x[special] = rng.choice(_EXTREMES + [3.0, -250.0, 1e22], special.sum())
+        return x.tolist()
+
+    grid = floats(n)
+    echo = floats(total - n * per_row)
+    if draw(st.booleans()):
+        echo = tuple(map(np.float64, echo))
+    a = {"delta_omega": grid, "pb_e": floats(n), "label": [draw(_TABLE_KEYS) for _ in range(n)]}
+    b = {"x": grid, "ok": [bool(k % 2) for k in range(n)], "z": [None] * n,
+         "pb": tuple(floats(n))}
+    if d:
+        a["re"], b["im"] = (np.reshape(floats(n * d * d), (n, d, d)) for _ in range(2))
+    record = {"echo": echo, "a": records.Rows(**a), "b": records.Rows(**b), "n": n}
+    copy = {"echo": list(echo), "a": _dict_rows(a), "b": _dict_rows(b), "n": n}
+    if draw(st.booleans()):  # the tables' matrix rows at two indentations
+        record["deeper"], copy["deeper"] = {"b": record.pop("b")}, {"b": copy.pop("b")}
+    return record, copy
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(pair=_mixed_records())
+def test_writes_mixed_float_runs_as_json_dumps_does(pair):
+    # float lists, float scalar columns (one held by both tables) and
+    # matrix columns, written by float.__repr__ or the kernel as the
+    # record's float count falls
+    record, copy = pair
+    assert records.canonical_json(record) == canonical_json_dumps(copy)
 
 
 def _kernel_texts(x):

@@ -36,13 +36,21 @@ sha256 of its stdout and of its stderr.  The cases are:
 - lindblad-evolve as JSON, over the 50-point grid, of a seeded pure state
   under the Hamiltonian of each generic model alone (no Lindblad operator),
   for d = 1, 2 and each d in GENERIC_DIMS: most of those states are repaired.
-  In every lindblad-evolve case each state's parts are written entry by
-  entry: by the records writer's numpy kernel where the record's states
-  hold at least ``records._REPR_MIN_ENTRIES`` entries (every 50-point grid
-  from d = 3 up, and the generic models' 5-point grid from d = 8), and by
-  float.__repr__ below that.  The d = 4 pure state, itself repaired, runs the
-  grid with zeros too, so that a repaired rho0 flag is written in the
-  states at t = 0;
+  The d = 4 pure state, itself repaired, runs the grid with zeros too, so
+  that a repaired rho0 flag is written in the states at t = 0;
+- the records on either side of the crossover C, the float count from
+  which the records writer takes its numpy kernel for all of a record's
+  float runs (``records._REPR_MIN_ENTRIES`` of the last ``--src``), and
+  float.__repr__ below it: ramsey-scan of fig1's config on the grid whose
+  record holds the most floats below C and on the one whose record holds
+  the fewest at or above it (3 floats a point of a start/stop/points grid, 4 of
+  a grid of values, which the record echoes), and lindblad-evolve of the
+  d = 2 generic model over the two linspace grids from 0.05 to 2 whose
+  records hold the most floats below C and the fewest at or above it
+  (32 + 12 a time), all matrix columns below 512 entries.  At C = 768,
+  132 of all the cases reach the kernel, among them the default
+  ramsey-scan (2005 floats), every 50-point lindblad-evolve record from
+  d = 3 up and the 50-point entropy-check records from d = 12;
 - extract-generator on a seeded measurement model in the computational
   basis for each d in GENERIC_DIMS, as perfbench's dynamics workload builds
   it (a diagonal H and two diagonal Lindblad operators, h = 0.05 / ||L||_F,
@@ -57,7 +65,7 @@ sha256 of its stdout and of its stderr.  The cases are:
   know; each exits through argparse, and its exit status is the case's
   exit code.
 
-There are 2760 cases.
+There are 2764 cases.
 
 A mutated config is written to the same path for every checkout, since the
 record echoes the path.  The tool prints each case whose result differs from
@@ -74,6 +82,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -144,9 +153,10 @@ def _at(doc, path):
     return doc
 
 
-def _cases(cli):
+def _cases(cli, crossover):
     """(case name, argv, config document or None, top-level key changed) of
-    every case."""
+    every case, those that straddle the float count ``crossover`` among
+    them."""
     for command in cli._COMMANDS:
         for flags in _flag_sets(command):
             yield _named(f"default {command} json", flags), [command, *flags], None, "-"
@@ -196,8 +206,26 @@ def _cases(cli):
                     "lindblads": [_parts(np.diag([root, -root]))]}
     for command in ("lindblad-evolve", "entropy-check", "extract-generator"):
         yield f"{command} dephasing qubit", [command], doc, "dephasing qubit"
+    fig1 = json.loads(cli.bundled_config_path("fig1").read_text())
+    for floats in _straddle(crossover, lambda n: n % 3 == 0 or n % 4 == 0):
+        grid = ({"start": -1.0, "stop": 1.0, "points": floats // 3} if floats % 3 == 0
+                else {"values": np.linspace(-1.0, 1.0, floats // 4).tolist()})
+        yield (f"ramsey-scan fig1 {floats} floats", ["ramsey-scan"], {**fig1, "grid": grid},
+               "crossover")
+    model, rho0 = _generic(2)
+    for floats in _straddle(crossover, lambda n: n % 12 == 32 % 12):
+        times = np.linspace(0.05, 2.0, (floats - 32) // 12).tolist()
+        yield (f"lindblad-evolve generic d=2 {floats} floats", ["lindblad-evolve"],
+               {"model": model, "rho0": rho0, "times": times}, "crossover")
     for argv in ARGV:
         yield f"argv {argv}", argv, None, "argv"
+
+
+def _straddle(crossover, holds):
+    """The most floats below ``crossover`` and the fewest at or above it,
+    of the counts n with ``holds(n)``."""
+    return (next(n for n in range(crossover - 1, 0, -1) if holds(n)),
+            next(n for n in itertools.count(crossover) if holds(n)))
 
 
 def _generic(d):
@@ -307,14 +335,14 @@ def _error(text: str):
         return None
 
 
-def child(workdir: str) -> None:
+def child(workdir: str, crossover: int) -> None:
     """Run every case with the lindkit on sys.path; print one JSON object:
     each case's result, and its subcommand and top-level key."""
     from lindkit import cli
 
     config = os.path.join(workdir, "config.json")
     results, groups = {}, {}
-    for name, argv, doc, key in _cases(cli):
+    for name, argv, doc, key in _cases(cli, crossover):
         groups[name] = " ".join(argv[:1] + [key])
         if doc is not None:
             with open(config, "w") as fh:
@@ -338,15 +366,21 @@ def main(argv=None) -> int:
     ap.add_argument("--src", action="append", required=True,
                     help="directory holding a lindkit package (repeat for each checkout)")
     ap.add_argument("--child", help=argparse.SUPPRESS)
+    ap.add_argument("--crossover", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        child(args.child)
+        child(args.child, args.crossover)
         return 0
     runs, groups = [], {}
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(args.src[-1])}
+    crossover = subprocess.run(
+        [sys.executable, "-c", "from lindkit import records; print(records._REPR_MIN_ENTRIES)"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory() as workdir:
         for src in args.src:
             env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-            proc = subprocess.run([sys.executable, __file__, "--src", src, "--child", workdir],
+            proc = subprocess.run([sys.executable, __file__, "--src", src, "--child", workdir,
+                                   "--crossover", crossover],
                                   env=env, capture_output=True, text=True, check=True)
             out = json.loads(proc.stdout)
             runs.append(out["results"])

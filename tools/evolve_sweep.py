@@ -22,12 +22,19 @@ through the command line in-process (cases
 for lindblad-evolve and entropy-check, each record written to memory).
 Case "evolve-record" writes the in-memory record of that lindblad-evolve
 run, built once, with ``records.canonical_json``: the encoder's share of
-"evolve-cli".
+"evolve-cli", and case "entropy-record" that of the entropy-check run.
 Case "matrix-texts:<entries>", with d null, writes a table of two
 matrix columns alone, ``records.canonical_json(records.Rows(re=re, im=im))``
 with re and im the real and imaginary stacks of MATRIX_TEXTS_STATES[k]
-seeded d = 4 density matrices: 64 to 8192 entries in all, on either side
-of the entry count from which the records writer takes its numpy kernel.
+seeded d = 4 density matrices, and case "float-texts:<entries>" a record
+of float lists and scalar float columns alone: half its seeded normal
+draws in lists of 32, as a config echoes a model's parts, and half in a
+table of two columns, as a scan's rows hold them.  Both take 64 to 8192
+floats in all, on either side of the float count from which the records
+writer takes its numpy kernel.  Case "scan-record" writes the record of
+the default ramsey-scan run (the fig-both config: 2 x 401 fringe rows,
+2005 distinct floats), built once: the encoder's share of
+"bundled-cli:ramsey-scan".
 Case "bundled-cli:<command>", with d null, runs each of the eight commands
 on its bundled default config (``cli.main([command])``, the record written
 to memory; ``ramsey-scan`` runs the fig-both config: 2 x 401 fringe rows)
@@ -89,7 +96,9 @@ REPEAT = 3
 ROUNDS = 11
 SEED = 7
 # the states of the "matrix-texts" cases: 32 entries each at d = 4
-MATRIX_TEXTS_STATES = (2, 4, 8, 16, 32, 64, 128, 256)
+MATRIX_TEXTS_STATES = (2, 4, 8, 12, 14, 16, 20, 32, 64, 128, 256)
+# the floats of the "float-texts" cases
+FLOAT_TEXTS_ENTRIES = (64, 128, 256, 384, 448, 512, 640, 1024, 2048, 4096, 8192)
 
 
 def load(src: str, name: str):
@@ -162,14 +171,22 @@ def run_cli(cli, argv: list) -> int:
         return cli.main(argv)
 
 
-def evolve_record(cli, path: str) -> dict:
-    """The record lindblad-evolve writes for the config ``path``, as the
-    command line holds it before writing it."""
+def command_record(cli, argv: list) -> dict:
+    """The record the command line ``argv`` writes, as the command line
+    holds it before writing it."""
     sys.modules["lindkit"] = sys.modules[cli.__package__]
-    args = cli.build_parser().parse_args(["lindblad-evolve", "--config", path])
-    doc, handler, inputs = cli._load("lindblad-evolve", path)
+    args = cli.build_parser().parse_args(argv)
+    doc, handler, inputs = cli._load(args.command, args.config)
     _, result, _ = handler(args, *inputs)
     return cli._record(args, doc, result, [])
+
+
+def float_record(lk, n: int) -> dict:
+    """The "float-texts" record of n floats (seed [SEED, n, 4])."""
+    x = np.random.default_rng([SEED, n, 4]).standard_normal(n).tolist()
+    half = n // 2
+    return {"lists": [x[a:a + 32] for a in range(0, half, 32)],
+            "rows": lk.records.Rows(a=x[half:half + n // 4], b=x[half + n // 4:])}
 
 
 def main() -> None:
@@ -251,13 +268,20 @@ def main() -> None:
                 if any(run_cli(cli, argv) for cli in clis):
                     sys.exit(f"{command} failed on {path}")
                 work.append((d, name, [partial(run_cli, cli, argv) for cli in clis]))
-            work.append((d, "evolve-record", [partial(cli.canonical_json, evolve_record(cli, path))
-                                              for cli in clis]))
+            for command, name in (("lindblad-evolve", "evolve-record"),
+                                  ("entropy-check", "entropy-record")):
+                work.append((d, name, [partial(cli.canonical_json, command_record(
+                    cli, [command, "--config", path])) for cli in clis]))
         for n in MATRIX_TEXTS_STATES:
             rho = density_stack(n, 4)
             work.append((None, f"matrix-texts:{rho.size * 2}", [partial(
                 lk.records.canonical_json, lk.records.Rows(re=rho.real, im=rho.imag))
                 for lk in packages]))
+        for n in FLOAT_TEXTS_ENTRIES:
+            work.append((None, f"float-texts:{n}", [partial(
+                lk.records.canonical_json, float_record(lk, n)) for lk in packages]))
+        work.append((None, "scan-record", [partial(cli.canonical_json, command_record(
+            cli, ["ramsey-scan"])) for cli in clis]))
         for command in clis[0]._COMMANDS:
             if any(run_cli(cli, [command]) not in (0, 3) for cli in clis):
                 sys.exit(f"{command} failed on its default config")
